@@ -58,6 +58,7 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    collapse,
     kendall_matrix,
     kendall_tau,
     loss_matrix,

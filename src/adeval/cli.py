@@ -48,6 +48,7 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    collapse,
     fit_combo,
     kendall_matrix,
     loss_matrix_table,
@@ -443,8 +444,8 @@ def _select_measures(
     return tuple(names)
 
 
-def _rank_lines(records, names) -> tuple[list[list], list[str]]:
-    tables = [mean_rank_table(records, name) for name in names]
+def _rank_lines(data, names) -> tuple[list[list], list[str]]:
+    tables = [mean_rank_table(data, name) for name in names]
     order = sorted(
         range(len(tables[0].detectors)),
         key=lambda i: _DETECTOR_ORDER.get(tables[0].detectors[i], 99),
@@ -528,12 +529,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         raise CliError(
             f"record store incomplete, {len(missing)} missing cells:\n{shown}{extra}"
         )
-    records = [r for r in records if r.contamination == contamination]
+    data = collapse(r for r in records if r.contamination == contamination)
     names = _select_measures(cfg, args.measure, args.alpha, args.p)
     tag = f"c{contamination:g}"
 
     if args.kind == "rank":
-        rows, lines = _rank_lines(records, names)
+        rows, lines = _rank_lines(data, names)
         _write_delimited(
             out_dir / f"rank_{tag}.csv",
             ["measure", "detector", "mean_rank", "std_rank", "n_datasets"],
@@ -541,7 +542,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         )
         _write_text(out_dir / f"rank_{tag}.txt", lines, hash_)
     elif args.kind == "kendall":
-        result = kendall_matrix(records, measures=names)
+        result = kendall_matrix(data, measures=names)
         rows = [
             [result.measures[i], result.measures[j],
              repr(float(result.matrix[i, j])), int(result.pair_counts[i, j])]
@@ -564,7 +565,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         _write_text(out_dir / f"kendall_{tag}.txt", lines, hash_)
     elif args.kind == "loss":
         sel_names, matrix = loss_matrix_table(
-            records, measures=names, select_on_validation=args.select_on_validation
+            data, measures=names, select_on_validation=args.select_on_validation
         )
         suffix = "_val" if args.select_on_validation else ""
         rows = [
@@ -579,7 +580,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         lines += _matrix_lines(sel_names, matrix * 100.0, lambda v: _fmt(v, 1))
         _write_text(out_dir / f"loss_{tag}{suffix}.txt", lines, hash_)
     elif args.kind == "multiclass":
-        result = multiclass_sensitivity(records, measures=names)
+        result = multiclass_sensitivity(data, measures=names)
         rows = [
             [result.measures[i], result.measures[j],
              repr(float(result.matrix[i, j]))]

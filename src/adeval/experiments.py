@@ -4,9 +4,11 @@ A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
 test fold and evaluates every configured measure; records land in a
 resumable delimited-text store, one file per (benchmark, detector).
-Analytics collapse repetitions by averaging and then compare detectors
-(mean ranks), measures (Kendall correlation), and selection strategies
-(relative loss matrices, within and across anomaly classes).
+Analytics first collapse one contamination level of the store into a
+single (benchmark x combo x measure) array of repetition means; every
+table is a reduction over that array, comparing detectors (mean ranks),
+measures (Kendall correlation), and selection strategies (relative loss
+matrices, within and across anomaly classes).
 
 All measures are oriented so that larger is better; CVOL is already the
 complement of the decision-region volume.
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -294,40 +297,52 @@ class RecordStore:
             writer.writerow(row)
 
     def load(self) -> list[ExperimentRecord]:
+        """Every record in the store, sorted by cell.
+
+        A row whose width differs from its header, or with a value that is
+        neither ``NA`` nor a float, raises ``ValueError`` naming its file
+        and line rather than loading as a finished cell.
+        """
         records: list[ExperimentRecord] = []
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
-                lines = (line for line in handle if not line.startswith("#"))
-                reader = csv.reader(lines)
-                header = next(reader, None)
-                if header is None:
-                    continue
-                if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
-                    raise ValueError(f"{path}: unrecognized record header")
-                measure_names = header[len(_ID_COLUMNS) :]
+                reader = csv.reader(handle)
+                header = None
                 for row in reader:
-                    if not row:
+                    if not row or row[0].startswith("#"):
                         continue
-                    base = dict(zip(_ID_COLUMNS, row))
-                    values = {
-                        name: (None if raw == _MISSING else float(raw))
-                        for name, raw in zip(measure_names, row[len(_ID_COLUMNS) :])
-                    }
-                    records.append(
-                        ExperimentRecord(
-                            grid_index=int(base["grid_index"]),
-                            table=base["table"],
-                            anomaly_class=base["anomaly_class"],
-                            detector=base["detector"],
-                            params=base["params"],
-                            contamination=float(base["contamination"]),
-                            repetition=int(base["repetition"]),
-                            values=values,
-                            flags=tuple(t for t in base["flags"].split(";") if t),
-                        )
-                    )
+                    if header is None:
+                        header = row
+                        if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
+                            raise ValueError(f"{path}: unrecognized record header")
+                        continue
+                    try:
+                        records.append(_parse_row(header, row))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         records.sort(key=lambda r: r.cell_key)
         return records
+
+
+def _parse_row(header: list[str], row: list[str]) -> ExperimentRecord:
+    if len(row) != len(header):
+        raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+    base = dict(zip(_ID_COLUMNS, row))
+    values = {
+        name: (None if raw == _MISSING else float(raw))
+        for name, raw in zip(header[len(_ID_COLUMNS) :], row[len(_ID_COLUMNS) :])
+    }
+    return ExperimentRecord(
+        grid_index=int(base["grid_index"]),
+        table=base["table"],
+        anomaly_class=base["anomaly_class"],
+        detector=base["detector"],
+        params=base["params"],
+        contamination=float(base["contamination"]),
+        repetition=int(base["repetition"]),
+        values=values,
+        flags=tuple(t for t in base["flags"].split(";") if t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -556,40 +571,75 @@ def run_grid(
 # ---------------------------------------------------------------------------
 
 
-def mean_records(records: Iterable[ExperimentRecord]) -> list[ExperimentRecord]:
-    """Average measure values over repetitions (repetition becomes -1).
+@dataclass(frozen=True)
+class Collapsed:
+    """Repetition means of one contamination level as one dense array.
+
+    ``values[b, c, m]`` is the mean over repetitions of measure ``m`` for
+    combo ``c`` on benchmark ``b``: NaN where the value is missing in every
+    repetition or the combo has no record there (``present[b, c]`` False).
+    Benchmarks are ordered by name and combos by grid index; ``measures``
+    includes the ``val:`` columns.
+    """
+
+    benchmarks: tuple[str, ...]
+    tables: tuple[str, ...]  # table of each benchmark
+    detectors: tuple[str, ...]  # detector of each combo
+    measures: tuple[str, ...]
+    values: NDArray[np.float64]  # (benchmark, combo, measure)
+    present: NDArray[np.bool_]  # (benchmark, combo)
+
+    def column(self, measure: MeasureId | str) -> NDArray[np.float64]:
+        """The (benchmark, combo) means of one measure, all NaN if never recorded."""
+        name = _measure_name(measure)
+        if name not in self.measures:
+            return np.full(self.present.shape, np.nan)
+        return self.values[:, :, self.measures.index(name)]
+
+    def table_measures(self, measures: Sequence[str] | None) -> tuple[str, ...]:
+        """``measures`` if given, else every recorded measure but the ``val:`` ones."""
+        if measures:
+            return tuple(measures)
+        return tuple(n for n in self.measures if not n.startswith("val:"))
+
+
+def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
+    """Average measure values over repetitions into one :class:`Collapsed`.
 
     A value missing in some repetitions averages over the present ones; a
-    value missing everywhere stays missing.
+    value missing everywhere stays missing.  The records must share one
+    contamination level.
     """
-    groups: dict[tuple, list[ExperimentRecord]] = {}
-    for record in records:
-        groups.setdefault(record.combo_key, []).append(record)
-    collapsed = []
-    for group in groups.values():
-        names: list[str] = []
-        for record in group:
-            for name in record.values:
-                if name not in names:
-                    names.append(name)
-        values: dict[str, float | None] = {}
-        for name in names:
-            present = [r.values[name] for r in group if r.values.get(name) is not None]
-            values[name] = float(np.mean(present)) if present else None
-        first = group[0]
-        flags = tuple(sorted({f for r in group for f in r.flags}))
-        collapsed.append(replace(first, repetition=-1, values=values, flags=flags))
-    collapsed.sort(key=lambda r: r.combo_key)
-    return collapsed
-
-
-def _single_contamination(records: Sequence[ExperimentRecord]) -> float:
+    records = sorted(records, key=lambda r: r.combo_key)
     levels = sorted({r.contamination for r in records})
     if len(levels) != 1:
         raise ValueError(
             f"records mix contamination levels {levels}; filter to one first"
         )
-    return levels[0]
+    table_of = {r.benchmark: r.table for r in records}
+    detector_of = {r.grid_index: r.detector for r in records}
+    benchmarks, grid = sorted(table_of), sorted(detector_of)
+    measures = tuple(dict.fromkeys(name for r in records for name in r.values))
+    row = {bench: i for i, bench in enumerate(benchmarks)}
+    col = {g: j for j, g in enumerate(grid)}
+    values = np.full((len(benchmarks), len(grid), len(measures)), np.nan)
+    present = np.zeros(values.shape[:2], dtype=bool)
+    for _, group in groupby(records, key=lambda r: r.combo_key):
+        group = list(group)
+        i, j = row[group[0].benchmark], col[group[0].grid_index]
+        present[i, j] = True
+        for m, name in enumerate(measures):
+            reps = [r.values[name] for r in group if r.values.get(name) is not None]
+            if reps:
+                values[i, j, m] = np.mean(reps)
+    return Collapsed(
+        benchmarks=tuple(benchmarks),
+        tables=tuple(table_of[b] for b in benchmarks),
+        detectors=tuple(detector_of[g] for g in grid),
+        measures=measures,
+        values=values,
+        present=present,
+    )
 
 
 def _measure_name(measure: MeasureId | str) -> str:
@@ -612,44 +662,30 @@ class RankTable:
     n_datasets: int
 
 
-def mean_rank_table(
-    records: Sequence[ExperimentRecord], measure: MeasureId | str
-) -> RankTable:
+def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
     """Rank detectors per benchmark (best hyperparameters, rank 1 = best).
 
     Each detector is represented by its best hyperparameter setting under
     the measure; ties get fractional ranks.  Requires every detector to
     have a value on every benchmark.
     """
-    name = _measure_name(measure)
-    collapsed = mean_records(records)
-    _single_contamination(collapsed)
-    benchmarks = sorted({r.benchmark for r in collapsed})
-    detectors = tuple(sorted({r.detector for r in collapsed}))
-    best: dict[tuple[str, str], float] = {}
-    for record in collapsed:
-        value = record.values.get(name)
-        if value is None:
-            continue
-        key = (record.benchmark, record.detector)
-        if key not in best or value > best[key]:
-            best[key] = value
-    missing = [
-        (b, d) for b in benchmarks for d in detectors if (b, d) not in best
-    ]
-    if missing:
-        shown = ", ".join(f"{b}/{d}" for b, d in missing[:10])
+    column = data.column(measure)
+    detectors = tuple(sorted(set(data.detectors)))
+    owner = np.array(data.detectors)
+    best = np.stack(
+        [np.fmax.reduce(column[:, owner == d], axis=1) for d in detectors], axis=1
+    )
+    missing = np.argwhere(np.isnan(best))
+    if len(missing):
+        shown = ", ".join(f"{data.benchmarks[b]}/{detectors[d]}" for b, d in missing[:10])
         raise ValueError(f"missing detector results for: {shown}")
-    ranks = np.empty((len(benchmarks), len(detectors)))
-    for i, bench in enumerate(benchmarks):
-        values = np.array([best[(bench, d)] for d in detectors])
-        ranks[i] = rankdata(-values, method="average")
+    ranks = rankdata(-best, method="average", axis=1)
     return RankTable(
-        measure=name,
+        measure=_measure_name(measure),
         detectors=detectors,
         mean=ranks.mean(axis=0),
         std=ranks.std(axis=0),
-        n_datasets=len(benchmarks),
+        n_datasets=len(data.benchmarks),
     )
 
 
@@ -692,44 +728,32 @@ class KendallMatrix:
     pair_counts: NDArray[np.int64]  # benchmarks contributing per pair
 
 
-def kendall_matrix(
-    records: Sequence[ExperimentRecord], measures: Sequence[str] | None = None
-) -> KendallMatrix:
+def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> KendallMatrix:
     """Average per-benchmark Kendall tau between every measure pair.
 
-    Per benchmark, each measure induces a vector over all detector combos;
-    tau is computed per measure pair and averaged across benchmarks,
-    skipping benchmarks where it is undefined (fully tied vectors).
+    Per benchmark, each measure induces a vector over the detector combos
+    present there; tau is computed per measure pair on the combos where
+    both values exist and averaged across benchmarks, skipping benchmarks
+    where it is undefined (fully tied vectors).
     """
-    collapsed = mean_records(records)
-    _single_contamination(collapsed)
-    names = tuple(measures) if measures else _value_names(collapsed)
-    benchmarks = sorted({r.benchmark for r in collapsed})
+    names = data.table_measures(measures)
     k = len(names)
+    block = np.stack([data.column(name) for name in names], axis=-1)
     sums = np.zeros((k, k))
     counts = np.zeros((k, k), dtype=np.int64)
-    for bench in benchmarks:
-        rows = sorted(
-            (r for r in collapsed if r.benchmark == bench),
-            key=lambda r: r.grid_index,
-        )
+    for b, bench in enumerate(data.benchmarks):
+        rows = block[b, data.present[b]]
         if len(rows) < 2:
             raise ValueError(
                 f"benchmark {bench} has {len(rows)} combo(s); need at least 2"
             )
-        vectors = {
-            name: np.array(
-                [math.nan if r.values.get(name) is None else r.values[name] for r in rows]
-            )
-            for name in names
-        }
+        finite = np.isfinite(rows)
         for i in range(k):
             for j in range(k):
-                vx, vy = vectors[names[i]], vectors[names[j]]
-                ok = np.isfinite(vx) & np.isfinite(vy)
+                ok = finite[:, i] & finite[:, j]
                 if ok.sum() < 2:
                     continue
-                tau = kendall_tau(vx[ok], vy[ok])
+                tau = kendall_tau(rows[ok, i], rows[ok, j])
                 if math.isnan(tau):
                     continue
                 sums[i, j] += tau
@@ -738,18 +762,30 @@ def kendall_matrix(
     return KendallMatrix(measures=names, matrix=matrix, pair_counts=counts)
 
 
-def _value_names(records: Sequence[ExperimentRecord]) -> tuple[str, ...]:
-    names: list[str] = []
-    for record in records:
-        for name in record.values:
-            if not name.startswith("val:") and name not in names:
-                names.append(name)
-    return tuple(names)
-
-
 # ---------------------------------------------------------------------------
 # Relative loss of hyperparameter selection
 # ---------------------------------------------------------------------------
+
+
+def _selection_loss(
+    sel: NDArray[np.float64], tgt: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Row-wise relative loss of selecting combos by ``sel``, judging by ``tgt``.
+
+    In each row the combo maximizing ``sel`` is chosen (ties: first in grid
+    order) and the loss is (best_target - target_at_choice) / best_target,
+    zero when the best target value is zero.  Combos missing either value
+    (NaN) are excluded from both the argmax and the best.  Returns the loss
+    per row, NaN where no combo is usable, and the usable combos per row.
+    """
+    usable = ~(np.isnan(sel) | np.isnan(tgt))
+    chosen = np.argmax(np.where(usable, sel, -np.inf), axis=1)
+    best = np.where(usable, tgt, -np.inf).max(axis=1)
+    used = np.take_along_axis(tgt, chosen[:, None], axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = np.where(best == 0.0, 0.0, (best - used) / best)
+    n_usable = usable.sum(axis=1)
+    return np.where(n_usable > 0, loss, np.nan), n_usable
 
 
 @dataclass(frozen=True)
@@ -760,72 +796,45 @@ class LossResult:
 
 
 def loss_matrix(
-    records: Sequence[ExperimentRecord],
+    data: Collapsed,
     selection: MeasureId | str,
     target: MeasureId | str,
     select_on_validation: bool = False,
 ) -> LossResult:
     """Mean relative loss of selecting combos by one measure, judging by another.
 
-    Per benchmark the combo maximizing the selection measure is chosen
-    (ties: first in grid order) and the loss is
-    (best_target - target_at_choice) / best_target, zero when the best
-    target value is zero.  Combos missing either value are excluded from
-    both the argmax and the best, and counted.
+    The per-benchmark loss is that of :func:`_selection_loss`; combos
+    missing either value are counted as excluded.
 
     With ``select_on_validation`` the argmax reads the ``val:``-prefixed
     columns written by a run with a validation fraction, keeping selection
     and judgment on disjoint samples.
     """
     sel_name = _measure_name(selection)
-    tgt_name = _measure_name(target)
     if select_on_validation:
         sel_name = f"val:{sel_name}"
-    collapsed = mean_records(records)
-    _single_contamination(collapsed)
-    benchmarks = sorted({r.benchmark for r in collapsed})
-    losses = []
-    excluded = 0
-    for bench in benchmarks:
-        rows = sorted(
-            (r for r in collapsed if r.benchmark == bench),
-            key=lambda r: r.grid_index,
-        )
-        usable = [
-            r
-            for r in rows
-            if r.values.get(sel_name) is not None and r.values.get(tgt_name) is not None
-        ]
-        excluded += len(rows) - len(usable)
-        if not usable:
-            raise ValueError(f"benchmark {bench} has no usable combo for {sel_name}")
-        sel_values = np.array([r.values[sel_name] for r in usable])
-        tgt_values = np.array([r.values[tgt_name] for r in usable])
-        chosen = int(np.argmax(sel_values))  # first maximum = lowest grid index
-        best = float(tgt_values.max())
-        used = float(tgt_values[chosen])
-        losses.append(0.0 if best == 0.0 else (best - used) / best)
+    losses, n_usable = _selection_loss(data.column(sel_name), data.column(target))
+    if not n_usable.all():
+        bench = data.benchmarks[int(np.argmin(n_usable))]
+        raise ValueError(f"benchmark {bench} has no usable combo for {sel_name}")
     return LossResult(
         mean_loss=float(np.mean(losses)),
-        n_datasets=len(benchmarks),
-        n_excluded_combos=excluded,
+        n_datasets=len(data.benchmarks),
+        n_excluded_combos=int(data.present.sum() - n_usable.sum()),
     )
 
 
 def loss_matrix_table(
-    records: Sequence[ExperimentRecord],
+    data: Collapsed,
     measures: Sequence[str] | None = None,
     select_on_validation: bool = False,
 ) -> tuple[tuple[str, ...], NDArray[np.float64]]:
     """Full selection-vs-target loss matrix over all measure pairs."""
-    collapsed = mean_records(records)
-    names = tuple(measures) if measures else _value_names(collapsed)
+    names = data.table_measures(measures)
     matrix = np.zeros((len(names), len(names)))
     for i, sel in enumerate(names):
         for j, tgt in enumerate(names):
-            matrix[i, j] = loss_matrix(
-                records, sel, tgt, select_on_validation=select_on_validation
-            ).mean_loss
+            matrix[i, j] = loss_matrix(data, sel, tgt, select_on_validation).mean_loss
     return names, matrix
 
 
@@ -843,7 +852,7 @@ class MulticlassResult:
 
 
 def multiclass_sensitivity(
-    records: Sequence[ExperimentRecord], measures: Sequence[str] | None = None
+    data: Collapsed, measures: Sequence[str] | None = None
 ) -> MulticlassResult:
     """Loss of selecting hyperparameters on the wrong anomaly class.
 
@@ -853,52 +862,33 @@ def multiclass_sensitivity(
     measure on class b against class b's own best.  Entries average over
     ordered pairs and tables; single-class tables are skipped and counted.
     """
-    collapsed = mean_records(records)
-    _single_contamination(collapsed)
-    names = tuple(measures) if measures else _value_names(collapsed)
-    by_table: dict[str, dict[str, list[ExperimentRecord]]] = {}
-    for record in collapsed:
-        by_table.setdefault(record.table, {}).setdefault(
-            record.anomaly_class, []
-        ).append(record)
+    names = data.table_measures(measures)
     k = len(names)
-    sums = np.zeros((k, k))
-    counts = np.zeros((k, k), dtype=np.int64)
+    block = np.stack([data.column(name) for name in names], axis=1)
+    sums = np.zeros(k * k)
+    counts = np.zeros(k * k, dtype=np.int64)
+    tables = np.array(data.tables)
     n_used = n_skipped = 0
-    for table in sorted(by_table):
-        classes = sorted(by_table[table])
+    for table in sorted(set(data.tables)):
+        classes = np.flatnonzero(tables == table)  # name order is class order
         if len(classes) < 2:
             n_skipped += 1
             continue
         n_used += 1
-        per_class = {
-            cls: {r.grid_index: r for r in by_table[table][cls]} for cls in classes
-        }
-        for cls_a in classes:
-            for cls_b in classes:
-                if cls_a == cls_b:
+        for a in classes:
+            for b in classes:
+                if a == b:
                     continue
-                rows_a, rows_b = per_class[cls_a], per_class[cls_b]
-                common = sorted(set(rows_a) & set(rows_b))
-                for i, sel in enumerate(names):
-                    for j, tgt in enumerate(names):
-                        usable = [
-                            g
-                            for g in common
-                            if rows_a[g].values.get(sel) is not None
-                            and rows_b[g].values.get(tgt) is not None
-                        ]
-                        if not usable:
-                            continue
-                        sel_values = np.array([rows_a[g].values[sel] for g in usable])
-                        tgt_values = np.array([rows_b[g].values[tgt] for g in usable])
-                        chosen = int(np.argmax(sel_values))
-                        best = float(tgt_values.max())
-                        used = float(tgt_values[chosen])
-                        sums[i, j] += 0.0 if best == 0.0 else (best - used) / best
-                        counts[i, j] += 1
+                # Row i * k + j selects by measure i on a and judges by j on b.
+                loss, _ = _selection_loss(
+                    np.repeat(block[a], k, axis=0), np.tile(block[b], (k, 1))
+                )
+                ok = ~np.isnan(loss)
+                sums[ok] += loss[ok]
+                counts += ok
     if n_used == 0:
         raise ValueError("no table has two or more anomaly classes")
+    sums, counts = sums.reshape(k, k), counts.reshape(k, k)
     matrix = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return MulticlassResult(
         measures=names, matrix=matrix, n_tables=n_used, n_skipped_tables=n_skipped

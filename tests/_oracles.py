@@ -8,6 +8,7 @@ so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 def pairwise_auc(labels, scores) -> float:
@@ -51,3 +52,140 @@ def kendall_tau_pairs(x, y) -> float:
     if denom == 0:
         return float("nan")
     return (concordant - discordant) / denom
+
+
+# ---------------------------------------------------------------------------
+# Aggregate tables by explicit loops over records
+# ---------------------------------------------------------------------------
+
+
+def repetition_means(records) -> dict:
+    """Repetition means keyed by (table, anomaly class, grid index).
+
+    Each value is ``(detector, {measure: mean})``; a measure missing
+    (``None``) in some repetitions averages over the present ones and one
+    missing everywhere stays ``None``.
+    """
+    groups: dict[tuple, list] = {}
+    for r in records:
+        groups.setdefault((r.table, r.anomaly_class, r.grid_index), []).append(r)
+    means = {}
+    for key, group in groups.items():
+        values = {}
+        for name in {n for r in group for n in r.values}:
+            present = [r.values[name] for r in group if r.values.get(name) is not None]
+            values[name] = float(np.mean(present)) if present else None
+        means[key] = (group[0].detector, values)
+    return means
+
+
+def _by_benchmark(means) -> dict:
+    """{benchmark name: [(detector, values), ...] in grid order}, names sorted."""
+    out: dict[str, list] = {}
+    for (table, cls, _), row in sorted(means.items()):
+        out.setdefault(f"{table}-{cls}", []).append(row)
+    return dict(sorted(out.items()))
+
+
+def _relative_loss(sel_values, tgt_values) -> float:
+    """Loss of the first combo maximizing the selection values, judged by the targets."""
+    chosen = sel_values.index(max(sel_values))
+    best = max(tgt_values)
+    return 0.0 if best == 0.0 else (best - tgt_values[chosen]) / best
+
+
+def rank_reference(means, name):
+    """(detectors, mean ranks, std ranks) from each detector's best combo per benchmark.
+
+    ``None`` when some detector has no value on some benchmark.
+    """
+    benchmarks = _by_benchmark(means)
+    detectors = sorted({det for det, _ in means.values()})
+    best: dict[tuple, float] = {}
+    for bench, rows in benchmarks.items():
+        for det, values in rows:
+            v = values.get(name)
+            if v is not None and ((bench, det) not in best or v > best[bench, det]):
+                best[bench, det] = v
+    if any((b, d) not in best for b in benchmarks for d in detectors):
+        return None
+    ranks = np.array([rankdata([-best[b, d] for d in detectors]) for b in benchmarks])
+    return tuple(detectors), ranks.mean(axis=0), ranks.std(axis=0)
+
+
+def kendall_reference(means, names):
+    """(tau matrix, benchmark count per pair) by pair enumeration per benchmark.
+
+    ``None`` when some benchmark has fewer than two combos.
+    """
+    k = len(names)
+    sums, counts = np.zeros((k, k)), np.zeros((k, k), dtype=np.int64)
+    for rows in _by_benchmark(means).values():
+        if len(rows) < 2:
+            return None
+        for i, x_name in enumerate(names):
+            for j, y_name in enumerate(names):
+                pairs = [
+                    (v[x_name], v[y_name]) for _, v in rows
+                    if v.get(x_name) is not None and v.get(y_name) is not None
+                ]
+                if len(pairs) < 2:
+                    continue
+                tau = kendall_tau_pairs(*zip(*pairs))
+                if not np.isnan(tau):
+                    sums[i, j] += tau
+                    counts[i, j] += 1
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), counts
+
+
+def selection_loss_reference(means, sel, tgt):
+    """(mean relative loss over benchmarks, excluded combos) of selecting by ``sel``.
+
+    ``None`` when some benchmark has no combo with both values.
+    """
+    losses, excluded = [], 0
+    for rows in _by_benchmark(means).values():
+        usable = [
+            v for _, v in rows if v.get(sel) is not None and v.get(tgt) is not None
+        ]
+        excluded += len(rows) - len(usable)
+        if not usable:
+            return None
+        losses.append(_relative_loss([v[sel] for v in usable], [v[tgt] for v in usable]))
+    return float(np.mean(losses)), excluded
+
+
+def class_transfer_reference(means, names):
+    """(loss matrix, tables used, tables skipped) of selecting on the wrong class."""
+    by_table: dict[str, dict] = {}
+    for (table, cls, g), (_, values) in means.items():
+        by_table.setdefault(table, {}).setdefault(cls, {})[g] = values
+    k = len(names)
+    sums, counts = np.zeros((k, k)), np.zeros((k, k), dtype=np.int64)
+    used = skipped = 0
+    for table in sorted(by_table):
+        classes = sorted(by_table[table])
+        if len(classes) < 2:
+            skipped += 1
+            continue
+        used += 1
+        for a in classes:
+            for b in classes:
+                if a == b:
+                    continue
+                rows_a, rows_b = by_table[table][a], by_table[table][b]
+                common = sorted(set(rows_a) & set(rows_b))
+                for i, sel in enumerate(names):
+                    for j, tgt in enumerate(names):
+                        usable = [
+                            g for g in common
+                            if rows_a[g].get(sel) is not None
+                            and rows_b[g].get(tgt) is not None
+                        ]
+                        if usable:
+                            sums[i, j] += _relative_loss(
+                                [rows_a[g][sel] for g in usable],
+                                [rows_b[g][tgt] for g in usable],
+                            )
+                            counts[i, j] += 1
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), used, skipped

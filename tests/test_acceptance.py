@@ -31,6 +31,7 @@ from adeval.datasets import (
 from adeval.detectors import iforest_fit, knn_fit, lof_fit
 from adeval.experiments import (
     ExperimentRecord,
+    collapse,
     kendall_matrix,
     loss_matrix_table,
     roc_band,
@@ -147,9 +148,9 @@ def test_criterion_2_consistency_identities():
             )
             assert est.vol + est.cvol == 1.0
         records = _hand_records()
-        names, loss = loss_matrix_table(records)
+        names, loss = loss_matrix_table(collapse(records))
         assert np.all(np.diag(loss) == 0.0)
-        kendall = kendall_matrix(records)
+        kendall = kendall_matrix(collapse(records))
         assert np.array_equal(kendall.matrix, kendall.matrix.T)
         assert np.all(np.diag(kendall.matrix) == 1.0)
 

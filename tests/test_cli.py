@@ -9,6 +9,8 @@ import pytest
 from adeval.cli import main
 from adeval.datasets import read_benchmark, synth_multiclass_table, write_raw_table
 from adeval.detectors import external_scores_load
+from adeval.experiments import RecordStore
+from _oracles import rank_reference, repetition_means, selection_loss_reference
 
 CONFIG_TEXT = """\
 # small study used across the CLI tests
@@ -273,6 +275,61 @@ class TestAggregate:
         assert "--contamination" in capsys.readouterr().err
         assert main(["aggregate", "rank", str(run_dir), "--contamination", "0.05"]) == 0
         assert (run_dir / "tables" / "rank_c0.05.csv").is_file()
+
+    def test_torn_store_row_exits_two(self, study, tmp_path, capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(study.run, clone)
+        victim = sorted((clone / "records").glob("*.csv"))[-1]
+        text = victim.read_text()
+        # Drop the last field of the last row together with its newline.
+        victim.write_text(text[: text.rstrip("\n").rindex(",")])
+        assert main(["aggregate", "rank", str(clone)]) == 2
+        assert f"{victim.name}: line " in capsys.readouterr().err
+        resume = ["run", "--config", str(study.config), "--set", f"output_dir={clone}"]
+        assert main(resume) == 2
+        assert f"{victim.name}: line " in capsys.readouterr().err
+
+    def test_validation_selection_and_contamination_slice_match_reference(self, tmp_path):
+        write_tables(tmp_path / "raw", n_tables=1)
+        main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")])
+        run_dir = tmp_path / "run"
+        assert main(
+            [
+                "run",
+                "--set", f"dataset_dir={tmp_path / 'cache'}",
+                "--set", f"output_dir={run_dir}",
+                "--set", "knn_variants=kappa,gamma",
+                "--set", "knn_ks=1,3",
+                "--set", "lof_ks=5",
+                "--set", "iforest_trees=",
+                "--set", "contaminations=0.0,0.05",
+                "--set", "validation_fraction=0.3",
+                "--set", "repetitions=2",
+                "--set", "volume_samples=100",
+            ]
+        ) == 0
+        for kind, extra in (("loss", ["--select-on-validation"]), ("rank", [])):
+            assert main(
+                ["aggregate", kind, str(run_dir), "--contamination", "0.05", *extra]
+            ) == 0
+        records = RecordStore(run_dir / "records").load()
+        means = repetition_means([r for r in records if r.contamination == 0.05])
+
+        def table_rows(name):
+            with open(run_dir / "tables" / name, newline="") as handle:
+                return [r for r in csv.reader(handle) if not r[0].startswith("#")][1:]
+
+        loss_rows = table_rows("loss_c0.05_val.csv")
+        assert len(loss_rows) == 12 * 12
+        for sel, tgt, value in loss_rows:
+            expected, _ = selection_loss_reference(means, f"val:{sel}", tgt)
+            assert value == repr(expected)
+        rank_rows = table_rows("rank_c0.05.csv")
+        assert len(rank_rows) == 12 * 2
+        for measure, detector, mean, std, n in rank_rows:
+            detectors, means_, stds = rank_reference(means, measure)
+            i = detectors.index(detector)
+            assert (mean, std, n) == (repr(float(means_[i])), repr(float(stds[i])), "2")
 
     def test_kendall_needs_two_combos(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1, sizes=(40, 15))

@@ -12,18 +12,25 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    collapse,
     kendall_matrix,
     kendall_tau,
     loss_matrix,
     loss_matrix_table,
     mean_rank_table,
-    mean_records,
     multiclass_sensitivity,
     roc_band,
     run_cell,
     run_grid,
 )
-from _oracles import kendall_tau_pairs
+from _oracles import (
+    class_transfer_reference,
+    kendall_reference,
+    kendall_tau_pairs,
+    rank_reference,
+    repetition_means,
+    selection_loss_reference,
+)
 
 
 def record(
@@ -245,6 +252,27 @@ class TestRecordStore:
         with pytest.raises(ValueError, match="header"):
             RecordStore(tmp_path).load()
 
+    def two_row_store(self, tmp_path):
+        store = RecordStore(tmp_path, manifest_hash="cafe01")
+        for rep in range(2):
+            rec = record(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.25})
+            store.append(rec, ("AUC", "TPR@0.05"))
+        return store, next(tmp_path.glob("*.csv"))
+
+    def test_torn_last_row_rejected_with_file_and_line(self, tmp_path):
+        store, path = self.two_row_store(tmp_path)
+        text = path.read_text()
+        # Drop the last field of the last row together with its newline.
+        path.write_text(text[: text.rstrip("\n").rindex(",")])
+        with pytest.raises(ValueError, match=rf"{path.name}: line 4: 9 fields"):
+            store.load()
+
+    def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
+        store, path = self.two_row_store(tmp_path)
+        path.write_text(path.read_text().replace("0.25\n", "0.2x\n", 1))
+        with pytest.raises(ValueError, match=rf"{path.name}: line 3: .*0\.2x"):
+            store.load()
+
 
 # ---------------------------------------------------------------------------
 # Collapsing repetitions
@@ -257,30 +285,47 @@ class TestMeanRecords:
             record(repetition=0, values={"AUC": 0.4}),
             record(repetition=1, values={"AUC": 0.6}),
         ]
-        (mean,) = mean_records(records)
-        assert mean.repetition == -1
-        assert mean.values["AUC"] == 0.5
+        data = collapse(records)
+        assert data.values.shape == (1, 1, 1)
+        assert data.values[0, 0, 0] == 0.5
 
     def test_missing_values_average_over_present_ones(self):
         records = [
             record(repetition=0, values={"AUC": 0.4}, flags=("error:ValueError",)),
             record(repetition=1, values={"AUC": None}),
         ]
-        (mean,) = mean_records(records)
-        assert mean.values["AUC"] == 0.4
-        assert mean.flags == ("error:ValueError",)
+        assert collapse(records).column("AUC")[0, 0] == 0.4
 
     def test_value_missing_everywhere_stays_missing(self):
         records = [record(values={"AUC": None}), record(repetition=1, values={"AUC": None})]
-        (mean,) = mean_records(records)
-        assert mean.values["AUC"] is None
+        data = collapse(records)
+        assert math.isnan(data.column("AUC")[0, 0])
+        assert data.present[0, 0]
 
     def test_groups_by_combo(self):
         records = [
             record(grid_index=0, values={"AUC": 0.2}),
             record(grid_index=1, values={"AUC": 0.8}),
         ]
-        assert len(mean_records(records)) == 2
+        data = collapse(records)
+        assert data.values.shape == (1, 2, 1)
+        assert data.values[0, :, 0].tolist() == [0.2, 0.8]
+
+    def test_axes_keep_names_tables_detectors_and_val_columns(self):
+        records = [
+            record(table="u", anomaly_class="c2", grid_index=3, detector="lof",
+                   values={"AUC": 0.5, "val:AUC": 0.25}),
+            record(table="t", anomaly_class="c1", grid_index=0, values={"AUC": 0.7}),
+        ]
+        data = collapse(records)
+        assert data.benchmarks == ("t-c1", "u-c2")
+        assert data.tables == ("t", "u")
+        assert data.detectors == ("knn", "lof")
+        assert data.measures == ("AUC", "val:AUC")
+        assert data.present.tolist() == [[True, False], [False, True]]
+        assert data.column("val:AUC")[1, 1] == 0.25
+        assert math.isnan(data.column("val:AUC")[0, 0])
+        assert np.isnan(data.column("never-recorded")).all()
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +354,7 @@ class TestMeanRankTable:
         return out
 
     def test_best_hyperparameter_represents_each_detector(self):
-        table = mean_rank_table(self.two_bench_records(), "AUC")
+        table = mean_rank_table(collapse(self.two_bench_records()), "AUC")
         assert table.detectors == ("knn", "lof")
         np.testing.assert_array_equal(table.mean, [1.0, 2.0])
         np.testing.assert_array_equal(table.std, [0.0, 0.0])
@@ -328,7 +373,7 @@ class TestMeanRankTable:
                         values={"AUC": float(rng.uniform())},
                     )
                 )
-        table = mean_rank_table(records, "AUC")
+        table = mean_rank_table(collapse(records), "AUC")
         # Ranks are conserved: detector means average to (D + 1) / 2.
         assert table.mean.mean() == pytest.approx(2.0, abs=1e-12)
 
@@ -337,13 +382,13 @@ class TestMeanRankTable:
             record(grid_index=0, values={"AUC": 0.7}),
             record(grid_index=1, detector="lof", values={"AUC": 0.7}),
         ]
-        table = mean_rank_table(records, "AUC")
+        table = mean_rank_table(collapse(records), "AUC")
         np.testing.assert_array_equal(table.mean, [1.5, 1.5])
 
     def test_missing_detector_is_reported(self):
         records = self.two_bench_records()[:-1]  # drop lof on c2
         with pytest.raises(ValueError, match="t-c2/lof"):
-            mean_rank_table(records, "AUC")
+            mean_rank_table(collapse(records), "AUC")
 
     def test_mixed_contamination_rejected(self):
         records = [
@@ -351,7 +396,7 @@ class TestMeanRankTable:
             record(contamination=0.05, values={"AUC": 0.5}),
         ]
         with pytest.raises(ValueError, match="contamination"):
-            mean_rank_table(records, "AUC")
+            mean_rank_table(collapse(records), "AUC")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +448,7 @@ class TestKendallMatrix:
         return out
 
     def test_symmetric_with_unit_diagonal(self):
-        result = kendall_matrix(self.correlated_records(), measures=("A", "B"))
+        result = kendall_matrix(collapse(self.correlated_records()), measures=("A", "B"))
         np.testing.assert_array_equal(result.matrix, result.matrix.T)
         np.testing.assert_array_equal(np.diag(result.matrix), 1.0)
         assert result.matrix[0, 1] == 1.0  # the two measures agree in order
@@ -411,7 +456,7 @@ class TestKendallMatrix:
 
     def test_single_combo_benchmark_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            kendall_matrix([record(values={"A": 0.5, "B": 0.5})], measures=("A", "B"))
+            kendall_matrix(collapse([record(values={"A": 0.5, "B": 0.5})]), measures=("A", "B"))
 
     def test_undefined_benchmarks_are_skipped(self):
         records = self.correlated_records()
@@ -420,7 +465,7 @@ class TestKendallMatrix:
             record(grid_index=g, anomaly_class="c3", values={"A": 0.5, "B": float(g)})
             for g in range(2)
         ]
-        result = kendall_matrix(records, measures=("A", "B"))
+        result = kendall_matrix(collapse(records), measures=("A", "B"))
         assert result.pair_counts[0, 1] == 2
         assert result.matrix[0, 1] == 1.0
 
@@ -439,13 +484,13 @@ class TestLossMatrix:
         ]
 
     def test_hand_value(self):
-        result = loss_matrix(self.records_with_disagreement(), "S", "T")
+        result = loss_matrix(collapse(self.records_with_disagreement()), "S", "T")
         assert result.mean_loss == pytest.approx((0.8 - 0.2) / 0.8)
         assert result.n_datasets == 1
 
     def test_diagonal_is_zero(self):
         records = self.records_with_disagreement()
-        names, matrix = loss_matrix_table(records, measures=("S", "T"))
+        names, matrix = loss_matrix_table(collapse(records), measures=("S", "T"))
         assert names == ("S", "T")
         np.testing.assert_array_equal(np.diag(matrix), 0.0)
 
@@ -455,7 +500,7 @@ class TestLossMatrix:
             record(grid_index=g, values={"S": float(rng.uniform()), "T": float(rng.uniform())})
             for g in range(8)
         ]
-        _, matrix = loss_matrix_table(records, measures=("S", "T"))
+        _, matrix = loss_matrix_table(collapse(records), measures=("S", "T"))
         # Selecting by the target itself is never worse than any other
         # selector, so every column is minimized on the diagonal.
         for j in range(2):
@@ -466,7 +511,7 @@ class TestLossMatrix:
             record(grid_index=0, values={"S": 0.9, "T": 0.0}),
             record(grid_index=1, values={"S": 0.5, "T": 0.0}),
         ]
-        assert loss_matrix(records, "S", "T").mean_loss == 0.0
+        assert loss_matrix(collapse(records), "S", "T").mean_loss == 0.0
 
     def test_selection_ties_resolved_by_grid_order(self):
         records = [
@@ -474,14 +519,14 @@ class TestLossMatrix:
             record(grid_index=1, values={"S": 0.9, "T": 0.9}),
         ]
         # Both combos tie on S; the lower grid index wins the selection.
-        result = loss_matrix(records, "S", "T")
+        result = loss_matrix(collapse(records), "S", "T")
         assert result.mean_loss == pytest.approx((0.9 - 0.3) / 0.9)
 
     def test_combos_missing_values_are_excluded_and_counted(self):
         records = self.records_with_disagreement() + [
             record(grid_index=2, values={"S": None, "T": 1.0})
         ]
-        result = loss_matrix(records, "S", "T")
+        result = loss_matrix(collapse(records), "S", "T")
         assert result.n_excluded_combos == 1
         assert result.mean_loss == pytest.approx((0.8 - 0.2) / 0.8)
 
@@ -490,7 +535,7 @@ class TestLossMatrix:
             record(grid_index=0, values={"AUC": 0.9, "val:AUC": 0.1}),
             record(grid_index=1, values={"AUC": 0.6, "val:AUC": 0.9}),
         ]
-        result = loss_matrix(records, "AUC", "AUC", select_on_validation=True)
+        result = loss_matrix(collapse(records), "AUC", "AUC", select_on_validation=True)
         assert result.mean_loss == pytest.approx((0.9 - 0.6) / 0.9)
 
 
@@ -502,7 +547,7 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
             record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
         ]
-        result = multiclass_sensitivity(records, measures=("M",))
+        result = multiclass_sensitivity(collapse(records), measures=("M",))
         assert result.matrix[0, 0] == pytest.approx(8 / 9)
         assert result.n_tables == 1 and result.n_skipped_tables == 0
 
@@ -513,7 +558,7 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=0, values={"M": 0.8}),
             record(anomaly_class="c2", grid_index=1, values={"M": 0.2}),
         ]
-        result = multiclass_sensitivity(records, measures=("M",))
+        result = multiclass_sensitivity(collapse(records), measures=("M",))
         assert result.matrix[0, 0] == 0.0
 
     def test_single_class_tables_skipped_and_counted(self):
@@ -524,12 +569,105 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
             record(table="solo", anomaly_class="only", values={"M": 0.5}),
         ]
-        result = multiclass_sensitivity(records, measures=("M",))
+        result = multiclass_sensitivity(collapse(records), measures=("M",))
         assert result.n_tables == 1 and result.n_skipped_tables == 1
 
     def test_all_single_class_rejected(self):
         with pytest.raises(ValueError, match="two or more"):
-            multiclass_sensitivity([record(values={"M": 0.5})], measures=("M",))
+            multiclass_sensitivity(collapse([record(values={"M": 0.5})]), measures=("M",))
+
+
+# ---------------------------------------------------------------------------
+# Array reductions against the loop reference
+# ---------------------------------------------------------------------------
+
+RANDOM_DETECTORS = ("knn", "knn", "knn", "lof", "lof", "iforest")
+RANDOM_MEASURES = ("A", "B", "Z", "val:A", "val:B")
+
+
+def random_records(rng):
+    """2-3 tables of 1-3 anomaly classes; absent combos, gaps, ties and zeros."""
+    out = []
+    for t in range(int(rng.integers(2, 4))):
+        for c in range(1, int(rng.integers(2, 5))):
+            for g, detector in enumerate(RANDOM_DETECTORS):
+                if rng.random() < 0.15:
+                    continue  # combo absent on this benchmark
+                for rep in range(int(rng.integers(1, 4))):
+                    values = {}
+                    for name in RANDOM_MEASURES:
+                        if rng.random() < (0.7 if name == "val:B" else 0.15):
+                            values[name] = None  # val:B is sparse: empty benchmarks
+                        elif name == "Z":  # mostly zero: zero best targets
+                            values[name] = 0.0 if rng.random() < 0.9 else 0.5
+                        elif rng.random() < 0.5:  # coarse values: selection ties
+                            values[name] = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+                        else:
+                            values[name] = float(rng.uniform())
+                    out.append(
+                        record(grid_index=g, table=f"t{t}", anomaly_class=f"c{c}",
+                               detector=detector, repetition=rep, values=values)
+                    )
+    rng.shuffle(out)
+    return out
+
+
+class TestReductionsMatchLoopReference:
+    def test_exact_agreement_on_random_stores(self):
+        seen = dict(rank=0, rank_missing=0, loss=0, loss_empty=0, multiclass=0, kendall=0)
+        for seed in range(25):
+            records = random_records(np.random.default_rng(seed))
+            data = collapse(records)
+            means = repetition_means(records)
+
+            for name in RANDOM_MEASURES:
+                expected = rank_reference(means, name)
+                if expected is None:
+                    seen["rank_missing"] += 1
+                    with pytest.raises(ValueError, match="missing detector"):
+                        mean_rank_table(data, name)
+                    continue
+                seen["rank"] += 1
+                table = mean_rank_table(data, name)
+                assert table.detectors == expected[0]
+                assert np.array_equal(table.mean, expected[1])
+                assert np.array_equal(table.std, expected[2])
+
+            for sel in RANDOM_MEASURES:
+                for tgt in RANDOM_MEASURES:
+                    expected = selection_loss_reference(means, sel, tgt)
+                    if expected is None:
+                        seen["loss_empty"] += 1
+                        with pytest.raises(ValueError, match="no usable combo"):
+                            loss_matrix(data, sel, tgt)
+                        continue
+                    seen["loss"] += 1
+                    result = loss_matrix(data, sel, tgt)
+                    assert (result.mean_loss, result.n_excluded_combos) == expected
+                    if sel.startswith("val:"):
+                        on_val = loss_matrix(data, sel[4:], tgt, select_on_validation=True)
+                        assert on_val == result
+
+            matrix, used, skipped = class_transfer_reference(means, RANDOM_MEASURES)
+            if used == 0:
+                with pytest.raises(ValueError, match="two or more"):
+                    multiclass_sensitivity(data, RANDOM_MEASURES)
+            else:
+                seen["multiclass"] += 1
+                result = multiclass_sensitivity(data, RANDOM_MEASURES)
+                assert np.array_equal(result.matrix, matrix, equal_nan=True)
+                assert (result.n_tables, result.n_skipped_tables) == (used, skipped)
+
+            expected = kendall_reference(means, RANDOM_MEASURES)
+            if expected is None:
+                with pytest.raises(ValueError, match="at least 2"):
+                    kendall_matrix(data, RANDOM_MEASURES)
+            else:
+                seen["kendall"] += 1
+                result = kendall_matrix(data, RANDOM_MEASURES)
+                assert np.array_equal(result.pair_counts, expected[1])
+                np.testing.assert_allclose(result.matrix, expected[0], atol=1e-12)
+        assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
