@@ -17,7 +17,6 @@ from adeval.thresholded import (
     ConfusionCounts,
     PrecisionAtPConfig,
     confusion_at,
-    f1_at_fpr,
     f1_score,
     precision_at_p,
 )
@@ -25,8 +24,9 @@ from adeval.volume import (
     SamplingBox,
     VolumeEstimate,
     bounding_box,
-    cvol_at_fpr,
     mc_volume_at_fpr,
+    score_uniform_sample,
+    volume_below,
 )
 from adeval.detectors import (
     ExternalScores,

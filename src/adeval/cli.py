@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from adeval import __version__
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
+from adeval.curves import LabeledScores
 from adeval.datasets import (
     BenchmarkDataset,
     SplitSpec,
@@ -40,7 +40,6 @@ from adeval.datasets import (
     minmax_scaled_table,
     read_benchmark,
     read_raw_table,
-    split,
     write_benchmark,
 )
 from adeval.experiments import (
@@ -56,6 +55,7 @@ from adeval.experiments import (
     multiclass_sensitivity,
     roc_band,
     run_grid,
+    split_and_fit,
 )
 from adeval.seeding import derive_seed
 from adeval.volume import bounding_box, mc_volume_at_fpr
@@ -613,20 +613,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def _one_off_split(args: argparse.Namespace):
     bench = _find_benchmark(args.dataset, args.benchmark)
     combo = _combo_from_flags(args)
-    fold = split(
-        bench,
-        SplitSpec(
-            train_fraction=args.train_fraction,
-            contamination=args.contamination if args.contamination is not None else 0.0,
-            seed=args.seed,
-            repetition=args.rep,
-        ),
+    spec = SplitSpec(
+        train_fraction=args.train_fraction,
+        contamination=args.contamination if args.contamination is not None else 0.0,
+        seed=args.seed,
+        repetition=args.rep,
     )
-    model = fit_combo(
-        combo, fold.train,
-        derive_seed(args.seed, "fit", bench.name, combo.detector, combo.params, args.rep),
-    )
-    return bench, combo, fold, model
+    return (bench, combo, *split_and_fit(bench, combo, spec))
 
 
 def cmd_volume(args: argparse.Namespace) -> int:

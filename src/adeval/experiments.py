@@ -27,12 +27,14 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import rankdata
 
-from adeval.curves import LabeledScores, auc, auc_at, auc_weighted, build_roc, tpr_at
+from adeval.curves import (
+    LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
+)
 from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
 from adeval.detectors import iforest_fit, knn_fit, lof_fit
 from adeval.seeding import derive_seed
-from adeval.thresholded import PrecisionAtPConfig, f1_at_fpr, precision_at_p
-from adeval.volume import bounding_box, cvol_at_fpr
+from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
+from adeval.volume import bounding_box, score_uniform_sample, volume_below
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,21 @@ def fit_combo(combo: Combo, train: np.ndarray, seed: int):
     raise ValueError(f"unknown detector {combo.detector!r}")
 
 
+def split_and_fit(
+    bench: BenchmarkDataset, combo: Combo, spec: SplitSpec
+) -> tuple[TrainTestSplit, object]:
+    """Split ``bench`` by ``spec`` and fit ``combo`` on the training fold.
+
+    The fit seed derives from the master seed ``spec.seed`` and the cell
+    identity, so grid cells and the ``volume`` / ``scores`` one-offs agree.
+    """
+    fold = split(bench, spec)
+    fit_seed = derive_seed(
+        spec.seed, "fit", bench.name, combo.detector, combo.params, spec.repetition
+    )
+    return fold, fit_combo(combo, fold.train, fit_seed)
+
+
 # ---------------------------------------------------------------------------
 # Records and their store
 # ---------------------------------------------------------------------------
@@ -359,15 +376,19 @@ class RunSummary:
 
 def _evaluate_measures(
     data: LabeledScores,
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    box,
+    volume_scores: NDArray[np.float64],
     cfg: GridConfig,
-    vol_seed: int,
     prec_seed: int,
 ) -> tuple[dict[str, float], list[str]]:
+    """Every configured measure of one labelled sample, from one ROC curve.
+
+    F1@alpha and CVOL@alpha share the threshold read off that curve at
+    FPR = alpha; CVOL thresholds the cell's scored volume sample.
+    """
     values: dict[str, float] = {}
     flags: list[str] = []
     curve = build_roc(data)
+    tau = {alpha: threshold_at_fpr(curve, alpha) for alpha in cfg.alphas}
     contamination = data.n_pos / len(data)
     for measure in cfg.measures():
         if measure.kind == "auc":
@@ -379,7 +400,7 @@ def _evaluate_measures(
         elif measure.kind == "tpr_at":
             values[measure.name] = tpr_at(curve, measure.level)
         elif measure.kind == "f1_at":
-            values[measure.name] = f1_at_fpr(data, measure.level)
+            values[measure.name] = f1_score(confusion_at(data, tau[measure.level]))
         elif measure.kind == "precision_at":
             if contamination < measure.level:
                 flags.append(f"thinned-normals@{measure.level:g}")
@@ -390,9 +411,7 @@ def _evaluate_measures(
                 ),
             )
         elif measure.kind == "cvol_at":
-            values[measure.name] = cvol_at_fpr(
-                score_fn, box, data, measure.level, n=cfg.volume_samples, seed=vol_seed
-            )
+            values[measure.name] = volume_below(volume_scores, tau[measure.level]).cvol
     return values, flags
 
 
@@ -404,11 +423,47 @@ def run_cell(
     repetition: int,
     box=None,
 ) -> ExperimentRecord:
-    """Evaluate one grid cell; failures come back as flagged-missing."""
+    """Evaluate one grid cell; failures come back as flagged-missing.
+
+    The cell is split and fitted once; its test fold and one uniform volume
+    sample over ``box`` are scored once.  The test fold (with validation:
+    its evaluation part, then its ``val:`` part) goes through
+    :func:`_evaluate_measures`.  A failure leaves missing every value not
+    yet evaluated and flags the cell ``error:<exception type>``.
+    """
     if box is None:
         box = bounding_box(bench.all_points())
-    names = cfg.measure_names()
-    base = dict(
+    values: dict[str, float] = {}
+    flags: list[str] = []
+    try:
+        spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
+                         seed=cfg.master_seed, repetition=repetition)
+        fold, model = split_and_fit(bench, combo, spec)
+        data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
+        volume_scores = score_uniform_sample(
+            model.score, box, cfg.volume_samples,
+            derive_seed(cfg.master_seed, "volume", bench.name, repetition),
+        )
+        prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
+        samples = [("", np.arange(len(data)))]
+        if cfg.validation_fraction > 0:
+            rng = np.random.default_rng(
+                derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
+            )
+            perm = rng.permutation(len(data))
+            n_val = int(round(cfg.validation_fraction * len(data)))
+            samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
+        for prefix, idx in samples:
+            sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
+            sample_values, sample_flags = _evaluate_measures(
+                sample, volume_scores, cfg, prec_seed
+            )
+            values.update((prefix + name, v) for name, v in sample_values.items())
+            if not prefix:
+                flags = sample_flags
+    except (ValueError, FloatingPointError) as exc:
+        flags.append(f"error:{type(exc).__name__}")
+    return ExperimentRecord(
         grid_index=combo.index,
         table=bench.table,
         anomaly_class=bench.anomaly_class,
@@ -416,72 +471,8 @@ def run_cell(
         params=combo.params_text,
         contamination=contamination,
         repetition=repetition,
-    )
-    try:
-        fold = split(
-            bench,
-            SplitSpec(
-                train_fraction=cfg.train_fraction,
-                contamination=contamination,
-                seed=cfg.master_seed,
-                repetition=repetition,
-            ),
-        )
-        model = fit_combo(
-            combo,
-            fold.train,
-            derive_seed(cfg.master_seed, "fit", bench.name, combo.detector,
-                        combo.params, repetition),
-        )
-        scores = model.score(fold.test)
-        data = LabeledScores(labels=fold.test_labels, scores=scores)
-        vol_seed = derive_seed(cfg.master_seed, "volume", bench.name, repetition)
-        prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-
-        if cfg.validation_fraction > 0:
-            (eval_labels, eval_scores), (val_labels, val_scores) = _split_validation(
-                data, cfg.validation_fraction,
-                derive_seed(cfg.master_seed, "valsplit", bench.name, repetition),
-            )
-            eval_data = LabeledScores(labels=eval_labels, scores=eval_scores)
-            values, flags = _evaluate_measures(
-                eval_data, model.score, box, cfg, vol_seed, prec_seed
-            )
-            try:
-                val_data = LabeledScores(labels=val_labels, scores=val_scores)
-                val_values, _ = _evaluate_measures(
-                    val_data, model.score, box, cfg, vol_seed, prec_seed
-                )
-                for key, value in val_values.items():
-                    values[f"val:{key}"] = value
-            except ValueError as exc:
-                for name in names:
-                    if name.startswith("val:"):
-                        values[name] = None
-                flags = list(flags) + [f"error:{type(exc).__name__}"]
-        else:
-            values, flags = _evaluate_measures(
-                data, model.score, box, cfg, vol_seed, prec_seed
-            )
-        return ExperimentRecord(
-            **base, values={n: values.get(n) for n in names}, flags=tuple(flags)
-        )
-    except (ValueError, FloatingPointError) as exc:
-        return ExperimentRecord(
-            **base,
-            values={n: None for n in names},
-            flags=(f"error:{type(exc).__name__}",),
-        )
-
-
-def _split_validation(data: LabeledScores, fraction: float, seed: int):
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(data))
-    n_val = int(round(fraction * len(data)))
-    val_idx, eval_idx = perm[:n_val], perm[n_val:]
-    return (
-        (data.labels[eval_idx], data.scores[eval_idx]),
-        (data.labels[val_idx], data.scores[val_idx]),
+        values={n: values.get(n) for n in cfg.measure_names()},
+        flags=tuple(flags),
     )
 
 

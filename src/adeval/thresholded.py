@@ -1,7 +1,9 @@
 """Measures that evaluate a detector after thresholding its scores.
 
 The decision rule everywhere is: a sample is flagged anomalous when its
-score is >= the threshold.
+score is >= the threshold.  F1 at an FPR budget alpha is
+``f1_score(confusion_at(data, threshold_at_fpr(curve, alpha)))``; the grid
+shares that threshold with CVOL at the same alpha.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
+from adeval.curves import LabeledScores
 
 
 @dataclass(frozen=True)
@@ -50,16 +52,6 @@ def f1_score(counts: ConfusionCounts) -> float:
     if denom == 0:
         return 0.0
     return 2.0 * counts.tp / denom
-
-
-def f1_at_fpr(data: LabeledScores, alpha: float) -> float:
-    """F1 at the threshold realizing false-positive rate ``alpha``.
-
-    The threshold comes from the empirical ROC curve of ``data`` via
-    :func:`adeval.curves.threshold_at_fpr`.
-    """
-    tau = threshold_at_fpr(build_roc(data), alpha)
-    return f1_score(confusion_at(data, tau))
 
 
 # ---------------------------------------------------------------------------

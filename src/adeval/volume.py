@@ -5,6 +5,11 @@ the points with f(x) < tau; everything at or above tau is flagged
 anomalous.  The accepted fraction of a uniform sample over a fixed box
 estimates the relative volume of the accept region.  Small volume at a
 given false-positive budget means a tight model of the normal class.
+
+The estimate has two steps: :func:`score_uniform_sample` draws and scores
+the sample, and :func:`volume_below` counts the scores below one threshold.
+The grid scores one sample per cell and thresholds it at every FPR level;
+:func:`mc_volume_at_fpr` composes the two steps for a single level.
 """
 
 from __future__ import annotations
@@ -75,6 +80,32 @@ class VolumeEstimate:
             raise ValueError("cvol must equal 1 - vol exactly")
 
 
+def score_uniform_sample(
+    f: ScoreFunction, box: SamplingBox, n: int, seed: int
+) -> NDArray[np.float64]:
+    """Scores under ``f`` of ``n`` points drawn from ``box`` by one stream seeded ``seed``."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(box.b_min, box.b_max, size=(n, box.dim))
+    scores = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        chunk_scores = np.asarray(f(chunk), dtype=np.float64)
+        if chunk_scores.shape != (chunk.shape[0],):
+            raise ValueError("score function must return one score per point")
+        if not np.isfinite(chunk_scores).all():
+            raise ValueError("score function returned a non-finite value")
+        scores[start : start + _CHUNK] = chunk_scores
+    return scores
+
+
+def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:
+    """Fraction of a scored sample strictly below ``threshold`` (ties count as anomalous)."""
+    vol = int((scores < threshold).sum()) / len(scores)
+    return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=threshold, n_samples=len(scores))
+
+
 def mc_volume_at_fpr(
     f: ScoreFunction,
     box: SamplingBox,
@@ -86,10 +117,8 @@ def mc_volume_at_fpr(
     """Estimate the accept-region volume at false-positive budget ``alpha``.
 
     The threshold is read off the empirical ROC curve of ``data`` at
-    FPR = alpha; ``n`` points drawn uniformly from ``box`` (one stream,
-    seeded by ``seed``) are scored with ``f`` and the fraction with a
-    score strictly below the threshold is returned as ``vol``.  Points
-    scoring exactly at the threshold count as anomalous.
+    FPR = alpha; the sample of :func:`score_uniform_sample` is then
+    thresholded with :func:`volume_below`.
 
     Parameters
     ----------
@@ -107,31 +136,5 @@ def mc_volume_at_fpr(
     seed:
         Stream seed; identical seeds reproduce the estimate exactly.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     tau = threshold_at_fpr(build_roc(data), alpha)
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(box.b_min, box.b_max, size=(n, box.dim))
-    accepted = 0
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        scores = np.asarray(f(chunk), dtype=np.float64)
-        if scores.shape != (chunk.shape[0],):
-            raise ValueError("score function must return one score per point")
-        if not np.isfinite(scores).all():
-            raise ValueError("score function returned a non-finite value")
-        accepted += int((scores < tau).sum())
-    vol = accepted / n
-    return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=tau, n_samples=n)
-
-
-def cvol_at_fpr(
-    f: ScoreFunction,
-    box: SamplingBox,
-    data: LabeledScores,
-    alpha: float,
-    n: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Complement 1 - vol of :func:`mc_volume_at_fpr` (larger is better)."""
-    return mc_volume_at_fpr(f, box, data, alpha, n=n, seed=seed).cvol
+    return volume_below(score_uniform_sample(f, box, n, seed), tau)

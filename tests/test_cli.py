@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adeval.cli import main
+from adeval.curves import LabeledScores, auc, build_roc
 from adeval.datasets import read_benchmark, synth_multiclass_table, write_raw_table
 from adeval.detectors import external_scores_load
 from adeval.experiments import RecordStore
@@ -409,6 +410,48 @@ class TestOneOffs:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    def stored_cell(self, study, benchmark, params, repetition):
+        (cell,) = [
+            r for r in RecordStore(study.run / "records").load()
+            if (r.benchmark, r.params, r.repetition) == (benchmark, params, repetition)
+        ]
+        assert not any(name.startswith("val:") for name in cell.values)
+        return cell
+
+    def test_volume_reproduces_grid_cvol(self, study, capsys):
+        cell = self.stored_cell(study, "tab0-c1", "variant=kappa k=3", 1)
+        assert main(
+            [
+                "volume",
+                "--dataset", str(study.cache),
+                "--benchmark", "tab0-c1",
+                "--detector", "knn", "--variant", "kappa", "--k", "3",
+                "--alpha", "0.05", "--n", "400", "--seed", "7", "--rep", "1",
+            ]
+        ) == 0
+        lines = dict(
+            line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert float(lines["cvol"]) == cell.values["CVOL@0.05"]
+
+    def test_scores_reproduce_grid_auc(self, study, capsys):
+        cell = self.stored_cell(study, "tab1-c2", "variant=kappa k=1", 0)
+        assert main(
+            [
+                "scores",
+                "--dataset", str(study.cache),
+                "--benchmark", "tab1-c2",
+                "--detector", "knn", "--variant", "kappa", "--k", "1",
+                "--seed", "7", "--rep", "0",
+            ]
+        ) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        data = LabeledScores(
+            labels=[int(sid.startswith("a")) for sid, _ in rows],
+            scores=[float(value) for _, value in rows],
+        )
+        assert auc(build_roc(data)) == cell.values["AUC"]
 
     def test_scores_roundtrip_into_external_loader(self, study, tmp_path):
         out = tmp_path / "scores.csv"

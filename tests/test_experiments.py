@@ -6,7 +6,8 @@ from scipy.stats import kendalltau as scipy_kendalltau
 
 from adeval.curves import build_roc, tpr_at
 from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_table, make_benchmarks
-from adeval.detectors import knn_fit
+from adeval import experiments, volume
+from adeval.detectors import KnnModel, knn_fit
 from adeval.experiments import (
     ExperimentRecord,
     GridConfig,
@@ -231,6 +232,47 @@ class TestRunGrid:
         rec = store.load()[0]
         assert rec.values.get("val:AUC") is not None
         assert rec.values.get("AUC") is not None
+
+
+class TestRunCell:
+    def test_validation_failure_keeps_evaluation_columns(self):
+        # Three of these validation parts hold a single class.
+        cfg = knn_only_config(
+            knn_variants=("gamma",), knn_ks=(3,), validation_fraction=0.3, repetitions=4
+        )
+        bench = synth_gaussian(40, 2, seed=3)
+        (combo,) = cfg.detector_combos()
+        for rep in (0, 1, 3):
+            rec = run_cell(cfg, bench, combo, 0.0, rep)
+            kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
+            val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
+            assert len(kept) == len(val) == 7
+            assert all(v is not None for v in kept.values())
+            assert all(v is None for v in val.values())
+            assert rec.flags == ("error:ValueError",)
+
+    def test_one_curve_per_sample_and_one_scored_volume_sample(self, monkeypatch):
+        cfg = knn_only_config(
+            knn_ks=(3,), alphas=(0.01, 0.05), validation_fraction=0.3, volume_samples=300
+        )
+        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        fold = split(bench, SplitSpec(seed=cfg.master_seed, repetition=1))
+        curves, points = [], []
+
+        def counting_roc(build_roc):
+            return lambda data: curves.append(len(data)) or build_roc(data)
+
+        score = KnnModel.score
+        for module in (experiments, volume):
+            monkeypatch.setattr(module, "build_roc", counting_roc(module.build_roc))
+        monkeypatch.setattr(
+            KnnModel, "score", lambda self, x: points.append(len(x)) or score(self, x)
+        )
+        rec = run_cell(cfg, bench, cfg.detector_combos()[0], 0.0, repetition=1)
+        assert rec.flags == () and not rec.is_flagged_missing
+        assert len(curves) == 2
+        assert sum(curves) == len(fold.test_labels)
+        assert sum(points) == len(fold.test_labels) + cfg.volume_samples
 
 
 class TestRecordStore:

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeval.curves import LabeledScores
+from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
 from adeval.thresholded import (
     ConfusionCounts,
     PrecisionAtPConfig,
     confusion_at,
-    f1_at_fpr,
     f1_score,
     precision_at_p,
 )
@@ -49,6 +48,11 @@ class TestConfusionAt:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+
+
+def f1_at_fpr(data, alpha):
+    """F1 at the threshold the ROC curve of ``data`` gives for FPR = alpha."""
+    return f1_score(confusion_at(data, threshold_at_fpr(build_roc(data), alpha)))
 
 
 class TestF1:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from adeval.curves import LabeledScores
+from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
 from adeval.volume import (
+    _CHUNK,
     SamplingBox,
     VolumeEstimate,
     bounding_box,
-    cvol_at_fpr,
     mc_volume_at_fpr,
+    score_uniform_sample,
+    volume_below,
 )
 
 
@@ -129,7 +131,41 @@ class TestMcVolume:
         with pytest.raises(ValueError):
             mc_volume_at_fpr(bad_score, UNIT_BOX_2D, tau_half_data(), 0.5, n=10)
 
-    def test_cvol_wrapper(self):
+    def test_composed_from_primitives(self):
         v = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=3000, seed=4)
-        c = cvol_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=3000, seed=4)
-        assert c == v.cvol
+        c = volume_below(score_uniform_sample(max_norm, UNIT_BOX_2D, 3000, seed=4), 0.5)
+        assert c.cvol == v.cvol
+        assert c == v
+
+
+class TestVolumePrimitives:
+    def test_sample_is_one_seeded_stream_scored_in_chunks(self):
+        n = _CHUNK + 7
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return max_norm(points)
+
+        scores = score_uniform_sample(counting, UNIT_BOX_2D, n, seed=5)
+        points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+        assert calls == [_CHUNK, 7]
+        assert np.array_equal(scores, max_norm(points))
+
+    def test_one_scored_sample_serves_every_level(self):
+        rng = np.random.default_rng(3)
+        labels = np.r_[np.ones(40, dtype=int), np.zeros(160, dtype=int)]
+        scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
+        data = LabeledScores(labels=labels, scores=scores)
+        curve = build_roc(data)
+        sample = score_uniform_sample(max_norm, UNIT_BOX_2D, 4000, seed=11)
+        for a in (0.05, 0.1, 0.25, 0.5, 0.9):
+            assert volume_below(sample, threshold_at_fpr(curve, a)) == mc_volume_at_fpr(
+                max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11
+            )
+
+    def test_rejects_empty_sample_and_misshapen_scores(self):
+        with pytest.raises(ValueError):
+            score_uniform_sample(max_norm, UNIT_BOX_2D, 0, seed=0)
+        with pytest.raises(ValueError):
+            score_uniform_sample(lambda p: max_norm(p)[:-1], UNIT_BOX_2D, 10, seed=0)
