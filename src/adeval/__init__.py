@@ -8,10 +8,8 @@ from adeval.curves import (
     auc_at,
     auc_weighted,
     build_roc,
-    read_labeled_scores,
     threshold_at_fpr,
     tpr_at,
-    write_labeled_scores,
 )
 from adeval.thresholded import (
     ConfusionCounts,
@@ -29,17 +27,12 @@ from adeval.volume import (
     volume_below,
 )
 from adeval.detectors import (
-    ExternalScores,
     IsolationForestModel,
     KnnModel,
     LofModel,
-    external_scores_load,
     iforest_fit,
-    iforest_score,
     knn_fit,
-    knn_score,
     lof_fit,
-    lof_score,
 )
 from adeval.datasets import (
     BenchmarkDataset,

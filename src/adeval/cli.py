@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,9 +56,9 @@ from adeval.experiments import (
     roc_band,
     run_grid,
     split_and_fit,
+    volume_box_and_seed,
 )
-from adeval.seeding import derive_seed
-from adeval.volume import bounding_box, mc_volume_at_fpr
+from adeval.volume import mc_volume_at_fpr
 
 _DETECTOR_LABELS = {"knn": "kNN", "lof": "LOF", "iforest": "IF"}
 _DETECTOR_ORDER = {"knn": 0, "lof": 1, "iforest": 2}
@@ -92,35 +92,28 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _coerce_config_value(type_text: str, key: str, raw: str):
-    kind = type_text.replace(" ", "")
+def _parse_config_value(field_type, key: str, raw: str):
+    """Parse ``raw`` as a scalar type or as comma-separated ``tuple[T, ...]``."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        if kind == "tuple[int,...]":
-            return tuple(int(p) for p in parts)
-        if kind == "tuple[float,...]":
-            return tuple(float(p) for p in parts)
-        if kind == "tuple[str,...]":
-            return tuple(parts)
+        if get_origin(field_type) is tuple:
+            item_type, _ = get_args(field_type)
+            return tuple(item_type(p) for p in (s.strip() for s in raw.split(",")) if p)
+        return field_type(raw)
     except ValueError:
         raise CliError(f"config key {key!r}: cannot parse {raw!r}") from None
-    raise CliError(f"config key {key!r} has unsupported type {type_text!r}")
 
 
 def resolve_config(pairs: dict[str, str]) -> tuple[GridConfig, dict[str, str]]:
     """Split raw key/value pairs into a GridConfig and run-level keys."""
-    field_types = {f.name: str(f.type) for f in fields(GridConfig)}
+    hints = get_type_hints(GridConfig)
+    field_types = {f.name: hints[f.name] for f in fields(GridConfig)}
     kwargs: dict[str, object] = {}
     run_keys: dict[str, str] = {}
     for key, raw in pairs.items():
         if key in _RUN_KEYS:
             run_keys[key] = raw
         elif key in field_types:
-            kwargs[key] = _coerce_config_value(field_types[key], key, raw)
+            kwargs[key] = _parse_config_value(field_types[key], key, raw)
         else:
             known = ", ".join(sorted((*field_types, *_RUN_KEYS)))
             raise CliError(f"unknown config key {key!r} (known: {known})")
@@ -625,14 +618,8 @@ def _one_off_split(args: argparse.Namespace):
 def cmd_volume(args: argparse.Namespace) -> int:
     bench, combo, fold, model = _one_off_split(args)
     data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
-    estimate = mc_volume_at_fpr(
-        model.score,
-        bounding_box(bench.all_points()),
-        data,
-        args.alpha,
-        n=args.n,
-        seed=derive_seed(args.seed, "volume", bench.name, args.rep),
-    )
+    box, seed = volume_box_and_seed(bench, args.seed, args.rep)
+    estimate = mc_volume_at_fpr(model.score, box, data, args.alpha, n=args.n, seed=seed)
     rows = [
         ("benchmark", bench.name),
         ("detector", combo.detector),

@@ -9,14 +9,10 @@ scores across classes produce a diagonal segment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-
-from adeval._text import data_rows
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +283,3 @@ def threshold_at_fpr(curve: RocCurve, alpha: float) -> float:
         return float(t_hi)
     frac = (alpha - curve.fpr[lo]) / (curve.fpr[hi] - curve.fpr[lo])
     return float(t_lo + frac * (t_hi - t_lo))
-
-
-# ---------------------------------------------------------------------------
-# Plain-text interchange
-# ---------------------------------------------------------------------------
-
-_HEADER = ("label", "score")
-
-
-def write_labeled_scores(data: LabeledScores, path: str | Path) -> None:
-    """Write labels and scores as delimited text with a header row."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HEADER)
-        for label, score in zip(data.labels.tolist(), data.scores.tolist()):
-            writer.writerow([label, repr(score)])
-
-
-def read_labeled_scores(path: str | Path) -> LabeledScores:
-    """Read labels and scores written by :func:`write_labeled_scores`."""
-    labels: list[int] = []
-    scores: list[float] = []
-    with open(path, newline="") as handle:
-        rows = data_rows(handle)
-        first = next(rows, None)
-        if first is None or tuple(h.strip() for h in first[1]) != _HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_HEADER)}")
-        for lineno, row in rows:
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            labels.append(int(row[0]))
-            scores.append(float(row[1]))
-    return LabeledScores(labels=np.array(labels), scores=np.array(scores))

@@ -160,9 +160,9 @@ class SplitSpec:
 class TrainTestSplit:
     """One realized fold pair.
 
-    ``test_ids` entries are ``n<i>`` / ``a<j>`` with the sample's row
-    index inside the benchmark's normal / anomaly block, so externally
-    computed scores can be joined back onto the fold.
+    ``test_ids`` entries are ``n<i>`` / ``a<j>`` with the sample's row
+    index inside the benchmark's normal / anomaly block; ``adeval scores``
+    writes them so its scores can be joined back onto the fold.
     """
 
     train: NDArray[np.float64]

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial.distance import cdist
-
-from adeval._text import data_rows
 
 _CHUNK = 4096
 
@@ -107,14 +104,31 @@ def knn_fit(points: np.ndarray, k: int, variant: str) -> KnnModel:
     return KnnModel(points=pts, k=k, variant=variant)
 
 
-def knn_score(model: KnnModel, x: np.ndarray) -> float:
-    """Score a single query point."""
-    return float(model.score(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
 # ---------------------------------------------------------------------------
 # Local outlier factor
 # ---------------------------------------------------------------------------
+
+
+def _local_density(
+    dist: np.ndarray, radius: np.ndarray, kdist: np.ndarray, lrd_cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie-inclusive neighborhoods and local reachability densities of rows.
+
+    Row i's neighborhood holds every training column j with
+    ``dist[i, j] <= radius[i]``; its reachability distance to j is
+    ``max(kdist[j], dist[i, j])``.  Returns the membership mask, the
+    member counts and the density per row, capped at ``lrd_cap``.
+    """
+    member = dist <= radius[:, None]
+    counts = member.sum(axis=1)
+    reach = np.maximum(kdist[None, :], dist)
+    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
+    lrd = np.where(
+        reach_sum > 0,
+        counts / np.where(reach_sum > 0, reach_sum, 1.0),
+        lrd_cap,
+    )
+    return member, counts, np.minimum(lrd, lrd_cap)
 
 
 @dataclass(frozen=True)
@@ -142,14 +156,7 @@ class LofModel:
             chunk = queries[start : start + _CHUNK]
             dist = cdist(chunk, self.points)
             kdist_q = np.sort(dist, axis=1)[:, self.k - 1]
-            member = dist <= kdist_q[:, None]
-            counts = member.sum(axis=1)
-            reach = np.maximum(self.kdist[None, :], dist)
-            reach_sum = np.where(member, reach, 0.0).sum(axis=1)
-            lrd_q = np.where(
-                reach_sum > 0, counts / np.where(reach_sum > 0, reach_sum, 1.0), self.lrd_cap
-            )
-            lrd_q = np.minimum(lrd_q, self.lrd_cap)
+            member, counts, lrd_q = _local_density(dist, kdist_q, self.kdist, self.lrd_cap)
             lrd_sum = np.where(member, self.lrd[None, :], 0.0).sum(axis=1)
             out[start : start + _CHUNK] = lrd_sum / (lrd_q * counts)
         return out
@@ -180,22 +187,8 @@ def lof_fit(points: np.ndarray, k: int) -> LofModel:
     # 1 / eps with eps tied to the data scale so scores stay finite.
     lrd_cap = 1.0 / (1e-12 * diameter)
 
-    member = dist <= kdist[:, None]
-    counts = member.sum(axis=1)
-    reach = np.maximum(kdist[None, :], dist)
-    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
-    lrd = np.where(
-        reach_sum > 0,
-        counts / np.where(reach_sum > 0, reach_sum, 1.0),
-        lrd_cap,
-    )
-    lrd = np.minimum(lrd, lrd_cap)
+    _, _, lrd = _local_density(dist, kdist, kdist, lrd_cap)
     return LofModel(points=pts, k=k, kdist=kdist, lrd=lrd, lrd_cap=lrd_cap)
-
-
-def lof_score(model: LofModel, x: np.ndarray) -> float:
-    """Score a single query point."""
-    return float(model.score(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,64 +356,3 @@ def iforest_fit(
         height_limit=height_limit,
         dim=pts.shape[1],
     )
-
-
-def iforest_score(model: IsolationForestModel, x: np.ndarray) -> float:
-    """Score a single query point."""
-    return float(model.score(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-# ---------------------------------------------------------------------------
-# Externally computed scores
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExternalScores:
-    """Sample-id to score mapping produced by an external detector.
-
-    Lets score files from tools outside this package (for example a
-    one-class SVM trained elsewhere) flow into the label-based measures.
-    """
-
-    by_id: dict[str, float]
-
-    def scores_for(self, ids: list[str] | tuple[str, ...]) -> NDArray[np.float64]:
-        """Scores for the given sample ids, in order.
-
-        Raises
-        ------
-        ValueError
-            If any id has no score; the first missing id is named.
-        """
-        missing = [i for i in ids if i not in self.by_id]
-        if missing:
-            raise ValueError(f"no score for sample id {missing[0]!r}")
-        return np.array([self.by_id[i] for i in ids], dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.by_id)
-
-
-def external_scores_load(path: str | Path) -> ExternalScores:
-    """Load an ``id,score`` delimited file with a header row.
-
-    Raises
-    ------
-    ValueError
-        On a malformed header or row, or on duplicate ids.
-    """
-    by_id: dict[str, float] = {}
-    with open(path, newline="") as handle:
-        rows = data_rows(handle)
-        first = next(rows, None)
-        if first is None or [h.strip() for h in first[1]] != ["id", "score"]:
-            raise ValueError(f"{path}: expected header id,score")
-        for lineno, row in rows:
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            sample_id = row[0].strip()
-            if sample_id in by_id:
-                raise ValueError(f"{path}: duplicate id {sample_id!r} at line {lineno}")
-            by_id[sample_id] = float(row[1])
-    return ExternalScores(by_id=by_id)

@@ -34,7 +34,7 @@ from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_n
 from adeval.detectors import iforest_fit, knn_fit, lof_fit
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
-from adeval.volume import bounding_box, score_uniform_sample, volume_below
+from adeval.volume import SamplingBox, bounding_box, score_uniform_sample, volume_below
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,21 @@ def split_and_fit(
         spec.seed, "fit", bench.name, combo.detector, combo.params, spec.repetition
     )
     return fold, fit_combo(combo, fold.train, fit_seed)
+
+
+def volume_box_and_seed(
+    bench: BenchmarkDataset, master_seed: int, repetition: int
+) -> tuple[SamplingBox, int]:
+    """Sampling box and seed of a cell's uniform volume sample.
+
+    The box bounds all of ``bench``'s points and the seed derives from the
+    master seed, the benchmark and the repetition, so grid cells and the
+    ``volume`` one-off draw the same sample.
+    """
+    return (
+        bounding_box(bench.all_points()),
+        derive_seed(master_seed, "volume", bench.name, repetition),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +436,15 @@ def run_cell(
     combo: Combo,
     contamination: float,
     repetition: int,
-    box=None,
 ) -> ExperimentRecord:
     """Evaluate one grid cell; failures come back as flagged-missing.
 
     The cell is split and fitted once; its test fold and one uniform volume
-    sample over ``box`` are scored once.  The test fold (with validation:
-    its evaluation part, then its ``val:`` part) goes through
-    :func:`_evaluate_measures`.  A failure leaves missing every value not
+    sample (:func:`volume_box_and_seed`) are scored once.  The test fold
+    (with validation: its evaluation part, then its ``val:`` part) goes
+    through :func:`_evaluate_measures`.  A failure leaves missing every value not
     yet evaluated and flags the cell ``error:<exception type>``.
     """
-    if box is None:
-        box = bounding_box(bench.all_points())
     values: dict[str, float] = {}
     flags: list[str] = []
     try:
@@ -440,10 +452,8 @@ def run_cell(
                          seed=cfg.master_seed, repetition=repetition)
         fold, model = split_and_fit(bench, combo, spec)
         data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
-        volume_scores = score_uniform_sample(
-            model.score, box, cfg.volume_samples,
-            derive_seed(cfg.master_seed, "volume", bench.name, repetition),
-        )
+        box, volume_seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
+        volume_scores = score_uniform_sample(model.score, box, cfg.volume_samples, volume_seed)
         prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
         samples = [("", np.arange(len(data)))]
         if cfg.validation_fraction > 0:
@@ -479,10 +489,9 @@ def run_cell(
 def _run_block(args) -> list[ExperimentRecord]:
     """Worker entry: evaluate the pending cells of one benchmark block."""
     cfg, bench, contamination, pending = args
-    box = bounding_box(bench.all_points())
     combos = cfg.detector_combos()
     return [
-        run_cell(cfg, bench, combos[combo_index], contamination, repetition, box)
+        run_cell(cfg, bench, combos[combo_index], contamination, repetition)
         for combo_index, repetition in pending
     ]
 

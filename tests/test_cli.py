@@ -8,8 +8,9 @@ import pytest
 
 from adeval.cli import main
 from adeval.curves import LabeledScores, auc, build_roc
-from adeval.datasets import read_benchmark, synth_multiclass_table, write_raw_table
-from adeval.detectors import external_scores_load
+from adeval.datasets import (
+    SplitSpec, read_benchmark, split, synth_multiclass_table, write_raw_table,
+)
 from adeval.experiments import RecordStore
 from _oracles import rank_reference, repetition_means, selection_loss_reference
 
@@ -180,6 +181,10 @@ class TestRun:
         config.write_text("mystery = 3\n")
         assert main(["run", "--config", str(config)]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_malformed_config_value_rejected(self, tmp_path, capsys):
+        assert main(["run", "--set", "knn_ks=1,x"]) == 2
+        assert "knn_ks" in capsys.readouterr().err
 
     def test_failing_cells_give_exit_one(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1, sizes=(10, 8))
@@ -453,7 +458,7 @@ class TestOneOffs:
         )
         assert auc(build_roc(data)) == cell.values["AUC"]
 
-    def test_scores_roundtrip_into_external_loader(self, study, tmp_path):
+    def test_scores_file_format(self, study, tmp_path):
         out = tmp_path / "scores.csv"
         assert main(
             [
@@ -464,9 +469,19 @@ class TestOneOffs:
                 "--out", str(out),
             ]
         ) == 0
-        ext = external_scores_load(out)
-        assert len(ext) > 0
-        assert all(sid[0] in "na" for sid in ext.by_id)
+        with open(out, newline="") as handle:
+            assert handle.readline().startswith("# manifest: ")
+            header, *rows = csv.reader(handle)
+        assert header == ["id", "score"]
+        bench = read_benchmark(study.cache, "tab1", "c2")
+        fold = split(
+            bench, SplitSpec(train_fraction=0.8, contamination=0.0, seed=0, repetition=0)
+        )
+        assert [sid for sid, _ in rows] == list(fold.test_ids)
+        blocks = {"n": bench.normal, "a": bench.anomaly}
+        for sid, value in rows:
+            assert 0 <= int(sid[1:]) < len(blocks[sid[0]])
+            assert np.isfinite(float(value))
 
     def test_unknown_benchmark_is_reported(self, study, capsys):
         assert main(

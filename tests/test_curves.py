@@ -10,10 +10,8 @@ from adeval.curves import (
     auc_at,
     auc_weighted,
     build_roc,
-    read_labeled_scores,
     threshold_at_fpr,
     tpr_at,
-    write_labeled_scores,
 )
 from _oracles import pairwise_auc
 
@@ -289,19 +287,3 @@ class TestMonotoneTransformInvariance:
         assert abs(auc_at(a, 0.3) - auc_at(b, 0.3)) <= 1e-12
         assert abs(tpr_at(a, 0.3) - tpr_at(b, 0.3)) <= 1e-12
         assert abs(auc_weighted(a) - auc_weighted(b)) <= 1e-9
-
-
-class TestIo:
-    def test_roundtrip(self, tmp_path):
-        data = LabeledScores(labels=[0, 1, 0], scores=[0.25, -1.5, 3.0])
-        path = tmp_path / "scores.csv"
-        write_labeled_scores(data, path)
-        back = read_labeled_scores(path)
-        assert np.array_equal(back.labels, data.labels)
-        assert np.array_equal(back.scores, data.scores)
-
-    def test_rejects_missing_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1.5\n1,2.5\n")
-        with pytest.raises(ValueError):
-            read_labeled_scores(path)

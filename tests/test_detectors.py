@@ -3,17 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeval.detectors import (
-    ExternalScores,
-    _avg_path_length,
-    external_scores_load,
-    iforest_fit,
-    iforest_score,
-    knn_fit,
-    knn_score,
-    lof_fit,
-    lof_score,
-)
+from adeval.detectors import _avg_path_length, iforest_fit, knn_fit, lof_fit
 
 
 @st.composite
@@ -51,19 +41,19 @@ class TestKnn:
         train = np.array([[0.0], [1.0], [2.0]])
         x = np.array([3.0])
         # Neighbors of 3 for k=2 are the points 2 (d=1) and 1 (d=2).
-        assert knn_score(knn_fit(train, k=2, variant="kappa"), x) == 2.0
-        assert knn_score(knn_fit(train, k=2, variant="gamma"), x) == 1.5
+        assert knn_fit(train, k=2, variant="kappa").score(x)[0] == 2.0
+        assert knn_fit(train, k=2, variant="gamma").score(x)[0] == 1.5
         # Mean neighbor is 1.5, so the displacement length is also 1.5.
-        assert knn_score(knn_fit(train, k=2, variant="delta"), x) == 1.5
+        assert knn_fit(train, k=2, variant="delta").score(x)[0] == 1.5
 
     def test_hand_values_in_the_plane(self):
         train = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
         x = np.array([0.0, 0.0])
         # Both unit-distance neighbors cancel in the mean: delta sees an
         # interior point where gamma still reports distance 1.
-        assert knn_score(knn_fit(train, k=2, variant="kappa"), x) == 1.0
-        assert knn_score(knn_fit(train, k=2, variant="gamma"), x) == 1.0
-        assert knn_score(knn_fit(train, k=2, variant="delta"), x) == 0.0
+        assert knn_fit(train, k=2, variant="kappa").score(x)[0] == 1.0
+        assert knn_fit(train, k=2, variant="gamma").score(x)[0] == 1.0
+        assert knn_fit(train, k=2, variant="delta").score(x)[0] == 0.0
 
     def test_distance_ties_resolved_by_training_index(self):
         # Two candidates tie at distance 2; the stable sort must take the
@@ -72,14 +62,14 @@ class TestKnn:
         train = np.array([[1.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
         model = knn_fit(train, k=2, variant="delta")
         # Mean of p0 and p1 is (0.5, 1.0): length sqrt(1.25).
-        assert knn_score(model, [0.0, 0.0]) == pytest.approx(
+        assert model.score([0.0, 0.0])[0] == pytest.approx(
             np.sqrt(1.25), abs=1e-12
         )
 
     def test_k_equal_n_uses_all_points(self):
         train = np.array([[0.0], [4.0]])
         model = knn_fit(train, k=2, variant="gamma")
-        assert knn_score(model, [2.0]) == 2.0
+        assert model.score([2.0])[0] == 2.0
 
     def test_batch_matches_single_queries(self):
         train = two_clusters(seed=3, n=15)
@@ -87,7 +77,7 @@ class TestKnn:
         for variant in ("kappa", "gamma", "delta"):
             model = knn_fit(train, k=4, variant=variant)
             batch = model.score(queries)
-            singles = np.array([knn_score(model, q) for q in queries])
+            singles = np.array([model.score(q)[0] for q in queries])
             np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
 
     def test_rejects_bad_arguments(self):
@@ -144,36 +134,36 @@ class TestLof:
         )
         centroid = train.mean(axis=0)
         model = lof_fit(train, k=2)
-        assert lof_score(model, centroid) == pytest.approx(1.0, abs=1e-9)
+        assert model.score(centroid)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_grid_hand_values(self):
         train = np.arange(10.0).reshape(-1, 1)
         model = lof_fit(train, k=2)
         # Midway between grid points the density matches the neighbors.
-        assert lof_score(model, [4.5]) == pytest.approx(1.0, abs=1e-12)
+        assert model.score([4.5])[0] == pytest.approx(1.0, abs=1e-12)
         # Far outside, reachability is dominated by the query distance:
         # lrd_q = 2/183, neighbor densities are 2/3 each, ratio = 61.
-        assert lof_score(model, [100.0]) == pytest.approx(61.0, abs=1e-9)
+        assert model.score([100.0])[0] == pytest.approx(61.0, abs=1e-9)
 
     def test_grid_interior_near_one(self):
         xx, yy = np.meshgrid(np.arange(5.0), np.arange(5.0))
         train = np.column_stack([xx.ravel(), yy.ravel()])
         model = lof_fit(train, k=4)
-        assert lof_score(model, [2.0, 2.0]) == pytest.approx(1.0, abs=0.15)
+        assert model.score([2.0, 2.0])[0] == pytest.approx(1.0, abs=0.15)
 
     def test_outlier_grows_with_distance(self):
         train = two_clusters(seed=1)
         model = lof_fit(train, k=5)
-        near = lof_score(model, [20.0, 20.0])
-        far = lof_score(model, [60.0, 60.0])
+        near = model.score([20.0, 20.0])[0]
+        far = model.score([60.0, 60.0])[0]
         assert 1.5 < near < far
 
     def test_duplicate_training_rows_stay_finite(self):
         train = np.array([[0.0], [0.0], [1.0]])
         model = lof_fit(train, k=1)
         # A query on the duplicate pair is exactly as dense as it: LOF 1.
-        assert lof_score(model, [0.0]) == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(lof_score(model, [5.0]))
+        assert model.score([0.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(model.score([5.0])[0])
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -189,7 +179,7 @@ class TestLof:
         queries = two_clusters(seed=6, n=4)
         model = lof_fit(train, k=3)
         batch = model.score(queries)
-        singles = np.array([lof_score(model, q) for q in queries])
+        singles = np.array([model.score(q)[0] for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
 
     @given(point_cloud(max_points=15))
@@ -229,8 +219,8 @@ class TestIsolationForest:
     def test_outlier_scores_above_inlier(self):
         train = two_clusters(seed=2)
         model = iforest_fit(train, n_trees=100, subsample=64, seed=7)
-        inlier = iforest_score(model, train.mean(axis=0) * 0 + 0.1)
-        outlier = iforest_score(model, [40.0, -40.0])
+        inlier = model.score(train.mean(axis=0) * 0 + 0.1)[0]
+        outlier = model.score([40.0, -40.0])[0]
         assert 0.0 < inlier < outlier < 1.0
 
     def test_bit_reproducible_across_fits(self):
@@ -260,38 +250,3 @@ class TestIsolationForest:
         queries = np.vstack([train, [[50.0, 50.0]]])
         values = model.score(queries)
         assert np.all(values > 0.0) and np.all(values < 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Externally produced scores
-# ---------------------------------------------------------------------------
-
-
-class TestExternalScores:
-    def test_scores_follow_requested_order(self):
-        ext = ExternalScores(by_id={"a": 1.0, "b": 2.0, "c": 3.0})
-        np.testing.assert_array_equal(ext.scores_for(["c", "a"]), [3.0, 1.0])
-        assert len(ext) == 3
-
-    def test_missing_id_is_named(self):
-        ext = ExternalScores(by_id={"a": 1.0})
-        with pytest.raises(ValueError, match="ghost"):
-            ext.scores_for(["a", "ghost"])
-
-    def test_file_roundtrip_skips_comments(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("# manifest: abc123\nid,score\nn0,0.5\na1,2.25\n")
-        ext = external_scores_load(path)
-        assert ext.by_id == {"n0": 0.5, "a1": 2.25}
-
-    def test_duplicate_id_names_id_and_line(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("id,score\nn0,0.5\nn0,0.7\n")
-        with pytest.raises(ValueError, match=r"n0.*line 3"):
-            external_scores_load(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("sample,value\nn0,0.5\n")
-        with pytest.raises(ValueError, match="header"):
-            external_scores_load(path)
