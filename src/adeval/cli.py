@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -75,14 +76,18 @@ class CliError(Exception):
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` text file; ``#`` lines are comments."""
+    """Parse a ``key = value`` text file.
+
+    ``#`` lines are comments, and so is a ``#`` that follows whitespace
+    together with the rest of its line.
+    """
     pairs: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = re.split(r"\s#", line, maxsplit=1)[0].strip()
         if not text or text.startswith("#"):
             continue
         if "=" not in text:

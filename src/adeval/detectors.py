@@ -7,13 +7,17 @@ is the shape expected by the volume estimator.
 
 Distances are Euclidean throughout.  Neighbor ties beyond position k are
 broken toward the lowest training index, which keeps scores reproducible
-on datasets with repeated rows.
+on datasets with repeated rows.  For kNN that order is defined in one
+place, :func:`_neighbour_table`: :func:`knn_scores` reads every model's
+statistic off it, whether it scores one model (``KnnModel.score``) or all
+kNN combos fitted on one training fold (the grid).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,6 +51,45 @@ def _validate_train(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _neighbour_table(
+    points: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and training indices of each query's k nearest neighbours.
+
+    This defines neighbour order for every kNN score: rows are sorted by
+    distance, then by training index, as a full-row stable sort would sort
+    them.  Only the candidates up to the k-th distance are sorted; every
+    training point tied at that distance stays a candidate, so the lowest
+    indices among the ties win.
+    """
+    cand_dist, cand_idx = _candidates(cdist(queries, points), k)
+    order = np.lexsort((cand_idx, cand_dist), axis=1)[:, :k]
+    return (
+        np.take_along_axis(cand_dist, order, axis=1),
+        np.take_along_axis(cand_idx, order, axis=1),
+    )
+
+
+def _candidates(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the distances and indices of every column up to the k-th distance.
+
+    Candidates keep their column order and rows are padded to the widest
+    with distance inf and index ``dist.shape[1]``.  "Not beyond" the k-th
+    distance rather than "<=" keeps every column of a NaN row, in the
+    order a full sort gives it.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+    keep = ~(dist > kth)
+    counts = keep.sum(axis=1)
+    # Boolean assignment fills row-major, like the order of ``keep``'s hits.
+    filled = np.arange(counts.max()) < counts[:, None]
+    cand_idx = np.full(filled.shape, dist.shape[1])
+    cand_idx[filled] = np.nonzero(keep)[1]
+    cand_dist = np.full(filled.shape, np.inf)
+    cand_dist[filled] = dist[keep]
+    return cand_dist, cand_idx
+
+
 @dataclass(frozen=True)
 class KnnModel:
     """Distance-to-neighborhood detector.
@@ -57,6 +100,10 @@ class KnnModel:
     - ``gamma``: mean distance to the k nearest neighbors,
     - ``delta``: length of the mean displacement vector to them (small
       when the query sits amid its neighbors, large on the outside).
+
+    ``score`` is :func:`knn_scores` of this one model, so a single model
+    and a block of models fitted on the same points share one definition
+    of neighbour order (:func:`_neighbour_table`).
     """
 
     points: NDArray[np.float64]
@@ -64,24 +111,34 @@ class KnnModel:
     variant: str
 
     def score(self, x: np.ndarray) -> NDArray[np.float64]:
-        queries = _as_points(x, self.points.shape[1])
-        out = np.empty(queries.shape[0])
-        for start in range(0, queries.shape[0], _CHUNK):
-            chunk = queries[start : start + _CHUNK]
-            dist = cdist(chunk, self.points)
-            # Stable sort: distance first, training index second.
-            order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-            rows = np.arange(chunk.shape[0])[:, None]
-            if self.variant == "kappa":
-                out[start : start + _CHUNK] = dist[rows[:, 0], order[:, -1]]
-            elif self.variant == "gamma":
-                out[start : start + _CHUNK] = dist[rows, order].mean(axis=1)
+        return knn_scores([self], x)[0]
+
+
+def knn_scores(models: Sequence[KnnModel], x: np.ndarray) -> NDArray[np.float64]:
+    """Scores of kNN models fitted on the same points, one row per model.
+
+    Each chunk of queries gets one neighbour table at the largest k; every
+    model's statistic is a prefix of it: kappa = ``d[:, k-1]``, gamma =
+    ``d[:, :k].mean(axis=1)``, delta = ``|points[idx[:, :k]].mean(axis=1) - q|``.
+    """
+    points = models[0].points
+    if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
+        raise ValueError("kNN models scored together must share their training points")
+    queries = _as_points(x, points.shape[1])
+    k_max = max(m.k for m in models)
+    out = np.empty((len(models), queries.shape[0]))
+    for start in range(0, queries.shape[0], _CHUNK):
+        chunk = queries[start : start + _CHUNK]
+        dist, idx = _neighbour_table(points, chunk, k_max)
+        for row, m in zip(out, models):
+            if m.variant == "kappa":
+                row[start : start + _CHUNK] = dist[:, m.k - 1]
+            elif m.variant == "gamma":
+                row[start : start + _CHUNK] = dist[:, : m.k].mean(axis=1)
             else:  # delta
-                mean_neighbor = self.points[order].mean(axis=1)
-                out[start : start + _CHUNK] = np.linalg.norm(
-                    mean_neighbor - chunk, axis=1
-                )
-        return out
+                mean_neighbor = points[idx[:, : m.k]].mean(axis=1)
+                row[start : start + _CHUNK] = np.linalg.norm(mean_neighbor - chunk, axis=1)
+    return out
 
 
 def knn_fit(points: np.ndarray, k: int, variant: str) -> KnnModel:

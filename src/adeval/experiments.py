@@ -2,7 +2,9 @@
 
 A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
-test fold and evaluates every configured measure; records land in a
+test fold and evaluates every configured measure; the cells of one
+(benchmark, contamination, repetition) block share their split, their
+volume sample and their kNN neighbour tables.  Records land in a
 resumable delimited-text store, one file per (benchmark, detector).
 Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
@@ -31,10 +33,12 @@ from adeval.curves import (
     LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
-from adeval.detectors import iforest_fit, knn_fit, lof_fit
+from adeval.detectors import KnnModel, iforest_fit, knn_fit, knn_scores, lof_fit
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
-from adeval.volume import SamplingBox, bounding_box, score_uniform_sample, volume_below
+from adeval.volume import (
+    SamplingBox, bounding_box, checked_scores, score_sample, uniform_sample, volume_below,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +210,12 @@ def fit_combo(combo: Combo, train: np.ndarray, seed: int):
     raise ValueError(f"unknown detector {combo.detector!r}")
 
 
+def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
+    return derive_seed(
+        spec.seed, "fit", bench.name, combo.detector, combo.params, spec.repetition
+    )
+
+
 def split_and_fit(
     bench: BenchmarkDataset, combo: Combo, spec: SplitSpec
 ) -> tuple[TrainTestSplit, object]:
@@ -215,10 +225,7 @@ def split_and_fit(
     identity, so grid cells and the ``volume`` / ``scores`` one-offs agree.
     """
     fold = split(bench, spec)
-    fit_seed = derive_seed(
-        spec.seed, "fit", bench.name, combo.detector, combo.params, spec.repetition
-    )
-    return fold, fit_combo(combo, fold.train, fit_seed)
+    return fold, fit_combo(combo, fold.train, _fit_seed(bench, combo, spec))
 
 
 def volume_box_and_seed(
@@ -430,6 +437,13 @@ def _evaluate_measures(
     return values, flags
 
 
+_CELL_ERRORS = (ValueError, FloatingPointError)
+
+
+def _error_flag(exc: Exception) -> str:
+    return f"error:{type(exc).__name__}"
+
+
 def run_cell(
     cfg: GridConfig,
     bench: BenchmarkDataset,
@@ -439,61 +453,130 @@ def run_cell(
 ) -> ExperimentRecord:
     """Evaluate one grid cell; failures come back as flagged-missing.
 
-    The cell is split and fitted once; its test fold and one uniform volume
-    sample (:func:`volume_box_and_seed`) are scored once.  The test fold
-    (with validation: its evaluation part, then its ``val:`` part) goes
-    through :func:`_evaluate_measures`.  A failure leaves missing every value not
-    yet evaluated and flags the cell ``error:<exception type>``.
+    The cell is evaluated as a block of one combo by :func:`_run_repetition`,
+    the grid's own path, so it equals the grid's record of that cell.
     """
-    values: dict[str, float] = {}
-    flags: list[str] = []
+    return _run_repetition(cfg, bench, contamination, repetition, [combo])[0]
+
+
+def _run_repetition(
+    cfg: GridConfig,
+    bench: BenchmarkDataset,
+    contamination: float,
+    repetition: int,
+    combos: Sequence[Combo],
+) -> list[ExperimentRecord]:
+    """Evaluate the cells of ``combos`` in one (benchmark, contamination, repetition) block.
+
+    The block is split once and its uniform volume sample
+    (:func:`volume_box_and_seed`) drawn once.  Each combo is fitted on the
+    training fold.  The kNN combos are fitted first and get their test-fold
+    and volume scores from one neighbour table per query chunk
+    (:func:`knn_scores`); any other combo is fitted, scores both with its
+    own model and is dropped before the next one.  Per cell, the test fold
+    (with validation: its evaluation part, then its ``val:`` part) goes
+    through :func:`_evaluate_measures`.  A failure leaves missing every value of the
+    cells it reaches that is not yet evaluated and flags them
+    ``error:<exception type>``: a failed split or volume draw reaches every
+    cell of the block, a failed fit only its own cell.
+    """
+    names = cfg.measure_names()
+
+    def record(combo: Combo, values: dict[str, float], flags: list[str]):
+        return ExperimentRecord(
+            grid_index=combo.index,
+            table=bench.table,
+            anomaly_class=bench.anomaly_class,
+            detector=combo.detector,
+            params=combo.params_text,
+            contamination=contamination,
+            repetition=repetition,
+            values={n: values.get(n) for n in names},
+            flags=tuple(flags),
+        )
+
+    spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
+                     seed=cfg.master_seed, repetition=repetition)
     try:
-        spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
-                         seed=cfg.master_seed, repetition=repetition)
-        fold, model = split_and_fit(bench, combo, spec)
-        data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
+        fold = split(bench, spec)
         box, volume_seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
-        volume_scores = score_uniform_sample(model.score, box, cfg.volume_samples, volume_seed)
-        prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-        samples = [("", np.arange(len(data)))]
-        if cfg.validation_fraction > 0:
-            rng = np.random.default_rng(
-                derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
-            )
-            perm = rng.permutation(len(data))
-            n_val = int(round(cfg.validation_fraction * len(data)))
-            samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
-        for prefix, idx in samples:
-            sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
-            sample_values, sample_flags = _evaluate_measures(
-                sample, volume_scores, cfg, prec_seed
-            )
-            values.update((prefix + name, v) for name, v in sample_values.items())
-            if not prefix:
-                flags = sample_flags
-    except (ValueError, FloatingPointError) as exc:
-        flags.append(f"error:{type(exc).__name__}")
-    return ExperimentRecord(
-        grid_index=combo.index,
-        table=bench.table,
-        anomaly_class=bench.anomaly_class,
-        detector=combo.detector,
-        params=combo.params_text,
-        contamination=contamination,
-        repetition=repetition,
-        values={n: values.get(n) for n in cfg.measure_names()},
-        flags=tuple(flags),
-    )
+        volume_points = uniform_sample(box, cfg.volume_samples, volume_seed)
+    except _CELL_ERRORS as exc:
+        return [record(combo, {}, [_error_flag(exc)]) for combo in combos]
+    prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
+    samples = [("", np.arange(len(fold.test_labels)))]
+    if cfg.validation_fraction > 0:
+        rng = np.random.default_rng(
+            derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
+        )
+        perm = rng.permutation(len(fold.test_labels))
+        n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
+        samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
+
+    def fit(combo: Combo):
+        return fit_combo(combo, fold.train, _fit_seed(bench, combo, spec))
+
+    knn_models: dict[int, KnnModel] = {}
+    errors: dict[int, str] = {}
+    for combo in combos:
+        if combo.detector == "knn":
+            try:
+                knn_models[combo.index] = fit(combo)
+            except _CELL_ERRORS as exc:
+                errors[combo.index] = _error_flag(exc)
+    knn_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    try:
+        if knn_models:
+            models = list(knn_models.values())
+            table = zip(knn_scores(models, fold.test), knn_scores(models, volume_points))
+            knn_rows = dict(zip(knn_models, table))
+    except _CELL_ERRORS as exc:
+        errors.update(dict.fromkeys(knn_models, _error_flag(exc)))
+
+    records = []
+    for combo in combos:
+        if combo.index in errors:
+            records.append(record(combo, {}, [errors[combo.index]]))
+            continue
+        values: dict[str, float] = {}
+        flags: list[str] = []
+        try:
+            if combo.index in knn_rows:
+                test_scores, volume_scores = knn_rows.pop(combo.index)
+                volume_scores = checked_scores(volume_scores, len(volume_points))
+            else:
+                model = fit(combo)
+                test_scores = model.score(fold.test)
+                volume_scores = score_sample(model.score, volume_points)
+            data = LabeledScores(labels=fold.test_labels, scores=test_scores)
+            for prefix, idx in samples:
+                sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
+                sample_values, sample_flags = _evaluate_measures(
+                    sample, volume_scores, cfg, prec_seed
+                )
+                values.update((prefix + name, v) for name, v in sample_values.items())
+                if not prefix:
+                    flags = sample_flags
+        except _CELL_ERRORS as exc:
+            flags.append(_error_flag(exc))
+        records.append(record(combo, values, flags))
+    return records
 
 
 def _run_block(args) -> list[ExperimentRecord]:
-    """Worker entry: evaluate the pending cells of one benchmark block."""
+    """Worker entry: evaluate the pending cells of one (benchmark, contamination) block.
+
+    The pending cells are grouped by repetition, each group evaluated by
+    one :func:`_run_repetition`; records come back in pending order.
+    """
     cfg, bench, contamination, pending = args
     combos = cfg.detector_combos()
-    return [
-        run_cell(cfg, bench, combos[combo_index], contamination, repetition)
-        for combo_index, repetition in pending
-    ]
+    records = {}
+    for repetition in sorted({rep for _, rep in pending}):
+        group = [combos[i] for i, rep in pending if rep == repetition]
+        for record in _run_repetition(cfg, bench, contamination, repetition, group):
+            records[record.grid_index, repetition] = record
+    return [records[cell] for cell in pending]
 
 
 def run_grid(
@@ -510,9 +593,13 @@ def run_grid(
     cell is recorded as flagged-missing; the grid itself never aborts.
 
     Cells are blocked by (benchmark, contamination) and blocks may be
-    evaluated by ``workers`` processes; seeds derive from cell identity,
-    never from scheduling, and records are appended in grid order, so the
-    store content does not depend on the worker count.
+    evaluated by ``workers`` processes.  Within a block, the pending cells
+    of each repetition share one split, one volume sample and one kNN
+    neighbour table per query chunk (:func:`_run_repetition`).  Seeds
+    derive from cell identity, never from scheduling or grouping, and
+    records are appended in grid order, so the store content depends
+    neither on the worker count nor on which cells a resume still has to
+    run.
     """
     if not benchmarks:
         raise ValueError("no benchmarks to run on")

@@ -6,9 +6,11 @@ anomalous.  The accepted fraction of a uniform sample over a fixed box
 estimates the relative volume of the accept region.  Small volume at a
 given false-positive budget means a tight model of the normal class.
 
-The estimate has two steps: :func:`score_uniform_sample` draws and scores
-the sample, and :func:`volume_below` counts the scores below one threshold.
-The grid scores one sample per cell and thresholds it at every FPR level;
+The estimate has two steps: :func:`score_uniform_sample` draws
+(:func:`uniform_sample`) and scores (:func:`score_sample`) the sample, and
+:func:`volume_below` counts the scores below one threshold.  The grid draws
+one sample per block of cells, checks each model's scores of it with
+:func:`checked_scores` and thresholds them at every FPR level;
 :func:`mc_volume_at_fpr` composes the two steps for a single level.
 """
 
@@ -80,24 +82,38 @@ class VolumeEstimate:
             raise ValueError("cvol must equal 1 - vol exactly")
 
 
+def uniform_sample(box: SamplingBox, n: int, seed: int) -> NDArray[np.float64]:
+    """``n`` points drawn uniformly from ``box`` by one stream seeded ``seed``."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.default_rng(seed)
+    return rng.uniform(box.b_min, box.b_max, size=(n, box.dim))
+
+
+def checked_scores(scores: np.ndarray, n: int) -> NDArray[np.float64]:
+    """``scores`` as floats, checked to hold one finite score for each of ``n`` points."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (n,):
+        raise ValueError("score function must return one score per point")
+    if not np.isfinite(scores).all():
+        raise ValueError("score function returned a non-finite value")
+    return scores
+
+
+def score_sample(f: ScoreFunction, points: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Checked scores under ``f`` of a drawn sample, scored in chunks."""
+    scores = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        scores[start : start + _CHUNK] = checked_scores(f(chunk), chunk.shape[0])
+    return scores
+
+
 def score_uniform_sample(
     f: ScoreFunction, box: SamplingBox, n: int, seed: int
 ) -> NDArray[np.float64]:
     """Scores under ``f`` of ``n`` points drawn from ``box`` by one stream seeded ``seed``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(box.b_min, box.b_max, size=(n, box.dim))
-    scores = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        chunk_scores = np.asarray(f(chunk), dtype=np.float64)
-        if chunk_scores.shape != (chunk.shape[0],):
-            raise ValueError("score function must return one score per point")
-        if not np.isfinite(chunk_scores).all():
-            raise ValueError("score function returned a non-finite value")
-        scores[start : start + _CHUNK] = chunk_scores
-    return scores
+    return score_sample(f, uniform_sample(box, n, seed))
 
 
 def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:

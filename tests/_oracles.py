@@ -8,6 +8,7 @@ so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 
@@ -52,6 +53,34 @@ def kendall_tau_pairs(x, y) -> float:
     if denom == 0:
         return float("nan")
     return (concordant - discordant) / denom
+
+
+# ---------------------------------------------------------------------------
+# kNN scores by a full-row stable sort
+# ---------------------------------------------------------------------------
+
+
+def knn_reference(points, queries, k, variant, chunk=4096):
+    """kNN score of each query from a full-row stable sort of its distances.
+
+    Neighbour order is distance first, training index second.  Queries are
+    scored in chunks of ``chunk`` rows, as the library scores them.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), chunk):
+        q = queries[start : start + chunk]
+        dist = cdist(q, points)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        rows = np.arange(len(q))[:, None]
+        if variant == "kappa":
+            out[start : start + chunk] = dist[rows[:, 0], order[:, -1]]
+        elif variant == "gamma":
+            out[start : start + chunk] = dist[rows, order].mean(axis=1)
+        else:  # delta
+            out[start : start + chunk] = np.linalg.norm(points[order].mean(axis=1) - q, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adeval.cli import main
+from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import LabeledScores, auc, build_roc
 from adeval.datasets import (
     SplitSpec, read_benchmark, split, synth_multiclass_table, write_raw_table,
@@ -105,6 +106,26 @@ class TestPrepare:
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
+
+
+class TestConfigFile:
+    def test_readme_study_cfg_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "study.cfg"
+        path.write_text(block)
+        cfg, run_keys = resolve_config(read_config_file(path))
+        assert run_keys == {"dataset_dir": "cache", "output_dir": "out"}
+        assert cfg.alphas == (0.01, 0.05)
+        assert cfg.ps == (0.01, 0.05)
+        assert cfg.contaminations == (0.0,)
+        assert cfg.knn_ks == (1, 3, 5, 7, 9, 13, 21, 31, 51)
+        assert cfg.repetitions == 10 and cfg.volume_samples == 100_000
+
+    def test_inline_comment_needs_leading_whitespace(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("output_dir = out#1   # where records go\n\t# indented comment\n")
+        assert read_config_file(path) == {"output_dir": "out#1"}
 
 
 class TestRun:

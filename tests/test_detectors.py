@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adeval.detectors import _avg_path_length, iforest_fit, knn_fit, lof_fit
+from adeval.detectors import (
+    _CHUNK, _avg_path_length, iforest_fit, knn_fit, knn_scores, lof_fit,
+)
+from _oracles import knn_reference
 
 
 @st.composite
@@ -65,6 +68,31 @@ class TestKnn:
         assert model.score([0.0, 0.0])[0] == pytest.approx(
             np.sqrt(1.25), abs=1e-12
         )
+
+    def test_neighbour_table_equals_full_row_stable_sort(self):
+        rng = np.random.default_rng(8)
+        # The tie layout above, integer grid points (many distances tie at
+        # the k-th neighbour) and exact duplicates of earlier rows.
+        grid = rng.integers(-3, 4, size=(16, 2)).astype(float)
+        train = np.vstack([[[1.0, 0.0], [0.0, 2.0], [2.0, 0.0]], grid, grid[:5]])
+        queries = np.vstack([
+            [[0.0, 0.0], [np.nan, 1.0]],
+            train,
+            rng.integers(-8, 9, size=(_CHUNK + 300, 2)) / 2.0,
+        ])
+        assert len(queries) > _CHUNK
+        models = [
+            knn_fit(train, k=k, variant=variant)
+            for variant in ("kappa", "gamma", "delta")
+            for k in range(1, len(train) + 1)
+        ]
+        block = knn_scores(models, queries)
+        for model, row in zip(models, block):
+            expected = knn_reference(train, queries, model.k, model.variant)
+            assert np.array_equal(row, expected, equal_nan=True), (model.k, model.variant)
+            assert np.array_equal(model.score(queries), expected, equal_nan=True), (
+                model.k, model.variant
+            )
 
     def test_k_equal_n_uses_all_points(self):
         train = np.array([[0.0], [4.0]])

@@ -6,8 +6,8 @@ from scipy.stats import kendalltau as scipy_kendalltau
 
 from adeval.curves import build_roc, tpr_at
 from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_table, make_benchmarks
-from adeval import experiments, volume
-from adeval.detectors import KnnModel, knn_fit
+from adeval import detectors, experiments, volume
+from adeval.detectors import _CHUNK, knn_fit
 from adeval.experiments import (
     ExperimentRecord,
     GridConfig,
@@ -262,17 +262,102 @@ class TestRunCell:
         def counting_roc(build_roc):
             return lambda data: curves.append(len(data)) or build_roc(data)
 
-        score = KnnModel.score
+        score = experiments.knn_scores
         for module in (experiments, volume):
             monkeypatch.setattr(module, "build_roc", counting_roc(module.build_roc))
         monkeypatch.setattr(
-            KnnModel, "score", lambda self, x: points.append(len(x)) or score(self, x)
+            experiments, "knn_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
         rec = run_cell(cfg, bench, cfg.detector_combos()[0], 0.0, repetition=1)
         assert rec.flags == () and not rec.is_flagged_missing
         assert len(curves) == 2
         assert sum(curves) == len(fold.test_labels)
+        # The block of this one cell scores its test fold and its volume
+        # sample once each through the neighbour table.
         assert sum(points) == len(fold.test_labels) + cfg.volume_samples
+
+    def test_knn_block_shares_split_volume_draw_and_distances(self, tmp_path, monkeypatch):
+        cfg = knn_only_config(
+            knn_variants=("kappa", "gamma", "delta"),
+            knn_ks=(1, 3, 5, 7, 9, 13, 21, 31, 51),
+            repetitions=1,
+            volume_samples=_CHUNK + 100,
+        )
+        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        calls = {"split": 0, "uniform_sample": 0}
+        distances = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(experiments, "split")
+        counting(experiments, "uniform_sample")
+        cdist = detectors.cdist
+        monkeypatch.setattr(
+            detectors, "cdist", lambda a, b: distances.append(len(a)) or cdist(a, b)
+        )
+        store = RecordStore(tmp_path, manifest_hash="h")
+        summary = run_grid(cfg, [bench], store)
+        assert summary.n_new == 27 and summary.n_flagged == 0
+        assert calls == {"split": 1, "uniform_sample": 1}
+        # One query-train distance matrix per query chunk: the test fold is
+        # one chunk, the volume sample two.
+        n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
+        assert distances == [n_test, _CHUNK, 100]
+
+
+    def test_grid_blocks_equal_cells_run_one_by_one(self, tmp_path):
+        # k=60 exceeds the 48-point training fold; contamination 0.5 needs
+        # 48 anomalies where the benchmark has 8.
+        cfg = GridConfig(
+            knn_variants=("kappa", "gamma", "delta"),
+            knn_ks=(1, 4, 60),
+            lof_ks=(5,),
+            iforest_trees=(10,),
+            iforest_subsample=32,
+            alphas=(0.05, 0.2),
+            ps=(0.1,),
+            contaminations=(0.0, 0.05, 0.5),
+            repetitions=2,
+            volume_samples=300,
+            validation_fraction=0.3,
+            master_seed=5,
+        )
+        bench = synth_gaussian(60, 8, dim=3, shift=2.0, seed=4)
+        combos = cfg.detector_combos()
+        cells = [
+            (combo, c, rep)
+            for c in cfg.contaminations
+            for combo in combos
+            for rep in range(cfg.repetitions)
+        ]
+        expected = {
+            (c, combo.index, rep): run_cell(cfg, bench, combo, c, rep)
+            for combo, c, rep in cells
+        }
+        store = RecordStore(tmp_path, manifest_hash="h")
+        # Resume from a store holding half of the c=0.05 block's combos.
+        stored = [cell for cell in cells if cell[1] == 0.05 and cell[0].index % 2 == 0]
+        for combo, c, rep in stored:
+            store.append(expected[c, combo.index, rep], cfg.measure_names())
+        summary = run_grid(cfg, [bench], store)
+        assert summary.n_cells == len(cells)
+        assert summary.n_new == len(cells) - len(stored)
+        loaded = {(r.contamination, r.grid_index, r.repetition): r for r in store.load()}
+        assert loaded == expected
+        flags = {key: r.flags for key, r in loaded.items() if r.is_flagged_missing}
+        oversized = {i for i, combo in enumerate(combos) if combo.params[-1] == ("k", 60)}
+        assert {(c, i) for c, i, _ in flags} == (
+            {(c, i) for c in (0.0, 0.05) for i in oversized}
+            | {(0.5, combo.index) for combo in combos}
+        )
+        assert set(flags.values()) == {("error:ValueError",)}
 
 
 class TestRecordStore:
