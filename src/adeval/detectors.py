@@ -7,8 +7,9 @@ is the shape expected by the volume estimator.
 
 Distances are Euclidean throughout.  Neighbor ties beyond position k are
 broken toward the lowest training index, which keeps scores reproducible
-on datasets with repeated rows.  For kNN that order is defined in one
-place, :func:`_neighbour_table`: :func:`knn_scores` reads every model's
+on datasets with repeated rows.  For kNN, distances that differ only by
+rounding count as tied (:data:`_TIE_RTOL`), and neighbour order is defined
+in one place, :func:`_neighbour_table`: :func:`knn_scores` reads every model's
 statistic off it, whether it scores one model (``KnnModel.score``) or all
 kNN combos fitted on one training fold (the grid).
 """
@@ -24,6 +25,12 @@ from numpy.typing import NDArray
 from scipy.spatial.distance import cdist
 
 _CHUNK = 4096
+
+# Rounding in the coordinates moves a computed distance by a few ulps of
+# the largest coordinate magnitude, so a rotated or shifted copy of an exact
+# tie may no longer tie exactly.  Distances closer than this fraction of the
+# row's largest coordinate magnitude (query and training points) are tied.
+_TIE_RTOL = 1e-12
 
 KNN_VARIANTS = ("kappa", "gamma", "delta")
 
@@ -57,29 +64,42 @@ def _neighbour_table(
     """Distances and training indices of each query's k nearest neighbours.
 
     This defines neighbour order for every kNN score: rows are sorted by
-    distance, then by training index, as a full-row stable sort would sort
-    them.  Only the candidates up to the k-th distance are sorted; every
-    training point tied at that distance stays a candidate, so the lowest
-    indices among the ties win.
+    distance, then by training index, where distances within ``tol`` of
+    the previous one in sorted order count as tied (:data:`_TIE_RTOL`).
+    Only the candidates up to the k-th distance plus ``tol`` are sorted;
+    every training point tied at that distance stays a candidate, so the
+    lowest indices among the ties win.  Without near-ties this is the
+    order a full-row stable sort gives.
     """
-    cand_dist, cand_idx = _candidates(cdist(queries, points), k)
-    order = np.lexsort((cand_idx, cand_dist), axis=1)[:, :k]
+    scale = np.maximum(np.abs(queries).max(axis=1), np.abs(points).max())
+    tol = (_TIE_RTOL * scale)[:, None]
+    cand_dist, cand_idx = _candidates(cdist(queries, points), k, tol)
+    order = np.lexsort((cand_idx, cand_dist), axis=1)
+    cand_dist = np.take_along_axis(cand_dist, order, axis=1)
+    cand_idx = np.take_along_axis(cand_idx, order, axis=1)
+    # Padding (inf - inf) and NaN rows give NaN gaps, which start no group.
+    with np.errstate(invalid="ignore"):
+        new_group = np.diff(cand_dist, axis=1) > tol
+    group = np.hstack([np.zeros((len(order), 1), int), np.cumsum(new_group, axis=1)])
+    order = np.lexsort((cand_idx, group), axis=1)[:, :k]
     return (
         np.take_along_axis(cand_dist, order, axis=1),
         np.take_along_axis(cand_idx, order, axis=1),
     )
 
 
-def _candidates(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the distances and indices of every column up to the k-th distance.
+def _candidates(
+    dist: np.ndarray, k: int, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the distances and indices of every column up to the k-th distance plus tol.
 
     Candidates keep their column order and rows are padded to the widest
-    with distance inf and index ``dist.shape[1]``.  "Not beyond" the k-th
-    distance rather than "<=" keeps every column of a NaN row, in the
-    order a full sort gives it.
+    with distance inf and index ``dist.shape[1]``.  "Not beyond" the bound
+    rather than "<=" keeps every column of a NaN row, in the order a full
+    sort gives it.
     """
     kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
-    keep = ~(dist > kth)
+    keep = ~(dist > kth + tol)
     counts = keep.sum(axis=1)
     # Boolean assignment fills row-major, like the order of ``keep``'s hits.
     filled = np.arange(counts.max()) < counts[:, None]

@@ -148,6 +148,32 @@ class TestKnn:
             )
             np.testing.assert_allclose(after, before, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "train, angle, query, expected",
+        [
+            # (.75, 0) and (0, .75) tie at 0.75; index 1 joins (0, .5).
+            ([[0.0, 0.5], [0.75, 0.0], [0.0, 0.75], [0.0, 1.0]], 0.5, [0.0, 0.0],
+             np.hypot(0.375, 0.25)),
+            # (0, 3) and both copies of (0, 1) tie at sqrt(2); index 0 joins.
+            ([[0.0, 3.0]] + [[0.0, 0.0]] * 18 + [[0.0, 1.0]] * 2, 2.75, [1.0, 2.0],
+             1.0),
+        ],
+        ids=["four-points", "duplicate-rows"],
+    )
+    def test_rotated_exact_tie_keeps_lowest_index(self, train, angle, query, expected):
+        """Rounding after a rigid motion must not break an exact tie the other way."""
+        train = np.array(train)
+        rot = np.array(
+            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        )
+        shift = np.array([2.5, -1.0])
+        before = knn_fit(train, k=2, variant="delta").score(query)[0]
+        after = knn_fit(train @ rot.T + shift, k=2, variant="delta").score(
+            np.array(query) @ rot.T + shift
+        )[0]
+        assert before == pytest.approx(expected, abs=1e-12)
+        assert after == pytest.approx(expected, abs=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # Local outlier factor
