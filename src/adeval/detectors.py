@@ -7,11 +7,14 @@ is the shape expected by the volume estimator.
 
 Distances are Euclidean throughout.  Neighbor ties beyond position k are
 broken toward the lowest training index, which keeps scores reproducible
-on datasets with repeated rows.  For kNN, distances that differ only by
-rounding count as tied (:data:`_TIE_RTOL`), and neighbour order is defined
-in one place, :func:`_neighbour_table`: :func:`knn_scores` reads every model's
-statistic off it, whether it scores one model (``KnnModel.score``) or all
-kNN combos fitted on one training fold (the grid).
+on datasets with repeated rows.  kNN and LOF share one definition of a
+neighbourhood: distances that differ only by rounding count as tied
+(:func:`_tie_tolerance`), kNN neighbour order comes from
+:func:`_neighbour_table`, and a LOF neighbourhood holds every training
+point up to the k-th distance plus that tolerance.  :func:`neighbour_scores`
+scores any kNN and LOF models fitted on the same points, one model
+(``KnnModel.score``, ``LofModel.score``) or every such combo of a grid
+block.
 """
 
 from __future__ import annotations
@@ -58,22 +61,36 @@ def _validate_train(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _tie_tolerance(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per query row, as an (m, 1) column, how far apart two tied distances may be."""
+    scale = np.maximum(np.abs(queries).max(axis=1), np.abs(points).max())
+    return (_TIE_RTOL * scale)[:, None]
+
+
 def _neighbour_table(
-    points: np.ndarray, queries: np.ndarray, k: int
+    dist: np.ndarray, k: int, bound: np.ndarray, tol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and training indices of each query's k nearest neighbours.
+    """Distances and training indices of each row's k nearest neighbours.
 
     This defines neighbour order for every kNN score: rows are sorted by
     distance, then by training index, where distances within ``tol`` of
-    the previous one in sorted order count as tied (:data:`_TIE_RTOL`).
-    Only the candidates up to the k-th distance plus ``tol`` are sorted;
-    every training point tied at that distance stays a candidate, so the
-    lowest indices among the ties win.  Without near-ties this is the
-    order a full-row stable sort gives.
+    the previous one in sorted order count as tied.  Only the candidate
+    columns not beyond ``bound`` (the k-th distance plus ``tol``) are
+    sorted; every training point tied at that distance stays a candidate,
+    so the lowest indices among the ties win.  Without near-ties this is
+    the order a full-row stable sort gives.  "Not beyond" the bound rather
+    than "<=" keeps every column of a NaN row, in the order a full sort
+    gives it.
     """
-    scale = np.maximum(np.abs(queries).max(axis=1), np.abs(points).max())
-    tol = (_TIE_RTOL * scale)[:, None]
-    cand_dist, cand_idx = _candidates(cdist(queries, points), k, tol)
+    keep = ~(dist > bound)
+    counts = keep.sum(axis=1)
+    # Candidates keep their column order, padded with distance inf and index
+    # n; boolean assignment fills row-major, like the order of ``keep``'s hits.
+    filled = np.arange(counts.max()) < counts[:, None]
+    cand_idx = np.full(filled.shape, dist.shape[1])
+    cand_idx[filled] = np.nonzero(keep)[1]
+    cand_dist = np.full(filled.shape, np.inf)
+    cand_dist[filled] = dist[keep]
     order = np.lexsort((cand_idx, cand_dist), axis=1)
     cand_dist = np.take_along_axis(cand_dist, order, axis=1)
     cand_idx = np.take_along_axis(cand_idx, order, axis=1)
@@ -88,28 +105,6 @@ def _neighbour_table(
     )
 
 
-def _candidates(
-    dist: np.ndarray, k: int, tol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the distances and indices of every column up to the k-th distance plus tol.
-
-    Candidates keep their column order and rows are padded to the widest
-    with distance inf and index ``dist.shape[1]``.  "Not beyond" the bound
-    rather than "<=" keeps every column of a NaN row, in the order a full
-    sort gives it.
-    """
-    kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
-    keep = ~(dist > kth + tol)
-    counts = keep.sum(axis=1)
-    # Boolean assignment fills row-major, like the order of ``keep``'s hits.
-    filled = np.arange(counts.max()) < counts[:, None]
-    cand_idx = np.full(filled.shape, dist.shape[1])
-    cand_idx[filled] = np.nonzero(keep)[1]
-    cand_dist = np.full(filled.shape, np.inf)
-    cand_dist[filled] = dist[keep]
-    return cand_dist, cand_idx
-
-
 @dataclass(frozen=True)
 class KnnModel:
     """Distance-to-neighborhood detector.
@@ -121,9 +116,7 @@ class KnnModel:
     - ``delta``: length of the mean displacement vector to them (small
       when the query sits amid its neighbors, large on the outside).
 
-    ``score`` is :func:`knn_scores` of this one model, so a single model
-    and a block of models fitted on the same points share one definition
-    of neighbour order (:func:`_neighbour_table`).
+    ``score`` is :func:`neighbour_scores` of this one model.
     """
 
     points: NDArray[np.float64]
@@ -131,34 +124,7 @@ class KnnModel:
     variant: str
 
     def score(self, x: np.ndarray) -> NDArray[np.float64]:
-        return knn_scores([self], x)[0]
-
-
-def knn_scores(models: Sequence[KnnModel], x: np.ndarray) -> NDArray[np.float64]:
-    """Scores of kNN models fitted on the same points, one row per model.
-
-    Each chunk of queries gets one neighbour table at the largest k; every
-    model's statistic is a prefix of it: kappa = ``d[:, k-1]``, gamma =
-    ``d[:, :k].mean(axis=1)``, delta = ``|points[idx[:, :k]].mean(axis=1) - q|``.
-    """
-    points = models[0].points
-    if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
-        raise ValueError("kNN models scored together must share their training points")
-    queries = _as_points(x, points.shape[1])
-    k_max = max(m.k for m in models)
-    out = np.empty((len(models), queries.shape[0]))
-    for start in range(0, queries.shape[0], _CHUNK):
-        chunk = queries[start : start + _CHUNK]
-        dist, idx = _neighbour_table(points, chunk, k_max)
-        for row, m in zip(out, models):
-            if m.variant == "kappa":
-                row[start : start + _CHUNK] = dist[:, m.k - 1]
-            elif m.variant == "gamma":
-                row[start : start + _CHUNK] = dist[:, : m.k].mean(axis=1)
-            else:  # delta
-                mean_neighbor = points[idx[:, : m.k]].mean(axis=1)
-                row[start : start + _CHUNK] = np.linalg.norm(mean_neighbor - chunk, axis=1)
-    return out
+        return neighbour_scores([self], x)[0]
 
 
 def knn_fit(points: np.ndarray, k: int, variant: str) -> KnnModel:
@@ -187,16 +153,13 @@ def knn_fit(points: np.ndarray, k: int, variant: str) -> KnnModel:
 
 
 def _local_density(
-    dist: np.ndarray, radius: np.ndarray, kdist: np.ndarray, lrd_cap: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie-inclusive neighborhoods and local reachability densities of rows.
+    dist: np.ndarray, member: np.ndarray, kdist: np.ndarray, lrd_cap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member counts and local reachability densities (capped at ``lrd_cap``) of rows.
 
-    Row i's neighborhood holds every training column j with
-    ``dist[i, j] <= radius[i]``; its reachability distance to j is
-    ``max(kdist[j], dist[i, j])``.  Returns the membership mask, the
-    member counts and the density per row, capped at ``lrd_cap``.
+    Row i's reachability distance to training column j is
+    ``max(kdist[j], dist[i, j])``.
     """
-    member = dist <= radius[:, None]
     counts = member.sum(axis=1)
     reach = np.maximum(kdist[None, :], dist)
     reach_sum = np.where(member, reach, 0.0).sum(axis=1)
@@ -205,7 +168,7 @@ def _local_density(
         counts / np.where(reach_sum > 0, reach_sum, 1.0),
         lrd_cap,
     )
-    return member, counts, np.minimum(lrd, lrd_cap)
+    return counts, np.minimum(lrd, lrd_cap)
 
 
 @dataclass(frozen=True)
@@ -213,11 +176,12 @@ class LofModel:
     """Local outlier factor with out-of-sample queries.
 
     Neighborhoods are tie-inclusive: every training point at distance
-    <= the k-th neighbor distance belongs to the neighborhood, so it may
-    hold more than k members.  Queries are scored against the training
+    <= the k-th neighbor distance plus the tie tolerance of kNN
+    (:func:`_tie_tolerance`) belongs to the neighborhood, so it may hold
+    more than k members.  Queries are scored against the training
     neighborhoods only; the query never joins them.  Values near 1 mean
     the query is as dense as its neighbors, values far above 1 mean an
-    outlier.
+    outlier.  ``score`` is :func:`neighbour_scores` of this one model.
     """
 
     points: NDArray[np.float64]
@@ -227,16 +191,7 @@ class LofModel:
     lrd_cap: float = field(repr=False)
 
     def score(self, x: np.ndarray) -> NDArray[np.float64]:
-        queries = _as_points(x, self.points.shape[1])
-        out = np.empty(queries.shape[0])
-        for start in range(0, queries.shape[0], _CHUNK):
-            chunk = queries[start : start + _CHUNK]
-            dist = cdist(chunk, self.points)
-            kdist_q = np.sort(dist, axis=1)[:, self.k - 1]
-            member, counts, lrd_q = _local_density(dist, kdist_q, self.kdist, self.lrd_cap)
-            lrd_sum = np.where(member, self.lrd[None, :], 0.0).sum(axis=1)
-            out[start : start + _CHUNK] = lrd_sum / (lrd_q * counts)
-        return out
+        return neighbour_scores([self], x)[0]
 
 
 def lof_fit(points: np.ndarray, k: int) -> LofModel:
@@ -264,8 +219,58 @@ def lof_fit(points: np.ndarray, k: int) -> LofModel:
     # 1 / eps with eps tied to the data scale so scores stay finite.
     lrd_cap = 1.0 / (1e-12 * diameter)
 
-    _, _, lrd = _local_density(dist, kdist, kdist, lrd_cap)
+    member = dist <= kdist[:, None] + _tie_tolerance(pts, pts)
+    _, lrd = _local_density(dist, member, kdist, lrd_cap)
     return LofModel(points=pts, k=k, kdist=kdist, lrd=lrd, lrd_cap=lrd_cap)
+
+
+# ---------------------------------------------------------------------------
+# Scoring kNN and LOF models together
+# ---------------------------------------------------------------------------
+
+
+def neighbour_scores(
+    models: Sequence[KnnModel | LofModel], x: np.ndarray
+) -> NDArray[np.float64]:
+    """Scores of kNN and LOF models fitted on the same points, one row per model.
+
+    Each chunk of queries gets one distance matrix, one tie tolerance
+    (:func:`_tie_tolerance`) and one partition that places the k-th
+    distance of every k in use; the bound of k is that distance plus the
+    tolerance.  kNN statistics are prefixes of one neighbour table at the
+    largest kNN k (:func:`_neighbour_table`): kappa = ``d[:, k-1]``, gamma
+    = ``d[:, :k].mean(axis=1)``, delta = ``|points[idx[:, :k]].mean(axis=1)
+    - q|``.  A LOF neighbourhood holds the columns ``<=`` its bound, so a
+    NaN query has none and scores NaN.
+    """
+    points = models[0].points
+    if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
+        raise ValueError("models scored together must share their training points")
+    queries = _as_points(x, points.shape[1])
+    knn_k = max((m.k for m in models if isinstance(m, KnnModel)), default=0)
+    ks = sorted({m.k for m in models if isinstance(m, LofModel)} | ({knn_k} if knn_k else set()))
+    out = np.empty((len(models), queries.shape[0]))
+    for start in range(0, queries.shape[0], _CHUNK):
+        chunk = queries[start : start + _CHUNK]
+        dist = cdist(chunk, points)
+        tol = _tie_tolerance(chunk, points)
+        kth = np.partition(dist, [k - 1 for k in ks], axis=1)[:, [k - 1 for k in ks]]
+        bound = {k: kth[:, [i]] + tol for i, k in enumerate(ks)}
+        if knn_k:
+            table, idx = _neighbour_table(dist, knn_k, bound[knn_k], tol)
+        for row, m in zip(out[:, start : start + _CHUNK], models):
+            if isinstance(m, LofModel):
+                member = dist <= bound[m.k]
+                counts, lrd_q = _local_density(dist, member, m.kdist, m.lrd_cap)
+                lrd_sum = np.where(member, m.lrd[None, :], 0.0).sum(axis=1)
+                row[:] = lrd_sum / (lrd_q * counts)
+            elif m.variant == "kappa":
+                row[:] = table[:, m.k - 1]
+            elif m.variant == "gamma":
+                row[:] = table[:, : m.k].mean(axis=1)
+            else:  # delta
+                row[:] = np.linalg.norm(points[idx[:, : m.k]].mean(axis=1) - chunk, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

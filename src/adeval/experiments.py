@@ -19,7 +19,9 @@ complement of the decision-region volume.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -33,11 +35,11 @@ from adeval.curves import (
     LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
-from adeval.detectors import KnnModel, iforest_fit, knn_fit, knn_scores, lof_fit
+from adeval.detectors import iforest_fit, knn_fit, lof_fit, neighbour_scores
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
 from adeval.volume import (
-    SamplingBox, bounding_box, checked_scores, score_sample, uniform_sample, volume_below,
+    SamplingBox, bounding_box, checked_scores, uniform_sample, volume_below,
 )
 
 
@@ -297,7 +299,10 @@ class RecordStore:
 
     Files carry the run-manifest hash in a leading comment line, then a
     header row, then one row per cell.  Appending never rewrites existing
-    rows, so a finished store is byte-stable under reruns.
+    rows, so a finished store is byte-stable under reruns.  A last line
+    without its line terminator is a torn tail, left by a write that was
+    cut short: :meth:`load` reads past it, so its cell counts as missing,
+    and :meth:`append` cuts it off before writing.
     """
 
     def __init__(self, root: str | Path, manifest_hash: str = "unmanaged"):
@@ -314,7 +319,7 @@ class RecordStore:
 
     def append(self, record: ExperimentRecord, measure_names: Sequence[str]) -> None:
         path = self._file_for(record)
-        fresh = not path.exists()
+        fresh = _drop_torn_tail(path)
         with open(path, "a", newline="") as handle:
             writer = csv.writer(handle)
             if fresh:
@@ -340,12 +345,14 @@ class RecordStore:
 
         A row whose width differs from its header, or with a value that is
         neither ``NA`` nor a float, raises ``ValueError`` naming its file
-        and line rather than loading as a finished cell.
+        and line rather than loading as a finished cell.  A torn tail is
+        skipped.
         """
         records: list[ExperimentRecord] = []
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
-                reader = csv.reader(handle)
+                text = handle.read()
+                reader = csv.reader(io.StringIO(text[: text.rfind("\n") + 1], newline=""))
                 header = None
                 for row in reader:
                     if not row or row[0].startswith("#"):
@@ -361,6 +368,29 @@ class RecordStore:
                         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         records.sort(key=lambda r: r.cell_key)
         return records
+
+
+def _drop_torn_tail(path: Path) -> bool:
+    """Cut a torn tail off ``path``; True if the file is missing or left empty.
+
+    The file is cut after its last line end, or emptied if no complete
+    header row would remain, so that it is written afresh.
+    """
+    if not path.exists():
+        return True
+    with open(path, "rb+") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) == b"\n":
+                return False
+        handle.seek(0)
+        data = handle.read()
+        kept = data.rfind(b"\n") + 1
+        if data.count(b"\n", 0, kept) < 2:  # the manifest line and the header
+            kept = 0
+        handle.truncate(kept)
+    return kept == 0
 
 
 def _parse_row(header: list[str], row: list[str]) -> ExperimentRecord:
@@ -469,16 +499,18 @@ def _run_repetition(
     """Evaluate the cells of ``combos`` in one (benchmark, contamination, repetition) block.
 
     The block is split once and its uniform volume sample
-    (:func:`volume_box_and_seed`) drawn once.  Each combo is fitted on the
-    training fold.  The kNN combos are fitted first and get their test-fold
-    and volume scores from one neighbour table per query chunk
-    (:func:`knn_scores`); any other combo is fitted, scores both with its
-    own model and is dropped before the next one.  Per cell, the test fold
-    (with validation: its evaluation part, then its ``val:`` part) goes
-    through :func:`_evaluate_measures`.  A failure leaves missing every value of the
-    cells it reaches that is not yet evaluated and flags them
-    ``error:<exception type>``: a failed split or volume draw reaches every
-    cell of the block, a failed fit only its own cell.
+    (:func:`volume_box_and_seed`) drawn once.  The combos are scored in
+    groups: every kNN and LOF combo in one group that shares one distance
+    matrix per query chunk (:func:`neighbour_scores`), each other combo in
+    a group of its own, so that one forest at a time is held.  Each group
+    fits its combos on the training fold, scores the test fold and the
+    volume sample, checks the volume scores (:func:`checked_scores`) and
+    sends each cell's test fold (with validation: its evaluation part,
+    then its ``val:`` part) through :func:`_evaluate_measures`.  A failure
+    leaves missing every value of the cells it reaches that is not yet
+    evaluated and flags them ``error:<exception type>``: a failed split or
+    volume draw reaches every cell of the block, a failed scoring pass
+    every cell of its group, and a failed fit only its own cell.
     """
     names = cfg.measure_names()
 
@@ -513,54 +545,44 @@ def _run_repetition(
         n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
         samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
 
-    def fit(combo: Combo):
-        return fit_combo(combo, fold.train, _fit_seed(bench, combo, spec))
-
-    knn_models: dict[int, KnnModel] = {}
-    errors: dict[int, str] = {}
-    for combo in combos:
-        if combo.detector == "knn":
+    shared = [c for c in combos if c.detector in ("knn", "lof")]
+    groups = [(shared, neighbour_scores)] if shared else []
+    groups += [([c], lambda models, x: [models[0].score(x)])
+               for c in combos if c.detector not in ("knn", "lof")]
+    records: dict[int, ExperimentRecord] = {}
+    for group, score in groups:
+        fitted, models = [], []
+        for combo in group:
             try:
-                knn_models[combo.index] = fit(combo)
+                models.append(fit_combo(combo, fold.train, _fit_seed(bench, combo, spec)))
+                fitted.append(combo)
             except _CELL_ERRORS as exc:
-                errors[combo.index] = _error_flag(exc)
-    knn_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    try:
-        if knn_models:
-            models = list(knn_models.values())
-            table = zip(knn_scores(models, fold.test), knn_scores(models, volume_points))
-            knn_rows = dict(zip(knn_models, table))
-    except _CELL_ERRORS as exc:
-        errors.update(dict.fromkeys(knn_models, _error_flag(exc)))
-
-    records = []
-    for combo in combos:
-        if combo.index in errors:
-            records.append(record(combo, {}, [errors[combo.index]]))
+                records[combo.index] = record(combo, {}, [_error_flag(exc)])
+        if not models:
             continue
-        values: dict[str, float] = {}
-        flags: list[str] = []
         try:
-            if combo.index in knn_rows:
-                test_scores, volume_scores = knn_rows.pop(combo.index)
-                volume_scores = checked_scores(volume_scores, len(volume_points))
-            else:
-                model = fit(combo)
-                test_scores = model.score(fold.test)
-                volume_scores = score_sample(model.score, volume_points)
-            data = LabeledScores(labels=fold.test_labels, scores=test_scores)
-            for prefix, idx in samples:
-                sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
-                sample_values, sample_flags = _evaluate_measures(
-                    sample, volume_scores, cfg, prec_seed
-                )
-                values.update((prefix + name, v) for name, v in sample_values.items())
-                if not prefix:
-                    flags = sample_flags
+            scored = zip(score(models, fold.test), score(models, volume_points))
         except _CELL_ERRORS as exc:
-            flags.append(_error_flag(exc))
-        records.append(record(combo, values, flags))
-    return records
+            records.update((c.index, record(c, {}, [_error_flag(exc)])) for c in fitted)
+            continue
+        for combo, (test_scores, volume_scores) in zip(fitted, scored):
+            values: dict[str, float] = {}
+            flags: list[str] = []
+            try:
+                volume_scores = checked_scores(volume_scores, len(volume_points))
+                data = LabeledScores(labels=fold.test_labels, scores=test_scores)
+                for prefix, idx in samples:
+                    sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
+                    sample_values, sample_flags = _evaluate_measures(
+                        sample, volume_scores, cfg, prec_seed
+                    )
+                    values.update((prefix + name, v) for name, v in sample_values.items())
+                    if not prefix:
+                        flags = sample_flags
+            except _CELL_ERRORS as exc:
+                flags.append(_error_flag(exc))
+            records[combo.index] = record(combo, values, flags)
+    return [records[combo.index] for combo in combos]
 
 
 def _run_block(args) -> list[ExperimentRecord]:

@@ -7,11 +7,11 @@ estimates the relative volume of the accept region.  Small volume at a
 given false-positive budget means a tight model of the normal class.
 
 The estimate has two steps: :func:`score_uniform_sample` draws
-(:func:`uniform_sample`) and scores (:func:`score_sample`) the sample, and
-:func:`volume_below` counts the scores below one threshold.  The grid draws
-one sample per block of cells, checks each model's scores of it with
-:func:`checked_scores` and thresholds them at every FPR level;
-:func:`mc_volume_at_fpr` composes the two steps for a single level.
+(:func:`uniform_sample`) and scores the sample, and :func:`volume_below`
+counts the scores below one threshold.  :func:`mc_volume_at_fpr` composes
+the two steps for a single level.  The grid draws one sample per block of
+cells, scores it once per group of models, checks each model's scores with
+:func:`checked_scores` and thresholds them at every FPR level.
 """
 
 from __future__ import annotations
@@ -100,20 +100,19 @@ def checked_scores(scores: np.ndarray, n: int) -> NDArray[np.float64]:
     return scores
 
 
-def score_sample(f: ScoreFunction, points: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Checked scores under ``f`` of a drawn sample, scored in chunks."""
-    scores = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        scores[start : start + _CHUNK] = checked_scores(f(chunk), chunk.shape[0])
-    return scores
-
-
 def score_uniform_sample(
     f: ScoreFunction, box: SamplingBox, n: int, seed: int
 ) -> NDArray[np.float64]:
-    """Scores under ``f`` of ``n`` points drawn from ``box`` by one stream seeded ``seed``."""
-    return score_sample(f, uniform_sample(box, n, seed))
+    """Checked scores under ``f`` of ``n`` points drawn from ``box`` by one stream seeded ``seed``.
+
+    The points are scored in chunks.
+    """
+    points = uniform_sample(box, n, seed)
+    scores = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        scores[start : start + _CHUNK] = checked_scores(f(chunk), chunk.shape[0])
+    return scores
 
 
 def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:

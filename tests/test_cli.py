@@ -53,6 +53,20 @@ def study(tmp_path_factory):
     return SimpleNamespace(root=root, cache=root / "cache", run=root / "run", config=config)
 
 
+@pytest.fixture(scope="module")
+def lof_iforest_study(tmp_path_factory):
+    """The study above on one table, with one LOF and one forest combo instead of kNN."""
+    root = tmp_path_factory.mktemp("lof_iforest_study")
+    write_tables(root / "raw", n_tables=1)
+    assert main(["prepare", str(root / "raw"), str(root / "cache")]) == 0
+    config = root / "study.cfg"
+    text = CONFIG_TEXT.format(cache=root / "cache", run=root / "run")
+    text = text.replace("knn_ks = 1,3", "knn_ks =").replace("lof_ks =", "lof_ks = 5")
+    config.write_text(text.replace("iforest_trees =", "iforest_trees = 10"))
+    assert main(["run", "--config", str(config)]) == 0
+    return SimpleNamespace(root=root, cache=root / "cache", run=root / "run", config=config)
+
+
 def read_store_bytes(run_dir):
     return {p.name: p.read_bytes() for p in sorted((run_dir / "records").glob("*.csv"))}
 
@@ -303,18 +317,28 @@ class TestAggregate:
         assert main(["aggregate", "rank", str(run_dir), "--contamination", "0.05"]) == 0
         assert (run_dir / "tables" / "rank_c0.05.csv").is_file()
 
-    def test_torn_store_row_exits_two(self, study, tmp_path, capsys):
+    def test_short_store_row_exits_two(self, study, tmp_path, capsys):
         clone = tmp_path / "clone"
         shutil.copytree(study.run, clone)
         victim = sorted((clone / "records").glob("*.csv"))[-1]
         text = victim.read_text()
-        # Drop the last field of the last row together with its newline.
-        victim.write_text(text[: text.rstrip("\n").rindex(",")])
+        # Drop the last field of the last row but keep its newline.
+        victim.write_text(text[: text.rstrip("\n").rindex(",")] + "\n")
         assert main(["aggregate", "rank", str(clone)]) == 2
         assert f"{victim.name}: line " in capsys.readouterr().err
         resume = ["run", "--config", str(study.config), "--set", f"output_dir={clone}"]
         assert main(resume) == 2
         assert f"{victim.name}: line " in capsys.readouterr().err
+
+    def test_resume_after_torn_store_tail_restores_bytes(self, study, tmp_path):
+        clone = tmp_path / "clone"
+        shutil.copytree(study.run, clone)
+        victim = sorted((clone / "records").glob("*.csv"))[-1]
+        # A write cut short: the last row loses its last bytes and line end.
+        victim.write_bytes(victim.read_bytes()[:-6])
+        resume = ["run", "--config", str(study.config), "--set", f"output_dir={clone}"]
+        assert main(resume) == 0
+        assert read_store_bytes(clone) == read_store_bytes(study.run)
 
     def test_validation_selection_and_contamination_slice_match_reference(self, tmp_path):
         write_tables(tmp_path / "raw", n_tables=1)
@@ -472,6 +496,32 @@ class TestOneOffs:
                 "--seed", "7", "--rep", "0",
             ]
         ) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        data = LabeledScores(
+            labels=[int(sid.startswith("a")) for sid, _ in rows],
+            scores=[float(value) for _, value in rows],
+        )
+        assert auc(build_roc(data)) == cell.values["AUC"]
+
+    @pytest.mark.parametrize(
+        "flags, params",
+        [(["--detector", "lof", "--k", "5"], "k=5"),
+         (["--detector", "iforest", "--trees", "10"], "n_trees=10 subsample=256")],
+        ids=["lof", "iforest"],
+    )
+    def test_one_offs_reproduce_lof_and_iforest_grid_cells(
+        self, lof_iforest_study, capsys, flags, params
+    ):
+        study = lof_iforest_study
+        cell = self.stored_cell(study, "tab0-c2", params, 1)
+        where = ["--dataset", str(study.cache), "--benchmark", "tab0-c2", *flags,
+                 "--seed", "7", "--rep", "1"]
+        assert main(["volume", *where, "--alpha", "0.05", "--n", "400"]) == 0
+        lines = dict(
+            line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert float(lines["cvol"]) == cell.values["CVOL@0.05"]
+        assert main(["scores", *where]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         data = LabeledScores(
             labels=[int(sid.startswith("a")) for sid, _ in rows],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeval.detectors import (
-    _CHUNK, _avg_path_length, iforest_fit, knn_fit, knn_scores, lof_fit,
+    _CHUNK, _avg_path_length, iforest_fit, knn_fit, lof_fit, neighbour_scores,
 )
 from _oracles import knn_reference
 
@@ -22,6 +22,23 @@ def point_cloud(draw, max_points=25, dim=2):
     )
     points = np.array(values).reshape(n, dim)
     # Nudge the last point if everything collapsed to one location.
+    if np.allclose(points, points[0]):
+        points[-1] += 1.0
+    return points
+
+
+@st.composite
+def grid_cloud(draw, max_points=25, dim=2):
+    """Small random training set on the half-integer grid of [-10, 10]^dim.
+
+    Distances on the grid tie exactly often, and two that do not tie differ
+    by far more than any rounding.
+    """
+    n = draw(st.integers(min_value=3, max_value=max_points))
+    values = draw(
+        st.lists(st.integers(min_value=-20, max_value=20), min_size=n * dim, max_size=n * dim)
+    )
+    points = np.array(values, dtype=float).reshape(n, dim) / 2
     if np.allclose(points, points[0]):
         points[-1] += 1.0
     return points
@@ -86,7 +103,7 @@ class TestKnn:
             for variant in ("kappa", "gamma", "delta")
             for k in range(1, len(train) + 1)
         ]
-        block = knn_scores(models, queries)
+        block = neighbour_scores(models, queries)
         for model, row in zip(models, block):
             expected = knn_reference(train, queries, model.k, model.variant)
             assert np.array_equal(row, expected, equal_nan=True), (model.k, model.variant)
@@ -235,6 +252,77 @@ class TestLof:
         batch = model.score(queries)
         singles = np.array([model.score(q)[0] for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
+
+    def test_scored_with_knn_models_equals_own_score(self):
+        rng = np.random.default_rng(12)
+        grid = rng.integers(-3, 4, size=(30, 2)).astype(float)
+        train = np.vstack([grid, grid[:4], rng.normal(size=(20, 2))])
+        queries = np.vstack([
+            [[np.nan, 1.0]],
+            train,
+            rng.integers(-8, 9, size=(_CHUNK + 300, 2)) / 2.0,
+        ])
+        models = [
+            lof_fit(train, k=5),
+            knn_fit(train, k=3, variant="delta"),
+            lof_fit(train, k=1),
+            knn_fit(train, k=40, variant="gamma"),
+            lof_fit(train, k=20),
+            knn_fit(train, k=20, variant="kappa"),
+        ]
+        with np.errstate(invalid="ignore"):
+            block = neighbour_scores(models, queries)
+            for model, row in zip(models, block):
+                assert np.array_equal(row, model.score(queries), equal_nan=True)
+        for row in block[::2]:
+            assert np.isnan(row[0]) and np.isfinite(row[1:]).all()
+
+    @given(grid_cloud(), st.floats(min_value=-3, max_value=3, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_rigid_motion_invariance(self, train, angle):
+        """Rotating and translating everything leaves LOF unchanged.
+
+        LOF is a ratio of densities, so rounding moves it by a relative
+        amount rather than an absolute one.  The points lie on a grid: the
+        exact ties a rigid motion turns into near-ties are common there,
+        while a gap between the tie tolerance of one frame and that of the
+        other, which scales with the coordinate magnitude, cannot occur.
+        """
+        rot = np.array(
+            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        )
+        shift = np.array([2.5, -1.0])
+        queries = np.array([[0.0, 0.0], [1.0, 2.0]])
+        before = lof_fit(train, k=2).score(queries)
+        after = lof_fit(train @ rot.T + shift, k=2).score(queries @ rot.T + shift)
+        np.testing.assert_allclose(after, before, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "train, k, query, expected",
+        [
+            # (.75, 0) and (0, .75) tie at 0.75 as the query's 2nd neighbour.
+            ([[0.0, 0.5], [0.75, 0.0], [0.0, 0.75], [0.0, 1.0]], 2, [0.0, 0.0],
+             1.4598262454042683),
+            # (0, 3) and both copies of (0, 1) tie at sqrt(2) from the query.
+            ([[0.0, 3.0]] + [[0.0, 0.0]] * 18 + [[0.0, 1.0]] * 2, 1, [1.0, 2.0],
+             357661268499.98596),
+            ([[0.0, 3.0]] + [[0.0, 0.0]] * 18 + [[0.0, 1.0]] * 2, 2, [1.0, 2.0],
+             1.3412297568739415),
+        ],
+        ids=["four-points", "duplicate-rows-k1", "duplicate-rows-k2"],
+    )
+    def test_rotated_exact_tie_keeps_every_tied_member(self, train, k, query, expected):
+        """Rounding after a rigid motion must not drop a tied point from a neighbourhood."""
+        train = np.array(train)
+        angle = -2.75
+        rot = np.array(
+            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        )
+        shift = np.array([2.5, -1.0])
+        before = lof_fit(train, k=k).score(query)[0]
+        after = lof_fit(train @ rot.T + shift, k=k).score(np.array(query) @ rot.T + shift)[0]
+        assert before == pytest.approx(expected, rel=1e-12)
+        assert after == pytest.approx(expected, rel=1e-6)
 
     @given(point_cloud(max_points=15))
     @settings(max_examples=40, deadline=None)

@@ -194,6 +194,20 @@ class TestRunGrid:
         after = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         assert before == after
 
+    def test_resume_reruns_the_cell_of_a_torn_tail(self, tmp_path):
+        cfg = knn_only_config()
+        store = RecordStore(tmp_path, manifest_hash="h")
+        run_grid(cfg, [self.bench()], store)
+        whole = store.load()
+        path = sorted(tmp_path.glob("*.csv"))[0]
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+        path.write_bytes(before[path.name][:-6])
+        torn = store.load()
+        assert len(torn) == len(whole) - 1 and all(r in whole for r in torn)
+        summary = run_grid(cfg, [self.bench()], store)
+        assert summary.n_new == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
+
     def test_worker_count_does_not_change_records(self, tmp_path):
         cfg = knn_only_config()
         benches = [self.bench(0), self.bench(1)]
@@ -262,11 +276,11 @@ class TestRunCell:
         def counting_roc(build_roc):
             return lambda data: curves.append(len(data)) or build_roc(data)
 
-        score = experiments.knn_scores
+        score = experiments.neighbour_scores
         for module in (experiments, volume):
             monkeypatch.setattr(module, "build_roc", counting_roc(module.build_roc))
         monkeypatch.setattr(
-            experiments, "knn_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
+            experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
         rec = run_cell(cfg, bench, cfg.detector_combos()[0], 0.0, repetition=1)
         assert rec.flags == () and not rec.is_flagged_missing
@@ -313,13 +327,14 @@ class TestRunCell:
 
 
     def test_grid_blocks_equal_cells_run_one_by_one(self, tmp_path):
-        # k=60 exceeds the 48-point training fold; contamination 0.5 needs
-        # 48 anomalies where the benchmark has 8.
+        # k=60 exceeds the 48-point training fold, for kNN and beside a LOF
+        # combo that fits; contamination 0.5 needs 48 anomalies where the
+        # benchmark has 8.
         cfg = GridConfig(
             knn_variants=("kappa", "gamma", "delta"),
             knn_ks=(1, 4, 60),
-            lof_ks=(5,),
-            iforest_trees=(10,),
+            lof_ks=(5, 60),
+            iforest_trees=(10, 20),
             iforest_subsample=32,
             alphas=(0.05, 0.2),
             ps=(0.1,),
@@ -386,13 +401,34 @@ class TestRecordStore:
             store.append(rec, ("AUC", "TPR@0.05"))
         return store, next(tmp_path.glob("*.csv"))
 
-    def test_torn_last_row_rejected_with_file_and_line(self, tmp_path):
+    def test_short_row_rejected_with_file_and_line(self, tmp_path):
         store, path = self.two_row_store(tmp_path)
         text = path.read_text()
-        # Drop the last field of the last row together with its newline.
-        path.write_text(text[: text.rstrip("\n").rindex(",")])
+        # Drop the last field of the last row but keep its newline.
+        path.write_text(text[: text.rstrip("\n").rindex(",")] + "\n")
         with pytest.raises(ValueError, match=rf"{path.name}: line 4: 9 fields"):
             store.load()
+
+    def test_torn_tail_loads_as_missing_cell(self, tmp_path):
+        store = RecordStore(tmp_path, manifest_hash="cafe01")
+        recs = [
+            record(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.123456789})
+            for rep in range(2)
+        ]
+        for rec in recs:
+            store.append(rec, ("AUC", "TPR@0.05"))
+        path = next(tmp_path.glob("*.csv"))
+        whole = path.read_bytes()
+        # A write cut 6 bytes short leaves "...,0.12345" without a line end.
+        path.write_bytes(whole[:-6])
+        assert store.load() == recs[:1]
+        store.append(recs[1], ("AUC", "TPR@0.05"))
+        assert path.read_bytes() == whole
+        # A torn header row leaves nothing to keep: the file starts afresh.
+        path.write_bytes(whole[: whole.index(b"\n") + 5])
+        assert store.load() == []
+        store.append(recs[0], ("AUC", "TPR@0.05"))
+        assert store.load() == recs[:1]
 
     def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
         store, path = self.two_row_store(tmp_path)
