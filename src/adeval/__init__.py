@@ -61,4 +61,4 @@ from adeval.experiments import (
     run_grid,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

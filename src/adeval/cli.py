@@ -137,9 +137,12 @@ def manifest_hash(payload: dict) -> str:
 class RunManifest:
     """Everything that identifies a grid run, written before it starts.
 
-    The hash covers the resolved configuration and the tool version but
-    not the directories, so the same study re-run from a different
-    location produces byte-identical stores and tables.
+    The hash covers the resolved configuration, the tool version and the
+    data digest of every loaded benchmark, keyed by benchmark name
+    (:func:`_data_digest`), but not the directories: the same study re-run
+    from a different location produces byte-identical stores and tables,
+    while a resume against changed benchmark data, or another set of
+    benchmarks, is refused.
     """
 
     config_path: str
@@ -148,16 +151,28 @@ class RunManifest:
     output_dir: str
     master_seed: int
     version: str
+    data: dict[str, str]
     only: tuple[str, ...] | None = None
 
     @property
     def hash(self) -> str:
-        return manifest_hash({"config": self.config, "version": self.version})
+        return manifest_hash(
+            {"config": self.config, "version": self.version, "data": self.data}
+        )
 
     def to_json(self) -> str:
         payload = asdict(self)
         payload["hash"] = self.hash
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _data_digest(bench: BenchmarkDataset) -> str:
+    """sha256 of a benchmark's normal and anomaly arrays: shapes, then little-endian bytes."""
+    digest = hashlib.sha256()
+    for points in (bench.normal, bench.anomaly):
+        digest.update(repr(points.shape).encode())
+        digest.update(points.astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def _config_payload(cfg: GridConfig) -> dict:
@@ -329,6 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         output_dir=str(output_dir),
         master_seed=cfg.master_seed,
         version=__version__,
+        data={bench.name: _data_digest(bench) for bench in benches},
         only=only,
     )
     out_root = Path(output_dir)

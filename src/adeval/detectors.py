@@ -14,13 +14,16 @@ neighbourhood: distances that differ only by rounding count as tied
 point up to the k-th distance plus that tolerance.  :func:`neighbour_scores`
 scores any kNN and LOF models fitted on the same points, one model
 (``KnnModel.score``, ``LofModel.score``) or every such combo of a grid
-block.
+block.  Isolation trees are grown level by level in heap layout, tree t
+from its own stream seeded by (seed, t), so a forest of n trees is the
+n-tree prefix of a larger forest of the same seed; :func:`forest_scores`
+scores one forest or all of its prefixes in one walk over the trees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -273,9 +276,16 @@ def neighbour_scores(
     return out
 
 
+
+
 # ---------------------------------------------------------------------------
 # Isolation forest
 # ---------------------------------------------------------------------------
+
+# Trees grow in batches of this many.  One level of a batch is a few numpy
+# passes over the batch's points, and the batch bounds the working set of
+# growth whatever the forest size.
+_TREE_BATCH = 25
 
 
 def _avg_path_length(n: int) -> float:
@@ -288,107 +298,105 @@ def _avg_path_length(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class _FlatTree:
-    """One isolation tree flattened to arrays for vectorized descent."""
-
-    feature: NDArray[np.int64]  # -1 marks a leaf
-    threshold: NDArray[np.float64]
-    left: NDArray[np.int64]
-    right: NDArray[np.int64]
-    depth: NDArray[np.int64]
-    adjust: NDArray[np.float64]  # c(leaf size) at leaves, 0 elsewhere
-
-
-def _grow_tree(points: np.ndarray, height_limit: int, rng: np.random.Generator) -> _FlatTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    depth: list[int] = []
-    adjust: list[float] = []
-
-    def add_node(dep: int) -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        depth.append(dep)
-        adjust.append(0.0)
-        return len(feature) - 1
-
-    def grow(subset: np.ndarray, dep: int) -> int:
-        node = add_node(dep)
-        if subset.shape[0] <= 1 or dep >= height_limit:
-            adjust[node] = _avg_path_length(subset.shape[0])
-            return node
-        lo = subset.min(axis=0)
-        hi = subset.max(axis=0)
-        splittable = np.flatnonzero(hi > lo)
-        if splittable.size == 0:  # duplicate rows: nothing to isolate
-            adjust[node] = _avg_path_length(subset.shape[0])
-            return node
-        q = int(splittable[rng.integers(splittable.size)])
-        v = float(rng.uniform(lo[q], hi[q]))
-        mask = subset[:, q] < v
-        feature[node] = q
-        threshold[node] = v
-        left[node] = grow(subset[mask], dep + 1)
-        right[node] = grow(subset[~mask], dep + 1)
-        return node
-
-    grow(points, 0)
-    return _FlatTree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
-        adjust=np.array(adjust),
-    )
-
-
-@dataclass(frozen=True)
 class IsolationForestModel:
-    """Ensemble of random isolation trees.
+    """Ensemble of random isolation trees in heap layout.
+
+    Row t of ``feature``, ``threshold`` and ``path`` is tree t.  The
+    children of node i are 2i+1, which takes the points with
+    ``x[feature] < threshold``, and 2i+2.  A leaf has ``feature`` -1 and
+    ``threshold`` -inf, and ``path`` holds its depth plus c(leaf size).
+    A descent therefore passes on from a leaf to its right child, down to
+    depth ``height_limit``, and the nodes on that way repeat the leaf's
+    ``path``: every descent takes ``height_limit`` steps without a leaf
+    test.
 
     The anomaly score of a point is 2 ** (-E[h] / c(psi)) where E[h] is
     its mean path length over the trees, psi the per-tree subsample size
     and c the unsuccessful-search normalizer; scores fall in (0, 1) and
-    0.5 marks path lengths at the random-tree expectation.
+    0.5 marks path lengths at the random-tree expectation.  ``score`` is
+    :func:`forest_scores` of this one model.
     """
 
-    trees: tuple[_FlatTree, ...]
-    n_trees: int
+    feature: NDArray[np.int64] = field(repr=False)
+    threshold: NDArray[np.float64] = field(repr=False)
+    path: NDArray[np.float64] = field(repr=False)
     subsample: int
     height_limit: int
     dim: int
 
-    def _tree_paths(self, tree: _FlatTree, queries: np.ndarray) -> NDArray[np.float64]:
-        idx = np.zeros(queries.shape[0], dtype=np.int64)
-        for _ in range(self.height_limit + 1):
-            feat = tree.feature[idx]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            go_left = (
-                queries[active, feat[active]] < tree.threshold[idx[active]]
-            )
-            idx[active] = np.where(
-                go_left, tree.left[idx[active]], tree.right[idx[active]]
-            )
-        return tree.depth[idx] + tree.adjust[idx]
+    @property
+    def n_trees(self) -> int:
+        return self.feature.shape[0]
+
+    def prefix(self, n_trees: int) -> IsolationForestModel:
+        """The forest of this model's first ``n_trees`` trees."""
+        if not 1 <= n_trees <= self.n_trees:
+            raise ValueError(f"n_trees must lie in [1, {self.n_trees}], got {n_trees}")
+        return replace(
+            self,
+            feature=self.feature[:n_trees],
+            threshold=self.threshold[:n_trees],
+            path=self.path[:n_trees],
+        )
 
     def score(self, x: np.ndarray) -> NDArray[np.float64]:
-        queries = _as_points(x, self.dim)
-        # Average the per-tree normalized depth h/c(psi) rather than
-        # normalizing the averaged depth: algebraically the same, but a
-        # forest of pure leaves then yields exponent -1 and score 0.5
-        # without rounding.
-        norm = _avg_path_length(self.subsample)
-        total = np.zeros(queries.shape[0])
-        for tree in self.trees:
-            total += self._tree_paths(tree, queries) / norm
-        return np.power(2.0, -total / self.n_trees)
+        return forest_scores([self], x)[0]
+
+
+def _grow_batch(
+    points: np.ndarray,
+    seed: int,
+    first: int,
+    psi: int,
+    leaf_path: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Grow trees ``first, first + 1, ...`` level by level into ``rows``.
+
+    ``rows`` are the (feature, threshold, path) rows of the batch's trees.
+    Each level sorts the points still in inner nodes by (tree, node), so a
+    node's points are one run and its bounds one ``reduceat``.
+    ``leaf_path[s]`` is c(s).
+    """
+    batch, n_heap = rows[0].shape
+    height_limit = n_heap.bit_length() - 1
+    n_inner = n_heap // 2
+    streams = [np.random.default_rng((seed, t)) for t in range(first, first + batch)]
+    sample = np.concatenate([s.choice(len(points), size=psi, replace=False) for s in streams])
+    uniforms = np.concatenate([s.random((n_inner, 2)) for s in streams])
+    feature, threshold, path = (r.reshape(-1) for r in rows)
+    x = points[sample]
+    node = np.repeat(np.arange(batch) * n_heap, psi)  # tree * n_heap + heap index
+    for depth in range(height_limit + 1):
+        order = np.argsort(node, kind="stable")
+        node, x = node[order], x[order]
+        starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        size = np.diff(np.r_[starts, node.size])
+        head = node[starts]
+        lo = np.minimum.reduceat(x, starts)
+        hi = np.maximum.reduceat(x, starts)
+        splittable = hi > lo
+        count = splittable.sum(axis=1)
+        split = (size > 1) & (count > 0) & (depth < height_limit)
+        path[head[~split]] = depth + leaf_path[size[~split]]
+        if not split.any():
+            break
+        keep = np.repeat(split, size)
+        head, count = head[split], count[split]
+        local = head % n_heap
+        u = uniforms[head // n_heap * n_inner + local]
+        pick = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
+        dim = np.argmax(np.cumsum(splittable[split], axis=1) > pick[:, None], axis=1)
+        lo, hi = lo[split, dim], hi[split, dim]
+        value = np.minimum(lo + u[:, 1] * (hi - lo), hi)
+        feature[head] = dim
+        threshold[head] = value
+        # A child that receives no point stays an empty leaf one level down.
+        path[head + local + 1] = path[head + local + 2] = depth + 1
+        x, node = x[keep], node[keep]
+        group = np.repeat(np.arange(head.size), size[split])
+        below = x[np.arange(node.size), dim[group]] < value[group]
+        node = node + local[group] + 2 - below
 
 
 def iforest_fit(
@@ -399,25 +407,37 @@ def iforest_fit(
 ) -> IsolationForestModel:
     """Fit an isolation forest.
 
-    Each tree grows on an independent subsample of size psi (the full set
-    when smaller than ``subsample``) by recursive uniform splits: a random
-    non-constant dimension, a uniform split value between that dimension's
-    min and max within the node.  Growth stops at singleton nodes,
-    all-duplicate nodes and at height ceil(log2(psi)).  A fixed seed makes
-    fitting and scoring exactly reproducible.
+    Each tree grows on a subsample of size psi (the full set when smaller
+    than ``subsample``) by uniform splits: a random non-constant dimension,
+    a uniform split value between that dimension's min and max within the
+    node.  Growth stops at singleton nodes, all-duplicate nodes and at
+    height ceil(log2(psi)).
+
+    Trees are stored in heap layout (:class:`IsolationForestModel`) and
+    grow level by level, ``_TREE_BATCH`` trees at a time.  Tree t draws
+    from its own stream, seeded by ``(seed, t)``: first its subsample, then
+    one pair of uniforms (u1, u2) per inner heap node, where u1 picks among
+    the node's non-constant dimensions and u2 places the split.  Tree t
+    therefore depends only on the points, psi, ``seed`` and t, so the first
+    n trees of a forest are the forest of n trees, and :func:`forest_scores`
+    scores both the same, bit for bit.  Trees are i.i.d. (Liu, Ting & Zhou,
+    "Isolation Forest", ICDM 2008), so nesting smaller forests in a larger
+    one changes no forest's distribution.
 
     Parameters
     ----------
     points:
-        Training matrix (n, d), n >= 2.
+        Training matrix (n, d), n >= 2, d >= 1.
     n_trees:
         Ensemble size.
     subsample:
         Per-tree subsample size psi before clipping to n.
     seed:
-        Seed of the tree-growing stream.
+        Seed of the per-tree streams.
     """
     pts = _validate_train(points)
+    if pts.shape[1] < 1:
+        raise ValueError("training points need at least one dimension")
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
     if subsample < 2:
@@ -426,15 +446,73 @@ def iforest_fit(
     if psi < 2:
         raise ValueError("need at least 2 training points")
     height_limit = math.ceil(math.log2(psi))
-    rng = np.random.default_rng(seed)
-    trees = tuple(
-        _grow_tree(pts[rng.choice(pts.shape[0], size=psi, replace=False)], height_limit, rng)
-        for _ in range(n_trees)
-    )
+    n_heap = 2 ** (height_limit + 1) - 1
+    leaf_path = np.array([_avg_path_length(s) for s in range(psi + 1)])
+    feature = np.full((n_trees, n_heap), -1, dtype=np.int64)
+    threshold = np.full((n_trees, n_heap), -np.inf)
+    path = np.zeros((n_trees, n_heap))
+    for first in range(0, n_trees, _TREE_BATCH):
+        batch = slice(first, first + _TREE_BATCH)
+        _grow_batch(pts, seed, first, psi, leaf_path,
+                    (feature[batch], threshold[batch], path[batch]))
+    for depth in range(1, height_limit + 1):
+        right = np.arange(2**depth, 2 ** (depth + 1) - 1, 2)
+        parent = right // 2 - 1
+        path[:, right] = np.where(feature[:, parent] < 0, path[:, parent], path[:, right])
     return IsolationForestModel(
-        trees=trees,
-        n_trees=n_trees,
+        feature=feature,
+        threshold=threshold,
+        path=path,
         subsample=psi,
         height_limit=height_limit,
         dim=pts.shape[1],
     )
+
+
+def forest_scores(
+    models: Sequence[IsolationForestModel], x: np.ndarray
+) -> NDArray[np.float64]:
+    """Scores of isolation forests that are prefixes of one forest, one row per model.
+
+    The trees of the largest forest are walked once, in order.  Every query
+    descends a tree from the root by ``idx = 2*idx + 1 + go_right`` to depth
+    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`), and
+    the path length found there over c(psi) is added to the query's running
+    total; a model's row, ``2 ** (-total / n_trees)``, is read off
+    when the walk reaches its tree count.  The sum runs in tree order, so a
+    forest scores the same, bit for bit, alone or as a prefix of a larger
+    one (:meth:`IsolationForestModel.prefix`).  Averaging h/c(psi) rather
+    than normalizing the averaged depth is algebraically the same, but a
+    forest of pure leaves then yields exponent -1 and score 0.5 without
+    rounding.
+    """
+    forest = max(models, key=lambda m: m.n_trees)
+    if any(
+        m is not forest and not (
+            (m.subsample, m.dim) == (forest.subsample, forest.dim)
+            and all(np.array_equal(getattr(m, a), getattr(forest, a)[: m.n_trees])
+                    for a in ("feature", "threshold", "path"))
+        )
+        for m in models
+    ):
+        raise ValueError("models scored together must be prefixes of one forest")
+    queries = _as_points(x, forest.dim)
+    n, d = queries.shape
+    coords = queries.ravel()
+    row_start = np.arange(n) * d
+    norm = _avg_path_length(forest.subsample)
+    readout: dict[int, list[int]] = {}
+    for row, m in enumerate(models):
+        readout.setdefault(m.n_trees, []).append(row)
+    out = np.empty((len(models), n))
+    total = np.zeros(n)
+    for t, (feature, threshold) in enumerate(zip(forest.feature, forest.threshold)):
+        idx = np.zeros(n, dtype=np.intp)
+        for _ in range(forest.height_limit):
+            # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
+            below = coords[row_start + feature[idx]] < threshold[idx]
+            idx = 2 * idx + 2 - below
+        total += forest.path[t, idx] / norm
+        if t + 1 in readout:
+            out[readout[t + 1]] = np.power(2.0, -total / (t + 1))
+    return out

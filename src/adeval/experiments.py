@@ -4,8 +4,9 @@ A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
 test fold and evaluates every configured measure; the cells of one
 (benchmark, contamination, repetition) block share their split, their
-volume sample and their kNN neighbour tables.  Records land in a
-resumable delimited-text store, one file per (benchmark, detector).
+volume sample, their kNN neighbour tables and their isolation forest.
+Records land in a resumable delimited-text store, one file per
+(benchmark, detector).
 Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
@@ -35,7 +36,7 @@ from adeval.curves import (
     LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
-from adeval.detectors import iforest_fit, knn_fit, lof_fit, neighbour_scores
+from adeval.detectors import forest_scores, iforest_fit, knn_fit, lof_fit, neighbour_scores
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
 from adeval.volume import (
@@ -213,9 +214,13 @@ def fit_combo(combo: Combo, train: np.ndarray, seed: int):
 
 
 def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
-    return derive_seed(
-        spec.seed, "fit", bench.name, combo.detector, combo.params, spec.repetition
-    )
+    """Seed of a combo's fit on its cell's training fold.
+
+    A forest's seed leaves out ``n_trees``, so the forests of one subsample
+    in a block are prefixes of one forest (:func:`iforest_fit`).
+    """
+    params = tuple(p for p in combo.params if combo.detector != "iforest" or p[0] != "n_trees")
+    return derive_seed(spec.seed, "fit", bench.name, combo.detector, params, spec.repetition)
 
 
 def split_and_fit(
@@ -501,16 +506,21 @@ def _run_repetition(
     The block is split once and its uniform volume sample
     (:func:`volume_box_and_seed`) drawn once.  The combos are scored in
     groups: every kNN and LOF combo in one group that shares one distance
-    matrix per query chunk (:func:`neighbour_scores`), each other combo in
-    a group of its own, so that one forest at a time is held.  Each group
-    fits its combos on the training fold, scores the test fold and the
-    volume sample, checks the volume scores (:func:`checked_scores`) and
-    sends each cell's test fold (with validation: its evaluation part,
-    then its ``val:`` part) through :func:`_evaluate_measures`.  A failure
-    leaves missing every value of the cells it reaches that is not yet
-    evaluated and flags them ``error:<exception type>``: a failed split or
-    volume draw reaches every cell of the block, a failed scoring pass
-    every cell of its group, and a failed fit only its own cell.
+    matrix per query chunk (:func:`neighbour_scores`), and the forest
+    combos of each subsample in one group.  A forest group fits one forest
+    at its largest ``n_trees`` (the fit seed leaves ``n_trees`` out, see
+    :func:`_fit_seed`), each combo takes its prefix of that forest, and
+    one walk over the trees scores them all (:func:`forest_scores`); a
+    combo's scores equal those of a forest fitted with its own
+    ``n_trees``, bit for bit.  Each group fits its combos on the training
+    fold, scores the test fold and the volume sample, checks the volume
+    scores (:func:`checked_scores`) and sends each cell's test fold (with
+    validation: its evaluation part, then its ``val:`` part) through
+    :func:`_evaluate_measures`.  A failure leaves missing every value of
+    the cells it reaches that is not yet evaluated and flags them
+    ``error:<exception type>``: a failed split or volume draw reaches
+    every cell of the block, a failed scoring pass or forest fit every
+    cell of its group, and any other failed fit only its own cell.
     """
     names = cfg.measure_names()
 
@@ -546,15 +556,28 @@ def _run_repetition(
         samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
 
     shared = [c for c in combos if c.detector in ("knn", "lof")]
+    forests: dict[object, list[Combo]] = {}
+    for combo in combos:
+        if combo.detector == "iforest":
+            forests.setdefault(combo.param("subsample"), []).append(combo)
     groups = [(shared, neighbour_scores)] if shared else []
-    groups += [([c], lambda models, x: [models[0].score(x)])
-               for c in combos if c.detector not in ("knn", "lof")]
+    groups += [(group, forest_scores) for group in forests.values()]
     records: dict[int, ExperimentRecord] = {}
     for group, score in groups:
+        if score is forest_scores:
+            largest = max(group, key=lambda c: c.param("n_trees"))
+            try:
+                forest = fit_combo(largest, fold.train, _fit_seed(bench, largest, spec))
+            except _CELL_ERRORS as exc:
+                records.update((c.index, record(c, {}, [_error_flag(exc)])) for c in group)
+                continue
         fitted, models = [], []
         for combo in group:
             try:
-                models.append(fit_combo(combo, fold.train, _fit_seed(bench, combo, spec)))
+                if score is forest_scores:
+                    models.append(forest.prefix(int(combo.param("n_trees"))))
+                else:
+                    models.append(fit_combo(combo, fold.train, _fit_seed(bench, combo, spec)))
                 fitted.append(combo)
             except _CELL_ERRORS as exc:
                 records[combo.index] = record(combo, {}, [_error_flag(exc)])
@@ -616,12 +639,12 @@ def run_grid(
 
     Cells are blocked by (benchmark, contamination) and blocks may be
     evaluated by ``workers`` processes.  Within a block, the pending cells
-    of each repetition share one split, one volume sample and one kNN
-    neighbour table per query chunk (:func:`_run_repetition`).  Seeds
-    derive from cell identity, never from scheduling or grouping, and
-    records are appended in grid order, so the store content depends
-    neither on the worker count nor on which cells a resume still has to
-    run.
+    of each repetition share one split, one volume sample, one kNN
+    neighbour table per query chunk and one forest per subsample
+    (:func:`_run_repetition`).  Seeds derive from cell identity, never
+    from scheduling or grouping, and records are appended in grid order,
+    so the store content depends neither on the worker count nor on which
+    cells a resume still has to run.
     """
     if not benchmarks:
         raise ValueError("no benchmarks to run on")

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import adeval
 from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import LabeledScores, auc, build_roc
 from adeval.datasets import (
@@ -55,14 +56,14 @@ def study(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def lof_iforest_study(tmp_path_factory):
-    """The study above on one table, with one LOF and one forest combo instead of kNN."""
+    """The study above on one table, with one LOF and two forest combos instead of kNN."""
     root = tmp_path_factory.mktemp("lof_iforest_study")
     write_tables(root / "raw", n_tables=1)
     assert main(["prepare", str(root / "raw"), str(root / "cache")]) == 0
     config = root / "study.cfg"
     text = CONFIG_TEXT.format(cache=root / "cache", run=root / "run")
     text = text.replace("knn_ks = 1,3", "knn_ks =").replace("lof_ks =", "lof_ks = 5")
-    config.write_text(text.replace("iforest_trees =", "iforest_trees = 10"))
+    config.write_text(text.replace("iforest_trees =", "iforest_trees = 10,20"))
     assert main(["run", "--config", str(config)]) == 0
     return SimpleNamespace(root=root, cache=root / "cache", run=root / "run", config=config)
 
@@ -190,6 +191,31 @@ class TestRun:
         )
         assert code == 2
         assert "different run" in capsys.readouterr().err
+
+    def test_resume_against_changed_benchmark_data_is_refused(self, study, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(study.root / "raw", raw)
+        shutil.copytree(study.run, tmp_path / "run")
+        resume = ["run", "--config", str(study.config),
+                  "--set", f"output_dir={tmp_path / 'run'}"]
+        assert main(["prepare", str(raw), str(tmp_path / "same")]) == 0
+        assert main([*resume, "--set", f"dataset_dir={tmp_path / 'same'}"]) == 0
+        assert "0 new" in capsys.readouterr().out
+        table = raw / "tab0.csv"
+        lines = table.read_text().splitlines()
+        value, rest = lines[1].split(",", 1)
+        lines[1] = f"{float(value) + 0.25!r},{rest}"
+        table.write_text("\n".join(lines) + "\n")
+        assert main(["prepare", str(raw), str(tmp_path / "changed")]) == 0
+        assert main([*resume, "--set", f"dataset_dir={tmp_path / 'changed'}"]) == 2
+        assert "different run" in capsys.readouterr().err
+        assert read_store_bytes(tmp_path / "run") == read_store_bytes(study.run)
+
+    def test_package_and_pyproject_versions_agree(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == adeval.__version__
 
     def test_flag_overrides_win_over_file(self, study, tmp_path):
         run_dir = tmp_path / "quick"
@@ -506,8 +532,9 @@ class TestOneOffs:
     @pytest.mark.parametrize(
         "flags, params",
         [(["--detector", "lof", "--k", "5"], "k=5"),
-         (["--detector", "iforest", "--trees", "10"], "n_trees=10 subsample=256")],
-        ids=["lof", "iforest"],
+         (["--detector", "iforest", "--trees", "10"], "n_trees=10 subsample=256"),
+         (["--detector", "iforest", "--trees", "20"], "n_trees=20 subsample=256")],
+        ids=["lof", "iforest", "iforest-20"],
     )
     def test_one_offs_reproduce_lof_and_iforest_grid_cells(
         self, lof_iforest_study, capsys, flags, params

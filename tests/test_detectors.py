@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adeval.detectors import (
-    _CHUNK, _avg_path_length, iforest_fit, knn_fit, lof_fit, neighbour_scores,
+    _CHUNK, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, neighbour_scores,
 )
 from _oracles import knn_reference
 
@@ -392,3 +394,102 @@ class TestIsolationForest:
         queries = np.vstack([train, [[50.0, 50.0]]])
         values = model.score(queries)
         assert np.all(values > 0.0) and np.all(values < 1.0)
+
+    def test_smaller_forest_is_prefix_of_larger(self):
+        train = two_clusters(seed=3)
+        queries = np.vstack([two_clusters(seed=4, n=30), [[40.0, -40.0]]])
+        small = iforest_fit(train, n_trees=50, subsample=32, seed=11)
+        large = iforest_fit(train, n_trees=200, subsample=32, seed=11)
+        for t in range(50):
+            np.testing.assert_array_equal(small.feature[t], large.feature[t])
+            np.testing.assert_array_equal(small.threshold[t], large.threshold[t])
+            np.testing.assert_array_equal(small.path[t], large.path[t])
+        expected = small.score(queries)
+        np.testing.assert_array_equal(large.prefix(50).score(queries), expected)
+        walk = forest_scores([large, large.prefix(50), large.prefix(100)], queries)
+        np.testing.assert_array_equal(walk[1], expected)
+        np.testing.assert_array_equal(walk[0], large.score(queries))
+        np.testing.assert_array_equal(
+            walk[2], iforest_fit(train, n_trees=100, subsample=32, seed=11).score(queries)
+        )
+
+    def test_only_prefixes_of_one_forest_score_together(self):
+        train = two_clusters(seed=5)
+        a = iforest_fit(train, n_trees=10, subsample=16, seed=1)
+        b = iforest_fit(train, n_trees=20, subsample=16, seed=2)
+        with pytest.raises(ValueError, match="prefixes of one forest"):
+            forest_scores([a, b], train)
+        for n_trees in (0, 11):
+            with pytest.raises(ValueError):
+                a.prefix(n_trees)
+
+    def test_rejects_points_without_dimensions(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            iforest_fit(np.zeros((5, 0)), n_trees=3, subsample=4, seed=0)
+
+    @pytest.mark.parametrize(
+        "points, subsample",
+        [
+            (np.repeat(np.random.default_rng(1).normal(size=(6, 3)), 4, axis=0), 13),
+            (np.random.default_rng(2).normal(size=(9, 2)), 2),
+            (np.random.default_rng(3).integers(0, 3, size=(40, 2)).astype(float), 23),
+            (np.random.default_rng(4).normal(size=(11, 1)), 256),
+            (np.vstack([np.ones((7, 2)), [[2.0, 1.0]]]), 8),
+        ],
+        ids=["duplicate-rows", "psi-2", "grid-psi-23", "psi-11-of-11", "one-odd-point"],
+    )
+    def test_level_wise_growth_keeps_the_tree_rules(self, points, subsample):
+        check_growth(points, subsample, seed=3)
+
+    @given(grid_cloud(max_points=30, dim=3), st.integers(min_value=2, max_value=40),
+           st.integers(min_value=0, max_value=3))
+    @example(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 2, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_level_wise_growth_property(self, points, subsample, seed):
+        check_growth(points, subsample, seed)
+
+
+def check_growth(points, subsample, seed, n_trees=6):
+    """Walk each tree over the subsample it grew on and check the growth rules.
+
+    Tree t's subsample is the first draw of its own stream, seeded by
+    (seed, t).  Every reached node must be split exactly when it holds more
+    than one point, has a non-constant dimension and lies above the height
+    limit; a split threshold must lie within its dimension's bounds in the
+    node; a leaf's path must be its depth plus c(size); the leaf sizes must
+    sum to psi.  Scores must equal a point-by-point descent of the trees.
+    """
+    model = iforest_fit(points, n_trees=n_trees, subsample=subsample, seed=seed)
+    psi, height_limit = min(subsample, len(points)), model.height_limit
+    assert (model.subsample, height_limit) == (psi, math.ceil(math.log2(psi)))
+    for t in range(n_trees):
+        rows = np.random.default_rng((seed, t)).choice(len(points), size=psi, replace=False)
+        feature, threshold, path = model.feature[t], model.threshold[t], model.path[t]
+        leaf_sizes = []
+        stack = [(0, 0, points[rows])]
+        while stack:
+            node, depth, members = stack.pop()
+            lo = members.min(axis=0, initial=np.inf)
+            hi = members.max(axis=0, initial=-np.inf)
+            splits = len(members) > 1 and depth < height_limit and bool((hi > lo).any())
+            assert (feature[node] >= 0) == splits, (t, node)
+            if not splits:
+                assert path[node] == depth + _avg_path_length(len(members))
+                leaf_sizes.append(len(members))
+                continue
+            dim, value = feature[node], threshold[node]
+            assert lo[dim] < hi[dim] and lo[dim] <= value <= hi[dim]
+            below = members[:, dim] < value
+            stack += [(2 * node + 1, depth + 1, members[below]),
+                      (2 * node + 2, depth + 1, members[~below])]
+        assert sum(leaf_sizes) == psi
+    queries = np.vstack([points, points.max(axis=0) + 1.0, np.full(points.shape[1], np.nan)])
+    total = np.zeros(len(queries))
+    for t in range(n_trees):
+        for j, query in enumerate(queries):
+            node = 0
+            while model.feature[t, node] >= 0:
+                below = query[model.feature[t, node]] < model.threshold[t, node]
+                node = 2 * node + (1 if below else 2)
+            total[j] += model.path[t, node] / _avg_path_length(psi)
+    np.testing.assert_array_equal(model.score(queries), 2.0 ** (-total / n_trees))
