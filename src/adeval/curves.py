@@ -47,14 +47,32 @@ class LabeledScores:
             )
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
+        _check_finite(scores)
         if labels.sum() == 0:
             raise ValueError("need at least one positive (anomalous) sample")
         if labels.sum() == labels.shape[0]:
             raise ValueError("need at least one negative (normal) sample")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scores", scores)
+
+    def rescored(self, scores: NDArray[np.float64]) -> LabeledScores:
+        """These labels paired with ``scores`` instead.
+
+        Only the new scores are checked (one per label, all finite), so the
+        labels of a sample are checked once however many rows of scores
+        are paired with them.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != self.labels.shape:
+            raise ValueError(
+                f"length mismatch: {self.labels.shape[0]} labels vs "
+                f"scores of shape {scores.shape}"
+            )
+        _check_finite(scores)
+        out = object.__new__(LabeledScores)
+        object.__setattr__(out, "labels", self.labels)
+        object.__setattr__(out, "scores", scores)
+        return out
 
     @property
     def n_pos(self) -> int:
@@ -66,6 +84,11 @@ class LabeledScores:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
+
+
+def _check_finite(scores: NDArray[np.float64]) -> None:
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
 
 
 @dataclass(frozen=True)

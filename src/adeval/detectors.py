@@ -11,10 +11,11 @@ on datasets with repeated rows.  kNN and LOF share one definition of a
 neighbourhood: distances that differ only by rounding count as tied
 (:func:`_tie_tolerance`), kNN neighbour order comes from
 :func:`_neighbour_table`, and a LOF neighbourhood holds every training
-point up to the k-th distance plus that tolerance.  :func:`neighbour_scores`
-scores any kNN and LOF models fitted on the same points, one model
-(``KnnModel.score``, ``LofModel.score``) or every such combo of a grid
-block.  Isolation trees are grown level by level in heap layout, tree t
+point up to the k-th distance plus that tolerance; LOF fits of any number
+of k share one training distance matrix (:func:`lof_fitter`).
+:func:`neighbour_scores` scores any kNN and LOF models fitted on the same
+points, one model (``KnnModel.score``, ``LofModel.score``) or every such
+combo of a grid block.  Isolation trees are grown level by level in heap layout, tree t
 from its own stream seeded by (seed, t), so a forest of n trees is the
 n-tree prefix of a larger forest of the same seed; :func:`forest_scores`
 scores one forest or all of its prefixes in one walk over the trees.
@@ -22,9 +23,10 @@ scores one forest or all of its prefixes in one walk over the trees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -200,6 +202,8 @@ class LofModel:
 def lof_fit(points: np.ndarray, k: int) -> LofModel:
     """Fit LOF: precompute neighbor distances and local densities.
 
+    This is :func:`lof_fitter` of ``points`` at one k.
+
     Parameters
     ----------
     points:
@@ -207,24 +211,42 @@ def lof_fit(points: np.ndarray, k: int) -> LofModel:
     k:
         Neighborhood size, 1 <= k < n.
     """
-    pts = _validate_train(points)
-    n = pts.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    return lof_fitter(points)(k)
 
-    dist = cdist(pts, pts)
-    np.fill_diagonal(dist, np.inf)
-    kdist = np.sort(dist, axis=1)[:, k - 1]
-    diameter = dist[np.isfinite(dist)].max() if n > 1 else 0.0
-    if diameter == 0.0:
-        raise ValueError("all training points are identical; LOF is undefined")
-    # Repeated rows zero the reachability sum; densities are clamped at
-    # 1 / eps with eps tied to the data scale so scores stay finite.
-    lrd_cap = 1.0 / (1e-12 * diameter)
 
-    member = dist <= kdist[:, None] + _tie_tolerance(pts, pts)
-    _, lrd = _local_density(dist, member, kdist, lrd_cap)
-    return LofModel(points=pts, k=k, kdist=kdist, lrd=lrd, lrd_cap=lrd_cap)
+def lof_fitter(points: np.ndarray) -> Callable[[int], LofModel]:
+    """``k -> lof_fit(points, k)``, every k from one distance matrix and one row sort.
+
+    The training distance matrix (diagonal excluded), its row sort and the
+    tie tolerance are computed by the first call and shared by the later
+    ones, so the LOF combos of a grid block fit from one of each.  Each
+    call checks its own k, so a k out of range fails only its own fit.
+    """
+
+    @functools.cache
+    def neighbourhoods():
+        pts = _validate_train(points)
+        dist = cdist(pts, pts)
+        np.fill_diagonal(dist, np.inf)
+        diameter = dist[np.isfinite(dist)].max() if pts.shape[0] > 1 else 0.0
+        return pts, dist, np.sort(dist, axis=1), _tie_tolerance(pts, pts), diameter
+
+    def fit(k: int) -> LofModel:
+        pts, dist, ordered, tol, diameter = neighbourhoods()
+        n = pts.shape[0]
+        if not 1 <= k < n:
+            raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+        if diameter == 0.0:
+            raise ValueError("all training points are identical; LOF is undefined")
+        # Repeated rows zero the reachability sum; densities are clamped at
+        # 1 / eps with eps tied to the data scale so scores stay finite.
+        lrd_cap = 1.0 / (1e-12 * diameter)
+        kdist = ordered[:, k - 1]
+        member = dist <= kdist[:, None] + tol
+        _, lrd = _local_density(dist, member, kdist, lrd_cap)
+        return LofModel(points=pts, k=k, kdist=kdist, lrd=lrd, lrd_cap=lrd_cap)
+
+    return fit
 
 
 # ---------------------------------------------------------------------------

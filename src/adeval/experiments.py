@@ -4,7 +4,9 @@ A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
 test fold and evaluates every configured measure; the cells of one
 (benchmark, contamination, repetition) block share their split, their
-volume sample, their kNN neighbour tables and their isolation forest.
+volume sample, their kNN neighbour tables, their LOF training distances
+and their isolation forest, and the cells scored together are evaluated
+together.
 Records land in a resumable delimited-text store, one file per
 (benchmark, detector).
 Analytics first collapse one contamination level of the store into a
@@ -36,9 +38,11 @@ from adeval.curves import (
     LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
-from adeval.detectors import forest_scores, iforest_fit, knn_fit, lof_fit, neighbour_scores
+from adeval.detectors import (
+    forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter, neighbour_scores,
+)
 from adeval.seeding import derive_seed
-from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p
+from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p_rows
 from adeval.volume import (
     SamplingBox, bounding_box, checked_scores, uniform_sample, volume_below,
 )
@@ -148,9 +152,15 @@ class GridConfig:
             raise ValueError("repetitions must be at least 1")
         if not self.alphas or not self.ps:
             raise ValueError("need at least one alpha and one p level")
-        for level in (*self.alphas, *self.ps):
-            if not 0.0 < level <= 1.0:
-                raise ValueError(f"levels must lie in (0, 1], got {level!r}")
+        for alpha in self.alphas:
+            if not 0.0 < alpha <= 1.0:
+                raise ValueError(f"alphas must lie in (0, 1], got {alpha!r}")
+        # precision@p keeps a p-fraction of anomalies, so p = 1 leaves no normals.
+        for p in self.ps:
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"ps must lie in (0, 1), got {p!r}")
+        if self.precision_rounds < 1:
+            raise ValueError("precision_rounds must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in [0, 1)")
         if self.volume_samples < 1:
@@ -431,23 +441,22 @@ class RunSummary:
     n_flagged: int
 
 
-def _evaluate_measures(
+def _curve_measures(
     data: LabeledScores,
     volume_scores: NDArray[np.float64],
-    cfg: GridConfig,
-    prec_seed: int,
-) -> tuple[dict[str, float], list[str]]:
-    """Every configured measure of one labelled sample, from one ROC curve.
+    measures: Sequence[MeasureId],
+    alphas: Sequence[float],
+) -> dict[str, float]:
+    """Every measure in ``measures`` but precision@p of one cell's labelled sample.
 
-    F1@alpha and CVOL@alpha share the threshold read off that curve at
-    FPR = alpha; CVOL thresholds the cell's scored volume sample.
+    They all come from one ROC curve: F1@alpha and CVOL@alpha share the
+    threshold read off it at FPR = alpha; CVOL thresholds the cell's scored
+    volume sample.
     """
     values: dict[str, float] = {}
-    flags: list[str] = []
     curve = build_roc(data)
-    tau = {alpha: threshold_at_fpr(curve, alpha) for alpha in cfg.alphas}
-    contamination = data.n_pos / len(data)
-    for measure in cfg.measures():
+    tau = {alpha: threshold_at_fpr(curve, alpha) for alpha in alphas}
+    for measure in measures:
         if measure.kind == "auc":
             values[measure.name] = auc(curve)
         elif measure.kind == "auc_w":
@@ -458,18 +467,9 @@ def _evaluate_measures(
             values[measure.name] = tpr_at(curve, measure.level)
         elif measure.kind == "f1_at":
             values[measure.name] = f1_score(confusion_at(data, tau[measure.level]))
-        elif measure.kind == "precision_at":
-            if contamination < measure.level:
-                flags.append(f"thinned-normals@{measure.level:g}")
-            values[measure.name] = precision_at_p(
-                data,
-                PrecisionAtPConfig(
-                    p=measure.level, rounds=cfg.precision_rounds, seed=prec_seed
-                ),
-            )
         elif measure.kind == "cvol_at":
             values[measure.name] = volume_below(volume_scores, tau[measure.level]).cvol
-    return values, flags
+    return values
 
 
 _CELL_ERRORS = (ValueError, FloatingPointError)
@@ -477,6 +477,83 @@ _CELL_ERRORS = (ValueError, FloatingPointError)
 
 def _error_flag(exc: Exception) -> str:
     return f"error:{type(exc).__name__}"
+
+
+def _evaluate_cells(
+    labels: NDArray[np.int64],
+    samples: Sequence[tuple[str, NDArray[np.intp]]],
+    test_scores: NDArray[np.float64],
+    volume_scores: NDArray[np.float64],
+    measures: Sequence[MeasureId],
+    cfg: GridConfig,
+    prec_seed: int,
+) -> list[tuple[dict[str, float], list[str]]]:
+    """Values and flags of the cells of one scored group, one cell per score row.
+
+    Row i of ``test_scores`` and of ``volume_scores`` holds one cell's
+    scores of the test fold (labelled ``labels``) and of the volume sample.
+    Each cell's volume scores are checked (:func:`checked_scores`).  Then
+    each labelled sample, given as (column name prefix, test fold indices),
+    has its labels checked once; each cell still standing gets its curve
+    measures (:func:`_curve_measures`), and precision@p takes all of them
+    at once (:func:`precision_at_p_rows`).  A failure flags
+    ``error:<exception type>`` and leaves missing the values not yet
+    evaluated: bad labels fail every cell still standing, a bad score row
+    only its own cell.  Each cell keeps the flags of the first sample.
+    """
+    values: list[dict[str, float]] = [{} for _ in test_scores]
+    flags: list[list[str]] = [[] for _ in test_scores]
+
+    def fail(rows: Iterable[int], exc: Exception) -> None:
+        for i in rows:
+            flags[i].append(_error_flag(exc))
+
+    live = []
+    for i, row in enumerate(volume_scores):
+        try:
+            checked_scores(row, volume_scores.shape[1])
+            live.append(i)
+        except _CELL_ERRORS as exc:
+            fail([i], exc)
+    precisions = [m for m in measures if m.kind == "precision_at"]
+    for prefix, idx in samples:
+        try:
+            # Placeholder scores: the sample's labels are checked here, once.
+            sample = LabeledScores(labels=labels[idx], scores=np.zeros(len(idx)))
+        except _CELL_ERRORS as exc:
+            fail(live, exc)
+            break
+        evaluated: dict[int, dict[str, float]] = {}
+        for i in live:
+            try:
+                evaluated[i] = _curve_measures(
+                    sample.rescored(test_scores[i, idx]), volume_scores[i], measures, cfg.alphas
+                )
+            except _CELL_ERRORS as exc:
+                fail([i], exc)
+        live = list(evaluated)
+        try:
+            for measure in precisions:
+                prec_cfg = PrecisionAtPConfig(
+                    p=measure.level, rounds=cfg.precision_rounds, seed=prec_seed
+                )
+                precision = precision_at_p_rows(
+                    sample.labels, test_scores[np.ix_(live, idx)], prec_cfg
+                )
+                for i, value in zip(live, precision):
+                    evaluated[i][measure.name] = float(value)
+        except _CELL_ERRORS as exc:
+            fail(live, exc)
+            break
+        contamination = sample.n_pos / len(sample)
+        sample_flags = [
+            f"thinned-normals@{m.level:g}" for m in precisions if contamination < m.level
+        ]
+        for i, sample_values in evaluated.items():
+            values[i].update((prefix + name, v) for name, v in sample_values.items())
+            if not prefix:
+                flags[i] = list(sample_flags)
+    return list(zip(values, flags))
 
 
 def run_cell(
@@ -507,22 +584,26 @@ def _run_repetition(
     (:func:`volume_box_and_seed`) drawn once.  The combos are scored in
     groups: every kNN and LOF combo in one group that shares one distance
     matrix per query chunk (:func:`neighbour_scores`), and the forest
-    combos of each subsample in one group.  A forest group fits one forest
-    at its largest ``n_trees`` (the fit seed leaves ``n_trees`` out, see
-    :func:`_fit_seed`), each combo takes its prefix of that forest, and
-    one walk over the trees scores them all (:func:`forest_scores`); a
-    combo's scores equal those of a forest fitted with its own
-    ``n_trees``, bit for bit.  Each group fits its combos on the training
-    fold, scores the test fold and the volume sample, checks the volume
-    scores (:func:`checked_scores`) and sends each cell's test fold (with
-    validation: its evaluation part, then its ``val:`` part) through
-    :func:`_evaluate_measures`.  A failure leaves missing every value of
-    the cells it reaches that is not yet evaluated and flags them
-    ``error:<exception type>``: a failed split or volume draw reaches
-    every cell of the block, a failed scoring pass or forest fit every
-    cell of its group, and any other failed fit only its own cell.
+    combos of each subsample in one group.  The LOF combos fit from one
+    training distance matrix (:func:`lof_fitter`).  A forest group fits
+    one forest at its largest ``n_trees`` (the fit seed leaves ``n_trees``
+    out, see :func:`_fit_seed`), each combo takes its prefix of that
+    forest, and one walk over the trees scores them all
+    (:func:`forest_scores`); a combo's scores equal those of a forest
+    fitted with its own ``n_trees``, bit for bit.  Each group fits its
+    combos on the training fold, scores the test fold and the volume
+    sample, and evaluates its cells together from the (combo x point)
+    score matrices (:func:`_evaluate_cells`): with validation, the
+    evaluation part of the test fold, then its ``val:`` part.  A failure
+    leaves missing every value of the cells it reaches that is not yet
+    evaluated and flags them ``error:<exception type>``: a failed split or
+    volume draw reaches every cell of the block, a failed scoring pass or
+    forest fit every cell of its group, a sample with one class only every
+    cell of its group still standing, and any other failed fit or a
+    non-finite score only its own cell.
     """
     names = cfg.measure_names()
+    measures = cfg.measures()
 
     def record(combo: Combo, values: dict[str, float], flags: list[str]):
         return ExperimentRecord(
@@ -562,6 +643,7 @@ def _run_repetition(
             forests.setdefault(combo.param("subsample"), []).append(combo)
     groups = [(shared, neighbour_scores)] if shared else []
     groups += [(group, forest_scores) for group in forests.values()]
+    lof = lof_fitter(fold.train)
     records: dict[int, ExperimentRecord] = {}
     for group, score in groups:
         if score is forest_scores:
@@ -576,6 +658,8 @@ def _run_repetition(
             try:
                 if score is forest_scores:
                     models.append(forest.prefix(int(combo.param("n_trees"))))
+                elif combo.detector == "lof":
+                    models.append(lof(int(combo.param("k"))))
                 else:
                     models.append(fit_combo(combo, fold.train, _fit_seed(bench, combo, spec)))
                 fitted.append(combo)
@@ -584,26 +668,14 @@ def _run_repetition(
         if not models:
             continue
         try:
-            scored = zip(score(models, fold.test), score(models, volume_points))
+            test_scores, volume_scores = score(models, fold.test), score(models, volume_points)
         except _CELL_ERRORS as exc:
             records.update((c.index, record(c, {}, [_error_flag(exc)])) for c in fitted)
             continue
-        for combo, (test_scores, volume_scores) in zip(fitted, scored):
-            values: dict[str, float] = {}
-            flags: list[str] = []
-            try:
-                volume_scores = checked_scores(volume_scores, len(volume_points))
-                data = LabeledScores(labels=fold.test_labels, scores=test_scores)
-                for prefix, idx in samples:
-                    sample = LabeledScores(labels=data.labels[idx], scores=data.scores[idx])
-                    sample_values, sample_flags = _evaluate_measures(
-                        sample, volume_scores, cfg, prec_seed
-                    )
-                    values.update((prefix + name, v) for name, v in sample_values.items())
-                    if not prefix:
-                        flags = sample_flags
-            except _CELL_ERRORS as exc:
-                flags.append(_error_flag(exc))
+        cells = _evaluate_cells(
+            fold.test_labels, samples, test_scores, volume_scores, measures, cfg, prec_seed
+        )
+        for combo, (values, flags) in zip(fitted, cells):
             records[combo.index] = record(combo, values, flags)
     return [records[combo.index] for combo in combos]
 

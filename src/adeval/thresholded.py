@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from adeval.curves import LabeledScores
 
@@ -85,28 +86,28 @@ class PrecisionAtPConfig:
             raise ValueError("rounds must be at least 1")
 
 
-def _top_fraction_indices(scores: np.ndarray, indices: np.ndarray, m: int) -> np.ndarray:
-    # Deterministic cut: descending score, then ascending input index.
-    order = np.lexsort((indices, -scores))
-    return order[:m]
+def precision_at_p_rows(
+    labels: NDArray[np.int64], scores: NDArray[np.float64], cfg: PrecisionAtPConfig
+) -> NDArray[np.float64]:
+    """Precision of the top p-fraction at anomaly proportion p, one value per score row.
 
-
-def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
-    """Precision of the top p-fraction at anomaly proportion p.
-
-    Each round subsamples the anomalies (or, when the sample is less
-    contaminated than ``p``, the normals) so the retained set has anomaly
-    proportion as close to ``p`` as achievable, then takes the
-    ceil(p * size) highest-scoring samples and measures the fraction of
-    true anomalies among them.  Rounds are averaged.
+    ``labels`` are the 0/1 labels of the columns of the (rows, n) matrix
+    ``scores``.  Each round subsamples the anomalies (or, when the sample
+    is less contaminated than ``p``, the normals) so the retained set has
+    anomaly proportion as close to ``p`` as achievable, then takes each
+    row's ceil(p * size) highest-scoring retained samples, ties broken
+    toward the lower index, and measures the fraction of true anomalies
+    among them.  Rounds are averaged.  The retained sets come from one
+    stream seeded ``cfg.seed`` and are drawn once per round for every row,
+    so a row's value does not depend on the other rows.
 
     Returns
     -------
-    float
-        Mean precision over ``cfg.rounds`` subsampling rounds.
+    ndarray
+        Mean precision over ``cfg.rounds`` subsampling rounds, per row.
     """
-    pos_idx = np.flatnonzero(data.labels == 1)
-    neg_idx = np.flatnonzero(data.labels == 0)
+    pos_idx = np.flatnonzero(labels == 1)
+    neg_idx = np.flatnonzero(labels == 0)
     n_pos, n_neg = len(pos_idx), len(neg_idx)
 
     # Nearest achievable composition at proportion p, keeping one class whole.
@@ -119,7 +120,7 @@ def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
         keep_neg = min(n_neg, max(1, int(round(n_pos * (1.0 - cfg.p) / cfg.p))))
 
     rng = np.random.default_rng(cfg.seed)
-    values = np.empty(cfg.rounds)
+    values = np.empty((len(scores), cfg.rounds))
     for r in range(cfg.rounds):
         pos_take = (
             pos_idx
@@ -135,6 +136,16 @@ def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
         m = math.ceil(cfg.p * len(retained))
         if m < 1:
             raise ValueError("top set is empty; p too small for this sample")
-        top = _top_fraction_indices(data.scores[retained], retained, m)
-        values[r] = data.labels[retained][top].mean()
-    return float(values.mean())
+        kept = scores[:, retained]
+        # Deterministic cut: descending score, then ascending input index.
+        order = np.lexsort((np.broadcast_to(retained, kept.shape), -kept), axis=-1)
+        values[:, r] = labels[retained][order[:, :m]].mean(axis=1)
+    return values.mean(axis=1)
+
+
+def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
+    """Precision of the top p-fraction at anomaly proportion p.
+
+    :func:`precision_at_p_rows` of ``data``'s one row of scores.
+    """
+    return float(precision_at_p_rows(data.labels, data.scores[None, :], cfg)[0])

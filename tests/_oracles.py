@@ -7,6 +7,8 @@ so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
@@ -81,6 +83,54 @@ def knn_reference(points, queries, k, variant, chunk=4096):
         else:  # delta
             out[start : start + chunk] = np.linalg.norm(points[order].mean(axis=1) - q, axis=1)
     return out
+
+
+def lof_fit_reference(points, k):
+    """(kdist, lrd, lrd_cap) of a LOF fit at one k, from its own distance matrix and sort.
+
+    Neighbourhoods hold every training point (itself excluded) up to the
+    k-th distance plus 1e-12 times the largest coordinate magnitude; the
+    numpy operations run in the library's order, so results compare with
+    ``==``.
+    """
+    pts = np.asarray(points, dtype=float)
+    dist = cdist(pts, pts)
+    np.fill_diagonal(dist, np.inf)
+    kdist = np.sort(dist, axis=1)[:, k - 1]
+    lrd_cap = 1.0 / (1e-12 * dist[np.isfinite(dist)].max())
+    member = dist <= kdist[:, None] + 1e-12 * np.abs(pts).max()
+    counts = member.sum(axis=1)
+    reach_sum = np.where(member, np.maximum(kdist[None, :], dist), 0.0).sum(axis=1)
+    lrd = np.where(reach_sum > 0, counts / np.where(reach_sum > 0, reach_sum, 1.0), lrd_cap)
+    return kdist, np.minimum(lrd, lrd_cap), lrd_cap
+
+
+def precision_reference(labels, scores, p, rounds, seed):
+    """precision@p of one score vector, one round at a time.
+
+    Each round keeps the anomalies or thins the normals toward proportion
+    p with the library's draws from ``default_rng(seed)``, sorts the
+    retained samples by (descending score, ascending index) alone and
+    averages the anomaly share of the top ceil(p * size).
+    """
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    pos_idx = np.flatnonzero(labels == 1)
+    neg_idx = np.flatnonzero(labels == 0)
+    keep_pos = max(1, int(round(p * len(neg_idx) / (1.0 - p))))
+    keep_neg = len(neg_idx)
+    if keep_pos > len(pos_idx):
+        keep_pos = len(pos_idx)
+        keep_neg = min(len(neg_idx), max(1, int(round(len(pos_idx) * (1.0 - p) / p))))
+    rng = np.random.default_rng(seed)
+    values = np.empty(rounds)
+    for r in range(rounds):
+        pos = pos_idx if keep_pos == len(pos_idx) else rng.choice(pos_idx, keep_pos, replace=False)
+        neg = neg_idx if keep_neg == len(neg_idx) else rng.choice(neg_idx, keep_neg, replace=False)
+        retained = np.concatenate([pos, neg])
+        top = np.lexsort((retained, -scores[retained]))[: math.ceil(p * len(retained))]
+        values[r] = labels[retained][top].mean()
+    return float(values.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,19 @@ class TestRun:
         assert code == 1
         assert "error:ValueError" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setting", ["ps=0.05,1", "precision_rounds=0"])
+    def test_precision_setting_that_fails_every_cell_is_rejected(
+        self, study, tmp_path, capsys, setting
+    ):
+        # precision@p needs p < 1 and at least one round; either value would
+        # otherwise flag every cell of the grid.
+        run = tmp_path / "run"
+        code = main(["run", "--config", str(study.config),
+                     "--set", f"output_dir={run}", "--set", setting])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not list(run.glob("records/*.csv"))
+
 
 # ---------------------------------------------------------------------------
 # aggregate

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adeval.detectors import (
-    _CHUNK, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, neighbour_scores,
+    _CHUNK, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter,
+    neighbour_scores,
 )
-from _oracles import knn_reference
+from _oracles import knn_reference, lof_fit_reference
 
 
 @st.composite
@@ -246,6 +247,27 @@ class TestLof:
             lof_fit(train, k=0)
         with pytest.raises(ValueError):
             lof_fit(train, k=3)  # k must stay below n
+
+    @pytest.mark.parametrize("kind", ["duplicate-rows", "distinct"])
+    def test_shared_fit_equals_own_k_fits(self, kind):
+        rng = np.random.default_rng(3)
+        grid = rng.integers(-2, 3, size=(14, 2)).astype(float)
+        train = np.vstack([grid, grid[:5], grid[:2]]) if kind == "duplicate-rows" else (
+            rng.normal(size=(21, 3))
+        )
+        n = len(train)
+        fit = lof_fitter(train)
+        ks = [n - 1, 1, 7, 2, n - 2, 5]
+        shared = [fit(k) for k in ks]
+        with pytest.raises(ValueError):
+            fit(n)  # a k out of range fails alone
+        for k, model in zip(ks, shared):
+            own = lof_fit(train, k)
+            kdist, lrd, lrd_cap = lof_fit_reference(train, k)
+            assert np.array_equal(model.kdist, own.kdist) and np.array_equal(model.kdist, kdist)
+            assert np.array_equal(model.lrd, own.lrd) and np.array_equal(model.lrd, lrd)
+            assert model.lrd_cap == own.lrd_cap == lrd_cap
+            assert model.k == k and np.array_equal(model.points, train)
 
     def test_batch_matches_single_queries(self):
         train = two_clusters(seed=5, n=20)

@@ -146,6 +146,10 @@ class TestGridConfig:
             GridConfig(repetitions=0)
         with pytest.raises(ValueError):
             GridConfig(alphas=(0.0,))
+        with pytest.raises(ValueError, match="ps"):
+            GridConfig(ps=(0.05, 1.0))  # precision@p needs p < 1
+        with pytest.raises(ValueError, match="precision_rounds"):
+            GridConfig(precision_rounds=0)
         with pytest.raises(ValueError):
             GridConfig(validation_fraction=1.0)
         with pytest.raises(ValueError):
@@ -325,6 +329,55 @@ class TestRunCell:
         n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
         assert distances == [n_test, _CHUNK, 100]
 
+
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
+    def test_non_finite_score_fails_only_its_own_cell(
+        self, tmp_path, monkeypatch, validation_fraction
+    ):
+        cfg = knn_only_config(
+            knn_variants=("kappa", "gamma"),
+            knn_ks=(1, 3, 5),
+            lof_ks=(4, 8),
+            ps=(0.05, 0.8),  # the test fold holds fewer than 80% anomalies
+            repetitions=1,
+            volume_samples=300,
+            validation_fraction=validation_fraction,
+        )
+        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        clean = RecordStore(tmp_path / "clean", manifest_hash="h")
+        run_grid(cfg, [bench], clean)
+        expected = {r.grid_index: r for r in clean.load()}
+        n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
+        # The column made NaN: a point of the validation part, if there is one.
+        perm = np.random.default_rng(
+            experiments.derive_seed(cfg.master_seed, "valsplit", bench.name, 0)
+        ).permutation(n_test)
+        column = perm[0] if validation_fraction else 0
+        bad = 3  # row and grid index of the kNN gamma k=1 combo
+        score = experiments.neighbour_scores
+
+        def nan_in_one_row(models, x):
+            out = score(models, x)
+            if len(x) == n_test:
+                out[bad, column] = np.nan
+            return out
+
+        monkeypatch.setattr(experiments, "neighbour_scores", nan_in_one_row)
+        patched = RecordStore(tmp_path / "patched", manifest_hash="h")
+        summary = run_grid(cfg, [bench], patched)
+        assert summary.n_flagged == 1
+        records = {r.grid_index: r for r in patched.load()}
+        assert records.keys() == expected.keys()
+        for index, rec in records.items():
+            if index != bad:
+                assert rec == expected[index]
+        rec, clean_rec = records[bad], expected[bad]
+        assert "thinned-normals@0.8" in clean_rec.flags
+        kept_flags = clean_rec.flags if validation_fraction else ()
+        assert rec.flags == kept_flags + ("error:ValueError",)
+        for name, value in rec.values.items():
+            kept = validation_fraction and not name.startswith("val:")
+            assert value == (clean_rec.values[name] if kept else None)
 
     def test_grid_blocks_equal_cells_run_one_by_one(self, tmp_path):
         # k=60 exceeds the 48-point training fold, for kNN and beside a LOF

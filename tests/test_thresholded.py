@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
@@ -10,7 +10,9 @@ from adeval.thresholded import (
     confusion_at,
     f1_score,
     precision_at_p,
+    precision_at_p_rows,
 )
+from _oracles import precision_reference
 from test_curves import labeled_scores
 
 
@@ -150,3 +152,44 @@ class TestPrecisionAtP:
         # Top ceil(0.5 * 4) = 2 under index tie-break: indices 0 and 1.
         cfg = PrecisionAtPConfig(p=0.5, rounds=4, seed=0)
         assert precision_at_p(data, cfg) == 0.5
+
+
+@st.composite
+def precision_cases(draw):
+    """(labels, integer-valued score matrix, config) in either branch of precision@p.
+
+    p = 0.01 keeps a top set of one sample (m = 1) on every sample drawn here.
+    """
+    p = draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8]))
+    n_neg = draw(st.integers(1, 40))
+    keep = max(1, round(p * n_neg / (1.0 - p)))
+    if draw(st.booleans()):
+        # More anomalies than proportion p keeps: they are subsampled.
+        n_pos = keep + draw(st.integers(0, 8))
+    else:
+        # Fewer: the normals are thinned instead.
+        assume(keep > 1)
+        n_pos = draw(st.integers(1, keep - 1))
+    labels = np.array(draw(st.permutations([1] * n_pos + [0] * n_neg)))
+    rows = draw(st.integers(1, 5))
+    scores = np.array(
+        draw(st.lists(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)),
+                      min_size=rows, max_size=rows)),
+        dtype=float,
+    )
+    cfg = PrecisionAtPConfig(p=p, rounds=draw(st.integers(1, 10)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    return labels, scores, cfg
+
+
+class TestPrecisionAtPRows:
+    @given(precision_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_equals_its_own_precision_bit_for_bit(self, case):
+        labels, scores, cfg = case
+        batch = precision_at_p_rows(labels, scores, cfg)
+        assert batch.shape == (len(scores),)
+        for row, value in zip(scores, batch):
+            single = precision_at_p(LabeledScores(labels=labels, scores=row), cfg)
+            reference = precision_reference(labels, row, cfg.p, cfg.rounds, cfg.seed)
+            assert value == single == reference
