@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from adeval.datasets import synth_gaussian
-from adeval.detectors import iforest_fit, knn_fit, lof_fit
-from adeval.experiments import roc_band
+from adeval.experiments import Combo, roc_band
 
 
 def parse_args() -> argparse.Namespace:
@@ -41,12 +40,12 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def fitter(args: argparse.Namespace):
+def combo(args: argparse.Namespace) -> Combo:
     if args.detector == "knn":
-        return lambda train, seed: knn_fit(train, k=args.k, variant="kappa")
+        return Combo(0, "knn", (("variant", "kappa"), ("k", args.k)))
     if args.detector == "lof":
-        return lambda train, seed: lof_fit(train, k=args.k)
-    return lambda train, seed: iforest_fit(train, n_trees=100, seed=seed)
+        return Combo(0, "lof", (("k", args.k),))
+    return Combo(0, "iforest", (("n_trees", 100), ("subsample", 256)))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -55,7 +54,7 @@ def run(args: argparse.Namespace) -> int:
     )
     band = roc_band(
         bench,
-        fitter(args),
+        combo(args),
         n_splits=args.splits,
         master_seed=args.seed,
     )

@@ -22,8 +22,7 @@ from adeval.volume import (
     SamplingBox,
     VolumeEstimate,
     bounding_box,
-    mc_volume_at_fpr,
-    score_uniform_sample,
+    uniform_sample,
     volume_below,
 )
 from adeval.detectors import (
@@ -47,6 +46,7 @@ from adeval.datasets import (
     write_raw_table,
 )
 from adeval.experiments import (
+    Combo,
     ExperimentRecord,
     GridConfig,
     MeasureId,

@@ -30,10 +30,11 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from adeval import __version__
-from adeval.curves import LabeledScores
+from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
 from adeval.datasets import (
     BenchmarkDataset,
     SplitSpec,
+    TrainTestSplit,
     _safe_name,
     list_benchmarks,
     load_benchmarks,
@@ -41,6 +42,7 @@ from adeval.datasets import (
     minmax_scaled_table,
     read_benchmark,
     read_raw_table,
+    split,
     write_benchmark,
 )
 from adeval.experiments import (
@@ -49,17 +51,16 @@ from adeval.experiments import (
     MeasureId,
     RecordStore,
     collapse,
-    fit_combo,
+    fit_models,
     kendall_matrix,
     loss_matrix_table,
     mean_rank_table,
     multiclass_sensitivity,
     roc_band,
     run_grid,
-    split_and_fit,
     volume_box_and_seed,
 )
-from adeval.volume import mc_volume_at_fpr
+from adeval.volume import checked_scores, uniform_sample, volume_below
 
 _DETECTOR_LABELS = {"knn": "kNN", "lof": "LOF", "iforest": "IF"}
 _DETECTOR_ORDER = {"knn": 0, "lof": 1, "iforest": 2}
@@ -495,7 +496,7 @@ def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
     seed = cfg.master_seed if args.seed is None else args.seed
     band = roc_band(
         bench,
-        lambda train, fit_seed: fit_combo(combo, train, fit_seed),
+        combo,
         n_splits=args.splits,
         train_fraction=cfg.train_fraction,
         contamination=args.contamination if args.contamination is not None else 0.0,
@@ -624,7 +625,15 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _one_off_split(args: argparse.Namespace):
+def _one_off(
+    args: argparse.Namespace, command: str, **inputs
+) -> tuple[BenchmarkDataset, Combo, TrainTestSplit, object, str]:
+    """The grid cell that the flags name: benchmark, combo, test fold and fitted model.
+
+    The cell is split and fitted as the grid does (:func:`fit_models`).  The
+    last entry is the manifest hash of the command's output, which covers
+    the benchmark's data, the combo, the split and ``inputs``.
+    """
     bench = _find_benchmark(args.dataset, args.benchmark)
     combo = _combo_from_flags(args)
     spec = SplitSpec(
@@ -633,14 +642,27 @@ def _one_off_split(args: argparse.Namespace):
         seed=args.seed,
         repetition=args.rep,
     )
-    return (bench, combo, *split_and_fit(bench, combo, spec))
+    fold = split(bench, spec)
+    (model,) = fit_models(bench, spec, fold.train, [combo])
+    if isinstance(model, Exception):
+        raise model
+    hash_ = manifest_hash(
+        {"command": command, "version": __version__, "benchmark": bench.name,
+         "data": _data_digest(bench), "detector": combo.detector,
+         "params": combo.params_text, "train_fraction": spec.train_fraction,
+         "contamination": spec.contamination, "seed": spec.seed, "rep": spec.repetition,
+         **inputs}
+    )
+    return bench, combo, fold, model, hash_
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
-    bench, combo, fold, model = _one_off_split(args)
+    bench, combo, fold, model, hash_ = _one_off(args, "volume", alpha=args.alpha, n=args.n)
     data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
+    tau = threshold_at_fpr(build_roc(data), args.alpha)
     box, seed = volume_box_and_seed(bench, args.seed, args.rep)
-    estimate = mc_volume_at_fpr(model.score, box, data, args.alpha, n=args.n, seed=seed)
+    scores = checked_scores(model.score(uniform_sample(box, args.n, seed)), args.n)
+    estimate = volume_below(scores, tau)
     rows = [
         ("benchmark", bench.name),
         ("detector", combo.detector),
@@ -651,11 +673,6 @@ def cmd_volume(args: argparse.Namespace) -> int:
         ("cvol", repr(estimate.cvol)),
         ("n_samples", str(estimate.n_samples)),
     ]
-    hash_ = manifest_hash(
-        {"command": "volume", "version": __version__,
-         "benchmark": bench.name, "params": combo.params_text,
-         "alpha": args.alpha, "n": args.n, "seed": args.seed, "rep": args.rep}
-    )
     if args.out:
         _write_delimited(Path(args.out), ["key", "value"], rows, hash_)
     for key, value in rows:
@@ -664,14 +681,9 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def cmd_scores(args: argparse.Namespace) -> int:
-    bench, combo, fold, model = _one_off_split(args)
+    _, _, fold, model, hash_ = _one_off(args, "scores")
     scores = model.score(fold.test)
     rows = [(sid, repr(float(s))) for sid, s in zip(fold.test_ids, scores)]
-    hash_ = manifest_hash(
-        {"command": "scores", "version": __version__,
-         "benchmark": bench.name, "params": combo.params_text,
-         "seed": args.seed, "rep": args.rep}
-    )
     if args.out:
         _write_delimited(Path(args.out), ["id", "score"], rows, hash_)
         print(f"wrote {len(rows)} scores to {args.out}")

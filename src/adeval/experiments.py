@@ -37,9 +37,9 @@ from scipy.stats import rankdata
 from adeval.curves import (
     LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
 )
-from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
+from adeval.datasets import BenchmarkDataset, SplitSpec, _safe_name, split
 from adeval.detectors import (
-    forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter, neighbour_scores,
+    KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
 )
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p_rows
@@ -165,6 +165,20 @@ class GridConfig:
             raise ValueError("validation_fraction must lie in [0, 1)")
         if self.volume_samples < 1:
             raise ValueError("volume_samples must be positive")
+        # The settings below would otherwise fail every cell they reach.
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        for c in self.contaminations:
+            if not 0.0 <= c < 1.0:
+                raise ValueError(f"contaminations must lie in [0, 1), got {c!r}")
+        for variant in self.knn_variants:
+            if variant not in KNN_VARIANTS:
+                raise ValueError(f"knn_variants must be among {KNN_VARIANTS}, got {variant!r}")
+        for key in ("knn_ks", "lof_ks", "iforest_trees"):
+            if any(v < 1 for v in getattr(self, key)):
+                raise ValueError(f"{key} must be at least 1")
+        if self.iforest_subsample < 2:
+            raise ValueError("iforest_subsample must be at least 2")
 
     def detector_combos(self) -> tuple[Combo, ...]:
         combos: list[Combo] = []
@@ -207,22 +221,6 @@ class GridConfig:
         return tuple(names)
 
 
-def fit_combo(combo: Combo, train: np.ndarray, seed: int):
-    """Fit one grid combo; returns a model exposing ``score``."""
-    if combo.detector == "knn":
-        return knn_fit(train, k=int(combo.param("k")), variant=str(combo.param("variant")))
-    if combo.detector == "lof":
-        return lof_fit(train, k=int(combo.param("k")))
-    if combo.detector == "iforest":
-        return iforest_fit(
-            train,
-            n_trees=int(combo.param("n_trees")),
-            subsample=int(combo.param("subsample")),
-            seed=seed,
-        )
-    raise ValueError(f"unknown detector {combo.detector!r}")
-
-
 def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
     """Seed of a combo's fit on its cell's training fold.
 
@@ -233,16 +231,60 @@ def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
     return derive_seed(spec.seed, "fit", bench.name, combo.detector, params, spec.repetition)
 
 
-def split_and_fit(
-    bench: BenchmarkDataset, combo: Combo, spec: SplitSpec
-) -> tuple[TrainTestSplit, object]:
-    """Split ``bench`` by ``spec`` and fit ``combo`` on the training fold.
+_CELL_ERRORS = (ValueError, FloatingPointError)
 
-    The fit seed derives from the master seed ``spec.seed`` and the cell
-    identity, so grid cells and the ``volume`` / ``scores`` one-offs agree.
+
+def fit_models(
+    bench: BenchmarkDataset, spec: SplitSpec, train: np.ndarray, combos: Sequence[Combo]
+) -> list[object]:
+    """The model of each combo fitted on ``train``, the training fold of ``spec``.
+
+    This is the one rule that maps a combo to its fit, used by grid cells,
+    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  kNN combos
+    fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
+    ``train``.  The forest combos of a subsample take their prefix of one
+    :func:`iforest_fit` at their largest ``n_trees``, which equals a forest
+    fitted with their own ``n_trees`` bit for bit.  Seeds come from
+    :func:`_fit_seed`.  An entry is the ``ValueError`` or
+    ``FloatingPointError`` its fit raised instead of a model; a failed
+    forest fit is the entry of every combo of its subsample.
     """
-    fold = split(bench, spec)
-    return fold, fit_combo(combo, fold.train, _fit_seed(bench, combo, spec))
+    lof = lof_fitter(train)
+    forests: dict[object, object] = {}
+
+    def forest(subsample) -> object:
+        if subsample not in forests:
+            group = [c for c in combos
+                     if c.detector == "iforest" and c.param("subsample") == subsample]
+            largest = max(group, key=lambda c: c.param("n_trees"))
+            try:
+                forests[subsample] = iforest_fit(
+                    train, n_trees=int(largest.param("n_trees")), subsample=int(subsample),
+                    seed=_fit_seed(bench, largest, spec),
+                )
+            except _CELL_ERRORS as exc:
+                forests[subsample] = exc
+        return forests[subsample]
+
+    def fit(combo: Combo) -> object:
+        if combo.detector == "knn":
+            return knn_fit(train, k=int(combo.param("k")), variant=str(combo.param("variant")))
+        if combo.detector == "lof":
+            return lof(int(combo.param("k")))
+        if combo.detector == "iforest":
+            fitted = forest(combo.param("subsample"))
+            if isinstance(fitted, Exception):
+                return fitted
+            return fitted.prefix(int(combo.param("n_trees")))
+        raise ValueError(f"unknown detector {combo.detector!r}")
+
+    models: list[object] = []
+    for combo in combos:
+        try:
+            models.append(fit(combo))
+        except _CELL_ERRORS as exc:
+            models.append(exc)
+    return models
 
 
 def volume_box_and_seed(
@@ -472,9 +514,6 @@ def _curve_measures(
     return values
 
 
-_CELL_ERRORS = (ValueError, FloatingPointError)
-
-
 def _error_flag(exc: Exception) -> str:
     return f"error:{type(exc).__name__}"
 
@@ -580,27 +619,23 @@ def _run_repetition(
 ) -> list[ExperimentRecord]:
     """Evaluate the cells of ``combos`` in one (benchmark, contamination, repetition) block.
 
-    The block is split once and its uniform volume sample
-    (:func:`volume_box_and_seed`) drawn once.  The combos are scored in
-    groups: every kNN and LOF combo in one group that shares one distance
+    The block is split once, its uniform volume sample
+    (:func:`volume_box_and_seed`) drawn once, and its combos fitted by
+    :func:`fit_models`.  The fitted models are scored in groups, one per
+    scorer: every kNN and LOF model in one group that shares one distance
     matrix per query chunk (:func:`neighbour_scores`), and the forest
-    combos of each subsample in one group.  The LOF combos fit from one
-    training distance matrix (:func:`lof_fitter`).  A forest group fits
-    one forest at its largest ``n_trees`` (the fit seed leaves ``n_trees``
-    out, see :func:`_fit_seed`), each combo takes its prefix of that
-    forest, and one walk over the trees scores them all
-    (:func:`forest_scores`); a combo's scores equal those of a forest
-    fitted with its own ``n_trees``, bit for bit.  Each group fits its
-    combos on the training fold, scores the test fold and the volume
-    sample, and evaluates its cells together from the (combo x point)
-    score matrices (:func:`_evaluate_cells`): with validation, the
+    prefixes of each subsample in one group that one walk over the trees
+    scores (:func:`forest_scores`).  Each group scores the test fold and
+    the volume sample, and evaluates its cells together from the (combo x
+    point) score matrices (:func:`_evaluate_cells`): with validation, the
     evaluation part of the test fold, then its ``val:`` part.  A failure
     leaves missing every value of the cells it reaches that is not yet
     evaluated and flags them ``error:<exception type>``: a failed split or
-    volume draw reaches every cell of the block, a failed scoring pass or
-    forest fit every cell of its group, a sample with one class only every
-    cell of its group still standing, and any other failed fit or a
-    non-finite score only its own cell.
+    volume draw reaches every cell of the block, a failed scoring pass
+    every cell of its group, a failed forest fit every cell of its
+    subsample, a sample with one class only every cell of its group still
+    standing, and any other failed fit or a non-finite score only its own
+    cell.
     """
     names = cfg.measure_names()
     measures = cfg.measures()
@@ -636,37 +671,17 @@ def _run_repetition(
         n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
         samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
 
-    shared = [c for c in combos if c.detector in ("knn", "lof")]
-    forests: dict[object, list[Combo]] = {}
-    for combo in combos:
-        if combo.detector == "iforest":
-            forests.setdefault(combo.param("subsample"), []).append(combo)
-    groups = [(shared, neighbour_scores)] if shared else []
-    groups += [(group, forest_scores) for group in forests.values()]
-    lof = lof_fitter(fold.train)
     records: dict[int, ExperimentRecord] = {}
-    for group, score in groups:
-        if score is forest_scores:
-            largest = max(group, key=lambda c: c.param("n_trees"))
-            try:
-                forest = fit_combo(largest, fold.train, _fit_seed(bench, largest, spec))
-            except _CELL_ERRORS as exc:
-                records.update((c.index, record(c, {}, [_error_flag(exc)])) for c in group)
-                continue
-        fitted, models = [], []
-        for combo in group:
-            try:
-                if score is forest_scores:
-                    models.append(forest.prefix(int(combo.param("n_trees"))))
-                elif combo.detector == "lof":
-                    models.append(lof(int(combo.param("k"))))
-                else:
-                    models.append(fit_combo(combo, fold.train, _fit_seed(bench, combo, spec)))
-                fitted.append(combo)
-            except _CELL_ERRORS as exc:
-                records[combo.index] = record(combo, {}, [_error_flag(exc)])
-        if not models:
-            continue
+    groups: dict[tuple, list[tuple[Combo, object]]] = {}
+    for combo, model in zip(combos, fit_models(bench, spec, fold.train, combos)):
+        if isinstance(model, Exception):
+            records[combo.index] = record(combo, {}, [_error_flag(model)])
+        else:
+            key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
+                   else (neighbour_scores, None))
+            groups.setdefault(key, []).append((combo, model))
+    for (score, _), group in groups.items():
+        fitted, models = zip(*group)
         try:
             test_scores, volume_scores = score(models, fold.test), score(models, volume_points)
         except _CELL_ERRORS as exc:
@@ -1119,7 +1134,7 @@ class RocBand:
 
 def roc_band(
     bench: BenchmarkDataset,
-    fit: Callable[[np.ndarray, int], object],
+    combo: Combo,
     n_splits: int,
     train_fraction: float = 0.8,
     contamination: float = 0.0,
@@ -1128,11 +1143,12 @@ def roc_band(
 ) -> RocBand:
     """Evaluate the ROC curve on repeated resplits and band its spread.
 
-    Each repetition resplits the benchmark, refits via ``fit(train, seed)``
-    and evaluates the test ROC.  All curves are interpolated onto the
-    union of their vertex FPRs; the band reports mean and sample std of
-    TPR and of the ratio TPR/FPR (0 at FPR = 0) per grid point.  Splits
-    whose test fold degenerates to one class are skipped and counted.
+    Repetition r is the grid cell of ``combo`` at repetition r, with the
+    same split and the same fit (:func:`fit_models`), and gives one test
+    ROC.  All curves are interpolated onto the union of their vertex FPRs;
+    the band reports mean and sample std of TPR and of the ratio TPR/FPR
+    (0 at FPR = 0) per grid point.  Splits whose fit raises ``ValueError``
+    or whose test fold degenerates to one class are skipped and counted.
     """
     if n_splits < 2:
         raise ValueError("need at least 2 splits for a band")
@@ -1142,25 +1158,14 @@ def roc_band(
     curves = []
     skipped = 0
     for rep in reps:
-        fold = split(
-            bench,
-            SplitSpec(
-                train_fraction=train_fraction,
-                contamination=contamination,
-                seed=master_seed,
-                repetition=rep,
-            ),
-        )
+        spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
+                         seed=master_seed, repetition=rep)
+        fold = split(bench, spec)
+        (model,) = fit_models(bench, spec, fold.train, [combo])
         try:
-            labeled = LabeledScores(
-                labels=fold.test_labels,
-                scores=np.asarray(
-                    fit(
-                        fold.train,
-                        derive_seed(master_seed, "rocband-fit", bench.name, rep),
-                    ).score(fold.test)
-                ),
-            )
+            if isinstance(model, Exception):
+                raise model
+            labeled = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
         except ValueError:
             skipped += 1
             continue

@@ -6,28 +6,20 @@ anomalous.  The accepted fraction of a uniform sample over a fixed box
 estimates the relative volume of the accept region.  Small volume at a
 given false-positive budget means a tight model of the normal class.
 
-The estimate has two steps: :func:`score_uniform_sample` draws
-(:func:`uniform_sample`) and scores the sample, and :func:`volume_below`
-counts the scores below one threshold.  :func:`mc_volume_at_fpr` composes
-the two steps for a single level.  The grid draws one sample per block of
-cells, scores it once per group of models, checks each model's scores with
-:func:`checked_scores` and thresholds them at every FPR level.
+The estimate has two steps: :func:`uniform_sample` draws the sample that
+the models score, and :func:`volume_below` counts the scores below one
+threshold.  The grid draws one sample per block of cells, scores it once
+per group of models, checks each model's scores with
+:func:`checked_scores` and thresholds them at every FPR level; ``adeval
+volume`` does the same for one combo and one level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
-
-# Vectorized score function: maps an (m, d) array of points to (m,) scores.
-ScoreFunction = Callable[[np.ndarray], np.ndarray]
-
-_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -100,56 +92,8 @@ def checked_scores(scores: np.ndarray, n: int) -> NDArray[np.float64]:
     return scores
 
 
-def score_uniform_sample(
-    f: ScoreFunction, box: SamplingBox, n: int, seed: int
-) -> NDArray[np.float64]:
-    """Checked scores under ``f`` of ``n`` points drawn from ``box`` by one stream seeded ``seed``.
-
-    The points are scored in chunks.
-    """
-    points = uniform_sample(box, n, seed)
-    scores = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        scores[start : start + _CHUNK] = checked_scores(f(chunk), chunk.shape[0])
-    return scores
-
-
 def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:
     """Fraction of a scored sample strictly below ``threshold`` (ties count as anomalous)."""
     vol = int((scores < threshold).sum()) / len(scores)
     return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=threshold, n_samples=len(scores))
 
-
-def mc_volume_at_fpr(
-    f: ScoreFunction,
-    box: SamplingBox,
-    data: LabeledScores,
-    alpha: float,
-    n: int = 100_000,
-    seed: int = 0,
-) -> VolumeEstimate:
-    """Estimate the accept-region volume at false-positive budget ``alpha``.
-
-    The threshold is read off the empirical ROC curve of ``data`` at
-    FPR = alpha; the sample of :func:`score_uniform_sample` is then
-    thresholded with :func:`volume_below`.
-
-    Parameters
-    ----------
-    f:
-        Vectorized score function: (m, d) points to (m,) finite scores.
-    box:
-        Sampling box, normally the bounding box of the full dataset.  It
-        must stay fixed across the models being compared.
-    data:
-        Labeled scores of the evaluated test sample (threshold source).
-    alpha:
-        Target false-positive rate in (0, 1].
-    n:
-        Number of uniform samples.
-    seed:
-        Stream seed; identical seeds reproduce the estimate exactly.
-    """
-    tau = threshold_at_fpr(build_roc(data), alpha)
-    return volume_below(score_uniform_sample(f, box, n, seed), tau)

@@ -19,6 +19,7 @@ from adeval.curves import (
     auc_at,
     auc_weighted,
     build_roc,
+    threshold_at_fpr,
     tpr_at,
 )
 from adeval.datasets import (
@@ -30,6 +31,7 @@ from adeval.datasets import (
 )
 from adeval.detectors import iforest_fit, knn_fit, lof_fit
 from adeval.experiments import (
+    Combo,
     ExperimentRecord,
     collapse,
     kendall_matrix,
@@ -37,7 +39,7 @@ from adeval.experiments import (
     roc_band,
 )
 from adeval.thresholded import PrecisionAtPConfig, precision_at_p
-from adeval.volume import SamplingBox, mc_volume_at_fpr
+from adeval.volume import SamplingBox, checked_scores, uniform_sample, volume_below
 from _oracles import pairwise_auc
 
 
@@ -83,6 +85,12 @@ FOUR_POINT = LabeledScores(
 UNIT_BOX_2D = SamplingBox(
     b_min=np.array([-1.0, -1.0]), b_max=np.array([1.0, 1.0])
 )
+
+
+def four_point_volume(n: int, seed: int):
+    """Max-norm accept volume at FPR 0.5 of ``FOUR_POINT``, as ``adeval volume`` estimates it."""
+    tau = threshold_at_fpr(build_roc(FOUR_POINT), 0.5)
+    return volume_below(checked_scores(maxnorm_score(uniform_sample(UNIT_BOX_2D, n, seed)), n), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +151,7 @@ def test_criterion_2_consistency_identities():
             tprs = [tpr_at(curve, a) for a in alphas]
             assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         for seed in range(5):
-            est = mc_volume_at_fpr(
-                maxnorm_score, UNIT_BOX_2D, FOUR_POINT, 0.5, n=2048, seed=seed
-            )
+            est = four_point_volume(n=2048, seed=seed)
             assert est.vol + est.cvol == 1.0
         records = _hand_records()
         names, loss = loss_matrix_table(collapse(records))
@@ -165,9 +171,7 @@ def test_criterion_3_volume_accuracy_maxnorm():
         3, "max-norm accept volume within 0.005 of 0.25 for 20 seeds", budget_s=10.0
     ):
         for seed in range(20):
-            est = mc_volume_at_fpr(
-                maxnorm_score, UNIT_BOX_2D, FOUR_POINT, 0.5, n=100_000, seed=seed
-            )
+            est = four_point_volume(n=100_000, seed=seed)
             assert est.threshold == 0.5
             assert abs(est.vol - 0.25) <= 0.005, f"seed {seed}: vol={est.vol}"
 
@@ -376,7 +380,7 @@ def test_criterion_9_resplit_band_variance_at_small_fpr(tmp_path):
         bench = synth_gaussian(150, 60, dim=2, shift=1.0, seed=5)
         band = roc_band(
             bench,
-            lambda train, seed: knn_fit(train, k=5, variant="kappa"),
+            Combo(0, "knn", (("variant", "kappa"), ("k", 5))),
             n_splits=100,
             train_fraction=0.8,
             contamination=0.0,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 
 import adeval
 from adeval.cli import main, read_config_file, resolve_config
-from adeval.curves import LabeledScores, auc, build_roc
+from adeval.curves import LabeledScores, auc, build_roc, tpr_at
 from adeval.datasets import (
-    SplitSpec, read_benchmark, split, synth_multiclass_table, write_raw_table,
+    SplitSpec, read_benchmark, split, synth_multiclass_table, write_benchmark, write_raw_table,
 )
 from adeval.experiments import RecordStore
 from _oracles import rank_reference, repetition_means, selection_loss_reference
@@ -266,17 +267,23 @@ class TestRun:
         assert code == 1
         assert "error:ValueError" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("setting", ["ps=0.05,1", "precision_rounds=0"])
+    @pytest.mark.parametrize("setting", [
+        "ps=0.05,1", "precision_rounds=0", "train_fraction=1.5", "contaminations=1.0",
+        "knn_variants=foo", "knn_ks=0", "lof_ks=0", "iforest_trees=0", "iforest_subsample=1",
+    ])
     def test_precision_setting_that_fails_every_cell_is_rejected(
         self, study, tmp_path, capsys, setting
     ):
-        # precision@p needs p < 1 and at least one round; either value would
-        # otherwise flag every cell of the grid.
+        # Each value would otherwise fail every cell it reaches: precision@p
+        # needs p < 1 and at least one round, a split needs a train fraction
+        # in (0, 1) and a contamination below 1, and a fit needs a known kNN
+        # variant, k and n_trees of at least 1 and a forest subsample of at least 2.
         run = tmp_path / "run"
         code = main(["run", "--config", str(study.config),
                      "--set", f"output_dir={run}", "--set", setting])
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (run / "manifest.json").exists()
         assert not list(run.glob("records/*.csv"))
 
 
@@ -457,6 +464,33 @@ class TestAggregate:
         fpr = np.array([float(r[0]) for r in rows[1:]])
         assert fpr[0] == 0.0 and fpr[-1] == 1.0 and np.all(np.diff(fpr) > 0)
 
+    @pytest.mark.parametrize(
+        "flags", [["--detector", "knn", "--k", "3"], ["--detector", "lof", "--k", "5"],
+                  ["--detector", "iforest"]],
+        ids=["knn", "lof", "iforest"],
+    )
+    def test_rocband_is_the_grid_cells(self, study, tmp_path, capsys, flags):
+        # Repetition r of the band is the cell that `adeval scores --rep r` gives.
+        assert main(["aggregate", "rocband", str(study.run), "--benchmark", "tab0-c1",
+                     *flags, "--splits", "2", "--out", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("rocband_*.csv")
+        with open(path, newline="") as handle:
+            rows = [r for r in csv.reader(handle) if not r[0].startswith("#")][1:]
+        fpr = np.array([float(r[0]) for r in rows])
+        tpr_mean = np.array([float(r[1]) for r in rows])
+        capsys.readouterr()
+        curves = []
+        for rep in ("0", "1"):
+            assert main(["scores", "--dataset", str(study.cache), "--benchmark", "tab0-c1",
+                         *flags, "--seed", "7", "--rep", rep]) == 0
+            scored = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            curves.append(build_roc(LabeledScores(
+                labels=[int(sid.startswith("a")) for sid, _ in scored],
+                scores=[float(value) for _, value in scored],
+            )))
+        tprs = np.array([[tpr_at(curve, a) for a in fpr] for curve in curves])
+        assert np.array_equal(tpr_mean, tprs.mean(axis=0))
+
     def test_rocband_needs_benchmark(self, study, capsys):
         assert main(["aggregate", "rocband", str(study.run)]) == 2
         assert "--benchmark" in capsys.readouterr().err
@@ -593,6 +627,26 @@ class TestOneOffs:
         for sid, value in rows:
             assert 0 <= int(sid[1:]) < len(blocks[sid[0]])
             assert np.isfinite(float(value))
+
+    def test_output_manifest_covers_the_split_and_the_data(self, study, tmp_path):
+        def manifest(command, *flags, cache=study.cache):
+            out = tmp_path / "out.csv"
+            assert main([command, "--dataset", str(cache), "--benchmark", "tab0-c1",
+                         "--detector", "knn", "--k", "3", *flags, "--out", str(out)]) == 0
+            return out.read_text().splitlines()[0]
+
+        for command in ("scores", "volume"):
+            splits = [
+                manifest(command, "--train-fraction", fraction, "--contamination", c)
+                for fraction in ("0.8", "0.5") for c in ("0", "0.05")
+            ]
+            assert len(set(splits)) == 4
+        # The same benchmark over other data.
+        bench = read_benchmark(study.cache, "tab0", "c1")
+        anomaly = bench.anomaly.copy()
+        anomaly[0, 0] += 0.25
+        write_benchmark(dataclasses.replace(bench, anomaly=anomaly), tmp_path / "changed")
+        assert manifest("scores") != manifest("scores", cache=tmp_path / "changed")
 
     def test_unknown_benchmark_is_reported(self, study, capsys):
         assert main(

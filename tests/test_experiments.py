@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,16 @@ from scipy.stats import kendalltau as scipy_kendalltau
 
 from adeval.curves import build_roc, tpr_at
 from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_table, make_benchmarks
-from adeval import detectors, experiments, volume
-from adeval.detectors import _CHUNK, knn_fit
+from adeval import detectors, experiments
+from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fit
 from adeval.experiments import (
+    Combo,
     ExperimentRecord,
     GridConfig,
     MeasureId,
     RecordStore,
     collapse,
+    fit_models,
     kendall_matrix,
     kendall_tau,
     loss_matrix,
@@ -252,6 +255,75 @@ class TestRunGrid:
         assert rec.values.get("AUC") is not None
 
 
+def assert_same_model(model, own):
+    assert type(model) is type(own)
+    for field in dataclasses.fields(own):
+        a, b = getattr(model, field.name), getattr(own, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and (a == b).all(), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestFitModels:
+    bench = synth_gaussian(40, 10, dim=2, shift=2.0, seed=8)
+    spec = SplitSpec(seed=3, repetition=1)
+
+    def train(self):
+        train = split(self.bench, self.spec).train
+        return np.vstack([train, train[:6]])  # six duplicate rows
+
+    def own_fit(self, combo, train):
+        if combo.detector == "knn":
+            return knn_fit(train, k=combo.param("k"), variant=combo.param("variant"))
+        if combo.detector == "lof":
+            return lof_fit(train, k=combo.param("k"))
+        seed = experiments._fit_seed(self.bench, combo, self.spec)
+        return iforest_fit(
+            train, n_trees=combo.param("n_trees"), subsample=combo.param("subsample"), seed=seed
+        )
+
+    def test_each_model_equals_its_own_fit(self):
+        train = self.train()
+        n = len(train)
+        combos = [
+            Combo(0, "knn", (("variant", "kappa"), ("k", 1))),
+            Combo(1, "knn", (("variant", "gamma"), ("k", n - 1))),
+            Combo(2, "knn", (("variant", "delta"), ("k", n))),
+            Combo(3, "lof", (("k", 1),)),
+            Combo(4, "lof", (("k", n - 1),)),
+            Combo(5, "lof", (("k", 7),)),
+            # Two subsamples; each forest is fitted once at its largest size.
+            Combo(6, "iforest", (("n_trees", 5), ("subsample", 16))),
+            Combo(7, "iforest", (("n_trees", 30), ("subsample", 16))),
+            Combo(8, "iforest", (("n_trees", 20), ("subsample", 256))),
+        ]
+        models = fit_models(self.bench, self.spec, train, combos)
+        assert len(models) == len(combos)
+        for combo, model in zip(combos, models):
+            assert_same_model(model, self.own_fit(combo, train))
+
+    def test_failures_stay_in_their_own_entry(self):
+        train = self.train()
+        n = len(train)
+        combos = [
+            Combo(0, "lof", (("k", 5),)),
+            Combo(1, "lof", (("k", n),)),  # k out of range
+            Combo(2, "knn", (("variant", "kappa"), ("k", n + 1))),
+            Combo(3, "iforest", (("n_trees", 10), ("subsample", 1))),  # the forest fit fails
+            Combo(4, "iforest", (("n_trees", 20), ("subsample", 1))),
+            Combo(5, "iforest", (("n_trees", 10), ("subsample", 16))),
+            Combo(6, "iforest", (("n_trees", 0), ("subsample", 16))),  # its prefix fails
+            Combo(7, "knn", (("variant", "gamma"), ("k", 2))),
+        ]
+        models = fit_models(self.bench, self.spec, train, combos)
+        failed = [i for i, m in enumerate(models) if isinstance(m, ValueError)]
+        assert failed == [1, 2, 3, 4, 6]
+        assert models[3] is models[4]
+        for i in (0, 5, 7):
+            assert_same_model(models[i], self.own_fit(combos[i], train))
+
+
 class TestRunCell:
     def test_validation_failure_keeps_evaluation_columns(self):
         # Three of these validation parts hold a single class.
@@ -281,8 +353,7 @@ class TestRunCell:
             return lambda data: curves.append(len(data)) or build_roc(data)
 
         score = experiments.neighbour_scores
-        for module in (experiments, volume):
-            monkeypatch.setattr(module, "build_roc", counting_roc(module.build_roc))
+        monkeypatch.setattr(experiments, "build_roc", counting_roc(experiments.build_roc))
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
@@ -891,8 +962,7 @@ class TestReductionsMatchLoopReference:
 # ---------------------------------------------------------------------------
 
 
-def knn_fitter(train, seed):
-    return knn_fit(train, k=3, variant="kappa")
+KNN_3 = Combo(0, "knn", (("variant", "kappa"), ("k", 3)))
 
 
 class TestRocBand:
@@ -901,7 +971,7 @@ class TestRocBand:
 
     def test_identical_splits_have_zero_spread(self):
         band = roc_band(
-            self.bench(), knn_fitter, n_splits=2, master_seed=1, repetitions=[7, 7]
+            self.bench(), KNN_3, n_splits=2, master_seed=1, repetitions=[7, 7]
         )
         np.testing.assert_array_equal(band.tpr_std, 0.0)
         np.testing.assert_array_equal(band.ratio_std, 0.0)
@@ -909,7 +979,7 @@ class TestRocBand:
 
     def test_two_split_spread_matches_two_sample_formula(self):
         bench = self.bench()
-        band = roc_band(bench, knn_fitter, n_splits=2, master_seed=1, repetitions=[0, 1])
+        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1, repetitions=[0, 1])
         curves = []
         for rep in (0, 1):
             fold = split(bench, SplitSpec(seed=1, repetition=rep))
@@ -919,7 +989,7 @@ class TestRocBand:
                 build_roc(
                     LabeledScores(
                         labels=fold.test_labels,
-                        scores=knn_fitter(fold.train, 0).score(fold.test),
+                        scores=knn_fit(fold.train, k=3, variant="kappa").score(fold.test),
                     )
                 )
             )
@@ -930,23 +1000,23 @@ class TestRocBand:
         )
 
     def test_ratio_is_zero_at_fpr_zero(self):
-        band = roc_band(self.bench(), knn_fitter, n_splits=3, master_seed=2)
+        band = roc_band(self.bench(), KNN_3, n_splits=3, master_seed=2)
         assert band.fpr[0] == 0.0
         assert band.ratio_mean[0] == 0.0 and band.ratio_std[0] == 0.0
 
     def test_band_grid_is_sorted_union(self):
-        band = roc_band(self.bench(), knn_fitter, n_splits=4, master_seed=3)
+        band = roc_band(self.bench(), KNN_3, n_splits=4, master_seed=3)
         assert np.all(np.diff(band.fpr) > 0)
         assert band.fpr[0] == 0.0 and band.fpr[-1] == 1.0
 
     def test_requires_two_usable_splits(self):
         with pytest.raises(ValueError):
-            roc_band(self.bench(), knn_fitter, n_splits=1)
+            roc_band(self.bench(), KNN_3, n_splits=1)
         # All anomalies get injected into training: every split degenerates.
         bench = synth_gaussian(50, 2, dim=2, seed=0)
         with pytest.raises(ValueError, match="usable"):
-            roc_band(bench, knn_fitter, n_splits=2, contamination=0.05)
+            roc_band(bench, KNN_3, n_splits=2, contamination=0.05)
 
     def test_repetition_list_must_match_split_count(self):
         with pytest.raises(ValueError, match="one entry per split"):
-            roc_band(self.bench(), knn_fitter, n_splits=3, repetitions=[0, 1])
+            roc_band(self.bench(), KNN_3, n_splits=3, repetitions=[0, 1])

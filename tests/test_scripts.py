@@ -1,4 +1,4 @@
-"""The demo scripts run end to end at toy size."""
+"""The demo scripts and the README's library example run end to end at toy size."""
 
 import os
 import subprocess
@@ -31,3 +31,10 @@ def test_run_synthetic_study(tmp_path):
         "--tables", "1", "--sizes", "90,40,30", "--repetitions", "1",
         "--volume-samples", "200", "--workers", "1",
     )
+
+
+def test_readme_library_example(capsys):
+    readme = (REPO / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(compile(example.split("```", 1)[0], "README.md", "exec"), {})
+    assert "CVOL@0.05" in capsys.readouterr().out

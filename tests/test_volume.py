@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
+from adeval.detectors import iforest_fit, knn_fit, lof_fit
 from adeval.volume import (
-    _CHUNK,
     SamplingBox,
     VolumeEstimate,
     bounding_box,
-    mc_volume_at_fpr,
-    score_uniform_sample,
+    checked_scores,
+    uniform_sample,
     volume_below,
 )
 
 
 def max_norm(points):
     return np.abs(points).max(axis=1)
+
+
+def volume_at_fpr(f, box, data, alpha, n=100_000, seed=0):
+    """The estimate of ``adeval volume``: the threshold at FPR ``alpha`` of
+    ``data``'s ROC, applied to the checked scores of one uniform sample."""
+    tau = threshold_at_fpr(build_roc(data), alpha)
+    return volume_below(checked_scores(f(uniform_sample(box, n, seed)), n), tau)
 
 
 def tau_half_data():
@@ -58,7 +65,7 @@ class TestVolumeEstimate:
 class TestMcVolume:
     def test_known_region_quarter_volume(self):
         # Accept region {max-norm < 0.5} fills exactly 1/4 of [-1, 1]^2.
-        est = mc_volume_at_fpr(
+        est = volume_at_fpr(
             max_norm, UNIT_BOX_2D, tau_half_data(), alpha=0.5, n=100_000, seed=0
         )
         assert est.threshold == 0.5
@@ -69,19 +76,19 @@ class TestMcVolume:
         # alpha = 1 flags everything: nothing scores strictly below tau
         # for a nonnegative score function with tau at the minimum score.
         data = LabeledScores(labels=[1, 0], scores=[0.5, 0.0])
-        est = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=1.0, n=2000, seed=1)
+        est = volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=1.0, n=2000, seed=1)
         assert est.threshold == 0.0
         assert est.vol == 0.0 and est.cvol == 1.0
 
     def test_huge_threshold_gives_full_volume(self):
         # Scores far above anything the box can produce: everything accepted.
         data = LabeledScores(labels=[1, 0], scores=[9.0, 8.0])
-        est = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=0.5, n=2000, seed=1)
+        est = volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=0.5, n=2000, seed=1)
         assert est.vol == 1.0 and est.cvol == 0.0
 
     def test_same_seed_reproduces_exactly(self):
-        a = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=5000, seed=9)
-        b = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=5000, seed=9)
+        a = volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=5000, seed=9)
+        b = volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=5000, seed=9)
         assert a == b
 
     def test_strict_inequality_at_threshold(self):
@@ -89,7 +96,7 @@ class TestMcVolume:
         # every point counts as anomalous, so vol = 0.
         box = SamplingBox(b_min=np.array([0.5]), b_max=np.array([0.5]))
         data = LabeledScores(labels=[1, 0, 1, 0], scores=[0.7, 0.6, 0.5, 0.4])
-        est = mc_volume_at_fpr(max_norm, box, data, alpha=0.5, n=500, seed=0)
+        est = volume_at_fpr(max_norm, box, data, alpha=0.5, n=500, seed=0)
         assert est.threshold == 0.5
         assert est.vol == 0.0
 
@@ -99,7 +106,7 @@ class TestMcVolume:
         scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
         data = LabeledScores(labels=labels, scores=scores)
         vols = [
-            mc_volume_at_fpr(max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11).vol
+            volume_at_fpr(max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11).vol
             for a in (0.05, 0.1, 0.25, 0.5, 0.9)
         ]
         assert all(b <= a for a, b in zip(vols, vols[1:]))
@@ -112,7 +119,7 @@ class TestMcVolume:
             sigma = np.sqrt(0.25 * 0.75 / n)
             errors = [
                 abs(
-                    mc_volume_at_fpr(
+                    volume_at_fpr(
                         max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=n, seed=s
                     ).vol
                     - 0.25
@@ -123,34 +130,31 @@ class TestMcVolume:
 
     def test_rejects_bad_alpha_and_nonfinite_scores(self):
         with pytest.raises(ValueError):
-            mc_volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.0, n=10)
+            volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.0, n=10)
         def bad_score(points):
             out = max_norm(points)
             out[0] = np.nan
             return out
         with pytest.raises(ValueError):
-            mc_volume_at_fpr(bad_score, UNIT_BOX_2D, tau_half_data(), 0.5, n=10)
-
-    def test_composed_from_primitives(self):
-        v = mc_volume_at_fpr(max_norm, UNIT_BOX_2D, tau_half_data(), 0.5, n=3000, seed=4)
-        c = volume_below(score_uniform_sample(max_norm, UNIT_BOX_2D, 3000, seed=4), 0.5)
-        assert c.cvol == v.cvol
-        assert c == v
+            volume_at_fpr(bad_score, UNIT_BOX_2D, tau_half_data(), 0.5, n=10)
 
 
 class TestVolumePrimitives:
-    def test_sample_is_one_seeded_stream_scored_in_chunks(self):
-        n = _CHUNK + 7
-        calls = []
-
-        def counting(points):
-            calls.append(len(points))
-            return max_norm(points)
-
-        scores = score_uniform_sample(counting, UNIT_BOX_2D, n, seed=5)
+    def test_sample_is_one_seeded_stream(self):
+        n = 20_000
+        sample = uniform_sample(UNIT_BOX_2D, n, seed=5)
         points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
-        assert calls == [_CHUNK, 7]
-        assert np.array_equal(scores, max_norm(points))
+        assert np.array_equal(sample, points)
+
+    def test_model_scores_of_a_sample_do_not_depend_on_its_chunks(self):
+        # A model scores a sample point by point, so scoring it whole equals
+        # scoring it in chunks of 16384 points, bit for bit.
+        train = np.random.default_rng(2).normal(size=(40, 2))
+        sample = uniform_sample(UNIT_BOX_2D, 16384 + 9, seed=4)
+        for model in (knn_fit(train, k=3, variant="delta"), lof_fit(train, k=5),
+                      iforest_fit(train, n_trees=10, subsample=16, seed=1)):
+            chunks = [model.score(sample[i : i + 16384]) for i in (0, 16384)]
+            assert np.array_equal(model.score(sample), np.concatenate(chunks))
 
     def test_one_scored_sample_serves_every_level(self):
         rng = np.random.default_rng(3)
@@ -158,14 +162,15 @@ class TestVolumePrimitives:
         scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
         data = LabeledScores(labels=labels, scores=scores)
         curve = build_roc(data)
-        sample = score_uniform_sample(max_norm, UNIT_BOX_2D, 4000, seed=11)
+        sample = max_norm(uniform_sample(UNIT_BOX_2D, 4000, seed=11))
         for a in (0.05, 0.1, 0.25, 0.5, 0.9):
-            assert volume_below(sample, threshold_at_fpr(curve, a)) == mc_volume_at_fpr(
+            assert volume_below(sample, threshold_at_fpr(curve, a)) == volume_at_fpr(
                 max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11
             )
 
     def test_rejects_empty_sample_and_misshapen_scores(self):
         with pytest.raises(ValueError):
-            score_uniform_sample(max_norm, UNIT_BOX_2D, 0, seed=0)
+            uniform_sample(UNIT_BOX_2D, 0, seed=0)
+        points = uniform_sample(UNIT_BOX_2D, 10, seed=0)
         with pytest.raises(ValueError):
-            score_uniform_sample(lambda p: max_norm(p)[:-1], UNIT_BOX_2D, 10, seed=0)
+            checked_scores(max_norm(points)[:-1], 10)
