@@ -499,7 +499,7 @@ def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
         combo,
         n_splits=args.splits,
         train_fraction=cfg.train_fraction,
-        contamination=args.contamination if args.contamination is not None else 0.0,
+        contamination=_pick_contamination(args, cfg),
         master_seed=seed,
     )
     stem = _safe_name(f"rocband_{bench.name}_{combo.detector}_{combo.params_text}")

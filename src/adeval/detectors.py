@@ -18,7 +18,10 @@ points, one model (``KnnModel.score``, ``LofModel.score``) or every such
 combo of a grid block.  Isolation trees are grown level by level in heap layout, tree t
 from its own stream seeded by (seed, t), so a forest of n trees is the
 n-tree prefix of a larger forest of the same seed; :func:`forest_scores`
-scores one forest or all of its prefixes in one walk over the trees.
+scores one forest or all of its prefixes in one pass over the trees.  Forest
+growth and descent work in batches of at most ``_TILE`` elements (trees x
+subsample points x dimensions, trees x queries), so a batch holds every
+tree for a test fold and a few trees for a large volume sample.
 """
 
 from __future__ import annotations
@@ -96,14 +99,21 @@ def _neighbour_table(
     cand_idx[filled] = np.nonzero(keep)[1]
     cand_dist = np.full(filled.shape, np.inf)
     cand_dist[filled] = dist[keep]
-    order = np.lexsort((cand_idx, cand_dist), axis=1)
+    # Candidates sit in ascending index order, padding last, so a stable sort
+    # on distance orders them by (distance, index).
+    order = np.argsort(cand_dist, axis=1, kind="stable")
     cand_dist = np.take_along_axis(cand_dist, order, axis=1)
     cand_idx = np.take_along_axis(cand_idx, order, axis=1)
     # Padding (inf - inf) and NaN rows give NaN gaps, which start no group.
     with np.errstate(invalid="ignore"):
         new_group = np.diff(cand_dist, axis=1) > tol
-    group = np.hstack([np.zeros((len(order), 1), int), np.cumsum(new_group, axis=1)])
-    order = np.lexsort((cand_idx, group), axis=1)[:, :k]
+    group = np.zeros(cand_dist.shape, int)
+    np.cumsum(new_group, axis=1, out=group[:, 1:])
+    # Indices lie in [0, n], so group * (n + 1) + index orders by (group,
+    # index).  Built in place: these arrays are as large as the distances.
+    group *= dist.shape[1] + 1
+    group += cand_idx
+    order = np.argsort(group, axis=1, kind="stable")[:, :k]
     return (
         np.take_along_axis(cand_dist, order, axis=1),
         np.take_along_axis(cand_idx, order, axis=1),
@@ -265,36 +275,48 @@ def neighbour_scores(
     tolerance.  kNN statistics are prefixes of one neighbour table at the
     largest kNN k (:func:`_neighbour_table`): kappa = ``d[:, k-1]``, gamma
     = ``d[:, :k].mean(axis=1)``, delta = ``|points[idx[:, :k]].mean(axis=1)
-    - q|``.  A LOF neighbourhood holds the columns ``<=`` its bound, so a
-    NaN query has none and scores NaN.
+    - q|``, with ``points[idx]`` gathered once at the largest delta k.  A LOF
+    neighbourhood holds the columns ``<=`` its bound, so a NaN query has
+    none and scores NaN.
     """
     points = models[0].points
     if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
         raise ValueError("models scored together must share their training points")
     queries = _as_points(x, points.shape[1])
-    knn_k = max((m.k for m in models if isinstance(m, KnnModel)), default=0)
+    knn = [m for m in models if isinstance(m, KnnModel)]
+    knn_k = max((m.k for m in knn), default=0)
+    delta_k = max((m.k for m in knn if m.variant == "delta"), default=0)
     ks = sorted({m.k for m in models if isinstance(m, LofModel)} | ({knn_k} if knn_k else set()))
     out = np.empty((len(models), queries.shape[0]))
     for start in range(0, queries.shape[0], _CHUNK):
         chunk = queries[start : start + _CHUNK]
+        rows = out[:, start : start + _CHUNK]
         dist = cdist(chunk, points)
         tol = _tie_tolerance(chunk, points)
         kth = np.partition(dist, [k - 1 for k in ks], axis=1)[:, [k - 1 for k in ks]]
         bound = {k: kth[:, [i]] + tol for i, k in enumerate(ks)}
         if knn_k:
             table, idx = _neighbour_table(dist, knn_k, bound[knn_k], tol)
-        for row, m in zip(out[:, start : start + _CHUNK], models):
+            # One gather of the neighbours at the largest delta k; each delta
+            # row reads its prefix.  It is as large as LOF's arrays, so it is
+            # released before any LOF row is scored.
+            near = points[idx[:, :delta_k]]
+            for row, m in zip(rows, models):
+                if isinstance(m, LofModel):
+                    continue
+                if m.variant == "kappa":
+                    row[:] = table[:, m.k - 1]
+                elif m.variant == "gamma":
+                    row[:] = table[:, : m.k].mean(axis=1)
+                else:  # delta
+                    row[:] = np.linalg.norm(near[:, : m.k].mean(axis=1) - chunk, axis=1)
+            del near
+        for row, m in zip(rows, models):
             if isinstance(m, LofModel):
                 member = dist <= bound[m.k]
                 counts, lrd_q = _local_density(dist, member, m.kdist, m.lrd_cap)
                 lrd_sum = np.where(member, m.lrd[None, :], 0.0).sum(axis=1)
                 row[:] = lrd_sum / (lrd_q * counts)
-            elif m.variant == "kappa":
-                row[:] = table[:, m.k - 1]
-            elif m.variant == "gamma":
-                row[:] = table[:, : m.k].mean(axis=1)
-            else:  # delta
-                row[:] = np.linalg.norm(points[idx[:, : m.k]].mean(axis=1) - chunk, axis=1)
     return out
 
 
@@ -304,10 +326,11 @@ def neighbour_scores(
 # Isolation forest
 # ---------------------------------------------------------------------------
 
-# Trees grow in batches of this many.  One level of a batch is a few numpy
-# passes over the batch's points, and the batch bounds the working set of
-# growth whatever the forest size.
-_TREE_BATCH = 25
+# Elements in one batch of forest work: trees x subsample points x dimensions
+# in growth, trees x queries in a descent.  A batch of this size makes each
+# numpy pass long enough to pay for its call, and bounds the working set
+# whatever the forest size or the number of queries.
+_TILE = 2**16
 
 
 def _avg_path_length(n: int) -> float:
@@ -436,7 +459,9 @@ def iforest_fit(
     height ceil(log2(psi)).
 
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
-    grow level by level, ``_TREE_BATCH`` trees at a time.  Tree t draws
+    grow level by level, ``max(1, _TILE // (psi * d))`` trees at a time.
+    Trees of a batch grow independently, so the batch size changes no
+    tree.  Tree t draws
     from its own stream, seeded by ``(seed, t)``: first its subsample, then
     one pair of uniforms (u1, u2) per inner heap node, where u1 picks among
     the node's non-constant dimensions and u2 places the split.  Tree t
@@ -473,8 +498,9 @@ def iforest_fit(
     feature = np.full((n_trees, n_heap), -1, dtype=np.int64)
     threshold = np.full((n_trees, n_heap), -np.inf)
     path = np.zeros((n_trees, n_heap))
-    for first in range(0, n_trees, _TREE_BATCH):
-        batch = slice(first, first + _TREE_BATCH)
+    per_batch = max(1, _TILE // (psi * pts.shape[1]))
+    for first in range(0, n_trees, per_batch):
+        batch = slice(first, first + per_batch)
         _grow_batch(pts, seed, first, psi, leaf_path,
                     (feature[batch], threshold[batch], path[batch]))
     for depth in range(1, height_limit + 1):
@@ -496,13 +522,17 @@ def forest_scores(
 ) -> NDArray[np.float64]:
     """Scores of isolation forests that are prefixes of one forest, one row per model.
 
-    The trees of the largest forest are walked once, in order.  Every query
-    descends a tree from the root by ``idx = 2*idx + 1 + go_right`` to depth
+    The trees of the largest forest are descended once, in tiles of at most
+    ``_TILE`` (trees x queries) elements: all trees at once for up to
+    ``_TILE // n_trees`` queries, chunks of ``_TILE`` queries one tree at a
+    time for more than ``_TILE``.  Every query descends each tree of a tile
+    from the root by ``idx = 2*idx + 1 + go_right`` to depth
     ``height_limit`` (past its leaf, see :class:`IsolationForestModel`), and
     the path length found there over c(psi) is added to the query's running
-    total; a model's row, ``2 ** (-total / n_trees)``, is read off
-    when the walk reaches its tree count.  The sum runs in tree order, so a
-    forest scores the same, bit for bit, alone or as a prefix of a larger
+    total one tree at a time, in tree order; a model's row,
+    ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
+    therefore gives the same scores, bit for bit, as a walk over single
+    trees, and a forest scores the same alone or as a prefix of a larger
     one (:meth:`IsolationForestModel.prefix`).  Averaging h/c(psi) rather
     than normalizing the averaged depth is algebraically the same, but a
     forest of pure leaves then yields exponent -1 and score 0.5 without
@@ -521,20 +551,40 @@ def forest_scores(
     queries = _as_points(x, forest.dim)
     n, d = queries.shape
     coords = queries.ravel()
-    row_start = np.arange(n) * d
+    n_heap = forest.feature.shape[1]
+    feature, threshold, path = (
+        getattr(forest, a).ravel() for a in ("feature", "threshold", "path")
+    )
     norm = _avg_path_length(forest.subsample)
     readout: dict[int, list[int]] = {}
     for row, m in enumerate(models):
         readout.setdefault(m.n_trees, []).append(row)
     out = np.empty((len(models), n))
-    total = np.zeros(n)
-    for t, (feature, threshold) in enumerate(zip(forest.feature, forest.threshold)):
-        idx = np.zeros(n, dtype=np.intp)
-        for _ in range(forest.height_limit):
-            # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
-            below = coords[row_start + feature[idx]] < threshold[idx]
-            idx = 2 * idx + 2 - below
-        total += forest.path[t, idx] / norm
-        if t + 1 in readout:
-            out[readout[t + 1]] = np.power(2.0, -total / (t + 1))
+    width = max(1, min(n, _TILE))  # queries per tile
+    height = max(1, _TILE // width)  # trees per tile
+    for first in range(0, n, width):
+        cols = slice(first, first + width)
+        row_start = np.arange(n)[cols] * d
+        total = np.zeros(row_start.size)
+        for top in range(0, forest.n_trees, height):
+            stop = min(top + height, forest.n_trees)
+            # Tree t's heap starts at t * n_heap, so in flat indices the
+            # children of node i are 2i + 1 - root and 2i + 2 - root.
+            root = np.arange(top * n_heap, stop * n_heap, n_heap)[:, None]
+            node = np.repeat(root, row_start.size, axis=1)
+            for _ in range(forest.height_limit):
+                # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
+                below = coords[row_start + feature[node]] < threshold[node]
+                node *= 2
+                node += 2 - root
+                node -= below
+            # Row i becomes the total after tree top + i: cumsum adds one tree
+            # at a time, in tree order, as a walk over single trees does.
+            step = path[node] / norm
+            step[0] += total
+            totals = np.cumsum(step, axis=0)
+            total = totals[-1]
+            for n_trees, rows in readout.items():
+                if top < n_trees <= stop:
+                    out[rows, cols] = np.power(2.0, -totals[n_trees - top - 1] / n_trees)
     return out

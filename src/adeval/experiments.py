@@ -624,7 +624,7 @@ def _run_repetition(
     :func:`fit_models`.  The fitted models are scored in groups, one per
     scorer: every kNN and LOF model in one group that shares one distance
     matrix per query chunk (:func:`neighbour_scores`), and the forest
-    prefixes of each subsample in one group that one walk over the trees
+    prefixes of each subsample in one group that one pass over the trees
     scores (:func:`forest_scores`).  Each group scores the test fold and
     the volume sample, and evaluates its cells together from the (combo x
     point) score matrices (:func:`_evaluate_cells`): with validation, the

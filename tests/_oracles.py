@@ -85,6 +85,31 @@ def knn_reference(points, queries, k, variant, chunk=4096):
     return out
 
 
+def forest_reference(model, queries):
+    """Isolation-forest scores by a walk over one tree at a time.
+
+    Every query descends each tree from the root, tree after tree, for
+    ``height_limit`` steps (past its leaf, whose threshold is -inf), and
+    adds the path length found there over c(psi) to its running total.
+    """
+    queries = np.asarray(queries, dtype=float)
+    n, d = queries.shape
+    coords = queries.ravel()
+    row_start = np.arange(n) * d
+    psi = model.subsample
+    # c(psi): the mean path length of an unsuccessful search among psi keys.
+    norm = 1.0 if psi == 2 else 2.0 * (math.log(psi - 1.0) + np.euler_gamma) - 2.0 * (psi - 1.0) / psi
+    total = np.zeros(n)
+    for t in range(model.n_trees):
+        feature, threshold = model.feature[t], model.threshold[t]
+        idx = np.zeros(n, dtype=np.intp)
+        for _ in range(model.height_limit):
+            below = coords[row_start + feature[idx]] < threshold[idx]
+            idx = 2 * idx + 2 - below
+        total += model.path[t, idx] / norm
+    return np.power(2.0, -total / model.n_trees)
+
+
 def lof_fit_reference(points, k):
     """(kdist, lrd, lrd_cap) of a LOF fit at one k, from its own distance matrix and sort.
 

@@ -69,6 +69,28 @@ def lof_iforest_study(tmp_path_factory):
     return SimpleNamespace(root=root, cache=root / "cache", run=root / "run", config=config)
 
 
+def read_band(directory):
+    """(fpr, tpr_mean) of the one band file in ``directory``."""
+    (path,) = directory.glob("rocband_*.csv")
+    with open(path, newline="") as handle:
+        rows = [r for r in csv.reader(handle) if not r[0].startswith("#")][1:]
+    return np.array([float(r[0]) for r in rows]), np.array([float(r[1]) for r in rows])
+
+
+def cell_tpr_mean(cache, flags, fpr, capsys):
+    """Mean TPR at ``fpr`` of the curves `adeval scores` gives for tab0-c1 at reps 0 and 1."""
+    curves = []
+    for rep in ("0", "1"):
+        assert main(["scores", "--dataset", str(cache), "--benchmark", "tab0-c1",
+                     *flags, "--seed", "7", "--rep", rep]) == 0
+        scored = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        curves.append(build_roc(LabeledScores(
+            labels=[int(sid.startswith("a")) for sid, _ in scored],
+            scores=[float(value) for _, value in scored],
+        )))
+    return np.array([[tpr_at(curve, a) for a in fpr] for curve in curves]).mean(axis=0)
+
+
 def read_store_bytes(run_dir):
     return {p.name: p.read_bytes() for p in sorted((run_dir / "records").glob("*.csv"))}
 
@@ -473,27 +495,45 @@ class TestAggregate:
         # Repetition r of the band is the cell that `adeval scores --rep r` gives.
         assert main(["aggregate", "rocband", str(study.run), "--benchmark", "tab0-c1",
                      *flags, "--splits", "2", "--out", str(tmp_path)]) == 0
-        (path,) = tmp_path.glob("rocband_*.csv")
-        with open(path, newline="") as handle:
-            rows = [r for r in csv.reader(handle) if not r[0].startswith("#")][1:]
-        fpr = np.array([float(r[0]) for r in rows])
-        tpr_mean = np.array([float(r[1]) for r in rows])
+        fpr, tpr_mean = read_band(tmp_path)
         capsys.readouterr()
-        curves = []
-        for rep in ("0", "1"):
-            assert main(["scores", "--dataset", str(study.cache), "--benchmark", "tab0-c1",
-                         *flags, "--seed", "7", "--rep", rep]) == 0
-            scored = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-            curves.append(build_roc(LabeledScores(
-                labels=[int(sid.startswith("a")) for sid, _ in scored],
-                scores=[float(value) for _, value in scored],
-            )))
-        tprs = np.array([[tpr_at(curve, a) for a in fpr] for curve in curves])
-        assert np.array_equal(tpr_mean, tprs.mean(axis=0))
+        assert np.array_equal(tpr_mean, cell_tpr_mean(study.cache, flags, fpr, capsys))
 
     def test_rocband_needs_benchmark(self, study, capsys):
         assert main(["aggregate", "rocband", str(study.run)]) == 2
         assert "--benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--contamination", "0.3"], "not in this run"),
+         ([], "several contamination levels")],
+        ids=["level-not-in-run", "no-level-chosen"],
+    )
+    def test_rocband_contamination_must_be_a_level_of_the_run(
+        self, study, tmp_path, capsys, flags, message
+    ):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={run_dir}",
+                     "--set", "contaminations=0.0,0.05"]) == 0
+        capsys.readouterr()
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0-c1",
+                     "--detector", "knn", "--k", "3", "--splits", "2", *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (run_dir / "tables").exists()
+
+    def test_rocband_of_a_one_level_run_bands_that_level(self, study, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={run_dir}",
+                     "--set", "contaminations=0.05"]) == 0
+        flags = ["--detector", "knn", "--k", "3"]
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0-c1",
+                     *flags, "--splits", "2", "--out", str(tmp_path)]) == 0
+        fpr, tpr_mean = read_band(tmp_path)
+        capsys.readouterr()
+        cells = cell_tpr_mean(study.cache, [*flags, "--contamination", "0.05"], fpr, capsys)
+        assert np.array_equal(tpr_mean, cells)
+        # The band of the uncontaminated cells, which this run does not have, differs.
+        assert not np.array_equal(tpr_mean, cell_tpr_mean(study.cache, flags, fpr, capsys))
 
     def test_store_without_manifest_rejected(self, tmp_path, capsys):
         assert main(["aggregate", "rank", str(tmp_path)]) == 2

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter,
+    _CHUNK, _TILE, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter,
     neighbour_scores,
 )
-from _oracles import knn_reference, lof_fit_reference
+from _oracles import forest_reference, knn_reference, lof_fit_reference
 
 
 @st.composite
@@ -348,6 +349,31 @@ class TestLof:
         assert before == pytest.approx(expected, rel=1e-12)
         assert after == pytest.approx(expected, rel=1e-6)
 
+    @given(
+        grid_cloud(),
+        st.lists(st.tuples(st.sampled_from(("kappa", "gamma", "delta", "lof")),
+                           st.integers(min_value=1, max_value=25)), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=-22, max_value=22), min_size=2, max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_equal_reference_and_own_scores(self, train, specs, coords):
+        """Every row of a mixed kNN and LOF block is its model's own score.
+
+        On the half-integer grid distances tie often, so neighbour order and
+        the delta prefixes of one shared gather are checked where ties decide.
+        """
+        n = len(train)
+        queries = np.array(coords[: len(coords) // 2 * 2], dtype=float).reshape(-1, 2) / 2
+        models = [
+            lof_fit(train, min(k, n - 1)) if kind == "lof" else knn_fit(train, min(k, n), kind)
+            for kind, k in specs
+        ]
+        block = neighbour_scores(models, queries)
+        for row, m in zip(block, models):
+            assert np.array_equal(row, m.score(queries))
+            if isinstance(m, detectors.KnnModel):
+                assert np.array_equal(row, knn_reference(train, queries, m.k, m.variant))
+
     @given(point_cloud(max_points=15))
     @settings(max_examples=40, deadline=None)
     def test_scores_positive_and_finite(self, train):
@@ -444,6 +470,33 @@ class TestIsolationForest:
         for n_trees in (0, 11):
             with pytest.raises(ValueError):
                 a.prefix(n_trees)
+
+    @pytest.mark.parametrize("n_trees", [1, 7, 200])
+    def test_tiled_descent_equals_per_tree_walk(self, n_trees):
+        """Tiles of one tree, of some trees and of all trees, with readouts inside them."""
+        rng = np.random.default_rng(21)
+        train = rng.normal(size=(40, 3))
+        model = iforest_fit(train, n_trees=n_trees, subsample=16, seed=4)
+        models = [model] + [model.prefix(t) for t in (1, 50, 100) if t < n_trees]
+        per_tile = _TILE // n_trees
+        for n in (1, per_tile - 1, per_tile + 1, _TILE + 5):
+            queries = rng.normal(scale=2.0, size=(n, 3))
+            if n > 1:
+                queries[n // 2] = np.nan
+            rows = forest_scores(models, queries)
+            for row, m in zip(rows, models):
+                assert np.array_equal(row, forest_reference(m, queries)), (n, m.n_trees)
+
+    def test_growth_does_not_depend_on_batching(self, monkeypatch):
+        train = np.random.default_rng(8).normal(size=(50, 3))
+        subsample, n_trees = 32, 10
+        fits = []
+        for per_batch in (1, 3, n_trees):
+            monkeypatch.setattr(detectors, "_TILE", per_batch * subsample * train.shape[1])
+            fits.append(iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=2))
+        for fit in fits[1:]:
+            for attr in ("feature", "threshold", "path"):
+                assert np.array_equal(getattr(fit, attr), getattr(fits[0], attr)), attr
 
     def test_rejects_points_without_dimensions(self):
         with pytest.raises(ValueError, match="at least one dimension"):
