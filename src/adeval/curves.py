@@ -10,6 +10,7 @@ scores across classes produce a diagonal segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,32 +48,14 @@ class LabeledScores:
             )
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        _check_finite(scores)
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
         if labels.sum() == 0:
             raise ValueError("need at least one positive (anomalous) sample")
         if labels.sum() == labels.shape[0]:
             raise ValueError("need at least one negative (normal) sample")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scores", scores)
-
-    def rescored(self, scores: NDArray[np.float64]) -> LabeledScores:
-        """These labels paired with ``scores`` instead.
-
-        Only the new scores are checked (one per label, all finite), so the
-        labels of a sample are checked once however many rows of scores
-        are paired with them.
-        """
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != self.labels.shape:
-            raise ValueError(
-                f"length mismatch: {self.labels.shape[0]} labels vs "
-                f"scores of shape {scores.shape}"
-            )
-        _check_finite(scores)
-        out = object.__new__(LabeledScores)
-        object.__setattr__(out, "labels", self.labels)
-        object.__setattr__(out, "scores", scores)
-        return out
 
     @property
     def n_pos(self) -> int:
@@ -84,11 +67,6 @@ class LabeledScores:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-
-def _check_finite(scores: NDArray[np.float64]) -> None:
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,17 +114,80 @@ class RocCurve:
         return int(self.fpr.shape[0])
 
 
+@dataclass(frozen=True)
+class RocRows:
+    """Empirical ROC staircases of several score rows, stored flat.
+
+    Row r's curve is ``fpr[starts[r]:starts[r + 1]]`` with the matching
+    slices of ``tpr`` and ``thresholds``: a :class:`RocCurve` staircase
+    each.  The rows may come from different labelled samples.
+    """
+
+    fpr: NDArray[np.float64]
+    tpr: NDArray[np.float64]
+    thresholds: NDArray[np.float64]
+    starts: NDArray[np.intp]
+
+    @classmethod
+    def of(cls, curves: Sequence[RocCurve]) -> RocRows:
+        """The curves one after another, one row each."""
+        lengths = [len(c) for c in curves]
+        return cls(
+            fpr=np.concatenate([c.fpr for c in curves]),
+            tpr=np.concatenate([c.tpr for c in curves]),
+            thresholds=np.concatenate([c.thresholds for c in curves]),
+            starts=np.r_[0, np.cumsum(lengths)],
+        )
+
+
 # ---------------------------------------------------------------------------
 # Curve construction
 # ---------------------------------------------------------------------------
 
 
+def descending_order(scores: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Each row's column indices by descending score, ties toward the lower index."""
+    return np.argsort(-scores, axis=1, kind="stable")
+
+
+def roc_rows(
+    labels: NDArray[np.int64], scores: NDArray[np.float64], order: NDArray[np.intp]
+) -> RocRows:
+    """Empirical ROC staircase of every row of a (rows, n) score matrix.
+
+    ``labels`` are the 0/1 labels of the columns, both classes present,
+    and ``order`` is :func:`descending_order` of ``scores``.  Each row's
+    thresholds sweep from +inf down through its distinct scores; samples
+    sharing a score form one block, so class ties yield a single diagonal
+    segment rather than an arbitrary tie order.  Every row gets one
+    vertex per distinct score plus the origin.
+    """
+    s = np.take_along_axis(scores, order, axis=1)
+    y = labels[order]
+    # Last index of every distinct-score block of each row in descending order.
+    block_end = np.empty(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=block_end[:, :-1])
+    block_end[:, -1] = True
+    tp = np.cumsum(y, axis=1)[block_end]
+    fp = np.cumsum(1 - y, axis=1)[block_end]
+
+    starts = np.r_[0, np.cumsum(np.count_nonzero(block_end, axis=1) + 1)]
+    vertex = np.ones(starts[-1], dtype=bool)
+    vertex[starts[:-1]] = False  # the origin of each row
+    fpr = np.zeros(starts[-1])
+    tpr = np.zeros(starts[-1])
+    thresholds = np.full(starts[-1], np.inf)
+    n_pos = int(labels.sum())
+    fpr[vertex] = fp / (len(labels) - n_pos)
+    tpr[vertex] = tp / n_pos
+    thresholds[vertex] = s[block_end]
+    return RocRows(fpr=fpr, tpr=tpr, thresholds=thresholds, starts=starts)
+
+
 def build_roc(data: LabeledScores) -> RocCurve:
     """Build the empirical ROC staircase of a scored sample.
 
-    Thresholds sweep from +inf down through every distinct score.  Samples
-    sharing a score form one block, so class ties yield a single diagonal
-    segment rather than an arbitrary tie order.
+    The one-row case of :func:`roc_rows`.
 
     Parameters
     ----------
@@ -158,23 +199,16 @@ def build_roc(data: LabeledScores) -> RocCurve:
     RocCurve
         Staircase with one vertex per distinct score plus the origin.
     """
-    order = np.argsort(-data.scores, kind="stable")
-    s = data.scores[order]
-    y = data.labels[order]
-
-    # Last index of every distinct-score block in descending order.
-    block_end = np.nonzero(np.r_[np.diff(s) != 0, True])[0]
-    tp = np.cumsum(y)[block_end]
-    fp = np.cumsum(1 - y)[block_end]
-
-    fpr = np.r_[0.0, fp / data.n_neg]
-    tpr = np.r_[0.0, tp / data.n_pos]
-    thresholds = np.r_[np.inf, s[block_end]]
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+    scores = data.scores[None, :]
+    rows = roc_rows(data.labels, scores, descending_order(scores))
+    return RocCurve(fpr=rows.fpr, tpr=rows.tpr, thresholds=rows.thresholds)
 
 
 # ---------------------------------------------------------------------------
 # Measures on curves
+#
+# Each measure is defined once, over every row of a RocRows; the measure of
+# a single RocCurve is its one-row case.
 # ---------------------------------------------------------------------------
 
 
@@ -185,16 +219,37 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _area_below(curve: RocCurve, alpha: float) -> float:
-    """Trapezoidal area under the polyline restricted to FPR in [0, alpha].
+def _row_sums(values: NDArray[np.float64], bounds: NDArray[np.intp]) -> NDArray[np.float64]:
+    """``values[bounds[r, 0]:bounds[r, 1]].sum()`` of every row r.
+
+    Each sum is a 1-D ``sum`` over the row's own slice, so a row's value
+    does not depend on the other rows.
+    """
+    return np.array([values[a:b].sum() for a, b in bounds.tolist()])
+
+
+def _segments(rows: RocRows) -> tuple[NDArray[np.float64], ...]:
+    """Segment endpoints (f0, f1, t0, t1) between consecutive flat vertices.
+
+    Row r's segments are ``[starts[r], starts[r + 1] - 1)``; the segment
+    from one row's last vertex to the next row's origin has FPR width -1,
+    and every measure below ignores it.
+    """
+    return rows.fpr[:-1], rows.fpr[1:], rows.tpr[:-1], rows.tpr[1:]
+
+
+def _segment_bounds(rows: RocRows) -> NDArray[np.intp]:
+    return np.stack([rows.starts[:-1], rows.starts[1:] - 1], axis=1)
+
+
+def _area_below(rows: RocRows, alpha: float) -> NDArray[np.float64]:
+    """Trapezoidal area under each row's polyline restricted to FPR in [0, alpha].
 
     The segment bracketing ``alpha`` is split linearly at FPR = alpha.
     Both ``auc`` and ``auc_at`` route through here, so the alpha = 1 case
     is the full AUC by construction, not merely up to rounding.
     """
-    f0, f1 = curve.fpr[:-1], curve.fpr[1:]
-    t0, t1 = curve.tpr[:-1], curve.tpr[1:]
-
+    f0, f1, t0, t1 = _segments(rows)
     width = f1 - f0
     live = (width > 0) & (f0 < alpha)
     hi = np.minimum(f1, alpha)
@@ -204,7 +259,76 @@ def _area_below(curve: RocCurve, alpha: float) -> float:
         t0 + np.where(live, (hi - f0) / np.where(width > 0, width, 1.0), 0.0) * (t1 - t0),
     )
     areas = np.where(live, (hi - f0) * (t0 + t_hi) / 2.0, 0.0)
-    return float(areas.sum())
+    return _row_sums(areas, _segment_bounds(rows))
+
+
+def auc_rows(rows: RocRows) -> NDArray[np.float64]:
+    """Area under each row's full ROC curve by the trapezoidal rule."""
+    return _area_below(rows, 1.0)
+
+
+def auc_at_rows(rows: RocRows, alpha: float, normalized: bool = False) -> NDArray[np.float64]:
+    """Area under each row's ROC curve restricted to FPR in [0, alpha]; see :func:`auc_at`."""
+    alpha = _check_alpha(alpha)
+    area = _area_below(rows, alpha)
+    return area / alpha if normalized else area
+
+
+def auc_weighted_rows(rows: RocRows) -> NDArray[np.float64]:
+    """FPR-weighted area of each row; see :func:`auc_weighted`."""
+    f0, f1, _, t1 = _segments(rows)
+    live = f1 > f0
+    ratio = np.where(live, t1 / np.where(live, f1, 1.0), 0.0)
+    # Sum the live segments only: their positions in the compressed array.
+    at = np.r_[0, np.cumsum(live)][_segment_bounds(rows)]
+    return _row_sums((ratio * (f1 - f0))[live], at)
+
+
+def _bracket(rows: RocRows, alpha: float) -> tuple[NDArray, NDArray, NDArray]:
+    """Flat vertex indices around FPR = alpha in each row.
+
+    Returns (hit, top, left): ``hit`` where some vertex sits exactly at
+    ``alpha``, ``top`` the uppermost such vertex, and ``left`` the first
+    vertex with FPR >= alpha.  Each row's FPRs are nondecreasing, so the
+    counts of FPRs below and at most ``alpha`` are its ``searchsorted``
+    positions.
+    """
+    first = rows.starts[:-1]
+    below = np.add.reduceat(rows.fpr < alpha, first, dtype=np.intp)
+    at_most = np.add.reduceat(rows.fpr <= alpha, first, dtype=np.intp)
+    left = first + below
+    return rows.fpr[left] == alpha, first + at_most - 1, left
+
+
+def tpr_at_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
+    """True-positive rate of each row's polyline at FPR = alpha; see :func:`tpr_at`."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    hit, top, left = _bracket(rows, alpha)
+    out = rows.tpr[top]
+    hi = left[~hit]
+    lo = hi - 1
+    frac = (alpha - rows.fpr[lo]) / (rows.fpr[hi] - rows.fpr[lo])
+    out[~hit] = rows.tpr[lo] + frac * (rows.tpr[hi] - rows.tpr[lo])
+    return out
+
+
+def threshold_at_fpr_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
+    """Score threshold of each row at FPR = alpha; see :func:`threshold_at_fpr`."""
+    alpha = _check_alpha(alpha)
+    hit, top, left = _bracket(rows, alpha)
+    out = rows.thresholds[top]
+    hi = left[~hit]
+    lo = hi - 1
+    t_lo, t_hi = rows.thresholds[lo], rows.thresholds[hi]
+    # Below the first achievable positive FPR: the first finite threshold.
+    finite = np.isfinite(t_lo)
+    lo, hi = lo[finite], hi[finite]
+    frac = (alpha - rows.fpr[lo]) / (rows.fpr[hi] - rows.fpr[lo])
+    t_hi[finite] = t_lo[finite] + frac * (t_hi[finite] - t_lo[finite])
+    out[~hit] = t_hi
+    return out
 
 
 def auc(curve: RocCurve) -> float:
@@ -213,7 +337,7 @@ def auc(curve: RocCurve) -> float:
     Equals the probability that a random positive outranks a random
     negative, counting score ties as one half.
     """
-    return _area_below(curve, 1.0)
+    return float(auc_rows(RocRows.of([curve]))[0])
 
 
 def auc_at(curve: RocCurve, alpha: float, normalized: bool = False) -> float:
@@ -229,9 +353,7 @@ def auc_at(curve: RocCurve, alpha: float, normalized: bool = False) -> float:
     normalized:
         When true, divide by ``alpha`` so an ideal detector scores 1.
     """
-    alpha = _check_alpha(alpha)
-    area = _area_below(curve, alpha)
-    return area / alpha if normalized else area
+    return float(auc_at_rows(RocRows.of([curve]), alpha, normalized)[0])
 
 
 def tpr_at(curve: RocCurve, alpha: float) -> float:
@@ -248,16 +370,7 @@ def tpr_at(curve: RocCurve, alpha: float) -> float:
     alpha:
         FPR position in [0, 1].
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    left = int(np.searchsorted(curve.fpr, alpha, side="left"))
-    if left < len(curve.fpr) and curve.fpr[left] == alpha:
-        top = int(np.searchsorted(curve.fpr, alpha, side="right")) - 1
-        return float(curve.tpr[top])
-    lo, hi = left - 1, left
-    frac = (alpha - curve.fpr[lo]) / (curve.fpr[hi] - curve.fpr[lo])
-    return float(curve.tpr[lo] + frac * (curve.tpr[hi] - curve.tpr[lo]))
+    return float(tpr_at_rows(RocRows.of([curve]), alpha)[0])
 
 
 def auc_weighted(curve: RocCurve) -> float:
@@ -269,11 +382,7 @@ def auc_weighted(curve: RocCurve) -> float:
     by 1 / FPR emphasizes the low-FPR region; the result is >= the plain
     AUC and is not bounded by 1.
     """
-    f0, f1 = curve.fpr[:-1], curve.fpr[1:]
-    t1 = curve.tpr[1:]
-    live = f1 > f0
-    ratio = np.where(live, t1 / np.where(live, f1, 1.0), 0.0)
-    return float((ratio * (f1 - f0))[live].sum())
+    return float(auc_weighted_rows(RocRows.of([curve]))[0])
 
 
 def threshold_at_fpr(curve: RocCurve, alpha: float) -> float:
@@ -294,15 +403,4 @@ def threshold_at_fpr(curve: RocCurve, alpha: float) -> float:
         Target FPR in (0, 1].  ``alpha`` = 1 gives the minimal threshold,
         at which every sample is flagged.
     """
-    alpha = _check_alpha(alpha)
-    left = int(np.searchsorted(curve.fpr, alpha, side="left"))
-    if left < len(curve.fpr) and curve.fpr[left] == alpha:
-        top = int(np.searchsorted(curve.fpr, alpha, side="right")) - 1
-        return float(curve.thresholds[top])
-    lo, hi = left - 1, left
-    t_lo = curve.thresholds[lo]
-    t_hi = curve.thresholds[hi]
-    if not np.isfinite(t_lo):
-        return float(t_hi)
-    frac = (alpha - curve.fpr[lo]) / (curve.fpr[hi] - curve.fpr[lo])
-    return float(t_lo + frac * (t_hi - t_lo))
+    return float(threshold_at_fpr_rows(RocRows.of([curve]), alpha)[0])

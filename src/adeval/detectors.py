@@ -33,9 +33,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import cdist
 
 _CHUNK = 4096
+
+
+def cdist(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Euclidean distances between the rows of ``a`` and ``b`` (scipy's ``cdist``).
+
+    scipy is imported at the first call, so importing ``adeval`` (and every
+    command that fits no neighbour model) loads no scipy.
+    """
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b)
+
 
 # Rounding in the coordinates moves a computed distance by a few ulps of
 # the largest coordinate magnitude, so a rotated or shifted copy of an exact

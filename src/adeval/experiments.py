@@ -32,19 +32,19 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import rankdata
 
 from adeval.curves import (
-    LabeledScores, auc, auc_at, auc_weighted, build_roc, threshold_at_fpr, tpr_at,
+    LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
+    descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, _safe_name, split
 from adeval.detectors import (
     KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
 )
 from adeval.seeding import derive_seed
-from adeval.thresholded import PrecisionAtPConfig, confusion_at, f1_score, precision_at_p_rows
+from adeval.thresholded import PrecisionAtPConfig, confusion_rows, f1_rows, precision_at_p_rows
 from adeval.volume import (
-    SamplingBox, bounding_box, checked_scores, uniform_sample, volume_below,
+    SamplingBox, accepted_fraction, bounding_box, checked_scores, uniform_sample,
 )
 
 
@@ -483,34 +483,45 @@ class RunSummary:
     n_flagged: int
 
 
-def _curve_measures(
-    data: LabeledScores,
+def _measure_rows(
+    labels: NDArray[np.int64],
+    test_scores: NDArray[np.float64],
     volume_scores: NDArray[np.float64],
     measures: Sequence[MeasureId],
-    alphas: Sequence[float],
-) -> dict[str, float]:
-    """Every measure in ``measures`` but precision@p of one cell's labelled sample.
+    cfg: GridConfig,
+    prec_seed: int,
+) -> dict[str, NDArray[np.float64]]:
+    """Every measure of every score row of one labelled sample, by measure name.
 
-    They all come from one ROC curve: F1@alpha and CVOL@alpha share the
-    threshold read off it at FPR = alpha; CVOL thresholds the cell's scored
-    volume sample.
+    Each row is sorted once (:func:`descending_order`).  That order sweeps
+    the rows' ROC curves (:func:`roc_rows`), which give every curve measure;
+    F1@alpha and CVOL@alpha share the threshold read off each curve at
+    FPR = alpha, CVOL thresholding the row's scored volume sample; and
+    precision@p cuts its top sets from the same order.
     """
-    values: dict[str, float] = {}
-    curve = build_roc(data)
-    tau = {alpha: threshold_at_fpr(curve, alpha) for alpha in alphas}
+    order = descending_order(test_scores)
+    rows = roc_rows(labels, test_scores, order)
+    tau = {alpha: threshold_at_fpr_rows(rows, alpha) for alpha in cfg.alphas}
+    values: dict[str, NDArray[np.float64]] = {}
     for measure in measures:
         if measure.kind == "auc":
-            values[measure.name] = auc(curve)
+            values[measure.name] = auc_rows(rows)
         elif measure.kind == "auc_w":
-            values[measure.name] = auc_weighted(curve)
+            values[measure.name] = auc_weighted_rows(rows)
         elif measure.kind == "auc_at":
-            values[measure.name] = auc_at(curve, measure.level, normalized=True)
+            values[measure.name] = auc_at_rows(rows, measure.level, normalized=True)
         elif measure.kind == "tpr_at":
-            values[measure.name] = tpr_at(curve, measure.level)
+            values[measure.name] = tpr_at_rows(rows, measure.level)
         elif measure.kind == "f1_at":
-            values[measure.name] = f1_score(confusion_at(data, tau[measure.level]))
+            tp, fp, _, fn = confusion_rows(labels, test_scores, tau[measure.level])
+            values[measure.name] = f1_rows(tp, fp, fn)
         elif measure.kind == "cvol_at":
-            values[measure.name] = volume_below(volume_scores, tau[measure.level]).cvol
+            values[measure.name] = 1.0 - accepted_fraction(volume_scores, tau[measure.level])
+        elif measure.kind == "precision_at":
+            prec_cfg = PrecisionAtPConfig(
+                p=measure.level, rounds=cfg.precision_rounds, seed=prec_seed
+            )
+            values[measure.name] = precision_at_p_rows(labels, order, prec_cfg)
     return values
 
 
@@ -533,12 +544,12 @@ def _evaluate_cells(
     scores of the test fold (labelled ``labels``) and of the volume sample.
     Each cell's volume scores are checked (:func:`checked_scores`).  Then
     each labelled sample, given as (column name prefix, test fold indices),
-    has its labels checked once; each cell still standing gets its curve
-    measures (:func:`_curve_measures`), and precision@p takes all of them
-    at once (:func:`precision_at_p_rows`).  A failure flags
-    ``error:<exception type>`` and leaves missing the values not yet
-    evaluated: bad labels fail every cell still standing, a bad score row
-    only its own cell.  Each cell keeps the flags of the first sample.
+    has its labels checked once and each cell's test scores checked to be
+    finite; the cells still standing get every measure from one sort per
+    row (:func:`_measure_rows`).  A failure flags ``error:<exception type>``
+    and leaves missing the values not yet evaluated: bad labels fail every
+    cell still standing, a bad score row only its own cell.  Each cell
+    keeps the flags of the first sample.
     """
     values: list[dict[str, float]] = [{} for _ in test_scores]
     flags: list[list[str]] = [[] for _ in test_scores]
@@ -554,7 +565,7 @@ def _evaluate_cells(
             live.append(i)
         except _CELL_ERRORS as exc:
             fail([i], exc)
-    precisions = [m for m in measures if m.kind == "precision_at"]
+    precisions = [m.level for m in measures if m.kind == "precision_at"]
     for prefix, idx in samples:
         try:
             # Placeholder scores: the sample's labels are checked here, once.
@@ -562,34 +573,24 @@ def _evaluate_cells(
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
-        evaluated: dict[int, dict[str, float]] = {}
-        for i in live:
-            try:
-                evaluated[i] = _curve_measures(
-                    sample.rescored(test_scores[i, idx]), volume_scores[i], measures, cfg.alphas
-                )
-            except _CELL_ERRORS as exc:
-                fail([i], exc)
-        live = list(evaluated)
+        scores = test_scores[np.ix_(live, idx)]
+        finite = np.isfinite(scores).all(axis=1)
+        fail([i for i, ok in zip(live, finite) if not ok], ValueError("scores must be finite"))
+        live = [i for i, ok in zip(live, finite) if ok]
+        if not live:
+            break
         try:
-            for measure in precisions:
-                prec_cfg = PrecisionAtPConfig(
-                    p=measure.level, rounds=cfg.precision_rounds, seed=prec_seed
-                )
-                precision = precision_at_p_rows(
-                    sample.labels, test_scores[np.ix_(live, idx)], prec_cfg
-                )
-                for i, value in zip(live, precision):
-                    evaluated[i][measure.name] = float(value)
+            rows = _measure_rows(
+                sample.labels, scores[finite], volume_scores[live], measures, cfg, prec_seed
+            )
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
         contamination = sample.n_pos / len(sample)
-        sample_flags = [
-            f"thinned-normals@{m.level:g}" for m in precisions if contamination < m.level
-        ]
-        for i, sample_values in evaluated.items():
-            values[i].update((prefix + name, v) for name, v in sample_values.items())
+        sample_flags = [f"thinned-normals@{p:g}" for p in precisions if contamination < p]
+        columns = [(prefix + name, column.tolist()) for name, column in rows.items()]
+        for k, i in enumerate(live):
+            values[i].update((name, column[k]) for name, column in columns)
             if not prefix:
                 flags[i] = list(sample_flags)
     return list(zip(values, flags))
@@ -881,6 +882,28 @@ class RankTable:
     n_datasets: int
 
 
+def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1-based ascending ranks within each row of a 2-D array; ties share their mean rank.
+
+    Each row is sorted once (stable) and its tie blocks found from one
+    ``!=`` mask over the sorted values; every member of a block gets the
+    mean of the block's first and last position.
+    """
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    n = values.shape[1]
+    new_block = np.ones(values.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new_block[:, 1:])
+    # Blocks never span rows, since every row opens one.
+    first = np.flatnonzero(new_block)
+    last = np.r_[first[1:], new_block.size] - 1
+    block_rank = (first % n + last % n) / 2.0 + 1.0
+    ranks = np.empty(values.shape)
+    block = (np.cumsum(new_block) - 1).reshape(values.shape)
+    np.put_along_axis(ranks, order, block_rank[block], axis=1)
+    return ranks
+
+
 def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
     """Rank detectors per benchmark (best hyperparameters, rank 1 = best).
 
@@ -898,7 +921,7 @@ def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
     if len(missing):
         shown = ", ".join(f"{data.benchmarks[b]}/{detectors[d]}" for b, d in missing[:10])
         raise ValueError(f"missing detector results for: {shown}")
-    ranks = rankdata(-best, method="average", axis=1)
+    ranks = average_ranks(-best)
     return RankTable(
         measure=_measure_name(measure),
         detectors=detectors,
@@ -1173,7 +1196,8 @@ def roc_band(
     if len(curves) < 2:
         raise ValueError("fewer than 2 usable splits; cannot band")
     grid = np.unique(np.concatenate([c.fpr for c in curves]))
-    tprs = np.array([[tpr_at(c, a) for a in grid] for c in curves])
+    rows = RocRows.of(curves)
+    tprs = np.stack([tpr_at_rows(rows, a) for a in grid], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(grid[None, :] > 0, tprs / grid[None, :], 0.0)
     return RocBand(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from adeval.curves import LabeledScores
+from adeval.curves import LabeledScores, descending_order
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,38 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def confusion_rows(
+    labels: NDArray[np.int64], scores: NDArray[np.float64], thresholds: NDArray[np.float64]
+) -> tuple[NDArray[np.intp], ...]:
+    """Confusion counts (tp, fp, tn, fn) of the >= rule, one threshold per score row.
+
+    ``labels`` are the 0/1 labels of the columns of the (rows, n) matrix
+    ``scores``; row r is thresholded at ``thresholds[r]``.
+    """
+    flagged = scores >= np.asarray(thresholds)[:, None]
+    pos = labels == 1
+    tp = np.count_nonzero(flagged & pos, axis=1)
+    fp = np.count_nonzero(flagged, axis=1) - tp
+    n_pos = int(np.count_nonzero(pos))
+    return tp, fp, len(labels) - n_pos - fp, n_pos - tp
+
+
 def confusion_at(data: LabeledScores, threshold: float) -> ConfusionCounts:
     """Count the confusion matrix of the >= threshold rule."""
-    flagged = data.scores >= threshold
-    pos = data.labels == 1
-    return ConfusionCounts(
-        tp=int((flagged & pos).sum()),
-        fp=int((flagged & ~pos).sum()),
-        tn=int((~flagged & ~pos).sum()),
-        fn=int((~flagged & pos).sum()),
-    )
+    counts = confusion_rows(data.labels, data.scores[None, :], [threshold])
+    return ConfusionCounts(*(int(c[0]) for c in counts))
+
+
+def f1_rows(tp: NDArray, fp: NDArray, fn: NDArray) -> NDArray[np.float64]:
+    """F1 = 2 tp / (2 tp + fp + fn) of each set of counts; zero where the denominator is zero."""
+    tp, fp, fn = np.asarray(tp), np.asarray(fp), np.asarray(fn)
+    denom = 2 * tp + fp + fn
+    return np.where(denom > 0, 2.0 * tp / np.where(denom > 0, denom, 1), 0.0)
 
 
 def f1_score(counts: ConfusionCounts) -> float:
-    """F1 = 2 tp / (2 tp + fp + fn); zero when the denominator is zero."""
-    denom = 2 * counts.tp + counts.fp + counts.fn
-    if denom == 0:
-        return 0.0
-    return 2.0 * counts.tp / denom
+    """F1 of one confusion matrix (:func:`f1_rows`)."""
+    return float(f1_rows(counts.tp, counts.fp, counts.fn))
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +101,21 @@ class PrecisionAtPConfig:
 
 
 def precision_at_p_rows(
-    labels: NDArray[np.int64], scores: NDArray[np.float64], cfg: PrecisionAtPConfig
+    labels: NDArray[np.int64], order: NDArray[np.intp], cfg: PrecisionAtPConfig
 ) -> NDArray[np.float64]:
     """Precision of the top p-fraction at anomaly proportion p, one value per score row.
 
-    ``labels`` are the 0/1 labels of the columns of the (rows, n) matrix
-    ``scores``.  Each round subsamples the anomalies (or, when the sample
-    is less contaminated than ``p``, the normals) so the retained set has
-    anomaly proportion as close to ``p`` as achievable, then takes each
-    row's ceil(p * size) highest-scoring retained samples, ties broken
-    toward the lower index, and measures the fraction of true anomalies
-    among them.  Rounds are averaged.  The retained sets come from one
-    stream seeded ``cfg.seed`` and are drawn once per round for every row,
-    so a row's value does not depend on the other rows.
+    ``labels`` are the 0/1 labels of the columns of a (rows, n) score
+    matrix, and ``order`` is its :func:`~adeval.curves.descending_order`:
+    each row's columns by descending score, ties toward the lower index.
+    Each round subsamples the anomalies (or, when the sample is less
+    contaminated than ``p``, the normals) so the retained set has anomaly
+    proportion as close to ``p`` as achievable, then takes each row's
+    ceil(p * size) first retained samples in that order and measures the
+    fraction of true anomalies among them.  Rounds are averaged.  The
+    retained sets come from one stream seeded ``cfg.seed`` and are drawn
+    once per round for every row, so a row's value does not depend on the
+    other rows.
 
     Returns
     -------
@@ -118,28 +134,24 @@ def precision_at_p_rows(
         # Sample is less contaminated than p: thin the normals instead.
         keep_pos = n_pos
         keep_neg = min(n_neg, max(1, int(round(n_pos * (1.0 - cfg.p) / cfg.p))))
+    m = math.ceil(cfg.p * (keep_pos + keep_neg))
+    if m < 1:
+        raise ValueError("top set is empty; p too small for this sample")
 
     rng = np.random.default_rng(cfg.seed)
-    values = np.empty((len(scores), cfg.rounds))
+    retained = np.zeros((cfg.rounds, len(labels)), dtype=bool)
+    retained[:, pos_idx] = keep_pos == n_pos
+    retained[:, neg_idx] = keep_neg == n_neg
     for r in range(cfg.rounds):
-        pos_take = (
-            pos_idx
-            if keep_pos == n_pos
-            else rng.choice(pos_idx, size=keep_pos, replace=False)
-        )
-        neg_take = (
-            neg_idx
-            if keep_neg == n_neg
-            else rng.choice(neg_idx, size=keep_neg, replace=False)
-        )
-        retained = np.concatenate([pos_take, neg_take])
-        m = math.ceil(cfg.p * len(retained))
-        if m < 1:
-            raise ValueError("top set is empty; p too small for this sample")
-        kept = scores[:, retained]
-        # Deterministic cut: descending score, then ascending input index.
-        order = np.lexsort((np.broadcast_to(retained, kept.shape), -kept), axis=-1)
-        values[:, r] = labels[retained][order[:, :m]].mean(axis=1)
+        if keep_pos < n_pos:
+            retained[r, rng.choice(pos_idx, size=keep_pos, replace=False)] = True
+        if keep_neg < n_neg:
+            retained[r, rng.choice(neg_idx, size=keep_neg, replace=False)] = True
+    # (round, row, rank): whether the sample at that rank of the row is retained.
+    kept = retained[:, order]
+    top = kept & (np.cumsum(kept, axis=2) <= m)
+    hits = np.count_nonzero(top & (labels[order] == 1), axis=2)
+    values = np.ascontiguousarray((hits / m).T)
     return values.mean(axis=1)
 
 
@@ -148,4 +160,5 @@ def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
 
     :func:`precision_at_p_rows` of ``data``'s one row of scores.
     """
-    return float(precision_at_p_rows(data.labels, data.scores[None, :], cfg)[0])
+    scores = data.scores[None, :]
+    return float(precision_at_p_rows(data.labels, descending_order(scores), cfg)[0])

@@ -10,8 +10,9 @@ The estimate has two steps: :func:`uniform_sample` draws the sample that
 the models score, and :func:`volume_below` counts the scores below one
 threshold.  The grid draws one sample per block of cells, scores it once
 per group of models, checks each model's scores with
-:func:`checked_scores` and thresholds them at every FPR level; ``adeval
-volume`` does the same for one combo and one level.
+:func:`checked_scores` and thresholds every model's row at each FPR level
+(:func:`accepted_fraction`); ``adeval volume`` does the same for one combo
+and one level (:func:`volume_below`).
 """
 
 from __future__ import annotations
@@ -92,8 +93,18 @@ def checked_scores(scores: np.ndarray, n: int) -> NDArray[np.float64]:
     return scores
 
 
-def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:
-    """Fraction of a scored sample strictly below ``threshold`` (ties count as anomalous)."""
-    vol = int((scores < threshold).sum()) / len(scores)
-    return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=threshold, n_samples=len(scores))
+def accepted_fraction(
+    scores: NDArray[np.float64], thresholds: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Fraction of each row of a (rows, n) scored sample strictly below its row's threshold.
 
+    Ties count as anomalous.  CVOL is one minus this fraction.
+    """
+    below = scores < np.asarray(thresholds)[:, None]
+    return np.count_nonzero(below, axis=1) / scores.shape[1]
+
+
+def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:
+    """Volume estimate of a scored sample at ``threshold``: :func:`accepted_fraction` of one row."""
+    vol = float(accepted_fraction(scores[None, :], [threshold])[0])
+    return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=threshold, n_samples=len(scores))

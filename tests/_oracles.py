@@ -28,6 +28,21 @@ def pairwise_auc(labels, scores) -> float:
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def roc_reference(labels, scores) -> list[tuple[float, float, float]]:
+    """ROC vertices (fpr, tpr, threshold): the origin, then the >= rule counted at every distinct score."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    out = [(0.0, 0.0, math.inf)]
+    for t in sorted(set(scores.tolist()), reverse=True):
+        flagged = scores >= t
+        fp = int((flagged & (labels == 0)).sum())
+        tp = int((flagged & (labels == 1)).sum())
+        out.append((fp / n_neg, tp / n_pos, t))
+    return out
+
+
 def tied_pairs(v) -> int:
     """Number of index pairs tied within one sequence."""
     _, counts = np.unique(np.asarray(v), return_counts=True)

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -698,3 +701,20 @@ class TestOneOffs:
             ]
         ) == 2
         assert "ghost" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where cdist is first called, so commands that fit
+    # no neighbour model never pay for it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "import adeval.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

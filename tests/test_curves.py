@@ -8,12 +8,19 @@ from adeval.curves import (
     RocCurve,
     auc,
     auc_at,
+    auc_at_rows,
+    auc_rows,
     auc_weighted,
+    auc_weighted_rows,
     build_roc,
+    descending_order,
+    roc_rows,
     threshold_at_fpr,
+    threshold_at_fpr_rows,
     tpr_at,
+    tpr_at_rows,
 )
-from _oracles import pairwise_auc
+from _oracles import pairwise_auc, roc_reference
 
 
 @st.composite
@@ -287,3 +294,85 @@ class TestMonotoneTransformInvariance:
         assert abs(auc_at(a, 0.3) - auc_at(b, 0.3)) <= 1e-12
         assert abs(tpr_at(a, 0.3) - tpr_at(b, 0.3)) <= 1e-12
         assert abs(auc_weighted(a) - auc_weighted(b)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Every row of a score matrix at once
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def score_rows(draw):
+    """0/1 labels and a tie-heavy (rows, n) score matrix holding one all-tied row."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    n_pos = draw(st.integers(min_value=1, max_value=n - 1))
+    labels = np.array(draw(st.permutations([1] * n_pos + [0] * (n - n_pos))))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    scores = np.array(
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=rows, max_size=rows)),
+        dtype=float,
+    ) / 2.0
+    scores[draw(st.integers(0, rows - 1))] = 0.5
+    return labels, scores
+
+
+def alpha_probes(labels):
+    """Every vertex FPR k / n_neg, the midpoints between them, and a level below the first."""
+    n_neg = int((np.asarray(labels) == 0).sum())
+    return sorted({k / n_neg for k in range(1, n_neg + 1)}
+                  | {(k + 0.5) / n_neg for k in range(n_neg)} | {1e-3})
+
+
+def assert_rows_match_their_curves(labels, scores):
+    rows = roc_rows(labels, scores, descending_order(scores))
+    curves = [build_roc(LabeledScores(labels=labels, scores=row)) for row in scores]
+    assert len(rows.starts) == len(curves) + 1
+    for r, (row, curve) in enumerate(zip(scores, curves)):
+        lo, hi = rows.starts[r], rows.starts[r + 1]
+        vertices = list(zip(rows.fpr[lo:hi].tolist(), rows.tpr[lo:hi].tolist(),
+                            rows.thresholds[lo:hi].tolist()))
+        assert vertices == curve.vertices == roc_reference(labels, row)
+    assert auc_rows(rows).tolist() == [auc(c) for c in curves]
+    assert auc_rows(rows).tolist() == pytest.approx(
+        [pairwise_auc(labels, row) for row in scores], abs=1e-12
+    )
+    assert auc_weighted_rows(rows).tolist() == [auc_weighted(c) for c in curves]
+    for alpha in alpha_probes(labels):
+        for normalized in (False, True):
+            assert auc_at_rows(rows, alpha, normalized).tolist() == [
+                auc_at(c, alpha, normalized) for c in curves
+            ]
+        assert tpr_at_rows(rows, alpha).tolist() == [tpr_at(c, alpha) for c in curves]
+        assert threshold_at_fpr_rows(rows, alpha).tolist() == [
+            threshold_at_fpr(c, alpha) for c in curves
+        ]
+    assert tpr_at_rows(rows, 0.0).tolist() == [tpr_at(c, 0.0) for c in curves]
+
+
+class TestRocRows:
+    def test_hand_rows(self):
+        labels = np.array([1, 0, 1, 0])
+        scores = np.array([
+            [2.0, 2.0, 2.0, 2.0],  # all tied: one diagonal
+            [4.0, 1.0, 3.0, 2.0],  # perfect ranking
+            [2.0, 3.0, 1.0, 0.0],  # a normal on top
+        ])
+        rows = roc_rows(labels, scores, descending_order(scores))
+        assert rows.starts.tolist() == [0, 2, 7, 12]
+        assert rows.fpr.tolist() == [0, 1, 0, 0, 0, 0.5, 1, 0, 0.5, 0.5, 0.5, 1]
+        assert rows.tpr.tolist() == [0, 1, 0, 0.5, 1, 1, 1, 0, 0, 0.5, 1, 1]
+        assert auc_rows(rows).tolist() == [0.5, 1.0, 0.5]
+        # alpha = 0.5 sits on a vertex of the last two rows: the uppermost one.
+        assert tpr_at_rows(rows, 0.5).tolist() == [0.5, 1.0, 1.0]
+        assert threshold_at_fpr_rows(rows, 0.5).tolist() == [2.0, 2.0, 1.0]
+        # alpha = 0.25 lies below the first positive FPR of the first and
+        # last rows: their first finite threshold.
+        assert threshold_at_fpr_rows(rows, 0.25).tolist() == [2.0, 2.5, 3.0]
+        assert tpr_at_rows(rows, 0.25).tolist() == [0.25, 1.0, 0.0]
+        assert_rows_match_their_curves(labels, scores)
+
+    @given(score_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_equals_its_own_curve_and_measures(self, case):
+        assert_rows_match_their_curves(*case)

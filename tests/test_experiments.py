@@ -348,19 +348,22 @@ class TestRunCell:
         bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
         fold = split(bench, SplitSpec(seed=cfg.master_seed, repetition=1))
         curves, points = [], []
+        roc_rows, score = experiments.roc_rows, experiments.neighbour_scores
 
-        def counting_roc(build_roc):
-            return lambda data: curves.append(len(data)) or build_roc(data)
+        def counting_roc(labels, scores, order):
+            curves.append(scores.shape)
+            return roc_rows(labels, scores, order)
 
-        score = experiments.neighbour_scores
-        monkeypatch.setattr(experiments, "build_roc", counting_roc(experiments.build_roc))
+        monkeypatch.setattr(experiments, "roc_rows", counting_roc)
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
         rec = run_cell(cfg, bench, cfg.detector_combos()[0], 0.0, repetition=1)
         assert rec.flags == () and not rec.is_flagged_missing
-        assert len(curves) == 2
-        assert sum(curves) == len(fold.test_labels)
+        # One batched call per labelled sample (evaluation part, then
+        # validation part), with one row for the one cell.
+        assert [rows for rows, _ in curves] == [1, 1]
+        assert sum(n for _, n in curves) == len(fold.test_labels)
         # The block of this one cell scores its test fold and its volume
         # sample once each through the neighbour table.
         assert sum(points) == len(fold.test_labels) + cfg.volume_samples
@@ -497,6 +500,48 @@ class TestRunCell:
             | {(0.5, combo.index) for combo in combos}
         )
         assert set(flags.values()) == {("error:ValueError",)}
+
+
+class TestEvaluateCells:
+    """One scored group's cells, evaluated from its (combo x point) score matrices."""
+
+    cfg = knn_only_config(alphas=(0.05, 0.2), ps=(0.05, 0.5))
+    labels = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0])
+
+    def scores(self):
+        rng = np.random.default_rng(3)
+        return np.round(rng.random((5, len(self.labels))), 1), np.round(rng.random((5, 40)), 1)
+
+    def evaluate(self, samples, test_scores, volume_scores):
+        return experiments._evaluate_cells(
+            self.labels, samples, test_scores, volume_scores, self.cfg.measures(), self.cfg, 9
+        )
+
+    def test_non_finite_row_fails_only_its_own_cell(self):
+        test_scores, volume_scores = self.scores()
+        test_scores[1, 3] = np.nan
+        volume_scores[3, 0] = np.inf
+        samples = [("", np.arange(len(self.labels)))]
+        cells = self.evaluate(samples, test_scores, volume_scores)
+        assert cells[1] == cells[3] == ({}, ["error:ValueError"])
+        good = [0, 2, 4]
+        alone = self.evaluate(samples, test_scores[good], volume_scores[good])
+        assert [cells[i] for i in good] == alone
+        assert all(set(values) == set(self.cfg.measure_names()) for values, _ in alone)
+
+    def test_one_class_sample_fails_every_cell_still_standing(self):
+        test_scores, volume_scores = self.scores()
+        volume_scores[2, 5] = np.nan
+        first = np.arange(12)
+        normals_only = np.array([12, 13, 15])
+        cells = self.evaluate([("", first), ("val:", normals_only)], test_scores, volume_scores)
+        assert cells[2] == ({}, ["error:ValueError"])
+        alone = self.evaluate([("", first)], test_scores, volume_scores)
+        for i in (0, 1, 3, 4):
+            values, flags = alone[i]
+            # 3 anomalies in 12 is less contaminated than p = 0.5.
+            assert flags == ["thinned-normals@0.5"]
+            assert cells[i] == (values, flags + ["error:ValueError"])
 
 
 class TestRecordStore:
@@ -671,6 +716,20 @@ class TestMeanRankTable:
         ]
         table = mean_rank_table(collapse(records), "AUC")
         np.testing.assert_array_equal(table.mean, [1.5, 1.5])
+
+    def test_average_ranks_by_hand(self):
+        values = np.array([
+            [3.0, 1.0, 3.0, 2.0, 3.0],
+            [0.5, 0.5, 0.5, 0.5, 0.5],
+            [-1.0, 2.0, 2.0, -1.0, 0.0],
+            [0.0, -0.0, 1.0, 0.0, -1.0],
+        ])
+        assert experiments.average_ranks(values).tolist() == [
+            [4.0, 1.0, 4.0, 2.0, 4.0],
+            [3.0, 3.0, 3.0, 3.0, 3.0],
+            [1.5, 4.5, 4.5, 1.5, 3.0],
+            [3.0, 3.0, 5.0, 3.0, 1.0],
+        ]
 
     def test_missing_detector_is_reported(self):
         records = self.two_bench_records()[:-1]  # drop lof on c2

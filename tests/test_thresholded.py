@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
+from adeval.curves import LabeledScores, build_roc, descending_order, threshold_at_fpr
 from adeval.thresholded import (
     ConfusionCounts,
     PrecisionAtPConfig,
@@ -187,9 +187,26 @@ class TestPrecisionAtPRows:
     @settings(max_examples=300, deadline=None)
     def test_each_row_equals_its_own_precision_bit_for_bit(self, case):
         labels, scores, cfg = case
-        batch = precision_at_p_rows(labels, scores, cfg)
+        batch = precision_at_p_rows(labels, descending_order(scores), cfg)
         assert batch.shape == (len(scores),)
         for row, value in zip(scores, batch):
             single = precision_at_p(LabeledScores(labels=labels, scores=row), cfg)
             reference = precision_reference(labels, row, cfg.p, cfg.rounds, cfg.seed)
             assert value == single == reference
+
+    @pytest.mark.parametrize("n_pos", [2, 12])
+    def test_tie_heavy_rows_match_the_lexsort_reference(self, n_pos):
+        # Against 20 normals, 2 anomalies are fewer than p = 0.3 and 0.5
+        # keep (the normals are thinned) and 12 are more than p <= 0.3
+        # keeps (the anomalies are subsampled).
+        rng = np.random.default_rng(n_pos)
+        labels = rng.permutation([1] * n_pos + [0] * 20)
+        scores = np.round(rng.random((6, len(labels))), 1)
+        scores[0] = 0.5
+        order = descending_order(scores)
+        for p in (0.01, 0.05, 0.1, 0.3, 0.5):
+            for rounds in (1, 3, 10):
+                cfg = PrecisionAtPConfig(p=p, rounds=rounds, seed=7)
+                assert precision_at_p_rows(labels, order, cfg).tolist() == [
+                    precision_reference(labels, row, p, rounds, 7) for row in scores
+                ]
