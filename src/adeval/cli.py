@@ -459,7 +459,7 @@ def _select_measures(
     return tuple(names)
 
 
-def _rank_lines(data, names) -> tuple[list[list], list[str]]:
+def _rank_table(data, names, args, tag) -> tuple:
     tables = [mean_rank_table(data, name) for name in names]
     order = sorted(
         range(len(tables[0].detectors)),
@@ -478,7 +478,16 @@ def _rank_lines(data, names) -> tuple[list[list], list[str]]:
         [t.measure] + [f"{t.mean[i]:.2f}+-{t.std[i]:.2f}" for i in order]
         for t in tables
     ]
-    return rows, _aligned(header, text_rows)
+    return (f"rank_{tag}", ["measure", "detector", "mean_rank", "std_rank", "n_datasets"],
+            rows, _aligned(header, text_rows))
+
+
+def _pair_rows(names, matrix, counts=None) -> list[list]:
+    """One (measure_a, measure_b, value[, count]) CSV row per entry of a measure table."""
+    return [
+        [a, b, repr(float(matrix[i, j]))] + ([] if counts is None else [int(counts[i, j])])
+        for i, a in enumerate(names) for j, b in enumerate(names)
+    ]
 
 
 def _matrix_lines(names, matrix, fmt) -> list[str]:
@@ -486,6 +495,52 @@ def _matrix_lines(names, matrix, fmt) -> list[str]:
     rows = [[name] + [fmt(matrix[i, j]) for j in range(len(names))]
             for i, name in enumerate(names)]
     return _aligned(header, rows)
+
+
+def _percent_lines(title: str, names, matrix) -> list[str]:
+    return [title] + _matrix_lines(names, matrix * 100.0, lambda v: _fmt(v, 1))
+
+
+def _kendall_table(data, names, args, tag) -> tuple:
+    result = kendall_matrix(data, measures=names)
+    lines = _matrix_lines(result.measures, result.matrix, _fmt)
+    means = np.nanmean(
+        np.where(~np.eye(len(names), dtype=bool), result.matrix, np.nan), axis=1
+    )
+    lines += ["", "off-diagonal row means:"]
+    lines += _aligned(
+        ["measure", "mean tau"],
+        [[name, _fmt(means[i])] for i, name in enumerate(result.measures)],
+    )
+    rows = _pair_rows(result.measures, result.matrix, result.pair_counts)
+    return f"kendall_{tag}", ["measure_a", "measure_b", "tau", "n_benchmarks"], rows, lines
+
+
+def _loss_table(data, names, args, tag) -> tuple:
+    names, matrix = loss_matrix_table(
+        data, measures=names, select_on_validation=args.select_on_validation
+    )
+    suffix = "_val" if args.select_on_validation else ""
+    title = "mean relative loss, percent (rows select, columns judge):"
+    return (f"loss_{tag}{suffix}", ["selection", "target", "mean_loss"],
+            _pair_rows(names, matrix), _percent_lines(title, names, matrix))
+
+
+def _multiclass_table(data, names, args, tag) -> tuple:
+    result = multiclass_sensitivity(data, measures=names)
+    title = (f"anomaly-class transfer loss, percent "
+             f"({result.n_tables} tables, {result.n_skipped_tables} skipped):")
+    return (f"multiclass_{tag}", ["selection", "target", "mean_loss"],
+            _pair_rows(result.measures, result.matrix),
+            _percent_lines(title, result.measures, result.matrix))
+
+
+# Each builder returns (file stem, CSV header, CSV rows, text lines).  The
+# table functions it calls are read as module globals at call time.
+_TABLE_BUILDERS = {
+    "rank": _rank_table, "kendall": _kendall_table,
+    "loss": _loss_table, "multiclass": _multiclass_table,
+}
 
 
 def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
@@ -548,74 +603,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     names = _select_measures(cfg, args.measure, args.alpha, args.p)
     tag = f"c{contamination:g}"
 
-    if args.kind == "rank":
-        rows, lines = _rank_lines(data, names)
-        _write_delimited(
-            out_dir / f"rank_{tag}.csv",
-            ["measure", "detector", "mean_rank", "std_rank", "n_datasets"],
-            rows, hash_,
-        )
-        _write_text(out_dir / f"rank_{tag}.txt", lines, hash_)
-    elif args.kind == "kendall":
-        result = kendall_matrix(data, measures=names)
-        rows = [
-            [result.measures[i], result.measures[j],
-             repr(float(result.matrix[i, j])), int(result.pair_counts[i, j])]
-            for i in range(len(names)) for j in range(len(names))
-        ]
-        _write_delimited(
-            out_dir / f"kendall_{tag}.csv",
-            ["measure_a", "measure_b", "tau", "n_benchmarks"],
-            rows, hash_,
-        )
-        lines = _matrix_lines(result.measures, result.matrix, _fmt)
-        means = np.nanmean(
-            np.where(~np.eye(len(names), dtype=bool), result.matrix, np.nan), axis=1
-        )
-        lines += ["", "off-diagonal row means:"]
-        lines += _aligned(
-            ["measure", "mean tau"],
-            [[name, _fmt(means[i])] for i, name in enumerate(result.measures)],
-        )
-        _write_text(out_dir / f"kendall_{tag}.txt", lines, hash_)
-    elif args.kind == "loss":
-        sel_names, matrix = loss_matrix_table(
-            data, measures=names, select_on_validation=args.select_on_validation
-        )
-        suffix = "_val" if args.select_on_validation else ""
-        rows = [
-            [sel_names[i], sel_names[j], repr(float(matrix[i, j]))]
-            for i in range(len(sel_names)) for j in range(len(sel_names))
-        ]
-        _write_delimited(
-            out_dir / f"loss_{tag}{suffix}.csv",
-            ["selection", "target", "mean_loss"], rows, hash_,
-        )
-        lines = ["mean relative loss, percent (rows select, columns judge):"]
-        lines += _matrix_lines(sel_names, matrix * 100.0, lambda v: _fmt(v, 1))
-        _write_text(out_dir / f"loss_{tag}{suffix}.txt", lines, hash_)
-    elif args.kind == "multiclass":
-        result = multiclass_sensitivity(data, measures=names)
-        rows = [
-            [result.measures[i], result.measures[j],
-             repr(float(result.matrix[i, j]))]
-            for i in range(len(names)) for j in range(len(names))
-        ]
-        _write_delimited(
-            out_dir / f"multiclass_{tag}.csv",
-            ["selection", "target", "mean_loss"], rows, hash_,
-        )
-        lines = [
-            f"anomaly-class transfer loss, percent "
-            f"({result.n_tables} tables, {result.n_skipped_tables} skipped):"
-        ]
-        lines += _matrix_lines(result.measures, result.matrix * 100.0, lambda v: _fmt(v, 1))
-        _write_text(out_dir / f"multiclass_{tag}.txt", lines, hash_)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown aggregate kind {args.kind!r}")
-
-    for path in sorted(out_dir.glob(f"{args.kind}_{tag}*.txt")):
-        print(path.read_text().rstrip())
+    stem, header, rows, lines = _TABLE_BUILDERS[args.kind](data, names, args, tag)
+    _write_delimited(out_dir / f"{stem}.csv", header, rows, hash_)
+    _write_text(out_dir / f"{stem}.txt", lines, hash_)
+    print((out_dir / f"{stem}.txt").read_text().rstrip())
     print(f"wrote tables under {out_dir}")
     return 0
 
@@ -726,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("aggregate", help="reduce a record store to summary tables")
-    p.add_argument("kind", choices=("rank", "kendall", "loss", "multiclass", "rocband"))
+    p.add_argument("kind", choices=(*_TABLE_BUILDERS, "rocband"))
     p.add_argument("records", help="run output directory (holds manifest.json)")
     p.add_argument("--out", help="table directory (default: <records>/tables)")
     p.add_argument("--measure", action="append",

@@ -21,6 +21,18 @@ from numpy.typing import NDArray
 # ---------------------------------------------------------------------------
 
 
+def check_labels(labels: NDArray[np.int64]) -> NDArray[np.int64]:
+    """``labels`` as integers, checked to be 0/1 with both classes present."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if labels.sum() == 0:
+        raise ValueError("need at least one positive (anomalous) sample")
+    if labels.sum() == labels.shape[0]:
+        raise ValueError("need at least one negative (normal) sample")
+    return labels
+
+
 @dataclass(frozen=True)
 class LabeledScores:
     """Binary ground-truth labels (1 = anomaly) paired with anomaly scores.
@@ -46,15 +58,9 @@ class LabeledScores:
                 f"length mismatch: {labels.shape[0]} labels vs "
                 f"{scores.shape[0]} scores"
             )
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        if labels.sum() == 0:
-            raise ValueError("need at least one positive (anomalous) sample")
-        if labels.sum() == labels.shape[0]:
-            raise ValueError("need at least one negative (normal) sample")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", check_labels(labels))
         object.__setattr__(self, "scores", scores)
 
     @property

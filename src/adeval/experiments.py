@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from dataclasses import dataclass
 from itertools import groupby
@@ -35,7 +34,7 @@ from numpy.typing import NDArray
 
 from adeval.curves import (
     LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
-    descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
+    check_labels, descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import BenchmarkDataset, SplitSpec, _safe_name, split
 from adeval.detectors import (
@@ -44,7 +43,7 @@ from adeval.detectors import (
 from adeval.seeding import derive_seed
 from adeval.thresholded import PrecisionAtPConfig, confusion_rows, f1_rows, precision_at_p_rows
 from adeval.volume import (
-    SamplingBox, accepted_fraction, bounding_box, checked_scores, uniform_sample,
+    SamplingBox, accepted_fraction, bounding_box, uniform_sample,
 )
 
 
@@ -542,14 +541,14 @@ def _evaluate_cells(
 
     Row i of ``test_scores`` and of ``volume_scores`` holds one cell's
     scores of the test fold (labelled ``labels``) and of the volume sample.
-    Each cell's volume scores are checked (:func:`checked_scores`).  Then
-    each labelled sample, given as (column name prefix, test fold indices),
-    has its labels checked once and each cell's test scores checked to be
-    finite; the cells still standing get every measure from one sort per
-    row (:func:`_measure_rows`).  A failure flags ``error:<exception type>``
-    and leaves missing the values not yet evaluated: bad labels fail every
-    cell still standing, a bad score row only its own cell.  Each cell
-    keeps the flags of the first sample.
+    Each cell's volume scores are checked to be finite.  Then each labelled
+    sample, given as (column name prefix, test fold indices), has its
+    labels checked once (:func:`check_labels`) and each cell's test scores
+    checked to be finite; the cells still standing get every measure from
+    one sort per row (:func:`_measure_rows`).  A failure flags
+    ``error:<exception type>`` and leaves missing the values not yet
+    evaluated: bad labels fail every cell still standing, a bad score row
+    only its own cell.  Each cell keeps the flags of the first sample.
     """
     values: list[dict[str, float]] = [{} for _ in test_scores]
     flags: list[list[str]] = [[] for _ in test_scores]
@@ -558,18 +557,13 @@ def _evaluate_cells(
         for i in rows:
             flags[i].append(_error_flag(exc))
 
-    live = []
-    for i, row in enumerate(volume_scores):
-        try:
-            checked_scores(row, volume_scores.shape[1])
-            live.append(i)
-        except _CELL_ERRORS as exc:
-            fail([i], exc)
+    finite = np.isfinite(volume_scores).all(axis=1)
+    fail(np.flatnonzero(~finite), ValueError("score function returned a non-finite value"))
+    live = np.flatnonzero(finite).tolist()
     precisions = [m.level for m in measures if m.kind == "precision_at"]
     for prefix, idx in samples:
         try:
-            # Placeholder scores: the sample's labels are checked here, once.
-            sample = LabeledScores(labels=labels[idx], scores=np.zeros(len(idx)))
+            sample_labels = check_labels(labels[idx])
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
@@ -581,12 +575,12 @@ def _evaluate_cells(
             break
         try:
             rows = _measure_rows(
-                sample.labels, scores[finite], volume_scores[live], measures, cfg, prec_seed
+                sample_labels, scores[finite], volume_scores[live], measures, cfg, prec_seed
             )
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
-        contamination = sample.n_pos / len(sample)
+        contamination = int(sample_labels.sum()) / len(idx)
         sample_flags = [f"thinned-normals@{p:g}" for p in precisions if contamination < p]
         columns = [(prefix + name, column.tolist()) for name, column in rows.items()]
         for k, i in enumerate(live):
@@ -594,21 +588,6 @@ def _evaluate_cells(
             if not prefix:
                 flags[i] = list(sample_flags)
     return list(zip(values, flags))
-
-
-def run_cell(
-    cfg: GridConfig,
-    bench: BenchmarkDataset,
-    combo: Combo,
-    contamination: float,
-    repetition: int,
-) -> ExperimentRecord:
-    """Evaluate one grid cell; failures come back as flagged-missing.
-
-    The cell is evaluated as a block of one combo by :func:`_run_repetition`,
-    the grid's own path, so it equals the grid's record of that cell.
-    """
-    return _run_repetition(cfg, bench, contamination, repetition, [combo])[0]
 
 
 def _run_repetition(
@@ -816,6 +795,10 @@ class Collapsed:
             return np.full(self.present.shape, np.nan)
         return self.values[:, :, self.measures.index(name)]
 
+    def block(self, measures: Sequence[MeasureId | str]) -> NDArray[np.float64]:
+        """The (benchmark, measure, combo) means of ``measures``, each as :meth:`column`."""
+        return np.stack([self.column(m) for m in measures], axis=1)
+
     def table_measures(self, measures: Sequence[str] | None) -> tuple[str, ...]:
         """``measures`` if given, else every recorded measure but the ``val:`` ones."""
         if measures:
@@ -936,31 +919,43 @@ def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
 # ---------------------------------------------------------------------------
 
 
-def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-corrected Kendall tau-b by exhaustive pair comparison.
+def _kendall_block(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Tau-b between every two columns of one (combo x measure) array; NaN where undefined.
 
-    Returns NaN when either sequence is fully tied (the coefficient is
+    A column pair uses only the combos finite in both.  Over every combo
+    pair, the sign of each column's difference (zero where either value is
+    not finite) and its validity give the concordant-minus-discordant,
+    tie and pair counts of every column pair as integer sums of products.
+    Tau is undefined where a pair of columns has no untied combo pair in
+    one of them: fewer than two common combos, or one column fully tied.
+    """
+    a, b = np.triu_indices(len(rows), k=1)
+    finite = np.isfinite(rows)
+    rows = np.where(finite, rows, 0.0)  # NaN comparisons warn on some numpy builds
+    valid = (finite[a] & finite[b]).astype(np.int64)
+    sign = ((rows[a] > rows[b]).astype(np.int64) - (rows[a] < rows[b])) * valid
+    tied = valid - sign * sign
+    pairs = valid.T @ valid
+    ties = tied.T @ valid  # [i, j]: pairs tied in column i, of those valid in both
+    denom = np.sqrt((pairs - ties).astype(np.float64) * (pairs - ties.T))
+    tau = np.full(denom.shape, np.nan)
+    return np.divide(sign.T @ sign, denom, out=tau, where=denom > 0)
+
+
+def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
+    """Tie-corrected Kendall tau-b of two equal-length vectors.
+
+    The two-column case of :func:`_kendall_block`: positions where either
+    value is not finite are dropped first, so ``kendall_tau([1, nan, 3],
+    [1, 2, 3])`` is 1.0.  Returns NaN when fewer than two positions remain
+    or either remaining sequence is fully tied (the coefficient is
     undefined there).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
-    n = x.shape[0]
-    if n < 2:
-        return float("nan")
-    iu = np.triu_indices(n, k=1)
-    sx = np.sign(x[:, None] - x[None, :])[iu]
-    sy = np.sign(y[:, None] - y[None, :])[iu]
-    concordant = int(((sx == sy) & (sx != 0)).sum())
-    discordant = int(((sx == -sy) & (sx != 0)).sum())
-    n_pairs = n * (n - 1) // 2
-    ties_x = int((sx == 0).sum())
-    ties_y = int((sy == 0).sum())
-    denom = math.sqrt(float(n_pairs - ties_x) * float(n_pairs - ties_y))
-    if denom == 0.0:
-        return float("nan")
-    return (concordant - discordant) / denom
+    return float(_kendall_block(np.column_stack([x, y]))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -975,31 +970,23 @@ def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> Ke
 
     Per benchmark, each measure induces a vector over the detector combos
     present there; tau is computed per measure pair on the combos where
-    both values exist and averaged across benchmarks, skipping benchmarks
-    where it is undefined (fully tied vectors).
+    both values exist (:func:`_kendall_block`) and averaged across
+    benchmarks, skipping benchmarks where it is undefined.
     """
     names = data.table_measures(measures)
-    k = len(names)
-    block = np.stack([data.column(name) for name in names], axis=-1)
-    sums = np.zeros((k, k))
-    counts = np.zeros((k, k), dtype=np.int64)
+    block = data.block(names)
+    sums = np.zeros((len(names), len(names)))
+    counts = np.zeros(sums.shape, dtype=np.int64)
     for b, bench in enumerate(data.benchmarks):
-        rows = block[b, data.present[b]]
+        rows = block[b][:, data.present[b]].T
         if len(rows) < 2:
             raise ValueError(
                 f"benchmark {bench} has {len(rows)} combo(s); need at least 2"
             )
-        finite = np.isfinite(rows)
-        for i in range(k):
-            for j in range(k):
-                ok = finite[:, i] & finite[:, j]
-                if ok.sum() < 2:
-                    continue
-                tau = kendall_tau(rows[ok, i], rows[ok, j])
-                if math.isnan(tau):
-                    continue
-                sums[i, j] += tau
-                counts[i, j] += 1
+        tau = _kendall_block(rows)
+        defined = ~np.isnan(tau)
+        sums += np.where(defined, tau, 0.0)
+        counts += defined
     matrix = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return KendallMatrix(measures=names, matrix=matrix, pair_counts=counts)
 
@@ -1030,6 +1017,39 @@ def _selection_loss(
     return np.where(n_usable > 0, loss, np.nan), n_usable
 
 
+def _pair_losses(
+    sel: NDArray[np.float64], tgt: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """:func:`_selection_loss` of every (selection i, target j) pair of two benchmarks.
+
+    ``sel`` and ``tgt`` are the (measure x combo) means of the selection
+    and the target benchmark; entry (i, j) of both returned arrays selects
+    by row i of ``sel`` and judges by row j of ``tgt``.
+    """
+    k_sel, k_tgt = len(sel), len(tgt)
+    loss, n_usable = _selection_loss(np.repeat(sel, k_tgt, axis=0), np.tile(tgt, (k_sel, 1)))
+    return loss.reshape(k_sel, k_tgt), n_usable.reshape(k_sel, k_tgt)
+
+
+def _benchmark_losses(
+    data: Collapsed, selections: Sequence[str], targets: Sequence[str]
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Per-benchmark losses of every (selection, target) pair, benchmarks last.
+
+    Returns the (selection x target x benchmark) losses and usable combo
+    counts of :func:`_pair_losses`, one call per benchmark.  Raises for the
+    first pair, in row-major order, that some benchmark cannot use.
+    """
+    sel, tgt = data.block(selections), data.block(targets)
+    losses, n_usable = map(np.dstack, zip(*map(_pair_losses, sel, tgt)))
+    empty = np.argwhere((n_usable == 0).any(axis=-1))
+    if len(empty):
+        i, j = empty[0]
+        bench = data.benchmarks[int(np.argmin(n_usable[i, j]))]
+        raise ValueError(f"benchmark {bench} has no usable combo for {selections[i]}")
+    return losses, n_usable
+
+
 @dataclass(frozen=True)
 class LossResult:
     mean_loss: float
@@ -1045,8 +1065,8 @@ def loss_matrix(
 ) -> LossResult:
     """Mean relative loss of selecting combos by one measure, judging by another.
 
-    The per-benchmark loss is that of :func:`_selection_loss`; combos
-    missing either value are counted as excluded.
+    The one-pair case of :func:`loss_matrix_table`; combos missing either
+    value are counted as excluded.
 
     With ``select_on_validation`` the argmax reads the ``val:``-prefixed
     columns written by a run with a validation fraction, keeping selection
@@ -1055,12 +1075,9 @@ def loss_matrix(
     sel_name = _measure_name(selection)
     if select_on_validation:
         sel_name = f"val:{sel_name}"
-    losses, n_usable = _selection_loss(data.column(sel_name), data.column(target))
-    if not n_usable.all():
-        bench = data.benchmarks[int(np.argmin(n_usable))]
-        raise ValueError(f"benchmark {bench} has no usable combo for {sel_name}")
+    losses, n_usable = _benchmark_losses(data, [sel_name], [_measure_name(target)])
     return LossResult(
-        mean_loss=float(np.mean(losses)),
+        mean_loss=float(np.mean(losses[0, 0])),
         n_datasets=len(data.benchmarks),
         n_excluded_combos=int(data.present.sum() - n_usable.sum()),
     )
@@ -1071,13 +1088,16 @@ def loss_matrix_table(
     measures: Sequence[str] | None = None,
     select_on_validation: bool = False,
 ) -> tuple[tuple[str, ...], NDArray[np.float64]]:
-    """Full selection-vs-target loss matrix over all measure pairs."""
+    """Full selection-vs-target loss matrix over all measure pairs.
+
+    Entry (i, j) is the mean over benchmarks of the relative loss of
+    selecting by measure i (its ``val:`` column with
+    ``select_on_validation``) and judging by measure j.
+    """
     names = data.table_measures(measures)
-    matrix = np.zeros((len(names), len(names)))
-    for i, sel in enumerate(names):
-        for j, tgt in enumerate(names):
-            matrix[i, j] = loss_matrix(data, sel, tgt, select_on_validation).mean_loss
-    return names, matrix
+    selections = [f"val:{n}" for n in names] if select_on_validation else names
+    losses, _ = _benchmark_losses(data, selections, names)
+    return names, np.mean(losses, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,10 +1125,9 @@ def multiclass_sensitivity(
     ordered pairs and tables; single-class tables are skipped and counted.
     """
     names = data.table_measures(measures)
-    k = len(names)
-    block = np.stack([data.column(name) for name in names], axis=1)
-    sums = np.zeros(k * k)
-    counts = np.zeros(k * k, dtype=np.int64)
+    block = data.block(names)
+    sums = np.zeros((len(names), len(names)))
+    counts = np.zeros(sums.shape, dtype=np.int64)
     tables = np.array(data.tables)
     n_used = n_skipped = 0
     for table in sorted(set(data.tables)):
@@ -1121,16 +1140,12 @@ def multiclass_sensitivity(
             for b in classes:
                 if a == b:
                     continue
-                # Row i * k + j selects by measure i on a and judges by j on b.
-                loss, _ = _selection_loss(
-                    np.repeat(block[a], k, axis=0), np.tile(block[b], (k, 1))
-                )
+                loss, _ = _pair_losses(block[a], block[b])
                 ok = ~np.isnan(loss)
                 sums[ok] += loss[ok]
                 counts += ok
     if n_used == 0:
         raise ValueError("no table has two or more anomaly classes")
-    sums, counts = sums.reshape(k, k), counts.reshape(k, k)
     matrix = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return MulticlassResult(
         measures=names, matrix=matrix, n_tables=n_used, n_skipped_tables=n_skipped

@@ -344,6 +344,14 @@ class TestAggregate:
         text = (out_dir / "rank_c0.csv").read_text()
         assert "AUC," in text and "CVOL" not in text
 
+    def test_prints_only_the_table_it_wrote(self, study, tmp_path, capsys):
+        out_dir = tmp_path / "tables"
+        out_dir.mkdir()
+        (out_dir / "loss_c0_val.txt").write_text("stale table\n")
+        assert main(["aggregate", "loss", str(study.run), "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "stale table" not in out and out.count("# manifest:") == 1
+
     def test_rerun_tables_byte_identical(self, study):
         main(["aggregate", "loss", str(study.run)])
         path = study.run / "tables" / "loss_c0.csv"

@@ -10,6 +10,7 @@ from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_t
 from adeval import detectors, experiments
 from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fit
 from adeval.experiments import (
+    _run_repetition,
     Combo,
     ExperimentRecord,
     GridConfig,
@@ -24,7 +25,6 @@ from adeval.experiments import (
     mean_rank_table,
     multiclass_sensitivity,
     roc_band,
-    run_cell,
     run_grid,
 )
 from _oracles import (
@@ -230,8 +230,8 @@ class TestRunGrid:
         cfg = knn_only_config()
         bench = self.bench()
         combo = cfg.detector_combos()[1]
-        a = run_cell(cfg, bench, combo, 0.0, repetition=1)
-        b = run_cell(cfg, bench, combo, 0.0, repetition=1)
+        a = _run_repetition(cfg, bench, 0.0, 1, [combo])[0]
+        b = _run_repetition(cfg, bench, 0.0, 1, [combo])[0]
         assert a == b
 
     def test_failing_cell_is_flagged_not_fatal(self, tmp_path):
@@ -333,7 +333,7 @@ class TestRunCell:
         bench = synth_gaussian(40, 2, seed=3)
         (combo,) = cfg.detector_combos()
         for rep in (0, 1, 3):
-            rec = run_cell(cfg, bench, combo, 0.0, rep)
+            rec = _run_repetition(cfg, bench, 0.0, rep, [combo])[0]
             kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
             val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
             assert len(kept) == len(val) == 7
@@ -358,7 +358,7 @@ class TestRunCell:
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
-        rec = run_cell(cfg, bench, cfg.detector_combos()[0], 0.0, repetition=1)
+        rec = _run_repetition(cfg, bench, 0.0, 1, [cfg.detector_combos()[0]])[0]
         assert rec.flags == () and not rec.is_flagged_missing
         # One batched call per labelled sample (evaluation part, then
         # validation part), with one row for the one cell.
@@ -480,7 +480,7 @@ class TestRunCell:
             for rep in range(cfg.repetitions)
         ]
         expected = {
-            (c, combo.index, rep): run_cell(cfg, bench, combo, c, rep)
+            (c, combo.index, rep): _run_repetition(cfg, bench, c, rep, [combo])[0]
             for combo, c, rep in cells
         }
         store = RecordStore(tmp_path, manifest_hash="h")
@@ -762,6 +762,12 @@ class TestKendallTau:
         assert math.isnan(kendall_tau([1.0, 1.0, 1.0], [1, 2, 3]))
         assert math.isnan(kendall_tau([1.0], [2.0]))
 
+    def test_non_finite_positions_are_dropped(self):
+        # The NaN position joins no pair, as in a benchmark's table row.
+        assert kendall_tau([1, np.nan, 3], [1, 2, 3]) == 1.0
+        assert kendall_tau([1, 2, np.inf, 4], [4, 3, 2, 1]) == -1.0
+        assert math.isnan(kendall_tau([1, np.nan], [1, 2]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 2, 3])
@@ -1012,7 +1018,7 @@ class TestReductionsMatchLoopReference:
                 seen["kendall"] += 1
                 result = kendall_matrix(data, RANDOM_MEASURES)
                 assert np.array_equal(result.pair_counts, expected[1])
-                np.testing.assert_allclose(result.matrix, expected[0], atol=1e-12)
+                assert np.array_equal(result.matrix, expected[0], equal_nan=True)
         assert all(seen.values()), seen
 
 
