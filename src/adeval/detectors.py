@@ -19,9 +19,10 @@ combo of a grid block.  Isolation trees are grown level by level in heap layout,
 from its own stream seeded by (seed, t), so a forest of n trees is the
 n-tree prefix of a larger forest of the same seed; :func:`forest_scores`
 scores one forest or all of its prefixes in one pass over the trees.  Forest
-growth and descent work in batches of at most ``_TILE`` elements (trees x
-subsample points x dimensions, trees x queries), so a batch holds every
-tree for a test fold and a few trees for a large volume sample.
+growth works in batches of at most ``_TILE`` elements (trees x subsample
+points x dimensions) and descent in tiles of at most ``_DESCENT_TILE``
+(trees x queries), so a tile holds every tree for a test fold and a few
+trees for a large volume sample.
 """
 
 from __future__ import annotations
@@ -340,8 +341,11 @@ def neighbour_scores(
 # Elements in one batch of forest work: trees x subsample points x dimensions
 # in growth, trees x queries in a descent.  A batch of this size makes each
 # numpy pass long enough to pay for its call, and bounds the working set
-# whatever the forest size or the number of queries.
+# whatever the forest size or the number of queries.  A descent step holds
+# several int64 and float64 temporaries per element, so its tile is half the
+# growth batch: at 2**16 those overflow a 2 MiB L2 cache.
 _TILE = 2**16
+_DESCENT_TILE = 2**15
 
 
 def _avg_path_length(n: int) -> float:
@@ -534,13 +538,15 @@ def forest_scores(
     """Scores of isolation forests that are prefixes of one forest, one row per model.
 
     The trees of the largest forest are descended once, in tiles of at most
-    ``_TILE`` (trees x queries) elements: all trees at once for up to
-    ``_TILE // n_trees`` queries, chunks of ``_TILE`` queries one tree at a
-    time for more than ``_TILE``.  Every query descends each tree of a tile
-    from the root by ``idx = 2*idx + 1 + go_right`` to depth
-    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`), and
-    the path length found there over c(psi) is added to the query's running
-    total one tree at a time, in tree order; a model's row,
+    ``_DESCENT_TILE`` (trees x queries) elements: all trees at once for up to
+    ``_DESCENT_TILE // n_trees`` queries, chunks of ``_DESCENT_TILE`` queries
+    one tree at a time for more than ``_DESCENT_TILE``; the tile is half
+    the growth batch ``_TILE``, so a volume sample's tile stays in a 2 MiB
+    L2 cache.  Every query descends each tree of a tile from the root by
+    ``idx = 2*idx + 1 + go_right`` to depth ``height_limit`` (past its
+    leaf, see :class:`IsolationForestModel`), and the path length found
+    there over c(psi) is added to the query's running total one tree at a
+    time, in tree order; a model's row,
     ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
     therefore gives the same scores, bit for bit, as a walk over single
     trees, and a forest scores the same alone or as a prefix of a larger
@@ -571,8 +577,8 @@ def forest_scores(
     for row, m in enumerate(models):
         readout.setdefault(m.n_trees, []).append(row)
     out = np.empty((len(models), n))
-    width = max(1, min(n, _TILE))  # queries per tile
-    height = max(1, _TILE // width)  # trees per tile
+    width = max(1, min(n, _DESCENT_TILE))  # queries per tile
+    height = max(1, _DESCENT_TILE // width)  # trees per tile
     for first in range(0, n, width):
         cols = slice(first, first + width)
         row_start = np.arange(n)[cols] * d

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _TILE, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit, lof_fitter,
-    neighbour_scores,
+    _CHUNK, _DESCENT_TILE, _TILE, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit,
+    lof_fitter, neighbour_scores,
 )
 from _oracles import forest_reference, knn_reference, lof_fit_reference
 
@@ -478,8 +478,8 @@ class TestIsolationForest:
         train = rng.normal(size=(40, 3))
         model = iforest_fit(train, n_trees=n_trees, subsample=16, seed=4)
         models = [model] + [model.prefix(t) for t in (1, 50, 100) if t < n_trees]
-        per_tile = _TILE // n_trees
-        for n in (1, per_tile - 1, per_tile + 1, _TILE + 5):
+        per_tile = _DESCENT_TILE // n_trees
+        for n in (1, per_tile - 1, per_tile + 1, _DESCENT_TILE + 5):
             queries = rng.normal(scale=2.0, size=(n, 3))
             if n > 1:
                 queries[n // 2] = np.nan
