@@ -15,14 +15,14 @@ point up to the k-th distance plus that tolerance; LOF fits of any number
 of k share one training distance matrix (:func:`lof_fitter`).
 :func:`neighbour_scores` scores any kNN and LOF models fitted on the same
 points, one model (``KnnModel.score``, ``LofModel.score``) or every such
-combo of a grid block.  Isolation trees are grown level by level in heap layout, tree t
-from its own stream seeded by (seed, t), so a forest of n trees is the
-n-tree prefix of a larger forest of the same seed; :func:`forest_scores`
-scores one forest or all of its prefixes in one pass over the trees.  Forest
-growth works in batches of at most ``_TILE`` elements (trees x subsample
-points x dimensions) and descent in tiles of at most ``_DESCENT_TILE``
-(trees x queries), so a tile holds every tree for a test fold and a few
-trees for a large volume sample.
+combo of a grid block.  Isolation trees are grown level by level in heap
+layout, every draw of tree t a counter-based hash of (seed, t, slot), so a
+forest of n trees is the n-tree prefix of a larger forest of the same seed;
+:func:`forest_scores` scores one forest or all of its prefixes in one pass
+over the trees.  Forest growth works in batches of at most ``_TILE``
+elements (trees x subsample points x dimensions) and descent in tiles of
+at most ``_DESCENT_TILE`` (trees x queries), so a tile holds every tree for
+a test fold and a few trees for a large volume sample.
 """
 
 from __future__ import annotations
@@ -403,6 +403,32 @@ class IsolationForestModel:
         return forest_scores([self], x)[0]
 
 
+# splitmix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the state increment and the finaliser's
+# multipliers.  Every constant is a np.uint64, so uint64 arrays never meet a
+# Python int or a signed array and stay uint64 under either numpy promotion
+# rule (NEP 50 or value-based).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix(state: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Output ``k`` (from 0) of splitmix64 seeded with ``state``, elementwise.
+
+    That is the finaliser of ``state + (k + 1) * gamma`` mod 2**64.  Both
+    arguments are uint64 arrays (broadcast together): numpy array arithmetic
+    wraps silently, where uint64 scalars would warn on overflow.
+    """
+    z = state + (k + np.uint64(1)) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _grow_batch(
     points: np.ndarray,
     seed: int,
@@ -417,15 +443,32 @@ def _grow_batch(
     Each level sorts the points still in inner nodes by (tree, node), so a
     node's points are one run and its bounds one ``reduceat``.
     ``leaf_path[s]`` is c(s).
+
+    Every draw is a pure function of (seed, t, slot), counter-based in the
+    sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+    (SC 2011): output ``slot`` of splitmix64 seeded with output t of
+    splitmix64 seeded with ``seed``.  Heap node i's (u1, u2) are slots 2i
+    and 2i + 1, as their top 53 bits over 2**53, computed only for the
+    nodes that split.  The key of point j is slot ``2 * n_heap + j`` with
+    its low ceil(log2 n) bits replaced by j.
     """
     batch, n_heap = rows[0].shape
+    n = len(points)
     height_limit = n_heap.bit_length() - 1
-    n_inner = n_heap // 2
-    streams = [np.random.default_rng((seed, t)) for t in range(first, first + batch)]
-    sample = np.concatenate([s.choice(len(points), size=psi, replace=False) for s in streams])
-    uniforms = np.concatenate([s.random((n_inner, 2)) for s in streams])
+    tree_key = _splitmix(np.array([seed], dtype=np.uint64),
+                         np.arange(first, first + batch, dtype=np.uint64))
+    if psi == n:
+        # Every point; a tree depends on its point set only, not on row order.
+        x = np.tile(points, (batch, 1))
+    else:
+        # The psi smallest keys, whose low bits are the point index, so all
+        # keys differ and the chosen set does not depend on how ties break.
+        index = np.arange(n, dtype=np.uint64)
+        slot = np.uint64(2 * n_heap) + index
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)
+        keys = _splitmix(tree_key[:, None], slot) & ~low | index
+        x = points[np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()]
     feature, threshold, path = (r.reshape(-1) for r in rows)
-    x = points[sample]
     node = np.repeat(np.arange(batch) * n_heap, psi)  # tree * n_heap + heap index
     for depth in range(height_limit + 1):
         order = np.argsort(node, kind="stable")
@@ -444,7 +487,9 @@ def _grow_batch(
         keep = np.repeat(split, size)
         head, count = head[split], count[split]
         local = head % n_heap
-        u = uniforms[head // n_heap * n_inner + local]
+        slot = (2 * local).astype(np.uint64)[:, None] + np.array([0, 1], dtype=np.uint64)
+        bits = _splitmix(tree_key[head // n_heap, None], slot) >> np.uint64(11)
+        u = bits.astype(np.float64) * 2.0**-53
         pick = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
         dim = np.argmax(np.cumsum(splittable[split], axis=1) > pick[:, None], axis=1)
         lo, hi = lo[split, dim], hi[split, dim]
@@ -476,13 +521,16 @@ def iforest_fit(
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
     grow level by level, ``max(1, _TILE // (psi * d))`` trees at a time.
     Trees of a batch grow independently, so the batch size changes no
-    tree.  Tree t draws
-    from its own stream, seeded by ``(seed, t)``: first its subsample, then
-    one pair of uniforms (u1, u2) per inner heap node, where u1 picks among
-    the node's non-constant dimensions and u2 places the split.  Tree t
-    therefore depends only on the points, psi, ``seed`` and t, so the first
-    n trees of a forest are the forest of n trees, and :func:`forest_scores`
-    scores both the same, bit for bit.  Trees are i.i.d. (Liu, Ting & Zhou,
+    tree.  Every draw of tree t is a splitmix64 hash of ``(seed, t, slot)``
+    (:func:`_grow_batch`), with no generator state: its subsample is every
+    point when psi equals n, and otherwise the psi points with the smallest
+    per-point keys; each node that splits takes one pair of uniforms
+    (u1, u2) from its heap index, where u1 picks among the node's
+    non-constant dimensions and u2 places the split.  A tree depends on the
+    set of its points, not on their row order.  Tree t therefore depends
+    only on the points, psi, ``seed`` and t, so the first n trees of a
+    forest are the forest of n trees, and :func:`forest_scores` scores both
+    the same, bit for bit.  Trees are i.i.d. (Liu, Ting & Zhou,
     "Isolation Forest", ICDM 2008), so nesting smaller forests in a larger
     one changes no forest's distribution.
 
@@ -495,7 +543,7 @@ def iforest_fit(
     subsample:
         Per-tree subsample size psi before clipping to n.
     seed:
-        Seed of the per-tree streams.
+        Seed of every tree's draws, in [0, 2**64).
     """
     pts = _validate_train(points)
     if pts.shape[1] < 1:
@@ -504,6 +552,8 @@ def iforest_fit(
         raise ValueError("n_trees must be at least 1")
     if subsample < 2:
         raise ValueError("subsample must be at least 2")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     psi = min(subsample, pts.shape[0])
     if psi < 2:
         raise ValueError("need at least 2 training points")

@@ -100,6 +100,46 @@ def knn_reference(points, queries, k, variant, chunk=4096):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Counter-based draws of isolation trees, in Python integers
+# ---------------------------------------------------------------------------
+
+_MASK64 = 2**64 - 1
+
+
+def splitmix64(state, k):
+    """Output ``k`` (from 0) of Vigna's splitmix64 seeded with ``state``.
+
+    The generator adds 0x9E3779B97F4A7C15 to its state before each output,
+    so output k finalises ``state + (k + 1) * 0x9E3779B97F4A7C15``; Python
+    integers are reduced mod 2**64 by hand.
+    """
+    z = (state + (k + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def forest_draw(seed, t, slot):
+    """Draw ``slot`` of tree ``t``: splitmix64 seeded with output ``t`` of splitmix64 seeded with ``seed``."""
+    return splitmix64(splitmix64(seed, t), slot)
+
+
+def forest_subsample(seed, t, n, psi, n_heap):
+    """Rows of tree t's subsample: every row if psi == n, else the psi smallest point keys.
+
+    Point j's key is draw ``2 * n_heap + j`` with its low ceil(log2 n) bits
+    replaced by j.
+    """
+    if psi == n:
+        return list(range(n))
+    bits = (n - 1).bit_length()
+    keys = sorted(
+        (forest_draw(seed, t, 2 * n_heap + j) >> bits << bits) | j for j in range(n)
+    )
+    return [key & ((1 << bits) - 1) for key in keys[:psi]]
+
+
 def forest_reference(model, queries):
     """Isolation-forest scores by a walk over one tree at a time.
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _DESCENT_TILE, _TILE, _avg_path_length, forest_scores, iforest_fit, knn_fit, lof_fit,
-    lof_fitter, neighbour_scores,
+    _CHUNK, _DESCENT_TILE, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit,
+    knn_fit, lof_fit, lof_fitter, neighbour_scores,
 )
-from _oracles import forest_reference, knn_reference, lof_fit_reference
+from _oracles import (
+    forest_draw, forest_reference, forest_subsample, knn_reference, lof_fit_reference,
+    splitmix64,
+)
 
 
 @st.composite
@@ -489,14 +493,53 @@ class TestIsolationForest:
 
     def test_growth_does_not_depend_on_batching(self, monkeypatch):
         train = np.random.default_rng(8).normal(size=(50, 3))
-        subsample, n_trees = 32, 10
-        fits = []
-        for per_batch in (1, 3, n_trees):
-            monkeypatch.setattr(detectors, "_TILE", per_batch * subsample * train.shape[1])
-            fits.append(iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=2))
-        for fit in fits[1:]:
-            for attr in ("feature", "threshold", "path"):
-                assert np.array_equal(getattr(fit, attr), getattr(fits[0], attr)), attr
+        n_trees = 10
+        # psi < n draws a subsample; psi == n (exact or clipped) takes every point.
+        for subsample in (32, 50, 256):
+            psi = min(subsample, len(train))
+            fits = []
+            for per_batch in (1, 3, n_trees):
+                monkeypatch.setattr(detectors, "_TILE", per_batch * psi * train.shape[1])
+                fits.append(iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=2))
+            for fit in fits[1:]:
+                for attr in ("feature", "threshold", "path"):
+                    assert np.array_equal(getattr(fit, attr), getattr(fits[0], attr)), (
+                        subsample, attr)
+
+    @given(grid_cloud(max_points=30, dim=3), st.randoms(use_true_random=False),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_full_subsample_does_not_depend_on_row_order(self, points, rnd, seed):
+        """With psi == n a tree grows on every point, and only their set matters."""
+        order = list(range(len(points)))
+        rnd.shuffle(order)
+        a = iforest_fit(points, n_trees=8, subsample=len(points), seed=seed)
+        b = iforest_fit(points[order], n_trees=8, subsample=len(points), seed=seed)
+        for attr in ("feature", "threshold", "path"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+    def test_counter_equals_python_integer_splitmix64(self):
+        # The first outputs of splitmix64 seeded with 0, as published with
+        # the generator (Vigna's splitmix64.c).
+        assert [splitmix64(0, k) for k in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+        top = 2**64 - 1
+        triples = [(0, 0, 0), (top, 0, 0), (top, 5, 2**63 + 7), (1, top, top),
+                   (2**63, 2**40, 123456789), (17, 199, 2 * 511 + 479)]
+        seed, t, slot = (np.array(v, dtype=np.uint64) for v in zip(*triples))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _splitmix(_splitmix(seed, t), slot)
+        assert draws.dtype == np.uint64
+        assert [int(v) for v in draws] == [forest_draw(*triple) for triple in triples]
+
+    def test_rejects_seeds_outside_uint64(self):
+        train = two_clusters(seed=6)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                iforest_fit(train, n_trees=3, subsample=8, seed=seed)
+        iforest_fit(train, n_trees=3, subsample=8, seed=2**64 - 1)
 
     def test_rejects_points_without_dimensions(self):
         with pytest.raises(ValueError, match="at least one dimension"):
@@ -527,8 +570,8 @@ class TestIsolationForest:
 def check_growth(points, subsample, seed, n_trees=6):
     """Walk each tree over the subsample it grew on and check the growth rules.
 
-    Tree t's subsample is the first draw of its own stream, seeded by
-    (seed, t).  Every reached node must be split exactly when it holds more
+    Tree t's subsample follows the documented key rule
+    (``_oracles.forest_subsample``).  Every reached node must be split exactly when it holds more
     than one point, has a non-constant dimension and lies above the height
     limit; a split threshold must lie within its dimension's bounds in the
     node; a leaf's path must be its depth plus c(size); the leaf sizes must
@@ -538,7 +581,7 @@ def check_growth(points, subsample, seed, n_trees=6):
     psi, height_limit = min(subsample, len(points)), model.height_limit
     assert (model.subsample, height_limit) == (psi, math.ceil(math.log2(psi)))
     for t in range(n_trees):
-        rows = np.random.default_rng((seed, t)).choice(len(points), size=psi, replace=False)
+        rows = forest_subsample(seed, t, len(points), psi, model.feature.shape[1])
         feature, threshold, path = model.feature[t], model.threshold[t], model.path[t]
         leaf_sizes = []
         stack = [(0, 0, points[rows])]
