@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -552,6 +553,9 @@ def iforest_fit(
         raise ValueError("n_trees must be at least 1")
     if subsample < 2:
         raise ValueError("subsample must be at least 2")
+    # An integer in uint64's range: a cast would truncate a float and wrap a
+    # negative or too-large seed onto another forest's.
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     psi = min(subsample, pts.shape[0])

@@ -539,6 +539,8 @@ class TestIsolationForest:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 iforest_fit(train, n_trees=3, subsample=8, seed=seed)
+        with pytest.raises(TypeError):
+            iforest_fit(train, n_trees=3, subsample=8, seed=1.5)
         iforest_fit(train, n_trees=3, subsample=8, seed=2**64 - 1)
 
     def test_rejects_points_without_dimensions(self):
