@@ -19,10 +19,10 @@ combo of a grid block.  Isolation trees are grown level by level in heap
 layout, every draw of tree t a counter-based hash of (seed, t, slot), so a
 forest of n trees is the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one pass
-over the trees.  Forest growth works in batches of at most ``_TILE``
-elements (trees x subsample points x dimensions) and descent in tiles of
-at most ``_DESCENT_TILE`` (trees x queries), so a tile holds every tree for
-a test fold and a few trees for a large volume sample.
+over the trees.  Forest growth and descent work in batches of at most
+``_TILE`` elements (trees x subsample points x dimensions, trees x
+queries), so a batch holds every tree for a test fold and a few trees for a
+large volume sample.
 """
 
 from __future__ import annotations
@@ -340,13 +340,11 @@ def neighbour_scores(
 # ---------------------------------------------------------------------------
 
 # Elements in one batch of forest work: trees x subsample points x dimensions
-# in growth, trees x queries in a descent.  A batch of this size makes each
-# numpy pass long enough to pay for its call, and bounds the working set
-# whatever the forest size or the number of queries.  A descent step holds
-# several int64 and float64 temporaries per element, so its tile is half the
-# growth batch: at 2**16 those overflow a 2 MiB L2 cache.
+# (or trees x training points, whichever is larger) in growth, trees x
+# queries in a descent.  A batch of this size makes each numpy pass long
+# enough to pay for its call, and bounds the working set whatever the forest
+# size or the number of queries.
 _TILE = 2**16
-_DESCENT_TILE = 2**15
 
 
 def _avg_path_length(n: int) -> float:
@@ -451,24 +449,22 @@ def _grow_batch(
     splitmix64 seeded with ``seed``.  Heap node i's (u1, u2) are slots 2i
     and 2i + 1, as their top 53 bits over 2**53, computed only for the
     nodes that split.  The key of point j is slot ``2 * n_heap + j`` with
-    its low ceil(log2 n) bits replaced by j.
+    its low ceil(log2 n) bits replaced by j, and a tree grows on the points
+    of its psi smallest keys (every point when psi equals n).  A batch holds
+    one key per tree and training point.
     """
     batch, n_heap = rows[0].shape
     n = len(points)
     height_limit = n_heap.bit_length() - 1
     tree_key = _splitmix(np.array([seed], dtype=np.uint64),
                          np.arange(first, first + batch, dtype=np.uint64))
-    if psi == n:
-        # Every point; a tree depends on its point set only, not on row order.
-        x = np.tile(points, (batch, 1))
-    else:
-        # The psi smallest keys, whose low bits are the point index, so all
-        # keys differ and the chosen set does not depend on how ties break.
-        index = np.arange(n, dtype=np.uint64)
-        slot = np.uint64(2 * n_heap) + index
-        low = np.uint64((1 << (n - 1).bit_length()) - 1)
-        keys = _splitmix(tree_key[:, None], slot) & ~low | index
-        x = points[np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()]
+    # The psi smallest keys, whose low bits are the point index, so all keys
+    # differ and the chosen set does not depend on how ties break.
+    index = np.arange(n, dtype=np.uint64)
+    slot = np.uint64(2 * n_heap) + index
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = _splitmix(tree_key[:, None], slot) & ~low | index
+    x = points[np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()]
     feature, threshold, path = (r.reshape(-1) for r in rows)
     node = np.repeat(np.arange(batch) * n_heap, psi)  # tree * n_heap + heap index
     for depth in range(height_limit + 1):
@@ -520,12 +516,14 @@ def iforest_fit(
     height ceil(log2(psi)).
 
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
-    grow level by level, ``max(1, _TILE // (psi * d))`` trees at a time.
-    Trees of a batch grow independently, so the batch size changes no
-    tree.  Every draw of tree t is a splitmix64 hash of ``(seed, t, slot)``
-    (:func:`_grow_batch`), with no generator state: its subsample is every
-    point when psi equals n, and otherwise the psi points with the smallest
-    per-point keys; each node that splits takes one pair of uniforms
+    grow level by level, ``max(1, _TILE // max(psi * d, n))`` trees at a
+    time, so a batch's points and its per-point keys both stay within
+    ``_TILE`` elements when n does.  Trees of a batch grow independently,
+    so the batch size changes no tree.  Every draw of tree t is a
+    splitmix64 hash of ``(seed, t, slot)`` (:func:`_grow_batch`), with no
+    generator state: its subsample is the psi points with the smallest
+    per-point keys, so every point when psi equals n, and each node that
+    splits takes one pair of uniforms
     (u1, u2) from its heap index, where u1 picks among the node's
     non-constant dimensions and u2 places the split.  A tree depends on the
     set of its points, not on their row order.  Tree t therefore depends
@@ -567,7 +565,7 @@ def iforest_fit(
     feature = np.full((n_trees, n_heap), -1, dtype=np.int64)
     threshold = np.full((n_trees, n_heap), -np.inf)
     path = np.zeros((n_trees, n_heap))
-    per_batch = max(1, _TILE // (psi * pts.shape[1]))
+    per_batch = max(1, _TILE // max(psi * pts.shape[1], pts.shape[0]))
     for first in range(0, n_trees, per_batch):
         batch = slice(first, first + per_batch)
         _grow_batch(pts, seed, first, psi, leaf_path,
@@ -592,15 +590,13 @@ def forest_scores(
     """Scores of isolation forests that are prefixes of one forest, one row per model.
 
     The trees of the largest forest are descended once, in tiles of at most
-    ``_DESCENT_TILE`` (trees x queries) elements: all trees at once for up to
-    ``_DESCENT_TILE // n_trees`` queries, chunks of ``_DESCENT_TILE`` queries
-    one tree at a time for more than ``_DESCENT_TILE``; the tile is half
-    the growth batch ``_TILE``, so a volume sample's tile stays in a 2 MiB
-    L2 cache.  Every query descends each tree of a tile from the root by
-    ``idx = 2*idx + 1 + go_right`` to depth ``height_limit`` (past its
-    leaf, see :class:`IsolationForestModel`), and the path length found
-    there over c(psi) is added to the query's running total one tree at a
-    time, in tree order; a model's row,
+    ``_TILE`` (trees x queries) elements: all trees at once for up to
+    ``_TILE // n_trees`` queries, chunks of ``_TILE`` queries one tree at a
+    time for more than ``_TILE``.  Every query descends each tree of a tile
+    from the root by ``idx = 2*idx + 1 + go_right`` to depth
+    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`), and
+    the path length found there over c(psi) is added to the query's running
+    total one tree at a time, in tree order; a model's row,
     ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
     therefore gives the same scores, bit for bit, as a walk over single
     trees, and a forest scores the same alone or as a prefix of a larger
@@ -631,8 +627,8 @@ def forest_scores(
     for row, m in enumerate(models):
         readout.setdefault(m.n_trees, []).append(row)
     out = np.empty((len(models), n))
-    width = max(1, min(n, _DESCENT_TILE))  # queries per tile
-    height = max(1, _DESCENT_TILE // width)  # trees per tile
+    width = max(1, min(n, _TILE))  # queries per tile
+    height = max(1, _TILE // width)  # trees per tile
     for first in range(0, n, width):
         cols = slice(first, first + width)
         row_start = np.arange(n)[cols] * d

@@ -126,13 +126,11 @@ def forest_draw(seed, t, slot):
 
 
 def forest_subsample(seed, t, n, psi, n_heap):
-    """Rows of tree t's subsample: every row if psi == n, else the psi smallest point keys.
+    """Rows of tree t's subsample: the points of the psi smallest point keys.
 
     Point j's key is draw ``2 * n_heap + j`` with its low ceil(log2 n) bits
     replaced by j.
     """
-    if psi == n:
-        return list(range(n))
     bits = (n - 1).bit_length()
     keys = sorted(
         (forest_draw(seed, t, 2 * n_heap + j) >> bits << bits) | j for j in range(n)

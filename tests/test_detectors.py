@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _DESCENT_TILE, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit,
-    knn_fit, lof_fit, lof_fitter, neighbour_scores,
+    _CHUNK, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit, knn_fit, lof_fit,
+    lof_fitter, neighbour_scores,
 )
 from _oracles import (
     forest_draw, forest_reference, forest_subsample, knn_reference, lof_fit_reference,
@@ -482,8 +482,8 @@ class TestIsolationForest:
         train = rng.normal(size=(40, 3))
         model = iforest_fit(train, n_trees=n_trees, subsample=16, seed=4)
         models = [model] + [model.prefix(t) for t in (1, 50, 100) if t < n_trees]
-        per_tile = _DESCENT_TILE // n_trees
-        for n in (1, per_tile - 1, per_tile + 1, _DESCENT_TILE + 5):
+        per_tile = _TILE // n_trees
+        for n in (1, per_tile - 1, per_tile + 1, _TILE + 5):
             queries = rng.normal(scale=2.0, size=(n, 3))
             if n > 1:
                 queries[n // 2] = np.nan
@@ -494,7 +494,7 @@ class TestIsolationForest:
     def test_growth_does_not_depend_on_batching(self, monkeypatch):
         train = np.random.default_rng(8).normal(size=(50, 3))
         n_trees = 10
-        # psi < n draws a subsample; psi == n (exact or clipped) takes every point.
+        # psi < n, psi == n and psi clipped to n.
         for subsample in (32, 50, 256):
             psi = min(subsample, len(train))
             fits = []
@@ -505,6 +505,23 @@ class TestIsolationForest:
                 for attr in ("feature", "threshold", "path"):
                     assert np.array_equal(getattr(fit, attr), getattr(fits[0], attr)), (
                         subsample, attr)
+
+    def test_growth_batch_keys_stay_within_tile(self, monkeypatch):
+        """A batch hashes one key per tree and training point, so n bounds it too."""
+        tile, sizes = 4096, []
+        splitmix = detectors._splitmix
+
+        def recording(state, k):
+            out = splitmix(state, k)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(detectors, "_TILE", tile)
+        monkeypatch.setattr(detectors, "_splitmix", recording)
+        # psi * d = 32 would allow 128 trees per batch, 128000 keys.
+        train = np.random.default_rng(9).normal(size=(1000, 2))
+        iforest_fit(train, n_trees=20, subsample=16, seed=3)
+        assert 1000 <= max(sizes) <= tile
 
     @given(grid_cloud(max_points=30, dim=3), st.randoms(use_true_random=False),
            st.integers(min_value=0, max_value=3))
