@@ -518,7 +518,7 @@ class TestIsolationForest:
 
         monkeypatch.setattr(detectors, "_TILE", tile)
         monkeypatch.setattr(detectors, "_splitmix", recording)
-        # psi * d = 32 would allow 128 trees per batch, 128000 keys.
+        # Bounded by psi * d = 32 alone, all 20 trees would share one batch of 20000 keys.
         train = np.random.default_rng(9).normal(size=(1000, 2))
         iforest_fit(train, n_trees=20, subsample=16, seed=3)
         assert 1000 <= max(sizes) <= tile
