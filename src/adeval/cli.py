@@ -333,7 +333,16 @@ def _resolved_run_config(args: argparse.Namespace):
     return cfg, run_keys["dataset_dir"], run_keys["output_dir"], only or None
 
 
+def _available_parallelism() -> int:
+    """CPUs this process may run on, where the platform says; else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset_dir, output_dir, only = _resolved_run_config(args)
     benches = load_benchmarks(dataset_dir, list(only) if only else None)
     if not benches:
@@ -364,11 +373,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"run {manifest.hash}: {len(benches)} benchmarks, "
               f"{len(cfg.detector_combos())} combos, {cfg.repetitions} repetitions")
     store = RecordStore(out_root / "records", manifest_hash=manifest.hash)
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
     summary = run_grid(
         cfg, benches, store,
         progress=lambda msg: print(f"  {msg}"),
-        workers=workers,
+        workers=args.workers or _available_parallelism(),
     )
     flagged = [r for r in store.load() if r.is_flagged_missing]
     print(
@@ -713,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="benchmark cache directory (overrides dataset_dir)")
     p.add_argument("--out", help="run output directory (overrides output_dir)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, at least 1 (default: available parallelism); "
+                   "never more than there are blocks to run")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("aggregate", help="reduce a record store to summary tables")

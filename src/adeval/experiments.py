@@ -2,11 +2,12 @@
 
 A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
-test fold and evaluates every configured measure; the cells of one
-(benchmark, contamination, repetition) block share their split, their
-volume sample, their kNN neighbour tables, their LOF training distances
-and their isolation forest, and the cells scored together are evaluated
-together.
+test fold and evaluates every configured measure.  The cells of one
+(table, contamination, repetition) block share their fits wherever their
+training folds are equal, so every benchmark of a table trains once at
+contamination 0; the cells of one benchmark in a block share their
+split, their volume sample and their kNN neighbour tables, and the cells
+scored together are evaluated together.
 Records land in a resumable delimited-text store, one file per
 (benchmark, detector).
 Analytics first collapse one contamination level of the store into a
@@ -24,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -36,7 +37,7 @@ from adeval.curves import (
     LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
     check_labels, descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
-from adeval.datasets import BenchmarkDataset, SplitSpec, _safe_name, split
+from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
 from adeval.detectors import (
     KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
 )
@@ -223,11 +224,14 @@ class GridConfig:
 def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
     """Seed of a combo's fit on its cell's training fold.
 
-    A forest's seed leaves out ``n_trees``, so the forests of one subsample
-    in a block are prefixes of one forest (:func:`iforest_fit`).
+    The seed takes the benchmark's table, not its anomaly class, so a fit
+    on the normal fold that every benchmark of a table shares is one model
+    whichever class it is tested on.  A forest's seed leaves out
+    ``n_trees``, so the forests of one subsample in a block are prefixes of
+    one forest (:func:`iforest_fit`).
     """
     params = tuple(p for p in combo.params if combo.detector != "iforest" or p[0] != "n_trees")
-    return derive_seed(spec.seed, "fit", bench.name, combo.detector, params, spec.repetition)
+    return derive_seed(spec.seed, "fit", bench.table, combo.detector, params, spec.repetition)
 
 
 _CELL_ERRORS = (ValueError, FloatingPointError)
@@ -239,7 +243,9 @@ def fit_models(
     """The model of each combo fitted on ``train``, the training fold of ``spec``.
 
     This is the one rule that maps a combo to its fit, used by grid cells,
-    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  kNN combos
+    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  It reads
+    ``bench`` only for its table (:func:`_fit_seed`), so the benchmarks of
+    a table with equal training folds can share one call.  kNN combos
     fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
     ``train``.  The forest combos of a subsample take their prefix of one
     :func:`iforest_fit` at their largest ``n_trees``, which equals a forest
@@ -592,35 +598,42 @@ def _evaluate_cells(
 
 def _run_repetition(
     cfg: GridConfig,
-    bench: BenchmarkDataset,
+    pending: Sequence[tuple[BenchmarkDataset, Sequence[Combo]]],
     contamination: float,
     repetition: int,
-    combos: Sequence[Combo],
 ) -> list[ExperimentRecord]:
-    """Evaluate the cells of ``combos`` in one (benchmark, contamination, repetition) block.
+    """Evaluate the cells of one (table, contamination, repetition) block.
 
-    The block is split once, its uniform volume sample
-    (:func:`volume_box_and_seed`) drawn once, and its combos fitted by
-    :func:`fit_models`.  The fitted models are scored in groups, one per
-    scorer: every kNN and LOF model in one group that shares one distance
-    matrix per query chunk (:func:`neighbour_scores`), and the forest
-    prefixes of each subsample in one group that one pass over the trees
-    scores (:func:`forest_scores`).  Each group scores the test fold and
-    the volume sample, and evaluates its cells together from the (combo x
-    point) score matrices (:func:`_evaluate_cells`): with validation, the
-    evaluation part of the test fold, then its ``val:`` part.  A failure
-    leaves missing every value of the cells it reaches that is not yet
-    evaluated and flags them ``error:<exception type>``: a failed split or
-    volume draw reaches every cell of the block, a failed scoring pass
-    every cell of its group, a failed forest fit every cell of its
-    subsample, a sample with one class only every cell of its group still
-    standing, and any other failed fit or a non-finite score only its own
-    cell.
+    ``pending`` pairs benchmarks of one table with the combos of their
+    cells to run; records come back in that order.  Each benchmark is
+    split once.  Benchmarks whose training folds are equal (same shape and
+    values) share one :func:`fit_models` call over the union of their
+    combos, and one copy of the fold: at contamination 0 that is every
+    benchmark of the table, while the anomalies injected at a higher level
+    keep each benchmark's fold its own.  Each benchmark then draws its own uniform volume sample
+    (:func:`volume_box_and_seed`) and scores its fitted models in groups,
+    one per scorer: every kNN and LOF model in one group that shares one
+    distance matrix per query chunk (:func:`neighbour_scores`), and the
+    forest prefixes of each subsample in one group that one pass over the
+    trees scores (:func:`forest_scores`).  Each group scores the
+    benchmark's test fold and volume sample, and evaluates its cells
+    together from the (combo x point) score matrices
+    (:func:`_evaluate_cells`): with validation, the evaluation part of the
+    test fold, then its ``val:`` part.  A failure leaves missing every
+    value of the cells it reaches that is not yet evaluated and flags them
+    ``error:<exception type>``: a failed split or volume draw reaches every
+    cell of its benchmark, a failed scoring pass every cell of its group, a
+    failed forest fit every cell of its subsample, a sample with one class
+    only every cell of its group still standing, and any other failed fit
+    or a non-finite score only its own cell.
     """
     names = cfg.measure_names()
     measures = cfg.measures()
+    spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
+                     seed=cfg.master_seed, repetition=repetition)
 
-    def record(combo: Combo, values: dict[str, float], flags: list[str]):
+    def record(bench: BenchmarkDataset, combo: Combo, values: dict[str, float],
+               flags: list[str]) -> ExperimentRecord:
         return ExperimentRecord(
             grid_index=combo.index,
             table=bench.table,
@@ -633,62 +646,77 @@ def _run_repetition(
             flags=tuple(flags),
         )
 
-    spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
-                     seed=cfg.master_seed, repetition=repetition)
-    try:
-        fold = split(bench, spec)
-        box, volume_seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
-        volume_points = uniform_sample(box, cfg.volume_samples, volume_seed)
-    except _CELL_ERRORS as exc:
-        return [record(combo, {}, [_error_flag(exc)]) for combo in combos]
-    prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-    samples = [("", np.arange(len(fold.test_labels)))]
-    if cfg.validation_fraction > 0:
-        rng = np.random.default_rng(
-            derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
-        )
-        perm = rng.permutation(len(fold.test_labels))
-        n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
-        samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
-
-    records: dict[int, ExperimentRecord] = {}
-    groups: dict[tuple, list[tuple[Combo, object]]] = {}
-    for combo, model in zip(combos, fit_models(bench, spec, fold.train, combos)):
-        if isinstance(model, Exception):
-            records[combo.index] = record(combo, {}, [_error_flag(model)])
-        else:
-            key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
-                   else (neighbour_scores, None))
-            groups.setdefault(key, []).append((combo, model))
-    for (score, _), group in groups.items():
-        fitted, models = zip(*group)
+    def evaluate(bench: BenchmarkDataset, combos: Sequence[Combo], fold: TrainTestSplit,
+                 models: dict[Combo, object]) -> list[ExperimentRecord]:
         try:
-            test_scores, volume_scores = score(models, fold.test), score(models, volume_points)
+            box, volume_seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
+            volume_points = uniform_sample(box, cfg.volume_samples, volume_seed)
         except _CELL_ERRORS as exc:
-            records.update((c.index, record(c, {}, [_error_flag(exc)])) for c in fitted)
+            return [record(bench, combo, {}, [_error_flag(exc)]) for combo in combos]
+        prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
+        samples = [("", np.arange(len(fold.test_labels)))]
+        if cfg.validation_fraction > 0:
+            rng = np.random.default_rng(
+                derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
+            )
+            perm = rng.permutation(len(fold.test_labels))
+            n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
+            samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
+
+        records: dict[int, ExperimentRecord] = {}
+        groups: dict[tuple, list[tuple[Combo, object]]] = {}
+        for combo in combos:
+            model = models[combo]
+            if isinstance(model, Exception):
+                records[combo.index] = record(bench, combo, {}, [_error_flag(model)])
+            else:
+                key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
+                       else (neighbour_scores, None))
+                groups.setdefault(key, []).append((combo, model))
+        for (score, _), group in groups.items():
+            fitted, group_models = zip(*group)
+            try:
+                test_scores = score(group_models, fold.test)
+                volume_scores = score(group_models, volume_points)
+            except _CELL_ERRORS as exc:
+                records.update((c.index, record(bench, c, {}, [_error_flag(exc)])) for c in fitted)
+                continue
+            cells = _evaluate_cells(
+                fold.test_labels, samples, test_scores, volume_scores, measures, cfg, prec_seed
+            )
+            for combo, (values, flags) in zip(fitted, cells):
+                records[combo.index] = record(bench, combo, values, flags)
+        return [records[combo.index] for combo in combos]
+
+    done: dict[int, list[ExperimentRecord]] = {}
+    folds: dict[int, TrainTestSplit] = {}
+    shared: list[list[int]] = []  # positions in pending whose training folds are equal
+    for i, (bench, combos) in enumerate(pending):
+        try:
+            folds[i] = split(bench, spec)
+        except _CELL_ERRORS as exc:
+            done[i] = [record(bench, combo, {}, [_error_flag(exc)]) for combo in combos]
             continue
-        cells = _evaluate_cells(
-            fold.test_labels, samples, test_scores, volume_scores, measures, cfg, prec_seed
-        )
-        for combo, (values, flags) in zip(fitted, cells):
-            records[combo.index] = record(combo, values, flags)
-    return [records[combo.index] for combo in combos]
+        for members in shared:
+            other = folds[members[0]].train
+            if np.array_equal(other, folds[i].train):
+                folds[i] = replace(folds[i], train=other)  # one training copy per group
+                members.append(i)
+                break
+        else:
+            shared.append([i])
+    for members in shared:
+        union = sorted({c for i in members for c in pending[i][1]}, key=lambda c: c.index)
+        first = members[0]
+        models = dict(zip(union, fit_models(pending[first][0], spec, folds[first].train, union)))
+        for i in members:
+            done[i] = evaluate(*pending[i], folds[i], models)
+    return [r for i in range(len(pending)) for r in done[i]]
 
 
-def _run_block(args) -> list[ExperimentRecord]:
-    """Worker entry: evaluate the pending cells of one (benchmark, contamination) block.
-
-    The pending cells are grouped by repetition, each group evaluated by
-    one :func:`_run_repetition`; records come back in pending order.
-    """
-    cfg, bench, contamination, pending = args
-    combos = cfg.detector_combos()
-    records = {}
-    for repetition in sorted({rep for _, rep in pending}):
-        group = [combos[i] for i, rep in pending if rep == repetition]
-        for record in _run_repetition(cfg, bench, contamination, repetition, group):
-            records[record.grid_index, repetition] = record
-    return [records[cell] for cell in pending]
+def _run_block(block) -> list[ExperimentRecord]:
+    """Worker entry: :func:`_run_repetition` of one (cfg, pending, contamination, repetition) block."""
+    return _run_repetition(*block)
 
 
 def run_grid(
@@ -704,64 +732,83 @@ def run_grid(
     resumes where it stopped and a completed run is a no-op.  A failing
     cell is recorded as flagged-missing; the grid itself never aborts.
 
-    Cells are blocked by (benchmark, contamination) and blocks may be
-    evaluated by ``workers`` processes.  Within a block, the pending cells
-    of each repetition share one split, one volume sample, one kNN
-    neighbour table per query chunk and one forest per subsample
-    (:func:`_run_repetition`).  Seeds derive from cell identity, never
-    from scheduling or grouping, and records are appended in grid order,
-    so the store content depends neither on the worker count nor on which
-    cells a resume still has to run.
+    Cells are blocked by (table, contamination, repetition).  Within a
+    block, the benchmarks share one fit per training fold, so at
+    contamination 0 the benchmarks of a table share every fit; each
+    benchmark keeps its own split, volume sample and scoring
+    (:func:`_run_repetition`).  Blocks may be evaluated by up to
+    ``workers`` processes, never more than there are blocks.  When there
+    are fewer blocks than workers, each block is split by benchmark, which
+    repeats the shared fits on otherwise idle workers.  Seeds derive from
+    cell identity and the table, never from scheduling or grouping, and
+    the records of each (table, contamination) are appended together in
+    grid order once all of its blocks are done, so the store content
+    depends neither on the worker count nor on which cells a resume still
+    has to run.
     """
     if not benchmarks:
         raise ValueError("no benchmarks to run on")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     combos = cfg.detector_combos()
     names = cfg.measure_names()
     done = store.existing_keys()
     ordered = sorted(benchmarks, key=lambda b: (b.table, b.anomaly_class))
 
-    blocks = []
+    units = []  # (table, contamination, its blocks)
     n_cells = 0
-    for bench in ordered:
+    for table, group in groupby(ordered, key=lambda b: b.table):
+        benches = list(group)
         for contamination in cfg.contaminations:
-            pending = []
-            for combo in combos:
+            by_repetition: dict[int, list[tuple[BenchmarkDataset, list[Combo]]]] = {}
+            for bench in benches:
                 for repetition in range(cfg.repetitions):
-                    n_cells += 1
-                    key = (
-                        bench.table,
-                        bench.anomaly_class,
-                        contamination,
-                        combo.index,
-                        repetition,
-                    )
-                    if key not in done:
-                        pending.append((combo.index, repetition))
-            if pending:
-                blocks.append((cfg, bench, contamination, pending))
+                    n_cells += len(combos)
+                    todo = [
+                        combo for combo in combos
+                        if (table, bench.anomaly_class, contamination, combo.index, repetition)
+                        not in done
+                    ]
+                    if todo:
+                        by_repetition.setdefault(repetition, []).append((bench, todo))
+            if by_repetition:
+                units.append((table, contamination, [
+                    (cfg, pending, contamination, repetition)
+                    for repetition, pending in sorted(by_repetition.items())
+                ]))
+    if workers > 1 and sum(len(blocks) for *_, blocks in units) < workers:
+        units = [
+            (table, contamination, [(cfg, [cells], contamination, repetition)
+                                    for _, pending, _, repetition in blocks for cells in pending])
+            for table, contamination, blocks in units
+        ]
+    blocks = [block for *_, unit_blocks in units for block in unit_blocks]
 
     n_new = n_flagged = 0
 
-    def consume(block, records):
+    def consume(results: Iterable[list[ExperimentRecord]]) -> None:
         nonlocal n_new, n_flagged
-        _, bench, contamination, _ = block
-        if progress:
-            progress(f"{bench.name} c={contamination:g}: {len(records)} cells")
-        for record in records:
-            store.append(record, names)
-            n_new += 1
-            if record.is_flagged_missing:
-                n_flagged += 1
+        results = iter(results)
+        for table, contamination, unit_blocks in units:
+            records = sorted(
+                (record for _ in unit_blocks for record in next(results)),
+                key=lambda r: (r.anomaly_class, r.grid_index, r.repetition),
+            )
+            if progress:
+                progress(f"{table} c={contamination:g}: {len(records)} cells")
+            for record in records:
+                store.append(record, names)
+                n_new += 1
+                if record.is_flagged_missing:
+                    n_flagged += 1
 
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block, records in zip(blocks, pool.map(_run_block, blocks)):
-                consume(block, records)
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            consume(pool.map(_run_block, blocks))
     else:
-        for block in blocks:
-            consume(block, _run_block(block))
+        consume(map(_run_block, blocks))
     return RunSummary(n_cells=n_cells, n_new=n_new, n_flagged=n_flagged)
 
 

@@ -211,6 +211,62 @@ class TestRun:
         ) == 0
         assert read_store_bytes(run3) == read_store_bytes(study.run)
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_is_rejected(self, study, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        code = main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
+                     "--workers", workers])
+        assert code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def pool_sizes(monkeypatch):
+        """Record (size, task count) of every worker pool; the pool runs its tasks in-process."""
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                sizes.append((self.max_workers, len(items)))
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return sizes
+
+    def test_default_worker_count_is_the_cpu_affinity(self, study, tmp_path, monkeypatch):
+        sizes = self.pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}"]) == 0
+        assert sizes == []  # one usable CPU runs the grid in this process
+        assert read_store_bytes(out) == read_store_bytes(study.run)
+
+    @pytest.mark.parametrize("workers, pool", [
+        ("3", (3, 4)),  # one block per (table, repetition): 2 tables x 2 repetitions
+        ("16", (8, 8)),  # fewer blocks than workers: each split into its 2 benchmarks
+    ])
+    def test_pool_is_no_larger_than_the_block_count(self, study, tmp_path, monkeypatch,
+                                                    workers, pool):
+        sizes = self.pool_sizes(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
+                     "--workers", workers]) == 0
+        assert sizes == [pool]
+        assert read_store_bytes(out) == read_store_bytes(study.run)
+
     def test_changed_config_against_same_store_is_refused(self, study, capsys):
         code = main(
             ["run", "--config", str(study.config), "--set", "master_seed=99"]
@@ -653,6 +709,22 @@ class TestOneOffs:
             scores=[float(value) for _, value in rows],
         )
         assert auc(build_roc(data)) == cell.values["AUC"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--detector", "lof", "--k", "5"], ["--detector", "iforest", "--trees", "20"]],
+        ids=["lof", "iforest"],
+    )
+    def test_anomaly_classes_of_a_table_share_the_model(self, lof_iforest_study, capsys, flags):
+        # At contamination 0 both benchmarks train on the table's normal fold,
+        # so a test normal gets one score whichever class it is tested with.
+        scores = {}
+        for bench in ("tab0-c1", "tab0-c2"):
+            assert main(["scores", "--dataset", str(lof_iforest_study.cache),
+                         "--benchmark", bench, *flags, "--seed", "7", "--rep", "1"]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            scores[bench] = {sid: value for sid, value in rows if sid.startswith("n")}
+        assert scores["tab0-c1"] and scores["tab0-c1"].keys() == scores["tab0-c2"].keys()
+        assert scores["tab0-c1"] == scores["tab0-c2"]
 
     def test_scores_file_format(self, study, tmp_path):
         out = tmp_path / "scores.csv"

@@ -226,12 +226,39 @@ class TestRunGrid:
         b = {p.name: p.read_bytes() for p in (tmp_path / "parallel").glob("*.csv")}
         assert a == b
 
+    def test_worker_count_does_not_change_multiclass_records(self, tmp_path):
+        # Two tables of two anomaly classes, every family, two contamination
+        # levels, two repetitions: eight blocks, each sharing fits, which
+        # nine workers split into their sixteen single-benchmark parts.
+        cfg = GridConfig(
+            knn_variants=("kappa", "delta"), knn_ks=(1, 4), lof_ks=(5,),
+            iforest_trees=(10, 20), iforest_subsample=32, alphas=(0.05,), ps=(0.1,),
+            contaminations=(0.0, 0.05), repetitions=2, volume_samples=200, master_seed=3,
+        )
+        benches = [
+            b for t in range(2)
+            for b in make_benchmarks(synth_multiclass_table(f"m{t}", (60, 20, 12), seed=t))
+        ]
+        stores = {}
+        for workers in (1, 3, 9):
+            run_grid(cfg, benches, RecordStore(tmp_path / str(workers), manifest_hash="h"),
+                     workers=workers)
+            stores[workers] = {
+                p.name: p.read_bytes() for p in (tmp_path / str(workers)).glob("*.csv")
+            }
+        assert len(stores[1]) == 4 * 3 and stores[1] == stores[3] == stores[9]
+        # Each file lists its cells in grid order: contamination, combo, repetition.
+        ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
+        for record in RecordStore(tmp_path / "1", manifest_hash="h").load():
+            ordered.append(record, cfg.measure_names())
+        assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
+
     def test_cells_deterministic(self):
         cfg = knn_only_config()
         bench = self.bench()
         combo = cfg.detector_combos()[1]
-        a = _run_repetition(cfg, bench, 0.0, 1, [combo])[0]
-        b = _run_repetition(cfg, bench, 0.0, 1, [combo])[0]
+        a = _run_repetition(cfg, [(bench, [combo])], 0.0, 1)[0]
+        b = _run_repetition(cfg, [(bench, [combo])], 0.0, 1)[0]
         assert a == b
 
     def test_failing_cell_is_flagged_not_fatal(self, tmp_path):
@@ -333,7 +360,7 @@ class TestRunCell:
         bench = synth_gaussian(40, 2, seed=3)
         (combo,) = cfg.detector_combos()
         for rep in (0, 1, 3):
-            rec = _run_repetition(cfg, bench, 0.0, rep, [combo])[0]
+            rec = _run_repetition(cfg, [(bench, [combo])], 0.0, rep)[0]
             kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
             val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
             assert len(kept) == len(val) == 7
@@ -358,7 +385,7 @@ class TestRunCell:
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
-        rec = _run_repetition(cfg, bench, 0.0, 1, [cfg.detector_combos()[0]])[0]
+        rec = _run_repetition(cfg, [(bench, [cfg.detector_combos()[0]])], 0.0, 1)[0]
         assert rec.flags == () and not rec.is_flagged_missing
         # One batched call per labelled sample (evaluation part, then
         # validation part), with one row for the one cell.
@@ -480,7 +507,7 @@ class TestRunCell:
             for rep in range(cfg.repetitions)
         ]
         expected = {
-            (c, combo.index, rep): _run_repetition(cfg, bench, c, rep, [combo])[0]
+            (c, combo.index, rep): _run_repetition(cfg, [(bench, [combo])], c, rep)[0]
             for combo, c, rep in cells
         }
         store = RecordStore(tmp_path, manifest_hash="h")
@@ -500,6 +527,90 @@ class TestRunCell:
             | {(0.5, combo.index) for combo in combos}
         )
         assert set(flags.values()) == {("error:ValueError",)}
+
+
+class TestSharedFits:
+    """The benchmarks of one table share fits only where their training folds are equal."""
+
+    cfg = GridConfig(
+        knn_variants=("kappa", "delta"),
+        knn_ks=(1, 4),
+        lof_ks=(5,),
+        iforest_trees=(10, 20),
+        iforest_subsample=32,
+        alphas=(0.05, 0.2),
+        ps=(0.1,),
+        # The 48-point training fold takes 3 anomalies at 0.05 and 8 at 0.15,
+        # which the 5-point class c3 does not have.
+        contaminations=(0.0, 0.05, 0.15),
+        repetitions=2,
+        volume_samples=300,
+        validation_fraction=0.3,
+        master_seed=5,
+    )
+    benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12, 5), dim=3, seed=4))
+
+    def cells(self):
+        return [
+            (bench, c, combo, rep)
+            for bench in self.benches
+            for c in self.cfg.contaminations
+            for combo in self.cfg.detector_combos()
+            for rep in range(self.cfg.repetitions)
+        ]
+
+    def test_records_equal_cells_run_one_benchmark_at_a_time(self, tmp_path):
+        cfg = self.cfg
+        expected = {
+            (bench.anomaly_class, c, combo.index, rep):
+                _run_repetition(cfg, [(bench, [combo])], c, rep)[0]
+            for bench, c, combo, rep in self.cells()
+        }
+        # Resume from a store holding some cells of two benchmarks, so the
+        # benchmarks of a block have different combos pending.
+        stored = [
+            (bench, c, combo, rep) for bench, c, combo, rep in self.cells()
+            if (bench.anomaly_class, combo.index % 2, rep) in {("c1", 0, 1), ("c2", 1, 0)}
+        ]
+        store = RecordStore(tmp_path, manifest_hash="h")
+        for bench, c, combo, rep in stored:
+            store.append(expected[bench.anomaly_class, c, combo.index, rep], cfg.measure_names())
+        summary = run_grid(cfg, self.benches, store)
+        assert summary.n_new == len(expected) - len(stored)
+        loaded = {
+            (r.anomaly_class, r.contamination, r.grid_index, r.repetition): r
+            for r in store.load()
+        }
+        assert loaded == expected
+        failed = {key[:2] for key, r in loaded.items() if r.flags == ("error:ValueError",)}
+        assert ("c3", 0.15) in failed and ("c1", 0.15) not in failed
+
+    def test_one_fit_per_training_fold(self, tmp_path, monkeypatch):
+        fits = {"iforest": [], "lof": [], "knn": []}
+        iforest, knn, cdist = experiments.iforest_fit, experiments.knn_fit, detectors.cdist
+
+        def count(family, fit):
+            return lambda train, **kw: fits[family].append(len(train)) or fit(train, **kw)
+
+        monkeypatch.setattr(experiments, "iforest_fit", count("iforest", iforest))
+        monkeypatch.setattr(experiments, "knn_fit", count("knn", knn))
+
+        def counting_cdist(a, b):
+            if a is b:  # LOF's training distance matrix: a fold against itself
+                fits["lof"].append(len(a))
+            return cdist(a, b)
+
+        monkeypatch.setattr(detectors, "cdist", counting_cdist)
+        run_grid(self.cfg, self.benches, RecordStore(tmp_path, manifest_hash="h"))
+        # Training fold sizes: 48 normals, plus 3 anomalies at c = 0.05 and 8
+        # at c = 0.15.  Per repetition, c = 0 fits once for the whole table;
+        # c = 0.05 once per benchmark, c = 0.15 once per benchmark it can split.
+        per_repetition = {48: 1, 51: 3, 56: 2}
+        reps = self.cfg.repetitions
+        n_knn = len(self.cfg.knn_variants) * len(self.cfg.knn_ks)
+        for family, per_fold in (("iforest", 1), ("lof", 1), ("knn", n_knn)):
+            counts = {n: fits[family].count(n) for n in set(fits[family])}
+            assert counts == {n: k * reps * per_fold for n, k in per_repetition.items()}, family
 
 
 class TestEvaluateCells:
