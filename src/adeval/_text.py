@@ -17,12 +17,10 @@ def data_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, row)`` for each data row of a delimited file.
 
     Blank rows and rows whose first field starts with ``#`` are skipped;
-    line numbers refer to the physical file so error messages stay exact.
+    ``lineno`` is the physical line the row ends on, so error messages stay
+    exact when a quoted field spans lines.
     """
     reader = csv.reader(handle)
-    for lineno, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        yield lineno, row
+    for row in reader:
+        if row and not row[0].lstrip().startswith("#"):
+            yield reader.line_num, row

@@ -344,7 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset_dir, output_dir, only = _resolved_run_config(args)
-    benches = load_benchmarks(dataset_dir, list(only) if only else None)
+    benches = load_benchmarks(dataset_dir, only)
     if not benches:
         raise CliError(f"no benchmarks under {dataset_dir}; run prepare first")
     manifest = RunManifest(
@@ -409,16 +409,6 @@ def _pick_contamination(args: argparse.Namespace, cfg: GridConfig) -> float:
         return levels[0]
     shown = ", ".join(f"{c:g}" for c in levels)
     raise CliError(f"store holds several contamination levels ({shown}); pass --contamination")
-
-
-def _expected_benchmarks(payload: dict) -> list[tuple[str, str]]:
-    stored = list_benchmarks(payload["dataset_dir"])
-    only = payload.get("only")
-    if only:
-        stored = [
-            (t, a) for t, a in stored if t in only or f"{t}-{a}" in only
-        ]
-    return stored
 
 
 def _missing_cells(cfg, bench_names, records, contamination) -> list[tuple]:
@@ -556,14 +546,13 @@ def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
         raise CliError("aggregate rocband needs --benchmark")
     bench = _find_benchmark(payload["dataset_dir"], args.benchmark)
     combo = _combo_from_flags(args)
-    seed = cfg.master_seed if args.seed is None else args.seed
     band = roc_band(
         bench,
         combo,
         n_splits=args.splits,
         train_fraction=cfg.train_fraction,
         contamination=_pick_contamination(args, cfg),
-        master_seed=seed,
+        master_seed=cfg.master_seed,
     )
     stem = _safe_name(f"rocband_{bench.name}_{combo.detector}_{combo.params_text}")
     path = out_dir / f"{stem}.csv"
@@ -595,7 +584,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
     contamination = _pick_contamination(args, cfg)
     records = RecordStore(run_dir / "records", manifest_hash=hash_).load()
-    benches = _expected_benchmarks(payload)
+    benches = list_benchmarks(payload["dataset_dir"], payload.get("only"))
     if not benches:  # cache moved or deleted: fall back to what the store has
         benches = sorted({(r.table, r.anomaly_class) for r in records})
     missing = _missing_cells(cfg, benches, records, contamination)
@@ -741,8 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loss only: select combos on the validation columns")
     p.add_argument("--benchmark", help="rocband only: benchmark name (table-class)")
     p.add_argument("--splits", type=int, default=100, help="rocband only: resplit count")
-    p.add_argument("--seed", type=int, default=None,
-                   help="rocband only: master seed override")
     _add_detector_flags(p, required=False)
     p.set_defaults(func=cmd_aggregate)
 

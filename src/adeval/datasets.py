@@ -18,6 +18,7 @@ import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -426,25 +427,28 @@ def read_benchmark(root: str | Path, table: str, anomaly_class: str) -> Benchmar
     )
 
 
-def list_benchmarks(root: str | Path) -> list[tuple[str, str]]:
-    """(table, anomaly class) pairs stored under ``root``, sorted."""
+def list_benchmarks(
+    root: str | Path, only: Sequence[str] | None = None
+) -> list[tuple[str, str]]:
+    """(table, anomaly class) pairs stored under ``root``, sorted.
+
+    With ``only``, keep the pairs whose table or full name it lists.
+    """
     root = Path(root)
     found = []
     if root.is_dir():
         for table_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             for anom_dir in sorted(p for p in table_dir.iterdir() if p.is_dir()):
-                if (anom_dir / "normal.csv").is_file():
-                    found.append((table_dir.name, anom_dir.name))
+                table, anomaly_class = table_dir.name, anom_dir.name
+                if (anom_dir / "normal.csv").is_file() and (
+                    not only or table in only or f"{table}-{anomaly_class}" in only
+                ):
+                    found.append((table, anomaly_class))
     return found
 
 
 def load_benchmarks(
-    root: str | Path, only: list[str] | None = None
+    root: str | Path, only: Sequence[str] | None = None
 ) -> list[BenchmarkDataset]:
     """Load stored benchmarks, optionally filtered by table or full name."""
-    benches = []
-    for table, anomaly_class in list_benchmarks(root):
-        if only and table not in only and f"{table}-{anomaly_class}" not in only:
-            continue
-        benches.append(read_benchmark(root, table, anomaly_class))
-    return benches
+    return [read_benchmark(root, t, a) for t, a in list_benchmarks(root, only)]

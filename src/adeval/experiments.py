@@ -8,8 +8,9 @@ training folds are equal, so every benchmark of a table trains once at
 contamination 0; the cells of one benchmark in a block share their
 split, their volume sample and their kNN neighbour tables, and the cells
 scored together are evaluated together.
-Records land in a resumable delimited-text store, one file per
-(benchmark, detector).
+Each block's records land, as soon as it and every block before it are
+done, in a resumable delimited-text store, one file per (benchmark,
+detector).
 Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
@@ -33,6 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from adeval._text import data_rows
 from adeval.curves import (
     LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
     check_labels, descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
@@ -414,20 +417,17 @@ class RecordStore:
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
                 text = handle.read()
-                reader = csv.reader(io.StringIO(text[: text.rfind("\n") + 1], newline=""))
-                header = None
-                for row in reader:
-                    if not row or row[0].startswith("#"):
-                        continue
-                    if header is None:
-                        header = row
-                        if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
-                            raise ValueError(f"{path}: unrecognized record header")
-                        continue
-                    try:
-                        records.append(_parse_row(header, row))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            header = None
+            for lineno, row in data_rows(io.StringIO(text[: text.rfind("\n") + 1], newline="")):
+                if header is None:
+                    header = row
+                    if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
+                        raise ValueError(f"{path}: unrecognized record header")
+                    continue
+                try:
+                    records.append(_parse_row(header, row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.sort(key=lambda r: r.cell_key)
         return records
 
@@ -739,12 +739,13 @@ def run_grid(
     (:func:`_run_repetition`).  Blocks may be evaluated by up to
     ``workers`` processes, never more than there are blocks.  When there
     are fewer blocks than workers, each block is split by benchmark, which
-    repeats the shared fits on otherwise idle workers.  Seeds derive from
-    cell identity and the table, never from scheduling or grouping, and
-    the records of each (table, contamination) are appended together in
-    grid order once all of its blocks are done, so the store content
-    depends neither on the worker count nor on which cells a resume still
-    has to run.
+    repeats the shared fits on otherwise idle workers.  Each block's
+    records are appended as soon as it and every block before it are
+    done, so an interrupted run keeps every block it appended, and each
+    store file lists its cells by contamination, then repetition, then
+    combo.  Seeds derive from cell identity and the table, never from
+    scheduling or grouping, so the store content depends neither on the
+    worker count nor on which cells a resume still has to run.
     """
     if not benchmarks:
         raise ValueError("no benchmarks to run on")
@@ -755,60 +756,43 @@ def run_grid(
     done = store.existing_keys()
     ordered = sorted(benchmarks, key=lambda b: (b.table, b.anomaly_class))
 
-    units = []  # (table, contamination, its blocks)
-    n_cells = 0
+    blocks = []  # (cfg, pending, contamination, repetition), in store order
     for table, group in groupby(ordered, key=lambda b: b.table):
         benches = list(group)
         for contamination in cfg.contaminations:
-            by_repetition: dict[int, list[tuple[BenchmarkDataset, list[Combo]]]] = {}
-            for bench in benches:
-                for repetition in range(cfg.repetitions):
-                    n_cells += len(combos)
+            for repetition in range(cfg.repetitions):
+                pending = []
+                for bench in benches:
                     todo = [
                         combo for combo in combos
                         if (table, bench.anomaly_class, contamination, combo.index, repetition)
                         not in done
                     ]
                     if todo:
-                        by_repetition.setdefault(repetition, []).append((bench, todo))
-            if by_repetition:
-                units.append((table, contamination, [
-                    (cfg, pending, contamination, repetition)
-                    for repetition, pending in sorted(by_repetition.items())
-                ]))
-    if workers > 1 and sum(len(blocks) for *_, blocks in units) < workers:
-        units = [
-            (table, contamination, [(cfg, [cells], contamination, repetition)
-                                    for _, pending, _, repetition in blocks for cells in pending])
-            for table, contamination, blocks in units
-        ]
-    blocks = [block for *_, unit_blocks in units for block in unit_blocks]
+                        pending.append((bench, todo))
+                if pending:
+                    blocks.append((cfg, pending, contamination, repetition))
+    if workers > 1 and len(blocks) < workers:
+        blocks = [(cfg, [cells], contamination, repetition)
+                  for _, pending, contamination, repetition in blocks for cells in pending]
 
     n_new = n_flagged = 0
+    with ExitStack() as stack:
+        results = map(_run_block, blocks)
+        if workers > 1 and len(blocks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    def consume(results: Iterable[list[ExperimentRecord]]) -> None:
-        nonlocal n_new, n_flagged
-        results = iter(results)
-        for table, contamination, unit_blocks in units:
-            records = sorted(
-                (record for _ in unit_blocks for record in next(results)),
-                key=lambda r: (r.anomaly_class, r.grid_index, r.repetition),
-            )
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(blocks))))
+            results = pool.map(_run_block, blocks)
+        for (*_, contamination, repetition), records in zip(blocks, results):
             if progress:
-                progress(f"{table} c={contamination:g}: {len(records)} cells")
+                progress(f"{records[0].table} c={contamination:g} rep={repetition}: "
+                         f"{len(records)} cells")
             for record in records:
                 store.append(record, names)
                 n_new += 1
-                if record.is_flagged_missing:
-                    n_flagged += 1
-
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            consume(pool.map(_run_block, blocks))
-    else:
-        consume(map(_run_block, blocks))
+                n_flagged += record.is_flagged_missing
+    n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(combos)
     return RunSummary(n_cells=n_cells, n_new=n_new, n_flagged=n_flagged)
 
 

@@ -392,6 +392,15 @@ class TestAggregate:
         assert len(rows) == 1 + 7
         assert all(r[4] == "4" for r in rows[1:])
 
+    def test_run_of_one_table_aggregates_its_benchmarks(self, study, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={run_dir}",
+                     "--set", "only=tab0"]) == 0
+        assert main(["aggregate", "rank", str(run_dir)]) == 0
+        with open(run_dir / "tables" / "rank_c0.csv", newline="") as handle:
+            rows = [r for r in csv.reader(handle) if not r[0].startswith("#")]
+        assert len(rows) == 1 + 7 and all(r[4] == "2" for r in rows[1:])  # tab0-c1, tab0-c2
+
     def test_measure_filter(self, study):
         out_dir = study.root / "tables_filtered"
         assert main(

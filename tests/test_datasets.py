@@ -255,6 +255,12 @@ class TestTableIo:
         with pytest.raises(ValueError, match="line 3"):
             read_raw_table(path)
 
+    def test_line_numbers_are_physical_after_a_two_line_label(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('f0,class\n1.0,a\n2.0,"two\nlines"\noops,b\n')
+        with pytest.raises(ValueError, match="line 5:"):
+            read_raw_table(path)
+
     def test_missing_class_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
@@ -297,6 +303,7 @@ class TestBenchmarkCache:
         ]
         assert [b.name for b in load_benchmarks(tmp_path, only=["b-x"])] == ["b-x"]
         assert len(load_benchmarks(tmp_path)) == 3
+        assert list_benchmarks(tmp_path, only=("a-y", "b")) == [("a", "y"), ("b", "x")]
 
     def test_weird_names_sanitized_in_paths(self, tmp_path):
         bench = synth_gaussian(5, 2, seed=0, table="we ird", anomaly_class="c/1")

@@ -215,6 +215,32 @@ class TestRunGrid:
         assert summary.n_new == 1
         assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
 
+    def test_interrupted_run_keeps_its_finished_blocks(self, tmp_path, monkeypatch):
+        # One table of two anomaly classes, two repetitions: two blocks of four cells.
+        cfg = knn_only_config()
+        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        whole = RecordStore(tmp_path / "whole", manifest_hash="h")
+        run_grid(cfg, benches, whole)
+        run_repetition = experiments._run_repetition
+        calls = []
+
+        def interrupted(*block):
+            calls.append(block)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return run_repetition(*block)
+
+        store = RecordStore(tmp_path / "store", manifest_hash="h")
+        monkeypatch.setattr(experiments, "_run_repetition", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(cfg, benches, store, workers=1)
+        monkeypatch.undo()
+        first_block = [r for r in whole.load() if r.repetition == 0]
+        assert len(first_block) == 4 and store.load() == first_block
+        assert run_grid(cfg, benches, store, workers=1).n_new == 4
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
+                == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
+
     def test_worker_count_does_not_change_records(self, tmp_path):
         cfg = knn_only_config()
         benches = [self.bench(0), self.bench(1)]
@@ -247,9 +273,10 @@ class TestRunGrid:
                 p.name: p.read_bytes() for p in (tmp_path / str(workers)).glob("*.csv")
             }
         assert len(stores[1]) == 4 * 3 and stores[1] == stores[3] == stores[9]
-        # Each file lists its cells in grid order: contamination, combo, repetition.
+        # Each file lists its cells in block order: contamination, repetition, combo.
         ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
-        for record in RecordStore(tmp_path / "1", manifest_hash="h").load():
+        records = RecordStore(tmp_path / "1", manifest_hash="h").load()
+        for record in sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)):
             ordered.append(record, cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
 
