@@ -8,8 +8,9 @@ store, ``aggregate`` reduces a finished store to summary tables, and
 Runs are manifest-driven: the resolved configuration is hashed, every
 output file carries the hash in a ``# manifest:`` comment line, and a
 rerun against the same output directory verifies the manifest before
-touching anything.  Exit codes: 0 success, 1 completed with
-flagged-missing cells, 2 usage or configuration error.
+touching anything.  ``aggregate`` takes a run's configuration and
+benchmark set from its manifest alone.  Exit codes: 0 success, 1
+completed with flagged-missing cells, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -55,6 +55,7 @@ from adeval.experiments import (
     kendall_matrix,
     loss_matrix_table,
     mean_rank_table,
+    missing_cells,
     multiclass_sensitivity,
     roc_band,
     run_grid,
@@ -180,17 +181,25 @@ def _config_payload(cfg: GridConfig) -> dict:
     return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(cfg).items()}
 
 
-def _config_from_payload(payload: dict) -> GridConfig:
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-    return GridConfig(**kwargs)
+def _load_manifest(run_dir: Path) -> tuple[RunManifest, GridConfig]:
+    """A run's manifest and configuration: the one source of the run's benchmark set.
 
-
-def _load_manifest(run_dir: Path) -> tuple[dict, GridConfig]:
+    A manifest that lacks a field, holds a configuration ``GridConfig``
+    does not take, or whose hash does not match its content is refused.
+    """
     path = run_dir / "manifest.json"
     if not path.is_file():
         raise CliError(f"no manifest.json under {run_dir}; run the grid first")
-    payload = json.loads(path.read_text())
-    return payload, _config_from_payload(payload["config"])
+    payload = json.loads(path.read_text())  # malformed JSON is a ValueError: exit 2
+    try:
+        manifest = RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
+        cfg = GridConfig(**{k: tuple(v) if isinstance(v, list) else v  # JSON lists were tuples
+                            for k, v in manifest.config.items()})
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CliError(f"{path} is not a run manifest ({type(exc).__name__}: {exc})") from None
+    if payload.get("hash") != manifest.hash:
+        raise CliError(f"{path} does not match its recorded hash")
+    return manifest, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +207,11 @@ def _load_manifest(run_dir: Path) -> tuple[dict, GridConfig]:
 # ---------------------------------------------------------------------------
 
 
-def _write_delimited(path: Path, header: Sequence[str], rows, hash_: str) -> None:
+def _write_delimited(path: Path, header: Sequence[str], rows, hash_: str, *notes: str) -> None:
+    """A CSV file under ``# manifest: <hash>`` and one ``# `` line per note."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
-        handle.write(f"# manifest: {hash_}\n")
+        handle.write("".join(f"# {line}\n" for line in (f"manifest: {hash_}", *notes)))
         writer = csv.writer(handle)
         writer.writerow(list(header))
         writer.writerows(rows)
@@ -271,7 +281,7 @@ def _find_benchmark(dataset_dir: str | Path, name: str) -> BenchmarkDataset:
         ):
             return read_benchmark(dataset_dir, table, anomaly_class)
     available = ", ".join(f"{t}-{a}" for t, a in stored) or "none"
-    raise CliError(f"no benchmark named {name!r} (available: {available})")
+    raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +357,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     benches = load_benchmarks(dataset_dir, only)
     if not benches:
         raise CliError(f"no benchmarks under {dataset_dir}; run prepare first")
+    data = {bench.name: _data_digest(bench) for bench in benches}
+    if len(data) < len(benches):  # the manifest and the store key benchmarks by name
+        raise CliError(f"benchmarks under {dataset_dir} share a name; rename one of their tables")
     manifest = RunManifest(
         config_path=str(args.config) if args.config else "<flags>",
         config=_config_payload(cfg),
@@ -354,14 +367,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         output_dir=str(output_dir),
         master_seed=cfg.master_seed,
         version=__version__,
-        data={bench.name: _data_digest(bench) for bench in benches},
+        data=data,
         only=only,
     )
     out_root = Path(output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     manifest_path = out_root / "manifest.json"
     if manifest_path.exists():
-        recorded = json.loads(manifest_path.read_text()).get("hash")
+        recorded = _load_manifest(out_root)[0].hash
         if recorded != manifest.hash:
             raise CliError(
                 f"{manifest_path} records a different run ({recorded} != "
@@ -378,17 +391,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         progress=lambda msg: print(f"  {msg}"),
         workers=args.workers or _available_parallelism(),
     )
-    flagged = [r for r in store.load() if r.is_flagged_missing]
     print(
         f"cells: {summary.n_cells} total, {summary.n_new} new, "
-        f"{len(flagged)} flagged-missing"
+        f"{summary.n_flagged} flagged-missing"
     )
-    if flagged:
-        counts = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
-        for flag, n in sorted(counts.items()):
-            print(f"  {flag}: {n} cells")
-        return 1
-    return 0
+    for flag, n in summary.errors.items():
+        print(f"  {flag}: {n} cells")
+    return 1 if summary.n_flagged else 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +407,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _pick_contamination(args: argparse.Namespace, cfg: GridConfig) -> float:
     levels = cfg.contaminations
-    if args.contamination is not None:
-        if args.contamination not in levels:
-            shown = ", ".join(f"{c:g}" for c in levels)
-            raise CliError(
-                f"contamination {args.contamination:g} not in this run (has: {shown})"
-            )
-        return args.contamination
-    if len(levels) == 1:
+    if args.contamination is None and len(levels) == 1:
         return levels[0]
+    if args.contamination in levels:
+        return args.contamination
     shown = ", ".join(f"{c:g}" for c in levels)
+    if args.contamination is not None:
+        raise CliError(f"contamination {args.contamination:g} not in this run (has: {shown})")
     raise CliError(f"store holds several contamination levels ({shown}); pass --contamination")
-
-
-def _missing_cells(cfg, bench_names, records, contamination) -> list[tuple]:
-    have = {r.cell_key for r in records}
-    missing = []
-    for table, anomaly_class in bench_names:
-        for combo in cfg.detector_combos():
-            for rep in range(cfg.repetitions):
-                key = (table, anomaly_class, contamination, combo.index, rep)
-                if key not in have:
-                    missing.append(key)
-    return missing
 
 
 def _select_measures(
@@ -541,10 +535,14 @@ _TABLE_BUILDERS = {
 }
 
 
-def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
+def _aggregate_rocband(args, manifest: RunManifest, cfg, out_dir: Path) -> int:
     if not args.benchmark:
         raise CliError("aggregate rocband needs --benchmark")
-    bench = _find_benchmark(payload["dataset_dir"], args.benchmark)
+    bench = _find_benchmark(manifest.dataset_dir, args.benchmark)
+    recorded = manifest.data.get(bench.name)
+    if _data_digest(bench) != recorded:
+        why = "is not a benchmark of" if recorded is None else "holds other data than in"
+        raise CliError(f"{bench.name} under {manifest.dataset_dir} {why} run {manifest.hash}")
     combo = _combo_from_flags(args)
     band = roc_band(
         bench,
@@ -556,42 +554,29 @@ def _aggregate_rocband(args, payload, cfg, out_dir: Path) -> int:
     )
     stem = _safe_name(f"rocband_{bench.name}_{combo.detector}_{combo.params_text}")
     path = out_dir / f"{stem}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# manifest: {payload['hash']}\n")
-        handle.write(f"# splits: {band.n_splits_used} used, {band.n_skipped} skipped\n")
-        writer = csv.writer(handle)
-        writer.writerow(["fpr", "tpr_mean", "tpr_std", "ratio_mean", "ratio_std"])
-        for i in range(band.fpr.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in (
-                    band.fpr[i], band.tpr_mean[i], band.tpr_std[i],
-                    band.ratio_mean[i], band.ratio_std[i],
-                )]
-            )
+    columns = (band.fpr, band.tpr_mean, band.tpr_std, band.ratio_mean, band.ratio_std)
+    _write_delimited(path, ["fpr", "tpr_mean", "tpr_std", "ratio_mean", "ratio_std"],
+                     [[repr(float(v)) for v in row] for row in zip(*columns)], manifest.hash,
+                     f"splits: {band.n_splits_used} used, {band.n_skipped} skipped")
     print(f"wrote {path} ({band.fpr.shape[0]} knots, {band.n_splits_used} splits)")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     run_dir = Path(args.records)
-    payload, cfg = _load_manifest(run_dir)
-    hash_ = payload["hash"]
+    manifest, cfg = _load_manifest(run_dir)
+    hash_ = manifest.hash
     out_dir = Path(args.out) if args.out else run_dir / "tables"
 
     if args.kind == "rocband":
-        return _aggregate_rocband(args, payload, cfg, out_dir)
+        return _aggregate_rocband(args, manifest, cfg, out_dir)
 
     contamination = _pick_contamination(args, cfg)
     records = RecordStore(run_dir / "records", manifest_hash=hash_).load()
-    benches = list_benchmarks(payload["dataset_dir"], payload.get("only"))
-    if not benches:  # cache moved or deleted: fall back to what the store has
-        benches = sorted({(r.table, r.anomaly_class) for r in records})
-    missing = _missing_cells(cfg, benches, records, contamination)
+    missing = [cell for cell in missing_cells(cfg, manifest.data, records)
+               if cell[1] == contamination]
     if missing:
-        shown = "\n".join(
-            f"  {t}-{a} c={c:g} combo={g} rep={r}" for t, a, c, g, r in missing[:20]
-        )
+        shown = "\n".join(f"  {b} c={c:g} combo={g} rep={r}" for b, c, g, r in missing[:20])
         extra = "" if len(missing) <= 20 else f"\n  ... and {len(missing) - 20} more"
         raise CliError(
             f"record store incomplete, {len(missing)} missing cells:\n{shown}{extra}"
@@ -741,6 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
             name,
             help="one-off decision-volume estimate for one split"
             if extra else "emit per-sample test-fold scores for one split",
+            description="Splits and fits one grid cell as `adeval run` does. Its values are "
+            "the cell's only for runs with validation_fraction = 0: with a validation part, "
+            "the grid thresholds and scores on the rest of the test fold.",
         )
         p.add_argument("--dataset", required=True, help="benchmark cache directory")
         p.add_argument("--benchmark", required=True, help="benchmark name (table-class)")
@@ -763,10 +751,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -347,12 +348,9 @@ class ExperimentRecord:
         return f"{self.table}-{self.anomaly_class}"
 
     @property
-    def combo_key(self) -> tuple:
-        return (self.table, self.anomaly_class, self.contamination, self.grid_index)
-
-    @property
-    def cell_key(self) -> tuple:
-        return self.combo_key + (self.repetition,)
+    def cell_key(self) -> tuple[str, float, int, int]:
+        """(benchmark, contamination, grid index, repetition): one cell of the grid."""
+        return (self.benchmark, self.contamination, self.grid_index, self.repetition)
 
     @property
     def is_flagged_missing(self) -> bool:
@@ -378,9 +376,6 @@ class RecordStore:
     def _file_for(self, record: ExperimentRecord) -> Path:
         stem = _safe_name(f"{record.table}-{record.anomaly_class}__{record.detector}")
         return self.root / f"{stem}.csv"
-
-    def existing_keys(self) -> set[tuple]:
-        return {r.cell_key for r in self.load()}
 
     def append(self, record: ExperimentRecord, measure_names: Sequence[str]) -> None:
         path = self._file_for(record)
@@ -483,9 +478,22 @@ def _parse_row(header: list[str], row: list[str]) -> ExperimentRecord:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """Cell counts of a grid run; the flagged ones cover the whole store, stored and new."""
+
     n_cells: int
     n_new: int
     n_flagged: int
+    errors: dict[str, int]  # flagged cells per ``error:`` flag, sorted by flag
+
+
+def missing_cells(
+    cfg: GridConfig, benchmarks: Iterable[str], records: Iterable[ExperimentRecord]
+) -> list[tuple[str, float, int, int]]:
+    """The grid's cells of ``benchmarks`` that ``records`` lack, as sorted ``cell_key`` tuples."""
+    have = {r.cell_key for r in records}
+    cells = [(name, c, combo.index, rep) for name in sorted(benchmarks) for c in cfg.contaminations
+             for combo in cfg.detector_combos() for rep in range(cfg.repetitions)]
+    return [cell for cell in cells if cell not in have]
 
 
 def _measure_rows(
@@ -728,9 +736,11 @@ def run_grid(
 ) -> RunSummary:
     """Run every missing cell of the grid and append it to the store.
 
-    Cells already present in the store are skipped, so an interrupted run
-    resumes where it stopped and a completed run is a no-op.  A failing
-    cell is recorded as flagged-missing; the grid itself never aborts.
+    The store is loaded once.  Cells already present in it are skipped
+    (:func:`missing_cells`), so an interrupted run resumes where it
+    stopped and a completed run is a no-op.  A failing cell is recorded
+    as flagged-missing; the grid itself never aborts.  The summary counts
+    the flagged cells of the whole store, those stored before and the new.
 
     Cells are blocked by (table, contamination, repetition).  Within a
     block, the benchmarks share one fit per training fold, so at
@@ -753,7 +763,11 @@ def run_grid(
         raise ValueError(f"workers must be at least 1, got {workers}")
     combos = cfg.detector_combos()
     names = cfg.measure_names()
-    done = store.existing_keys()
+    stored = store.load()
+    missing = missing_cells(cfg, [b.name for b in benchmarks], stored)
+    todo: dict[tuple, list[Combo]] = {}  # (benchmark, contamination, repetition) -> combos
+    for name, contamination, index, repetition in missing:
+        todo.setdefault((name, contamination, repetition), []).append(combos[index])
     ordered = sorted(benchmarks, key=lambda b: (b.table, b.anomaly_class))
 
     blocks = []  # (cfg, pending, contamination, repetition), in store order
@@ -761,22 +775,15 @@ def run_grid(
         benches = list(group)
         for contamination in cfg.contaminations:
             for repetition in range(cfg.repetitions):
-                pending = []
-                for bench in benches:
-                    todo = [
-                        combo for combo in combos
-                        if (table, bench.anomaly_class, contamination, combo.index, repetition)
-                        not in done
-                    ]
-                    if todo:
-                        pending.append((bench, todo))
+                pending = [(b, todo[b.name, contamination, repetition]) for b in benches
+                           if (b.name, contamination, repetition) in todo]
                 if pending:
                     blocks.append((cfg, pending, contamination, repetition))
     if workers > 1 and len(blocks) < workers:
         blocks = [(cfg, [cells], contamination, repetition)
                   for _, pending, contamination, repetition in blocks for cells in pending]
 
-    n_new = n_flagged = 0
+    flagged = [r for r in stored if r.is_flagged_missing]
     with ExitStack() as stack:
         results = map(_run_block, blocks)
         if workers > 1 and len(blocks) > 1:
@@ -790,10 +797,12 @@ def run_grid(
                          f"{len(records)} cells")
             for record in records:
                 store.append(record, names)
-                n_new += 1
-                n_flagged += record.is_flagged_missing
+                if record.is_flagged_missing:
+                    flagged.append(record)
     n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(combos)
-    return RunSummary(n_cells=n_cells, n_new=n_new, n_flagged=n_flagged)
+    errors = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
+    return RunSummary(n_cells=n_cells, n_new=len(missing), n_flagged=len(flagged),
+                      errors=dict(sorted(errors.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +853,7 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     value missing everywhere stays missing.  The records must share one
     contamination level.
     """
-    records = sorted(records, key=lambda r: r.combo_key)
+    records = sorted(records, key=lambda r: r.cell_key[:3])  # stable: reps keep their order
     levels = sorted({r.contamination for r in records})
     if len(levels) != 1:
         raise ValueError(
@@ -858,7 +867,7 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     col = {g: j for j, g in enumerate(grid)}
     values = np.full((len(benchmarks), len(grid), len(measures)), np.nan)
     present = np.zeros(values.shape[:2], dtype=bool)
-    for _, group in groupby(records, key=lambda r: r.combo_key):
+    for _, group in groupby(records, key=lambda r: r.cell_key[:3]):
         group = list(group)
         i, j = row[group[0].benchmark], col[group[0].grid_index]
         present[i, j] = True

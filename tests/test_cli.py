@@ -329,24 +329,60 @@ class TestRun:
         assert main(["run", "--set", "knn_ks=1,x"]) == 2
         assert "knn_ks" in capsys.readouterr().err
 
-    def test_failing_cells_give_exit_one(self, tmp_path, capsys):
+    @staticmethod
+    def failing_run(tmp_path) -> list[str]:
+        """``adeval run`` arguments of a one-benchmark grid whose k = 51 cell fails."""
         write_tables(tmp_path / "raw", n_tables=1, sizes=(10, 8))
         main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")])
-        code = main(
-            [
-                "run",
-                "--set", f"dataset_dir={tmp_path / 'cache'}",
-                "--set", f"output_dir={tmp_path / 'run'}",
-                "--set", "knn_variants=kappa",
-                "--set", "knn_ks=1,51",  # 51 exceeds the 8-sample train fold
-                "--set", "lof_ks=",
-                "--set", "iforest_trees=",
-                "--set", "repetitions=1",
-                "--set", "volume_samples=100",
-            ]
-        )
+        return [
+            "run",
+            "--set", f"dataset_dir={tmp_path / 'cache'}",
+            "--set", f"output_dir={tmp_path / 'run'}",
+            "--set", "knn_variants=kappa",
+            "--set", "knn_ks=1,51",  # 51 exceeds the 8-sample train fold
+            "--set", "lof_ks=",
+            "--set", "iforest_trees=",
+            "--set", "repetitions=1",
+            "--set", "volume_samples=100",
+        ]
+
+    def test_failing_cells_give_exit_one(self, tmp_path, capsys):
+        code = main(self.failing_run(tmp_path))
         assert code == 1
         assert "error:ValueError" in capsys.readouterr().out
+
+    def test_resume_of_a_run_with_a_flagged_cell_still_exits_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        args = self.failing_run(tmp_path)
+        loads = []
+        load = RecordStore.load
+        monkeypatch.setattr(RecordStore, "load", lambda self: loads.append(1) or load(self))
+        assert main(args) == 1
+        assert len(loads) == 1  # one store load per run
+        before = read_store_bytes(tmp_path / "run")
+        capsys.readouterr()
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "resuming" in out and "cells: 2 total, 0 new, 1 flagged-missing" in out
+        assert "  error:ValueError: 1 cells" in out
+        assert len(loads) == 2
+        assert read_store_bytes(tmp_path / "run") == before
+
+    def test_benchmarks_sharing_a_name_are_refused(self, tmp_path, capsys):
+        # Table a-b with anomaly class c and table a with class b-c are both a-b-c.
+        rng = np.random.default_rng(0)
+        (tmp_path / "raw").mkdir()
+        for table, anomaly_class in (("a-b", "c"), ("a", "b-c")):
+            rows = [f"{x!r},{y!r},{cls}" for cls, n in (("n", 30), (anomaly_class, 10))
+                    for x, y in rng.normal(size=(n, 2)).tolist()]
+            (tmp_path / "raw" / f"{table}.csv").write_text("\n".join(["f0,f1,class", *rows]))
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 0
+        run = tmp_path / "run"
+        assert main(["run", "--set", f"dataset_dir={tmp_path / 'cache'}",
+                     "--set", f"output_dir={run}", "--set", "repetitions=1"]) == 2
+        assert "share a name" in capsys.readouterr().err
+        assert not (run / "manifest.json").exists()
 
     @pytest.mark.parametrize("setting", [
         "ps=0.05,1", "precision_rounds=0", "train_fraction=1.5", "contaminations=1.0",
@@ -614,6 +650,70 @@ class TestAggregate:
     def test_store_without_manifest_rejected(self, tmp_path, capsys):
         assert main(["aggregate", "rank", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [
+        ["rank"], ["rocband", "--benchmark", "tab0-c1", "--detector", "knn", "--splits", "2"],
+    ], ids=["rank", "rocband"])
+    @pytest.mark.parametrize("spoil", [
+        lambda m: {"config": {}},
+        lambda m: list(m),
+        lambda m: {k: v for k, v in m.items() if k != "hash"},
+        lambda m: {**m, "config": list(m["config"])},
+        lambda m: {**m, "config": {**m["config"], "mystery": 1}},
+        lambda m: {**m, "data": {}},
+    ], ids=["config-only", "not-an-object", "no-hash", "config-not-an-object",
+            "unknown-config-key", "hash-mismatch"])
+    def test_malformed_manifest_exits_two(self, study, tmp_path, capsys, kind, spoil):
+        manifest = json.loads((study.run / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(spoil(manifest)))
+        assert main(["aggregate", kind[0], str(tmp_path), *kind[1:]]) == 2
+        assert f"{tmp_path / 'manifest.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
+    @staticmethod
+    def own_run(study, tmp_path):
+        """The study's run over a copy of its cache: (cache, run directory)."""
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        shutil.copytree(study.cache, cache)
+        assert main(["run", "--config", str(study.config), "--set", f"dataset_dir={cache}",
+                     "--set", f"output_dir={run_dir}"]) == 0
+        return cache, run_dir
+
+    def test_tables_ignore_a_table_prepared_after_the_run(self, study, tmp_path):
+        cache, run_dir = self.own_run(study, tmp_path)
+        kinds = ("rank", "kendall", "loss", "multiclass")
+        for kind in kinds:
+            assert main(["aggregate", kind, str(run_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in (run_dir / "tables").iterdir()}
+        write_tables(tmp_path / "raw", n_tables=3)
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        assert (cache / "tab2" / "c1").is_dir()
+        for kind in kinds:
+            assert main(["aggregate", kind, str(run_dir)]) == 0
+        assert len(before) == 8
+        assert {p.name: p.read_bytes() for p in (run_dir / "tables").iterdir()} == before
+
+    def test_rocband_of_a_benchmark_outside_the_run_is_refused(self, study, tmp_path, capsys):
+        cache, run_dir = self.own_run(study, tmp_path)
+        write_tables(tmp_path / "raw", n_tables=3)
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        capsys.readouterr()
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab2-c1",
+                     "--detector", "knn", "--k", "3", "--splits", "2"]) == 2
+        assert "is not a benchmark of run" in capsys.readouterr().err
+        assert not (run_dir / "tables").exists()
+
+    def test_rocband_refuses_cached_data_changed_after_the_run(self, study, tmp_path, capsys):
+        cache, run_dir = self.own_run(study, tmp_path)
+        bench = read_benchmark(cache, "tab0", "c1")
+        anomaly = bench.anomaly.copy()
+        anomaly[0, 0] += 0.25
+        write_benchmark(dataclasses.replace(bench, anomaly=anomaly), cache)
+        capsys.readouterr()
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0-c1",
+                     "--detector", "knn", "--k", "3", "--splits", "2"]) == 2
+        assert "holds other data than in run" in capsys.readouterr().err
+        assert not (run_dir / "tables").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from adeval.experiments import (
     loss_matrix,
     loss_matrix_table,
     mean_rank_table,
+    missing_cells,
     multiclass_sensitivity,
     roc_band,
     run_grid,
@@ -299,6 +300,19 @@ class TestRunGrid:
         assert len(flagged) == 1
         assert flagged[0].flags == ("error:ValueError",)
         assert all(v is None for v in flagged[0].values.values())
+
+    def test_rerun_summary_counts_the_stored_flagged_cells(self, tmp_path, monkeypatch):
+        cfg = knn_only_config(knn_ks=(1, 51), repetitions=1)
+        bench = synth_gaussian(20, 10, seed=3, table="tiny", anomaly_class="c1")
+        store = RecordStore(tmp_path, manifest_hash="h")
+        first = run_grid(cfg, [bench], store)
+        loads = []
+        load = RecordStore.load
+        monkeypatch.setattr(RecordStore, "load", lambda self: loads.append(1) or load(self))
+        again = run_grid(cfg, [bench], store)
+        assert (first.n_new, first.n_flagged, first.errors) == (2, 1, {"error:ValueError": 1})
+        assert (again.n_new, again.n_flagged, again.errors) == (0, 1, {"error:ValueError": 1})
+        assert loads == [1]
 
     def test_validation_columns_written(self, tmp_path):
         cfg = knn_only_config(validation_fraction=0.3, repetitions=1)
@@ -1100,6 +1114,22 @@ def random_records(rng):
                     )
     rng.shuffle(out)
     return out
+
+
+class TestMissingCells:
+    def test_cells_a_store_lacks_by_benchmark_name(self):
+        cfg = knn_only_config(contaminations=(0.05, 0.0))  # 2 combos, 2 repetitions
+        names = ["b-x", "a-b-c"]  # table "a-b", class "c"
+        records = [
+            record(table="a-b", anomaly_class="c", contamination=c, grid_index=g, repetition=r)
+            for c in (0.05, 0.0) for g in (0, 1) for r in (0, 1) if (c, g, r) != (0.0, 1, 0)
+        ]
+        records.append(record(table="z", anomaly_class="y"))  # not a listed benchmark
+        # Sorted by name, then contamination in config order, combo and repetition.
+        assert missing_cells(cfg, names, records) == [("a-b-c", 0.0, 1, 0)] + [
+            ("b-x", c, g, r) for c in (0.05, 0.0) for g in (0, 1) for r in (0, 1)
+        ]
+        assert missing_cells(cfg, [], records) == []
 
 
 class TestReductionsMatchLoopReference:
