@@ -61,4 +61,4 @@ from adeval.experiments import (
     run_grid,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

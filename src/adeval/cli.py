@@ -273,15 +273,30 @@ def _combo_from_flags(args: argparse.Namespace) -> Combo:
     return Combo(0, "iforest", (("n_trees", args.trees), ("subsample", args.subsample)))
 
 
-def _find_benchmark(dataset_dir: str | Path, name: str) -> BenchmarkDataset:
+def _find_benchmark(
+    dataset_dir: str | Path, name: str, run: RunManifest | None = None
+) -> BenchmarkDataset:
+    """The cached benchmark named ``name``, or the one benchmark of table ``name``.
+
+    With ``run``, only the run's benchmarks (the names of its manifest's
+    ``data``) count, for the table alias and for the names listed when
+    ``name`` matches none.
+    """
     stored = list_benchmarks(dataset_dir)
+    if run is not None:
+        stored = [(t, a) for t, a in stored if f"{t}-{a}" in run.data]
     for table, anomaly_class in stored:
         if f"{table}-{anomaly_class}" == name or (
             table == name and len([t for t, _ in stored if t == table]) == 1
         ):
             return read_benchmark(dataset_dir, table, anomaly_class)
-    available = ", ".join(f"{t}-{a}" for t, a in stored) or "none"
-    raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
+    if run is None:
+        available = ", ".join(f"{t}-{a}" for t, a in stored) or "none"
+        raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
+    if name in run.data:
+        raise CliError(f"benchmark {name} of run {run.hash} is not under {dataset_dir}")
+    raise CliError(f"{name!r} is not a benchmark of run {run.hash} "
+                   f"(available: {', '.join(sorted(run.data))})")
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +553,10 @@ _TABLE_BUILDERS = {
 def _aggregate_rocband(args, manifest: RunManifest, cfg, out_dir: Path) -> int:
     if not args.benchmark:
         raise CliError("aggregate rocband needs --benchmark")
-    bench = _find_benchmark(manifest.dataset_dir, args.benchmark)
-    recorded = manifest.data.get(bench.name)
-    if _data_digest(bench) != recorded:
-        why = "is not a benchmark of" if recorded is None else "holds other data than in"
-        raise CliError(f"{bench.name} under {manifest.dataset_dir} {why} run {manifest.hash}")
+    bench = _find_benchmark(manifest.dataset_dir, args.benchmark, manifest)
+    if _data_digest(bench) != manifest.data[bench.name]:
+        raise CliError(f"{bench.name} under {manifest.dataset_dir} holds other data "
+                       f"than in run {manifest.hash}")
     combo = _combo_from_flags(args)
     band = roc_band(
         bench,

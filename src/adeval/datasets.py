@@ -93,12 +93,6 @@ class BenchmarkDataset:
         total = self.normal.shape[0] + self.anomaly.shape[0]
         return self.anomaly.shape[0] / total
 
-    def all_points(self) -> NDArray[np.float64]:
-        """Every sample of the benchmark (normal and anomalous)."""
-        if self.anomaly.shape[0] == 0:
-            return self.normal
-        return np.vstack([self.normal, self.anomaly])
-
 
 def make_benchmarks(table: RawTable) -> list[BenchmarkDataset]:
     """Turn a K-class table into K - 1 one-vs-rest-style benchmarks.

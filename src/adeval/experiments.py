@@ -3,11 +3,11 @@
 A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
 test fold and evaluates every configured measure.  The cells of one
-(table, contamination, repetition) block share their fits wherever their
-training folds are equal, so every benchmark of a table trains once at
-contamination 0; the cells of one benchmark in a block share their
-split, their volume sample and their kNN neighbour tables, and the cells
-scored together are evaluated together.
+(table, contamination, repetition) block share one volume sample, and
+their fits wherever their training folds are equal, so every benchmark of
+a table trains once at contamination 0.  Each model scores every distinct
+point of its fit group once, test normals shared between benchmarks
+included, and the cells scored together are evaluated together.
 Each block's records land, as soon as it and every block before it are
 done, in a resumable delimited-text store, one file per (benchmark,
 detector).
@@ -301,13 +301,16 @@ def volume_box_and_seed(
 ) -> tuple[SamplingBox, int]:
     """Sampling box and seed of a cell's uniform volume sample.
 
-    The box bounds all of ``bench``'s points and the seed derives from the
-    master seed, the benchmark and the repetition, so grid cells and the
-    ``volume`` one-off draw the same sample.
+    The box bounds ``bench``'s normal points and the seed derives from the
+    master seed, the table and the repetition.  Every benchmark of a table
+    holds the same normal class, so they all draw one sample per
+    repetition, whichever anomaly class is tested and whichever of the
+    table's benchmarks a run loads; and grid cells and the ``volume``
+    one-off draw the same sample.
     """
     return (
-        bounding_box(bench.all_points()),
-        derive_seed(master_seed, "volume", bench.name, repetition),
+        bounding_box(bench.normal),
+        derive_seed(master_seed, "volume", bench.table, repetition),
     )
 
 
@@ -365,13 +368,14 @@ class RecordStore:
     rows, so a finished store is byte-stable under reruns.  A last line
     without its line terminator is a torn tail, left by a write that was
     cut short: :meth:`load` reads past it, so its cell counts as missing,
-    and :meth:`append` cuts it off before writing.
+    and :meth:`append` cuts it off before writing.  The root directory is
+    made by the first append that starts a file, so loading a store never
+    writes: a missing root loads as an empty store.
     """
 
     def __init__(self, root: str | Path, manifest_hash: str = "unmanaged"):
         self.root = Path(root)
         self.manifest_hash = manifest_hash
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _file_for(self, record: ExperimentRecord) -> Path:
         stem = _safe_name(f"{record.table}-{record.anomaly_class}__{record.detector}")
@@ -380,6 +384,8 @@ class RecordStore:
     def append(self, record: ExperimentRecord, measure_names: Sequence[str]) -> None:
         path = self._file_for(record)
         fresh = _drop_torn_tail(path)
+        if fresh:
+            self.root.mkdir(parents=True, exist_ok=True)
         with open(path, "a", newline="") as handle:
             writer = csv.writer(handle)
             if fresh:
@@ -604,6 +610,36 @@ def _evaluate_cells(
     return list(zip(values, flags))
 
 
+def _stacked(
+    pieces: Sequence[Sequence[NDArray[np.float64]]],
+) -> tuple[NDArray[np.float64], list[slice | NDArray[np.intp]]]:
+    """Every distinct point array among the members' pieces, stacked once, and each member's rows.
+
+    ``pieces`` holds one sequence of (n, d) arrays per member.  An array
+    equal (:func:`np.array_equal`) to one stacked before is not stacked
+    again, so every member that holds it reads the same rows.  A member's
+    rows list its pieces in order: a slice where they are contiguous, else
+    an index array.
+    """
+    distinct: list[NDArray[np.float64]] = []
+    starts: list[int] = []
+    rows: list[slice | NDArray[np.intp]] = []
+    for member in pieces:
+        index = []
+        for piece in member:
+            k = next((k for k, seen in enumerate(distinct)
+                      if seen is piece or np.array_equal(seen, piece)), len(distinct))
+            if k == len(distinct):
+                starts.append(sum(map(len, distinct)))
+                distinct.append(piece)
+            index.append(np.arange(starts[k], starts[k] + len(piece)))
+        index = np.concatenate(index)
+        first = int(index[0]) if len(index) else 0
+        contiguous = np.array_equal(index, np.arange(first, first + len(index)))
+        rows.append(slice(first, first + len(index)) if contiguous else index)
+    return (distinct[0] if len(distinct) == 1 else np.concatenate(distinct)), rows
+
+
 def _run_repetition(
     cfg: GridConfig,
     pending: Sequence[tuple[BenchmarkDataset, Sequence[Combo]]],
@@ -614,35 +650,46 @@ def _run_repetition(
 
     ``pending`` pairs benchmarks of one table with the combos of their
     cells to run; records come back in that order.  Each benchmark is
-    split once.  Benchmarks whose training folds are equal (same shape and
-    values) share one :func:`fit_models` call over the union of their
-    combos, and one copy of the fold: at contamination 0 that is every
-    benchmark of the table, while the anomalies injected at a higher level
-    keep each benchmark's fold its own.  Each benchmark then draws its own uniform volume sample
-    (:func:`volume_box_and_seed`) and scores its fitted models in groups,
-    one per scorer: every kNN and LOF model in one group that shares one
-    distance matrix per query chunk (:func:`neighbour_scores`), and the
-    forest prefixes of each subsample in one group that one pass over the
-    trees scores (:func:`forest_scores`).  Each group scores the
-    benchmark's test fold and volume sample, and evaluates its cells
-    together from the (combo x point) score matrices
+    split once and takes its volume sample (:func:`volume_box_and_seed`);
+    benchmarks whose box and seed are equal share one drawn sample, so the
+    block draws one sample for the whole table.  Benchmarks whose training
+    folds are equal (same shape and values) form one fit group: one
+    :func:`fit_models` call over the union of their combos, and one copy
+    of the fold.  At contamination 0 that is every benchmark of the table,
+    while the anomalies injected at a higher level keep each benchmark's
+    fold its own.
+
+    A fit group scores its models in groups, one per scorer: every kNN and
+    LOF model in one group that shares one distance matrix per query
+    chunk (:func:`neighbour_scores`), and the forest prefixes of each
+    subsample in one group that one pass over the trees scores
+    (:func:`forest_scores`).  Each scorer scores every distinct point once
+    (:func:`_stacked`): the members' test folds, whose normals are shared
+    where they are equal, then the members' distinct volume samples.  Each
+    benchmark then takes its rows (its combos) and columns (its test fold
+    in split order, its volume sample) and evaluates its cells together
     (:func:`_evaluate_cells`): with validation, the evaluation part of the
-    test fold, then its ``val:`` part.  A failure leaves missing every
-    value of the cells it reaches that is not yet evaluated and flags them
-    ``error:<exception type>``: a failed split or volume draw reaches every
-    cell of its benchmark, a failed scoring pass every cell of its group, a
-    failed forest fit every cell of its subsample, a sample with one class
-    only every cell of its group still standing, and any other failed fit
-    or a non-finite score only its own cell.
+    test fold, then its ``val:`` part.  A point's score does not depend on
+    the other points scored with it, so a cell's values do not depend on
+    which benchmarks share the block.
+
+    A failure leaves missing every value of the cells it reaches that is
+    not yet evaluated and flags them ``error:<exception type>``: a failed
+    split or volume draw reaches every cell of its benchmark, a failed
+    scoring pass every cell it served, a failed forest fit every cell of
+    its subsample, a sample with one class only every cell of its
+    benchmark's scorer group still standing, and any other failed fit or a
+    non-finite score only its own cell.
     """
     names = cfg.measure_names()
     measures = cfg.measures()
     spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
                      seed=cfg.master_seed, repetition=repetition)
+    records: dict[tuple[int, int], ExperimentRecord] = {}  # (position in pending, grid index)
 
-    def record(bench: BenchmarkDataset, combo: Combo, values: dict[str, float],
-               flags: list[str]) -> ExperimentRecord:
-        return ExperimentRecord(
+    def store(i: int, combo: Combo, values: dict[str, float], flags: list[str]) -> None:
+        bench = pending[i][0]
+        records[i, combo.index] = ExperimentRecord(
             grid_index=combo.index,
             table=bench.table,
             anomaly_class=bench.anomaly_class,
@@ -654,29 +701,61 @@ def _run_repetition(
             flags=tuple(flags),
         )
 
-    def evaluate(bench: BenchmarkDataset, combos: Sequence[Combo], fold: TrainTestSplit,
-                 models: dict[Combo, object]) -> list[ExperimentRecord]:
-        try:
-            box, volume_seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
-            volume_points = uniform_sample(box, cfg.volume_samples, volume_seed)
-        except _CELL_ERRORS as exc:
-            return [record(bench, combo, {}, [_error_flag(exc)]) for combo in combos]
-        prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-        samples = [("", np.arange(len(fold.test_labels)))]
-        if cfg.validation_fraction > 0:
-            rng = np.random.default_rng(
-                derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
-            )
-            perm = rng.permutation(len(fold.test_labels))
-            n_val = int(round(cfg.validation_fraction * len(fold.test_labels)))
-            samples = [("", perm[n_val:]), ("val:", perm[:n_val])]
-
-        records: dict[int, ExperimentRecord] = {}
-        groups: dict[tuple, list[tuple[Combo, object]]] = {}
+    def fail(i: int, combos: Iterable[Combo], exc: Exception) -> None:
         for combo in combos:
-            model = models[combo]
+            store(i, combo, {}, [_error_flag(exc)])
+
+    def samples(bench: BenchmarkDataset, n_test: int) -> list[tuple[str, NDArray[np.intp]]]:
+        if cfg.validation_fraction == 0:
+            return [("", np.arange(n_test))]
+        rng = np.random.default_rng(
+            derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
+        )
+        perm = rng.permutation(n_test)
+        n_val = int(round(cfg.validation_fraction * n_test))
+        return [("", perm[n_val:]), ("val:", perm[:n_val])]
+
+    folds: dict[int, TrainTestSplit] = {}
+    volumes: dict[int, NDArray[np.float64]] = {}
+    drawn: dict[tuple, NDArray[np.float64]] = {}  # (seed, box bounds) -> volume sample
+    shared: list[list[int]] = []  # fit groups: positions in pending with equal training folds
+    for i, (bench, combos) in enumerate(pending):
+        try:
+            fold = split(bench, spec)
+            box, seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
+            key = (seed, box.b_min.tobytes(), box.b_max.tobytes())
+            if key not in drawn:
+                drawn[key] = uniform_sample(box, cfg.volume_samples, seed)
+        except _CELL_ERRORS as exc:
+            fail(i, combos, exc)
+            continue
+        folds[i], volumes[i] = fold, drawn[key]
+        for members in shared:
+            other = folds[members[0]].train
+            if np.array_equal(other, fold.train):
+                folds[i] = replace(fold, train=other)  # one training copy per group
+                members.append(i)
+                break
+        else:
+            shared.append([i])
+
+    for members in shared:
+        union = sorted({c for i in members for c in pending[i][1]}, key=lambda c: c.index)
+        first = members[0]
+        models = fit_models(pending[first][0], spec, folds[first].train, union)
+        wanted = {i: set(pending[i][1]) for i in members}
+        n_normal = {i: int(np.count_nonzero(folds[i].test_labels == 0)) for i in members}
+        # split() puts a fold's test normals first, so its rows are these two pieces in order.
+        tests, test_cols = _stacked(
+            [(folds[i].test[: n_normal[i]], folds[i].test[n_normal[i]:]) for i in members]
+        )
+        points, volume_cols = _stacked([(volumes[i],) for i in members])
+        groups: dict[tuple, list[tuple[Combo, object]]] = {}
+        for combo, model in zip(union, models):
             if isinstance(model, Exception):
-                records[combo.index] = record(bench, combo, {}, [_error_flag(model)])
+                for i in members:
+                    if combo in wanted[i]:
+                        fail(i, [combo], model)
             else:
                 key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
                        else (neighbour_scores, None))
@@ -684,42 +763,26 @@ def _run_repetition(
         for (score, _), group in groups.items():
             fitted, group_models = zip(*group)
             try:
-                test_scores = score(group_models, fold.test)
-                volume_scores = score(group_models, volume_points)
+                test_scores = score(group_models, tests)
+                volume_scores = score(group_models, points)
             except _CELL_ERRORS as exc:
-                records.update((c.index, record(bench, c, {}, [_error_flag(exc)])) for c in fitted)
+                for i in members:
+                    fail(i, [c for c in fitted if c in wanted[i]], exc)
                 continue
-            cells = _evaluate_cells(
-                fold.test_labels, samples, test_scores, volume_scores, measures, cfg, prec_seed
-            )
-            for combo, (values, flags) in zip(fitted, cells):
-                records[combo.index] = record(bench, combo, values, flags)
-        return [records[combo.index] for combo in combos]
-
-    done: dict[int, list[ExperimentRecord]] = {}
-    folds: dict[int, TrainTestSplit] = {}
-    shared: list[list[int]] = []  # positions in pending whose training folds are equal
-    for i, (bench, combos) in enumerate(pending):
-        try:
-            folds[i] = split(bench, spec)
-        except _CELL_ERRORS as exc:
-            done[i] = [record(bench, combo, {}, [_error_flag(exc)]) for combo in combos]
-            continue
-        for members in shared:
-            other = folds[members[0]].train
-            if np.array_equal(other, folds[i].train):
-                folds[i] = replace(folds[i], train=other)  # one training copy per group
-                members.append(i)
-                break
-        else:
-            shared.append([i])
-    for members in shared:
-        union = sorted({c for i in members for c in pending[i][1]}, key=lambda c: c.index)
-        first = members[0]
-        models = dict(zip(union, fit_models(pending[first][0], spec, folds[first].train, union)))
-        for i in members:
-            done[i] = evaluate(*pending[i], folds[i], models)
-    return [r for i in range(len(pending)) for r in done[i]]
+            for i, tcols, vcols in zip(members, test_cols, volume_cols):
+                rows = [r for r, c in enumerate(fitted) if c in wanted[i]]
+                if not rows:
+                    continue
+                mine = slice(None) if len(rows) == len(fitted) else rows
+                bench, labels = pending[i][0], folds[i].test_labels
+                prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
+                cells = _evaluate_cells(
+                    labels, samples(bench, len(labels)), test_scores[mine][:, tcols],
+                    volume_scores[mine][:, vcols], measures, cfg, prec_seed,
+                )
+                for r, (values, flags) in zip(rows, cells):
+                    store(i, fitted[r], values, flags)
+    return [records[i, c.index] for i, (_, combos) in enumerate(pending) for c in combos]
 
 
 def _run_block(block) -> list[ExperimentRecord]:
@@ -743,17 +806,17 @@ def run_grid(
     the flagged cells of the whole store, those stored before and the new.
 
     Cells are blocked by (table, contamination, repetition).  Within a
-    block, the benchmarks share one fit per training fold, so at
-    contamination 0 the benchmarks of a table share every fit; each
-    benchmark keeps its own split, volume sample and scoring
-    (:func:`_run_repetition`).  Blocks may be evaluated by up to
+    block, the benchmarks share one volume sample and one fit per training
+    fold, so at contamination 0 the benchmarks of a table share every fit,
+    and each model scores every distinct test and volume point of its fit
+    group once (:func:`_run_repetition`).  Blocks may be evaluated by up to
     ``workers`` processes, never more than there are blocks.  When there
     are fewer blocks than workers, each block is split by benchmark, which
-    repeats the shared fits on otherwise idle workers.  Each block's
-    records are appended as soon as it and every block before it are
-    done, so an interrupted run keeps every block it appended, and each
-    store file lists its cells by contamination, then repetition, then
-    combo.  Seeds derive from cell identity and the table, never from
+    repeats the shared fits, draws and scores on otherwise idle workers.
+    Each block's records are appended as soon as it and every block before
+    it are done, so an interrupted run keeps every block it appended, and
+    each store file lists its cells by contamination, then repetition,
+    then combo.  Seeds derive from cell identity and the table, never from
     scheduling or grouping, so the store content depends neither on the
     worker count nor on which cells a resume still has to run.
     """

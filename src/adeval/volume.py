@@ -8,11 +8,12 @@ given false-positive budget means a tight model of the normal class.
 
 The estimate has two steps: :func:`uniform_sample` draws the sample that
 the models score, and :func:`volume_below` counts the scores below one
-threshold.  The grid draws one sample per block of cells, scores it once
-per group of models, checks each model's scores with
-:func:`checked_scores` and thresholds every model's row at each FPR level
-(:func:`accepted_fraction`); ``adeval volume`` does the same for one combo
-and one level (:func:`volume_below`).
+threshold.  The grid draws one sample per (table, repetition) block, in
+the bounding box of the table's normal class, scores each of its points
+once per model, checks each model's scores to be finite and thresholds
+every model's row at each FPR level (:func:`accepted_fraction`);
+``adeval volume`` does the same for one combo and one level
+(:func:`checked_scores`, :func:`volume_below`).
 """
 
 from __future__ import annotations

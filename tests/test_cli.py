@@ -140,7 +140,7 @@ class TestPrepare:
             ["prepare", str(tmp_path / "raw"), str(tmp_path / "cache"), "--minmax"]
         ) == 0
         bench = read_benchmark(tmp_path / "cache", "tab0", "c1")
-        points = bench.all_points()
+        points = np.vstack([bench.normal, bench.anomaly])
         assert points.min() >= 0.0 and points.max() <= 1.0
 
 
@@ -715,6 +715,24 @@ class TestAggregate:
         assert "holds other data than in run" in capsys.readouterr().err
         assert not (run_dir / "tables").exists()
 
+    def test_aggregate_of_a_manifest_alone_writes_nothing(self, study, tmp_path, capsys):
+        shutil.copy(study.run / "manifest.json", tmp_path / "manifest.json")
+        assert main(["aggregate", "rank", str(tmp_path)]) == 2
+        assert "missing cells" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_rocband_table_alias_counts_the_run_s_benchmarks(self, study, tmp_path, capsys):
+        # The cache holds tab0-c1 and tab0-c2; the run loads tab0-c1 only.
+        run_dir, out = tmp_path / "run", tmp_path / "tables"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={run_dir}",
+                     "--set", "only=tab0-c1"]) == 0
+        flags = ["--detector", "knn", "--k", "3", "--splits", "2", "--out", str(out)]
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0", *flags]) == 0
+        assert [p.name for p in out.glob("*.csv")] == ["rocband_tab0-c1_knn_variant_kappa_k_3.csv"]
+        capsys.readouterr()
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab1", *flags]) == 2
+        assert "(available: tab0-c1)" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # volume and scores one-offs
@@ -879,6 +897,33 @@ class TestOneOffs:
         anomaly[0, 0] += 0.25
         write_benchmark(dataclasses.replace(bench, anomaly=anomaly), tmp_path / "changed")
         assert manifest("scores") != manifest("scores", cache=tmp_path / "changed")
+
+    def test_volume_reproduces_grid_cvol_for_every_class(self, tmp_path, capsys):
+        # One table of three anomaly classes: every class shares the table's sample.
+        write_tables(tmp_path / "raw", n_tables=1, sizes=(60, 25, 20, 15))
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        text = CONFIG_TEXT.format(cache=cache, run=run_dir)
+        text = text.replace("lof_ks =", "lof_ks = 5")
+        (tmp_path / "study.cfg").write_text(text.replace("iforest_trees =", "iforest_trees = 10"))
+        assert main(["run", "--config", str(tmp_path / "study.cfg")]) == 0
+        cells = [r for r in RecordStore(run_dir / "records").load() if r.repetition == 1]
+        assert {r.anomaly_class for r in cells} == {"c1", "c2", "c3"}
+        assert {r.detector for r in cells} == {"knn", "lof", "iforest"}
+        for cell in cells:
+            params = dict(p.split("=") for p in cell.params.split())
+            flags = {
+                "knn": ["--variant", params.get("variant"), "--k", params.get("k")],
+                "lof": ["--k", params.get("k")],
+                "iforest": ["--trees", params.get("n_trees"),
+                            "--subsample", params.get("subsample")],
+            }[cell.detector]
+            capsys.readouterr()
+            assert main(["volume", "--dataset", str(cache), "--benchmark", cell.benchmark,
+                         "--detector", cell.detector, *flags, "--alpha", "0.05", "--n", "400",
+                         "--seed", "7", "--rep", "1"]) == 0
+            lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
 
     def test_unknown_benchmark_is_reported(self, study, capsys):
         assert main(

@@ -201,7 +201,7 @@ class TestSynthetic:
     def test_gaussian_without_anomalies(self):
         bench = synth_gaussian(30, 0, seed=0)
         assert bench.anomaly.shape[0] == 0
-        assert bench.all_points().shape == (30, 2)
+        assert bench.normal.shape == (30, 2)
 
     def test_multiclass_layout(self):
         table = synth_multiclass_table("t", (30, 10, 5), dim=2, seed=2)

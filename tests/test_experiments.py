@@ -654,6 +654,85 @@ class TestSharedFits:
             assert counts == {n: k * reps * per_fold for n, k in per_repetition.items()}, family
 
 
+class TestSharedVolumeAndScoring:
+    """One volume sample per (table, repetition); each distinct point scored once per model."""
+
+    benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 15, 12), dim=3, seed=8))
+
+    @staticmethod
+    def config(**overrides):
+        base = dict(
+            knn_variants=("kappa", "delta"),
+            knn_ks=(1, 4),
+            lof_ks=(5,),
+            iforest_trees=(10, 20),
+            iforest_subsample=32,
+            alphas=(0.05, 0.2),
+            ps=(0.1,),
+            repetitions=2,
+            volume_samples=300,
+            master_seed=3,
+        )
+        return GridConfig(**{**base, **overrides})
+
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
+    def test_benchmark_rows_do_not_depend_on_the_table_s_other_benchmarks(
+        self, tmp_path, validation_fraction
+    ):
+        # 48 training normals take 3 anomalies at c = 0.05: every class has them.
+        cfg = self.config(contaminations=(0.0, 0.05), validation_fraction=validation_fraction)
+        together = RecordStore(tmp_path / "together", manifest_hash="h")
+        assert run_grid(cfg, self.benches, together).n_flagged == 0
+        together_files = {p.name: p.read_bytes() for p in together.root.glob("*.csv")}
+        assert len(together_files) == 3 * len(self.benches)
+        for bench in self.benches:
+            alone = RecordStore(tmp_path / bench.name, manifest_hash="h")
+            run_grid(cfg, [bench], alone)
+            files = {p.name: p.read_bytes() for p in alone.root.glob("*.csv")}
+            assert len(files) == 3
+            assert files == {name: together_files[name] for name in files}
+
+    def test_block_draws_one_sample_and_scores_each_point_once(self, monkeypatch):
+        cfg = self.config(repetitions=1)
+        draws, scored = [], {"neighbour": [], "forest": []}
+        sample = experiments.uniform_sample
+        monkeypatch.setattr(experiments, "uniform_sample",
+                            lambda *args: draws.append(args) or sample(*args))
+        for family in scored:
+            scorer = getattr(experiments, f"{family}_scores")
+
+            def recording(models, x, scorer=scorer, calls=scored[family]):
+                calls.append(np.array(x))
+                return scorer(models, x)
+
+            monkeypatch.setattr(experiments, f"{family}_scores", recording)
+        pending = [(bench, cfg.detector_combos()) for bench in self.benches]
+        records = _run_repetition(cfg, pending, 0.0, 0)
+        assert len(records) == 3 * len(cfg.detector_combos())
+        assert not any(r.flags for r in records)
+        assert len(draws) == 1
+        spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.master_seed)
+        folds = [split(bench, spec) for bench in self.benches]
+        n_neg = int(np.count_nonzero(folds[0].test_labels == 0))
+        n_test = n_neg + sum(int(fold.test_labels.sum()) for fold in folds)
+        distinct = np.unique(np.concatenate([fold.test for fold in folds]), axis=0)
+        volume = sample(*draws[0])
+        for family, calls in scored.items():
+            # One scoring pass of the test points, then one of the volume sample.
+            tests, points = calls
+            assert len(tests) == n_test == len(distinct), family
+            assert np.array_equal(np.unique(tests, axis=0), distinct), family
+            assert np.array_equal(points, volume), family
+
+    def test_every_class_of_a_table_draws_in_its_normal_box(self):
+        boxes = [experiments.volume_box_and_seed(bench, 3, 1) for bench in self.benches]
+        for box, seed in boxes:
+            assert np.array_equal(box.b_min, self.benches[0].normal.min(axis=0))
+            assert np.array_equal(box.b_max, self.benches[0].normal.max(axis=0))
+            assert seed == boxes[0][1]
+        assert experiments.volume_box_and_seed(self.benches[0], 3, 2)[1] != boxes[0][1]
+
+
 class TestEvaluateCells:
     """One scored group's cells, evaluated from its (combo x point) score matrices."""
 
