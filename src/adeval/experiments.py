@@ -370,56 +370,62 @@ class RecordStore:
     cut short: :meth:`load` reads past it, so its cell counts as missing,
     and :meth:`append` cuts it off before writing.  The root directory is
     made by the first append that starts a file, so loading a store never
-    writes: a missing root loads as an empty store.
+    writes: a missing root loads as an empty store.  A file whose manifest
+    line names another run is refused, never loaded as finished cells.
     """
 
     def __init__(self, root: str | Path, manifest_hash: str = "unmanaged"):
         self.root = Path(root)
         self.manifest_hash = manifest_hash
+        self._manifest_line = f"# manifest: {manifest_hash}"
 
     def _file_for(self, record: ExperimentRecord) -> Path:
         stem = _safe_name(f"{record.table}-{record.anomaly_class}__{record.detector}")
         return self.root / f"{stem}.csv"
 
-    def append(self, record: ExperimentRecord, measure_names: Sequence[str]) -> None:
-        path = self._file_for(record)
-        fresh = _drop_torn_tail(path)
-        if fresh:
-            self.root.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", newline="") as handle:
-            writer = csv.writer(handle)
+    def append(self, records: Iterable[ExperimentRecord], measure_names: Sequence[str]) -> None:
+        """Append ``records`` as rows, each file's in their given order.
+
+        Each file they reach gets one torn-tail check and one open, so a
+        block's rows cost one open per (benchmark, detector) file.
+        """
+        by_file: dict[Path, list[ExperimentRecord]] = {}
+        for record in records:
+            by_file.setdefault(self._file_for(record), []).append(record)
+        for path, rows in by_file.items():
+            fresh = _drop_torn_tail(path)
             if fresh:
-                handle.write(f"# manifest: {self.manifest_hash}\n")
-                writer.writerow(list(_ID_COLUMNS) + list(measure_names))
-            row = [
-                record.grid_index,
-                record.table,
-                record.anomaly_class,
-                record.detector,
-                record.params,
-                repr(record.contamination),
-                record.repetition,
-                ";".join(record.flags),
-            ]
-            for name in measure_names:
-                value = record.values.get(name)
-                row.append(_MISSING if value is None else repr(value))
-            writer.writerow(row)
+                self.root.mkdir(parents=True, exist_ok=True)
+            with open(path, "a", newline="") as handle:
+                writer = csv.writer(handle)
+                if fresh:
+                    handle.write(f"{self._manifest_line}\n")
+                    writer.writerow(list(_ID_COLUMNS) + list(measure_names))
+                writer.writerows(_record_row(record, measure_names) for record in rows)
 
     def load(self) -> list[ExperimentRecord]:
         """Every record in the store, sorted by cell.
 
         A row whose width differs from its header, or with a value that is
         neither ``NA`` nor a float, raises ``ValueError`` naming its file
-        and line rather than loading as a finished cell.  A torn tail is
-        skipped.
+        and line rather than loading as a finished cell.  So does a file
+        whose first complete line is not this store's manifest line: its
+        rows belong to another run.  A torn tail is skipped, and a file torn
+        before its first line end loads as no rows.
         """
         records: list[ExperimentRecord] = []
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
                 text = handle.read()
+            complete = text[: text.rfind("\n") + 1]
+            first = complete[: complete.find("\n")]
+            if complete and first != self._manifest_line:
+                raise ValueError(
+                    f"{path}: first line {first!r} is not this run's manifest header "
+                    f"{self._manifest_line!r}; the file belongs to another run"
+                )
             header = None
-            for lineno, row in data_rows(io.StringIO(text[: text.rfind("\n") + 1], newline="")):
+            for lineno, row in data_rows(io.StringIO(complete, newline="")):
                 if header is None:
                     header = row
                     if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
@@ -431,6 +437,23 @@ class RecordStore:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.sort(key=lambda r: r.cell_key)
         return records
+
+
+def _record_row(record: ExperimentRecord, measure_names: Sequence[str]) -> list:
+    row = [
+        record.grid_index,
+        record.table,
+        record.anomaly_class,
+        record.detector,
+        record.params,
+        repr(record.contamination),
+        record.repetition,
+        ";".join(record.flags),
+    ]
+    for name in measure_names:
+        value = record.values.get(name)
+        row.append(_MISSING if value is None else repr(value))
+    return row
 
 
 def _drop_torn_tail(path: Path) -> bool:
@@ -858,10 +881,8 @@ def run_grid(
             if progress:
                 progress(f"{records[0].table} c={contamination:g} rep={repetition}: "
                          f"{len(records)} cells")
-            for record in records:
-                store.append(record, names)
-                if record.is_flagged_missing:
-                    flagged.append(record)
+            store.append(records, names)
+            flagged += [r for r in records if r.is_flagged_missing]
     n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(combos)
     errors = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
     return RunSummary(n_cells=n_cells, n_new=len(missing), n_flagged=len(flagged),
@@ -912,11 +933,24 @@ class Collapsed:
 def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     """Average measure values over repetitions into one :class:`Collapsed`.
 
-    A value missing in some repetitions averages over the present ones; a
-    value missing everywhere stays missing.  The records must share one
+    A value missing (``None``) in some repetitions averages over the present
+    ones; a value missing everywhere stays missing.  A stored NaN is a
+    present value, so its mean is NaN.  The records must share one
     contamination level.
+
+    The records' values form one (cell × measure × repetition) array,
+    repetitions in input order.  A stable argsort on the absent mask moves
+    each (cell, measure)'s present values to the front, keeping their order.
+    Then, for each distinct present count c, one ``np.add.reduce`` along the
+    last axis of a C-contiguous (rows × c) array sums every row with that
+    count, and the sums are divided by c.  That is the reduction
+    ``np.mean`` runs on a 1-D list of the same c values, with the same
+    pairwise grouping of the sum, so each mean is bit for bit the
+    ``np.mean`` of its present values.
     """
     records = sorted(records, key=lambda r: r.cell_key[:3])  # stable: reps keep their order
+    if not records:
+        raise ValueError("no records to collapse")
     levels = sorted({r.contamination for r in records})
     if len(levels) != 1:
         raise ValueError(
@@ -928,16 +962,34 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     measures = tuple(dict.fromkeys(name for r in records for name in r.values))
     row = {bench: i for i, bench in enumerate(benchmarks)}
     col = {g: j for j, g in enumerate(grid)}
+    # Each cell's records are contiguous: its slots number them in input order.
+    keys = [r.cell_key[:3] for r in records]
+    starts = np.flatnonzero([True] + [a != b for a, b in zip(keys[1:], keys)])
+    cell = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(records)))
+    slot = np.arange(len(records)) - starts[cell]
+    cell_i = np.array([row[records[s].benchmark] for s in starts], dtype=np.intp)
+    cell_j = np.array([col[records[s].grid_index] for s in starts], dtype=np.intp)
+
+    raw = np.array([[r.values.get(name) for name in measures] for r in records], dtype=object)
+    given = np.not_equal(raw, None)
+    reps = np.zeros((len(starts), len(measures), int(slot.max()) + 1))
+    absent = np.ones(reps.shape, dtype=bool)
+    reps[cell, :, slot] = np.where(given, raw, 0.0).astype(np.float64)
+    absent[cell, :, slot] = ~given
+
+    # Each (cell, measure)'s present values first, in repetition order.
+    order = np.argsort(absent, axis=2, kind="stable")
+    packed = np.take_along_axis(reps, order, axis=2).reshape(-1, reps.shape[2])
+    counts = reps.shape[2] - absent.sum(axis=2).ravel()
+    means = np.full(counts.shape, np.nan)
+    for c in np.unique(counts[counts > 0]):
+        rows = counts == c
+        means[rows] = np.add.reduce(np.ascontiguousarray(packed[rows, :c]), axis=1) / c
+
     values = np.full((len(benchmarks), len(grid), len(measures)), np.nan)
+    values[cell_i, cell_j] = means.reshape(len(starts), len(measures))
     present = np.zeros(values.shape[:2], dtype=bool)
-    for _, group in groupby(records, key=lambda r: r.cell_key[:3]):
-        group = list(group)
-        i, j = row[group[0].benchmark], col[group[0].grid_index]
-        present[i, j] = True
-        for m, name in enumerate(measures):
-            reps = [r.values[name] for r in group if r.values.get(name) is not None]
-            if reps:
-                values[i, j, m] = np.mean(reps)
+    present[cell_i, cell_j] = True
     return Collapsed(
         benchmarks=tuple(benchmarks),
         tables=tuple(table_of[b] for b in benchmarks),

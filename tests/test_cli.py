@@ -98,6 +98,12 @@ def read_store_bytes(run_dir):
     return {p.name: p.read_bytes() for p in sorted((run_dir / "records").glob("*.csv"))}
 
 
+def stored_records(run_dir):
+    """The run's records, loaded under the hash in its manifest."""
+    hash_ = json.loads((run_dir / "manifest.json").read_text())["hash"]
+    return RecordStore(run_dir / "records", manifest_hash=hash_).load()
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -188,6 +194,25 @@ class TestRun:
         out = capsys.readouterr().out
         assert "resuming" in out and "0 new" in out
         assert read_store_bytes(study.run) == before
+
+    def test_store_files_of_another_run_are_refused(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        config = tmp_path / "study.cfg"
+        config.write_text(CONFIG_TEXT.format(cache=cache, run=run_dir))
+        assert main(["run", "--config", str(config), "--set", "master_seed=0"]) == 0
+        (run_dir / "manifest.json").unlink()
+        before = read_store_bytes(run_dir)
+        capsys.readouterr()
+        # Without the manifest, the store files still carry the seed-0 run's hash.
+        assert main(["run", "--config", str(config), "--set", "master_seed=1"]) == 2
+        err = capsys.readouterr().err
+        assert "another run" in err and any(name in err for name in before)
+        assert read_store_bytes(run_dir) == before
+        assert main(["aggregate", "rank", str(run_dir)]) == 2
+        assert "another run" in capsys.readouterr().err
+        assert not (run_dir / "tables").exists()
 
     def test_fresh_directory_reproduces_store_bytes(self, study):
         run2 = study.root / "run2"
@@ -543,7 +568,7 @@ class TestAggregate:
             assert main(
                 ["aggregate", kind, str(run_dir), "--contamination", "0.05", *extra]
             ) == 0
-        records = RecordStore(run_dir / "records").load()
+        records = stored_records(run_dir)
         means = repetition_means([r for r in records if r.contamination == 0.05])
 
         def table_rows(name):
@@ -770,7 +795,7 @@ class TestOneOffs:
 
     def stored_cell(self, study, benchmark, params, repetition):
         (cell,) = [
-            r for r in RecordStore(study.run / "records").load()
+            r for r in stored_records(study.run)
             if (r.benchmark, r.params, r.repetition) == (benchmark, params, repetition)
         ]
         assert not any(name.startswith("val:") for name in cell.values)
@@ -907,7 +932,7 @@ class TestOneOffs:
         text = text.replace("lof_ks =", "lof_ks = 5")
         (tmp_path / "study.cfg").write_text(text.replace("iforest_trees =", "iforest_trees = 10"))
         assert main(["run", "--config", str(tmp_path / "study.cfg")]) == 0
-        cells = [r for r in RecordStore(run_dir / "records").load() if r.repetition == 1]
+        cells = [r for r in stored_records(run_dir) if r.repetition == 1]
         assert {r.anomaly_class for r in cells} == {"c1", "c2", "c3"}
         assert {r.detector for r in cells} == {"knn", "lof", "iforest"}
         for cell in cells:

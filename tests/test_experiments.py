@@ -277,8 +277,8 @@ class TestRunGrid:
         # Each file lists its cells in block order: contamination, repetition, combo.
         ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
         records = RecordStore(tmp_path / "1", manifest_hash="h").load()
-        for record in sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)):
-            ordered.append(record, cfg.measure_names())
+        ordered.append(sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)),
+                       cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
 
     def test_cells_deterministic(self):
@@ -554,8 +554,8 @@ class TestRunCell:
         store = RecordStore(tmp_path, manifest_hash="h")
         # Resume from a store holding half of the c=0.05 block's combos.
         stored = [cell for cell in cells if cell[1] == 0.05 and cell[0].index % 2 == 0]
-        for combo, c, rep in stored:
-            store.append(expected[c, combo.index, rep], cfg.measure_names())
+        store.append([expected[c, combo.index, rep] for combo, c, rep in stored],
+                     cfg.measure_names())
         summary = run_grid(cfg, [bench], store)
         assert summary.n_cells == len(cells)
         assert summary.n_new == len(cells) - len(stored)
@@ -614,8 +614,8 @@ class TestSharedFits:
             if (bench.anomaly_class, combo.index % 2, rep) in {("c1", 0, 1), ("c2", 1, 0)}
         ]
         store = RecordStore(tmp_path, manifest_hash="h")
-        for bench, c, combo, rep in stored:
-            store.append(expected[bench.anomaly_class, c, combo.index, rep], cfg.measure_names())
+        store.append([expected[bench.anomaly_class, c, combo.index, rep]
+                      for bench, c, combo, rep in stored], cfg.measure_names())
         summary = run_grid(cfg, self.benches, store)
         assert summary.n_new == len(expected) - len(stored)
         loaded = {
@@ -779,13 +779,13 @@ class TestRecordStore:
     def test_roundtrip_preserves_values_exactly(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         rec = record(values={"AUC": 1 / 3, "TPR@0.05": None}, flags=("note", "x"))
-        store.append(rec, ("AUC", "TPR@0.05"))
+        store.append([rec], ("AUC", "TPR@0.05"))
         (loaded,) = store.load()
         assert loaded == rec
 
     def test_manifest_comment_heads_each_file(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
-        store.append(record(values={"AUC": 0.5}), ("AUC",))
+        store.append([record(values={"AUC": 0.5})], ("AUC",))
         path = next(tmp_path.glob("*.csv"))
         assert path.read_text().startswith("# manifest: cafe01\n")
 
@@ -798,7 +798,7 @@ class TestRecordStore:
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         for rep in range(2):
             rec = record(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.25})
-            store.append(rec, ("AUC", "TPR@0.05"))
+            store.append([rec], ("AUC", "TPR@0.05"))
         return store, next(tmp_path.glob("*.csv"))
 
     def test_short_row_rejected_with_file_and_line(self, tmp_path):
@@ -816,18 +816,18 @@ class TestRecordStore:
             for rep in range(2)
         ]
         for rec in recs:
-            store.append(rec, ("AUC", "TPR@0.05"))
+            store.append([rec], ("AUC", "TPR@0.05"))
         path = next(tmp_path.glob("*.csv"))
         whole = path.read_bytes()
         # A write cut 6 bytes short leaves "...,0.12345" without a line end.
         path.write_bytes(whole[:-6])
         assert store.load() == recs[:1]
-        store.append(recs[1], ("AUC", "TPR@0.05"))
+        store.append([recs[1]], ("AUC", "TPR@0.05"))
         assert path.read_bytes() == whole
         # A torn header row leaves nothing to keep: the file starts afresh.
         path.write_bytes(whole[: whole.index(b"\n") + 5])
         assert store.load() == []
-        store.append(recs[0], ("AUC", "TPR@0.05"))
+        store.append([recs[0]], ("AUC", "TPR@0.05"))
         assert store.load() == recs[:1]
 
     def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
@@ -835,6 +835,68 @@ class TestRecordStore:
         path.write_text(path.read_text().replace("0.25\n", "0.2x\n", 1))
         with pytest.raises(ValueError, match=rf"{path.name}: line 3: .*0\.2x"):
             store.load()
+
+    def test_file_of_another_run_rejected_naming_it(self, tmp_path):
+        _, path = self.two_row_store(tmp_path)
+        with pytest.raises(ValueError, match=rf"{path.name}: .*'# manifest: beef02'.*another run"):
+            RecordStore(tmp_path, manifest_hash="beef02").load()
+
+    def test_record_header_checked_under_the_manifest_line(self, tmp_path):
+        (tmp_path / "junk.csv").write_text("# manifest: cafe01\nfoo,bar\n1,2\n")
+        with pytest.raises(ValueError, match="unrecognized record header"):
+            RecordStore(tmp_path, manifest_hash="cafe01").load()
+
+    def test_empty_or_torn_to_nothing_file_loads_as_no_rows(self, tmp_path):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "torn.csv").write_text("# manifest: ca")  # no complete line
+        assert RecordStore(tmp_path, manifest_hash="cafe01").load() == []
+
+    def two_blocks(self):
+        """Two blocks of rows over two files, each block holding both files' rows."""
+        return [
+            [record(anomaly_class=c, grid_index=g, repetition=rep,
+                    values={"AUC": 1 / (3 + g + rep), "TPR@0.05": None if g else 0.5})
+             for c in ("c1", "c2") for g in (0, 1)]
+            for rep in (0, 1)
+        ]
+
+    def test_block_append_writes_the_bytes_of_per_record_appends(self, tmp_path, monkeypatch):
+        names = ("AUC", "TPR@0.05")
+        single = RecordStore(tmp_path / "single", manifest_hash="cafe01")
+        for block in self.two_blocks():
+            for rec in block:
+                single.append([rec], names)
+        cuts = []
+        drop = experiments._drop_torn_tail
+        monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: cuts.append(p.name) or drop(p))
+        batched = RecordStore(tmp_path / "batched", manifest_hash="cafe01")
+        for block in self.two_blocks():
+            batched.append(block, names)
+        files = sorted(p.name for p in (tmp_path / "single").glob("*.csv"))
+        assert len(files) == 2 and sorted(cuts) == sorted(files * 2)  # one check per file and block
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "batched").glob("*.csv")}
+                == {p.name: p.read_bytes() for p in (tmp_path / "single").glob("*.csv")})
+        assert batched.load() == sorted((r for b in self.two_blocks() for r in b),
+                                        key=lambda r: r.cell_key)
+
+    def test_torn_tail_before_a_block_is_cut_once(self, tmp_path, monkeypatch):
+        names = ("AUC", "TPR@0.05")
+        first, second = self.two_blocks()
+        whole = RecordStore(tmp_path / "whole", manifest_hash="cafe01")
+        whole.append(first + second, names)
+        store = RecordStore(tmp_path / "store", manifest_hash="cafe01")
+        store.append(first, names)
+        path = sorted((tmp_path / "store").glob("*.csv"))[0]
+        path.write_bytes(path.read_bytes()[:-6])  # the last row of the first block is torn
+        assert store._file_for(first[1]) == path
+        assert store.load() == sorted(first[:1] + first[2:], key=lambda r: r.cell_key)
+        checks = []
+        drop = experiments._drop_torn_tail
+        monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: checks.append(p.name) or drop(p))
+        store.append([first[1]] + second, names)  # the torn row's cell, then the next block
+        assert sorted(checks) == sorted(p.name for p in (tmp_path / "store").glob("*.csv"))
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
+                == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +951,60 @@ class TestMeanRecords:
         assert data.column("val:AUC")[1, 1] == 0.25
         assert math.isnan(data.column("val:AUC")[0, 0])
         assert np.isnan(data.column("never-recorded")).all()
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            collapse([])
+
+
+def exactness_records(rng):
+    """Cells of 1-40 repetitions with gaps, values over many magnitudes, -0.0 and NaN, shuffled."""
+    out = []
+    for g, n_reps in enumerate(range(1, 41)):
+        reps = [rep for rep in range(n_reps + 3) if rep == 0 or rng.random() > 0.1]  # gaps
+        for rep in reps[:n_reps]:
+            values = {}
+            for name in ("A", "B", "C"):
+                u = rng.random()
+                if u < 0.2 and name != "A":
+                    values[name] = None
+                elif u < 0.22 and name == "C":
+                    values[name] = math.nan  # a stored NaN makes its cell's mean NaN
+                elif u < 0.3:
+                    values[name] = -0.0
+                else:
+                    values[name] = float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-12, 13))
+            out.append(record(grid_index=g, anomaly_class=f"c{1 + g % 2}",
+                              repetition=rep, values=values))
+    rng.shuffle(out)
+    return out
+
+
+class TestCollapseExactness:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_mean_is_np_mean_of_its_present_values_bit_for_bit(self, seed):
+        records = exactness_records(np.random.default_rng(seed))
+        data = collapse(records)
+        means = repetition_means(records)
+        assert len(means) == 40 and data.present.sum() == 40
+        regrouped = 0  # cells where a left-to-right sum would give other bytes
+        for (table, anomaly_class, g), (_, values) in means.items():
+            i = data.benchmarks.index(f"{table}-{anomaly_class}")
+            for name, mean in values.items():
+                expected = np.float64(math.nan if mean is None else mean)
+                got = data.column(name)[i, g]
+                assert got.tobytes() == expected.tobytes(), (g, name)
+                present = [r.values[name] for r in records if (r.benchmark, r.grid_index)
+                           == (f"{table}-{anomaly_class}", g) and r.values[name] is not None]
+                regrouped += mean is not None and sum(present) / len(present) != mean
+        assert regrouped  # the data tells numpy's pairwise grouping from a plain sum
+
+    def test_stored_nan_is_present_not_missing(self):
+        records = [record(repetition=0, values={"A": math.nan, "B": None, "C": -0.0}),
+                   record(repetition=1, values={"A": 0.5, "B": 0.25, "C": None})]
+        data = collapse(records)
+        assert math.isnan(data.column("A")[0, 0]) and data.column("B")[0, 0] == 0.25
+        assert data.column("C")[0, 0].tobytes() == np.mean([-0.0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
