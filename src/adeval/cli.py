@@ -50,6 +50,7 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    check_tables,
     collapse,
     fit_models,
     kendall_matrix,
@@ -388,6 +389,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_root = Path(output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     manifest_path = out_root / "manifest.json"
+    store = RecordStore(out_root / "records", manifest_hash=manifest.hash)
     if manifest_path.exists():
         recorded = _load_manifest(out_root)[0].hash
         if recorded != manifest.hash:
@@ -397,10 +399,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         print(f"resuming run {manifest.hash}")
     else:
+        # Refuse before the manifest names this directory, so a refused run leaves none.
+        check_tables(benches)
+        store.load()
         manifest_path.write_text(manifest.to_json())
         print(f"run {manifest.hash}: {len(benches)} benchmarks, "
               f"{len(cfg.detector_combos())} combos, {cfg.repetitions} repetitions")
-    store = RecordStore(out_root / "records", manifest_hash=manifest.hash)
     summary = run_grid(
         cfg, benches, store,
         progress=lambda msg: print(f"  {msg}"),

@@ -54,10 +54,6 @@ class RawTable:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "classes", classes)
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.classes)))
-
 
 @dataclass(frozen=True)
 class BenchmarkDataset:
@@ -87,11 +83,6 @@ class BenchmarkDataset:
     @property
     def dim(self) -> int:
         return int(self.normal.shape[1])
-
-    def contamination(self) -> float:
-        """Anomaly proportion of the full benchmark."""
-        total = self.normal.shape[0] + self.anomaly.shape[0]
-        return self.anomaly.shape[0] / total
 
 
 def make_benchmarks(table: RawTable) -> list[BenchmarkDataset]:
@@ -166,12 +157,6 @@ class TrainTestSplit:
     test_ids: tuple[str, ...]
     train_normal_count: int
     train_anomaly_count: int
-
-    @property
-    def realized_contamination(self) -> float:
-        return self.train_anomaly_count / (
-            self.train_normal_count + self.train_anomaly_count
-        )
 
 
 def split(bench: BenchmarkDataset, spec: SplitSpec) -> TrainTestSplit:

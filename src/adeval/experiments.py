@@ -2,12 +2,13 @@
 
 A *cell* is one (benchmark, contamination, detector combo, repetition)
 tuple.  Running the grid fits the combo on the training fold, scores the
-test fold and evaluates every configured measure.  The cells of one
-(table, contamination, repetition) block share one volume sample, and
-their fits wherever their training folds are equal, so every benchmark of
-a table trains once at contamination 0.  Each model scores every distinct
-point of its fit group once, test normals shared between benchmarks
-included, and the cells scored together are evaluated together.
+test fold and evaluates every configured measure.  Every benchmark of a
+table holds the table's normal class, so the cells of one (table,
+contamination, repetition) block share one volume sample and their test
+normals, and every benchmark whose training fold has no injected anomaly
+shares one fit: at contamination 0 the table trains once.  Each model
+scores the shared test normals once, and the cells scored together are
+evaluated together.
 Each block's records land, as soon as it and every block before it are
 done, in a resumable delimited-text store, one file per (benchmark,
 detector).
@@ -28,7 +29,7 @@ import io
 import os
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -249,7 +250,8 @@ def fit_models(
     This is the one rule that maps a combo to its fit, used by grid cells,
     the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  It reads
     ``bench`` only for its table (:func:`_fit_seed`), so the benchmarks of
-    a table with equal training folds can share one call.  kNN combos
+    a table whose training folds hold no injected anomaly, which are all
+    the table's normal fold, share one call.  kNN combos
     fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
     ``train``.  The forest combos of a subsample take their prefix of one
     :func:`iforest_fit` at their largest ``n_trees``, which equals a forest
@@ -633,36 +635,6 @@ def _evaluate_cells(
     return list(zip(values, flags))
 
 
-def _stacked(
-    pieces: Sequence[Sequence[NDArray[np.float64]]],
-) -> tuple[NDArray[np.float64], list[slice | NDArray[np.intp]]]:
-    """Every distinct point array among the members' pieces, stacked once, and each member's rows.
-
-    ``pieces`` holds one sequence of (n, d) arrays per member.  An array
-    equal (:func:`np.array_equal`) to one stacked before is not stacked
-    again, so every member that holds it reads the same rows.  A member's
-    rows list its pieces in order: a slice where they are contiguous, else
-    an index array.
-    """
-    distinct: list[NDArray[np.float64]] = []
-    starts: list[int] = []
-    rows: list[slice | NDArray[np.intp]] = []
-    for member in pieces:
-        index = []
-        for piece in member:
-            k = next((k for k, seen in enumerate(distinct)
-                      if seen is piece or np.array_equal(seen, piece)), len(distinct))
-            if k == len(distinct):
-                starts.append(sum(map(len, distinct)))
-                distinct.append(piece)
-            index.append(np.arange(starts[k], starts[k] + len(piece)))
-        index = np.concatenate(index)
-        first = int(index[0]) if len(index) else 0
-        contiguous = np.array_equal(index, np.arange(first, first + len(index)))
-        rows.append(slice(first, first + len(index)) if contiguous else index)
-    return (distinct[0] if len(distinct) == 1 else np.concatenate(distinct)), rows
-
-
 def _run_repetition(
     cfg: GridConfig,
     pending: Sequence[tuple[BenchmarkDataset, Sequence[Combo]]],
@@ -672,25 +644,26 @@ def _run_repetition(
     """Evaluate the cells of one (table, contamination, repetition) block.
 
     ``pending`` pairs benchmarks of one table with the combos of their
-    cells to run; records come back in that order.  Each benchmark is
-    split once and takes its volume sample (:func:`volume_box_and_seed`);
-    benchmarks whose box and seed are equal share one drawn sample, so the
-    block draws one sample for the whole table.  Benchmarks whose training
-    folds are equal (same shape and values) form one fit group: one
-    :func:`fit_models` call over the union of their combos, and one copy
-    of the fold.  At contamination 0 that is every benchmark of the table,
-    while the anomalies injected at a higher level keep each benchmark's
-    fold its own.
+    cells to run; records come back in that order.  Every benchmark of the
+    table holds the table's normal class (:func:`check_tables`), so by
+    :func:`split` they share the test normals, which lead each test fold,
+    and every benchmark whose training fold holds no injected anomaly
+    trains on the same normal fold.  Each benchmark is split once, and the
+    block draws one volume sample (:func:`volume_box_and_seed`).  The
+    benchmarks without injected anomalies form one fit group: one
+    :func:`fit_models` call over the union of their combos.  That is every
+    benchmark of the table at contamination 0, and at any level too low to
+    inject an anomaly.  Every other benchmark is a fit group of its own.
 
     A fit group scores its models in groups, one per scorer: every kNN and
     LOF model in one group that shares one distance matrix per query
     chunk (:func:`neighbour_scores`), and the forest prefixes of each
     subsample in one group that one pass over the trees scores
-    (:func:`forest_scores`).  Each scorer scores every distinct point once
-    (:func:`_stacked`): the members' test folds, whose normals are shared
-    where they are equal, then the members' distinct volume samples.  Each
-    benchmark then takes its rows (its combos) and columns (its test fold
-    in split order, its volume sample) and evaluates its cells together
+    (:func:`forest_scores`).  Each scorer scores the group's test points,
+    the first member's test normals and then each member's test anomalies,
+    and then the volume sample.  Each benchmark then takes its rows (its
+    combos) and columns (the shared normals and its own anomalies, which
+    is its test fold in split order) and evaluates its cells together
     (:func:`_evaluate_cells`): with validation, the evaluation part of the
     test fold, then its ``val:`` part.  A point's score does not depend on
     the other points scored with it, so a cell's values do not depend on
@@ -698,11 +671,12 @@ def _run_repetition(
 
     A failure leaves missing every value of the cells it reaches that is
     not yet evaluated and flags them ``error:<exception type>``: a failed
-    split or volume draw reaches every cell of its benchmark, a failed
-    scoring pass every cell it served, a failed forest fit every cell of
-    its subsample, a sample with one class only every cell of its
-    benchmark's scorer group still standing, and any other failed fit or a
-    non-finite score only its own cell.
+    split reaches every cell of its benchmark, a failed volume draw every
+    cell of the block not already failed, a failed scoring pass every cell
+    it served, a failed forest fit every cell of its subsample, a sample
+    with one class only every cell of its benchmark's scorer group still
+    standing, and any other failed fit or a non-finite score only its own
+    cell.
     """
     names = cfg.measure_names()
     measures = cfg.measures()
@@ -739,40 +713,33 @@ def _run_repetition(
         return [("", perm[n_val:]), ("val:", perm[:n_val])]
 
     folds: dict[int, TrainTestSplit] = {}
-    volumes: dict[int, NDArray[np.float64]] = {}
-    drawn: dict[tuple, NDArray[np.float64]] = {}  # (seed, box bounds) -> volume sample
-    shared: list[list[int]] = []  # fit groups: positions in pending with equal training folds
     for i, (bench, combos) in enumerate(pending):
         try:
-            fold = split(bench, spec)
-            box, seed = volume_box_and_seed(bench, cfg.master_seed, repetition)
-            key = (seed, box.b_min.tobytes(), box.b_max.tobytes())
-            if key not in drawn:
-                drawn[key] = uniform_sample(box, cfg.volume_samples, seed)
+            folds[i] = split(bench, spec)
         except _CELL_ERRORS as exc:
             fail(i, combos, exc)
-            continue
-        folds[i], volumes[i] = fold, drawn[key]
-        for members in shared:
-            other = folds[members[0]].train
-            if np.array_equal(other, fold.train):
-                folds[i] = replace(fold, train=other)  # one training copy per group
-                members.append(i)
-                break
-        else:
-            shared.append([i])
+    try:
+        box, seed = volume_box_and_seed(pending[0][0], cfg.master_seed, repetition)
+        volume = uniform_sample(box, cfg.volume_samples, seed)
+    except _CELL_ERRORS as exc:
+        for i in folds:
+            fail(i, pending[i][1], exc)
+        folds.clear()
 
-    for members in shared:
+    clean = [i for i, fold in folds.items() if fold.train_anomaly_count == 0]
+    fit_groups = ([clean] if clean else []) + [[i] for i in folds if i not in clean]
+    for members in fit_groups:
         union = sorted({c for i in members for c in pending[i][1]}, key=lambda c: c.index)
         first = members[0]
         models = fit_models(pending[first][0], spec, folds[first].train, union)
         wanted = {i: set(pending[i][1]) for i in members}
-        n_normal = {i: int(np.count_nonzero(folds[i].test_labels == 0)) for i in members}
-        # split() puts a fold's test normals first, so its rows are these two pieces in order.
-        tests, test_cols = _stacked(
-            [(folds[i].test[: n_normal[i]], folds[i].test[n_normal[i]:]) for i in members]
+        # split() puts a fold's test normals, the table's, ahead of its test anomalies.
+        n_normal = int(np.count_nonzero(folds[first].test_labels == 0))
+        tests = np.concatenate(
+            [folds[first].test[:n_normal]] + [folds[i].test[n_normal:] for i in members]
         )
-        points, volume_cols = _stacked([(volumes[i],) for i in members])
+        ends = np.cumsum([n_normal] + [len(folds[i].test) - n_normal for i in members])
+        test_cols = [np.r_[:n_normal, start:stop] for start, stop in zip(ends, ends[1:])]
         groups: dict[tuple, list[tuple[Combo, object]]] = {}
         for combo, model in zip(union, models):
             if isinstance(model, Exception):
@@ -787,12 +754,12 @@ def _run_repetition(
             fitted, group_models = zip(*group)
             try:
                 test_scores = score(group_models, tests)
-                volume_scores = score(group_models, points)
+                volume_scores = score(group_models, volume)
             except _CELL_ERRORS as exc:
                 for i in members:
                     fail(i, [c for c in fitted if c in wanted[i]], exc)
                 continue
-            for i, tcols, vcols in zip(members, test_cols, volume_cols):
+            for i, cols in zip(members, test_cols):
                 rows = [r for r, c in enumerate(fitted) if c in wanted[i]]
                 if not rows:
                     continue
@@ -800,12 +767,29 @@ def _run_repetition(
                 bench, labels = pending[i][0], folds[i].test_labels
                 prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
                 cells = _evaluate_cells(
-                    labels, samples(bench, len(labels)), test_scores[mine][:, tcols],
-                    volume_scores[mine][:, vcols], measures, cfg, prec_seed,
+                    labels, samples(bench, len(labels)), test_scores[mine][:, cols],
+                    volume_scores[mine], measures, cfg, prec_seed,
                 )
                 for r, (values, flags) in zip(rows, cells):
                     store(i, fitted[r], values, flags)
     return [records[i, c.index] for i, (_, combos) in enumerate(pending) for c in combos]
+
+
+def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
+    """Raise ``ValueError``, naming the table, if two of its benchmarks hold different normals.
+
+    :func:`make_benchmarks` gives every benchmark of a table the table's
+    normal class, and a grid block shares its volume sample, test normals
+    and clean fits on that fact (:func:`_run_repetition`).
+    """
+    seen: dict[str, BenchmarkDataset] = {}
+    for bench in benchmarks:
+        other = seen.setdefault(bench.table, bench)
+        if not np.array_equal(other.normal, bench.normal):
+            raise ValueError(
+                f"benchmarks {other.name!r} and {bench.name!r} of table {bench.table!r} "
+                "hold different normal classes; prepare the table again"
+            )
 
 
 def _run_block(block) -> list[ExperimentRecord]:
@@ -822,6 +806,8 @@ def run_grid(
 ) -> RunSummary:
     """Run every missing cell of the grid and append it to the store.
 
+    Raises ``ValueError`` for benchmarks of one table that hold different
+    normal classes (:func:`check_tables`), before the store is loaded.
     The store is loaded once.  Cells already present in it are skipped
     (:func:`missing_cells`), so an interrupted run resumes where it
     stopped and a completed run is a no-op.  A failing cell is recorded
@@ -829,10 +815,10 @@ def run_grid(
     the flagged cells of the whole store, those stored before and the new.
 
     Cells are blocked by (table, contamination, repetition).  Within a
-    block, the benchmarks share one volume sample and one fit per training
-    fold, so at contamination 0 the benchmarks of a table share every fit,
-    and each model scores every distinct test and volume point of its fit
-    group once (:func:`_run_repetition`).  Blocks may be evaluated by up to
+    block the benchmarks share one volume sample and their test normals,
+    and every benchmark without an injected anomaly in its training fold
+    shares one fit, which at contamination 0 is every benchmark of the
+    table (:func:`_run_repetition`).  Blocks may be evaluated by up to
     ``workers`` processes, never more than there are blocks.  When there
     are fewer blocks than workers, each block is split by benchmark, which
     repeats the shared fits, draws and scores on otherwise idle workers.
@@ -847,6 +833,7 @@ def run_grid(
         raise ValueError("no benchmarks to run on")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    check_tables(benchmarks)
     combos = cfg.detector_combos()
     names = cfg.measure_names()
     stored = store.load()
@@ -1332,25 +1319,22 @@ def roc_band(
     train_fraction: float = 0.8,
     contamination: float = 0.0,
     master_seed: int = 0,
-    repetitions: Sequence[int] | None = None,
 ) -> RocBand:
     """Evaluate the ROC curve on repeated resplits and band its spread.
 
-    Repetition r is the grid cell of ``combo`` at repetition r, with the
-    same split and the same fit (:func:`fit_models`), and gives one test
-    ROC.  All curves are interpolated onto the union of their vertex FPRs;
-    the band reports mean and sample std of TPR and of the ratio TPR/FPR
-    (0 at FPR = 0) per grid point.  Splits whose fit raises ``ValueError``
-    or whose test fold degenerates to one class are skipped and counted.
+    Repetitions 0 to ``n_splits`` - 1 each give one test ROC: repetition r
+    is the grid cell of ``combo`` at repetition r, with the same split and
+    the same fit (:func:`fit_models`).  All curves are interpolated onto
+    the union of their vertex FPRs; the band reports mean and sample std
+    of TPR and of the ratio TPR/FPR (0 at FPR = 0) per grid point.  Splits
+    whose fit raises ``ValueError`` or whose test fold degenerates to one
+    class are skipped and counted.
     """
     if n_splits < 2:
         raise ValueError("need at least 2 splits for a band")
-    reps = list(repetitions) if repetitions is not None else list(range(n_splits))
-    if len(reps) != n_splits:
-        raise ValueError("repetitions must provide one entry per split")
     curves = []
     skipped = 0
-    for rep in reps:
+    for rep in range(n_splits):
         spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
                          seed=master_seed, repetition=rep)
         fold = split(bench, spec)

@@ -210,9 +210,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert "another run" in err and any(name in err for name in before)
         assert read_store_bytes(run_dir) == before
+        # The refused run wrote no manifest, so the files' own run still resumes.
+        assert not (run_dir / "manifest.json").exists()
+        assert main(["run", "--config", str(config), "--set", "master_seed=0"]) == 0
+        assert "0 new" in capsys.readouterr().out
+        # Beside the manifest of a seed-1 run, aggregate refuses the seed-0 files too.
+        other = tmp_path / "other"
+        assert main(["run", "--config", str(config), "--set", "master_seed=1",
+                     "--set", f"output_dir={other}"]) == 0
+        shutil.copy(other / "manifest.json", run_dir / "manifest.json")
+        capsys.readouterr()
         assert main(["aggregate", "rank", str(run_dir)]) == 2
         assert "another run" in capsys.readouterr().err
         assert not (run_dir / "tables").exists()
+
+    def test_table_whose_benchmarks_hold_different_normals_is_refused(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        normal = cache / "tab0" / "c2" / "normal.csv"
+        lines = normal.read_text().splitlines()
+        value, rest = lines[1].split(",", 1)
+        lines[1] = f"{float(value) + 0.25!r},{rest}"
+        normal.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "study.cfg"
+        config.write_text(CONFIG_TEXT.format(cache=cache, run=run_dir))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "'tab0'" in capsys.readouterr().err
+        assert not (run_dir / "manifest.json").exists()
+        assert not (run_dir / "records").exists()
 
     def test_fresh_directory_reproduces_store_bytes(self, study):
         run2 = study.root / "run2"
@@ -384,14 +410,16 @@ class TestRun:
         load = RecordStore.load
         monkeypatch.setattr(RecordStore, "load", lambda self: loads.append(1) or load(self))
         assert main(args) == 1
-        assert len(loads) == 1  # one store load per run
+        # A fresh run loads the store twice: to refuse another run's files
+        # before writing its manifest, then once in the grid.
+        assert len(loads) == 2
         before = read_store_bytes(tmp_path / "run")
         capsys.readouterr()
         assert main(args) == 1
         out = capsys.readouterr().out
         assert "resuming" in out and "cells: 2 total, 0 new, 1 flagged-missing" in out
         assert "  error:ValueError: 1 cells" in out
-        assert len(loads) == 2
+        assert len(loads) == 3  # a resume loads it once
         assert read_store_bytes(tmp_path / "run") == before
 
     def test_benchmarks_sharing_a_name_are_refused(self, tmp_path, capsys):

@@ -581,9 +581,9 @@ class TestSharedFits:
         iforest_subsample=32,
         alphas=(0.05, 0.2),
         ps=(0.1,),
-        # The 48-point training fold takes 3 anomalies at 0.05 and 8 at 0.15,
-        # which the 5-point class c3 does not have.
-        contaminations=(0.0, 0.05, 0.15),
+        # The 48-point training fold takes no anomaly at 0.005, 3 at 0.05 and
+        # 8 at 0.15, which the 5-point class c3 does not have.
+        contaminations=(0.0, 0.005, 0.05, 0.15),
         repetitions=2,
         volume_samples=300,
         validation_fraction=0.3,
@@ -644,14 +644,28 @@ class TestSharedFits:
         monkeypatch.setattr(detectors, "cdist", counting_cdist)
         run_grid(self.cfg, self.benches, RecordStore(tmp_path, manifest_hash="h"))
         # Training fold sizes: 48 normals, plus 3 anomalies at c = 0.05 and 8
-        # at c = 0.15.  Per repetition, c = 0 fits once for the whole table;
-        # c = 0.05 once per benchmark, c = 0.15 once per benchmark it can split.
-        per_repetition = {48: 1, 51: 3, 56: 2}
+        # at c = 0.15.  Per repetition, c = 0 and c = 0.005 each fit once for
+        # the whole table; c = 0.05 once per benchmark, c = 0.15 once per
+        # benchmark it can split.
+        per_repetition = {48: 2, 51: 3, 56: 2}
         reps = self.cfg.repetitions
         n_knn = len(self.cfg.knn_variants) * len(self.cfg.knn_ks)
         for family, per_fold in (("iforest", 1), ("lof", 1), ("knn", n_knn)):
             counts = {n: fits[family].count(n) for n in set(fits[family])}
             assert counts == {n: k * reps * per_fold for n, k in per_repetition.items()}, family
+
+    def test_table_whose_benchmarks_hold_different_normals_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        first, second = self.benches[:2]
+        normal = second.normal.copy()
+        normal[0, 0] += 0.25
+        spoiled = dataclasses.replace(second, normal=normal)
+        store = RecordStore(tmp_path, manifest_hash="h")
+        monkeypatch.setattr(store, "load", lambda: pytest.fail("store loaded before the check"))
+        with pytest.raises(ValueError, match="table 'm'"):
+            run_grid(self.cfg, [first, spoiled], store)
+        assert not list(tmp_path.iterdir())
 
 
 class TestSharedVolumeAndScoring:
@@ -1398,16 +1412,16 @@ class TestRocBand:
         return synth_gaussian(80, 40, dim=2, shift=2.0, seed=6)
 
     def test_identical_splits_have_zero_spread(self):
-        band = roc_band(
-            self.bench(), KNN_3, n_splits=2, master_seed=1, repetitions=[7, 7]
-        )
+        # Shifted by 50 standard deviations, every split separates perfectly.
+        bench = synth_gaussian(80, 40, dim=2, shift=50.0, seed=6)
+        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1)
         np.testing.assert_array_equal(band.tpr_std, 0.0)
         np.testing.assert_array_equal(band.ratio_std, 0.0)
         assert band.n_splits_used == 2
 
     def test_two_split_spread_matches_two_sample_formula(self):
         bench = self.bench()
-        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1, repetitions=[0, 1])
+        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1)
         curves = []
         for rep in (0, 1):
             fold = split(bench, SplitSpec(seed=1, repetition=rep))
@@ -1444,7 +1458,3 @@ class TestRocBand:
         bench = synth_gaussian(50, 2, dim=2, seed=0)
         with pytest.raises(ValueError, match="usable"):
             roc_band(bench, KNN_3, n_splits=2, contamination=0.05)
-
-    def test_repetition_list_must_match_split_count(self):
-        with pytest.raises(ValueError, match="one entry per split"):
-            roc_band(self.bench(), KNN_3, n_splits=3, repetitions=[0, 1])
