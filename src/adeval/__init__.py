@@ -50,11 +50,11 @@ from adeval.experiments import (
     ExperimentRecord,
     GridConfig,
     MeasureId,
+    MeasurePairs,
     RecordStore,
     collapse,
     kendall_matrix,
-    kendall_tau,
-    loss_matrix,
+    loss_matrix_table,
     mean_rank_table,
     multiclass_sensitivity,
     roc_band,

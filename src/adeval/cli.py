@@ -523,18 +523,19 @@ def _kendall_table(data, names, args, tag) -> tuple:
         ["measure", "mean tau"],
         [[name, _fmt(means[i])] for i, name in enumerate(result.measures)],
     )
-    rows = _pair_rows(result.measures, result.matrix, result.pair_counts)
+    rows = _pair_rows(result.measures, result.matrix, result.counts)
     return f"kendall_{tag}", ["measure_a", "measure_b", "tau", "n_benchmarks"], rows, lines
 
 
 def _loss_table(data, names, args, tag) -> tuple:
-    names, matrix = loss_matrix_table(
+    result = loss_matrix_table(
         data, measures=names, select_on_validation=args.select_on_validation
     )
     suffix = "_val" if args.select_on_validation else ""
     title = "mean relative loss, percent (rows select, columns judge):"
     return (f"loss_{tag}{suffix}", ["selection", "target", "mean_loss"],
-            _pair_rows(names, matrix), _percent_lines(title, names, matrix))
+            _pair_rows(result.measures, result.matrix),
+            _percent_lines(title, result.measures, result.matrix))
 
 
 def _multiclass_table(data, names, args, tag) -> tuple:
@@ -551,6 +552,14 @@ def _multiclass_table(data, names, args, tag) -> tuple:
 _TABLE_BUILDERS = {
     "rank": _rank_table, "kendall": _kendall_table,
     "loss": _loss_table, "multiclass": _multiclass_table,
+}
+
+
+# The aggregate kinds that read each flag whose default is unset; the others refuse it.
+_FLAG_KINDS = {
+    "measure": tuple(_TABLE_BUILDERS), "alpha": tuple(_TABLE_BUILDERS),
+    "p": tuple(_TABLE_BUILDERS), "select_on_validation": ("loss",),
+    "benchmark": ("rocband",), "detector": ("rocband",), "k": ("rocband",),
 }
 
 
@@ -581,6 +590,10 @@ def _aggregate_rocband(args, manifest: RunManifest, cfg, out_dir: Path) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    for dest, kinds in _FLAG_KINDS.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False and args.kind not in kinds:
+            raise CliError(f"--{dest.replace('_', '-')} does not apply to aggregate {args.kind}")
     run_dir = Path(args.records)
     manifest, cfg = _load_manifest(run_dir)
     hash_ = manifest.hash

@@ -63,17 +63,6 @@ class LabeledScores:
         object.__setattr__(self, "labels", check_labels(labels))
         object.__setattr__(self, "scores", scores)
 
-    @property
-    def n_pos(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def n_neg(self) -> int:
-        return int(self.labels.shape[0] - self.labels.sum())
-
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
-
 
 @dataclass(frozen=True)
 class RocCurve:

@@ -16,7 +16,10 @@ Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
 measures (Kendall correlation), and selection strategies (relative loss
-matrices, within and across anomaly classes).
+matrices, within and across anomaly classes).  The last three are one
+:class:`MeasurePairs` each: a (measure x measure) mean over units
+(benchmarks, or ordered class pairs of one table) and the units behind
+each entry.
 
 All measures are oriented so that larger is better; CVOL is already the
 complement of the decision-region volume.
@@ -1057,8 +1060,44 @@ def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
 
 
 # ---------------------------------------------------------------------------
-# Kendall correlation between measures
+# Measure-pair tables: Kendall correlation and selection losses
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MeasurePairs:
+    """One (measure x measure) comparison table and the units behind each entry.
+
+    A unit is a benchmark (Kendall, selection loss) or an ordered class
+    pair of one table (class transfer).  ``counts[i, j]`` is the number of
+    units that define entry (i, j), which is NaN where the count is 0.
+    ``n_tables`` tables contributed units; ``n_skipped_tables`` had none.
+    """
+
+    measures: tuple[str, ...]
+    matrix: NDArray[np.float64]
+    counts: NDArray[np.int64]
+    n_tables: int
+    n_skipped_tables: int = 0
+
+
+def _masked_mean(
+    units: Sequence[NDArray[np.float64]],
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Mean over units of (measure x measure) arrays, skipping NaN; and the counts.
+
+    The units are stacked on a leading axis and summed one at a time, in
+    unit order, from 0.0: ``np.add.accumulate`` never takes numpy's
+    pairwise sum, which ``np.add.reduce`` uses for a 1x1 table.  Entries
+    no unit defines are NaN.
+    """
+    stacked = np.stack(units)
+    defined = ~np.isnan(stacked)
+    counts = defined.sum(axis=0)
+    zero = np.zeros((1,) + stacked.shape[1:])
+    sums = np.add.accumulate(np.concatenate([zero, np.where(defined, stacked, 0.0)]))[-1]
+    mean = np.full(sums.shape, np.nan)
+    return np.divide(sums, counts, out=mean, where=counts > 0), counts
 
 
 def _kendall_block(rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -1084,30 +1123,7 @@ def _kendall_block(rows: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.divide(sign.T @ sign, denom, out=tau, where=denom > 0)
 
 
-def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-corrected Kendall tau-b of two equal-length vectors.
-
-    The two-column case of :func:`_kendall_block`: positions where either
-    value is not finite are dropped first, so ``kendall_tau([1, nan, 3],
-    [1, 2, 3])`` is 1.0.  Returns NaN when fewer than two positions remain
-    or either remaining sequence is fully tied (the coefficient is
-    undefined there).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length vectors")
-    return float(_kendall_block(np.column_stack([x, y]))[0, 1])
-
-
-@dataclass(frozen=True)
-class KendallMatrix:
-    measures: tuple[str, ...]
-    matrix: NDArray[np.float64]
-    pair_counts: NDArray[np.int64]  # benchmarks contributing per pair
-
-
-def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> KendallMatrix:
+def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> MeasurePairs:
     """Average per-benchmark Kendall tau between every measure pair.
 
     Per benchmark, each measure induces a vector over the detector combos
@@ -1117,37 +1133,26 @@ def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> Ke
     """
     names = data.table_measures(measures)
     block = data.block(names)
-    sums = np.zeros((len(names), len(names)))
-    counts = np.zeros(sums.shape, dtype=np.int64)
+    taus = []
     for b, bench in enumerate(data.benchmarks):
         rows = block[b][:, data.present[b]].T
         if len(rows) < 2:
             raise ValueError(
                 f"benchmark {bench} has {len(rows)} combo(s); need at least 2"
             )
-        tau = _kendall_block(rows)
-        defined = ~np.isnan(tau)
-        sums += np.where(defined, tau, 0.0)
-        counts += defined
-    matrix = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return KendallMatrix(measures=names, matrix=matrix, pair_counts=counts)
+        taus.append(_kendall_block(rows))
+    matrix, counts = _masked_mean(taus)
+    return MeasurePairs(names, matrix, counts, n_tables=len(set(data.tables)))
 
 
-# ---------------------------------------------------------------------------
-# Relative loss of hyperparameter selection
-# ---------------------------------------------------------------------------
-
-
-def _selection_loss(
-    sel: NDArray[np.float64], tgt: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+def _selection_loss(sel: NDArray[np.float64], tgt: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row-wise relative loss of selecting combos by ``sel``, judging by ``tgt``.
 
     In each row the combo maximizing ``sel`` is chosen (ties: first in grid
     order) and the loss is (best_target - target_at_choice) / best_target,
     zero when the best target value is zero.  Combos missing either value
     (NaN) are excluded from both the argmax and the best.  Returns the loss
-    per row, NaN where no combo is usable, and the usable combos per row.
+    per row, NaN where no combo is usable.
     """
     usable = ~(np.isnan(sel) | np.isnan(tgt))
     chosen = np.argmax(np.where(usable, sel, -np.inf), axis=1)
@@ -1155,109 +1160,53 @@ def _selection_loss(
     used = np.take_along_axis(tgt, chosen[:, None], axis=1)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = np.where(best == 0.0, 0.0, (best - used) / best)
-    n_usable = usable.sum(axis=1)
-    return np.where(n_usable > 0, loss, np.nan), n_usable
+    return np.where(usable.any(axis=1), loss, np.nan)
 
 
-def _pair_losses(
-    sel: NDArray[np.float64], tgt: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+def _pair_losses(sel: NDArray[np.float64], tgt: NDArray[np.float64]) -> NDArray[np.float64]:
     """:func:`_selection_loss` of every (selection i, target j) pair of two benchmarks.
 
     ``sel`` and ``tgt`` are the (measure x combo) means of the selection
-    and the target benchmark; entry (i, j) of both returned arrays selects
-    by row i of ``sel`` and judges by row j of ``tgt``.
+    and the target benchmark; entry (i, j) selects by row i of ``sel`` and
+    judges by row j of ``tgt``, NaN where no combo is usable.
     """
     k_sel, k_tgt = len(sel), len(tgt)
-    loss, n_usable = _selection_loss(np.repeat(sel, k_tgt, axis=0), np.tile(tgt, (k_sel, 1)))
-    return loss.reshape(k_sel, k_tgt), n_usable.reshape(k_sel, k_tgt)
-
-
-def _benchmark_losses(
-    data: Collapsed, selections: Sequence[str], targets: Sequence[str]
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-    """Per-benchmark losses of every (selection, target) pair, benchmarks last.
-
-    Returns the (selection x target x benchmark) losses and usable combo
-    counts of :func:`_pair_losses`, one call per benchmark.  Raises for the
-    first pair, in row-major order, that some benchmark cannot use.
-    """
-    sel, tgt = data.block(selections), data.block(targets)
-    losses, n_usable = map(np.dstack, zip(*map(_pair_losses, sel, tgt)))
-    empty = np.argwhere((n_usable == 0).any(axis=-1))
-    if len(empty):
-        i, j = empty[0]
-        bench = data.benchmarks[int(np.argmin(n_usable[i, j]))]
-        raise ValueError(f"benchmark {bench} has no usable combo for {selections[i]}")
-    return losses, n_usable
-
-
-@dataclass(frozen=True)
-class LossResult:
-    mean_loss: float
-    n_datasets: int
-    n_excluded_combos: int
-
-
-def loss_matrix(
-    data: Collapsed,
-    selection: MeasureId | str,
-    target: MeasureId | str,
-    select_on_validation: bool = False,
-) -> LossResult:
-    """Mean relative loss of selecting combos by one measure, judging by another.
-
-    The one-pair case of :func:`loss_matrix_table`; combos missing either
-    value are counted as excluded.
-
-    With ``select_on_validation`` the argmax reads the ``val:``-prefixed
-    columns written by a run with a validation fraction, keeping selection
-    and judgment on disjoint samples.
-    """
-    sel_name = _measure_name(selection)
-    if select_on_validation:
-        sel_name = f"val:{sel_name}"
-    losses, n_usable = _benchmark_losses(data, [sel_name], [_measure_name(target)])
-    return LossResult(
-        mean_loss=float(np.mean(losses[0, 0])),
-        n_datasets=len(data.benchmarks),
-        n_excluded_combos=int(data.present.sum() - n_usable.sum()),
-    )
+    loss = _selection_loss(np.repeat(sel, k_tgt, axis=0), np.tile(tgt, (k_sel, 1)))
+    return loss.reshape(k_sel, k_tgt)
 
 
 def loss_matrix_table(
     data: Collapsed,
     measures: Sequence[str] | None = None,
     select_on_validation: bool = False,
-) -> tuple[tuple[str, ...], NDArray[np.float64]]:
+) -> MeasurePairs:
     """Full selection-vs-target loss matrix over all measure pairs.
 
     Entry (i, j) is the mean over benchmarks of the relative loss of
     selecting by measure i (its ``val:`` column with
-    ``select_on_validation``) and judging by measure j.
+    ``select_on_validation``) and judging by measure j.  Raises for the
+    first pair, in row-major order, that some benchmark cannot use, so
+    every benchmark counts in every entry.
     """
     names = data.table_measures(measures)
     selections = [f"val:{n}" for n in names] if select_on_validation else names
-    losses, _ = _benchmark_losses(data, selections, names)
-    return names, np.mean(losses, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Sensitivity to the anomaly class used for selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MulticlassResult:
-    measures: tuple[str, ...]
-    matrix: NDArray[np.float64]
-    n_tables: int
-    n_skipped_tables: int
+    # Benchmarks last: np.mean sums each entry's losses as numpy sums a list of them.
+    losses = np.dstack(list(map(_pair_losses, data.block(selections), data.block(names))))
+    unusable = np.isnan(losses)
+    empty = np.argwhere(unusable.any(axis=-1))
+    if len(empty):
+        i, j = empty[0]
+        bench = data.benchmarks[int(np.argmax(unusable[i, j]))]
+        raise ValueError(f"benchmark {bench} has no usable combo for {selections[i]}")
+    counts = np.full(losses.shape[:2], len(data.benchmarks), dtype=np.int64)
+    return MeasurePairs(
+        names, np.mean(losses, axis=-1), counts, n_tables=len(set(data.tables))
+    )
 
 
 def multiclass_sensitivity(
     data: Collapsed, measures: Sequence[str] | None = None
-) -> MulticlassResult:
+) -> MeasurePairs:
     """Loss of selecting hyperparameters on the wrong anomaly class.
 
     For every table with at least two anomaly classes and every ordered
@@ -1268,29 +1217,19 @@ def multiclass_sensitivity(
     """
     names = data.table_measures(measures)
     block = data.block(names)
-    sums = np.zeros((len(names), len(names)))
-    counts = np.zeros(sums.shape, dtype=np.int64)
     tables = np.array(data.tables)
-    n_used = n_skipped = 0
+    losses = []
+    n_skipped = 0
     for table in sorted(set(data.tables)):
         classes = np.flatnonzero(tables == table)  # name order is class order
-        if len(classes) < 2:
-            n_skipped += 1
-            continue
-        n_used += 1
-        for a in classes:
-            for b in classes:
-                if a == b:
-                    continue
-                loss, _ = _pair_losses(block[a], block[b])
-                ok = ~np.isnan(loss)
-                sums[ok] += loss[ok]
-                counts += ok
-    if n_used == 0:
+        n_skipped += len(classes) < 2
+        losses += [_pair_losses(block[a], block[b]) for a in classes for b in classes if a != b]
+    if not losses:
         raise ValueError("no table has two or more anomaly classes")
-    matrix = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return MulticlassResult(
-        measures=names, matrix=matrix, n_tables=n_used, n_skipped_tables=n_skipped
+    matrix, counts = _masked_mean(losses)
+    return MeasurePairs(
+        names, matrix, counts,
+        n_tables=len(set(data.tables)) - n_skipped, n_skipped_tables=n_skipped,
     )
 
 

@@ -30,10 +30,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion_rows(
     labels: NDArray[np.int64], scores: NDArray[np.float64], thresholds: NDArray[np.float64]

@@ -154,8 +154,8 @@ def test_criterion_2_consistency_identities():
             est = four_point_volume(n=2048, seed=seed)
             assert est.vol + est.cvol == 1.0
         records = _hand_records()
-        names, loss = loss_matrix_table(collapse(records))
-        assert np.all(np.diag(loss) == 0.0)
+        loss = loss_matrix_table(collapse(records))
+        assert np.all(np.diag(loss.matrix) == 0.0)
         kendall = kendall_matrix(collapse(records))
         assert np.array_equal(kendall.matrix, kendall.matrix.T)
         assert np.all(np.diag(kendall.matrix) == 1.0)

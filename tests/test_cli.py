@@ -700,6 +700,25 @@ class TestAggregate:
         # The band of the uncontaminated cells, which this run does not have, differs.
         assert not np.array_equal(tpr_mean, cell_tpr_mean(study.cache, flags, fpr, capsys))
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("rank", ["--select-on-validation"]),
+        ("multiclass", ["--select-on-validation"]),
+        ("kendall", ["--benchmark", "tab0-c1"]),
+        ("loss", ["--detector", "knn"]),
+        ("rank", ["--k", "3"]),
+        ("rocband", ["--measure", "AUC"]),
+        ("rocband", ["--alpha", "0.05"]),
+        ("rocband", ["--p", "0.05"]),
+    ], ids=["rank-val", "multiclass-val", "kendall-benchmark", "loss-detector", "rank-k",
+            "rocband-measure", "rocband-alpha", "rocband-p"])
+    def test_flag_its_kind_never_reads_is_refused(self, study, tmp_path, capsys, kind, flags):
+        rocband = ["--benchmark", "tab0-c1", "--detector", "knn", "--splits", "2"]
+        extra = rocband if kind == "rocband" else []
+        assert main(["aggregate", kind, str(study.run), "--out", str(tmp_path / "tables"),
+                     *extra, *flags]) == 2
+        assert f"{flags[0]} does not apply to aggregate {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
     def test_store_without_manifest_rejected(self, tmp_path, capsys):
         assert main(["aggregate", "rank", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err

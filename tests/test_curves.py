@@ -76,7 +76,8 @@ class TestLabeledScores:
 
     def test_counts(self):
         d = LabeledScores(labels=[0, 0, 1], scores=[1.0, 2.0, 3.0])
-        assert d.n_pos == 1 and d.n_neg == 2 and len(d) == 3
+        n_pos = int(d.labels.sum())
+        assert n_pos == 1 and len(d.labels) - n_pos == 2 and len(d.labels) == 3
 
 
 class TestBuildRoc:

@@ -43,9 +43,10 @@ class TestConfusionAt:
     @settings(max_examples=100, deadline=None)
     def test_counts_partition_sample(self, data, tau):
         counts = confusion_at(data, tau)
-        assert counts.total == len(data)
-        assert counts.tp + counts.fn == data.n_pos
-        assert counts.fp + counts.tn == data.n_neg
+        n_pos = int(data.labels.sum())
+        assert counts.tp + counts.fp + counts.tn + counts.fn == len(data.labels)
+        assert counts.tp + counts.fn == n_pos
+        assert counts.fp + counts.tn == len(data.labels) - n_pos
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
