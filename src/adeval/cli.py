@@ -251,27 +251,32 @@ def _add_detector_flags(parser: argparse.ArgumentParser, required: bool) -> None
         "--detector", choices=tuple(_DETECTOR_LABELS), required=required,
         help="detector to fit on the training fold",
     )
+    # Unset defaults (None) let `aggregate` refuse these flags on kinds that
+    # never read them; _combo_from_flags applies the defaults named here.
     parser.add_argument(
-        "--variant", choices=("kappa", "gamma", "delta"), default="kappa",
-        help="k-nearest-neighbor score variant (knn only)",
+        "--variant", choices=("kappa", "gamma", "delta"), default=None,
+        help="k-nearest-neighbor score variant (knn only; default kappa)",
     )
-    parser.add_argument("--k", type=int, default=None, help="neighborhood size")
-    parser.add_argument("--trees", type=int, default=100, help="forest size (iforest)")
-    parser.add_argument(
-        "--subsample", type=int, default=256, help="per-tree subsample (iforest)"
-    )
+    parser.add_argument("--k", type=int, default=None,
+                        help="neighborhood size (default 5 for knn, 20 for lof)")
+    parser.add_argument("--trees", type=int, default=None,
+                        help="forest size (iforest; default 100)")
+    parser.add_argument("--subsample", type=int, default=None,
+                        help="per-tree subsample (iforest; default 256)")
 
 
 def _combo_from_flags(args: argparse.Namespace) -> Combo:
+    def flag(value, default):
+        return default if value is None else value
+
     if args.detector is None:
         raise CliError("this command needs --detector")
     if args.detector == "knn":
-        k = args.k if args.k is not None else 5
-        return Combo(0, "knn", (("variant", args.variant), ("k", k)))
+        return Combo(0, "knn", (("variant", flag(args.variant, "kappa")), ("k", flag(args.k, 5))))
     if args.detector == "lof":
-        k = args.k if args.k is not None else 20
-        return Combo(0, "lof", (("k", k),))
-    return Combo(0, "iforest", (("n_trees", args.trees), ("subsample", args.subsample)))
+        return Combo(0, "lof", (("k", flag(args.k, 20)),))
+    return Combo(0, "iforest", (("n_trees", flag(args.trees, 100)),
+                                ("subsample", flag(args.subsample, 256))))
 
 
 def _find_benchmark(
@@ -559,7 +564,9 @@ _TABLE_BUILDERS = {
 _FLAG_KINDS = {
     "measure": tuple(_TABLE_BUILDERS), "alpha": tuple(_TABLE_BUILDERS),
     "p": tuple(_TABLE_BUILDERS), "select_on_validation": ("loss",),
-    "benchmark": ("rocband",), "detector": ("rocband",), "k": ("rocband",),
+    "benchmark": ("rocband",), "splits": ("rocband",), "detector": ("rocband",),
+    "variant": ("rocband",), "k": ("rocband",), "trees": ("rocband",),
+    "subsample": ("rocband",),
 }
 
 
@@ -574,7 +581,7 @@ def _aggregate_rocband(args, manifest: RunManifest, cfg, out_dir: Path) -> int:
     band = roc_band(
         bench,
         combo,
-        n_splits=args.splits,
+        n_splits=100 if args.splits is None else args.splits,
         train_fraction=cfg.train_fraction,
         contamination=_pick_contamination(args, cfg),
         master_seed=cfg.master_seed,
@@ -745,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--select-on-validation", action="store_true",
                    help="loss only: select combos on the validation columns")
     p.add_argument("--benchmark", help="rocband only: benchmark name (table-class)")
-    p.add_argument("--splits", type=int, default=100, help="rocband only: resplit count")
+    p.add_argument("--splits", type=int, default=None,
+                   help="rocband only: resplit count (default 100)")
     _add_detector_flags(p, required=False)
     p.set_defaults(func=cmd_aggregate)
 

@@ -5,24 +5,26 @@ matrix, then score arbitrary query points, larger score = more anomalous.
 Every model's ``score`` method is vectorized over an (m, d) array, which
 is the shape expected by the volume estimator.
 
-Distances are Euclidean throughout.  Neighbor ties beyond position k are
-broken toward the lowest training index, which keeps scores reproducible
-on datasets with repeated rows.  kNN and LOF share one definition of a
-neighbourhood: distances that differ only by rounding count as tied
-(:func:`_tie_tolerance`), kNN neighbour order comes from
-:func:`_neighbour_table`, and a LOF neighbourhood holds every training
-point up to the k-th distance plus that tolerance; LOF fits of any number
+Distances are Euclidean throughout.  kNN and LOF share one definition of
+a neighbourhood: distances that differ only by rounding count as tied
+(:func:`_tie_tolerance`), kNN neighbour order is distance, then training
+index (:func:`_neighbour_table`), which keeps scores reproducible on
+datasets with repeated rows, and a LOF neighbourhood holds every training
+point up to the k-th distance plus that tolerance.  LOF fits of any number
 of k share one training distance matrix (:func:`lof_fitter`).
 :func:`neighbour_scores` scores any kNN and LOF models fitted on the same
 points, one model (``KnnModel.score``, ``LofModel.score``) or every such
-combo of a grid block.  Isolation trees are grown level by level in heap
-layout, every draw of tree t a counter-based hash of (seed, t, slot), so a
-forest of n trees is the n-tree prefix of a larger forest of the same seed;
-:func:`forest_scores` scores one forest or all of its prefixes in one pass
-over the trees.  Forest growth and descent work in batches of at most
-``_TILE`` elements (trees x subsample points x dimensions, trees x
-queries), so a batch holds every tree for a test fold and a few trees for a
-large volume sample.
+combo of a grid block, from one distance matrix per chunk of queries: one
+sorted prefix of each row's nearest distances gives the k-th distance of
+every k, one neighbour table every kNN statistic, and one running sum of
+the neighbours' coordinates every delta.  Isolation trees are grown level
+by level in heap layout, every draw of tree t a counter-based hash of
+(seed, t, slot), so a forest of n trees is the n-tree prefix of a larger
+forest of the same seed; :func:`forest_scores` scores one forest or all of
+its prefixes in one pass over the trees.  Forest growth and descent work in
+batches of at most ``_TILE`` elements (trees x subsample points x
+dimensions, trees x queries), so a batch holds every tree for a test fold
+and a few trees for a large volume sample.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def _neighbour_table(
     cand_idx[filled] = np.nonzero(keep)[1]
     cand_dist = np.full(filled.shape, np.inf)
     cand_dist[filled] = dist[keep]
-    # Candidates sit in ascending index order, padding last, so a stable sort
-    # on distance orders them by (distance, index).
-    order = np.argsort(cand_dist, axis=1, kind="stable")
+    # Sorted by distance only: the tie groups below come from the sorted
+    # values, which any sort gives alike, and the (group, index) sort after
+    # it fixes the order inside each group, so this sort need not be stable.
+    order = np.argsort(cand_dist, axis=1)
     cand_dist = np.take_along_axis(cand_dist, order, axis=1)
     cand_idx = np.take_along_axis(cand_idx, order, axis=1)
     # Padding (inf - inf) and NaN rows give NaN gaps, which start no group.
@@ -283,14 +286,18 @@ def neighbour_scores(
     """Scores of kNN and LOF models fitted on the same points, one row per model.
 
     Each chunk of queries gets one distance matrix, one tie tolerance
-    (:func:`_tie_tolerance`) and one partition that places the k-th
-    distance of every k in use; the bound of k is that distance plus the
+    (:func:`_tie_tolerance`), and one partition at the largest k in use
+    whose prefix is then sorted, so column k - 1 of that prefix is the k-th
+    distance of every k; the bound of k is that distance plus the
     tolerance.  kNN statistics are prefixes of one neighbour table at the
     largest kNN k (:func:`_neighbour_table`): kappa = ``d[:, k-1]``, gamma
-    = ``d[:, :k].mean(axis=1)``, delta = ``|points[idx[:, :k]].mean(axis=1)
-    - q|``, with ``points[idx]`` gathered once at the largest delta k.  A LOF
-    neighbourhood holds the columns ``<=`` its bound, so a NaN query has
-    none and scores NaN.
+    = ``d[:, :k].mean(axis=1)``, delta = ``|s_k / k - q|``, where ``s_k``
+    adds the first k neighbours' coordinates one at a time, in neighbour
+    order: column k - 1 of one running sum over ``points[idx]``, gathered
+    once at the largest delta k.  For d >= 2 that is the sum numpy's
+    ``points[idx[:, :k]].mean(axis=1)`` takes.  A LOF neighbourhood holds
+    the columns ``<=`` its bound, so a NaN query has none; every kNN and
+    LOF model scores a NaN query NaN.
     """
     points = models[0].points
     if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
@@ -306,14 +313,17 @@ def neighbour_scores(
         rows = out[:, start : start + _CHUNK]
         dist = cdist(chunk, points)
         tol = _tie_tolerance(chunk, points)
-        kth = np.partition(dist, [k - 1 for k in ks], axis=1)[:, [k - 1 for k in ks]]
-        bound = {k: kth[:, [i]] + tol for i, k in enumerate(ks)}
+        nearest = np.partition(dist, ks[-1] - 1, axis=1)[:, : ks[-1]]
+        nearest.sort(axis=1)
+        bound = {k: nearest[:, [k - 1]] + tol for k in ks}
+        del nearest  # a view that keeps the partitioned copy of ``dist`` alive
         if knn_k:
             table, idx = _neighbour_table(dist, knn_k, bound[knn_k], tol)
-            # One gather of the neighbours at the largest delta k; each delta
-            # row reads its prefix.  It is as large as LOF's arrays, so it is
-            # released before any LOF row is scored.
+            # Running sums of the neighbours up to the largest delta k, added
+            # in neighbour order: delta at k reads column k - 1.  The gather is
+            # as large as LOF's arrays, so it is released before any LOF row.
             near = points[idx[:, :delta_k]]
+            np.cumsum(near, axis=1, out=near)
             for row, m in zip(rows, models):
                 if isinstance(m, LofModel):
                     continue
@@ -322,7 +332,7 @@ def neighbour_scores(
                 elif m.variant == "gamma":
                     row[:] = table[:, : m.k].mean(axis=1)
                 else:  # delta
-                    row[:] = np.linalg.norm(near[:, : m.k].mean(axis=1) - chunk, axis=1)
+                    row[:] = np.linalg.norm(near[:, m.k - 1] / m.k - chunk, axis=1)
             del near
         for row, m in zip(rows, models):
             if isinstance(m, LofModel):

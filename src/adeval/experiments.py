@@ -823,8 +823,11 @@ def run_grid(
     shares one fit, which at contamination 0 is every benchmark of the
     table (:func:`_run_repetition`).  Blocks may be evaluated by up to
     ``workers`` processes, never more than there are blocks.  When there
-    are fewer blocks than workers, each block is split by benchmark, which
-    repeats the shared fits, draws and scores on otherwise idle workers.
+    are fewer blocks than workers, each block above contamination 0 is
+    split by benchmark, which repeats the shared draws and test normals on
+    otherwise idle workers.  A block at contamination 0 is one fit group,
+    so splitting it would only repeat its fit on every worker; it stays
+    whole.
     Each block's records are appended as soon as it and every block before
     it are done, so an interrupted run keeps every block it appended, and
     each store file lists its cells by contamination, then repetition,
@@ -856,8 +859,9 @@ def run_grid(
                 if pending:
                     blocks.append((cfg, pending, contamination, repetition))
     if workers > 1 and len(blocks) < workers:
-        blocks = [(cfg, [cells], contamination, repetition)
-                  for _, pending, contamination, repetition in blocks for cells in pending]
+        blocks = [(cfg, part, contamination, repetition)
+                  for _, pending, contamination, repetition in blocks
+                  for part in ([[cells] for cells in pending] if contamination > 0 else [pending])]
 
     flagged = [r for r in stored if r.is_flagged_missing]
     with ExitStack() as stack:

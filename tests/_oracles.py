@@ -80,8 +80,10 @@ def kendall_tau_pairs(x, y) -> float:
 def knn_reference(points, queries, k, variant, chunk=4096):
     """kNN score of each query from a full-row stable sort of its distances.
 
-    Neighbour order is distance first, training index second.  Queries are
-    scored in chunks of ``chunk`` rows, as the library scores them.
+    Neighbour order is distance first, training index second.  The delta
+    mean divides the neighbours' sum, added in neighbour order, by k.
+    Queries are scored in chunks of ``chunk`` rows, as the library scores
+    them.
     """
     points = np.asarray(points, dtype=float)
     queries = np.asarray(queries, dtype=float)
@@ -96,7 +98,11 @@ def knn_reference(points, queries, k, variant, chunk=4096):
         elif variant == "gamma":
             out[start : start + chunk] = dist[rows, order].mean(axis=1)
         else:  # delta
-            out[start : start + chunk] = np.linalg.norm(points[order].mean(axis=1) - q, axis=1)
+            # The neighbours' sum, added one neighbour at a time in order.
+            total = points[order[:, 0]]
+            for j in range(1, k):
+                total = total + points[order[:, j]]
+            out[start : start + chunk] = np.linalg.norm(total / k - q, axis=1)
     return out
 
 

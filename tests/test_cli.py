@@ -307,7 +307,9 @@ class TestRun:
 
     @pytest.mark.parametrize("workers, pool", [
         ("3", (3, 4)),  # one block per (table, repetition): 2 tables x 2 repetitions
-        ("16", (8, 8)),  # fewer blocks than workers: each split into its 2 benchmarks
+        # Fewer blocks than workers, but at contamination 0 each block is one
+        # fit group, which a split by benchmark would only refit: kept whole.
+        ("16", (4, 4)),
     ])
     def test_pool_is_no_larger_than_the_block_count(self, study, tmp_path, monkeypatch,
                                                     workers, pool):
@@ -709,8 +711,13 @@ class TestAggregate:
         ("rocband", ["--measure", "AUC"]),
         ("rocband", ["--alpha", "0.05"]),
         ("rocband", ["--p", "0.05"]),
+        ("rank", ["--splits", "7"]),
+        ("kendall", ["--variant", "gamma"]),
+        ("loss", ["--trees", "3"]),
+        ("multiclass", ["--subsample", "16"]),
     ], ids=["rank-val", "multiclass-val", "kendall-benchmark", "loss-detector", "rank-k",
-            "rocband-measure", "rocband-alpha", "rocband-p"])
+            "rocband-measure", "rocband-alpha", "rocband-p", "rank-splits", "kendall-variant",
+            "loss-trees", "multiclass-subsample"])
     def test_flag_its_kind_never_reads_is_refused(self, study, tmp_path, capsys, kind, flags):
         rocband = ["--benchmark", "tab0-c1", "--detector", "knn", "--splits", "2"]
         extra = rocband if kind == "rocband" else []

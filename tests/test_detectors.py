@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from adeval import detectors
 from adeval.detectors import (
@@ -64,6 +65,22 @@ def two_clusters(seed=0, n=40, gap=8.0):
 # ---------------------------------------------------------------------------
 
 
+def assert_rows_equal_reference(train, queries):
+    """Every kNN model's row of one block, and its own score, equal the reference."""
+    models = [
+        knn_fit(train, k=k, variant=variant)
+        for variant in ("kappa", "gamma", "delta")
+        for k in range(1, len(train) + 1)
+    ]
+    block = neighbour_scores(models, queries)
+    for model, row in zip(models, block):
+        expected = knn_reference(train, queries, model.k, model.variant)
+        assert np.array_equal(row, expected, equal_nan=True), (model.k, model.variant)
+        assert np.array_equal(model.score(queries), expected, equal_nan=True), (
+            model.k, model.variant
+        )
+
+
 class TestKnn:
     def test_hand_values_on_a_line(self):
         train = np.array([[0.0], [1.0], [2.0]])
@@ -106,18 +123,63 @@ class TestKnn:
             rng.integers(-8, 9, size=(_CHUNK + 300, 2)) / 2.0,
         ])
         assert len(queries) > _CHUNK
+        assert_rows_equal_reference(train, queries)
+
+    def test_one_dimensional_rows_equal_reference(self):
+        """In 1-D too, delta divides the neighbours' sum in neighbour order by k.
+
+        numpy's mean would add a contiguous axis pairwise; on real-valued
+        points that moves last bits once k reaches 8, so this pins the sum.
+        """
+        rng = np.random.default_rng(9)
+        line = rng.normal(size=(30, 1))
+        train = np.vstack([line, line[:5], np.arange(-3.0, 4.0)[:, None]])
+        queries = np.vstack([[[np.nan]], train, 2.0 * rng.normal(size=(_CHUNK + 300, 1))])
+        assert_rows_equal_reference(train, queries)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_delta_equals_prefix_mean_of_one_gather(self, dim):
+        """Delta rows equal ``|points[idx[:, :k]].mean(axis=1) - q|`` bit for bit.
+
+        For d >= 2 numpy's mean adds the neighbours one at a time, in order,
+        along the non-contiguous neighbour axis, which is the running sum
+        that delta reads, so no value with d >= 2 differs from that mean.
+        Grid points tie at the k-th neighbour often, real-valued ones make
+        the sums round, and the queries cross a chunk edge.
+        """
+        rng = np.random.default_rng(dim)
+        grid = rng.integers(-3, 4, size=(40, dim)).astype(float)
+        train = np.vstack([grid, grid[:5], rng.normal(size=(15, dim))])
+        queries = np.vstack([
+            train,
+            rng.integers(-8, 9, size=(_CHUNK, dim)) / 2.0,
+            rng.normal(size=(300, dim)),
+        ])
+        ks = range(1, len(train) + 1)
+        block = neighbour_scores([knn_fit(train, k, "delta") for k in ks], queries)
+        order = np.argsort(cdist(queries, train), axis=1, kind="stable")
+        near = train[order]
+        for k, row in zip(ks, block):
+            expected = np.linalg.norm(near[:, :k].mean(axis=1) - queries, axis=1)
+            assert np.array_equal(row, expected), k
+
+    def test_nan_query_scores_nan_for_every_model(self):
+        rng = np.random.default_rng(5)
+        train = rng.normal(size=(30, 3))
+        queries = rng.normal(size=(_CHUNK + 10, 3))
+        bad = [0, _CHUNK - 1, _CHUNK, _CHUNK + 9]
+        for i, column in zip(bad, (0, 2, slice(None), 1)):
+            queries[i, column] = np.nan
         models = [
-            knn_fit(train, k=k, variant=variant)
-            for variant in ("kappa", "gamma", "delta")
-            for k in range(1, len(train) + 1)
+            *(knn_fit(train, k, variant) for variant in ("kappa", "gamma", "delta")
+              for k in (1, 5, 30)),
+            *(lof_fit(train, k) for k in (1, 5, 29)),
         ]
-        block = neighbour_scores(models, queries)
-        for model, row in zip(models, block):
-            expected = knn_reference(train, queries, model.k, model.variant)
-            assert np.array_equal(row, expected, equal_nan=True), (model.k, model.variant)
-            assert np.array_equal(model.score(queries), expected, equal_nan=True), (
-                model.k, model.variant
-            )
+        # A NaN query has an empty LOF neighbourhood: 0 / 0.
+        with np.errstate(invalid="ignore"):
+            block = neighbour_scores(models, queries)
+        assert np.isnan(block[:, bad]).all()
+        assert np.isfinite(np.delete(block, bad, axis=1)).all()
 
     def test_k_equal_n_uses_all_points(self):
         train = np.array([[0.0], [4.0]])

@@ -255,8 +255,9 @@ class TestRunGrid:
 
     def test_worker_count_does_not_change_multiclass_records(self, tmp_path):
         # Two tables of two anomaly classes, every family, two contamination
-        # levels, two repetitions: eight blocks, each sharing fits, which
-        # nine workers split into their sixteen single-benchmark parts.
+        # levels, two repetitions: eight blocks, each sharing fits.  Nine
+        # workers split the four at contamination 0.05 into their eight
+        # single-benchmark parts and keep the four at 0 whole.
         cfg = GridConfig(
             knn_variants=("kappa", "delta"), knn_ks=(1, 4), lof_ks=(5,),
             iforest_trees=(10, 20), iforest_subsample=32, alphas=(0.05,), ps=(0.1,),
@@ -280,6 +281,17 @@ class TestRunGrid:
         ordered.append(sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)),
                        cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
+
+    def test_idle_workers_split_only_blocks_of_several_fit_groups(self, tmp_path):
+        # One table of two anomaly classes, one repetition: a block at
+        # contamination 0, one shared fit, and one at 0.05, a fit per class.
+        cfg = knn_only_config(contaminations=(0.0, 0.05), repetitions=1)
+        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        lines = []
+        run_grid(cfg, benches, RecordStore(tmp_path, manifest_hash="h"),
+                 progress=lines.append, workers=3)
+        assert lines == ["m c=0 rep=0: 4 cells", "m c=0.05 rep=0: 2 cells",
+                         "m c=0.05 rep=0: 2 cells"]
 
     def test_cells_deterministic(self):
         cfg = knn_only_config()
