@@ -159,6 +159,17 @@ class TrainTestSplit:
     train_anomaly_count: int
 
 
+def train_counts(spec: SplitSpec, n_normal: int) -> tuple[int, int]:
+    """Training normals and injected anomalies of :func:`split`'s fold of ``n_normal`` normals.
+
+    Both depend on the normal count alone, so the benchmarks of one table,
+    which share their normals, take the same counts.
+    """
+    n_train = int(round(spec.train_fraction * n_normal))
+    c = spec.contamination
+    return n_train, int(round(c * n_train / (1.0 - c)))
+
+
 def split(bench: BenchmarkDataset, spec: SplitSpec) -> TrainTestSplit:
     """Carve a benchmark into a contaminated train fold and a test fold.
 
@@ -180,7 +191,7 @@ def split(bench: BenchmarkDataset, spec: SplitSpec) -> TrainTestSplit:
         derive_seed(spec.seed, "split-normals", bench.table, spec.repetition)
     )
     perm_normal = rng_normal.permutation(n_normal)
-    n_train = int(round(spec.train_fraction * n_normal))
+    n_train, n_inject = train_counts(spec, n_normal)
     if n_train < 1 or n_train >= n_normal:
         raise ValueError("train fraction leaves an empty fold")
     train_normal_idx = perm_normal[:n_train]
@@ -192,12 +203,10 @@ def split(bench: BenchmarkDataset, spec: SplitSpec) -> TrainTestSplit:
         )
     )
     perm_anomaly = rng_anomaly.permutation(n_anomaly)
-    c = spec.contamination
-    n_inject = int(round(c * n_train / (1.0 - c)))
     if n_inject > n_anomaly:
         raise ValueError(
             f"benchmark {bench.name!r} has {n_anomaly} anomalies, "
-            f"but contamination {c} needs {n_inject}"
+            f"but contamination {spec.contamination} needs {n_inject}"
         )
     inject_idx = perm_anomaly[:n_inject]
     test_anomaly_idx = perm_anomaly[n_inject:]

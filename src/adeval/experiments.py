@@ -7,8 +7,8 @@ table holds the table's normal class, so the cells of one (table,
 contamination, repetition) block share one volume sample and their test
 normals, and every benchmark whose training fold has no injected anomaly
 shares one fit: at contamination 0 the table trains once.  Each model
-scores the shared test normals once, and the cells scored together are
-evaluated together.
+scores the shared test normals once, and each benchmark's cells of a block
+are evaluated together, from one score matrix per benchmark and block.
 Each block's records land, as soon as it and every block before it are
 done, in a resumable delimited-text store, one file per (benchmark,
 detector).
@@ -45,7 +45,9 @@ from adeval.curves import (
     LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
     check_labels, descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
-from adeval.datasets import BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split
+from adeval.datasets import (
+    BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split, train_counts,
+)
 from adeval.detectors import (
     KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
 )
@@ -585,7 +587,7 @@ def _evaluate_cells(
     cfg: GridConfig,
     prec_seed: int,
 ) -> list[tuple[dict[str, float], list[str]]]:
-    """Values and flags of the cells of one scored group, one cell per score row.
+    """Values and flags of one benchmark's cells of a block, one cell per score row.
 
     Row i of ``test_scores`` and of ``volume_scores`` holds one cell's
     scores of the test fold (labelled ``labels``) and of the volume sample.
@@ -664,22 +666,25 @@ def _run_repetition(
     subsample in one group that one pass over the trees scores
     (:func:`forest_scores`).  Each scorer scores the group's test points,
     the first member's test normals and then each member's test anomalies,
-    and then the volume sample.  Each benchmark then takes its rows (its
-    combos) and columns (the shared normals and its own anomalies, which
-    is its test fold in split order) and evaluates its cells together
+    and then the volume sample.  The rows of every scorer that succeeded
+    are stacked into one (combo x point) matrix of test scores and one of
+    volume scores.  Each benchmark then takes its rows (its combos) and
+    columns (the shared normals and its own anomalies, which is its test
+    fold in split order) and evaluates its cells once per block
     (:func:`_evaluate_cells`): with validation, the evaluation part of the
-    test fold, then its ``val:`` part.  A point's score does not depend on
-    the other points scored with it, so a cell's values do not depend on
-    which benchmarks share the block.
+    test fold, then its ``val:`` part.  Every measure is row-wise and the
+    precision@p draws depend only on the labels and the benchmark's seed,
+    and a point's score does not depend on the other points scored with
+    it, so a cell's values depend neither on which benchmarks share the
+    block nor on which scorers share its evaluation.
 
     A failure leaves missing every value of the cells it reaches that is
     not yet evaluated and flags them ``error:<exception type>``: a failed
     split reaches every cell of its benchmark, a failed volume draw every
     cell of the block not already failed, a failed scoring pass every cell
     it served, a failed forest fit every cell of its subsample, a sample
-    with one class only every cell of its benchmark's scorer group still
-    standing, and any other failed fit or a non-finite score only its own
-    cell.
+    with one class only every cell of its benchmark still standing, and
+    any other failed fit or a non-finite score only its own cell.
     """
     names = cfg.measure_names()
     measures = cfg.measures()
@@ -753,28 +758,36 @@ def _run_repetition(
                 key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
                        else (neighbour_scores, None))
                 groups.setdefault(key, []).append((combo, model))
+        fitted: list[Combo] = []
+        test_parts, volume_parts = [], []
         for (score, _), group in groups.items():
-            fitted, group_models = zip(*group)
+            combos, group_models = zip(*group)
             try:
-                test_scores = score(group_models, tests)
-                volume_scores = score(group_models, volume)
+                test_part = score(group_models, tests)
+                volume_part = score(group_models, volume)
             except _CELL_ERRORS as exc:
                 for i in members:
-                    fail(i, [c for c in fitted if c in wanted[i]], exc)
+                    fail(i, [c for c in combos if c in wanted[i]], exc)
                 continue
-            for i, cols in zip(members, test_cols):
-                rows = [r for r, c in enumerate(fitted) if c in wanted[i]]
-                if not rows:
-                    continue
-                mine = slice(None) if len(rows) == len(fitted) else rows
-                bench, labels = pending[i][0], folds[i].test_labels
-                prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-                cells = _evaluate_cells(
-                    labels, samples(bench, len(labels)), test_scores[mine][:, cols],
-                    volume_scores[mine], measures, cfg, prec_seed,
-                )
-                for r, (values, flags) in zip(rows, cells):
-                    store(i, fitted[r], values, flags)
+            fitted += combos
+            test_parts.append(test_part)
+            volume_parts.append(volume_part)
+        if not fitted:
+            continue
+        test_scores, volume_scores = np.vstack(test_parts), np.vstack(volume_parts)
+        for i, cols in zip(members, test_cols):
+            rows = [r for r, c in enumerate(fitted) if c in wanted[i]]
+            if not rows:
+                continue
+            mine = slice(None) if len(rows) == len(fitted) else rows
+            bench, labels = pending[i][0], folds[i].test_labels
+            prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
+            cells = _evaluate_cells(
+                labels, samples(bench, len(labels)), test_scores[mine][:, cols],
+                volume_scores[mine], measures, cfg, prec_seed,
+            )
+            for r, (values, flags) in zip(rows, cells):
+                store(i, fitted[r], values, flags)
     return [records[i, c.index] for i, (_, combos) in enumerate(pending) for c in combos]
 
 
@@ -823,11 +836,12 @@ def run_grid(
     shares one fit, which at contamination 0 is every benchmark of the
     table (:func:`_run_repetition`).  Blocks may be evaluated by up to
     ``workers`` processes, never more than there are blocks.  When there
-    are fewer blocks than workers, each block above contamination 0 is
-    split by benchmark, which repeats the shared draws and test normals on
-    otherwise idle workers.  A block at contamination 0 is one fit group,
-    so splitting it would only repeat its fit on every worker; it stays
-    whole.
+    are fewer blocks than workers, each block whose training folds take
+    injected anomalies (:func:`train_counts`) is split by benchmark, which
+    repeats the shared draws and test normals on otherwise idle workers.
+    A block that injects none, at contamination 0 or at a level too low
+    to inject one anomaly, is one fit group, so splitting it would only
+    repeat its fit on every worker; it stays whole.
     Each block's records are appended as soon as it and every block before
     it are done, so an interrupted run keeps every block it appended, and
     each store file lists its cells by contamination, then repetition,
@@ -858,10 +872,16 @@ def run_grid(
                            if (b.name, contamination, repetition) in todo]
                 if pending:
                     blocks.append((cfg, pending, contamination, repetition))
+
+    def injects(pending, contamination: float) -> bool:
+        spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination)
+        return train_counts(spec, len(pending[0][0].normal))[1] > 0
+
     if workers > 1 and len(blocks) < workers:
         blocks = [(cfg, part, contamination, repetition)
                   for _, pending, contamination, repetition in blocks
-                  for part in ([[cells] for cells in pending] if contamination > 0 else [pending])]
+                  for part in ([[cells] for cells in pending] if injects(pending, contamination)
+                               else [pending])]
 
     flagged = [r for r in stored if r.is_flagged_missing]
     with ExitStack() as stack:

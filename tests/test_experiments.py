@@ -293,6 +293,20 @@ class TestRunGrid:
         assert lines == ["m c=0 rep=0: 4 cells", "m c=0.05 rep=0: 2 cells",
                          "m c=0.05 rep=0: 2 cells"]
 
+    def test_idle_workers_keep_whole_a_block_that_injects_no_anomaly(self, tmp_path):
+        # 48 training normals take round(0.01 * 48 / 0.99) = 0 anomalies:
+        # contamination 0.01 is one fit group, as contamination 0 is.
+        cfg = knn_only_config(contaminations=(0.01,), repetitions=1)
+        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        lines, stores = [], {}
+        for workers in (1, 3):
+            root = tmp_path / str(workers)
+            run_grid(cfg, benches, RecordStore(root, manifest_hash="h"),
+                     progress=lines.append, workers=workers)
+            stores[workers] = {p.name: p.read_bytes() for p in root.glob("*.csv")}
+        assert lines == ["m c=0.01 rep=0: 4 cells"] * 2
+        assert len(stores[1]) == 2 and stores[1] == stores[3]
+
     def test_cells_deterministic(self):
         cfg = knn_only_config()
         bench = self.bench()
@@ -718,6 +732,43 @@ class TestSharedVolumeAndScoring:
             assert len(files) == 3
             assert files == {name: together_files[name] for name in files}
 
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
+    def test_failing_scorer_fails_only_the_cells_it_served(self, monkeypatch, validation_fraction):
+        cfg = self.config(repetitions=1, validation_fraction=validation_fraction)
+        pending = [(bench, cfg.detector_combos()) for bench in self.benches]
+
+        def broken(models, x):
+            raise ValueError("forest scoring failed")
+
+        for contamination in (0.0, 0.05):
+            expected = _run_repetition(cfg, pending, contamination, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "forest_scores", broken)
+                records = _run_repetition(cfg, pending, contamination, 0)
+            assert len(records) == len(expected) == 3 * len(cfg.detector_combos())
+            for record, unpatched in zip(records, expected):
+                if record.detector == "iforest":
+                    assert record.flags == ("error:ValueError",)
+                    assert all(v is None for v in record.values.values())
+                else:
+                    assert not unpatched.flags and record == unpatched
+
+    @pytest.mark.parametrize("contamination", [0.0, 0.05])
+    def test_one_evaluation_per_benchmark_and_labelled_sample(self, monkeypatch, contamination):
+        # The default grid: 27 kNN, 3 LOF and 3 forest combos, two scorers.
+        benches = make_benchmarks(synth_multiclass_table("w", (90, 20, 15, 12), dim=3, seed=2))
+        cfg = GridConfig(contaminations=(contamination,), repetitions=1, volume_samples=200,
+                         validation_fraction=0.3, master_seed=4)
+        combos = cfg.detector_combos()
+        rows, roc_rows = [], experiments.roc_rows
+        monkeypatch.setattr(experiments, "roc_rows",
+                            lambda labels, scores, order: rows.append(len(scores))
+                            or roc_rows(labels, scores, order))
+        records = _run_repetition(cfg, [(bench, combos) for bench in benches], contamination, 0)
+        assert not any(r.flags for r in records)
+        # An evaluation part and a val: part per benchmark.
+        assert rows == [len(combos)] * 2 * len(benches)
+
     def test_block_draws_one_sample_and_scores_each_point_once(self, monkeypatch):
         cfg = self.config(repetitions=1)
         draws, scored = [], {"neighbour": [], "forest": []}
@@ -760,7 +811,7 @@ class TestSharedVolumeAndScoring:
 
 
 class TestEvaluateCells:
-    """One scored group's cells, evaluated from its (combo x point) score matrices."""
+    """One benchmark's cells of a block, evaluated from its (combo x point) score matrices."""
 
     cfg = knn_only_config(alphas=(0.05, 0.2), ps=(0.05, 0.5))
     labels = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0])
