@@ -2,28 +2,27 @@
 estimates, reference detectors and a reproducible benchmark harness."""
 
 from adeval.curves import (
-    LabeledScores,
-    RocCurve,
-    auc,
-    auc_at,
-    auc_weighted,
-    build_roc,
-    threshold_at_fpr,
-    tpr_at,
+    RocRows,
+    auc_at_rows,
+    auc_rows,
+    auc_weighted_rows,
+    check_labels,
+    descending_order,
+    roc_rows,
+    threshold_at_fpr_rows,
+    tpr_at_rows,
 )
 from adeval.thresholded import (
-    ConfusionCounts,
     PrecisionAtPConfig,
-    confusion_at,
-    f1_score,
-    precision_at_p,
+    confusion_rows,
+    f1_rows,
+    precision_at_p_rows,
 )
 from adeval.volume import (
     SamplingBox,
-    VolumeEstimate,
+    accepted_fraction,
     bounding_box,
     uniform_sample,
-    volume_below,
 )
 from adeval.detectors import (
     IsolationForestModel,
@@ -31,7 +30,7 @@ from adeval.detectors import (
     LofModel,
     iforest_fit,
     knn_fit,
-    lof_fit,
+    lof_fitter,
 )
 from adeval.datasets import (
     BenchmarkDataset,

@@ -30,7 +30,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from adeval import __version__
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
+from adeval.curves import check_labels, descending_order, roc_rows, threshold_at_fpr_rows
 from adeval.datasets import (
     BenchmarkDataset,
     SplitSpec,
@@ -60,9 +60,10 @@ from adeval.experiments import (
     multiclass_sensitivity,
     roc_band,
     run_grid,
+    score_row,
     volume_box_and_seed,
 )
-from adeval.volume import checked_scores, uniform_sample, volume_below
+from adeval.volume import accepted_fraction, uniform_sample
 
 _DETECTOR_LABELS = {"knn": "kNN", "lof": "LOF", "iforest": "IF"}
 _DETECTOR_ORDER = {"knn": 0, "lof": 1, "iforest": 2}
@@ -669,20 +670,23 @@ def _one_off(
 
 def cmd_volume(args: argparse.Namespace) -> int:
     bench, combo, fold, model, hash_ = _one_off(args, "volume", alpha=args.alpha, n=args.n)
-    data = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
-    tau = threshold_at_fpr(build_roc(data), args.alpha)
+    test = score_row(model, fold.test, "scores must be finite")
+    labels = check_labels(fold.test_labels)
+    (tau,) = threshold_at_fpr_rows(roc_rows(labels, test, descending_order(test)), args.alpha)
     box, seed = volume_box_and_seed(bench, args.seed, args.rep)
-    scores = checked_scores(model.score(uniform_sample(box, args.n, seed)), args.n)
-    estimate = volume_below(scores, tau)
+    sample = score_row(
+        model, uniform_sample(box, args.n, seed), "score function returned a non-finite value"
+    )
+    (vol,) = accepted_fraction(sample, [tau])
     rows = [
         ("benchmark", bench.name),
         ("detector", combo.detector),
         ("params", combo.params_text),
         ("alpha", f"{args.alpha:g}"),
-        ("threshold", repr(estimate.threshold)),
-        ("vol", repr(estimate.vol)),
-        ("cvol", repr(estimate.cvol)),
-        ("n_samples", str(estimate.n_samples)),
+        ("threshold", repr(float(tau))),
+        ("vol", repr(float(vol))),
+        ("cvol", repr(float(1.0 - vol))),
+        ("n_samples", str(args.n)),
     ]
     if args.out:
         _write_delimited(Path(args.out), ["key", "value"], rows, hash_)

@@ -34,88 +34,15 @@ def check_labels(labels: NDArray[np.int64]) -> NDArray[np.int64]:
 
 
 @dataclass(frozen=True)
-class LabeledScores:
-    """Binary ground-truth labels (1 = anomaly) paired with anomaly scores.
-
-    Parameters
-    ----------
-    labels:
-        Integer array of 0/1 labels.  Both classes must be present.
-    scores:
-        Real anomaly scores, one per label.  All values must be finite.
-    """
-
-    labels: NDArray[np.int64]
-    scores: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if labels.ndim != 1 or scores.ndim != 1:
-            raise ValueError("labels and scores must be one-dimensional")
-        if labels.shape[0] != scores.shape[0]:
-            raise ValueError(
-                f"length mismatch: {labels.shape[0]} labels vs "
-                f"{scores.shape[0]} scores"
-            )
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "labels", check_labels(labels))
-        object.__setattr__(self, "scores", scores)
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Empirical ROC staircase.
-
-    Vertices run from (0, 0) to (1, 1) with nondecreasing FPR and TPR and
-    nonincreasing thresholds.  ``thresholds[0]`` is +inf: the operating
-    point before any sample is flagged.  Each later vertex carries the
-    score value whose >= rule realizes it.
-    """
-
-    fpr: NDArray[np.float64]
-    tpr: NDArray[np.float64]
-    thresholds: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        fpr = np.asarray(self.fpr, dtype=np.float64)
-        tpr = np.asarray(self.tpr, dtype=np.float64)
-        thr = np.asarray(self.thresholds, dtype=np.float64)
-        if not (fpr.shape == tpr.shape == thr.shape) or fpr.ndim != 1:
-            raise ValueError("fpr, tpr and thresholds must share one shape")
-        if fpr.shape[0] < 2:
-            raise ValueError("a curve needs at least two vertices")
-        if fpr[0] != 0.0 or tpr[0] != 0.0:
-            raise ValueError("first vertex must be (0, 0)")
-        if fpr[-1] != 1.0 or tpr[-1] != 1.0:
-            raise ValueError("last vertex must be (1, 1)")
-        if (np.diff(fpr) < 0).any() or (np.diff(tpr) < 0).any():
-            raise ValueError("fpr and tpr must be nondecreasing")
-        if (np.diff(thr) > 0).any():
-            raise ValueError("thresholds must be nonincreasing")
-        if ((np.diff(fpr) == 0) & (np.diff(tpr) == 0)).any():
-            raise ValueError("adjacent vertices must differ")
-        object.__setattr__(self, "fpr", fpr)
-        object.__setattr__(self, "tpr", tpr)
-        object.__setattr__(self, "thresholds", thr)
-
-    @property
-    def vertices(self) -> list[tuple[float, float, float]]:
-        """Vertex list as (fpr, tpr, threshold) tuples."""
-        return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
-
-    def __len__(self) -> int:
-        return int(self.fpr.shape[0])
-
-
-@dataclass(frozen=True)
 class RocRows:
     """Empirical ROC staircases of several score rows, stored flat.
 
     Row r's curve is ``fpr[starts[r]:starts[r + 1]]`` with the matching
-    slices of ``tpr`` and ``thresholds``: a :class:`RocCurve` staircase
-    each.  The rows may come from different labelled samples.
+    slices of ``tpr`` and ``thresholds``.  Its vertices run from (0, 0) to
+    (1, 1) with nondecreasing FPR and TPR and nonincreasing thresholds;
+    the first threshold is +inf, the operating point before any sample is
+    flagged, and each later vertex carries the score value whose >= rule
+    realizes it.  The rows may come from different labelled samples.
     """
 
     fpr: NDArray[np.float64]
@@ -124,14 +51,14 @@ class RocRows:
     starts: NDArray[np.intp]
 
     @classmethod
-    def of(cls, curves: Sequence[RocCurve]) -> RocRows:
-        """The curves one after another, one row each."""
-        lengths = [len(c) for c in curves]
+    def of(cls, parts: Sequence[RocRows]) -> RocRows:
+        """The rows of ``parts`` one after another."""
+        offsets = np.cumsum([0] + [len(p.fpr) for p in parts])
         return cls(
-            fpr=np.concatenate([c.fpr for c in curves]),
-            tpr=np.concatenate([c.tpr for c in curves]),
-            thresholds=np.concatenate([c.thresholds for c in curves]),
-            starts=np.r_[0, np.cumsum(lengths)],
+            fpr=np.concatenate([p.fpr for p in parts]),
+            tpr=np.concatenate([p.tpr for p in parts]),
+            thresholds=np.concatenate([p.thresholds for p in parts]),
+            starts=np.concatenate([[0]] + [p.starts[1:] + o for p, o in zip(parts, offsets)]),
         )
 
 
@@ -179,31 +106,11 @@ def roc_rows(
     return RocRows(fpr=fpr, tpr=tpr, thresholds=thresholds, starts=starts)
 
 
-def build_roc(data: LabeledScores) -> RocCurve:
-    """Build the empirical ROC staircase of a scored sample.
-
-    The one-row case of :func:`roc_rows`.
-
-    Parameters
-    ----------
-    data:
-        Labeled anomaly scores with both classes present.
-
-    Returns
-    -------
-    RocCurve
-        Staircase with one vertex per distinct score plus the origin.
-    """
-    scores = data.scores[None, :]
-    rows = roc_rows(data.labels, scores, descending_order(scores))
-    return RocCurve(fpr=rows.fpr, tpr=rows.tpr, thresholds=rows.thresholds)
-
-
 # ---------------------------------------------------------------------------
 # Measures on curves
 #
-# Each measure is defined once, over every row of a RocRows; the measure of
-# a single RocCurve is its one-row case.
+# Each measure is defined once, over every row of a RocRows; a row's value
+# does not depend on the other rows.
 # ---------------------------------------------------------------------------
 
 
@@ -241,8 +148,9 @@ def _area_below(rows: RocRows, alpha: float) -> NDArray[np.float64]:
     """Trapezoidal area under each row's polyline restricted to FPR in [0, alpha].
 
     The segment bracketing ``alpha`` is split linearly at FPR = alpha.
-    Both ``auc`` and ``auc_at`` route through here, so the alpha = 1 case
-    is the full AUC by construction, not merely up to rounding.
+    Both :func:`auc_rows` and :func:`auc_at_rows` route through here, so
+    the alpha = 1 case is the full AUC by construction, not merely up to
+    rounding.
     """
     f0, f1, t0, t1 = _segments(rows)
     width = f1 - f0
@@ -258,19 +166,35 @@ def _area_below(rows: RocRows, alpha: float) -> NDArray[np.float64]:
 
 
 def auc_rows(rows: RocRows) -> NDArray[np.float64]:
-    """Area under each row's full ROC curve by the trapezoidal rule."""
+    """Area under each row's full ROC curve by the trapezoidal rule.
+
+    Equals the probability that a random positive outranks a random
+    negative, counting score ties as one half.
+    """
     return _area_below(rows, 1.0)
 
 
 def auc_at_rows(rows: RocRows, alpha: float, normalized: bool = False) -> NDArray[np.float64]:
-    """Area under each row's ROC curve restricted to FPR in [0, alpha]; see :func:`auc_at`."""
+    """Area under each row's ROC curve restricted to FPR in [0, alpha].
+
+    ``alpha`` lies in (0, 1]; the bracketing segment is split linearly at
+    FPR = alpha.  With ``normalized`` the area is divided by ``alpha``, so
+    an ideal detector scores 1.
+    """
     alpha = _check_alpha(alpha)
     area = _area_below(rows, alpha)
     return area / alpha if normalized else area
 
 
 def auc_weighted_rows(rows: RocRows) -> NDArray[np.float64]:
-    """FPR-weighted area of each row; see :func:`auc_weighted`."""
+    """FPR-weighted area of each row: the integral of TPR / FPR over FPR.
+
+    Discretized as a right-endpoint rectangle sum over the FPR-increasing
+    segments, with any contribution at FPR = 0 defined as zero.  The
+    increments are the empirical FPR steps of the curve itself.  Weighting
+    by 1 / FPR emphasizes the low-FPR region; the result is >= the plain
+    AUC and is not bounded by 1.
+    """
     f0, f1, _, t1 = _segments(rows)
     live = f1 > f0
     ratio = np.where(live, t1 / np.where(live, f1, 1.0), 0.0)
@@ -296,7 +220,12 @@ def _bracket(rows: RocRows, alpha: float) -> tuple[NDArray, NDArray, NDArray]:
 
 
 def tpr_at_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
-    """True-positive rate of each row's polyline at FPR = alpha; see :func:`tpr_at`."""
+    """True-positive rate of each row's polyline at FPR = alpha, in [0, 1].
+
+    Where a vertical edge sits exactly at ``alpha`` the uppermost TPR is
+    returned; ``alpha`` = 0 therefore gives the TPR attainable at zero
+    false-positive rate.
+    """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -310,7 +239,16 @@ def tpr_at_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
 
 
 def threshold_at_fpr_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
-    """Score threshold of each row at FPR = alpha; see :func:`threshold_at_fpr`."""
+    """Score threshold of each row realizing the target FPR alpha, in (0, 1].
+
+    If ``alpha`` coincides with a vertex FPR, the threshold of the
+    uppermost-TPR vertex at that FPR is returned.  Otherwise the threshold
+    is interpolated linearly between the endpoints of the FPR-increasing
+    segment bracketing ``alpha``.  When ``alpha`` falls below the first
+    achievable positive FPR (the top score block contains a negative), the
+    first finite threshold is returned.  ``alpha`` = 1 gives the minimal
+    threshold, at which every sample is flagged.
+    """
     alpha = _check_alpha(alpha)
     hit, top, left = _bracket(rows, alpha)
     out = rows.thresholds[top]
@@ -324,78 +262,3 @@ def threshold_at_fpr_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
     t_hi[finite] = t_lo[finite] + frac * (t_hi[finite] - t_lo[finite])
     out[~hit] = t_hi
     return out
-
-
-def auc(curve: RocCurve) -> float:
-    """Area under the full ROC curve by the trapezoidal rule.
-
-    Equals the probability that a random positive outranks a random
-    negative, counting score ties as one half.
-    """
-    return float(auc_rows(RocRows.of([curve]))[0])
-
-
-def auc_at(curve: RocCurve, alpha: float, normalized: bool = False) -> float:
-    """Area under the ROC curve restricted to FPR in [0, alpha].
-
-    Parameters
-    ----------
-    curve:
-        Empirical ROC curve.
-    alpha:
-        Upper FPR bound, in (0, 1].  The bracketing segment is split
-        linearly at FPR = alpha.
-    normalized:
-        When true, divide by ``alpha`` so an ideal detector scores 1.
-    """
-    return float(auc_at_rows(RocRows.of([curve]), alpha, normalized)[0])
-
-
-def tpr_at(curve: RocCurve, alpha: float) -> float:
-    """True-positive rate of the curve polyline at FPR = alpha.
-
-    Where a vertical edge sits exactly at ``alpha`` the uppermost TPR is
-    returned; ``alpha`` = 0 therefore gives the TPR attainable at zero
-    false-positive rate.
-
-    Parameters
-    ----------
-    curve:
-        Empirical ROC curve.
-    alpha:
-        FPR position in [0, 1].
-    """
-    return float(tpr_at_rows(RocRows.of([curve]), alpha)[0])
-
-
-def auc_weighted(curve: RocCurve) -> float:
-    """FPR-weighted area: the integral of TPR / FPR over FPR.
-
-    Discretized as a right-endpoint rectangle sum over the FPR-increasing
-    segments, with any contribution at FPR = 0 defined as zero.  The
-    increments are the empirical FPR steps of the curve itself.  Weighting
-    by 1 / FPR emphasizes the low-FPR region; the result is >= the plain
-    AUC and is not bounded by 1.
-    """
-    return float(auc_weighted_rows(RocRows.of([curve]))[0])
-
-
-def threshold_at_fpr(curve: RocCurve, alpha: float) -> float:
-    """Score threshold realizing a target false-positive rate.
-
-    If ``alpha`` coincides with a vertex FPR, the threshold of the
-    uppermost-TPR vertex at that FPR is returned.  Otherwise the threshold
-    is interpolated linearly between the endpoints of the FPR-increasing
-    segment bracketing ``alpha``.  When ``alpha`` falls below the first
-    achievable positive FPR (the top score block contains a negative), the
-    first finite threshold is returned.
-
-    Parameters
-    ----------
-    curve:
-        Empirical ROC curve.
-    alpha:
-        Target FPR in (0, 1].  ``alpha`` = 1 gives the minimal threshold,
-        at which every sample is flagged.
-    """
-    return float(threshold_at_fpr_rows(RocRows.of([curve]), alpha)[0])

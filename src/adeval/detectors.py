@@ -225,25 +225,12 @@ class LofModel:
         return neighbour_scores([self], x)[0]
 
 
-def lof_fit(points: np.ndarray, k: int) -> LofModel:
-    """Fit LOF: precompute neighbor distances and local densities.
-
-    This is :func:`lof_fitter` of ``points`` at one k.
-
-    Parameters
-    ----------
-    points:
-        Training matrix (n, d), n >= 2, not all rows identical.
-    k:
-        Neighborhood size, 1 <= k < n.
-    """
-    return lof_fitter(points)(k)
-
-
 def lof_fitter(points: np.ndarray) -> Callable[[int], LofModel]:
-    """``k -> lof_fit(points, k)``, every k from one distance matrix and one row sort.
+    """``k ->`` the LOF model of ``points`` at neighbourhood size k.
 
-    The training distance matrix (diagonal excluded), its row sort and the
+    ``points`` is the training matrix (n, d), n >= 2, not all rows
+    identical, and 1 <= k < n.  A fit precomputes the neighbour distances
+    and local densities.  The training distance matrix (diagonal excluded), its row sort and the
     tie tolerance are computed by the first call and shared by the later
     ones, so the LOF combos of a grid block fit from one of each.  Each
     call checks its own k, so a k out of range fails only its own fit.

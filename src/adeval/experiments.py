@@ -42,8 +42,8 @@ from numpy.typing import NDArray
 
 from adeval._text import data_rows
 from adeval.curves import (
-    LabeledScores, RocRows, auc_at_rows, auc_rows, auc_weighted_rows, build_roc,
-    check_labels, descending_order, roc_rows, threshold_at_fpr_rows, tpr_at_rows,
+    RocRows, auc_at_rows, auc_rows, auc_weighted_rows, check_labels, descending_order,
+    roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import (
     BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split, train_counts,
@@ -301,6 +301,20 @@ def fit_models(
         except _CELL_ERRORS as exc:
             models.append(exc)
     return models
+
+
+def score_row(model, points: np.ndarray, non_finite: str) -> NDArray[np.float64]:
+    """``model``'s scores of ``points`` as one (1, n) score row.
+
+    Raises ``ValueError`` unless the model gives one score per point, and
+    ``ValueError(non_finite)`` unless every score is finite.
+    """
+    scores = np.asarray(model.score(points), dtype=np.float64)
+    if scores.shape != (len(points),):
+        raise ValueError("score function must return one score per point")
+    if not np.isfinite(scores).all():
+        raise ValueError(non_finite)
+    return scores[None, :]
 
 
 def volume_box_and_seed(
@@ -1290,12 +1304,12 @@ def roc_band(
     the same fit (:func:`fit_models`).  All curves are interpolated onto
     the union of their vertex FPRs; the band reports mean and sample std
     of TPR and of the ratio TPR/FPR (0 at FPR = 0) per grid point.  Splits
-    whose fit raises ``ValueError`` or whose test fold degenerates to one
-    class are skipped and counted.
+    whose fit raises ``ValueError``, whose test scores are not finite or
+    whose test fold degenerates to one class are skipped and counted.
     """
     if n_splits < 2:
         raise ValueError("need at least 2 splits for a band")
-    curves = []
+    rows = []
     skipped = 0
     for rep in range(n_splits):
         spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
@@ -1305,16 +1319,17 @@ def roc_band(
         try:
             if isinstance(model, Exception):
                 raise model
-            labeled = LabeledScores(labels=fold.test_labels, scores=model.score(fold.test))
+            scores = score_row(model, fold.test, "scores must be finite")
+            labels = check_labels(fold.test_labels)
         except ValueError:
             skipped += 1
             continue
-        curves.append(build_roc(labeled))
-    if len(curves) < 2:
+        rows.append(roc_rows(labels, scores, descending_order(scores)))
+    if len(rows) < 2:
         raise ValueError("fewer than 2 usable splits; cannot band")
-    grid = np.unique(np.concatenate([c.fpr for c in curves]))
-    rows = RocRows.of(curves)
-    tprs = np.stack([tpr_at_rows(rows, a) for a in grid], axis=1)
+    stacked = RocRows.of(rows)
+    grid = np.unique(stacked.fpr)
+    tprs = np.stack([tpr_at_rows(stacked, a) for a in grid], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(grid[None, :] > 0, tprs / grid[None, :], 0.0)
     return RocBand(
@@ -1323,6 +1338,6 @@ def roc_band(
         tpr_std=tprs.std(axis=0, ddof=1),
         ratio_mean=ratios.mean(axis=0),
         ratio_std=ratios.std(axis=0, ddof=1),
-        n_splits_used=len(curves),
+        n_splits_used=len(rows),
         n_skipped=skipped,
     )

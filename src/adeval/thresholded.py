@@ -1,9 +1,10 @@
 """Measures that evaluate a detector after thresholding its scores.
 
 The decision rule everywhere is: a sample is flagged anomalous when its
-score is >= the threshold.  F1 at an FPR budget alpha is
-``f1_score(confusion_at(data, threshold_at_fpr(curve, alpha)))``; the grid
-shares that threshold with CVOL at the same alpha.
+score is >= the threshold.  F1 at an FPR budget alpha is :func:`f1_rows` of
+the :func:`confusion_rows` at each row's
+:func:`~adeval.curves.threshold_at_fpr_rows`; the grid shares that threshold
+with CVOL at the same alpha.
 """
 
 from __future__ import annotations
@@ -13,22 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-
-from adeval.curves import LabeledScores, descending_order
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Confusion-matrix counts at a fixed threshold."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("counts must be nonnegative")
 
 
 def confusion_rows(
@@ -47,22 +32,11 @@ def confusion_rows(
     return tp, fp, len(labels) - n_pos - fp, n_pos - tp
 
 
-def confusion_at(data: LabeledScores, threshold: float) -> ConfusionCounts:
-    """Count the confusion matrix of the >= threshold rule."""
-    counts = confusion_rows(data.labels, data.scores[None, :], [threshold])
-    return ConfusionCounts(*(int(c[0]) for c in counts))
-
-
 def f1_rows(tp: NDArray, fp: NDArray, fn: NDArray) -> NDArray[np.float64]:
     """F1 = 2 tp / (2 tp + fp + fn) of each set of counts; zero where the denominator is zero."""
     tp, fp, fn = np.asarray(tp), np.asarray(fp), np.asarray(fn)
     denom = 2 * tp + fp + fn
     return np.where(denom > 0, 2.0 * tp / np.where(denom > 0, denom, 1), 0.0)
-
-
-def f1_score(counts: ConfusionCounts) -> float:
-    """F1 of one confusion matrix (:func:`f1_rows`)."""
-    return float(f1_rows(counts.tp, counts.fp, counts.fn))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +46,7 @@ def f1_score(counts: ConfusionCounts) -> float:
 
 @dataclass(frozen=True)
 class PrecisionAtPConfig:
-    """Configuration for :func:`precision_at_p`.
+    """Configuration for :func:`precision_at_p_rows`.
 
     Parameters
     ----------
@@ -149,12 +123,3 @@ def precision_at_p_rows(
     hits = np.count_nonzero(top & (labels[order] == 1), axis=2)
     values = np.ascontiguousarray((hits / m).T)
     return values.mean(axis=1)
-
-
-def precision_at_p(data: LabeledScores, cfg: PrecisionAtPConfig) -> float:
-    """Precision of the top p-fraction at anomaly proportion p.
-
-    :func:`precision_at_p_rows` of ``data``'s one row of scores.
-    """
-    scores = data.scores[None, :]
-    return float(precision_at_p_rows(data.labels, descending_order(scores), cfg)[0])

@@ -7,13 +7,12 @@ estimates the relative volume of the accept region.  Small volume at a
 given false-positive budget means a tight model of the normal class.
 
 The estimate has two steps: :func:`uniform_sample` draws the sample that
-the models score, and :func:`volume_below` counts the scores below one
-threshold.  The grid draws one sample per (table, repetition) block, in
-the bounding box of the table's normal class, scores each of its points
-once per model, checks each model's scores to be finite and thresholds
-every model's row at each FPR level (:func:`accepted_fraction`);
-``adeval volume`` does the same for one combo and one level
-(:func:`checked_scores`, :func:`volume_below`).
+the models score, and :func:`accepted_fraction` counts each model's scores
+below its threshold.  The grid draws one sample per (table, repetition)
+block, in the bounding box of the table's normal class, scores each of its
+points once per model, checks each model's scores to be finite and
+thresholds every model's row at each FPR level; ``adeval volume`` does the
+same for the one row of one combo at one level.
 """
 
 from __future__ import annotations
@@ -60,38 +59,12 @@ def bounding_box(points: np.ndarray) -> SamplingBox:
     return SamplingBox(b_min=points.min(axis=0), b_max=points.max(axis=0))
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    """Result of one Monte-Carlo volume estimate."""
-
-    vol: float
-    cvol: float
-    threshold: float
-    n_samples: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.vol <= 1.0:
-            raise ValueError("vol must lie in [0, 1]")
-        if self.cvol != 1.0 - self.vol:
-            raise ValueError("cvol must equal 1 - vol exactly")
-
-
 def uniform_sample(box: SamplingBox, n: int, seed: int) -> NDArray[np.float64]:
     """``n`` points drawn uniformly from ``box`` by one stream seeded ``seed``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     return rng.uniform(box.b_min, box.b_max, size=(n, box.dim))
-
-
-def checked_scores(scores: np.ndarray, n: int) -> NDArray[np.float64]:
-    """``scores`` as floats, checked to hold one finite score for each of ``n`` points."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValueError("score function must return one score per point")
-    if not np.isfinite(scores).all():
-        raise ValueError("score function returned a non-finite value")
-    return scores
 
 
 def accepted_fraction(
@@ -103,9 +76,3 @@ def accepted_fraction(
     """
     below = scores < np.asarray(thresholds)[:, None]
     return np.count_nonzero(below, axis=1) / scores.shape[1]
-
-
-def volume_below(scores: NDArray[np.float64], threshold: float) -> VolumeEstimate:
-    """Volume estimate of a scored sample at ``threshold``: :func:`accepted_fraction` of one row."""
-    vol = float(accepted_fraction(scores[None, :], [threshold])[0])
-    return VolumeEstimate(vol=vol, cvol=1.0 - vol, threshold=threshold, n_samples=len(scores))

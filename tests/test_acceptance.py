@@ -13,15 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from adeval.cli import main as cli_main
-from adeval.curves import (
-    LabeledScores,
-    auc,
-    auc_at,
-    auc_weighted,
-    build_roc,
-    threshold_at_fpr,
-    tpr_at,
-)
+from adeval.curves import auc_at_rows, auc_rows, auc_weighted_rows, tpr_at_rows
 from adeval.datasets import (
     SplitSpec,
     split,
@@ -29,7 +21,7 @@ from adeval.datasets import (
     synth_multiclass_table,
     write_raw_table,
 )
-from adeval.detectors import iforest_fit, knn_fit, lof_fit
+from adeval.detectors import iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     Combo,
     ExperimentRecord,
@@ -38,9 +30,11 @@ from adeval.experiments import (
     loss_matrix_table,
     roc_band,
 )
-from adeval.thresholded import PrecisionAtPConfig, precision_at_p
-from adeval.volume import SamplingBox, checked_scores, uniform_sample, volume_below
+from adeval.thresholded import PrecisionAtPConfig, precision_at_p_rows
+from adeval.volume import SamplingBox
 from _oracles import pairwise_auc
+from test_curves import one_row
+from test_volume import volume_at_fpr
 
 
 @contextmanager
@@ -61,7 +55,7 @@ def criterion(number: int, title: str, budget_s: float | None = None):
     print(f"[PASS] criterion {number}: {title}{timing}")
 
 
-def random_tied_instance(rng: np.random.Generator) -> LabeledScores:
+def random_tied_instance(rng: np.random.Generator):
     """A labeled score set of size <= 200 with deliberate score ties."""
     n = int(rng.integers(2, 201))
     labels = rng.integers(0, 2, size=n)
@@ -71,17 +65,14 @@ def random_tied_instance(rng: np.random.Generator) -> LabeledScores:
         labels[idx] = 0
     distinct = max(2, n // 3)
     scores = rng.integers(0, distinct, size=n).astype(np.float64) / 7.0
-    return LabeledScores(labels=labels, scores=scores)
+    return one_row(labels, scores)
 
 
 def maxnorm_score(points: np.ndarray) -> np.ndarray:
     return np.max(np.abs(points), axis=1)
 
 
-FOUR_POINT = LabeledScores(
-    labels=np.array([1, 0, 1, 0]),
-    scores=np.array([0.7, 0.6, 0.5, 0.4]),
-)
+FOUR_POINT = one_row([1, 0, 1, 0], [0.7, 0.6, 0.5, 0.4])
 UNIT_BOX_2D = SamplingBox(
     b_min=np.array([-1.0, -1.0]), b_max=np.array([1.0, 1.0])
 )
@@ -89,8 +80,7 @@ UNIT_BOX_2D = SamplingBox(
 
 def four_point_volume(n: int, seed: int):
     """Max-norm accept volume at FPR 0.5 of ``FOUR_POINT``, as ``adeval volume`` estimates it."""
-    tau = threshold_at_fpr(build_roc(FOUR_POINT), 0.5)
-    return volume_below(checked_scores(maxnorm_score(uniform_sample(UNIT_BOX_2D, n, seed)), n), tau)
+    return volume_at_fpr(maxnorm_score, UNIT_BOX_2D, FOUR_POINT, 0.5, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +94,8 @@ def test_criterion_1_auc_matches_pairwise_oracle():
         worst = 0.0
         for _ in range(500):
             data = random_tied_instance(rng)
-            got = auc(build_roc(data))
-            want = pairwise_auc(data.labels, data.scores)
+            got = auc_rows(data.curve)[0]
+            want = pairwise_auc(data.labels, data.scores[0])
             worst = max(worst, abs(got - want))
         assert worst <= 1e-12, f"worst deviation {worst:.3e}"
 
@@ -145,10 +135,10 @@ def test_criterion_2_consistency_identities():
         rng = np.random.default_rng(17)
         alphas = np.linspace(0.0, 1.0, 21)
         for _ in range(500):
-            curve = build_roc(random_tied_instance(rng))
-            assert auc_at(curve, 1.0) == auc(curve)
-            assert auc_weighted(curve) >= auc(curve)
-            tprs = [tpr_at(curve, a) for a in alphas]
+            curve = random_tied_instance(rng).curve
+            assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
+            assert auc_weighted_rows(curve)[0] >= auc_rows(curve)[0]
+            tprs = [tpr_at_rows(curve, a)[0] for a in alphas]
             assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         for seed in range(5):
             est = four_point_volume(n=2048, seed=seed)
@@ -196,11 +186,11 @@ def test_criterion_4_degenerate_detector_disagreement():
         labels = np.concatenate(
             [np.zeros(n_high), np.ones(n_anom), np.zeros(n_low)]
         ).astype(int)
-        curve = build_roc(LabeledScores(labels=labels, scores=scores))
-        value = auc(curve)
+        curve = one_row(labels, scores).curve
+        value = auc_rows(curve)[0]
         assert value >= 0.85, f"AUC={value}"
-        assert tpr_at(curve, 0.01) == 0.0
-        assert auc_at(curve, 0.05, normalized=True) <= 0.15
+        assert tpr_at_rows(curve, 0.01)[0] == 0.0
+        assert auc_at_rows(curve, 0.05, normalized=True)[0] <= 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +206,14 @@ def test_criterion_5_precision_at_p_normalization():
         anomaly = np.random.default_rng(8).normal(1.5, 1.0, size=400)
         cfg = PrecisionAtPConfig(p=0.05, rounds=1000, seed=3)
 
-        def dataset(n_anom: int) -> LabeledScores:
+        def precision(n_anom: int) -> float:
             scores = np.concatenate([normal, anomaly[:n_anom]])
             labels = np.concatenate([np.zeros(2000), np.ones(n_anom)]).astype(int)
-            return LabeledScores(labels=labels, scores=scores)
+            data = one_row(labels, scores)
+            return precision_at_p_rows(data.labels, data.order, cfg)[0]
 
-        single = precision_at_p(dataset(200), cfg)
-        double = precision_at_p(dataset(400), cfg)
+        single = precision(200)
+        double = precision(400)
         assert abs(single - double) <= 0.02, f"{single} vs {double}"
 
 
@@ -241,7 +232,7 @@ def test_criterion_6_detector_hand_values():
 
         triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
         centroid = triangle.mean(axis=0, keepdims=True)
-        lof_value = lof_fit(triangle, k=2).score(centroid)[0]
+        lof_value = lof_fitter(triangle)(2).score(centroid)[0]
         assert abs(lof_value - 1.0) <= 1e-9
 
         rng = np.random.default_rng(42)
@@ -273,7 +264,7 @@ def test_criterion_7_split_protocol_invariants():
         first = split(bench, spec)
         knn_fit(first.train, k=3, variant="kappa")
         second = split(bench, spec)
-        lof_fit(second.train, k=5)
+        lof_fitter(second.train)(5)
         assert np.array_equal(first.train, second.train)
         assert np.array_equal(first.test, second.test)
         assert first.test_ids == second.test_ids

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 import adeval
+from adeval import cli
 from adeval.cli import main, read_config_file, resolve_config
-from adeval.curves import LabeledScores, auc, build_roc, tpr_at
+from adeval.curves import auc_rows, tpr_at_rows
 from adeval.datasets import (
-    SplitSpec, read_benchmark, split, synth_multiclass_table, write_benchmark, write_raw_table,
+    SplitSpec, read_benchmark, split, synth_gaussian, synth_multiclass_table, write_benchmark,
+    write_raw_table,
 )
 from adeval.experiments import RecordStore
 from _oracles import rank_reference, repetition_means, selection_loss_reference
+from test_curves import one_row
 
 CONFIG_TEXT = """\
 # small study used across the CLI tests
@@ -80,6 +83,12 @@ def read_band(directory):
     return np.array([float(r[0]) for r in rows]), np.array([float(r[1]) for r in rows])
 
 
+def scored_curve(scored):
+    """The ROC staircase of the ``id,score`` rows `adeval scores` prints."""
+    return one_row([int(sid.startswith("a")) for sid, _ in scored],
+                   [float(value) for _, value in scored]).curve
+
+
 def cell_tpr_mean(cache, flags, fpr, capsys):
     """Mean TPR at ``fpr`` of the curves `adeval scores` gives for tab0-c1 at reps 0 and 1."""
     curves = []
@@ -87,11 +96,8 @@ def cell_tpr_mean(cache, flags, fpr, capsys):
         assert main(["scores", "--dataset", str(cache), "--benchmark", "tab0-c1",
                      *flags, "--seed", "7", "--rep", rep]) == 0
         scored = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        curves.append(build_roc(LabeledScores(
-            labels=[int(sid.startswith("a")) for sid, _ in scored],
-            scores=[float(value) for _, value in scored],
-        )))
-    return np.array([[tpr_at(curve, a) for a in fpr] for curve in curves]).mean(axis=0)
+        curves.append(scored_curve(scored))
+    return np.array([[tpr_at_rows(curve, a)[0] for a in fpr] for curve in curves]).mean(axis=0)
 
 
 def read_store_bytes(run_dir):
@@ -883,11 +889,7 @@ class TestOneOffs:
             ]
         ) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        data = LabeledScores(
-            labels=[int(sid.startswith("a")) for sid, _ in rows],
-            scores=[float(value) for _, value in rows],
-        )
-        assert auc(build_roc(data)) == cell.values["AUC"]
+        assert auc_rows(scored_curve(rows))[0] == cell.values["AUC"]
 
     @pytest.mark.parametrize(
         "flags, params",
@@ -910,11 +912,7 @@ class TestOneOffs:
         assert float(lines["cvol"]) == cell.values["CVOL@0.05"]
         assert main(["scores", *where]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        data = LabeledScores(
-            labels=[int(sid.startswith("a")) for sid, _ in rows],
-            scores=[float(value) for _, value in rows],
-        )
-        assert auc(build_roc(data)) == cell.values["AUC"]
+        assert auc_rows(scored_curve(rows))[0] == cell.values["AUC"]
 
     @pytest.mark.parametrize(
         "flags", [["--detector", "lof", "--k", "5"], ["--detector", "iforest", "--trees", "20"]],
@@ -1003,6 +1001,45 @@ class TestOneOffs:
                          "--seed", "7", "--rep", "1"]) == 0
             lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
             assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
+
+    def test_volume_prints_plain_float_values(self, study, capsys):
+        for flags in (["--detector", "knn", "--k", "3"], ["--detector", "lof", "--k", "5"],
+                      ["--detector", "iforest", "--trees", "10"]):
+            assert main(["volume", "--dataset", str(study.cache), "--benchmark", "tab0-c1",
+                         *flags, "--alpha", "0.05", "--n", "300", "--seed", "7"]) == 0
+            lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+            for key in ("threshold", "vol", "cvol"):
+                assert lines[key] == repr(float(lines[key])), (flags, key)
+
+    def test_volume_refuses_a_test_fold_without_anomalies(self, tmp_path, capsys):
+        # At contamination 0.05 both anomalies go to the training fold.
+        write_benchmark(synth_gaussian(50, 2, dim=2, seed=0), tmp_path / "cache")
+        assert main(["volume", "--dataset", str(tmp_path / "cache"), "--benchmark", "synth",
+                     "--detector", "knn", "--k", "3", "--contamination", "0.05"]) == 2
+        assert "need at least one positive (anomalous) sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "nan_on_volume, message",
+        [(False, "scores must be finite"),
+         (True, "score function returned a non-finite value")],
+        ids=["test-fold", "volume-sample"],
+    )
+    def test_volume_refuses_non_finite_scores(
+        self, study, monkeypatch, capsys, nan_on_volume, message
+    ):
+        n = 123  # the volume sample's size; the test fold has another
+
+        class PartlyNan:
+            def score(self, points):
+                scores = points[:, 0].astype(np.float64)
+                if (len(points) == n) == nan_on_volume:
+                    scores[0] = np.nan
+                return scores
+
+        monkeypatch.setattr(cli, "fit_models", lambda *args: [PartlyNan()])
+        assert main(["volume", "--dataset", str(study.cache), "--benchmark", "tab0-c1",
+                     "--detector", "knn", "--k", "3", "--n", str(n)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_benchmark_is_reported(self, study, capsys):
         assert main(

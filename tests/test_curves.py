@@ -1,26 +1,41 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeval.curves import (
-    LabeledScores,
-    RocCurve,
-    auc,
-    auc_at,
+    RocRows,
     auc_at_rows,
     auc_rows,
-    auc_weighted,
     auc_weighted_rows,
-    build_roc,
+    check_labels,
     descending_order,
     roc_rows,
-    threshold_at_fpr,
     threshold_at_fpr_rows,
-    tpr_at,
     tpr_at_rows,
 )
+from adeval.experiments import score_row
 from _oracles import pairwise_auc, roc_reference
+
+
+def one_row(labels, scores):
+    """One labelled score row as the row functions take it.
+
+    Holds the checked ``labels``, the (1, n) ``scores``, their descending
+    ``order`` and their one-row ROC staircase ``curve``.
+    """
+    labels = check_labels(labels)
+    scores = np.asarray(scores, dtype=np.float64)[None, :]
+    order = descending_order(scores)
+    return SimpleNamespace(labels=labels, scores=scores, order=order,
+                           curve=roc_rows(labels, scores, order))
+
+
+def vertices(curve):
+    """(fpr, tpr, threshold) of every vertex of a one-row staircase."""
+    return list(zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist()))
 
 
 @st.composite
@@ -46,45 +61,48 @@ def labeled_scores(draw, max_size=60, tie_prone=True):
                 )
             )
         )
-    return LabeledScores(labels=labels, scores=scores)
+    return one_row(labels, scores)
 
 
 def simple_curve():
-    return build_roc(LabeledScores(labels=[0, 0, 1, 1], scores=[0.1, 0.4, 0.35, 0.8]))
+    return one_row([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8]).curve
 
 
-class TestLabeledScores:
+class TestLabelsAndScores:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
-            LabeledScores(labels=[1, 1], scores=[0.1, 0.2])
+            check_labels([1, 1])
         with pytest.raises(ValueError):
-            LabeledScores(labels=[0, 0], scores=[0.1, 0.2])
+            check_labels([0, 0])
 
     def test_rejects_nonfinite_scores(self):
-        with pytest.raises(ValueError):
-            LabeledScores(labels=[0, 1], scores=[np.nan, 0.2])
-        with pytest.raises(ValueError):
-            LabeledScores(labels=[0, 1], scores=[np.inf, 0.2])
+        def row(scores):
+            model = SimpleNamespace(score=lambda points: np.array(scores))
+            return score_row(model, np.zeros((2, 1)), "scores must be finite")
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LabeledScores(labels=[0, 1, 1], scores=[0.1, 0.2])
+        with pytest.raises(ValueError, match="scores must be finite"):
+            row([np.nan, 0.2])
+        with pytest.raises(ValueError, match="scores must be finite"):
+            row([np.inf, 0.2])
+        with pytest.raises(ValueError, match="one score per point"):
+            row([0.1, 0.2, 0.3])
+        assert row([0.1, 0.2]).tolist() == [[0.1, 0.2]]
 
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
-            LabeledScores(labels=[0, 2], scores=[0.1, 0.2])
+            check_labels([0, 2])
 
     def test_counts(self):
-        d = LabeledScores(labels=[0, 0, 1], scores=[1.0, 2.0, 3.0])
-        n_pos = int(d.labels.sum())
-        assert n_pos == 1 and len(d.labels) - n_pos == 2 and len(d.labels) == 3
+        labels = check_labels([0, 0, 1])
+        n_pos = int(labels.sum())
+        assert n_pos == 1 and len(labels) - n_pos == 2 and len(labels) == 3
 
 
 class TestBuildRoc:
     def test_staircase_with_corners(self):
         curve = simple_curve()
         expected = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
-        got = [(f, t) for f, t, _ in curve.vertices]
+        got = [(f, t) for f, t, _ in vertices(curve)]
         assert got == expected
 
     def test_thresholds_descend_through_scores(self):
@@ -93,23 +111,21 @@ class TestBuildRoc:
         assert curve.thresholds[1:].tolist() == [0.8, 0.4, 0.35, 0.1]
 
     def test_perfect_separation(self):
-        curve = build_roc(LabeledScores(labels=[0, 1], scores=[1.0, 2.0]))
-        assert [(f, t) for f, t, _ in curve.vertices] == [
+        curve = one_row([0, 1], [1.0, 2.0]).curve
+        assert [(f, t) for f, t, _ in vertices(curve)] == [
             (0.0, 0.0),
             (0.0, 1.0),
             (1.0, 1.0),
         ]
 
     def test_all_scores_tied_is_single_diagonal(self):
-        curve = build_roc(LabeledScores(labels=[0, 1, 0, 1], scores=[3.0] * 4))
-        assert [(f, t) for f, t, _ in curve.vertices] == [(0.0, 0.0), (1.0, 1.0)]
+        curve = one_row([0, 1, 0, 1], [3.0] * 4).curve
+        assert [(f, t) for f, t, _ in vertices(curve)] == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_mixed_tie_block_is_diagonal_segment(self):
         # One pos and one neg share 0.5: single diagonal step in the middle.
-        curve = build_roc(
-            LabeledScores(labels=[1, 1, 0, 0], scores=[0.9, 0.5, 0.5, 0.1])
-        )
-        assert [(f, t) for f, t, _ in curve.vertices] == [
+        curve = one_row([1, 1, 0, 0], [0.9, 0.5, 0.5, 0.1]).curve
+        assert [(f, t) for f, t, _ in vertices(curve)] == [
             (0.0, 0.0),
             (0.0, 0.5),
             (0.5, 1.0),
@@ -119,7 +135,7 @@ class TestBuildRoc:
     @given(labeled_scores())
     @settings(max_examples=120, deadline=None)
     def test_invariants(self, data):
-        curve = build_roc(data)
+        curve = data.curve
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
         assert (np.diff(curve.fpr) >= 0).all()
@@ -129,37 +145,19 @@ class TestBuildRoc:
         assert moved.all()
 
 
-class TestRocCurveValidation:
-    def test_rejects_bad_endpoints(self):
-        with pytest.raises(ValueError):
-            RocCurve(
-                fpr=np.array([0.1, 1.0]),
-                tpr=np.array([0.0, 1.0]),
-                thresholds=np.array([2.0, 1.0]),
-            )
-
-    def test_rejects_nonmonotone(self):
-        with pytest.raises(ValueError):
-            RocCurve(
-                fpr=np.array([0.0, 0.6, 0.4, 1.0]),
-                tpr=np.array([0.0, 0.5, 0.7, 1.0]),
-                thresholds=np.array([np.inf, 3.0, 2.0, 1.0]),
-            )
-
-
 class TestAuc:
     def test_hand_example(self):
-        assert auc(simple_curve()) == 0.75
+        assert auc_rows(simple_curve())[0] == 0.75
 
     def test_perfect_and_tied(self):
-        assert auc(build_roc(LabeledScores(labels=[0, 1], scores=[1.0, 2.0]))) == 1.0
-        assert auc(build_roc(LabeledScores(labels=[0, 1], scores=[2.0, 2.0]))) == 0.5
+        assert auc_rows(one_row([0, 1], [1.0, 2.0]).curve)[0] == 1.0
+        assert auc_rows(one_row([0, 1], [2.0, 2.0]).curve)[0] == 0.5
 
     @given(labeled_scores())
     @settings(max_examples=200, deadline=None)
     def test_matches_pairwise_oracle(self, data):
-        got = auc(build_roc(data))
-        want = pairwise_auc(data.labels, data.scores)
+        got = auc_rows(data.curve)[0]
+        want = pairwise_auc(data.labels, data.scores[0])
         assert abs(got - want) <= 1e-12
 
     @given(labeled_scores())
@@ -167,117 +165,110 @@ class TestAuc:
     def test_label_swap_complements(self, data):
         # Negating scores reverses the ranking: auc maps to 1 - auc,
         # with ties contributing 0.5 on both sides.
-        flipped = LabeledScores(labels=data.labels, scores=-data.scores)
-        assert abs(auc(build_roc(data)) + auc(build_roc(flipped)) - 1.0) <= 1e-12
+        flipped = one_row(data.labels, -data.scores[0])
+        assert abs(auc_rows(data.curve)[0] + auc_rows(flipped.curve)[0] - 1.0) <= 1e-12
 
 
 class TestAucAt:
     def test_hand_values(self):
         curve = simple_curve()
-        assert auc_at(curve, 0.5) == 0.25
-        assert auc_at(curve, 0.5, normalized=True) == 0.5
-        assert auc_at(curve, 0.25) == 0.125
+        assert auc_at_rows(curve, 0.5)[0] == 0.25
+        assert auc_at_rows(curve, 0.5, normalized=True)[0] == 0.5
+        assert auc_at_rows(curve, 0.25)[0] == 0.125
 
     def test_alpha_one_equals_auc_exactly(self):
         curve = simple_curve()
-        assert auc_at(curve, 1.0) == auc(curve)
+        assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
 
     def test_normalized_perfect_detector_is_one(self):
-        curve = build_roc(LabeledScores(labels=[0, 1], scores=[1.0, 2.0]))
+        curve = one_row([0, 1], [1.0, 2.0]).curve
         for alpha in (0.01, 0.05, 0.5, 1.0):
-            assert auc_at(curve, alpha, normalized=True) == 1.0
+            assert auc_at_rows(curve, alpha, normalized=True)[0] == 1.0
 
     def test_rejects_alpha_zero_and_out_of_range(self):
         curve = simple_curve()
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                auc_at(curve, alpha)
+                auc_at_rows(curve, alpha)
 
     @given(labeled_scores(), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=100, deadline=None)
     def test_alpha_one_identity_random(self, data, alpha):
-        curve = build_roc(data)
-        assert auc_at(curve, 1.0) == auc(curve)
-        assert 0.0 <= auc_at(curve, alpha) <= alpha + 1e-15
+        curve = data.curve
+        assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
+        assert 0.0 <= auc_at_rows(curve, alpha)[0] <= alpha + 1e-15
 
 
 class TestTprAt:
     def test_hand_values(self):
         curve = simple_curve()
-        assert tpr_at(curve, 0.5) == 1.0  # uppermost TPR on the vertical edge
-        assert tpr_at(curve, 0.25) == 0.5  # interior of a flat step
-        assert tpr_at(curve, 0.0) == 0.5  # TPR attainable at zero FPR
-        assert tpr_at(curve, 1.0) == 1.0
+        assert tpr_at_rows(curve, 0.5)[0] == 1.0  # uppermost TPR on the vertical edge
+        assert tpr_at_rows(curve, 0.25)[0] == 0.5  # interior of a flat step
+        assert tpr_at_rows(curve, 0.0)[0] == 0.5  # TPR attainable at zero FPR
+        assert tpr_at_rows(curve, 1.0)[0] == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            tpr_at(simple_curve(), -0.01)
+            tpr_at_rows(simple_curve(), -0.01)
         with pytest.raises(ValueError):
-            tpr_at(simple_curve(), 1.01)
+            tpr_at_rows(simple_curve(), 1.01)
 
     @given(labeled_scores(), st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_in_alpha(self, data, alphas):
-        curve = build_roc(data)
-        values = [tpr_at(curve, a) for a in sorted(alphas)]
+        values = [tpr_at_rows(data.curve, a)[0] for a in sorted(alphas)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestAucWeighted:
     def test_hand_values(self):
-        assert auc_weighted(simple_curve()) == 1.0
-        perfect = build_roc(LabeledScores(labels=[0, 1], scores=[1.0, 2.0]))
-        assert auc_weighted(perfect) == 1.0
-        diagonal = build_roc(LabeledScores(labels=[0, 1], scores=[2.0, 2.0]))
-        assert auc_weighted(diagonal) == 1.0
+        assert auc_weighted_rows(simple_curve())[0] == 1.0
+        perfect = one_row([0, 1], [1.0, 2.0]).curve
+        assert auc_weighted_rows(perfect)[0] == 1.0
+        diagonal = one_row([0, 1], [2.0, 2.0]).curve
+        assert auc_weighted_rows(diagonal)[0] == 1.0
 
     def test_emphasizes_early_ranking(self):
         # Anomalies ranked above all normals except one early false positive
         # still scores well; anomalies ranked late are punished heavily.
-        early = build_roc(
-            LabeledScores(labels=[1, 1, 0, 0, 0], scores=[5.0, 4.0, 3.0, 2.0, 1.0])
-        )
-        late = build_roc(
-            LabeledScores(labels=[0, 0, 0, 1, 1], scores=[5.0, 4.0, 3.0, 2.0, 1.0])
-        )
-        assert auc_weighted(early) > auc_weighted(late)
+        early = one_row([1, 1, 0, 0, 0], [5.0, 4.0, 3.0, 2.0, 1.0]).curve
+        late = one_row([0, 0, 0, 1, 1], [5.0, 4.0, 3.0, 2.0, 1.0]).curve
+        assert auc_weighted_rows(early)[0] > auc_weighted_rows(late)[0]
 
     @given(labeled_scores())
     @settings(max_examples=200, deadline=None)
     def test_dominates_plain_auc(self, data):
-        curve = build_roc(data)
-        assert auc_weighted(curve) >= auc(curve) - 1e-12
+        assert auc_weighted_rows(data.curve)[0] >= auc_rows(data.curve)[0] - 1e-12
 
 
 class TestThresholdAtFpr:
     def test_vertex_hit_returns_uppermost_vertex_threshold(self):
-        assert threshold_at_fpr(simple_curve(), 0.5) == 0.35
+        assert threshold_at_fpr_rows(simple_curve(), 0.5)[0] == 0.35
 
     def test_interpolates_between_thresholds(self):
-        curve = build_roc(LabeledScores(labels=[0, 1], scores=[1.0, 2.0]))
-        assert threshold_at_fpr(curve, 0.5) == 1.5
+        curve = one_row([0, 1], [1.0, 2.0]).curve
+        assert threshold_at_fpr_rows(curve, 0.5)[0] == 1.5
 
     def test_alpha_one_flags_everything(self):
-        data = LabeledScores(labels=[0, 0, 1, 1], scores=[0.1, 0.4, 0.35, 0.8])
-        tau = threshold_at_fpr(build_roc(data), 1.0)
+        data = one_row([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8])
+        tau = threshold_at_fpr_rows(data.curve, 1.0)[0]
         assert tau == 0.1
         assert (data.scores >= tau).all()
 
     def test_rejects_alpha_zero(self):
         with pytest.raises(ValueError):
-            threshold_at_fpr(simple_curve(), 0.0)
+            threshold_at_fpr_rows(simple_curve(), 0.0)
 
     def test_below_first_achievable_fpr_clamps_to_first_threshold(self):
         # Highest score belongs to a normal sample: FPR jumps straight to
         # 0.5 and no deterministic threshold realizes alpha = 0.25.
-        curve = build_roc(LabeledScores(labels=[0, 1], scores=[2.0, 1.0]))
-        assert threshold_at_fpr(curve, 0.25) == 2.0
+        curve = one_row([0, 1], [2.0, 1.0]).curve
+        assert threshold_at_fpr_rows(curve, 0.25)[0] == 2.0
 
     @given(labeled_scores(), st.lists(st.floats(min_value=0.01, max_value=1), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_nonincreasing_in_alpha(self, data, alphas):
-        curve = build_roc(data)
-        taus = [threshold_at_fpr(curve, a) for a in sorted(alphas)]
+        taus = [threshold_at_fpr_rows(data.curve, a)[0] for a in sorted(alphas)]
         assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
 
 
@@ -285,16 +276,14 @@ class TestMonotoneTransformInvariance:
     @given(labeled_scores())
     @settings(max_examples=100, deadline=None)
     def test_measures_unchanged(self, data):
-        transformed = LabeledScores(
-            labels=data.labels, scores=np.exp(data.scores / 4.0) + 1.0
-        )
-        a, b = build_roc(data), build_roc(transformed)
+        transformed = one_row(data.labels, np.exp(data.scores[0] / 4.0) + 1.0)
+        a, b = data.curve, transformed.curve
         assert np.array_equal(a.fpr, b.fpr)
         assert np.array_equal(a.tpr, b.tpr)
-        assert abs(auc(a) - auc(b)) <= 1e-12
-        assert abs(auc_at(a, 0.3) - auc_at(b, 0.3)) <= 1e-12
-        assert abs(tpr_at(a, 0.3) - tpr_at(b, 0.3)) <= 1e-12
-        assert abs(auc_weighted(a) - auc_weighted(b)) <= 1e-9
+        assert abs(auc_rows(a)[0] - auc_rows(b)[0]) <= 1e-12
+        assert abs(auc_at_rows(a, 0.3)[0] - auc_at_rows(b, 0.3)[0]) <= 1e-12
+        assert abs(tpr_at_rows(a, 0.3)[0] - tpr_at_rows(b, 0.3)[0]) <= 1e-12
+        assert abs(auc_weighted_rows(a)[0] - auc_weighted_rows(b)[0]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +315,35 @@ def alpha_probes(labels):
 
 
 def assert_rows_match_their_curves(labels, scores):
+    """Each row of a multi-row staircase equals the one-row staircase of that
+    row alone, vertex for vertex and in every measure, bit for bit; stacking
+    the one-row staircases gives the multi-row one."""
     rows = roc_rows(labels, scores, descending_order(scores))
-    curves = [build_roc(LabeledScores(labels=labels, scores=row)) for row in scores]
+    curves = [one_row(labels, row).curve for row in scores]
     assert len(rows.starts) == len(curves) + 1
     for r, (row, curve) in enumerate(zip(scores, curves)):
         lo, hi = rows.starts[r], rows.starts[r + 1]
-        vertices = list(zip(rows.fpr[lo:hi].tolist(), rows.tpr[lo:hi].tolist(),
-                            rows.thresholds[lo:hi].tolist()))
-        assert vertices == curve.vertices == roc_reference(labels, row)
-    assert auc_rows(rows).tolist() == [auc(c) for c in curves]
+        got = list(zip(rows.fpr[lo:hi].tolist(), rows.tpr[lo:hi].tolist(),
+                       rows.thresholds[lo:hi].tolist()))
+        assert got == vertices(curve) == roc_reference(labels, row)
+    stacked = RocRows.of(curves)
+    for field in ("fpr", "tpr", "thresholds", "starts"):
+        assert getattr(stacked, field).tolist() == getattr(rows, field).tolist()
+    assert auc_rows(rows).tolist() == [auc_rows(c)[0] for c in curves]
     assert auc_rows(rows).tolist() == pytest.approx(
         [pairwise_auc(labels, row) for row in scores], abs=1e-12
     )
-    assert auc_weighted_rows(rows).tolist() == [auc_weighted(c) for c in curves]
+    assert auc_weighted_rows(rows).tolist() == [auc_weighted_rows(c)[0] for c in curves]
     for alpha in alpha_probes(labels):
         for normalized in (False, True):
             assert auc_at_rows(rows, alpha, normalized).tolist() == [
-                auc_at(c, alpha, normalized) for c in curves
+                auc_at_rows(c, alpha, normalized)[0] for c in curves
             ]
-        assert tpr_at_rows(rows, alpha).tolist() == [tpr_at(c, alpha) for c in curves]
+        assert tpr_at_rows(rows, alpha).tolist() == [tpr_at_rows(c, alpha)[0] for c in curves]
         assert threshold_at_fpr_rows(rows, alpha).tolist() == [
-            threshold_at_fpr(c, alpha) for c in curves
+            threshold_at_fpr_rows(c, alpha)[0] for c in curves
         ]
-    assert tpr_at_rows(rows, 0.0).tolist() == [tpr_at(c, 0.0) for c in curves]
+    assert tpr_at_rows(rows, 0.0).tolist() == [tpr_at_rows(c, 0.0)[0] for c in curves]
 
 
 class TestRocRows:
@@ -372,6 +367,21 @@ class TestRocRows:
         assert threshold_at_fpr_rows(rows, 0.25).tolist() == [2.0, 2.5, 3.0]
         assert tpr_at_rows(rows, 0.25).tolist() == [0.25, 1.0, 0.0]
         assert_rows_match_their_curves(labels, scores)
+
+    def test_of_stacks_rows_of_different_samples(self):
+        # Two samples of different sizes and labels: each stacked row keeps
+        # its own staircase and measures.
+        first = one_row([1, 0, 0], [3.0, 1.0, 2.0]).curve
+        second = one_row([0, 1, 1, 0, 1], [0.5, 0.5, 0.9, 0.1, 0.2]).curve
+        stacked = RocRows.of([first, second])
+        n = len(first.fpr)
+        assert stacked.starts.tolist() == [0, n, n + len(second.fpr)]
+        assert vertices(stacked) == vertices(first) + vertices(second)
+        assert auc_rows(stacked).tolist() == [auc_rows(first)[0], auc_rows(second)[0]]
+        for alpha in (0.0, 0.25, 0.5, 1.0):
+            assert tpr_at_rows(stacked, alpha).tolist() == [
+                tpr_at_rows(first, alpha)[0], tpr_at_rows(second, alpha)[0]
+            ]
 
     @given(score_rows())
     @settings(max_examples=150, deadline=None)

@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 
 from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit, knn_fit, lof_fit,
-    lof_fitter, neighbour_scores,
+    _CHUNK, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit, knn_fit, lof_fitter,
+    neighbour_scores,
 )
 from _oracles import (
     forest_draw, forest_reference, forest_subsample, knn_reference, lof_fit_reference,
@@ -173,7 +173,7 @@ class TestKnn:
         models = [
             *(knn_fit(train, k, variant) for variant in ("kappa", "gamma", "delta")
               for k in (1, 5, 30)),
-            *(lof_fit(train, k) for k in (1, 5, 29)),
+            *(lof_fitter(train)(k) for k in (1, 5, 29)),
         ]
         # A NaN query has an empty LOF neighbourhood: 0 / 0.
         with np.errstate(invalid="ignore"):
@@ -274,12 +274,12 @@ class TestLof:
             [[0.0, 0.0], [side, 0.0], [side / 2, side * np.sqrt(3) / 2]]
         )
         centroid = train.mean(axis=0)
-        model = lof_fit(train, k=2)
+        model = lof_fitter(train)(2)
         assert model.score(centroid)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_grid_hand_values(self):
         train = np.arange(10.0).reshape(-1, 1)
-        model = lof_fit(train, k=2)
+        model = lof_fitter(train)(2)
         # Midway between grid points the density matches the neighbors.
         assert model.score([4.5])[0] == pytest.approx(1.0, abs=1e-12)
         # Far outside, reachability is dominated by the query distance:
@@ -289,31 +289,31 @@ class TestLof:
     def test_grid_interior_near_one(self):
         xx, yy = np.meshgrid(np.arange(5.0), np.arange(5.0))
         train = np.column_stack([xx.ravel(), yy.ravel()])
-        model = lof_fit(train, k=4)
+        model = lof_fitter(train)(4)
         assert model.score([2.0, 2.0])[0] == pytest.approx(1.0, abs=0.15)
 
     def test_outlier_grows_with_distance(self):
         train = two_clusters(seed=1)
-        model = lof_fit(train, k=5)
+        model = lof_fitter(train)(5)
         near = model.score([20.0, 20.0])[0]
         far = model.score([60.0, 60.0])[0]
         assert 1.5 < near < far
 
     def test_duplicate_training_rows_stay_finite(self):
         train = np.array([[0.0], [0.0], [1.0]])
-        model = lof_fit(train, k=1)
+        model = lof_fitter(train)(1)
         # A query on the duplicate pair is exactly as dense as it: LOF 1.
         assert model.score([0.0])[0] == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(model.score([5.0])[0])
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
-            lof_fit(np.zeros((4, 2)), k=2)  # all points identical
+            lof_fitter(np.zeros((4, 2)))(2)  # all points identical
         train = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError):
-            lof_fit(train, k=0)
+            lof_fitter(train)(0)
         with pytest.raises(ValueError):
-            lof_fit(train, k=3)  # k must stay below n
+            lof_fitter(train)(3)  # k must stay below n
 
     @pytest.mark.parametrize("kind", ["duplicate-rows", "distinct"])
     def test_shared_fit_equals_own_k_fits(self, kind):
@@ -329,7 +329,7 @@ class TestLof:
         with pytest.raises(ValueError):
             fit(n)  # a k out of range fails alone
         for k, model in zip(ks, shared):
-            own = lof_fit(train, k)
+            own = lof_fitter(train)(k)
             kdist, lrd, lrd_cap = lof_fit_reference(train, k)
             assert np.array_equal(model.kdist, own.kdist) and np.array_equal(model.kdist, kdist)
             assert np.array_equal(model.lrd, own.lrd) and np.array_equal(model.lrd, lrd)
@@ -339,7 +339,7 @@ class TestLof:
     def test_batch_matches_single_queries(self):
         train = two_clusters(seed=5, n=20)
         queries = two_clusters(seed=6, n=4)
-        model = lof_fit(train, k=3)
+        model = lof_fitter(train)(3)
         batch = model.score(queries)
         singles = np.array([model.score(q)[0] for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
@@ -354,11 +354,11 @@ class TestLof:
             rng.integers(-8, 9, size=(_CHUNK + 300, 2)) / 2.0,
         ])
         models = [
-            lof_fit(train, k=5),
+            lof_fitter(train)(5),
             knn_fit(train, k=3, variant="delta"),
-            lof_fit(train, k=1),
+            lof_fitter(train)(1),
             knn_fit(train, k=40, variant="gamma"),
-            lof_fit(train, k=20),
+            lof_fitter(train)(20),
             knn_fit(train, k=20, variant="kappa"),
         ]
         with np.errstate(invalid="ignore"):
@@ -384,8 +384,8 @@ class TestLof:
         )
         shift = np.array([2.5, -1.0])
         queries = np.array([[0.0, 0.0], [1.0, 2.0]])
-        before = lof_fit(train, k=2).score(queries)
-        after = lof_fit(train @ rot.T + shift, k=2).score(queries @ rot.T + shift)
+        before = lof_fitter(train)(2).score(queries)
+        after = lof_fitter(train @ rot.T + shift)(2).score(queries @ rot.T + shift)
         np.testing.assert_allclose(after, before, rtol=1e-6)
 
     @pytest.mark.parametrize(
@@ -410,8 +410,8 @@ class TestLof:
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
         shift = np.array([2.5, -1.0])
-        before = lof_fit(train, k=k).score(query)[0]
-        after = lof_fit(train @ rot.T + shift, k=k).score(np.array(query) @ rot.T + shift)[0]
+        before = lof_fitter(train)(k).score(query)[0]
+        after = lof_fitter(train @ rot.T + shift)(k).score(np.array(query) @ rot.T + shift)[0]
         assert before == pytest.approx(expected, rel=1e-12)
         assert after == pytest.approx(expected, rel=1e-6)
 
@@ -431,7 +431,7 @@ class TestLof:
         n = len(train)
         queries = np.array(coords[: len(coords) // 2 * 2], dtype=float).reshape(-1, 2) / 2
         models = [
-            lof_fit(train, min(k, n - 1)) if kind == "lof" else knn_fit(train, min(k, n), kind)
+            lof_fitter(train)(min(k, n - 1)) if kind == "lof" else knn_fit(train, min(k, n), kind)
             for kind, k in specs
         ]
         block = neighbour_scores(models, queries)
@@ -443,7 +443,7 @@ class TestLof:
     @given(point_cloud(max_points=15))
     @settings(max_examples=40, deadline=None)
     def test_scores_positive_and_finite(self, train):
-        model = lof_fit(train, k=2)
+        model = lof_fitter(train)(2)
         queries = np.array([[0.0, 0.0], [15.0, -3.0]])
         values = model.score(queries)
         assert np.all(np.isfinite(values)) and np.all(values > 0)

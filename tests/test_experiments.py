@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau as scipy_kendalltau
 
-from adeval.curves import build_roc, tpr_at
+from adeval.curves import tpr_at_rows
 from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_table, make_benchmarks
 from adeval import detectors, experiments
-from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fit
+from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     _kendall_block,
     _run_repetition,
@@ -36,6 +36,7 @@ from _oracles import (
     repetition_means,
     selection_loss_reference,
 )
+from test_curves import one_row
 
 
 def record(
@@ -371,7 +372,7 @@ class TestFitModels:
         if combo.detector == "knn":
             return knn_fit(train, k=combo.param("k"), variant=combo.param("variant"))
         if combo.detector == "lof":
-            return lof_fit(train, k=combo.param("k"))
+            return lof_fitter(train)(combo.param("k"))
         seed = experiments._fit_seed(self.bench, combo, self.spec)
         return iforest_fit(
             train, n_trees=combo.param("n_trees"), subsample=combo.param("subsample"), seed=seed
@@ -1515,17 +1516,9 @@ class TestRocBand:
         curves = []
         for rep in (0, 1):
             fold = split(bench, SplitSpec(seed=1, repetition=rep))
-            from adeval.curves import LabeledScores
-
-            curves.append(
-                build_roc(
-                    LabeledScores(
-                        labels=fold.test_labels,
-                        scores=knn_fit(fold.train, k=3, variant="kappa").score(fold.test),
-                    )
-                )
-            )
-        tprs = np.array([[tpr_at(c, a) for a in band.fpr] for c in curves])
+            scores = knn_fit(fold.train, k=3, variant="kappa").score(fold.test)
+            curves.append(one_row(fold.test_labels, scores).curve)
+        tprs = np.array([[tpr_at_rows(c, a)[0] for a in band.fpr] for c in curves])
         np.testing.assert_allclose(band.tpr_mean, tprs.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(
             band.tpr_std, np.abs(tprs[0] - tprs[1]) / np.sqrt(2.0), atol=1e-12
@@ -1540,6 +1533,20 @@ class TestRocBand:
         band = roc_band(self.bench(), KNN_3, n_splits=4, master_seed=3)
         assert np.all(np.diff(band.fpr) > 0)
         assert band.fpr[0] == 0.0 and band.fpr[-1] == 1.0
+
+    def test_split_with_non_finite_test_scores_is_skipped(self, monkeypatch):
+        fit = experiments.fit_models
+
+        class Nan:
+            def score(self, points):
+                return np.full(len(points), np.nan)
+
+        def nan_at_rep_0(bench, spec, train, combos):
+            return [Nan()] if spec.repetition == 0 else fit(bench, spec, train, combos)
+
+        monkeypatch.setattr(experiments, "fit_models", nan_at_rep_0)
+        band = roc_band(self.bench(), KNN_3, n_splits=3, master_seed=2)
+        assert (band.n_splits_used, band.n_skipped) == (2, 1)
 
     def test_requires_two_usable_splits(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from _oracles import pairwise_auc
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -36,5 +40,12 @@ def test_run_synthetic_study(tmp_path):
 def test_readme_library_example(capsys):
     readme = (REPO / "README.md").read_text()
     example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
-    exec(compile(example.split("```", 1)[0], "README.md", "exec"), {})
-    assert "CVOL@0.05" in capsys.readouterr().out
+    scope = {}
+    exec(compile(example.split("```", 1)[0], "README.md", "exec"), scope)
+    printed = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+    assert list(printed) == ["AUC", "AUC@0.05", "TPR@0.05", "F1@0.05", "CVOL@0.05"]
+    for text in printed.values():
+        assert text == repr(float(text))
+    fold, model = scope["fold"], scope["model"]
+    want = pairwise_auc(fold.test_labels, model.score(fold.test))
+    assert float(printed["AUC"]) == pytest.approx(want, abs=1e-12)

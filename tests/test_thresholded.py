@@ -3,59 +3,57 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adeval.curves import LabeledScores, build_roc, descending_order, threshold_at_fpr
+from adeval.curves import descending_order, threshold_at_fpr_rows
 from adeval.thresholded import (
-    ConfusionCounts,
     PrecisionAtPConfig,
-    confusion_at,
-    f1_score,
-    precision_at_p,
+    confusion_rows,
+    f1_rows,
     precision_at_p_rows,
 )
 from _oracles import precision_reference
-from test_curves import labeled_scores
+from test_curves import labeled_scores, one_row
 
 
 def simple_data():
-    return LabeledScores(labels=[0, 0, 1, 1], scores=[0.1, 0.4, 0.35, 0.8])
+    return one_row([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8])
+
+
+def counts_at(data, threshold):
+    """(tp, fp, tn, fn) of ``data``'s one row at ``threshold``."""
+    return tuple(int(c[0]) for c in confusion_rows(data.labels, data.scores, [threshold]))
 
 
 class TestConfusionAt:
     def test_ge_rule(self):
-        counts = confusion_at(simple_data(), 0.35)
-        assert (counts.tp, counts.fp, counts.tn, counts.fn) == (2, 1, 1, 0)
+        assert counts_at(simple_data(), 0.35) == (2, 1, 1, 0)
 
     def test_threshold_above_everything(self):
-        counts = confusion_at(simple_data(), 10.0)
-        assert (counts.tp, counts.fp, counts.tn, counts.fn) == (0, 0, 2, 2)
+        assert counts_at(simple_data(), 10.0) == (0, 0, 2, 2)
 
     def test_threshold_below_everything_flags_all(self):
-        counts = confusion_at(simple_data(), -10.0)
-        assert (counts.tp, counts.fp, counts.tn, counts.fn) == (2, 2, 0, 0)
+        assert counts_at(simple_data(), -10.0) == (2, 2, 0, 0)
 
     def test_exact_tie_counts_as_flagged(self):
-        counts = confusion_at(
-            LabeledScores(labels=[0, 1], scores=[1.0, 2.0]), 2.0
-        )
-        assert counts.tp == 1 and counts.fp == 0
+        tp, fp, _, _ = counts_at(one_row([0, 1], [1.0, 2.0]), 2.0)
+        assert tp == 1 and fp == 0
 
     @given(labeled_scores(), st.floats(min_value=-10, max_value=10))
     @settings(max_examples=100, deadline=None)
     def test_counts_partition_sample(self, data, tau):
-        counts = confusion_at(data, tau)
+        tp, fp, tn, fn = counts_at(data, tau)
         n_pos = int(data.labels.sum())
-        assert counts.tp + counts.fp + counts.tn + counts.fn == len(data.labels)
-        assert counts.tp + counts.fn == n_pos
-        assert counts.fp + counts.tn == len(data.labels) - n_pos
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+        assert tp + fp + tn + fn == len(data.labels)
+        assert tp + fn == n_pos
+        assert fp + tn == len(data.labels) - n_pos
+        assert min(tp, fp, tn, fn) >= 0
 
 
 def f1_at_fpr(data, alpha):
     """F1 at the threshold the ROC curve of ``data`` gives for FPR = alpha."""
-    return f1_score(confusion_at(data, threshold_at_fpr(build_roc(data), alpha)))
+    tp, fp, _, fn = confusion_rows(
+        data.labels, data.scores, threshold_at_fpr_rows(data.curve, alpha)
+    )
+    return f1_rows(tp, fp, fn)[0]
 
 
 class TestF1:
@@ -63,7 +61,7 @@ class TestF1:
         assert f1_at_fpr(simple_data(), 0.5) == 0.8
 
     def test_perfect_detector(self):
-        data = LabeledScores(labels=[0, 0, 1, 1], scores=[1.0, 2.0, 3.0, 4.0])
+        data = one_row([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0])
         # alpha = 0.25 falls between vertices; the interpolated threshold
         # (2.5) flags exactly the positives.
         assert f1_at_fpr(data, 0.25) == 1.0
@@ -74,18 +72,16 @@ class TestF1:
         assert f1_at_fpr(data, 1.0) == 4.0 / 6.0
 
     def test_all_tied_scores(self):
-        data = LabeledScores(labels=[0, 0, 0, 1], scores=[5.0] * 4)
+        data = one_row([0, 0, 0, 1], [5.0] * 4)
         assert f1_at_fpr(data, 1.0) == 2.0 / 5.0
 
     def test_zero_denominator_gives_zero(self):
-        assert f1_score(ConfusionCounts(tp=0, fp=0, tn=3, fn=0)) == 0.0
+        assert f1_rows([0], [0], [0])[0] == 0.0
 
     @given(labeled_scores())
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_increasing_transform(self, data):
-        transformed = LabeledScores(
-            labels=data.labels, scores=3.0 * data.scores + 7.0
-        )
+        transformed = one_row(data.labels, 3.0 * data.scores[0] + 7.0)
         for alpha in (0.2, 0.7, 1.0):
             assert f1_at_fpr(data, alpha) == pytest.approx(
                 f1_at_fpr(transformed, alpha), abs=1e-12
@@ -106,14 +102,16 @@ class TestPrecisionAtP:
         # contamination keeps the sample intact and the top 5 are all true.
         labels = np.r_[np.ones(5, dtype=int), np.zeros(95, dtype=int)]
         scores = np.r_[np.linspace(10, 11, 5), np.linspace(0, 1, 95)]
-        data = LabeledScores(labels=labels, scores=scores)
-        assert precision_at_p(data, PrecisionAtPConfig(p=0.05, rounds=3, seed=1)) == 1.0
+        data = one_row(labels, scores)
+        cfg = PrecisionAtPConfig(p=0.05, rounds=3, seed=1)
+        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 1.0
 
     def test_inverted_ranking_gives_zero(self):
         labels = np.r_[np.ones(5, dtype=int), np.zeros(95, dtype=int)]
         scores = np.r_[np.linspace(0, 1, 5), np.linspace(10, 11, 95)]
-        data = LabeledScores(labels=labels, scores=scores)
-        assert precision_at_p(data, PrecisionAtPConfig(p=0.05, rounds=3, seed=1)) == 0.0
+        data = one_row(labels, scores)
+        cfg = PrecisionAtPConfig(p=0.05, rounds=3, seed=1)
+        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 0.0
 
     def test_anomalies_subsampled_to_target_proportion(self):
         # 50 anomalies among 100 normals, p = 0.2: rounds keep
@@ -121,9 +119,10 @@ class TestPrecisionAtP:
         rng = np.random.default_rng(7)
         labels = np.r_[np.ones(50, dtype=int), np.zeros(100, dtype=int)]
         scores = rng.normal(size=150)
-        data = LabeledScores(labels=labels, scores=scores)
-        v1 = precision_at_p(data, PrecisionAtPConfig(p=0.2, rounds=20, seed=3))
-        v2 = precision_at_p(data, PrecisionAtPConfig(p=0.2, rounds=20, seed=3))
+        data = one_row(labels, scores)
+        cfg = PrecisionAtPConfig(p=0.2, rounds=20, seed=3)
+        v1 = precision_at_p_rows(data.labels, data.order, cfg)[0]
+        v2 = precision_at_p_rows(data.labels, data.order, cfg)[0]
         assert v1 == v2  # deterministic under a fixed seed
         assert 0.0 <= v1 <= 1.0
 
@@ -133,8 +132,9 @@ class TestPrecisionAtP:
         rng = np.random.default_rng(42)
         labels = np.r_[np.ones(400, dtype=int), np.zeros(1900, dtype=int)]
         scores = rng.normal(size=2300)
-        data = LabeledScores(labels=labels, scores=scores)
-        value = precision_at_p(data, PrecisionAtPConfig(p=0.05, rounds=1000, seed=5))
+        data = one_row(labels, scores)
+        cfg = PrecisionAtPConfig(p=0.05, rounds=1000, seed=5)
+        value = precision_at_p_rows(data.labels, data.order, cfg)[0]
         assert value == pytest.approx(0.05, abs=0.01)
 
     def test_less_contaminated_than_p_thins_normals(self):
@@ -142,17 +142,18 @@ class TestPrecisionAtP:
         # normals are thinned to round(2 * 0.9 / 0.1) = 18.
         labels = np.r_[np.ones(2, dtype=int), np.zeros(198, dtype=int)]
         scores = np.r_[np.array([5.0, 6.0]), np.linspace(0, 1, 198)]
-        data = LabeledScores(labels=labels, scores=scores)
-        value = precision_at_p(data, PrecisionAtPConfig(p=0.1, rounds=10, seed=2))
+        data = one_row(labels, scores)
+        cfg = PrecisionAtPConfig(p=0.1, rounds=10, seed=2)
+        value = precision_at_p_rows(data.labels, data.order, cfg)[0]
         assert value == 1.0  # both anomalies always fall in the top 2 of 20
 
     def test_tie_break_is_deterministic(self):
         labels = np.array([1, 0, 1, 0])
         scores = np.array([1.0, 1.0, 1.0, 1.0])
-        data = LabeledScores(labels=labels, scores=scores)
+        data = one_row(labels, scores)
         # Top ceil(0.5 * 4) = 2 under index tie-break: indices 0 and 1.
         cfg = PrecisionAtPConfig(p=0.5, rounds=4, seed=0)
-        assert precision_at_p(data, cfg) == 0.5
+        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 0.5
 
 
 @st.composite
@@ -191,7 +192,7 @@ class TestPrecisionAtPRows:
         batch = precision_at_p_rows(labels, descending_order(scores), cfg)
         assert batch.shape == (len(scores),)
         for row, value in zip(scores, batch):
-            single = precision_at_p(LabeledScores(labels=labels, scores=row), cfg)
+            single = precision_at_p_rows(labels, descending_order(row[None, :]), cfg)[0]
             reference = precision_reference(labels, row, cfg.p, cfg.rounds, cfg.seed)
             assert value == single == reference
 

@@ -1,16 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from adeval.curves import LabeledScores, build_roc, threshold_at_fpr
-from adeval.detectors import iforest_fit, knn_fit, lof_fit
+from adeval.curves import threshold_at_fpr_rows
+from adeval.detectors import iforest_fit, knn_fit, lof_fitter
+from adeval.experiments import score_row
 from adeval.volume import (
     SamplingBox,
-    VolumeEstimate,
+    accepted_fraction,
     bounding_box,
-    checked_scores,
     uniform_sample,
-    volume_below,
 )
+from test_curves import one_row
 
 
 def max_norm(points):
@@ -20,13 +22,16 @@ def max_norm(points):
 def volume_at_fpr(f, box, data, alpha, n=100_000, seed=0):
     """The estimate of ``adeval volume``: the threshold at FPR ``alpha`` of
     ``data``'s ROC, applied to the checked scores of one uniform sample."""
-    tau = threshold_at_fpr(build_roc(data), alpha)
-    return volume_below(checked_scores(f(uniform_sample(box, n, seed)), n), tau)
+    (tau,) = threshold_at_fpr_rows(data.curve, alpha)
+    model = SimpleNamespace(score=f)
+    sample = score_row(model, uniform_sample(box, n, seed), "non-finite volume score")
+    (vol,) = accepted_fraction(sample, [tau])
+    return SimpleNamespace(threshold=tau, vol=vol, cvol=1.0 - vol)
 
 
 def tau_half_data():
     """Four scored samples whose ROC yields threshold 0.5 at FPR = 0.5."""
-    return LabeledScores(labels=[1, 0, 1, 0], scores=[0.7, 0.6, 0.5, 0.4])
+    return one_row([1, 0, 1, 0], [0.7, 0.6, 0.5, 0.4])
 
 
 UNIT_BOX_2D = SamplingBox(b_min=np.array([-1.0, -1.0]), b_max=np.array([1.0, 1.0]))
@@ -52,16 +57,6 @@ class TestSamplingBox:
         assert box.b_min[1] == box.b_max[1] == 5.0
 
 
-class TestVolumeEstimate:
-    def test_complement_identity_enforced(self):
-        with pytest.raises(ValueError):
-            VolumeEstimate(vol=0.25, cvol=0.8, threshold=1.0, n_samples=10)
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            VolumeEstimate(vol=1.5, cvol=-0.5, threshold=1.0, n_samples=10)
-
-
 class TestMcVolume:
     def test_known_region_quarter_volume(self):
         # Accept region {max-norm < 0.5} fills exactly 1/4 of [-1, 1]^2.
@@ -75,14 +70,14 @@ class TestMcVolume:
     def test_threshold_below_all_scores_gives_zero_volume(self):
         # alpha = 1 flags everything: nothing scores strictly below tau
         # for a nonnegative score function with tau at the minimum score.
-        data = LabeledScores(labels=[1, 0], scores=[0.5, 0.0])
+        data = one_row([1, 0], [0.5, 0.0])
         est = volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=1.0, n=2000, seed=1)
         assert est.threshold == 0.0
         assert est.vol == 0.0 and est.cvol == 1.0
 
     def test_huge_threshold_gives_full_volume(self):
         # Scores far above anything the box can produce: everything accepted.
-        data = LabeledScores(labels=[1, 0], scores=[9.0, 8.0])
+        data = one_row([1, 0], [9.0, 8.0])
         est = volume_at_fpr(max_norm, UNIT_BOX_2D, data, alpha=0.5, n=2000, seed=1)
         assert est.vol == 1.0 and est.cvol == 0.0
 
@@ -95,7 +90,7 @@ class TestMcVolume:
         # Degenerate box sampling only points that score exactly tau:
         # every point counts as anomalous, so vol = 0.
         box = SamplingBox(b_min=np.array([0.5]), b_max=np.array([0.5]))
-        data = LabeledScores(labels=[1, 0, 1, 0], scores=[0.7, 0.6, 0.5, 0.4])
+        data = one_row([1, 0, 1, 0], [0.7, 0.6, 0.5, 0.4])
         est = volume_at_fpr(max_norm, box, data, alpha=0.5, n=500, seed=0)
         assert est.threshold == 0.5
         assert est.vol == 0.0
@@ -104,7 +99,7 @@ class TestMcVolume:
         rng = np.random.default_rng(3)
         labels = np.r_[np.ones(40, dtype=int), np.zeros(160, dtype=int)]
         scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
-        data = LabeledScores(labels=labels, scores=scores)
+        data = one_row(labels, scores)
         vols = [
             volume_at_fpr(max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11).vol
             for a in (0.05, 0.1, 0.25, 0.5, 0.9)
@@ -135,7 +130,7 @@ class TestMcVolume:
             out = max_norm(points)
             out[0] = np.nan
             return out
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite volume score"):
             volume_at_fpr(bad_score, UNIT_BOX_2D, tau_half_data(), 0.5, n=10)
 
 
@@ -151,7 +146,7 @@ class TestVolumePrimitives:
         # scoring it in chunks of 16384 points, bit for bit.
         train = np.random.default_rng(2).normal(size=(40, 2))
         sample = uniform_sample(UNIT_BOX_2D, 16384 + 9, seed=4)
-        for model in (knn_fit(train, k=3, variant="delta"), lof_fit(train, k=5),
+        for model in (knn_fit(train, k=3, variant="delta"), lof_fitter(train)(5),
                       iforest_fit(train, n_trees=10, subsample=16, seed=1)):
             chunks = [model.score(sample[i : i + 16384]) for i in (0, 16384)]
             assert np.array_equal(model.score(sample), np.concatenate(chunks))
@@ -160,11 +155,12 @@ class TestVolumePrimitives:
         rng = np.random.default_rng(3)
         labels = np.r_[np.ones(40, dtype=int), np.zeros(160, dtype=int)]
         scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
-        data = LabeledScores(labels=labels, scores=scores)
-        curve = build_roc(data)
-        sample = max_norm(uniform_sample(UNIT_BOX_2D, 4000, seed=11))
+        data = one_row(labels, scores)
+        sample = max_norm(uniform_sample(UNIT_BOX_2D, 4000, seed=11))[None, :]
         for a in (0.05, 0.1, 0.25, 0.5, 0.9):
-            assert volume_below(sample, threshold_at_fpr(curve, a)) == volume_at_fpr(
+            tau = threshold_at_fpr_rows(data.curve, a)
+            (vol,) = accepted_fraction(sample, tau)
+            assert SimpleNamespace(threshold=tau[0], vol=vol, cvol=1.0 - vol) == volume_at_fpr(
                 max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11
             )
 
@@ -172,5 +168,6 @@ class TestVolumePrimitives:
         with pytest.raises(ValueError):
             uniform_sample(UNIT_BOX_2D, 0, seed=0)
         points = uniform_sample(UNIT_BOX_2D, 10, seed=0)
-        with pytest.raises(ValueError):
-            checked_scores(max_norm(points)[:-1], 10)
+        model = SimpleNamespace(score=lambda x: max_norm(x)[:-1])
+        with pytest.raises(ValueError, match="one score per point"):
+            score_row(model, points, "non-finite volume score")
