@@ -36,21 +36,18 @@ from adeval.datasets import (
     SplitSpec,
     TrainTestSplit,
     _safe_name,
-    list_benchmarks,
     load_benchmarks,
     make_benchmarks,
     minmax_scaled_table,
-    read_benchmark,
     read_raw_table,
     split,
-    write_benchmark,
+    write_raw_table,
 )
 from adeval.experiments import (
     Combo,
     GridConfig,
     MeasureId,
     RecordStore,
-    check_tables,
     collapse,
     fit_models,
     kendall_matrix,
@@ -289,16 +286,16 @@ def _find_benchmark(
     ``data``) count, for the table alias and for the names listed when
     ``name`` matches none.
     """
-    stored = list_benchmarks(dataset_dir)
+    stored = load_benchmarks(dataset_dir)
     if run is not None:
-        stored = [(t, a) for t, a in stored if f"{t}-{a}" in run.data]
-    for table, anomaly_class in stored:
-        if f"{table}-{anomaly_class}" == name or (
-            table == name and len([t for t, _ in stored if t == table]) == 1
+        stored = [b for b in stored if b.name in run.data]
+    for bench in stored:
+        if bench.name == name or (
+            bench.table == name and [b.table for b in stored].count(name) == 1
         ):
-            return read_benchmark(dataset_dir, table, anomaly_class)
+            return bench
     if run is None:
-        available = ", ".join(f"{t}-{a}" for t, a in stored) or "none"
+        available = ", ".join(b.name for b in stored) or "none"
         raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
     if name in run.data:
         raise CliError(f"benchmark {name} of run {run.hash} is not under {dataset_dir}")
@@ -317,19 +314,29 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     paths = sorted(input_dir.glob("*.csv"))
     if not paths:
         raise CliError(f"no raw tables (*.csv) under {input_dir}; nothing written")
+    if output_dir.resolve() == input_dir.resolve():
+        raise CliError(f"the benchmark cache {output_dir} is the input directory; "
+                       "prepare into another one")
     tables = [read_raw_table(p) for p in paths]  # abort before any write
     if args.minmax:
         tables = [minmax_scaled_table(t) for t in tables]
-    existing = set(list_benchmarks(output_dir))
+    prepared = {}  # cache file -> (input file name, table, its benchmarks)
+    for path, table in zip(paths, tables):
+        benches = make_benchmarks(table)
+        target = output_dir / f"{benches[0].table}.csv"
+        other = prepared.setdefault(target, (path.name, table, benches))[0]
+        if other != path.name:
+            raise CliError(f"tables {other} and {path.name} both prepare into {target}; "
+                           "rename one")
     written = present = 0
-    for table in tables:
-        for bench in make_benchmarks(table):
-            key = (_safe_name(bench.table), _safe_name(bench.anomaly_class))
-            if key in existing:
-                present += 1
-                continue
-            write_benchmark(bench, output_dir)
-            written += 1
+    for target, (_, table, benches) in prepared.items():
+        if target.is_file():
+            present += len(benches)
+            continue
+        output_dir.mkdir(parents=True, exist_ok=True)
+        write_raw_table(table, target)
+        written += len(benches)
+        for bench in benches:
             print(
                 f"  {bench.name}: {bench.normal.shape[0]} normal, "
                 f"{bench.anomaly.shape[0]} anomalous, dim {bench.dim}"
@@ -406,7 +413,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"resuming run {manifest.hash}")
     else:
         # Refuse before the manifest names this directory, so a refused run leaves none.
-        check_tables(benches)
         store.load()
         manifest_path.write_text(manifest.to_json())
         print(f"run {manifest.hash}: {len(benches)} benchmarks, "

@@ -1,9 +1,14 @@
-"""Benchmark construction from multiclass tables and reproducible splits.
+"""Benchmark construction from multiclass tables, the benchmark cache and splits.
 
 A raw table holds numeric features plus a categorical ``class`` column.
 Its largest class plays the normal data; each remaining class yields one
 benchmark whose anomalies are that class alone, so a K-class table gives
-K - 1 benchmarks sharing the same normal samples.
+K - 1 benchmarks that hold one and the same normal array.
+
+The benchmark cache is a directory of prepared tables, one ``<table>.csv``
+each in the raw-table format (:func:`write_raw_table`).  Loading it
+(:func:`load_benchmarks`) makes each table's benchmarks again, so the
+cache stores a table's normal class once.
 
 Splits are derived from (master seed, table name, repetition index) only:
 every detector and hyperparameter setting sees exactly the same folds,
@@ -89,29 +94,35 @@ def make_benchmarks(table: RawTable) -> list[BenchmarkDataset]:
     """Turn a K-class table into K - 1 one-vs-rest-style benchmarks.
 
     The largest class becomes the normal data (ties broken by class-name
-    order); each remaining class becomes the anomaly set of one benchmark
-    named ``<table>-<anomaly class>``.
+    order), one array that every benchmark of the table holds; each
+    remaining class becomes the anomaly set of one benchmark named
+    ``<table>-<anomaly class>``, both parts with every character outside
+    ``A-Za-z0-9._-`` replaced by ``_``.
+
+    Raises ``ValueError`` for a table of one class, and for two anomaly
+    classes that make one name.
     """
     names, counts = np.unique(np.array(table.classes), return_counts=True)
     if len(names) < 2:
         raise ValueError(f"table {table.name!r} needs at least two classes")
     order = sorted(range(len(names)), key=lambda i: (-counts[i], names[i]))
-    normal_class = str(names[order[0]])
     labels = np.array(table.classes)
-    normal = table.features[labels == normal_class]
-    benchmarks = []
-    for i in order[1:]:
-        anomaly_class = str(names[i])
-        benchmarks.append(
-            BenchmarkDataset(
-                table=table.name,
-                anomaly_class=anomaly_class,
-                normal=normal,
-                anomaly=table.features[labels == anomaly_class],
-            )
-        )
-    benchmarks.sort(key=lambda b: b.anomaly_class)
+    normal = table.features[labels == names[order[0]]]
+    benchmarks = sorted(
+        (BenchmarkDataset(table=_safe_name(table.name), anomaly_class=_safe_name(str(names[i])),
+                          normal=normal, anomaly=table.features[labels == names[i]])
+         for i in order[1:]),
+        key=lambda b: b.anomaly_class,
+    )
+    for a, b in zip(benchmarks, benchmarks[1:]):
+        if a.name == b.name:
+            raise ValueError(f"two classes of table {table.name!r} make benchmark {a.name!r}; "
+                             "rename one")
     return benchmarks
+
+
+def _safe_name(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]", "_", text)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +324,7 @@ def minmax_scaled_table(table: RawTable) -> RawTable:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text interchange
+# Plain-text tables and the benchmark cache
 # ---------------------------------------------------------------------------
 
 
@@ -327,8 +338,8 @@ def write_raw_table(table: RawTable, path: str | Path) -> None:
             writer.writerow([repr(v) for v in row.tolist()] + [cls])
 
 
-def read_raw_table(path: str | Path, name: str | None = None) -> RawTable:
-    """Read a delimited table whose final column is ``class``.
+def read_raw_table(path: str | Path) -> RawTable:
+    """Read a delimited table whose final column is ``class``, named after its file stem.
 
     Raises
     ------
@@ -337,7 +348,6 @@ def read_raw_table(path: str | Path, name: str | None = None) -> RawTable:
         carry the offending line number.
     """
     path = Path(path)
-    table_name = name if name is not None else path.stem
     rows: list[list[float]] = []
     classes: list[str] = []
     with open(path, newline="") as handle:
@@ -359,84 +369,27 @@ def read_raw_table(path: str | Path, name: str | None = None) -> RawTable:
             classes.append(row[-1].strip())
     if not rows:
         raise ValueError(f"{path}: table has no data rows")
-    return RawTable(name=table_name, features=np.array(rows), classes=tuple(classes))
-
-
-def _feature_header(dim: int) -> list[str]:
-    return [f"f{i}" for i in range(dim)]
-
-
-def _write_points(points: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_feature_header(points.shape[1]))
-        for row in points:
-            writer.writerow([repr(v) for v in row.tolist()])
-
-
-def _read_points(path: Path) -> np.ndarray:
-    with open(path, newline="") as handle:
-        data = data_rows(handle)
-        first = next(data, None)
-        if first is None:
-            raise ValueError(f"{path}: empty file")
-        width = len(first[1])
-        rows = []
-        for lineno, row in data:
-            if len(row) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} fields")
-            rows.append([float(v) for v in row])
-    return np.array(rows).reshape(-1, width)
-
-
-def _safe_name(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", text)
-
-
-def write_benchmark(bench: BenchmarkDataset, root: str | Path) -> Path:
-    """Store a benchmark under ``root/<table>/<anomaly class>/``."""
-    target = Path(root) / _safe_name(bench.table) / _safe_name(bench.anomaly_class)
-    target.mkdir(parents=True, exist_ok=True)
-    _write_points(bench.normal, target / "normal.csv")
-    _write_points(bench.anomaly, target / "anomaly.csv")
-    return target
-
-
-def read_benchmark(root: str | Path, table: str, anomaly_class: str) -> BenchmarkDataset:
-    """Load one benchmark stored by :func:`write_benchmark`."""
-    base = Path(root) / _safe_name(table) / _safe_name(anomaly_class)
-    if not base.is_dir():
-        raise ValueError(f"no stored benchmark at {base}")
-    return BenchmarkDataset(
-        table=table,
-        anomaly_class=anomaly_class,
-        normal=_read_points(base / "normal.csv"),
-        anomaly=_read_points(base / "anomaly.csv"),
-    )
-
-
-def list_benchmarks(
-    root: str | Path, only: Sequence[str] | None = None
-) -> list[tuple[str, str]]:
-    """(table, anomaly class) pairs stored under ``root``, sorted.
-
-    With ``only``, keep the pairs whose table or full name it lists.
-    """
-    root = Path(root)
-    found = []
-    if root.is_dir():
-        for table_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            for anom_dir in sorted(p for p in table_dir.iterdir() if p.is_dir()):
-                table, anomaly_class = table_dir.name, anom_dir.name
-                if (anom_dir / "normal.csv").is_file() and (
-                    not only or table in only or f"{table}-{anomaly_class}" in only
-                ):
-                    found.append((table, anomaly_class))
-    return found
+    return RawTable(name=path.stem, features=np.array(rows), classes=tuple(classes))
 
 
 def load_benchmarks(
     root: str | Path, only: Sequence[str] | None = None
 ) -> list[BenchmarkDataset]:
-    """Load stored benchmarks, optionally filtered by table or full name."""
-    return [read_benchmark(root, t, a) for t, a in list_benchmarks(root, only)]
+    """The benchmarks of the prepared tables ``<table>.csv`` under ``root``.
+
+    Each file is a table as :func:`write_raw_table` writes it, turned into
+    benchmarks by :func:`make_benchmarks`; they come sorted by table, then
+    anomaly class.  With ``only``, keep the benchmarks whose table or full
+    name it lists, and read only the files that can hold one.  A file
+    whose stem is not its table's file-safe name is refused.
+    """
+    paths = sorted((p for p in Path(root).glob("*.csv") if p.is_file()), key=lambda p: p.stem)
+    benchmarks = []
+    for path in paths:
+        if only and not any(n == path.stem or n.startswith(f"{path.stem}-") for n in only):
+            continue
+        benches = make_benchmarks(read_raw_table(path))
+        if benches[0].table != path.stem:  # two such files could make one table
+            raise ValueError(f"{path}: not a prepared table (its name is not file-safe)")
+        benchmarks += [b for b in benches if not only or b.table in only or b.name in only]
+    return benchmarks

@@ -818,7 +818,7 @@ def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
         if not np.array_equal(other.normal, bench.normal):
             raise ValueError(
                 f"benchmarks {other.name!r} and {bench.name!r} of table {bench.table!r} "
-                "hold different normal classes; prepare the table again"
+                "hold different normal classes; make a table's benchmarks with make_benchmarks"
             )
 
 

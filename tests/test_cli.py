@@ -16,8 +16,8 @@ from adeval import cli
 from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import auc_rows, tpr_at_rows
 from adeval.datasets import (
-    SplitSpec, read_benchmark, split, synth_gaussian, synth_multiclass_table, write_benchmark,
-    write_raw_table,
+    RawTable, SplitSpec, load_benchmarks, make_benchmarks, minmax_scaled_table, read_raw_table,
+    split, synth_gaussian, synth_multiclass_table, write_raw_table,
 )
 from adeval.experiments import RecordStore
 from _oracles import rank_reference, repetition_means, selection_loss_reference
@@ -100,6 +100,20 @@ def cell_tpr_mean(cache, flags, fpr, capsys):
     return np.array([[tpr_at_rows(curve, a)[0] for a in fpr] for curve in curves]).mean(axis=0)
 
 
+def cached(cache, name):
+    """The benchmark of the cache whose full name is ``name``."""
+    (bench,) = load_benchmarks(cache, [name])
+    return bench
+
+
+def shift_first_anomaly(source, target, anomaly_class):
+    """Write the cached table ``source`` to ``target``, its first ``anomaly_class`` row moved."""
+    table = read_raw_table(source)
+    features = table.features.copy()
+    features[table.classes.index(anomaly_class), 0] += 0.25
+    write_raw_table(dataclasses.replace(table, features=features), target)
+
+
 def read_store_bytes(run_dir):
     return {p.name: p.read_bytes() for p in sorted((run_dir / "records").glob("*.csv"))}
 
@@ -116,21 +130,35 @@ def stored_records(run_dir):
 
 
 class TestPrepare:
-    def test_builds_benchmark_directories(self, tmp_path, capsys):
-        write_tables(tmp_path / "raw", n_tables=1)
+    def test_writes_one_file_per_table(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=2)
         assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
-        assert "tab0-c1" in out and "tab0-c2" in out
-        assert (tmp_path / "cache" / "tab0" / "c1" / "normal.csv").is_file()
-        assert (tmp_path / "cache" / "tab0" / "c2" / "anomaly.csv").is_file()
+        assert "tab0-c1" in out and "tab0-c2" in out and "prepared 4 benchmarks" in out
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["tab0.csv", "tab1.csv"]
+
+    @pytest.mark.parametrize("flags", [[], ["--minmax"]], ids=["raw", "minmax"])
+    def test_cache_round_trip_is_exact(self, tmp_path, flags):
+        write_tables(tmp_path / "raw")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache"), *flags]) == 0
+        tables = [read_raw_table(p) for p in sorted((tmp_path / "raw").glob("*.csv"))]
+        if flags:
+            tables = [minmax_scaled_table(t) for t in tables]
+        made = [b for t in tables for b in make_benchmarks(t)]
+        back = load_benchmarks(tmp_path / "cache")
+        assert [b.name for b in back] == [b.name for b in made]
+        for b, m in zip(back, made):
+            assert b.normal.tobytes() == m.normal.tobytes()
+            assert b.anomaly.tobytes() == m.anomaly.tobytes()
+        assert back[0].normal is back[1].normal and back[2].normal is back[3].normal
 
     def test_rerun_reports_up_to_date(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1)
         main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")])
-        before = sorted((tmp_path / "cache").rglob("*.csv"))
+        before = {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*")}
         assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 0
-        assert "up to date" in capsys.readouterr().out
-        assert sorted((tmp_path / "cache").rglob("*.csv")) == before
+        assert "up to date (2 benchmarks)" in capsys.readouterr().out
+        assert {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*")} == before
 
     def test_empty_input_writes_nothing(self, tmp_path, capsys):
         (tmp_path / "raw").mkdir()
@@ -146,12 +174,37 @@ class TestPrepare:
         # The well-formed table must not have been cached either.
         assert not (tmp_path / "cache").exists()
 
+    def test_classes_that_make_one_name_are_refused(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        classes = ("n",) * 20 + ("c/1",) * 4 + ("c_1",) * 6
+        table = RawTable("tab", np.arange(60.0).reshape(30, 2), classes)
+        write_raw_table(table, tmp_path / "raw" / "tab.csv")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 2
+        assert "two classes of table 'tab' make benchmark 'tab-c_1'" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+    def test_tables_that_make_one_file_are_refused(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        for name in ("tab 0.csv", "tab_0.csv"):
+            shutil.copy(tmp_path / "raw" / "tab0.csv", tmp_path / "raw" / name)
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 2
+        assert "tables tab 0.csv and tab_0.csv both prepare into" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+    def test_the_input_directory_is_refused_as_the_cache(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "raw").iterdir()}
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "raw" / ".." / "raw"),
+                     "--minmax"]) == 2
+        assert "is the input directory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "raw").iterdir()} == before
+
     def test_minmax_scales_each_table(self, tmp_path):
         write_tables(tmp_path / "raw", n_tables=1)
         assert main(
             ["prepare", str(tmp_path / "raw"), str(tmp_path / "cache"), "--minmax"]
         ) == 0
-        bench = read_benchmark(tmp_path / "cache", "tab0", "c1")
+        bench = cached(tmp_path / "cache", "tab0-c1")
         points = np.vstack([bench.normal, bench.anomaly])
         assert points.min() >= 0.0 and points.max() <= 1.0
 
@@ -229,22 +282,6 @@ class TestRun:
         assert main(["aggregate", "rank", str(run_dir)]) == 2
         assert "another run" in capsys.readouterr().err
         assert not (run_dir / "tables").exists()
-
-    def test_table_whose_benchmarks_hold_different_normals_is_refused(self, tmp_path, capsys):
-        write_tables(tmp_path / "raw", n_tables=1)
-        cache, run_dir = tmp_path / "cache", tmp_path / "run"
-        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
-        normal = cache / "tab0" / "c2" / "normal.csv"
-        lines = normal.read_text().splitlines()
-        value, rest = lines[1].split(",", 1)
-        lines[1] = f"{float(value) + 0.25!r},{rest}"
-        normal.write_text("\n".join(lines) + "\n")
-        config = tmp_path / "study.cfg"
-        config.write_text(CONFIG_TEXT.format(cache=cache, run=run_dir))
-        assert main(["run", "--config", str(config)]) == 2
-        assert "'tab0'" in capsys.readouterr().err
-        assert not (run_dir / "manifest.json").exists()
-        assert not (run_dir / "records").exists()
 
     def test_fresh_directory_reproduces_store_bytes(self, study):
         run2 = study.root / "run2"
@@ -772,7 +809,7 @@ class TestAggregate:
         before = {p.name: p.read_bytes() for p in (run_dir / "tables").iterdir()}
         write_tables(tmp_path / "raw", n_tables=3)
         assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
-        assert (cache / "tab2" / "c1").is_dir()
+        assert (cache / "tab2.csv").is_file()
         for kind in kinds:
             assert main(["aggregate", kind, str(run_dir)]) == 0
         assert len(before) == 8
@@ -790,10 +827,7 @@ class TestAggregate:
 
     def test_rocband_refuses_cached_data_changed_after_the_run(self, study, tmp_path, capsys):
         cache, run_dir = self.own_run(study, tmp_path)
-        bench = read_benchmark(cache, "tab0", "c1")
-        anomaly = bench.anomaly.copy()
-        anomaly[0, 0] += 0.25
-        write_benchmark(dataclasses.replace(bench, anomaly=anomaly), cache)
+        shift_first_anomaly(cache / "tab0.csv", cache / "tab0.csv", "c1")
         capsys.readouterr()
         assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0-c1",
                      "--detector", "knn", "--k", "3", "--splits", "2"]) == 2
@@ -945,7 +979,7 @@ class TestOneOffs:
             assert handle.readline().startswith("# manifest: ")
             header, *rows = csv.reader(handle)
         assert header == ["id", "score"]
-        bench = read_benchmark(study.cache, "tab1", "c2")
+        bench = cached(study.cache, "tab1-c2")
         fold = split(
             bench, SplitSpec(train_fraction=0.8, contamination=0.0, seed=0, repetition=0)
         )
@@ -969,10 +1003,8 @@ class TestOneOffs:
             ]
             assert len(set(splits)) == 4
         # The same benchmark over other data.
-        bench = read_benchmark(study.cache, "tab0", "c1")
-        anomaly = bench.anomaly.copy()
-        anomaly[0, 0] += 0.25
-        write_benchmark(dataclasses.replace(bench, anomaly=anomaly), tmp_path / "changed")
+        (tmp_path / "changed").mkdir()
+        shift_first_anomaly(study.cache / "tab0.csv", tmp_path / "changed" / "tab0.csv", "c1")
         assert manifest("scores") != manifest("scores", cache=tmp_path / "changed")
 
     def test_volume_reproduces_grid_cvol_for_every_class(self, tmp_path, capsys):
@@ -1013,7 +1045,11 @@ class TestOneOffs:
 
     def test_volume_refuses_a_test_fold_without_anomalies(self, tmp_path, capsys):
         # At contamination 0.05 both anomalies go to the training fold.
-        write_benchmark(synth_gaussian(50, 2, dim=2, seed=0), tmp_path / "cache")
+        bench = synth_gaussian(50, 2, dim=2, seed=0)
+        (tmp_path / "cache").mkdir()
+        write_raw_table(RawTable("synth", np.vstack([bench.normal, bench.anomaly]),
+                                 ("normal",) * 50 + ("shifted",) * 2),
+                        tmp_path / "cache" / "synth.csv")
         assert main(["volume", "--dataset", str(tmp_path / "cache"), "--benchmark", "synth",
                      "--detector", "knn", "--k", "3", "--contamination", "0.05"]) == 2
         assert "need at least one positive (anomalous) sample" in capsys.readouterr().err

@@ -5,16 +5,13 @@ from adeval.datasets import (
     BenchmarkDataset,
     RawTable,
     SplitSpec,
-    list_benchmarks,
     load_benchmarks,
     make_benchmarks,
     minmax_scaled_table,
-    read_benchmark,
     read_raw_table,
     split,
     synth_gaussian,
     synth_multiclass_table,
-    write_benchmark,
     write_raw_table,
 )
 
@@ -269,44 +266,77 @@ class TestTableIo:
             read_raw_table(path)
 
 
+def labelled_table(name, counts):
+    """A 1-D table holding ``n`` rows of each ``class: n`` in ``counts``, valued by row."""
+    classes = tuple(c for c, n in counts.items() for _ in range(n))
+    return RawTable(name=name, features=np.arange(float(len(classes)))[:, None], classes=classes)
+
+
+def cache_tables(root, tables):
+    """Write each table as a cache file, named after its benchmarks' table."""
+    for table in tables:
+        write_raw_table(table, root / f"{make_benchmarks(table)[0].table}.csv")
+
+
 class TestBenchmarkCache:
     def test_roundtrip_is_exact(self, tmp_path):
-        bench = synth_gaussian(20, 7, dim=3, seed=5, table="tab", anomaly_class="c1")
-        write_benchmark(bench, tmp_path)
-        back = read_benchmark(tmp_path, "tab", "c1")
-        np.testing.assert_array_equal(back.normal, bench.normal)
-        np.testing.assert_array_equal(back.anomaly, bench.anomaly)
-        assert back.name == "tab-c1"
+        table = synth_multiclass_table("tab", (20, 7, 5), dim=3, seed=5)
+        cache_tables(tmp_path, [table])
+        made, back = make_benchmarks(table), load_benchmarks(tmp_path)
+        assert [b.name for b in back] == [b.name for b in made] == ["tab-c1", "tab-c2"]
+        for b, m in zip(back, made):
+            assert b.normal.tobytes() == m.normal.tobytes()
+            assert b.anomaly.tobytes() == m.anomaly.tobytes()
+        assert back[0].normal is back[1].normal
 
-    def test_listing_is_sorted(self, tmp_path):
-        for table, cls in (("b", "y"), ("a", "z"), ("a", "x")):
-            write_benchmark(
-                synth_gaussian(5, 2, seed=0, table=table, anomaly_class=cls),
-                tmp_path,
-            )
-        assert list_benchmarks(tmp_path) == [("a", "x"), ("a", "z"), ("b", "y")]
+    def test_listing_is_sorted_by_table_then_class(self, tmp_path):
+        # "a-b.csv" sorts before "a.csv", but table "a" comes before table "a-b".
+        cache_tables(tmp_path, [labelled_table("b", {"n": 3, "y": 1}),
+                                labelled_table("a-b", {"n": 3, "x": 1}),
+                                labelled_table("a", {"n": 3, "z": 1, "x": 2})])
+        assert [b.name for b in load_benchmarks(tmp_path)] == ["a-x", "a-z", "a-b-x", "b-y"]
 
     def test_load_filters_by_table_or_full_name(self, tmp_path):
-        for table, cls in (("a", "x"), ("a", "y"), ("b", "x")):
-            write_benchmark(
-                synth_gaussian(5, 2, seed=0, table=table, anomaly_class=cls),
-                tmp_path,
-            )
-        assert [b.name for b in load_benchmarks(tmp_path, only=["a"])] == [
-            "a-x",
-            "a-y",
-        ]
+        cache_tables(tmp_path, [labelled_table("a", {"n": 3, "x": 1, "y": 1}),
+                                labelled_table("b", {"n": 3, "x": 1})])
+        assert [b.name for b in load_benchmarks(tmp_path, only=["a"])] == ["a-x", "a-y"]
         assert [b.name for b in load_benchmarks(tmp_path, only=["b-x"])] == ["b-x"]
         assert len(load_benchmarks(tmp_path)) == 3
-        assert list_benchmarks(tmp_path, only=("a-y", "b")) == [("a", "y"), ("b", "x")]
+        assert [b.name for b in load_benchmarks(tmp_path, only=("a-y", "b"))] == ["a-y", "b-x"]
 
-    def test_weird_names_sanitized_in_paths(self, tmp_path):
-        bench = synth_gaussian(5, 2, seed=0, table="we ird", anomaly_class="c/1")
-        write_benchmark(bench, tmp_path)
-        assert (tmp_path / "we_ird" / "c_1" / "normal.csv").is_file()
-        back = read_benchmark(tmp_path, "we ird", "c/1")
+    def test_load_reads_only_the_tables_it_may_select(self, tmp_path):
+        cache_tables(tmp_path, [labelled_table("a", {"n": 3, "x": 1})])
+        (tmp_path / "broken.csv").write_text("f0,class\noops,n\n")
+        assert [b.name for b in load_benchmarks(tmp_path, only=["a-x", "ab"])] == ["a-x"]
+        with pytest.raises(ValueError, match="line 2"):
+            load_benchmarks(tmp_path)
+
+    def test_weird_names_sanitized(self, tmp_path):
+        table = labelled_table("we ird", {"n": 3, "c/1": 2})
+        (bench,) = make_benchmarks(table)
+        assert (bench.table, bench.anomaly_class, bench.name) == ("we_ird", "c_1", "we_ird-c_1")
+        cache_tables(tmp_path, [table])
+        assert [p.name for p in tmp_path.iterdir()] == ["we_ird.csv"]
+        (back,) = load_benchmarks(tmp_path)
+        assert back.name == "we_ird-c_1"
         np.testing.assert_array_equal(back.normal, bench.normal)
 
-    def test_missing_benchmark_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no stored benchmark"):
-            read_benchmark(tmp_path, "ghost", "c1")
+    def test_a_file_not_named_by_its_table_is_refused(self, tmp_path):
+        # Beside we_ird.csv it would make a second table 'we_ird' with another normal class.
+        write_raw_table(labelled_table("we ird", {"n": 3, "x": 1}), tmp_path / "we ird.csv")
+        cache_tables(tmp_path, [labelled_table("we_ird", {"n": 4, "y": 1})])
+        with pytest.raises(ValueError, match="we ird.csv: not a prepared table"):
+            load_benchmarks(tmp_path)
+        assert [b.name for b in load_benchmarks(tmp_path, only=["we_ird"])] == ["we_ird-y"]
+
+    def test_classes_that_make_one_name_are_refused(self):
+        with pytest.raises(ValueError, match="two classes of table 'tab' make benchmark 'tab-c_1'"):
+            make_benchmarks(labelled_table("tab", {"n": 20, "c/1": 4, "c_1": 6}))
+
+    def test_an_empty_or_old_layout_cache_holds_no_benchmarks(self, tmp_path):
+        assert load_benchmarks(tmp_path / "ghost") == []
+        old = tmp_path / "tab" / "c1"
+        old.mkdir(parents=True)
+        (old / "normal.csv").write_text("f0\n1.0\n")
+        (old / "anomaly.csv").write_text("f0\n2.0\n")
+        assert load_benchmarks(tmp_path) == []

@@ -688,7 +688,7 @@ class TestSharedFits:
         normal = second.normal.copy()
         normal[0, 0] += 0.25
         spoiled = dataclasses.replace(second, normal=normal)
-        store = RecordStore(tmp_path, manifest_hash="h")
+        store = RecordStore(tmp_path / "records", manifest_hash="h")
         monkeypatch.setattr(store, "load", lambda: pytest.fail("store loaded before the check"))
         with pytest.raises(ValueError, match="table 'm'"):
             run_grid(self.cfg, [first, spoiled], store)
