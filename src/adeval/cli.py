@@ -282,20 +282,20 @@ def _find_benchmark(
 ) -> BenchmarkDataset:
     """The cached benchmark named ``name``, or the one benchmark of table ``name``.
 
-    With ``run``, only the run's benchmarks (the names of its manifest's
-    ``data``) count, for the table alias and for the names listed when
-    ``name`` matches none.
+    Only the table files that can hold ``name`` are read (:func:`load_benchmarks`);
+    the whole cache is read only to list its names when ``name`` matches
+    none.  With ``run``, only the run's benchmarks (the names of its
+    manifest's ``data``) count, for the table alias and for the names
+    listed when ``name`` matches none.
     """
-    stored = load_benchmarks(dataset_dir)
-    if run is not None:
-        stored = [b for b in stored if b.name in run.data]
+    stored = [b for b in load_benchmarks(dataset_dir, [name]) if run is None or b.name in run.data]
     for bench in stored:
         if bench.name == name or (
             bench.table == name and [b.table for b in stored].count(name) == 1
         ):
             return bench
     if run is None:
-        available = ", ".join(b.name for b in stored) or "none"
+        available = ", ".join(b.name for b in load_benchmarks(dataset_dir)) or "none"
         raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
     if name in run.data:
         raise CliError(f"benchmark {name} of run {run.hash} is not under {dataset_dir}")

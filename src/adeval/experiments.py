@@ -33,7 +33,8 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import groupby
+from functools import partial
+from itertools import groupby, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -160,8 +161,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if not self.alphas or not self.ps:
-            raise ValueError("need at least one alpha and one p level")
+        if not self.alphas or not self.ps or not self.contaminations:
+            raise ValueError("need at least one alpha, p and contamination level")
         for alpha in self.alphas:
             if not 0.0 < alpha <= 1.0:
                 raise ValueError(f"alphas must lie in (0, 1], got {alpha!r}")
@@ -656,41 +657,41 @@ def _evaluate_cells(
 
 def _run_repetition(
     cfg: GridConfig,
-    pending: Sequence[tuple[BenchmarkDataset, Sequence[Combo]]],
+    benches: Sequence[BenchmarkDataset],
     contamination: float,
     repetition: int,
 ) -> list[ExperimentRecord]:
-    """Evaluate the cells of one (table, contamination, repetition) block.
+    """Evaluate every combo's cell of ``benches`` in one (contamination, repetition) block.
 
-    ``pending`` pairs benchmarks of one table with the combos of their
-    cells to run; records come back in that order.  Every benchmark of the
-    table holds the table's normal class (:func:`check_tables`), so by
-    :func:`split` they share the test normals, which lead each test fold,
-    and every benchmark whose training fold holds no injected anomaly
-    trains on the same normal fold.  Each benchmark is split once, and the
-    block draws one volume sample (:func:`volume_box_and_seed`).  The
-    benchmarks without injected anomalies form one fit group: one
-    :func:`fit_models` call over the union of their combos.  That is every
-    benchmark of the table at contamination 0, and at any level too low to
-    inject an anomaly.  Every other benchmark is a fit group of its own.
+    The benchmarks come from one table, and their training folds share one
+    fit: either one benchmark, or benchmarks whose folds take no injected
+    anomaly (:func:`train_counts`), which at contamination 0 and at any
+    level too low to inject one are all the table's normal fold.  More
+    than one benchmark whose folds take injected anomalies raises
+    ``ValueError``.  Records come back by benchmark, then combo.  Every
+    benchmark of the table holds the table's normal class
+    (:func:`check_tables`), so by :func:`split` they share the test
+    normals, which lead each test fold.  The block splits each benchmark,
+    draws one volume sample (:func:`volume_box_and_seed`) and makes one
+    :func:`fit_models` call over every combo on the shared training fold.
 
-    A fit group scores its models in groups, one per scorer: every kNN and
-    LOF model in one group that shares one distance matrix per query
-    chunk (:func:`neighbour_scores`), and the forest prefixes of each
-    subsample in one group that one pass over the trees scores
-    (:func:`forest_scores`).  Each scorer scores the group's test points,
-    the first member's test normals and then each member's test anomalies,
-    and then the volume sample.  The rows of every scorer that succeeded
-    are stacked into one (combo x point) matrix of test scores and one of
-    volume scores.  Each benchmark then takes its rows (its combos) and
-    columns (the shared normals and its own anomalies, which is its test
-    fold in split order) and evaluates its cells once per block
-    (:func:`_evaluate_cells`): with validation, the evaluation part of the
-    test fold, then its ``val:`` part.  Every measure is row-wise and the
-    precision@p draws depend only on the labels and the benchmark's seed,
-    and a point's score does not depend on the other points scored with
-    it, so a cell's values depend neither on which benchmarks share the
-    block nor on which scorers share its evaluation.
+    The models are scored in groups, one per scorer: every kNN and LOF
+    model in one group that shares one distance matrix per query chunk
+    (:func:`neighbour_scores`), and the forest prefixes of each subsample
+    in one group that one pass over the trees scores
+    (:func:`forest_scores`).  Each scorer scores the block's test points,
+    the shared test normals and then each benchmark's test anomalies, and
+    then the volume sample.  The rows of every scorer that succeeded are
+    stacked into one (combo x point) matrix of test scores and one of
+    volume scores.  Each benchmark takes its columns (the shared normals
+    and its own anomalies, which is its test fold in split order) and
+    evaluates its cells once (:func:`_evaluate_cells`): with validation,
+    the evaluation part of the test fold, then its ``val:`` part.  Every
+    measure is row-wise and the precision@p draws depend only on the labels
+    and the benchmark's seed, and a point's score does not depend on the
+    other points scored with it, so a cell's values depend neither on
+    which benchmarks share the block nor on which scorers share its
+    evaluation.
 
     A failure leaves missing every value of the cells it reaches that is
     not yet evaluated and flags them ``error:<exception type>``: a failed
@@ -702,27 +703,19 @@ def _run_repetition(
     """
     names = cfg.measure_names()
     measures = cfg.measures()
+    combos = cfg.detector_combos()
     spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
                      seed=cfg.master_seed, repetition=repetition)
-    records: dict[tuple[int, int], ExperimentRecord] = {}  # (position in pending, grid index)
+    if len(benches) > 1 and train_counts(spec, len(benches[0].normal))[1] > 0:
+        raise ValueError("benchmarks whose training folds take injected anomalies "
+                         "cannot share one fit")
+    # cells[i][r]: (values, flags) of benchmark i and combo r.
+    cells: list[list] = [[None] * len(combos) for _ in benches]
 
-    def store(i: int, combo: Combo, values: dict[str, float], flags: list[str]) -> None:
-        bench = pending[i][0]
-        records[i, combo.index] = ExperimentRecord(
-            grid_index=combo.index,
-            table=bench.table,
-            anomaly_class=bench.anomaly_class,
-            detector=combo.detector,
-            params=combo.params_text,
-            contamination=contamination,
-            repetition=repetition,
-            values={n: values.get(n) for n in names},
-            flags=tuple(flags),
-        )
-
-    def fail(i: int, combos: Iterable[Combo], exc: Exception) -> None:
-        for combo in combos:
-            store(i, combo, {}, [_error_flag(exc)])
+    def fail(members: Iterable[int], rows: Iterable[int], exc: Exception) -> None:
+        for i in members:
+            for r in rows:
+                cells[i][r] = ({}, [_error_flag(exc)])
 
     def samples(bench: BenchmarkDataset, n_test: int) -> list[tuple[str, NDArray[np.intp]]]:
         if cfg.validation_fraction == 0:
@@ -734,75 +727,68 @@ def _run_repetition(
         n_val = int(round(cfg.validation_fraction * n_test))
         return [("", perm[n_val:]), ("val:", perm[:n_val])]
 
+    every = range(len(combos))
     folds: dict[int, TrainTestSplit] = {}
-    for i, (bench, combos) in enumerate(pending):
+    for i, bench in enumerate(benches):
         try:
             folds[i] = split(bench, spec)
         except _CELL_ERRORS as exc:
-            fail(i, combos, exc)
+            fail([i], every, exc)
     try:
-        box, seed = volume_box_and_seed(pending[0][0], cfg.master_seed, repetition)
+        box, seed = volume_box_and_seed(benches[0], cfg.master_seed, repetition)
         volume = uniform_sample(box, cfg.volume_samples, seed)
     except _CELL_ERRORS as exc:
-        for i in folds:
-            fail(i, pending[i][1], exc)
+        fail(folds, every, exc)
         folds.clear()
 
-    clean = [i for i, fold in folds.items() if fold.train_anomaly_count == 0]
-    fit_groups = ([clean] if clean else []) + [[i] for i in folds if i not in clean]
-    for members in fit_groups:
-        union = sorted({c for i in members for c in pending[i][1]}, key=lambda c: c.index)
-        first = members[0]
-        models = fit_models(pending[first][0], spec, folds[first].train, union)
-        wanted = {i: set(pending[i][1]) for i in members}
+    if folds:
+        first = next(iter(folds.values()))
+        models = fit_models(benches[0], spec, first.train, combos)
         # split() puts a fold's test normals, the table's, ahead of its test anomalies.
-        n_normal = int(np.count_nonzero(folds[first].test_labels == 0))
-        tests = np.concatenate(
-            [folds[first].test[:n_normal]] + [folds[i].test[n_normal:] for i in members]
-        )
-        ends = np.cumsum([n_normal] + [len(folds[i].test) - n_normal for i in members])
-        test_cols = [np.r_[:n_normal, start:stop] for start, stop in zip(ends, ends[1:])]
-        groups: dict[tuple, list[tuple[Combo, object]]] = {}
-        for combo, model in zip(union, models):
+        n_normal = int(np.count_nonzero(first.test_labels == 0))
+        anomalies = [fold.test[n_normal:] for fold in folds.values()]
+        tests = np.concatenate([first.test[:n_normal], *anomalies])
+        ends = np.cumsum([n_normal] + [len(a) for a in anomalies])
+        groups: dict[tuple, list[int]] = {}
+        for r, (combo, model) in enumerate(zip(combos, models)):
             if isinstance(model, Exception):
-                for i in members:
-                    if combo in wanted[i]:
-                        fail(i, [combo], model)
+                fail(folds, [r], model)
             else:
                 key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
                        else (neighbour_scores, None))
-                groups.setdefault(key, []).append((combo, model))
-        fitted: list[Combo] = []
+                groups.setdefault(key, []).append(r)
+        fitted: list[int] = []
         test_parts, volume_parts = [], []
-        for (score, _), group in groups.items():
-            combos, group_models = zip(*group)
+        for (score, _), rows in groups.items():
+            group_models = [models[r] for r in rows]
             try:
                 test_part = score(group_models, tests)
                 volume_part = score(group_models, volume)
             except _CELL_ERRORS as exc:
-                for i in members:
-                    fail(i, [c for c in combos if c in wanted[i]], exc)
+                fail(folds, rows, exc)
                 continue
-            fitted += combos
+            fitted += rows
             test_parts.append(test_part)
             volume_parts.append(volume_part)
-        if not fitted:
-            continue
-        test_scores, volume_scores = np.vstack(test_parts), np.vstack(volume_parts)
-        for i, cols in zip(members, test_cols):
-            rows = [r for r, c in enumerate(fitted) if c in wanted[i]]
-            if not rows:
-                continue
-            mine = slice(None) if len(rows) == len(fitted) else rows
-            bench, labels = pending[i][0], folds[i].test_labels
-            prec_seed = derive_seed(cfg.master_seed, "precision", bench.name, repetition)
-            cells = _evaluate_cells(
-                labels, samples(bench, len(labels)), test_scores[mine][:, cols],
-                volume_scores[mine], measures, cfg, prec_seed,
-            )
-            for r, (values, flags) in zip(rows, cells):
-                store(i, fitted[r], values, flags)
-    return [records[i, c.index] for i, (_, combos) in enumerate(pending) for c in combos]
+        if fitted:
+            test_scores, volume_scores = np.vstack(test_parts), np.vstack(volume_parts)
+            for (i, fold), start, stop in zip(folds.items(), ends, ends[1:]):
+                prec_seed = derive_seed(cfg.master_seed, "precision", benches[i].name, repetition)
+                evaluated = _evaluate_cells(
+                    fold.test_labels, samples(benches[i], len(fold.test_labels)),
+                    test_scores[:, np.r_[:n_normal, start:stop]], volume_scores,
+                    measures, cfg, prec_seed,
+                )
+                for r, cell in zip(fitted, evaluated):
+                    cells[i][r] = cell
+    return [
+        ExperimentRecord(
+            grid_index=combo.index, table=bench.table, anomaly_class=bench.anomaly_class,
+            detector=combo.detector, params=combo.params_text, contamination=contamination,
+            repetition=repetition, values={n: values.get(n) for n in names}, flags=tuple(flags),
+        )
+        for bench, row in zip(benches, cells) for combo, (values, flags) in zip(combos, row)
+    ]
 
 
 def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
@@ -810,7 +796,7 @@ def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
 
     :func:`make_benchmarks` gives every benchmark of a table the table's
     normal class, and a grid block shares its volume sample, test normals
-    and clean fits on that fact (:func:`_run_repetition`).
+    and fit on that fact (:func:`_run_repetition`).
     """
     seen: dict[str, BenchmarkDataset] = {}
     for bench in benchmarks:
@@ -820,11 +806,6 @@ def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
                 f"benchmarks {other.name!r} and {bench.name!r} of table {bench.table!r} "
                 "hold different normal classes; make a table's benchmarks with make_benchmarks"
             )
-
-
-def _run_block(block) -> list[ExperimentRecord]:
-    """Worker entry: :func:`_run_repetition` of one (cfg, pending, contamination, repetition) block."""
-    return _run_repetition(*block)
 
 
 def run_grid(
@@ -844,20 +825,18 @@ def run_grid(
     as flagged-missing; the grid itself never aborts.  The summary counts
     the flagged cells of the whole store, those stored before and the new.
 
-    Cells are blocked by (table, contamination, repetition).  Within a
-    block the benchmarks share one volume sample and their test normals,
-    and every benchmark without an injected anomaly in its training fold
-    shares one fit, which at contamination 0 is every benchmark of the
-    table (:func:`_run_repetition`).  Blocks may be evaluated by up to
-    ``workers`` processes, never more than there are blocks.  When there
-    are fewer blocks than workers, each block whose training folds take
-    injected anomalies (:func:`train_counts`) is split by benchmark, which
-    repeats the shared draws and test normals on otherwise idle workers.
-    A block that injects none, at contamination 0 or at a level too low
-    to inject one anomaly, is one fit group, so splitting it would only
-    repeat its fit on every worker; it stays whole.
-    Each block's records are appended as soon as it and every block before
-    it are done, so an interrupted run keeps every block it appended, and
+    A block is one shared training fold, planned from the input alone.
+    For each (table, contamination, repetition), when the table's folds
+    take no injected anomaly (:func:`train_counts`: contamination 0, or a
+    level too low to inject one), the block is every benchmark of the
+    table with a missing cell there, which share one fit; otherwise each
+    such benchmark is a block of its own.  A block runs whole
+    (:func:`_run_repetition`) and only its missing cells are appended, so
+    a resume that meets a block torn by an interrupted append recomputes
+    its stored cells and keeps them as they are.  Blocks are evaluated by
+    up to ``workers`` processes, never more than there are blocks.  Each
+    block's records are appended as soon as it and every block before it
+    are done, so an interrupted run keeps every block it appended, and
     each store file lists its cells by contamination, then repetition,
     then combo.  Seeds derive from cell identity and the table, never from
     scheduling or grouping, so the store content depends neither on the
@@ -868,50 +847,40 @@ def run_grid(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     check_tables(benchmarks)
-    combos = cfg.detector_combos()
     names = cfg.measure_names()
     stored = store.load()
-    missing = missing_cells(cfg, [b.name for b in benchmarks], stored)
-    todo: dict[tuple, list[Combo]] = {}  # (benchmark, contamination, repetition) -> combos
-    for name, contamination, index, repetition in missing:
-        todo.setdefault((name, contamination, repetition), []).append(combos[index])
+    missing = set(missing_cells(cfg, [b.name for b in benchmarks], stored))
+    todo = {(name, c, rep) for name, c, _, rep in missing}
     ordered = sorted(benchmarks, key=lambda b: (b.table, b.anomaly_class))
 
-    blocks = []  # (cfg, pending, contamination, repetition), in store order
-    for table, group in groupby(ordered, key=lambda b: b.table):
+    blocks = []  # (benchmarks, contamination, repetition), in store order
+    for _, group in groupby(ordered, key=lambda b: b.table):
         benches = list(group)
         for contamination in cfg.contaminations:
+            spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination)
+            shared = train_counts(spec, len(benches[0].normal))[1] == 0
             for repetition in range(cfg.repetitions):
-                pending = [(b, todo[b.name, contamination, repetition]) for b in benches
-                           if (b.name, contamination, repetition) in todo]
-                if pending:
-                    blocks.append((cfg, pending, contamination, repetition))
+                pending = [b for b in benches if (b.name, contamination, repetition) in todo]
+                parts = [pending] if shared else [[b] for b in pending]
+                blocks += [(part, contamination, repetition) for part in parts if part]
 
-    def injects(pending, contamination: float) -> bool:
-        spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination)
-        return train_counts(spec, len(pending[0][0].normal))[1] > 0
-
-    if workers > 1 and len(blocks) < workers:
-        blocks = [(cfg, part, contamination, repetition)
-                  for _, pending, contamination, repetition in blocks
-                  for part in ([[cells] for cells in pending] if injects(pending, contamination)
-                               else [pending])]
-
+    run = partial(_run_repetition, cfg)
     flagged = [r for r in stored if r.is_flagged_missing]
     with ExitStack() as stack:
-        results = map(_run_block, blocks)
+        results = starmap(run, blocks)
         if workers > 1 and len(blocks) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(blocks))))
-            results = pool.map(_run_block, blocks)
-        for (*_, contamination, repetition), records in zip(blocks, results):
+            results = pool.map(run, *zip(*blocks))
+        for (_, contamination, repetition), records in zip(blocks, results):
+            records = [r for r in records if r.cell_key in missing]
             if progress:
                 progress(f"{records[0].table} c={contamination:g} rep={repetition}: "
                          f"{len(records)} cells")
             store.append(records, names)
             flagged += [r for r in records if r.is_flagged_missing]
-    n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(combos)
+    n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(cfg.detector_combos())
     errors = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
     return RunSummary(n_cells=n_cells, n_new=len(missing), n_flagged=len(flagged),
                       errors=dict(sorted(errors.items())))

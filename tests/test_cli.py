@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from itertools import starmap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -331,10 +333,10 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                items = list(items)
-                sizes.append((self.max_workers, len(items)))
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                sizes.append((self.max_workers, len(tasks)))
+                return starmap(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return sizes
@@ -350,8 +352,8 @@ class TestRun:
 
     @pytest.mark.parametrize("workers, pool", [
         ("3", (3, 4)),  # one block per (table, repetition): 2 tables x 2 repetitions
-        # Fewer blocks than workers, but at contamination 0 each block is one
-        # fit group, which a split by benchmark would only refit: kept whole.
+        # The blocks come from the input alone: at contamination 0 each is a
+        # whole table's shared fit, whatever the worker count.
         ("16", (4, 4)),
     ])
     def test_pool_is_no_larger_than_the_block_count(self, study, tmp_path, monkeypatch,
@@ -390,10 +392,11 @@ class TestRun:
         assert read_store_bytes(tmp_path / "run") == read_store_bytes(study.run)
 
     def test_package_and_pyproject_versions_agree(self):
-        tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with open(pyproject, "rb") as handle:
-            assert tomllib.load(handle)["project"]["version"] == adeval.__version__
+        # Read without tomllib, which Python 3.10 lacks: the [project] table's version line.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        (version,) = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M)
+        assert version == adeval.__version__
 
     def test_flag_overrides_win_over_file(self, study, tmp_path):
         run_dir = tmp_path / "quick"
@@ -424,6 +427,13 @@ class TestRun:
     def test_malformed_config_value_rejected(self, tmp_path, capsys):
         assert main(["run", "--set", "knn_ks=1,x"]) == 2
         assert "knn_ks" in capsys.readouterr().err
+
+    def test_empty_contamination_list_is_rejected(self, study, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
+                     "--set", "contaminations="]) == 2
+        assert "contamination" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @staticmethod
     def failing_run(tmp_path) -> list[str]:
@@ -1086,7 +1096,32 @@ class TestOneOffs:
                 "--detector", "knn",
             ]
         ) == 2
-        assert "ghost" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ghost" in err and "(available: tab0-c1, tab0-c2, tab1-c1, tab1-c2)" in err
+
+    def test_one_offs_read_only_the_table_they_name(self, study, tmp_path, capsys):
+        # A run over a copy of the cache, which then gains a malformed table file.
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        shutil.copytree(study.cache, cache)
+        assert main(["run", "--config", str(study.config), "--set", f"dataset_dir={cache}",
+                     "--set", f"output_dir={run_dir}"]) == 0
+        (cache / "zz.csv").write_text("f0,class\noops,n\n")
+        flags = ["--benchmark", "tab0-c1", "--detector", "knn", "--k", "3"]
+        capsys.readouterr()
+        for command in ("scores", "volume"):
+            assert main([command, "--dataset", str(study.cache), *flags]) == 0
+            clean = capsys.readouterr().out
+            assert main([command, "--dataset", str(cache), *flags]) == 0
+            assert capsys.readouterr().out == clean
+        band = ["--detector", "knn", "--splits", "2", "--out", str(tmp_path / "band")]
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0-c1", *band]) == 0
+        # Two benchmarks of the run share table tab0, so the alias names neither.
+        assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0", *band]) == 2
+        assert "(available: tab0-c1, tab0-c2, tab1-c1, tab1-c2)" in capsys.readouterr().err
+        # Only an unknown name reads the whole cache, to list it.
+        assert main(["scores", "--dataset", str(cache), "--benchmark", "ghost",
+                     "--detector", "knn"]) == 2
+        assert "zz.csv: line 2" in capsys.readouterr().err
 
 
 def test_importing_the_cli_loads_no_scipy():

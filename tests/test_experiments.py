@@ -160,6 +160,10 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(knn_ks=(), lof_ks=(), iforest_trees=()).detector_combos()
 
+    def test_rejects_an_empty_contamination_list(self):
+        with pytest.raises(ValueError, match="contamination"):
+            GridConfig(contaminations=())
+
 
 # ---------------------------------------------------------------------------
 # Running cells and grids
@@ -256,9 +260,8 @@ class TestRunGrid:
 
     def test_worker_count_does_not_change_multiclass_records(self, tmp_path):
         # Two tables of two anomaly classes, every family, two contamination
-        # levels, two repetitions: eight blocks, each sharing fits.  Nine
-        # workers split the four at contamination 0.05 into their eight
-        # single-benchmark parts and keep the four at 0 whole.
+        # levels, two repetitions: four blocks at contamination 0, each
+        # sharing one fit, and eight single-benchmark blocks at 0.05.
         cfg = GridConfig(
             knn_variants=("kappa", "delta"), knn_ks=(1, 4), lof_ks=(5,),
             iforest_trees=(10, 20), iforest_subsample=32, alphas=(0.05,), ps=(0.1,),
@@ -283,37 +286,42 @@ class TestRunGrid:
                        cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
 
-    def test_idle_workers_split_only_blocks_of_several_fit_groups(self, tmp_path):
-        # One table of two anomaly classes, one repetition: a block at
-        # contamination 0, one shared fit, and one at 0.05, a fit per class.
-        cfg = knn_only_config(contaminations=(0.0, 0.05), repetitions=1)
-        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
-        lines = []
-        run_grid(cfg, benches, RecordStore(tmp_path, manifest_hash="h"),
-                 progress=lines.append, workers=3)
-        assert lines == ["m c=0 rep=0: 4 cells", "m c=0.05 rep=0: 2 cells",
-                         "m c=0.05 rep=0: 2 cells"]
-
-    def test_idle_workers_keep_whole_a_block_that_injects_no_anomaly(self, tmp_path):
+    @pytest.mark.parametrize("contamination, lines", [
+        (0.0, ["m c=0 rep=0: 4 cells"]),
         # 48 training normals take round(0.01 * 48 / 0.99) = 0 anomalies:
-        # contamination 0.01 is one fit group, as contamination 0 is.
-        cfg = knn_only_config(contaminations=(0.01,), repetitions=1)
+        # contamination 0.01 shares one fit, as contamination 0 does.
+        (0.01, ["m c=0.01 rep=0: 4 cells"]),
+        # They take 3 anomalies at 0.05: one block, and one fit, per class.
+        (0.05, ["m c=0.05 rep=0: 2 cells"] * 2),
+    ])
+    def test_block_plan_does_not_depend_on_the_worker_count(self, tmp_path, contamination,
+                                                            lines):
+        # One table of two anomaly classes, one repetition.
+        cfg = knn_only_config(contaminations=(contamination,), repetitions=1)
         benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
-        lines, stores = [], {}
+        progress, stores = {}, {}
         for workers in (1, 3):
             root = tmp_path / str(workers)
+            progress[workers] = []
             run_grid(cfg, benches, RecordStore(root, manifest_hash="h"),
-                     progress=lines.append, workers=workers)
+                     progress=progress[workers].append, workers=workers)
             stores[workers] = {p.name: p.read_bytes() for p in root.glob("*.csv")}
-        assert lines == ["m c=0.01 rep=0: 4 cells"] * 2
+        assert progress[1] == progress[3] == lines
         assert len(stores[1]) == 2 and stores[1] == stores[3]
+
+    def test_benchmarks_with_injected_anomalies_cannot_share_a_block(self):
+        cfg = knn_only_config(repetitions=1)
+        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        assert len(_run_repetition(cfg, benches, 0.0, 0)) == 2 * len(cfg.detector_combos())
+        with pytest.raises(ValueError, match="injected anomalies"):
+            _run_repetition(cfg, benches, 0.05, 0)
 
     def test_cells_deterministic(self):
         cfg = knn_only_config()
         bench = self.bench()
         combo = cfg.detector_combos()[1]
-        a = _run_repetition(cfg, [(bench, [combo])], 0.0, 1)[0]
-        b = _run_repetition(cfg, [(bench, [combo])], 0.0, 1)[0]
+        a = _run_repetition(cfg, [bench], 0.0, 1)[combo.index]
+        b = _run_repetition(cfg, [bench], 0.0, 1)[combo.index]
         assert a == b
 
     def test_failing_cell_is_flagged_not_fatal(self, tmp_path):
@@ -428,7 +436,7 @@ class TestRunCell:
         bench = synth_gaussian(40, 2, seed=3)
         (combo,) = cfg.detector_combos()
         for rep in (0, 1, 3):
-            rec = _run_repetition(cfg, [(bench, [combo])], 0.0, rep)[0]
+            (rec,) = _run_repetition(cfg, [bench], 0.0, rep)
             kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
             val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
             assert len(kept) == len(val) == 7
@@ -453,7 +461,7 @@ class TestRunCell:
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
-        rec = _run_repetition(cfg, [(bench, [cfg.detector_combos()[0]])], 0.0, 1)[0]
+        (rec,) = _run_repetition(cfg, [bench], 0.0, 1)
         assert rec.flags == () and not rec.is_flagged_missing
         # One batched call per labelled sample (evaluation part, then
         # validation part), with one row for the one cell.
@@ -575,8 +583,9 @@ class TestRunCell:
             for rep in range(cfg.repetitions)
         ]
         expected = {
-            (c, combo.index, rep): _run_repetition(cfg, [(bench, [combo])], c, rep)[0]
-            for combo, c, rep in cells
+            (r.contamination, r.grid_index, r.repetition): r
+            for c in cfg.contaminations for rep in range(cfg.repetitions)
+            for r in _run_repetition(cfg, [bench], c, rep)
         }
         store = RecordStore(tmp_path, manifest_hash="h")
         # Resume from a store holding half of the c=0.05 block's combos.
@@ -630,9 +639,9 @@ class TestSharedFits:
     def test_records_equal_cells_run_one_benchmark_at_a_time(self, tmp_path):
         cfg = self.cfg
         expected = {
-            (bench.anomaly_class, c, combo.index, rep):
-                _run_repetition(cfg, [(bench, [combo])], c, rep)[0]
-            for bench, c, combo, rep in self.cells()
+            (r.anomaly_class, c, r.grid_index, rep): r
+            for bench in self.benches for c in cfg.contaminations
+            for rep in range(cfg.repetitions) for r in _run_repetition(cfg, [bench], c, rep)
         }
         # Resume from a store holding some cells of two benchmarks, so the
         # benchmarks of a block have different combos pending.
@@ -652,6 +661,26 @@ class TestSharedFits:
         assert loaded == expected
         failed = {key[:2] for key, r in loaded.items() if r.flags == ("error:ValueError",)}
         assert ("c3", 0.15) in failed and ("c1", 0.15) not in failed
+
+    def test_resume_of_a_partly_stored_block_appends_each_missing_cell_once(self, tmp_path):
+        # An append cut short after class c1's files and c2's kNN file: c2's
+        # blocks run whole again, and its stored kNN cells are not appended.
+        fresh = tmp_path / "fresh"
+        run_grid(self.cfg, self.benches, RecordStore(fresh, manifest_hash="h"))
+        files = {p.name: p.read_bytes() for p in fresh.glob("*.csv")}
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        for name, data in files.items():
+            if name.startswith("m-c1__") or name == "m-c2__knn.csv":
+                (resumed / name).write_bytes(data)
+        store = RecordStore(resumed, manifest_hash="h")
+        n_missing = len(missing_cells(self.cfg, [b.name for b in self.benches], store.load()))
+        assert 0 < n_missing < len(self.cells())
+        summary = run_grid(self.cfg, self.benches, store)
+        assert summary.n_new == n_missing
+        keys = [r.cell_key for r in store.load()]
+        assert len(keys) == len(set(keys)) == len(self.cells())
+        assert {p.name: p.read_bytes() for p in resumed.glob("*.csv")} == files
 
     def test_one_fit_per_training_fold(self, tmp_path, monkeypatch):
         fits = {"iforest": [], "lof": [], "knn": []}
@@ -716,6 +745,12 @@ class TestSharedVolumeAndScoring:
         )
         return GridConfig(**{**base, **overrides})
 
+    @staticmethod
+    def run_table(cfg, contamination, benches=benches):
+        """Every record of ``benches``: one block at contamination 0, else one per benchmark."""
+        blocks = [benches] if contamination == 0 else [[bench] for bench in benches]
+        return [r for block in blocks for r in _run_repetition(cfg, block, contamination, 0)]
+
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
     def test_benchmark_rows_do_not_depend_on_the_table_s_other_benchmarks(
         self, tmp_path, validation_fraction
@@ -736,16 +771,15 @@ class TestSharedVolumeAndScoring:
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
     def test_failing_scorer_fails_only_the_cells_it_served(self, monkeypatch, validation_fraction):
         cfg = self.config(repetitions=1, validation_fraction=validation_fraction)
-        pending = [(bench, cfg.detector_combos()) for bench in self.benches]
 
         def broken(models, x):
             raise ValueError("forest scoring failed")
 
         for contamination in (0.0, 0.05):
-            expected = _run_repetition(cfg, pending, contamination, 0)
+            expected = self.run_table(cfg, contamination)
             with monkeypatch.context() as patch:
                 patch.setattr(experiments, "forest_scores", broken)
-                records = _run_repetition(cfg, pending, contamination, 0)
+                records = self.run_table(cfg, contamination)
             assert len(records) == len(expected) == 3 * len(cfg.detector_combos())
             for record, unpatched in zip(records, expected):
                 if record.detector == "iforest":
@@ -765,7 +799,7 @@ class TestSharedVolumeAndScoring:
         monkeypatch.setattr(experiments, "roc_rows",
                             lambda labels, scores, order: rows.append(len(scores))
                             or roc_rows(labels, scores, order))
-        records = _run_repetition(cfg, [(bench, combos) for bench in benches], contamination, 0)
+        records = self.run_table(cfg, contamination, benches)
         assert not any(r.flags for r in records)
         # An evaluation part and a val: part per benchmark.
         assert rows == [len(combos)] * 2 * len(benches)
@@ -784,8 +818,7 @@ class TestSharedVolumeAndScoring:
                 return scorer(models, x)
 
             monkeypatch.setattr(experiments, f"{family}_scores", recording)
-        pending = [(bench, cfg.detector_combos()) for bench in self.benches]
-        records = _run_repetition(cfg, pending, 0.0, 0)
+        records = _run_repetition(cfg, self.benches, 0.0, 0)
         assert len(records) == 3 * len(cfg.detector_combos())
         assert not any(r.flags for r in records)
         assert len(draws) == 1
