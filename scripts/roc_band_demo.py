@@ -49,9 +49,9 @@ def combo(args: argparse.Namespace) -> Combo:
 
 
 def run(args: argparse.Namespace) -> int:
-    bench = synth_gaussian(
+    (bench,) = synth_gaussian(
         args.n_normal, args.n_anomaly, dim=2, shift=args.shift, seed=args.seed
-    )
+    ).benchmarks()
     band = roc_band(
         bench,
         combo(args),

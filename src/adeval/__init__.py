@@ -34,10 +34,11 @@ from adeval.detectors import (
 )
 from adeval.datasets import (
     BenchmarkDataset,
+    PreparedTable,
     RawTable,
     SplitSpec,
     TrainTestSplit,
-    make_benchmarks,
+    prepare_table,
     read_raw_table,
     split,
     synth_gaussian,

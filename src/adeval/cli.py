@@ -36,11 +36,12 @@ from adeval.datasets import (
     SplitSpec,
     TrainTestSplit,
     _safe_name,
-    load_benchmarks,
-    make_benchmarks,
+    load_tables,
     minmax_scaled_table,
+    prepare_table,
     read_raw_table,
     split,
+    table_files,
     write_raw_table,
 )
 from adeval.experiments import (
@@ -48,6 +49,7 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    benchmarks_of,
     collapse,
     fit_models,
     kendall_matrix,
@@ -282,21 +284,20 @@ def _find_benchmark(
 ) -> BenchmarkDataset:
     """The cached benchmark named ``name``, or the one benchmark of table ``name``.
 
-    Only the table files that can hold ``name`` are read (:func:`load_benchmarks`);
-    the whole cache is read only to list its names when ``name`` matches
-    none.  With ``run``, only the run's benchmarks (the names of its
-    manifest's ``data``) count, for the table alias and for the names
-    listed when ``name`` matches none.
+    Only the table files that can hold ``name`` are read (:func:`load_tables`).
+    When ``name`` matches none, the error lists the cached tables by file
+    name, which reads no file.  With ``run``, only the run's benchmarks
+    (the names of its manifest's ``data``) count, for the table alias and
+    for the names listed when ``name`` matches none.
     """
-    stored = [b for b in load_benchmarks(dataset_dir, [name]) if run is None or b.name in run.data]
-    for bench in stored:
-        if bench.name == name or (
-            bench.table == name and [b.table for b in stored].count(name) == 1
-        ):
-            return bench
+    for table in load_tables(dataset_dir, [name]):
+        benches = [b for b in table.benchmarks() if run is None or b.name in run.data]
+        for bench in benches:
+            if bench.name == name or (table.name == name and len(benches) == 1):
+                return bench
     if run is None:
-        available = ", ".join(b.name for b in load_benchmarks(dataset_dir)) or "none"
-        raise CliError(f"no benchmark named {name!r} under {dataset_dir} (available: {available})")
+        tables = ", ".join(p.stem for p in table_files(dataset_dir)) or "none"
+        raise CliError(f"no benchmark named {name!r} under {dataset_dir} (tables: {tables})")
     if name in run.data:
         raise CliError(f"benchmark {name} of run {run.hash} is not under {dataset_dir}")
     raise CliError(f"{name!r} is not a benchmark of run {run.hash} "
@@ -322,7 +323,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         tables = [minmax_scaled_table(t) for t in tables]
     prepared = {}  # cache file -> (input file name, table, its benchmarks)
     for path, table in zip(paths, tables):
-        benches = make_benchmarks(table)
+        benches = prepare_table(table).benchmarks()
         target = output_dir / f"{benches[0].table}.csv"
         other = prepared.setdefault(target, (path.name, table, benches))[0]
         if other != path.name:
@@ -383,12 +384,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset_dir, output_dir, only = _resolved_run_config(args)
-    benches = load_benchmarks(dataset_dir, only)
-    if not benches:
+    tables = load_tables(dataset_dir, only)
+    if not tables:
         raise CliError(f"no benchmarks under {dataset_dir}; run prepare first")
+    benches = benchmarks_of(tables)
     data = {bench.name: _data_digest(bench) for bench in benches}
-    if len(data) < len(benches):  # the manifest and the store key benchmarks by name
-        raise CliError(f"benchmarks under {dataset_dir} share a name; rename one of their tables")
     manifest = RunManifest(
         config_path=str(args.config) if args.config else "<flags>",
         config=_config_payload(cfg),
@@ -418,7 +418,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"run {manifest.hash}: {len(benches)} benchmarks, "
               f"{len(cfg.detector_combos())} combos, {cfg.repetitions} repetitions")
     summary = run_grid(
-        cfg, benches, store,
+        cfg, tables, store,
         progress=lambda msg: print(f"  {msg}"),
         workers=args.workers or _available_parallelism(),
     )
@@ -661,7 +661,7 @@ def _one_off(
         repetition=args.rep,
     )
     fold = split(bench, spec)
-    (model,) = fit_models(bench, spec, fold.train, [combo])
+    (model,) = fit_models(bench.table, spec, fold.train, [combo])
     if isinstance(model, Exception):
         raise model
     hash_ = manifest_hash(
@@ -679,7 +679,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     test = score_row(model, fold.test, "scores must be finite")
     labels = check_labels(fold.test_labels)
     (tau,) = threshold_at_fpr_rows(roc_rows(labels, test, descending_order(test)), args.alpha)
-    box, seed = volume_box_and_seed(bench, args.seed, args.rep)
+    box, seed = volume_box_and_seed(bench.table, bench.normal, args.seed, args.rep)
     sample = score_row(
         model, uniform_sample(box, args.n, seed), "score function returned a non-finite value"
     )

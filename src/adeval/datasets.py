@@ -1,14 +1,14 @@
-"""Benchmark construction from multiclass tables, the benchmark cache and splits.
+"""Prepared tables from multiclass tables, the benchmark cache and splits.
 
 A raw table holds numeric features plus a categorical ``class`` column.
 Its largest class plays the normal data; each remaining class yields one
-benchmark whose anomalies are that class alone, so a K-class table gives
-K - 1 benchmarks that hold one and the same normal array.
+benchmark whose anomalies are that class alone.  A :class:`PreparedTable`
+holds the normal array and the anomaly classes, and its K - 1 benchmarks
+are views of it that hold the one normal array.
 
 The benchmark cache is a directory of prepared tables, one ``<table>.csv``
-each in the raw-table format (:func:`write_raw_table`).  Loading it
-(:func:`load_benchmarks`) makes each table's benchmarks again, so the
-cache stores a table's normal class once.
+each in the raw-table format (:func:`write_raw_table`), read back by
+:func:`load_tables`, so the cache stores a table's normal class once.
 
 Splits are derived from (master seed, table name, repetition index) only:
 every detector and hyperparameter setting sees exactly the same folds,
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,14 +90,45 @@ class BenchmarkDataset:
         return int(self.normal.shape[1])
 
 
-def make_benchmarks(table: RawTable) -> list[BenchmarkDataset]:
-    """Turn a K-class table into K - 1 one-vs-rest-style benchmarks.
+@dataclass(frozen=True)
+class PreparedTable:
+    """A table's normal class and its ``(class, points)`` anomaly classes, kept in class order.
+
+    Each class makes one benchmark, and every benchmark holds the one
+    ``normal`` array (:meth:`benchmarks`).  Two classes of one name raise
+    ``ValueError``.
+    """
+
+    name: str
+    normal: NDArray[np.float64]
+    anomalies: tuple[tuple[str, NDArray[np.float64]], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=np.float64))
+        object.__setattr__(self, "anomalies", tuple(sorted(self.anomalies, key=lambda a: a[0])))
+        names = [b.name for b in self.benchmarks()]  # each view checks its arrays
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise ValueError(f"two classes of table {self.name!r} make benchmark {a!r}; "
+                                 "rename one")
+
+    def benchmarks(self) -> list[BenchmarkDataset]:
+        """One benchmark per anomaly class, in class order, each holding ``normal`` itself."""
+        return [BenchmarkDataset(table=self.name, anomaly_class=c, normal=self.normal,
+                                 anomaly=points) for c, points in self.anomalies]
+
+    def narrowed(self, classes: Collection[str]) -> PreparedTable:
+        """This table with only the anomaly classes listed in ``classes``."""
+        return replace(self, anomalies=tuple(pair for pair in self.anomalies if pair[0] in classes))
+
+
+def prepare_table(table: RawTable) -> PreparedTable:
+    """Turn a K-class table into a prepared table of K - 1 one-vs-rest-style benchmarks.
 
     The largest class becomes the normal data (ties broken by class-name
-    order), one array that every benchmark of the table holds; each
-    remaining class becomes the anomaly set of one benchmark named
-    ``<table>-<anomaly class>``, both parts with every character outside
-    ``A-Za-z0-9._-`` replaced by ``_``.
+    order); each remaining class becomes the anomaly set of one benchmark
+    named ``<table>-<anomaly class>``, both parts with every character
+    outside ``A-Za-z0-9._-`` replaced by ``_``.
 
     Raises ``ValueError`` for a table of one class, and for two anomaly
     classes that make one name.
@@ -107,18 +138,12 @@ def make_benchmarks(table: RawTable) -> list[BenchmarkDataset]:
         raise ValueError(f"table {table.name!r} needs at least two classes")
     order = sorted(range(len(names)), key=lambda i: (-counts[i], names[i]))
     labels = np.array(table.classes)
-    normal = table.features[labels == names[order[0]]]
-    benchmarks = sorted(
-        (BenchmarkDataset(table=_safe_name(table.name), anomaly_class=_safe_name(str(names[i])),
-                          normal=normal, anomaly=table.features[labels == names[i]])
-         for i in order[1:]),
-        key=lambda b: b.anomaly_class,
+    return PreparedTable(
+        name=_safe_name(table.name),
+        normal=table.features[labels == names[order[0]]],
+        anomalies=tuple((_safe_name(str(names[i])), table.features[labels == names[i]])
+                        for i in order[1:]),
     )
-    for a, b in zip(benchmarks, benchmarks[1:]):
-        if a.name == b.name:
-            raise ValueError(f"two classes of table {table.name!r} make benchmark {a.name!r}; "
-                             "rename one")
-    return benchmarks
 
 
 def _safe_name(text: str) -> str:
@@ -166,8 +191,6 @@ class TrainTestSplit:
     test: NDArray[np.float64]
     test_labels: NDArray[np.int64]
     test_ids: tuple[str, ...]
-    train_normal_count: int
-    train_anomaly_count: int
 
 
 def train_counts(spec: SplitSpec, n_normal: int) -> tuple[int, int]:
@@ -238,14 +261,7 @@ def split(bench: BenchmarkDataset, spec: SplitSpec) -> TrainTestSplit:
         [f"n{i}" for i in test_normal_idx.tolist()]
         + [f"a{i}" for i in test_anomaly_idx.tolist()]
     )
-    return TrainTestSplit(
-        train=train,
-        test=test,
-        test_labels=labels,
-        test_ids=ids,
-        train_normal_count=n_train,
-        train_anomaly_count=int(n_inject),
-    )
+    return TrainTestSplit(train=train, test=test, test_labels=labels, test_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +277,8 @@ def synth_gaussian(
     seed: int = 0,
     table: str = "synth",
     anomaly_class: str = "shifted",
-) -> BenchmarkDataset:
-    """Unit-variance Gaussian benchmark with anomalies shifted along axis 0.
+) -> PreparedTable:
+    """Unit-variance Gaussian table of one anomaly class, shifted along axis 0.
 
     ``n_anomaly`` = 0 is allowed; the result then only supports flows that
     never need labeled anomalies.
@@ -273,9 +289,7 @@ def synth_gaussian(
     normal = rng.normal(size=(n_normal, dim))
     anomaly = rng.normal(size=(n_anomaly, dim))
     anomaly[:, 0] += shift
-    return BenchmarkDataset(
-        table=table, anomaly_class=anomaly_class, normal=normal, anomaly=anomaly
-    )
+    return PreparedTable(name=table, normal=normal, anomalies=((anomaly_class, anomaly),))
 
 
 def synth_multiclass_table(
@@ -372,24 +386,29 @@ def read_raw_table(path: str | Path) -> RawTable:
     return RawTable(name=path.stem, features=np.array(rows), classes=tuple(classes))
 
 
-def load_benchmarks(
-    root: str | Path, only: Sequence[str] | None = None
-) -> list[BenchmarkDataset]:
-    """The benchmarks of the prepared tables ``<table>.csv`` under ``root``.
+def load_tables(root: str | Path, only: Sequence[str] | None = None) -> list[PreparedTable]:
+    """The prepared tables ``<table>.csv`` under ``root``, sorted by name.
 
-    Each file is a table as :func:`write_raw_table` writes it, turned into
-    benchmarks by :func:`make_benchmarks`; they come sorted by table, then
-    anomaly class.  With ``only``, keep the benchmarks whose table or full
-    name it lists, and read only the files that can hold one.  A file
-    whose stem is not its table's file-safe name is refused.
+    Each file is a table as :func:`write_raw_table` writes it, prepared by
+    :func:`prepare_table`.  With ``only``, keep the benchmarks whose table
+    or full name it lists: a table keeps only those classes, a table left
+    with none is dropped, and only the files that can hold one are read.
+    A file whose stem is not its table's file-safe name is refused.
     """
-    paths = sorted((p for p in Path(root).glob("*.csv") if p.is_file()), key=lambda p: p.stem)
-    benchmarks = []
-    for path in paths:
+    tables = []
+    for path in table_files(root):
         if only and not any(n == path.stem or n.startswith(f"{path.stem}-") for n in only):
             continue
-        benches = make_benchmarks(read_raw_table(path))
-        if benches[0].table != path.stem:  # two such files could make one table
+        table = prepare_table(read_raw_table(path))
+        if table.name != path.stem:  # two such files could make one table
             raise ValueError(f"{path}: not a prepared table (its name is not file-safe)")
-        benchmarks += [b for b in benches if not only or b.table in only or b.name in only]
-    return benchmarks
+        if only and table.name not in only:
+            table = table.narrowed([b.anomaly_class for b in table.benchmarks() if b.name in only])
+        if table.anomalies:
+            tables.append(table)
+    return tables
+
+
+def table_files(root: str | Path) -> list[Path]:
+    """The table files ``*.csv`` under ``root``, sorted by stem; none if ``root`` is missing."""
+    return sorted((p for p in Path(root).glob("*.csv") if p.is_file()), key=lambda p: p.stem)

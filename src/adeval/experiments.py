@@ -1,9 +1,10 @@
 """Benchmark grid runner, persistent record store and result analytics.
 
-A *cell* is one (benchmark, contamination, detector combo, repetition)
-tuple.  Running the grid fits the combo on the training fold, scores the
-test fold and evaluates every configured measure.  Every benchmark of a
-table holds the table's normal class, so the cells of one (table,
+The grid's input is prepared tables (:class:`PreparedTable`), whose
+benchmarks all hold the table's one normal array.  A *cell* is one
+(benchmark, contamination, detector combo, repetition) tuple.  Running
+the grid fits the combo on the training fold, scores the test fold and
+evaluates every configured measure.  The cells of one (table,
 contamination, repetition) block share one volume sample and their test
 normals, and every benchmark whose training fold has no injected anomaly
 shares one fit: at contamination 0 the table trains once.  Each model
@@ -34,7 +35,7 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, starmap
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -47,7 +48,7 @@ from adeval.curves import (
     roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import (
-    BenchmarkDataset, SplitSpec, TrainTestSplit, _safe_name, split, train_counts,
+    BenchmarkDataset, PreparedTable, SplitSpec, TrainTestSplit, _safe_name, split, train_counts,
 )
 from adeval.detectors import (
     KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
@@ -141,7 +142,7 @@ class Combo:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Everything a grid run needs besides the benchmarks themselves."""
+    """Everything a grid run needs besides the tables themselves."""
 
     knn_variants: tuple[str, ...] = ("kappa", "gamma", "delta")
     knn_ks: tuple[int, ...] = (1, 3, 5, 7, 9, 13, 21, 31, 51)
@@ -232,32 +233,26 @@ class GridConfig:
         return tuple(names)
 
 
-def _fit_seed(bench: BenchmarkDataset, combo: Combo, spec: SplitSpec) -> int:
-    """Seed of a combo's fit on its cell's training fold.
+def _fit_seed(table: str, combo: Combo, spec: SplitSpec) -> int:
+    """Seed of a combo's fit on a training fold of table ``table``.
 
-    The seed takes the benchmark's table, not its anomaly class, so a fit
-    on the normal fold that every benchmark of a table shares is one model
-    whichever class it is tested on.  A forest's seed leaves out
-    ``n_trees``, so the forests of one subsample in a block are prefixes of
-    one forest (:func:`iforest_fit`).
+    A forest's seed leaves out ``n_trees``, so the forests of one subsample
+    in a block are prefixes of one forest (:func:`iforest_fit`).
     """
     params = tuple(p for p in combo.params if combo.detector != "iforest" or p[0] != "n_trees")
-    return derive_seed(spec.seed, "fit", bench.table, combo.detector, params, spec.repetition)
+    return derive_seed(spec.seed, "fit", table, combo.detector, params, spec.repetition)
 
 
 _CELL_ERRORS = (ValueError, FloatingPointError)
 
 
 def fit_models(
-    bench: BenchmarkDataset, spec: SplitSpec, train: np.ndarray, combos: Sequence[Combo]
+    table: str, spec: SplitSpec, train: np.ndarray, combos: Sequence[Combo]
 ) -> list[object]:
-    """The model of each combo fitted on ``train``, the training fold of ``spec``.
+    """The model of each combo fitted on ``train``, table ``table``'s training fold of ``spec``.
 
     This is the one rule that maps a combo to its fit, used by grid cells,
-    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  It reads
-    ``bench`` only for its table (:func:`_fit_seed`), so the benchmarks of
-    a table whose training folds hold no injected anomaly, which are all
-    the table's normal fold, share one call.  kNN combos
+    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  kNN combos
     fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
     ``train``.  The forest combos of a subsample take their prefix of one
     :func:`iforest_fit` at their largest ``n_trees``, which equals a forest
@@ -277,7 +272,7 @@ def fit_models(
             try:
                 forests[subsample] = iforest_fit(
                     train, n_trees=int(largest.param("n_trees")), subsample=int(subsample),
-                    seed=_fit_seed(bench, largest, spec),
+                    seed=_fit_seed(table, largest, spec),
                 )
             except _CELL_ERRORS as exc:
                 forests[subsample] = exc
@@ -319,21 +314,13 @@ def score_row(model, points: np.ndarray, non_finite: str) -> NDArray[np.float64]
 
 
 def volume_box_and_seed(
-    bench: BenchmarkDataset, master_seed: int, repetition: int
+    table: str, normal: np.ndarray, master_seed: int, repetition: int
 ) -> tuple[SamplingBox, int]:
-    """Sampling box and seed of a cell's uniform volume sample.
+    """Sampling box (over ``normal``) and seed of table ``table``'s volume sample at a repetition.
 
-    The box bounds ``bench``'s normal points and the seed derives from the
-    master seed, the table and the repetition.  Every benchmark of a table
-    holds the same normal class, so they all draw one sample per
-    repetition, whichever anomaly class is tested and whichever of the
-    table's benchmarks a run loads; and grid cells and the ``volume``
-    one-off draw the same sample.
+    Grid cells and the ``volume`` one-off draw the same sample.
     """
-    return (
-        bounding_box(bench.normal),
-        derive_seed(master_seed, "volume", bench.table, repetition),
-    )
+    return bounding_box(normal), derive_seed(master_seed, "volume", table, repetition)
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +644,22 @@ def _evaluate_cells(
 
 def _run_repetition(
     cfg: GridConfig,
-    benches: Sequence[BenchmarkDataset],
+    table: PreparedTable,
     contamination: float,
     repetition: int,
 ) -> list[ExperimentRecord]:
-    """Evaluate every combo's cell of ``benches`` in one (contamination, repetition) block.
+    """Evaluate every combo's cell of ``table`` in one (contamination, repetition) block.
 
-    The benchmarks come from one table, and their training folds share one
-    fit: either one benchmark, or benchmarks whose folds take no injected
-    anomaly (:func:`train_counts`), which at contamination 0 and at any
-    level too low to inject one are all the table's normal fold.  More
-    than one benchmark whose folds take injected anomalies raises
-    ``ValueError``.  Records come back by benchmark, then combo.  Every
-    benchmark of the table holds the table's normal class
-    (:func:`check_tables`), so by :func:`split` they share the test
-    normals, which lead each test fold.  The block splits each benchmark,
-    draws one volume sample (:func:`volume_box_and_seed`) and makes one
-    :func:`fit_models` call over every combo on the shared training fold.
+    The benchmarks' training folds share one fit: either the table has one
+    class, or its folds take no injected anomaly (:func:`train_counts`),
+    which at contamination 0 and at any level too low to inject one makes
+    them all the table's normal fold.  More than one class whose folds take
+    injected anomalies raises ``ValueError``.  Records come back by
+    benchmark, then combo.  The benchmarks hold the table's normal array,
+    so by :func:`split` they share the test normals, which lead each test
+    fold.  The block splits each benchmark, draws the table's volume sample
+    (:func:`volume_box_and_seed`) and makes one :func:`fit_models` call
+    over every combo on the shared training fold.
 
     The models are scored in groups, one per scorer: every kNN and LOF
     model in one group that shares one distance matrix per query chunk
@@ -706,7 +692,8 @@ def _run_repetition(
     combos = cfg.detector_combos()
     spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
                      seed=cfg.master_seed, repetition=repetition)
-    if len(benches) > 1 and train_counts(spec, len(benches[0].normal))[1] > 0:
+    benches = table.benchmarks()
+    if len(benches) > 1 and train_counts(spec, len(table.normal))[1] > 0:
         raise ValueError("benchmarks whose training folds take injected anomalies "
                          "cannot share one fit")
     # cells[i][r]: (values, flags) of benchmark i and combo r.
@@ -735,7 +722,7 @@ def _run_repetition(
         except _CELL_ERRORS as exc:
             fail([i], every, exc)
     try:
-        box, seed = volume_box_and_seed(benches[0], cfg.master_seed, repetition)
+        box, seed = volume_box_and_seed(table.name, table.normal, cfg.master_seed, repetition)
         volume = uniform_sample(box, cfg.volume_samples, seed)
     except _CELL_ERRORS as exc:
         fail(folds, every, exc)
@@ -743,7 +730,7 @@ def _run_repetition(
 
     if folds:
         first = next(iter(folds.values()))
-        models = fit_models(benches[0], spec, first.train, combos)
+        models = fit_models(table.name, spec, first.train, combos)
         # split() puts a fold's test normals, the table's, ahead of its test anomalies.
         n_normal = int(np.count_nonzero(first.test_labels == 0))
         anomalies = [fold.test[n_normal:] for fold in folds.values()]
@@ -791,34 +778,31 @@ def _run_repetition(
     ]
 
 
-def check_tables(benchmarks: Iterable[BenchmarkDataset]) -> None:
-    """Raise ``ValueError``, naming the table, if two of its benchmarks hold different normals.
+def benchmarks_of(tables: Sequence[PreparedTable]) -> list[BenchmarkDataset]:
+    """Every benchmark of ``tables``, in order.
 
-    :func:`make_benchmarks` gives every benchmark of a table the table's
-    normal class, and a grid block shares its volume sample, test normals
-    and fit on that fact (:func:`_run_repetition`).
+    Raises ``ValueError`` if two tables share a name (and so their seeds)
+    or two benchmarks do (and so their store rows and manifest entry).
     """
-    seen: dict[str, BenchmarkDataset] = {}
-    for bench in benchmarks:
-        other = seen.setdefault(bench.table, bench)
-        if not np.array_equal(other.normal, bench.normal):
-            raise ValueError(
-                f"benchmarks {other.name!r} and {bench.name!r} of table {bench.table!r} "
-                "hold different normal classes; make a table's benchmarks with make_benchmarks"
-            )
+    benches = [bench for table in tables for bench in table.benchmarks()]
+    for kind, items in (("tables", tables), ("benchmarks", benches)):
+        shared = sorted(name for name, n in Counter(x.name for x in items).items() if n > 1)
+        if shared:
+            raise ValueError(f"{kind} share a name ({', '.join(shared)}); rename a table")
+    return benches
 
 
 def run_grid(
     cfg: GridConfig,
-    benchmarks: Sequence[BenchmarkDataset],
+    tables: Sequence[PreparedTable],
     store: RecordStore,
     progress: Callable[[str], None] | None = None,
     workers: int = 1,
 ) -> RunSummary:
-    """Run every missing cell of the grid and append it to the store.
+    """Run every missing cell of the grid over the benchmarks of ``tables`` into the store.
 
-    Raises ``ValueError`` for benchmarks of one table that hold different
-    normal classes (:func:`check_tables`), before the store is loaded.
+    Raises ``ValueError`` for two tables or two benchmarks of one name
+    (:func:`benchmarks_of`), before the store is loaded.
     The store is loaded once.  Cells already present in it are skipped
     (:func:`missing_cells`), so an interrupted run resumes where it
     stopped and a completed run is a no-op.  A failing cell is recorded
@@ -826,14 +810,15 @@ def run_grid(
     the flagged cells of the whole store, those stored before and the new.
 
     A block is one shared training fold, planned from the input alone.
-    For each (table, contamination, repetition), when the table's folds
-    take no injected anomaly (:func:`train_counts`: contamination 0, or a
-    level too low to inject one), the block is every benchmark of the
-    table with a missing cell there, which share one fit; otherwise each
-    such benchmark is a block of its own.  A block runs whole
-    (:func:`_run_repetition`) and only its missing cells are appended, so
-    a resume that meets a block torn by an interrupted append recomputes
-    its stored cells and keeps them as they are.  Blocks are evaluated by
+    For each table, in the given order, and each (contamination,
+    repetition), when the table's folds take no injected anomaly
+    (:func:`train_counts`: contamination 0, or a level too low to inject
+    one), the block is the table narrowed to its classes with a missing
+    cell there, which share one fit; otherwise each such class is a block
+    of its own.  A block runs whole (:func:`_run_repetition`) and only its
+    missing cells are appended, so a resume that meets a block torn by an
+    interrupted append recomputes its stored cells and keeps them as they
+    are.  Blocks are evaluated by
     up to ``workers`` processes, never more than there are blocks.  Each
     block's records are appended as soon as it and every block before it
     are done, so an interrupted run keeps every block it appended, and
@@ -842,27 +827,28 @@ def run_grid(
     scheduling or grouping, so the store content depends neither on the
     worker count nor on which cells a resume still has to run.
     """
-    if not benchmarks:
-        raise ValueError("no benchmarks to run on")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    check_tables(benchmarks)
+    benchmarks = benchmarks_of(tables)
+    if not benchmarks:
+        raise ValueError("no benchmarks to run on")
     names = cfg.measure_names()
     stored = store.load()
     missing = set(missing_cells(cfg, [b.name for b in benchmarks], stored))
     todo = {(name, c, rep) for name, c, _, rep in missing}
-    ordered = sorted(benchmarks, key=lambda b: (b.table, b.anomaly_class))
 
-    blocks = []  # (benchmarks, contamination, repetition), in store order
-    for _, group in groupby(ordered, key=lambda b: b.table):
-        benches = list(group)
+    blocks = []  # (table narrowed to the block's classes, contamination, repetition)
+    for table in tables:
+        benches = table.benchmarks()
         for contamination in cfg.contaminations:
             spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination)
-            shared = train_counts(spec, len(benches[0].normal))[1] == 0
+            shared = train_counts(spec, len(table.normal))[1] == 0
             for repetition in range(cfg.repetitions):
-                pending = [b for b in benches if (b.name, contamination, repetition) in todo]
-                parts = [pending] if shared else [[b] for b in pending]
-                blocks += [(part, contamination, repetition) for part in parts if part]
+                pending = [b.anomaly_class for b in benches
+                           if (b.name, contamination, repetition) in todo]
+                parts = [pending] if shared else [[c] for c in pending]
+                blocks += [(table.narrowed(part), contamination, repetition)
+                           for part in parts if part]
 
     run = partial(_run_repetition, cfg)
     flagged = [r for r in stored if r.is_flagged_missing]
@@ -880,7 +866,8 @@ def run_grid(
                          f"{len(records)} cells")
             store.append(records, names)
             flagged += [r for r in records if r.is_flagged_missing]
-    n_cells = len(ordered) * len(cfg.contaminations) * cfg.repetitions * len(cfg.detector_combos())
+    n_cells = (len(benchmarks) * len(cfg.contaminations) * cfg.repetitions
+               * len(cfg.detector_combos()))
     errors = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
     return RunSummary(n_cells=n_cells, n_new=len(missing), n_flagged=len(flagged),
                       errors=dict(sorted(errors.items())))
@@ -1284,7 +1271,7 @@ def roc_band(
         spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
                          seed=master_seed, repetition=rep)
         fold = split(bench, spec)
-        (model,) = fit_models(bench, spec, fold.train, [combo])
+        (model,) = fit_models(bench.table, spec, fold.train, [combo])
         try:
             if isinstance(model, Exception):
                 raise model

@@ -257,7 +257,7 @@ def test_criterion_7_split_protocol_invariants():
     with criterion(
         7, "folds shared across detectors; realized contamination within one sample"
     ):
-        bench = synth_gaussian(120, 60, dim=3, seed=4)
+        (bench,) = synth_gaussian(120, 60, dim=3, seed=4).benchmarks()
         spec = SplitSpec(train_fraction=0.8, contamination=0.0, seed=9, repetition=2)
         # The split depends only on the benchmark and the SplitSpec, so
         # every detector fitted on this cell sees the same folds.
@@ -276,7 +276,9 @@ def test_criterion_7_split_protocol_invariants():
                 SplitSpec(train_fraction=0.8, contamination=c, seed=9, repetition=0),
             )
             n_train = fold.train.shape[0]
-            realized = fold.train_anomaly_count / n_train
+            # The training rows that are rows of the anomaly class.
+            injected = (fold.train[:, None, :] == bench.anomaly[None, :, :]).all(axis=2).any(axis=1)
+            realized = int(injected.sum()) / n_train
             assert abs(realized - c) <= 1.0 / n_train, f"c={c}: realized={realized}"
 
 
@@ -368,7 +370,7 @@ def test_criterion_9_resplit_band_variance_at_small_fpr(tmp_path):
     with criterion(
         9, "TPR/FPR spread over 100 resplits peaks at the smallest positive FPR"
     ):
-        bench = synth_gaussian(150, 60, dim=2, shift=1.0, seed=5)
+        (bench,) = synth_gaussian(150, 60, dim=2, shift=1.0, seed=5).benchmarks()
         band = roc_band(
             bench,
             Combo(0, "knn", (("variant", "kappa"), ("k", 5))),

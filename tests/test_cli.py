@@ -18,7 +18,7 @@ from adeval import cli
 from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import auc_rows, tpr_at_rows
 from adeval.datasets import (
-    RawTable, SplitSpec, load_benchmarks, make_benchmarks, minmax_scaled_table, read_raw_table,
+    RawTable, SplitSpec, load_tables, minmax_scaled_table, prepare_table, read_raw_table,
     split, synth_gaussian, synth_multiclass_table, write_raw_table,
 )
 from adeval.experiments import RecordStore
@@ -104,7 +104,8 @@ def cell_tpr_mean(cache, flags, fpr, capsys):
 
 def cached(cache, name):
     """The benchmark of the cache whose full name is ``name``."""
-    (bench,) = load_benchmarks(cache, [name])
+    (table,) = load_tables(cache, [name])
+    (bench,) = table.benchmarks()
     return bench
 
 
@@ -146,8 +147,8 @@ class TestPrepare:
         tables = [read_raw_table(p) for p in sorted((tmp_path / "raw").glob("*.csv"))]
         if flags:
             tables = [minmax_scaled_table(t) for t in tables]
-        made = [b for t in tables for b in make_benchmarks(t)]
-        back = load_benchmarks(tmp_path / "cache")
+        made = [b for t in tables for b in prepare_table(t).benchmarks()]
+        back = [b for t in load_tables(tmp_path / "cache") for b in t.benchmarks()]
         assert [b.name for b in back] == [b.name for b in made]
         for b, m in zip(back, made):
             assert b.normal.tobytes() == m.normal.tobytes()
@@ -1055,7 +1056,7 @@ class TestOneOffs:
 
     def test_volume_refuses_a_test_fold_without_anomalies(self, tmp_path, capsys):
         # At contamination 0.05 both anomalies go to the training fold.
-        bench = synth_gaussian(50, 2, dim=2, seed=0)
+        (bench,) = synth_gaussian(50, 2, dim=2, seed=0).benchmarks()
         (tmp_path / "cache").mkdir()
         write_raw_table(RawTable("synth", np.vstack([bench.normal, bench.anomaly]),
                                  ("normal",) * 50 + ("shifted",) * 2),
@@ -1097,7 +1098,7 @@ class TestOneOffs:
             ]
         ) == 2
         err = capsys.readouterr().err
-        assert "ghost" in err and "(available: tab0-c1, tab0-c2, tab1-c1, tab1-c2)" in err
+        assert "ghost" in err and "(tables: tab0, tab1)" in err
 
     def test_one_offs_read_only_the_table_they_name(self, study, tmp_path, capsys):
         # A run over a copy of the cache, which then gains a malformed table file.
@@ -1118,10 +1119,10 @@ class TestOneOffs:
         # Two benchmarks of the run share table tab0, so the alias names neither.
         assert main(["aggregate", "rocband", str(run_dir), "--benchmark", "tab0", *band]) == 2
         assert "(available: tab0-c1, tab0-c2, tab1-c1, tab1-c2)" in capsys.readouterr().err
-        # Only an unknown name reads the whole cache, to list it.
+        # An unknown name lists the cached tables by file name, reading none of them.
         assert main(["scores", "--dataset", str(cache), "--benchmark", "ghost",
                      "--detector", "knn"]) == 2
-        assert "zz.csv: line 2" in capsys.readouterr().err
+        assert "(tables: tab0, tab1, zz)" in capsys.readouterr().err
 
 
 def test_importing_the_cli_loads_no_scipy():

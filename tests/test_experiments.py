@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from adeval.curves import tpr_at_rows
-from adeval.datasets import SplitSpec, split, synth_gaussian, synth_multiclass_table, make_benchmarks
+from adeval.datasets import SplitSpec, prepare_table, split, synth_gaussian, synth_multiclass_table
 from adeval import detectors, experiments
 from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
@@ -171,7 +171,7 @@ class TestGridConfig:
 
 
 class TestRunGrid:
-    def bench(self, seed=0):
+    def table(self, seed=0):
         return synth_gaussian(
             120, 60, dim=2, shift=3.0, seed=seed, table=f"s{seed}", anomaly_class="c1"
         )
@@ -189,7 +189,7 @@ class TestRunGrid:
             master_seed=5,
         )
         store = RecordStore(tmp_path, manifest_hash="h")
-        summary = run_grid(cfg, [self.bench()], store)
+        summary = run_grid(cfg, [self.table()], store)
         assert summary.n_cells == 270 and summary.n_new == 270
         records = store.load()
         assert len(records) == 270
@@ -200,9 +200,9 @@ class TestRunGrid:
     def test_rerun_is_a_noop_and_byte_stable(self, tmp_path):
         cfg = knn_only_config()
         store = RecordStore(tmp_path, manifest_hash="h")
-        run_grid(cfg, [self.bench()], store)
+        run_grid(cfg, [self.table()], store)
         before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
-        summary = run_grid(cfg, [self.bench()], store)
+        summary = run_grid(cfg, [self.table()], store)
         assert summary.n_new == 0
         after = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         assert before == after
@@ -210,23 +210,23 @@ class TestRunGrid:
     def test_resume_reruns_the_cell_of_a_torn_tail(self, tmp_path):
         cfg = knn_only_config()
         store = RecordStore(tmp_path, manifest_hash="h")
-        run_grid(cfg, [self.bench()], store)
+        run_grid(cfg, [self.table()], store)
         whole = store.load()
         path = sorted(tmp_path.glob("*.csv"))[0]
         before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         path.write_bytes(before[path.name][:-6])
         torn = store.load()
         assert len(torn) == len(whole) - 1 and all(r in whole for r in torn)
-        summary = run_grid(cfg, [self.bench()], store)
+        summary = run_grid(cfg, [self.table()], store)
         assert summary.n_new == 1
         assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
 
     def test_interrupted_run_keeps_its_finished_blocks(self, tmp_path, monkeypatch):
         # One table of two anomaly classes, two repetitions: two blocks of four cells.
         cfg = knn_only_config()
-        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        tables = [prepare_table(synth_multiclass_table("m", (60, 20, 12), seed=0))]
         whole = RecordStore(tmp_path / "whole", manifest_hash="h")
-        run_grid(cfg, benches, whole)
+        run_grid(cfg, tables, whole)
         run_repetition = experiments._run_repetition
         calls = []
 
@@ -239,21 +239,21 @@ class TestRunGrid:
         store = RecordStore(tmp_path / "store", manifest_hash="h")
         monkeypatch.setattr(experiments, "_run_repetition", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(cfg, benches, store, workers=1)
+            run_grid(cfg, tables, store, workers=1)
         monkeypatch.undo()
         first_block = [r for r in whole.load() if r.repetition == 0]
         assert len(first_block) == 4 and store.load() == first_block
-        assert run_grid(cfg, benches, store, workers=1).n_new == 4
+        assert run_grid(cfg, tables, store, workers=1).n_new == 4
         assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
 
     def test_worker_count_does_not_change_records(self, tmp_path):
         cfg = knn_only_config()
-        benches = [self.bench(0), self.bench(1)]
+        tables = [self.table(0), self.table(1)]
         serial = RecordStore(tmp_path / "serial", manifest_hash="h")
-        run_grid(cfg, benches, serial, workers=1)
+        run_grid(cfg, tables, serial, workers=1)
         parallel = RecordStore(tmp_path / "parallel", manifest_hash="h")
-        run_grid(cfg, benches, parallel, workers=3)
+        run_grid(cfg, tables, parallel, workers=3)
         a = {p.name: p.read_bytes() for p in (tmp_path / "serial").glob("*.csv")}
         b = {p.name: p.read_bytes() for p in (tmp_path / "parallel").glob("*.csv")}
         assert a == b
@@ -267,13 +267,11 @@ class TestRunGrid:
             iforest_trees=(10, 20), iforest_subsample=32, alphas=(0.05,), ps=(0.1,),
             contaminations=(0.0, 0.05), repetitions=2, volume_samples=200, master_seed=3,
         )
-        benches = [
-            b for t in range(2)
-            for b in make_benchmarks(synth_multiclass_table(f"m{t}", (60, 20, 12), seed=t))
-        ]
+        tables = [prepare_table(synth_multiclass_table(f"m{t}", (60, 20, 12), seed=t))
+                  for t in range(2)]
         stores = {}
         for workers in (1, 3, 9):
-            run_grid(cfg, benches, RecordStore(tmp_path / str(workers), manifest_hash="h"),
+            run_grid(cfg, tables, RecordStore(tmp_path / str(workers), manifest_hash="h"),
                      workers=workers)
             stores[workers] = {
                 p.name: p.read_bytes() for p in (tmp_path / str(workers)).glob("*.csv")
@@ -298,12 +296,12 @@ class TestRunGrid:
                                                             lines):
         # One table of two anomaly classes, one repetition.
         cfg = knn_only_config(contaminations=(contamination,), repetitions=1)
-        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        tables = [prepare_table(synth_multiclass_table("m", (60, 20, 12), seed=0))]
         progress, stores = {}, {}
         for workers in (1, 3):
             root = tmp_path / str(workers)
             progress[workers] = []
-            run_grid(cfg, benches, RecordStore(root, manifest_hash="h"),
+            run_grid(cfg, tables, RecordStore(root, manifest_hash="h"),
                      progress=progress[workers].append, workers=workers)
             stores[workers] = {p.name: p.read_bytes() for p in root.glob("*.csv")}
         assert progress[1] == progress[3] == lines
@@ -311,25 +309,36 @@ class TestRunGrid:
 
     def test_benchmarks_with_injected_anomalies_cannot_share_a_block(self):
         cfg = knn_only_config(repetitions=1)
-        benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12), seed=0))
-        assert len(_run_repetition(cfg, benches, 0.0, 0)) == 2 * len(cfg.detector_combos())
+        table = prepare_table(synth_multiclass_table("m", (60, 20, 12), seed=0))
+        assert len(_run_repetition(cfg, table, 0.0, 0)) == 2 * len(cfg.detector_combos())
         with pytest.raises(ValueError, match="injected anomalies"):
-            _run_repetition(cfg, benches, 0.05, 0)
+            _run_repetition(cfg, table, 0.05, 0)
+
+    def test_two_tables_or_benchmarks_of_one_name_are_refused(self, tmp_path, monkeypatch):
+        table = synth_gaussian(40, 10, seed=1, table="tab-a", anomaly_class="b")
+        # Class a-b of table tab makes benchmark tab-a-b too.
+        other = synth_gaussian(40, 10, seed=2, table="tab", anomaly_class="a-b")
+        store = RecordStore(tmp_path / "records", manifest_hash="h")
+        monkeypatch.setattr(store, "load", lambda: pytest.fail("store loaded before the check"))
+        for tables, kind in (([table, table], "tables"), ([table, other], "benchmarks")):
+            with pytest.raises(ValueError, match=f"{kind} share a name"):
+                run_grid(knn_only_config(repetitions=1), tables, store)
+        assert not list(tmp_path.iterdir())
 
     def test_cells_deterministic(self):
         cfg = knn_only_config()
-        bench = self.bench()
+        table = self.table()
         combo = cfg.detector_combos()[1]
-        a = _run_repetition(cfg, [bench], 0.0, 1)[combo.index]
-        b = _run_repetition(cfg, [bench], 0.0, 1)[combo.index]
+        a = _run_repetition(cfg, table, 0.0, 1)[combo.index]
+        b = _run_repetition(cfg, table, 0.0, 1)[combo.index]
         assert a == b
 
     def test_failing_cell_is_flagged_not_fatal(self, tmp_path):
         # k = 51 exceeds the training-fold size of a tiny benchmark.
         cfg = knn_only_config(knn_ks=(1, 51), repetitions=1)
-        bench = synth_gaussian(20, 10, seed=3, table="tiny", anomaly_class="c1")
+        table = synth_gaussian(20, 10, seed=3, table="tiny", anomaly_class="c1")
         store = RecordStore(tmp_path, manifest_hash="h")
-        summary = run_grid(cfg, [bench], store)
+        summary = run_grid(cfg, [table], store)
         assert summary.n_flagged == 1
         flagged = [r for r in store.load() if r.is_flagged_missing]
         assert len(flagged) == 1
@@ -338,13 +347,13 @@ class TestRunGrid:
 
     def test_rerun_summary_counts_the_stored_flagged_cells(self, tmp_path, monkeypatch):
         cfg = knn_only_config(knn_ks=(1, 51), repetitions=1)
-        bench = synth_gaussian(20, 10, seed=3, table="tiny", anomaly_class="c1")
+        table = synth_gaussian(20, 10, seed=3, table="tiny", anomaly_class="c1")
         store = RecordStore(tmp_path, manifest_hash="h")
-        first = run_grid(cfg, [bench], store)
+        first = run_grid(cfg, [table], store)
         loads = []
         load = RecordStore.load
         monkeypatch.setattr(RecordStore, "load", lambda self: loads.append(1) or load(self))
-        again = run_grid(cfg, [bench], store)
+        again = run_grid(cfg, [table], store)
         assert (first.n_new, first.n_flagged, first.errors) == (2, 1, {"error:ValueError": 1})
         assert (again.n_new, again.n_flagged, again.errors) == (0, 1, {"error:ValueError": 1})
         assert loads == [1]
@@ -352,7 +361,7 @@ class TestRunGrid:
     def test_validation_columns_written(self, tmp_path):
         cfg = knn_only_config(validation_fraction=0.3, repetitions=1)
         store = RecordStore(tmp_path, manifest_hash="h")
-        run_grid(cfg, [self.bench()], store)
+        run_grid(cfg, [self.table()], store)
         rec = store.load()[0]
         assert rec.values.get("val:AUC") is not None
         assert rec.values.get("AUC") is not None
@@ -369,7 +378,7 @@ def assert_same_model(model, own):
 
 
 class TestFitModels:
-    bench = synth_gaussian(40, 10, dim=2, shift=2.0, seed=8)
+    (bench,) = synth_gaussian(40, 10, dim=2, shift=2.0, seed=8).benchmarks()
     spec = SplitSpec(seed=3, repetition=1)
 
     def train(self):
@@ -381,7 +390,7 @@ class TestFitModels:
             return knn_fit(train, k=combo.param("k"), variant=combo.param("variant"))
         if combo.detector == "lof":
             return lof_fitter(train)(combo.param("k"))
-        seed = experiments._fit_seed(self.bench, combo, self.spec)
+        seed = experiments._fit_seed(self.bench.table, combo, self.spec)
         return iforest_fit(
             train, n_trees=combo.param("n_trees"), subsample=combo.param("subsample"), seed=seed
         )
@@ -401,7 +410,7 @@ class TestFitModels:
             Combo(7, "iforest", (("n_trees", 30), ("subsample", 16))),
             Combo(8, "iforest", (("n_trees", 20), ("subsample", 256))),
         ]
-        models = fit_models(self.bench, self.spec, train, combos)
+        models = fit_models(self.bench.table, self.spec, train, combos)
         assert len(models) == len(combos)
         for combo, model in zip(combos, models):
             assert_same_model(model, self.own_fit(combo, train))
@@ -419,7 +428,7 @@ class TestFitModels:
             Combo(6, "iforest", (("n_trees", 0), ("subsample", 16))),  # its prefix fails
             Combo(7, "knn", (("variant", "gamma"), ("k", 2))),
         ]
-        models = fit_models(self.bench, self.spec, train, combos)
+        models = fit_models(self.bench.table, self.spec, train, combos)
         failed = [i for i, m in enumerate(models) if isinstance(m, ValueError)]
         assert failed == [1, 2, 3, 4, 6]
         assert models[3] is models[4]
@@ -433,10 +442,10 @@ class TestRunCell:
         cfg = knn_only_config(
             knn_variants=("gamma",), knn_ks=(3,), validation_fraction=0.3, repetitions=4
         )
-        bench = synth_gaussian(40, 2, seed=3)
+        table = synth_gaussian(40, 2, seed=3)
         (combo,) = cfg.detector_combos()
         for rep in (0, 1, 3):
-            (rec,) = _run_repetition(cfg, [bench], 0.0, rep)
+            (rec,) = _run_repetition(cfg, table, 0.0, rep)
             kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
             val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
             assert len(kept) == len(val) == 7
@@ -448,8 +457,8 @@ class TestRunCell:
         cfg = knn_only_config(
             knn_ks=(3,), alphas=(0.01, 0.05), validation_fraction=0.3, volume_samples=300
         )
-        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
-        fold = split(bench, SplitSpec(seed=cfg.master_seed, repetition=1))
+        table = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        fold = split(table.benchmarks()[0], SplitSpec(seed=cfg.master_seed, repetition=1))
         curves, points = [], []
         roc_rows, score = experiments.roc_rows, experiments.neighbour_scores
 
@@ -461,7 +470,7 @@ class TestRunCell:
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
-        (rec,) = _run_repetition(cfg, [bench], 0.0, 1)
+        (rec,) = _run_repetition(cfg, table, 0.0, 1)
         assert rec.flags == () and not rec.is_flagged_missing
         # One batched call per labelled sample (evaluation part, then
         # validation part), with one row for the one cell.
@@ -478,7 +487,7 @@ class TestRunCell:
             repetitions=1,
             volume_samples=_CHUNK + 100,
         )
-        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        table = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
         calls = {"split": 0, "uniform_sample": 0}
         distances = []
 
@@ -498,12 +507,12 @@ class TestRunCell:
             detectors, "cdist", lambda a, b: distances.append(len(a)) or cdist(a, b)
         )
         store = RecordStore(tmp_path, manifest_hash="h")
-        summary = run_grid(cfg, [bench], store)
+        summary = run_grid(cfg, [table], store)
         assert summary.n_new == 27 and summary.n_flagged == 0
         assert calls == {"split": 1, "uniform_sample": 1}
         # One query-train distance matrix per query chunk: the test fold is
         # one chunk, the volume sample two.
-        n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
+        n_test = len(split(table.benchmarks()[0], SplitSpec(seed=cfg.master_seed)).test_labels)
         assert distances == [n_test, _CHUNK, 100]
 
 
@@ -520,9 +529,10 @@ class TestRunCell:
             volume_samples=300,
             validation_fraction=validation_fraction,
         )
-        bench = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        table = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        (bench,) = table.benchmarks()
         clean = RecordStore(tmp_path / "clean", manifest_hash="h")
-        run_grid(cfg, [bench], clean)
+        run_grid(cfg, [table], clean)
         expected = {r.grid_index: r for r in clean.load()}
         n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
         # The column made NaN: a point of the validation part, if there is one.
@@ -541,7 +551,7 @@ class TestRunCell:
 
         monkeypatch.setattr(experiments, "neighbour_scores", nan_in_one_row)
         patched = RecordStore(tmp_path / "patched", manifest_hash="h")
-        summary = run_grid(cfg, [bench], patched)
+        summary = run_grid(cfg, [table], patched)
         assert summary.n_flagged == 1
         records = {r.grid_index: r for r in patched.load()}
         assert records.keys() == expected.keys()
@@ -574,7 +584,7 @@ class TestRunCell:
             validation_fraction=0.3,
             master_seed=5,
         )
-        bench = synth_gaussian(60, 8, dim=3, shift=2.0, seed=4)
+        table = synth_gaussian(60, 8, dim=3, shift=2.0, seed=4)
         combos = cfg.detector_combos()
         cells = [
             (combo, c, rep)
@@ -585,14 +595,14 @@ class TestRunCell:
         expected = {
             (r.contamination, r.grid_index, r.repetition): r
             for c in cfg.contaminations for rep in range(cfg.repetitions)
-            for r in _run_repetition(cfg, [bench], c, rep)
+            for r in _run_repetition(cfg, table, c, rep)
         }
         store = RecordStore(tmp_path, manifest_hash="h")
         # Resume from a store holding half of the c=0.05 block's combos.
         stored = [cell for cell in cells if cell[1] == 0.05 and cell[0].index % 2 == 0]
         store.append([expected[c, combo.index, rep] for combo, c, rep in stored],
                      cfg.measure_names())
-        summary = run_grid(cfg, [bench], store)
+        summary = run_grid(cfg, [table], store)
         assert summary.n_cells == len(cells)
         assert summary.n_new == len(cells) - len(stored)
         loaded = {(r.contamination, r.grid_index, r.repetition): r for r in store.load()}
@@ -625,7 +635,8 @@ class TestSharedFits:
         validation_fraction=0.3,
         master_seed=5,
     )
-    benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 12, 5), dim=3, seed=4))
+    table = prepare_table(synth_multiclass_table("m", (60, 20, 12, 5), dim=3, seed=4))
+    benches = table.benchmarks()
 
     def cells(self):
         return [
@@ -641,7 +652,8 @@ class TestSharedFits:
         expected = {
             (r.anomaly_class, c, r.grid_index, rep): r
             for bench in self.benches for c in cfg.contaminations
-            for rep in range(cfg.repetitions) for r in _run_repetition(cfg, [bench], c, rep)
+            for rep in range(cfg.repetitions)
+            for r in _run_repetition(cfg, self.table.narrowed([bench.anomaly_class]), c, rep)
         }
         # Resume from a store holding some cells of two benchmarks, so the
         # benchmarks of a block have different combos pending.
@@ -652,7 +664,7 @@ class TestSharedFits:
         store = RecordStore(tmp_path, manifest_hash="h")
         store.append([expected[bench.anomaly_class, c, combo.index, rep]
                       for bench, c, combo, rep in stored], cfg.measure_names())
-        summary = run_grid(cfg, self.benches, store)
+        summary = run_grid(cfg, [self.table], store)
         assert summary.n_new == len(expected) - len(stored)
         loaded = {
             (r.anomaly_class, r.contamination, r.grid_index, r.repetition): r
@@ -666,7 +678,7 @@ class TestSharedFits:
         # An append cut short after class c1's files and c2's kNN file: c2's
         # blocks run whole again, and its stored kNN cells are not appended.
         fresh = tmp_path / "fresh"
-        run_grid(self.cfg, self.benches, RecordStore(fresh, manifest_hash="h"))
+        run_grid(self.cfg, [self.table], RecordStore(fresh, manifest_hash="h"))
         files = {p.name: p.read_bytes() for p in fresh.glob("*.csv")}
         resumed = tmp_path / "resumed"
         resumed.mkdir()
@@ -676,7 +688,7 @@ class TestSharedFits:
         store = RecordStore(resumed, manifest_hash="h")
         n_missing = len(missing_cells(self.cfg, [b.name for b in self.benches], store.load()))
         assert 0 < n_missing < len(self.cells())
-        summary = run_grid(self.cfg, self.benches, store)
+        summary = run_grid(self.cfg, [self.table], store)
         assert summary.n_new == n_missing
         keys = [r.cell_key for r in store.load()]
         assert len(keys) == len(set(keys)) == len(self.cells())
@@ -698,7 +710,7 @@ class TestSharedFits:
             return cdist(a, b)
 
         monkeypatch.setattr(detectors, "cdist", counting_cdist)
-        run_grid(self.cfg, self.benches, RecordStore(tmp_path, manifest_hash="h"))
+        run_grid(self.cfg, [self.table], RecordStore(tmp_path, manifest_hash="h"))
         # Training fold sizes: 48 normals, plus 3 anomalies at c = 0.05 and 8
         # at c = 0.15.  Per repetition, c = 0 and c = 0.005 each fit once for
         # the whole table; c = 0.05 once per benchmark, c = 0.15 once per
@@ -710,24 +722,12 @@ class TestSharedFits:
             counts = {n: fits[family].count(n) for n in set(fits[family])}
             assert counts == {n: k * reps * per_fold for n, k in per_repetition.items()}, family
 
-    def test_table_whose_benchmarks_hold_different_normals_is_refused(
-        self, tmp_path, monkeypatch
-    ):
-        first, second = self.benches[:2]
-        normal = second.normal.copy()
-        normal[0, 0] += 0.25
-        spoiled = dataclasses.replace(second, normal=normal)
-        store = RecordStore(tmp_path / "records", manifest_hash="h")
-        monkeypatch.setattr(store, "load", lambda: pytest.fail("store loaded before the check"))
-        with pytest.raises(ValueError, match="table 'm'"):
-            run_grid(self.cfg, [first, spoiled], store)
-        assert not list(tmp_path.iterdir())
-
 
 class TestSharedVolumeAndScoring:
     """One volume sample per (table, repetition); each distinct point scored once per model."""
 
-    benches = make_benchmarks(synth_multiclass_table("m", (60, 20, 15, 12), dim=3, seed=8))
+    table = prepare_table(synth_multiclass_table("m", (60, 20, 15, 12), dim=3, seed=8))
+    benches = table.benchmarks()
 
     @staticmethod
     def config(**overrides):
@@ -746,9 +746,9 @@ class TestSharedVolumeAndScoring:
         return GridConfig(**{**base, **overrides})
 
     @staticmethod
-    def run_table(cfg, contamination, benches=benches):
-        """Every record of ``benches``: one block at contamination 0, else one per benchmark."""
-        blocks = [benches] if contamination == 0 else [[bench] for bench in benches]
+    def run_table(cfg, contamination, table=table):
+        """Every record of ``table``: one block at contamination 0, else one per class."""
+        blocks = [table] if contamination == 0 else [table.narrowed([c]) for c, _ in table.anomalies]
         return [r for block in blocks for r in _run_repetition(cfg, block, contamination, 0)]
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
@@ -758,12 +758,12 @@ class TestSharedVolumeAndScoring:
         # 48 training normals take 3 anomalies at c = 0.05: every class has them.
         cfg = self.config(contaminations=(0.0, 0.05), validation_fraction=validation_fraction)
         together = RecordStore(tmp_path / "together", manifest_hash="h")
-        assert run_grid(cfg, self.benches, together).n_flagged == 0
+        assert run_grid(cfg, [self.table], together).n_flagged == 0
         together_files = {p.name: p.read_bytes() for p in together.root.glob("*.csv")}
         assert len(together_files) == 3 * len(self.benches)
         for bench in self.benches:
             alone = RecordStore(tmp_path / bench.name, manifest_hash="h")
-            run_grid(cfg, [bench], alone)
+            run_grid(cfg, [self.table.narrowed([bench.anomaly_class])], alone)
             files = {p.name: p.read_bytes() for p in alone.root.glob("*.csv")}
             assert len(files) == 3
             assert files == {name: together_files[name] for name in files}
@@ -791,7 +791,7 @@ class TestSharedVolumeAndScoring:
     @pytest.mark.parametrize("contamination", [0.0, 0.05])
     def test_one_evaluation_per_benchmark_and_labelled_sample(self, monkeypatch, contamination):
         # The default grid: 27 kNN, 3 LOF and 3 forest combos, two scorers.
-        benches = make_benchmarks(synth_multiclass_table("w", (90, 20, 15, 12), dim=3, seed=2))
+        table = prepare_table(synth_multiclass_table("w", (90, 20, 15, 12), dim=3, seed=2))
         cfg = GridConfig(contaminations=(contamination,), repetitions=1, volume_samples=200,
                          validation_fraction=0.3, master_seed=4)
         combos = cfg.detector_combos()
@@ -799,10 +799,10 @@ class TestSharedVolumeAndScoring:
         monkeypatch.setattr(experiments, "roc_rows",
                             lambda labels, scores, order: rows.append(len(scores))
                             or roc_rows(labels, scores, order))
-        records = self.run_table(cfg, contamination, benches)
+        records = self.run_table(cfg, contamination, table)
         assert not any(r.flags for r in records)
         # An evaluation part and a val: part per benchmark.
-        assert rows == [len(combos)] * 2 * len(benches)
+        assert rows == [len(combos)] * 2 * len(table.anomalies)
 
     def test_block_draws_one_sample_and_scores_each_point_once(self, monkeypatch):
         cfg = self.config(repetitions=1)
@@ -818,7 +818,7 @@ class TestSharedVolumeAndScoring:
                 return scorer(models, x)
 
             monkeypatch.setattr(experiments, f"{family}_scores", recording)
-        records = _run_repetition(cfg, self.benches, 0.0, 0)
+        records = _run_repetition(cfg, self.table, 0.0, 0)
         assert len(records) == 3 * len(cfg.detector_combos())
         assert not any(r.flags for r in records)
         assert len(draws) == 1
@@ -836,12 +836,12 @@ class TestSharedVolumeAndScoring:
             assert np.array_equal(points, volume), family
 
     def test_every_class_of_a_table_draws_in_its_normal_box(self):
-        boxes = [experiments.volume_box_and_seed(bench, 3, 1) for bench in self.benches]
+        boxes = [experiments.volume_box_and_seed(b.table, b.normal, 3, 1) for b in self.benches]
         for box, seed in boxes:
             assert np.array_equal(box.b_min, self.benches[0].normal.min(axis=0))
             assert np.array_equal(box.b_max, self.benches[0].normal.max(axis=0))
             assert seed == boxes[0][1]
-        assert experiments.volume_box_and_seed(self.benches[0], 3, 2)[1] != boxes[0][1]
+        assert experiments.volume_box_and_seed("m", self.table.normal, 3, 2)[1] != boxes[0][1]
 
 
 class TestEvaluateCells:
@@ -1533,11 +1533,11 @@ KNN_3 = Combo(0, "knn", (("variant", "kappa"), ("k", 3)))
 
 class TestRocBand:
     def bench(self):
-        return synth_gaussian(80, 40, dim=2, shift=2.0, seed=6)
+        return synth_gaussian(80, 40, dim=2, shift=2.0, seed=6).benchmarks()[0]
 
     def test_identical_splits_have_zero_spread(self):
         # Shifted by 50 standard deviations, every split separates perfectly.
-        bench = synth_gaussian(80, 40, dim=2, shift=50.0, seed=6)
+        (bench,) = synth_gaussian(80, 40, dim=2, shift=50.0, seed=6).benchmarks()
         band = roc_band(bench, KNN_3, n_splits=2, master_seed=1)
         np.testing.assert_array_equal(band.tpr_std, 0.0)
         np.testing.assert_array_equal(band.ratio_std, 0.0)
@@ -1574,8 +1574,8 @@ class TestRocBand:
             def score(self, points):
                 return np.full(len(points), np.nan)
 
-        def nan_at_rep_0(bench, spec, train, combos):
-            return [Nan()] if spec.repetition == 0 else fit(bench, spec, train, combos)
+        def nan_at_rep_0(table, spec, train, combos):
+            return [Nan()] if spec.repetition == 0 else fit(table, spec, train, combos)
 
         monkeypatch.setattr(experiments, "fit_models", nan_at_rep_0)
         band = roc_band(self.bench(), KNN_3, n_splits=3, master_seed=2)
@@ -1585,6 +1585,6 @@ class TestRocBand:
         with pytest.raises(ValueError):
             roc_band(self.bench(), KNN_3, n_splits=1)
         # All anomalies get injected into training: every split degenerates.
-        bench = synth_gaussian(50, 2, dim=2, seed=0)
+        (bench,) = synth_gaussian(50, 2, dim=2, seed=0).benchmarks()
         with pytest.raises(ValueError, match="usable"):
             roc_band(bench, KNN_3, n_splits=2, contamination=0.05)
