@@ -385,9 +385,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset_dir, output_dir, only = _resolved_run_config(args)
     tables = load_tables(dataset_dir, only)
+    benches = benchmarks_of(tables)
+    # An ``only`` entry names a table or a benchmark; one that selects
+    # nothing is a typo, refused before the manifest is written.
+    selected = {t.name for t in tables} | {b.name for b in benches}
+    unmatched = [name for name in only or () if name not in selected]
+    if unmatched:
+        raise CliError(f"only: no table or benchmark named {', '.join(unmatched)} "
+                       f"under {dataset_dir}")
     if not tables:
         raise CliError(f"no benchmarks under {dataset_dir}; run prepare first")
-    benches = benchmarks_of(tables)
     data = {bench.name: _data_digest(bench) for bench in benches}
     manifest = RunManifest(
         config_path=str(args.config) if args.config else "<flags>",

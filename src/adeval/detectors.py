@@ -10,21 +10,31 @@ a neighbourhood: distances that differ only by rounding count as tied
 (:func:`_tie_tolerance`), kNN neighbour order is distance, then training
 index (:func:`_neighbour_table`), which keeps scores reproducible on
 datasets with repeated rows, and a LOF neighbourhood holds every training
-point up to the k-th distance plus that tolerance.  LOF fits of any number
-of k share one training distance matrix (:func:`lof_fitter`).
-:func:`neighbour_scores` scores any kNN and LOF models fitted on the same
-points, one model (``KnnModel.score``, ``LofModel.score``) or every such
-combo of a grid block, from one distance matrix per chunk of queries: one
-sorted prefix of each row's nearest distances gives the k-th distance of
-every k, one neighbour table every kNN statistic, and one running sum of
-the neighbours' coordinates every delta.  Isolation trees are grown level
-by level in heap layout, every draw of tree t a counter-based hash of
-(seed, t, slot), so a forest of n trees is the n-tree prefix of a larger
-forest of the same seed; :func:`forest_scores` scores one forest or all of
-its prefixes in one pass over the trees.  Forest growth and descent work in
-batches of at most ``_TILE`` elements (trees x subsample points x
-dimensions, trees x queries), so a batch holds every tree for a test fold
-and a few trees for a large volume sample.
+point up to the k-th distance plus that tolerance.  Every such
+neighbourhood is read from a row's neighbour prefix (:func:`_nearest`):
+its K + 1 nearest columns from one ``argpartition``, K the largest k in
+use.  A row whose (K + 1)-th distance is beyond the bound of K (its K-th
+distance plus the tolerance) holds every neighbour of every k <= K in its
+prefix; any other row, and every row when the prefix would hold more than
+half the training points, reads its whole row.  Sums over a neighbourhood
+are taken over a zero row with the prefix written in at its columns
+(:meth:`_Rows.sums`), the array the whole-row path sums, so both paths
+give the same bits.  LOF fits of any number of k share one prefix per
+training row, computed in blocks of rows, so a fit never holds the n x n
+distance matrix (:func:`lof_fitter`).  :func:`neighbour_scores` scores any
+kNN and LOF models fitted on the same points, one model
+(``KnnModel.score``, ``LofModel.score``) or every such combo of a grid
+block, from one distance matrix and one prefix per chunk of queries: the
+sorted prefix gives the k-th distance of every k, one neighbour table
+every kNN statistic, and one running sum of the neighbours' coordinates
+every delta.  Isolation trees are grown level by level in heap layout,
+every draw of tree t a counter-based hash of (seed, t, slot), so a forest
+of n trees is the n-tree prefix of a larger forest of the same seed;
+:func:`forest_scores` scores one forest or all of its prefixes in one pass
+over the trees.  Forest growth and descent work in batches of at most
+``_TILE`` elements (trees x subsample points x dimensions, trees x
+queries), so a batch holds every tree for a test fold and a few trees for
+a large volume sample.
 """
 
 from __future__ import annotations
@@ -33,12 +43,16 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 _CHUNK = 4096
+# Elements (rows x training points) of one block of training rows in a LOF
+# fit: a fit holds a few such blocks and each row's neighbour prefix, never
+# the n x n distance matrix.
+_BLOCK = 2**18
 
 
 def cdist(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -90,8 +104,83 @@ def _tie_tolerance(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (_TIE_RTOL * scale)[:, None]
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """Distance rows to the n training points: whole rows, or a prefix of each.
+
+    ``index`` picks the rows from the matrix they come from (a slice when
+    it picks them all, so that nothing is copied).  With ``cols`` None,
+    ``dist`` holds whole rows; otherwise entry (i, j) of ``dist`` is the
+    distance to training column ``cols[i, j]``, and the prefix holds every
+    column within the row's largest neighbourhood bound (:func:`_nearest`).
+    """
+
+    index: NDArray[np.intp] | slice
+    dist: NDArray[np.float64]
+    cols: NDArray[np.intp] | None
+    n: int
+
+    def at(self, values: np.ndarray) -> np.ndarray:
+        """Per-training-column ``values`` at each entry of ``dist``."""
+        return values[None, :] if self.cols is None else values[self.cols]
+
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        return (self.cols + self.n * np.arange(len(self.cols))[:, None]).ravel()
+
+    @functools.cached_property
+    def _whole(self) -> np.ndarray:
+        return np.zeros((len(self.cols), self.n))
+
+    def sums(self, member: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per row, the sum of ``values`` over ``member``, as the whole rows sum it.
+
+        That is ``np.where(member, values, 0.0).sum(axis=1)`` over whole rows,
+        bit for bit: a prefix is written at its columns into one zero (rows x
+        n) array, whose other columns are never written, and that array is
+        summed.  Every call writes the same columns, so one array serves
+        them all.
+        """
+        kept = np.where(member, values, 0.0)
+        if self.cols is None:
+            return kept.sum(axis=1)
+        self._whole.ravel()[self._flat] = kept.ravel()
+        return self._whole.sum(axis=1)
+
+
+def _nearest(dist: np.ndarray, top: int, tol: np.ndarray) -> tuple[np.ndarray, list[_Rows]]:
+    """Each row's ``top`` nearest distances, sorted, and the rows that hold its neighbours.
+
+    One ``argpartition`` takes each row's top + 1 nearest columns.  A row
+    keeps only that prefix when its (top + 1)-th distance is beyond the
+    bound of ``top`` (the top-th distance plus ``tol``): every column
+    within the bound of any k <= top is then in the prefix.  Any other row
+    (a tie group at the top-th distance may reach past the prefix, or the
+    row is NaN) keeps its whole row, and so does every row when the prefix
+    would hold more than half the columns.
+    """
+    n = dist.shape[1]
+    if 2 * (top + 1) > n:
+        near = np.partition(dist, top - 1, axis=1)[:, :top]
+        near.sort(axis=1)
+        return near, [_Rows(slice(None), dist, None, n)]
+    cols = np.argpartition(dist, top, axis=1)[:, : top + 1].copy()
+    prefix = np.take_along_axis(dist, cols, axis=1)
+    near = np.sort(prefix, axis=1)
+    served = near[:, top] > near[:, top - 1] + tol[:, 0]
+    if served.all():
+        return near[:, :top], [_Rows(slice(None), prefix, cols, n)]
+    if not served.any():
+        return near[:, :top], [_Rows(slice(None), dist, None, n)]
+    whole = np.flatnonzero(~served)
+    served = np.flatnonzero(served)
+    return near[:, :top], [
+        _Rows(served, prefix[served], cols[served], n), _Rows(whole, dist[whole], None, n)
+    ]
+
+
 def _neighbour_table(
-    dist: np.ndarray, k: int, bound: np.ndarray, tol: np.ndarray
+    rows: _Rows, k: int, bound: np.ndarray, tol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and training indices of each row's k nearest neighbours.
 
@@ -103,15 +192,17 @@ def _neighbour_table(
     so the lowest indices among the ties win.  Without near-ties this is
     the order a full-row stable sort gives.  "Not beyond" the bound rather
     than "<=" keeps every column of a NaN row, in the order a full sort
-    gives it.
+    gives it.  The candidates of a row that :func:`_nearest` serves from
+    its prefix are those of its whole row, so the table is the same.
     """
+    dist, n = rows.dist, rows.n
     keep = ~(dist > bound)
     counts = keep.sum(axis=1)
     # Candidates keep their column order, padded with distance inf and index
     # n; boolean assignment fills row-major, like the order of ``keep``'s hits.
     filled = np.arange(counts.max()) < counts[:, None]
-    cand_idx = np.full(filled.shape, dist.shape[1])
-    cand_idx[filled] = np.nonzero(keep)[1]
+    cand_idx = np.full(filled.shape, n)
+    cand_idx[filled] = np.nonzero(keep)[1] if rows.cols is None else rows.cols[keep]
     cand_dist = np.full(filled.shape, np.inf)
     cand_dist[filled] = dist[keep]
     # Sorted by distance only: the tie groups below come from the sorted
@@ -126,8 +217,8 @@ def _neighbour_table(
     group = np.zeros(cand_dist.shape, int)
     np.cumsum(new_group, axis=1, out=group[:, 1:])
     # Indices lie in [0, n], so group * (n + 1) + index orders by (group,
-    # index).  Built in place: these arrays are as large as the distances.
-    group *= dist.shape[1] + 1
+    # index).  Built in place: these arrays are as large as the candidates.
+    group *= n + 1
     group += cand_idx
     order = np.argsort(group, axis=1, kind="stable")[:, :k]
     return (
@@ -184,7 +275,7 @@ def knn_fit(points: np.ndarray, k: int, variant: str) -> KnnModel:
 
 
 def _local_density(
-    dist: np.ndarray, member: np.ndarray, kdist: np.ndarray, lrd_cap: float
+    rows: _Rows, member: np.ndarray, kdist: np.ndarray, lrd_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Member counts and local reachability densities (capped at ``lrd_cap``) of rows.
 
@@ -192,8 +283,7 @@ def _local_density(
     ``max(kdist[j], dist[i, j])``.
     """
     counts = member.sum(axis=1)
-    reach = np.maximum(kdist[None, :], dist)
-    reach_sum = np.where(member, reach, 0.0).sum(axis=1)
+    reach_sum = rows.sums(member, np.maximum(rows.at(kdist), rows.dist))
     lrd = np.where(
         reach_sum > 0,
         counts / np.where(reach_sum > 0, reach_sum, 1.0),
@@ -225,38 +315,76 @@ class LofModel:
         return neighbour_scores([self], x)[0]
 
 
-def lof_fitter(points: np.ndarray) -> Callable[[int], LofModel]:
+def _training_rows(points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Distances from training rows ``index`` to every training point, itself at inf."""
+    dist = cdist(points if len(index) == len(points) else points[index], points)
+    dist[np.arange(len(index)), index] = np.inf
+    return dist
+
+
+def lof_fitter(points: np.ndarray, ks: Iterable[int] = ()) -> Callable[[int], LofModel]:
     """``k ->`` the LOF model of ``points`` at neighbourhood size k.
 
     ``points`` is the training matrix (n, d), n >= 2, not all rows
     identical, and 1 <= k < n.  A fit precomputes the neighbour distances
-    and local densities.  The training distance matrix (diagonal excluded), its row sort and the
-    tie tolerance are computed by the first call and shared by the later
-    ones, so the LOF combos of a grid block fit from one of each.  Each
-    call checks its own k, so a k out of range fails only its own fit.
+    and local densities.  The training rows' neighbour prefixes
+    (:func:`_nearest`) at the largest k of ``ks`` and the fitted k, and
+    the tie tolerance, are computed by the first call and shared by the
+    later ones, so the LOF combos of a grid block fit from one of each;
+    ``ks`` out of range are ignored there.  Each call checks its own k, so
+    a k out of range fails only its own fit.
+
+    The training distances are computed in blocks of rows of at most
+    ``_BLOCK`` (rows x n) elements, and only each row's prefix is kept, so
+    a fit never holds the n x n matrix.  A row served by its prefix sums
+    its reachability distances through :meth:`_Rows.sums`, bit for bit as
+    its whole row would; the other rows' distances are computed again, a
+    block at a time, for each k.
     """
+    ks = tuple(ks)
 
     @functools.cache
-    def neighbourhoods():
+    def training():
         pts = _validate_train(points)
-        dist = cdist(pts, pts)
-        np.fill_diagonal(dist, np.inf)
-        diameter = dist[np.isfinite(dist)].max() if pts.shape[0] > 1 else 0.0
-        return pts, dist, np.sort(dist, axis=1), _tie_tolerance(pts, pts), diameter
+        return pts, _tie_tolerance(pts, pts)
+
+    @functools.cache
+    def neighbourhoods(top: int):
+        pts, tol = training()
+        n = pts.shape[0]
+        step = max(1, _BLOCK // n)
+        near = np.empty((n, top))
+        # (index, prefix, cols) per block of rows and group; whole rows keep
+        # only their index, as their distances are computed again.
+        parts = []
+        diameter = 0.0
+        for start in range(0, n, step):
+            index = np.arange(start, min(start + step, n))
+            dist = _training_rows(pts, index)
+            diameter = max(diameter, dist[np.isfinite(dist)].max())
+            near[index], groups = _nearest(dist, top, tol[index])
+            parts += [(index[g.index], None if g.cols is None else g.dist, g.cols) for g in groups]
+        return near, parts, diameter
 
     def fit(k: int) -> LofModel:
-        pts, dist, ordered, tol, diameter = neighbourhoods()
+        pts, tol = training()
         n = pts.shape[0]
         if not 1 <= k < n:
             raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+        near, parts, diameter = neighbourhoods(max([k, *(j for j in ks if 1 <= j < n)]))
         if diameter == 0.0:
             raise ValueError("all training points are identical; LOF is undefined")
         # Repeated rows zero the reachability sum; densities are clamped at
         # 1 / eps with eps tied to the data scale so scores stay finite.
         lrd_cap = 1.0 / (1e-12 * diameter)
-        kdist = ordered[:, k - 1]
-        member = dist <= kdist[:, None] + tol
-        _, lrd = _local_density(dist, member, kdist, lrd_cap)
+        kdist = near[:, k - 1].copy()
+        lrd = np.empty(n)
+        for index, prefix, cols in parts:
+            # A new _Rows per block and k: its zero array lives for one block.
+            dist = _training_rows(pts, index) if cols is None else prefix
+            rows = _Rows(index, dist, cols, n)
+            member = dist <= kdist[index, None] + tol[index]
+            _, lrd[index] = _local_density(rows, member, kdist, lrd_cap)
         return LofModel(points=pts, k=k, kdist=kdist, lrd=lrd, lrd_cap=lrd_cap)
 
     return fit
@@ -272,12 +400,18 @@ def neighbour_scores(
 ) -> NDArray[np.float64]:
     """Scores of kNN and LOF models fitted on the same points, one row per model.
 
-    Each chunk of queries gets one distance matrix, one tie tolerance
-    (:func:`_tie_tolerance`), and one partition at the largest k in use
-    whose prefix is then sorted, so column k - 1 of that prefix is the k-th
-    distance of every k; the bound of k is that distance plus the
-    tolerance.  kNN statistics are prefixes of one neighbour table at the
-    largest kNN k (:func:`_neighbour_table`): kappa = ``d[:, k-1]``, gamma
+    Each chunk of queries gets one distance matrix and one tie tolerance
+    (:func:`_tie_tolerance`).  :func:`_nearest` takes each row's K + 1
+    nearest columns from one partition, K the largest k in use, and sorts
+    them, so column k - 1 of the sorted prefix is the k-th distance of
+    every k; the bound of k is that distance plus the tolerance.  A row
+    whose (K + 1)-th distance is beyond the bound of K has every neighbour
+    of every k in its prefix, and the neighbour table, the LOF members and
+    the reachability and lrd sums read only the prefix columns; any other
+    row, and every row when K + 1 is more than half the training points,
+    reads its whole row.  Both give the same bits (:func:`_neighbour_table`,
+    :meth:`_Rows.sums`).  kNN statistics are prefixes of one neighbour
+    table at the largest kNN k: kappa = ``d[:, k-1]``, gamma
     = ``d[:, :k].mean(axis=1)``, delta = ``|s_k / k - q|``, where ``s_k``
     adds the first k neighbours' coordinates one at a time, in neighbour
     order: column k - 1 of one running sum over ``points[idx]``, gathered
@@ -298,38 +432,36 @@ def neighbour_scores(
     for start in range(0, queries.shape[0], _CHUNK):
         chunk = queries[start : start + _CHUNK]
         rows = out[:, start : start + _CHUNK]
-        dist = cdist(chunk, points)
         tol = _tie_tolerance(chunk, points)
-        nearest = np.partition(dist, ks[-1] - 1, axis=1)[:, : ks[-1]]
-        nearest.sort(axis=1)
-        bound = {k: nearest[:, [k - 1]] + tol for k in ks}
-        del nearest  # a view that keeps the partitioned copy of ``dist`` alive
-        if knn_k:
-            table, idx = _neighbour_table(dist, knn_k, bound[knn_k], tol)
-            # Running sums of the neighbours up to the largest delta k, added
-            # in neighbour order: delta at k reads column k - 1.  The gather is
-            # as large as LOF's arrays, so it is released before any LOF row.
-            near = points[idx[:, :delta_k]]
-            np.cumsum(near, axis=1, out=near)
+        near, parts = _nearest(cdist(chunk, points), ks[-1], tol)
+        bound = {k: near[:, [k - 1]] + tol for k in ks}
+        del near  # may be a view that keeps a partitioned copy of the distances alive
+        for part in parts:
+            at = part.index
+            if knn_k:
+                table, idx = _neighbour_table(part, knn_k, bound[knn_k][at], tol[at])
+                # Running sums of the neighbours up to the largest delta k,
+                # added in neighbour order: delta at k reads column k - 1.  The
+                # gather is as large as LOF's arrays, so it is released before
+                # any LOF row.
+                gathered = points[idx[:, :delta_k]]
+                np.cumsum(gathered, axis=1, out=gathered)
+                for row, m in zip(rows, models):
+                    if isinstance(m, LofModel):
+                        continue
+                    if m.variant == "kappa":
+                        row[at] = table[:, m.k - 1]
+                    elif m.variant == "gamma":
+                        row[at] = table[:, : m.k].mean(axis=1)
+                    else:  # delta
+                        row[at] = np.linalg.norm(gathered[:, m.k - 1] / m.k - chunk[at], axis=1)
+                del gathered
             for row, m in zip(rows, models):
                 if isinstance(m, LofModel):
-                    continue
-                if m.variant == "kappa":
-                    row[:] = table[:, m.k - 1]
-                elif m.variant == "gamma":
-                    row[:] = table[:, : m.k].mean(axis=1)
-                else:  # delta
-                    row[:] = np.linalg.norm(near[:, m.k - 1] / m.k - chunk, axis=1)
-            del near
-        for row, m in zip(rows, models):
-            if isinstance(m, LofModel):
-                member = dist <= bound[m.k]
-                counts, lrd_q = _local_density(dist, member, m.kdist, m.lrd_cap)
-                lrd_sum = np.where(member, m.lrd[None, :], 0.0).sum(axis=1)
-                row[:] = lrd_sum / (lrd_q * counts)
+                    member = part.dist <= bound[m.k][at]
+                    counts, lrd_q = _local_density(part, member, m.kdist, m.lrd_cap)
+                    row[at] = part.sums(member, part.at(m.lrd)) / (lrd_q * counts)
     return out
-
-
 
 
 # ---------------------------------------------------------------------------

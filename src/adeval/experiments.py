@@ -254,14 +254,15 @@ def fit_models(
     This is the one rule that maps a combo to its fit, used by grid cells,
     the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  kNN combos
     fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
-    ``train``.  The forest combos of a subsample take their prefix of one
-    :func:`iforest_fit` at their largest ``n_trees``, which equals a forest
-    fitted with their own ``n_trees`` bit for bit.  Seeds come from
-    :func:`_fit_seed`.  An entry is the ``ValueError`` or
+    ``train``, given every LOF k of ``combos`` so one neighbour prefix per
+    training row serves them all.  The forest combos of a subsample take
+    their prefix of one :func:`iforest_fit` at their largest ``n_trees``,
+    which equals a forest fitted with their own ``n_trees`` bit for bit.
+    Seeds come from :func:`_fit_seed`.  An entry is the ``ValueError`` or
     ``FloatingPointError`` its fit raised instead of a model; a failed
     forest fit is the entry of every combo of its subsample.
     """
-    lof = lof_fitter(train)
+    lof = lof_fitter(train, [int(c.param("k")) for c in combos if c.detector == "lof"])
     forests: dict[object, object] = {}
 
     def forest(subsample) -> object:

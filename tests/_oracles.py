@@ -189,6 +189,33 @@ def lof_fit_reference(points, k):
     return kdist, np.minimum(lrd, lrd_cap), lrd_cap
 
 
+def lof_score_reference(model, queries, chunk=4096):
+    """LOF scores of ``model`` from each query's whole distance row.
+
+    A query's neighbourhood holds every training point up to its k-th
+    distance plus 1e-12 times the largest coordinate magnitude of the query
+    and the training points.  The reachability and lrd sums run over whole
+    rows, in the library's order, so results compare with ``==``.
+    """
+    points = np.asarray(model.points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), chunk):
+        q = queries[start : start + chunk]
+        dist = cdist(q, points)
+        tol = 1e-12 * np.maximum(np.abs(q).max(axis=1), np.abs(points).max())
+        member = dist <= np.sort(dist, axis=1)[:, [model.k - 1]] + tol[:, None]
+        counts = member.sum(axis=1)
+        reach_sum = np.where(member, np.maximum(model.kdist[None, :], dist), 0.0).sum(axis=1)
+        cap = model.lrd_cap
+        lrd = np.minimum(
+            np.where(reach_sum > 0, counts / np.where(reach_sum > 0, reach_sum, 1.0), cap), cap
+        )
+        lrd_sum = np.where(member, model.lrd[None, :], 0.0).sum(axis=1)
+        out[start : start + chunk] = lrd_sum / (lrd * counts)
+    return out
+
+
 def precision_reference(labels, scores, p, rounds, seed):
     """precision@p of one score vector, one round at a time.
 

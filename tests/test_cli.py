@@ -257,6 +257,14 @@ class TestRun:
         assert "resuming" in out and "0 new" in out
         assert read_store_bytes(study.run) == before
 
+    def test_only_names_that_select_nothing_are_refused(self, study, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={run_dir}",
+                     "--set", "only=tab0-c1,tab0-c9,ghost"]) == 2
+        err = capsys.readouterr().err
+        assert "tab0-c9, ghost" in err and "tab0-c1" not in err
+        assert not (run_dir / "manifest.json").exists()
+
     def test_store_files_of_another_run_are_refused(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1)
         cache, run_dir = tmp_path / "cache", tmp_path / "run"

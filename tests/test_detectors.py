@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from adeval.detectors import (
 )
 from _oracles import (
     forest_draw, forest_reference, forest_subsample, knn_reference, lof_fit_reference,
-    splitmix64,
+    lof_score_reference, splitmix64,
 )
 
 
@@ -447,6 +448,129 @@ class TestLof:
         queries = np.array([[0.0, 0.0], [15.0, -3.0]])
         values = model.score(queries)
         assert np.all(np.isfinite(values)) and np.all(values > 0)
+
+
+# ---------------------------------------------------------------------------
+# Neighbour prefixes: every kNN and LOF neighbourhood from the K + 1 nearest
+# ---------------------------------------------------------------------------
+
+
+def served_rows(dist, top, tol):
+    """Positions of the rows :func:`detectors._nearest` serves from their prefix."""
+    rows = np.arange(len(dist))
+    parts = detectors._nearest(dist, top, tol)[1]
+    return {int(i) for part in parts if part.cols is not None for i in rows[part.index]}
+
+
+def axis_star(dim=3, n_far=30, seed=0):
+    """The origin, the 2 * dim unit points on the axes, and a far random cluster.
+
+    The origin's six nearest tie at distance 1, and each axis point's
+    second to fifth at sqrt(2), so with k = 2 their tie groups reach past a
+    3-column prefix; the far points tie with nothing.
+    """
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    far = np.random.default_rng(seed).normal(size=(n_far, dim)) + 10.0
+    return np.vstack([np.zeros((1, dim)), axes, far])
+
+
+def assert_block_equals_references(train, queries, lof_ks, knn_ks):
+    """LOF fits equal their oracle, and every row of one kNN and LOF block its reference."""
+    fit = lof_fitter(train, lof_ks)
+    lofs = [fit(k) for k in lof_ks]
+    for model in lofs:
+        kdist, lrd, lrd_cap = lof_fit_reference(train, model.k)
+        assert np.array_equal(model.kdist, kdist) and np.array_equal(model.lrd, lrd), model.k
+        assert model.lrd_cap == lrd_cap
+    models = [*lofs, *(knn_fit(train, k, v) for k in knn_ks for v in ("kappa", "gamma", "delta"))]
+    # A NaN query has an empty LOF neighbourhood: 0 / 0.
+    with np.errstate(invalid="ignore"):
+        block = neighbour_scores(models, queries)
+        for model, row in zip(models, block):
+            if isinstance(model, detectors.LofModel):
+                expected = lof_score_reference(model, queries)
+            else:
+                expected = knn_reference(train, queries, model.k, model.variant)
+            assert np.array_equal(row, expected, equal_nan=True), (model, model.k)
+
+
+class TestNeighbourPrefix:
+    @pytest.mark.parametrize("angle, ks, knn_ks, tied", [
+        (0.0, [1, 2], [1, 2], 0),
+        # kNN order breaks a near-tie by index where knn_reference takes the
+        # smaller distance, so the rotated star checks LOF alone.
+        (0.3, [1], [], 1),
+    ], ids=["exact-ties", "near-ties"])
+    def test_tie_group_past_the_prefix_reads_the_whole_row(self, angle, ks, knn_ks, tied):
+        """The origin's six nearest tie at distance 1, and a point midway to
+        an axis point has two nearest that tie.  After a rotation the ties
+        are near-ties: an ulp or two apart, each within the tolerance."""
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+        )
+        train = axis_star() @ rot.T + np.array([2.5, -1.0, 0.7])
+        top = max(ks)
+        dist = cdist(train, train)
+        np.fill_diagonal(dist, np.inf)
+        served = served_rows(dist, top, detectors._tie_tolerance(train, train))
+        assert 0 not in served and set(range(7, len(train))) <= served
+        queries = np.vstack([train[:1], (train[0] + train[1:7]) / 2, train, train[7:] + 0.1])
+        served = served_rows(cdist(queries, train), top, detectors._tie_tolerance(queries, train))
+        assert tied not in served and set(range(7, len(queries))) & served
+        assert_block_equals_references(train, queries, lof_ks=ks, knn_ks=knn_ks)
+
+    def test_nan_query(self):
+        train = axis_star(dim=2, seed=1)
+        queries = np.vstack([[[np.nan, 0.0]], train, [[np.nan, np.nan]], train + 0.25])
+        assert_block_equals_references(train, queries, lof_ks=[2, 3], knn_ks=[1, 3])
+
+    def test_queries_over_two_chunks(self):
+        train = axis_star(seed=2)
+        rng = np.random.default_rng(2)
+        queries = np.vstack([rng.integers(-2, 3, size=(_CHUNK, 3)) / 2.0, [[0.0, 0.0, 0.0]]])
+        assert len(queries) == _CHUNK + 1
+        assert_block_equals_references(train, queries, lof_ks=[2, 4], knn_ks=[1, 2, 5])
+
+    def test_fit_over_two_row_blocks(self):
+        rng = np.random.default_rng(3)
+        grid = rng.integers(-3, 4, size=(300, 3)).astype(float)
+        train = np.vstack([grid, rng.normal(size=(300, 3))])
+        assert 1 < detectors._BLOCK // len(train) < len(train)
+        queries = np.vstack([grid[:50] + 0.5, rng.normal(size=(50, 3))])
+        assert_block_equals_references(train, queries, lof_ks=[1, 10, 40], knn_ks=[3, 40])
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_both_sides_of_the_wide_prefix_switch(self, n):
+        """K = 5: a 6-column prefix is more than half of 11 columns, not of 12."""
+        rng = np.random.default_rng(n)
+        train = rng.normal(size=(n, 2))
+        queries = rng.normal(size=(40, 2))
+        tol = detectors._tie_tolerance(queries, train)
+        assert served_rows(cdist(queries, train), 5, tol) == (set() if n == 11 else set(range(40)))
+        assert_block_equals_references(train, queries, lof_ks=[1, 5], knn_ks=[2, 5])
+
+    def test_knn_and_lof_scored_together(self):
+        """Served and whole rows in one chunk, with kNN k above and below the LOF ks."""
+        rng = np.random.default_rng(4)
+        grid = rng.integers(-3, 4, size=(60, 2)).astype(float)
+        train = np.vstack([grid, grid[:6], rng.normal(size=(40, 2))])
+        queries = np.vstack([rng.integers(-8, 9, size=(200, 2)) / 2.0, rng.normal(size=(100, 2))])
+        served = served_rows(cdist(queries, train), 30, detectors._tie_tolerance(queries, train))
+        assert 0 < len(served) < len(queries)
+        assert_block_equals_references(train, queries, lof_ks=[3, 20], knn_ks=[1, 7, 30])
+
+    def test_fit_holds_no_square_distance_matrix(self):
+        """One fit at n = 3000 allocates far less than one n x n float64 array."""
+        train = np.random.default_rng(5).normal(size=(3000, 4))
+        fit = lof_fitter(train)
+        tracemalloc.start()
+        try:
+            fit(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 4
 
 
 # ---------------------------------------------------------------------------
