@@ -27,12 +27,15 @@ kNN and LOF models fitted on the same points, one model
 block, from one distance matrix and one prefix per chunk of queries: the
 sorted prefix gives the k-th distance of every k, one neighbour table
 every kNN statistic, and one running sum of the neighbours' coordinates
-every delta.  Isolation trees are grown level by level in heap layout,
-every draw of tree t a counter-based hash of (seed, t, slot), so a forest
-of n trees is the n-tree prefix of a larger forest of the same seed;
-:func:`forest_scores` scores one forest or all of its prefixes in one pass
-over the trees.  Forest growth and descent work in batches of at most
-``_TILE`` elements (trees x subsample points x dimensions, trees x
+every delta; a chunk of queries holds at most ``_CHUNK`` rows and
+``_CHUNK_ELEMENTS`` (rows x training points) elements.  Isolation trees
+are grown level by level in heap layout, from training-row ids and the
+coordinates of each split's column (:func:`_grow_batch`), every draw of
+tree t a counter-based hash of (seed, t, slot), so a forest of n trees is
+the n-tree prefix of a larger forest of the same seed;
+:func:`forest_scores` scores one forest or all of its prefixes in one
+pass over the trees.  Forest growth and descent work in batches of at
+most ``_TILE`` elements (trees x subsample points x dimensions, trees x
 queries), so a batch holds every tree for a test fold and a few trees for
 a large volume sample.
 """
@@ -48,7 +51,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+# Queries per chunk of neighbour scoring: at most _CHUNK rows and at most
+# _CHUNK_ELEMENTS (rows x training points) elements, so the distance matrix
+# of a chunk and the arrays as large as it stay bounded whatever n_train.
 _CHUNK = 4096
+_CHUNK_ELEMENTS = 2**21
 # Elements (rows x training points) of one block of training rows in a LOF
 # fit: a fit holds a few such blocks and each row's neighbour prefix, never
 # the n x n distance matrix.
@@ -400,11 +407,14 @@ def neighbour_scores(
 ) -> NDArray[np.float64]:
     """Scores of kNN and LOF models fitted on the same points, one row per model.
 
-    Each chunk of queries gets one distance matrix and one tie tolerance
-    (:func:`_tie_tolerance`).  :func:`_nearest` takes each row's K + 1
-    nearest columns from one partition, K the largest k in use, and sorts
-    them, so column k - 1 of the sorted prefix is the k-th distance of
-    every k; the bound of k is that distance plus the tolerance.  A row
+    Queries are scored in chunks of at most ``_CHUNK`` rows and at most
+    ``_CHUNK_ELEMENTS`` (rows x n_train) elements: 4096 rows up to 512
+    training points, fewer above.  Each chunk gets one distance matrix and
+    one tie tolerance (:func:`_tie_tolerance`).  :func:`_nearest` takes
+    each row's K + 1 nearest columns from one partition, K the largest k
+    in use, and sorts them, so column k - 1 of the sorted prefix is the
+    k-th distance of every k; the bound of k is that distance plus the
+    tolerance.  A row
     whose (K + 1)-th distance is beyond the bound of K has every neighbour
     of every k in its prefix, and the neighbour table, the LOF members and
     the reachability and lrd sums read only the prefix columns; any other
@@ -429,9 +439,10 @@ def neighbour_scores(
     delta_k = max((m.k for m in knn if m.variant == "delta"), default=0)
     ks = sorted({m.k for m in models if isinstance(m, LofModel)} | ({knn_k} if knn_k else set()))
     out = np.empty((len(models), queries.shape[0]))
-    for start in range(0, queries.shape[0], _CHUNK):
-        chunk = queries[start : start + _CHUNK]
-        rows = out[:, start : start + _CHUNK]
+    step = min(_CHUNK, max(1, _CHUNK_ELEMENTS // points.shape[0]))
+    for start in range(0, queries.shape[0], step):
+        chunk = queries[start : start + step]
+        rows = out[:, start : start + step]
         tol = _tie_tolerance(chunk, points)
         near, parts = _nearest(cdist(chunk, points), ks[-1], tol)
         bound = {k: near[:, [k - 1]] + tol for k in ks}
@@ -559,6 +570,7 @@ def _splitmix(state: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _grow_batch(
     points: np.ndarray,
+    repeated: np.ndarray,
     seed: int,
     first: int,
     psi: int,
@@ -568,9 +580,16 @@ def _grow_batch(
     """Grow trees ``first, first + 1, ...`` level by level into ``rows``.
 
     ``rows`` are the (feature, threshold, path) rows of the batch's trees.
-    Each level sorts the points still in inner nodes by (tree, node), so a
-    node's points are one run and its bounds one ``reduceat``.
-    ``leaf_path[s]`` is c(s).
+    The points still in inner nodes are training-row ids, one run per
+    node, the runs in (tree, heap index) order.  A split partitions its
+    node's run stably, left child first, so the runs keep that order
+    without a sort by node.  A split node's bounds are read in its split
+    column alone, from one gather of each id's coordinate there.  Only the
+    ``repeated`` columns (those with a repeated value among ``points``) are
+    read in every node, to find the columns constant in it: a subsample
+    holds distinct rows, so no other column is constant in a node of two
+    or more points.  A level's work is O(points x (1 + repeated columns)),
+    not O(points x d).  ``leaf_path[s]`` is c(s).
 
     Every draw is a pure function of (seed, t, slot), counter-based in the
     sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
@@ -579,11 +598,11 @@ def _grow_batch(
     and 2i + 1, as their top 53 bits over 2**53, computed only for the
     nodes that split.  The key of point j is slot ``2 * n_heap + j`` with
     its low ceil(log2 n) bits replaced by j, and a tree grows on the points
-    of its psi smallest keys (every point when psi equals n).  A batch holds
-    one key per tree and training point.
+    of its psi smallest keys (every point when psi equals n).  A batch
+    hashes one key per tree and training point.
     """
     batch, n_heap = rows[0].shape
-    n = len(points)
+    n, d = points.shape
     height_limit = n_heap.bit_length() - 1
     tree_key = _splitmix(np.array([seed], dtype=np.uint64),
                          np.arange(first, first + batch, dtype=np.uint64))
@@ -593,41 +612,47 @@ def _grow_batch(
     slot = np.uint64(2 * n_heap) + index
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = _splitmix(tree_key[:, None], slot) & ~low | index
-    x = points[np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()]
+    ids = np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()
     feature, threshold, path = (r.reshape(-1) for r in rows)
-    node = np.repeat(np.arange(batch) * n_heap, psi)  # tree * n_heap + heap index
+    head = np.arange(batch) * n_heap  # per node: tree * n_heap + heap index
+    size = np.full(batch, psi)
     for depth in range(height_limit + 1):
-        order = np.argsort(node, kind="stable")
-        node, x = node[order], x[order]
-        starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-        size = np.diff(np.r_[starts, node.size])
-        head = node[starts]
-        lo = np.minimum.reduceat(x, starts)
-        hi = np.maximum.reduceat(x, starts)
-        splittable = hi > lo
-        count = splittable.sum(axis=1)
+        starts = np.cumsum(size) - size
+        col = points[ids[:, None], repeated]
+        constant = np.maximum.reduceat(col, starts) == np.minimum.reduceat(col, starts)
+        count = d - constant.sum(axis=1)
         split = (size > 1) & (count > 0) & (depth < height_limit)
         path[head[~split]] = depth + leaf_path[size[~split]]
         if not split.any():
             break
-        keep = np.repeat(split, size)
-        head, count = head[split], count[split]
+        ids = ids[np.repeat(split, size)]
+        head, size, count, constant = head[split], size[split], count[split], constant[split]
         local = head % n_heap
         slot = (2 * local).astype(np.uint64)[:, None] + np.array([0, 1], dtype=np.uint64)
         bits = _splitmix(tree_key[head // n_heap, None], slot) >> np.uint64(11)
         u = bits.astype(np.float64) * 2.0**-53
-        pick = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
-        dim = np.argmax(np.cumsum(splittable[split], axis=1) > pick[:, None], axis=1)
-        lo, hi = lo[split, dim], hi[split, dim]
+        # The pick-th non-constant column: each constant column at or before
+        # the candidate, in column order, moves it on by one.
+        dim = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
+        for column, fixed in zip(repeated, constant.T):
+            dim += fixed & (column <= dim)
+        group = np.repeat(np.arange(head.size), size)
+        starts = np.cumsum(size) - size
+        coord = points[ids, dim[group]]
+        lo = np.minimum.reduceat(coord, starts)
+        hi = np.maximum.reduceat(coord, starts)
         value = np.minimum(lo + u[:, 1] * (hi - lo), hi)
         feature[head] = dim
         threshold[head] = value
         # A child that receives no point stays an empty leaf one level down.
         path[head + local + 1] = path[head + local + 2] = depth + 1
-        x, node = x[keep], node[keep]
-        group = np.repeat(np.arange(head.size), size[split])
-        below = x[np.arange(node.size), dim[group]] < value[group]
-        node = node + local[group] + 2 - below
+        # Run 2g holds node g's points below its threshold, run 2g + 1 the
+        # others, in their order: the children's runs, in heap order.
+        run = 2 * group + 1 - (coord < value[group])
+        ids = ids[np.argsort(run, kind="stable")]
+        size = np.bincount(run, minlength=2 * head.size)
+        head = ((head + local + 1)[:, None] + np.array([0, 1])).ravel()
+        head, size = head[size > 0], size[size > 0]
 
 
 def iforest_fit(
@@ -646,9 +671,13 @@ def iforest_fit(
 
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
     grow level by level, ``max(1, _TILE // max(psi * d, n))`` trees at a
-    time, so a batch's points and its per-point keys both stay within
+    time, so a batch's point ids and its per-point keys both stay within
     ``_TILE`` elements when n does.  Trees of a batch grow independently,
-    so the batch size changes no tree.  Every draw of tree t is a
+    so the batch size changes no tree.  The columns with a repeated value
+    among the training points are found once, from one sort of the
+    training matrix: no other column can be constant in a node of two or
+    more points, so growth reads only those columns' bounds and the split
+    column's (:func:`_grow_batch`).  Every draw of tree t is a
     splitmix64 hash of ``(seed, t, slot)`` (:func:`_grow_batch`), with no
     generator state: its subsample is the psi points with the smallest
     per-point keys, so every point when psi equals n, and each node that
@@ -694,10 +723,12 @@ def iforest_fit(
     feature = np.full((n_trees, n_heap), -1, dtype=np.int64)
     threshold = np.full((n_trees, n_heap), -np.inf)
     path = np.zeros((n_trees, n_heap))
+    ordered = np.sort(pts, axis=0)
+    repeated = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
     per_batch = max(1, _TILE // max(psi * pts.shape[1], pts.shape[0]))
     for first in range(0, n_trees, per_batch):
         batch = slice(first, first + per_batch)
-        _grow_batch(pts, seed, first, psi, leaf_path,
+        _grow_batch(pts, repeated, seed, first, psi, leaf_path,
                     (feature[batch], threshold[batch], path[batch]))
     for depth in range(1, height_limit + 1):
         right = np.arange(2**depth, 2 ** (depth + 1) - 1, 2)

@@ -144,6 +144,88 @@ def forest_subsample(seed, t, n, psi, n_heap):
     return [key & ((1 << bits) - 1) for key in keys[:psi]]
 
 
+def _splitmix_array(state, k):
+    """:func:`splitmix64` on uint64 arrays (broadcast together), wrapping mod 2**64."""
+    z = state + (k + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def forest_growth_reference(points, n_trees, subsample, seed):
+    """(feature, threshold, path) of an isolation forest, grown by sorting rows by node.
+
+    All trees grow together, level by level.  Each level sorts the
+    subsample rows (coordinates, not ids) still in inner nodes by (tree,
+    node), takes every column's min and max in every node, and reads the
+    node's non-constant columns off them; no column is assumed to vary.
+    Draws, subsample keys and the heap layout are those documented by
+    ``iforest_fit`` (see :func:`forest_draw`, :func:`forest_subsample`), and a
+    leaf's right-hand descendants repeat its path.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    psi = min(subsample, n)
+    height_limit = math.ceil(math.log2(psi))
+    n_heap = 2 ** (height_limit + 1) - 1
+    # c(s), the mean path length of an unsuccessful search among s keys.
+    leaf_path = np.array([
+        0.0 if s < 2 else 1.0 if s == 2
+        else 2.0 * (math.log(s - 1.0) + np.euler_gamma) - 2.0 * (s - 1.0) / s
+        for s in range(psi + 1)
+    ])
+    feature = np.full((n_trees, n_heap), -1, dtype=np.int64)
+    threshold = np.full((n_trees, n_heap), -np.inf)
+    path = np.zeros((n_trees, n_heap))
+    tree_key = _splitmix_array(np.array([seed], dtype=np.uint64),
+                               np.arange(n_trees, dtype=np.uint64))
+    index = np.arange(n, dtype=np.uint64)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = _splitmix_array(tree_key[:, None], np.uint64(2 * n_heap) + index) & ~low | index
+    x = pts[np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()]
+    flat_feature, flat_threshold, flat_path = feature.ravel(), threshold.ravel(), path.ravel()
+    node = np.repeat(np.arange(n_trees) * n_heap, psi)  # tree * n_heap + heap index
+    for depth in range(height_limit + 1):
+        order = np.argsort(node, kind="stable")
+        node, x = node[order], x[order]
+        starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        size = np.diff(np.r_[starts, node.size])
+        head = node[starts]
+        lo = np.minimum.reduceat(x, starts)
+        hi = np.maximum.reduceat(x, starts)
+        splittable = hi > lo
+        count = splittable.sum(axis=1)
+        split = (size > 1) & (count > 0) & (depth < height_limit)
+        flat_path[head[~split]] = depth + leaf_path[size[~split]]
+        if not split.any():
+            break
+        keep = np.repeat(split, size)
+        head, count = head[split], count[split]
+        local = head % n_heap
+        slot = (2 * local).astype(np.uint64)[:, None] + np.array([0, 1], dtype=np.uint64)
+        bits = _splitmix_array(tree_key[head // n_heap, None], slot) >> np.uint64(11)
+        u = bits.astype(float) * 2.0**-53
+        pick = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
+        dim = np.argmax(np.cumsum(splittable[split], axis=1) > pick[:, None], axis=1)
+        lo, hi = lo[split, dim], hi[split, dim]
+        value = np.minimum(lo + u[:, 1] * (hi - lo), hi)
+        flat_feature[head] = dim
+        flat_threshold[head] = value
+        flat_path[head + local + 1] = flat_path[head + local + 2] = depth + 1
+        x, node = x[keep], node[keep]
+        group = np.repeat(np.arange(head.size), size[split])
+        below = x[np.arange(node.size), dim[group]] < value[group]
+        node = node + local[group] + 2 - below
+    for depth in range(1, height_limit + 1):
+        right = np.arange(2**depth, 2 ** (depth + 1) - 1, 2)
+        parent = right // 2 - 1
+        path[:, right] = np.where(feature[:, parent] < 0, path[:, parent], path[:, right])
+    return feature, threshold, path
+
+
 def forest_reference(model, queries):
     """Isolation-forest scores by a walk over one tree at a time.
 

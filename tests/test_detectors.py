@@ -14,8 +14,8 @@ from adeval.detectors import (
     neighbour_scores,
 )
 from _oracles import (
-    forest_draw, forest_reference, forest_subsample, knn_reference, lof_fit_reference,
-    lof_score_reference, splitmix64,
+    forest_draw, forest_growth_reference, forest_reference, forest_subsample, knn_reference,
+    lof_fit_reference, lof_score_reference, splitmix64,
 )
 
 
@@ -560,6 +560,20 @@ class TestNeighbourPrefix:
         assert 0 < len(served) < len(queries)
         assert_block_equals_references(train, queries, lof_ks=[3, 20], knn_ks=[1, 7, 30])
 
+    def test_chunks_of_a_large_training_set(self, monkeypatch):
+        """Above 512 training points a chunk holds _CHUNK_ELEMENTS // n_train queries."""
+        rng = np.random.default_rng(6)
+        grid = rng.integers(-3, 4, size=(600, 2)).astype(float)
+        train = np.vstack([grid, rng.normal(size=(600, 2))])
+        step = detectors._CHUNK_ELEMENTS // len(train)
+        assert step < _CHUNK
+        queries = np.vstack([rng.integers(-8, 9, size=(step, 2)) / 2.0, rng.normal(size=(10, 2))])
+        assert_block_equals_references(train, queries, lof_ks=[3, 20], knn_ks=[1, 20])
+        sizes = []
+        monkeypatch.setattr(detectors, "cdist", lambda a, b: sizes.append(len(a)) or cdist(a, b))
+        knn_fit(train, 1, "kappa").score(queries)
+        assert sizes == [step, 10]
+
     def test_fit_holds_no_square_distance_matrix(self):
         """One fit at n = 3000 allocates far less than one n x n float64 array."""
         train = np.random.default_rng(5).normal(size=(3000, 4))
@@ -691,6 +705,39 @@ class TestIsolationForest:
                 for attr in ("feature", "threshold", "path"):
                     assert np.array_equal(getattr(fit, attr), getattr(fits[0], attr)), (
                         subsample, attr)
+
+    @pytest.mark.parametrize("subsample", [32, 60, 256], ids=["psi<n", "psi=n", "psi-clipped"])
+    @pytest.mark.parametrize(
+        "columns", ["unique", "grid", "mixed", "duplicate-rows", "signed-zeros"]
+    )
+    def test_growth_equals_the_sorting_reference(self, monkeypatch, columns, subsample):
+        """Trees grown from ids and the split column alone equal trees grown from every column.
+
+        Grid columns repeat values, so they can be constant in a node of
+        several points, and so can a column that holds 0.0 and -0.0: they
+        are equal, though their bits differ.
+        """
+        rng = np.random.default_rng(10)
+        train = rng.normal(size=(60, 3))
+        if columns == "grid":
+            train = rng.integers(0, 3, size=(60, 3)).astype(float)
+        elif columns == "mixed":
+            train[:, 1] = rng.integers(0, 2, size=60)
+        elif columns == "duplicate-rows":
+            train = np.repeat(train[:20], 3, axis=0)
+        elif columns == "signed-zeros":
+            # Rows 0 and 1 differ only in the bits of a zero, the only zeros
+            # of column 0; far from the others, they soon share a node alone.
+            train[:, 2] = rng.choice([0.0, -0.0, 1.0], size=60)
+            train[:2] = [[0.0, 8.0, 1.0], [-0.0, 8.0, 1.0]]
+        n_trees = 10
+        expected = forest_growth_reference(train, n_trees, subsample, seed=5)
+        psi = min(subsample, len(train))
+        for per_batch in (1, 3, n_trees):
+            monkeypatch.setattr(detectors, "_TILE", per_batch * psi * train.shape[1])
+            model = iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=5)
+            for attr, want in zip(("feature", "threshold", "path"), expected):
+                assert np.array_equal(getattr(model, attr), want), (per_batch, attr)
 
     def test_growth_batch_keys_stay_within_tile(self, monkeypatch):
         """A batch hashes one key per tree and training point, so n bounds it too."""
