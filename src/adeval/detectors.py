@@ -28,16 +28,21 @@ block, from one distance matrix and one prefix per chunk of queries: the
 sorted prefix gives the k-th distance of every k, one neighbour table
 every kNN statistic, and one running sum of the neighbours' coordinates
 every delta; a chunk of queries holds at most ``_CHUNK`` rows and
-``_CHUNK_ELEMENTS`` (rows x training points) elements.  Isolation trees
+``_CHUNK_ELEMENTS`` (rows x training points) elements.  With a kNN model
+in the group the prefix keeps its columns in sorted order, and a row whose
+first k + 1 distances lie pairwise more than the tolerance apart takes its
+neighbour table from that prefix as it stands (:func:`_knn_table`); only
+the other rows sort candidates by tie group and index.  Isolation trees
 are grown level by level in heap layout, from training-row ids and the
 coordinates of each split's column (:func:`_grow_batch`), every draw of
 tree t a counter-based hash of (seed, t, slot), so a forest of n trees is
 the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
-pass over the trees.  Forest growth and descent work in batches of at
-most ``_TILE`` elements (trees x subsample points x dimensions, trees x
-queries), so a batch holds every tree for a test fold and a few trees for
-a large volume sample.
+pass over the trees, each level of a descent updating one node array in
+place.  Forest growth and descent work in batches of at most ``_TILE``
+elements (trees x subsample points x dimensions, trees x queries), so a
+batch holds every tree for a test fold and a few trees for a large volume
+sample.
 """
 
 from __future__ import annotations
@@ -154,9 +159,24 @@ class _Rows:
         self._whole.ravel()[self._flat] = kept.ravel()
         return self._whole.sum(axis=1)
 
+    def take(self, at: np.ndarray) -> _Rows:
+        """The rows at positions ``at`` of these rows."""
+        index = at if isinstance(self.index, slice) else self.index[at]
+        return _Rows(index, self.dist[at], None if self.cols is None else self.cols[at], self.n)
 
-def _nearest(dist: np.ndarray, top: int, tol: np.ndarray) -> tuple[np.ndarray, list[_Rows]]:
-    """Each row's ``top`` nearest distances, sorted, and the rows that hold its neighbours.
+
+def _nearest(
+    dist: np.ndarray, top: int, tol: np.ndarray, ordered: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, list[_Rows]]:
+    """Each row's nearest distances and columns, sorted, and the rows that hold its neighbours.
+
+    Returns ``(near, cols, parts)``.  ``near`` holds each row's top + 1
+    smallest distances (all n when top = n) in ascending order.  With
+    ``ordered``, ``cols`` holds their training columns in the same order;
+    otherwise it is None, as a group without a kNN model reads no column
+    order.  Equal distances come in the order an unstable sort gives, so
+    only a row whose distances are pairwise more than ``tol`` apart may
+    read its order (:func:`_knn_table`).
 
     One ``argpartition`` takes each row's top + 1 nearest columns.  A row
     keeps only that prefix when its (top + 1)-th distance is beyond the
@@ -164,26 +184,39 @@ def _nearest(dist: np.ndarray, top: int, tol: np.ndarray) -> tuple[np.ndarray, l
     within the bound of any k <= top is then in the prefix.  Any other row
     (a tie group at the top-th distance may reach past the prefix, or the
     row is NaN) keeps its whole row, and so does every row when the prefix
-    would hold more than half the columns.
+    would hold more than half the columns; ``cols`` then comes from one
+    ``argsort`` of each whole row, faster there than a partition and a
+    sort of the prefix.
     """
     n = dist.shape[1]
     if 2 * (top + 1) > n:
-        near = np.partition(dist, top - 1, axis=1)[:, :top]
-        near.sort(axis=1)
-        return near, [_Rows(slice(None), dist, None, n)]
-    cols = np.argpartition(dist, top, axis=1)[:, : top + 1].copy()
+        if ordered:
+            cols = np.argsort(dist, axis=1)[:, : top + 1]
+            near = np.take_along_axis(dist, cols, axis=1)
+        else:
+            cols = None
+            near = np.partition(dist, min(top, n - 1), axis=1)[:, : top + 1]
+            near.sort(axis=1)
+        return near, cols, [_Rows(slice(None), dist, None, n)]
+    cols = np.argpartition(dist, top, axis=1)[:, : top + 1]
     prefix = np.take_along_axis(dist, cols, axis=1)
-    near = np.sort(prefix, axis=1)
+    if ordered:
+        order = np.argsort(prefix, axis=1)
+        cols = np.take_along_axis(cols, order, axis=1)
+        near = prefix = np.take_along_axis(prefix, order, axis=1)
+    else:
+        cols = cols.copy()  # releases the partition of the whole rows
+        near = np.sort(prefix, axis=1)
     served = near[:, top] > near[:, top - 1] + tol[:, 0]
     if served.all():
-        return near[:, :top], [_Rows(slice(None), prefix, cols, n)]
-    if not served.any():
-        return near[:, :top], [_Rows(slice(None), dist, None, n)]
-    whole = np.flatnonzero(~served)
-    served = np.flatnonzero(served)
-    return near[:, :top], [
-        _Rows(served, prefix[served], cols[served], n), _Rows(whole, dist[whole], None, n)
-    ]
+        parts = [_Rows(slice(None), prefix, cols, n)]
+    elif not served.any():
+        parts = [_Rows(slice(None), dist, None, n)]
+    else:
+        whole = np.flatnonzero(~served)
+        served = np.flatnonzero(served)
+        parts = [_Rows(served, prefix[served], cols[served], n), _Rows(whole, dist[whole], None, n)]
+    return near, cols if ordered else None, parts
 
 
 def _neighbour_table(
@@ -232,6 +265,44 @@ def _neighbour_table(
         np.take_along_axis(cand_dist, order, axis=1),
         np.take_along_axis(cand_idx, order, axis=1),
     )
+
+
+def _knn_table(
+    near: np.ndarray,
+    cols: np.ndarray,
+    parts: list[_Rows],
+    k: int,
+    bound: np.ndarray,
+    tol: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_neighbour_table` of every row, read from the sorted prefix where it can be.
+
+    ``near``, ``cols`` and ``parts`` come from :func:`_nearest` with
+    ``ordered``.  A row whose first k distances are each more than ``tol``
+    above the one before, and whose (k + 1)-th is beyond ``bound`` (the
+    k-th plus ``tol``), has exactly its first k columns as candidates,
+    each a tie group of its own, so its table is that sorted prefix: the
+    same bits as :func:`_neighbour_table`.  Its order is unique, whatever
+    the sort.  Any other row (near-ties, exact ties, a NaN row, and every
+    row when k = n, which has no (k + 1)-th column) is tabled by
+    :func:`_neighbour_table` from the rows ``parts`` hold for it.
+    """
+    table, idx = near[:, :k], cols[:, :k]
+    # An infinite query gives inf - inf here, which is NaN: not apart.
+    with np.errstate(invalid="ignore"):
+        fast = (np.diff(table, axis=1) > tol).all(axis=1)
+    fast &= near[:, k] > bound[:, 0] if k < near.shape[1] else False
+    if fast.all():
+        return table, idx
+    table, idx = table.copy(), idx.copy()
+    for part in parts:
+        at = np.flatnonzero(~fast[part.index])
+        if at.size:
+            rows = part.take(at)
+            table[rows.index], idx[rows.index] = _neighbour_table(
+                rows, k, bound[rows.index], tol[rows.index]
+            )
+    return table, idx
 
 
 @dataclass(frozen=True)
@@ -369,7 +440,8 @@ def lof_fitter(points: np.ndarray, ks: Iterable[int] = ()) -> Callable[[int], Lo
             index = np.arange(start, min(start + step, n))
             dist = _training_rows(pts, index)
             diameter = max(diameter, dist[np.isfinite(dist)].max())
-            near[index], groups = _nearest(dist, top, tol[index])
+            nearest, _, groups = _nearest(dist, top, tol[index])
+            near[index] = nearest[:, :top]
             parts += [(index[g.index], None if g.cols is None else g.dist, g.cols) for g in groups]
         return near, parts, diameter
 
@@ -414,14 +486,17 @@ def neighbour_scores(
     each row's K + 1 nearest columns from one partition, K the largest k
     in use, and sorts them, so column k - 1 of the sorted prefix is the
     k-th distance of every k; the bound of k is that distance plus the
-    tolerance.  A row
-    whose (K + 1)-th distance is beyond the bound of K has every neighbour
-    of every k in its prefix, and the neighbour table, the LOF members and
-    the reachability and lrd sums read only the prefix columns; any other
-    row, and every row when K + 1 is more than half the training points,
-    reads its whole row.  Both give the same bits (:func:`_neighbour_table`,
-    :meth:`_Rows.sums`).  kNN statistics are prefixes of one neighbour
-    table at the largest kNN k: kappa = ``d[:, k-1]``, gamma
+    tolerance.  A row whose (K + 1)-th distance is beyond the bound of K
+    has every neighbour of every k in its prefix, and the neighbour table,
+    the LOF members and the reachability and lrd sums read only the prefix
+    columns; any other row, and every row when K + 1 is more than half the
+    training points, reads its whole row.  Both give the same bits
+    (:func:`_neighbour_table`, :meth:`_Rows.sums`).  With a kNN model the
+    prefix is sorted with its columns (by one ``argsort`` of each whole
+    row when those are read), and the neighbour table at the largest kNN
+    k is that sorted prefix for every row whose first k + 1 distances lie
+    pairwise apart (:func:`_knn_table`): on real-valued data, every row.
+    kNN statistics are prefixes of that table: kappa = ``d[:, k-1]``, gamma
     = ``d[:, :k].mean(axis=1)``, delta = ``|s_k / k - q|``, where ``s_k``
     adds the first k neighbours' coordinates one at a time, in neighbour
     order: column k - 1 of one running sum over ``points[idx]``, gathered
@@ -444,29 +519,30 @@ def neighbour_scores(
         chunk = queries[start : start + step]
         rows = out[:, start : start + step]
         tol = _tie_tolerance(chunk, points)
-        near, parts = _nearest(cdist(chunk, points), ks[-1], tol)
+        near, cols, parts = _nearest(cdist(chunk, points), ks[-1], tol, ordered=knn_k > 0)
         bound = {k: near[:, [k - 1]] + tol for k in ks}
-        del near  # may be a view that keeps a partitioned copy of the distances alive
+        if knn_k:
+            table, idx = _knn_table(near, cols, parts, knn_k, bound[knn_k], tol)
+            # Running sums of the neighbours up to the largest delta k, added
+            # in neighbour order: delta at k reads column k - 1.  The gather is
+            # as large as LOF's arrays, so it is released before any LOF row.
+            gathered = points[idx[:, :delta_k]]
+            np.cumsum(gathered, axis=1, out=gathered)
+            for row, m in zip(rows, models):
+                if isinstance(m, LofModel):
+                    continue
+                if m.variant == "kappa":
+                    row[:] = table[:, m.k - 1]
+                elif m.variant == "gamma":
+                    row[:] = table[:, : m.k].mean(axis=1)
+                else:  # delta
+                    row[:] = np.linalg.norm(gathered[:, m.k - 1] / m.k - chunk, axis=1)
+            del table, idx, gathered
+        # ``near`` and ``cols`` may be views that keep a partition or a sort
+        # of the whole distance rows alive.
+        del near, cols
         for part in parts:
             at = part.index
-            if knn_k:
-                table, idx = _neighbour_table(part, knn_k, bound[knn_k][at], tol[at])
-                # Running sums of the neighbours up to the largest delta k,
-                # added in neighbour order: delta at k reads column k - 1.  The
-                # gather is as large as LOF's arrays, so it is released before
-                # any LOF row.
-                gathered = points[idx[:, :delta_k]]
-                np.cumsum(gathered, axis=1, out=gathered)
-                for row, m in zip(rows, models):
-                    if isinstance(m, LofModel):
-                        continue
-                    if m.variant == "kappa":
-                        row[at] = table[:, m.k - 1]
-                    elif m.variant == "gamma":
-                        row[at] = table[:, : m.k].mean(axis=1)
-                    else:  # delta
-                        row[at] = np.linalg.norm(gathered[:, m.k - 1] / m.k - chunk[at], axis=1)
-                del gathered
             for row, m in zip(rows, models):
                 if isinstance(m, LofModel):
                     member = part.dist <= bound[m.k][at]
@@ -754,9 +830,13 @@ def forest_scores(
     ``_TILE // n_trees`` queries, chunks of ``_TILE`` queries one tree at a
     time for more than ``_TILE``.  Every query descends each tree of a tile
     from the root by ``idx = 2*idx + 1 + go_right`` to depth
-    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`), and
-    the path length found there over c(psi) is added to the query's running
-    total one tree at a time, in tree order; a model's row,
+    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`).  A
+    level makes no tile-sized temporary beyond its three gathers (split
+    column, coordinate, threshold): the column indices are offset in place,
+    the comparison writes one preallocated mask and the node array is
+    updated in place.  Fancy indexing keeps its bounds check.  The path
+    length found at depth ``height_limit`` over c(psi) is added to the
+    query's running total one tree at a time, in tree order; a model's row,
     ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
     therefore gives the same scores, bit for bit, as a walk over single
     trees, and a forest scores the same alone or as a prefix of a larger
@@ -798,12 +878,16 @@ def forest_scores(
             # Tree t's heap starts at t * n_heap, so in flat indices the
             # children of node i are 2i + 1 - root and 2i + 2 - root.
             root = np.arange(top * n_heap, stop * n_heap, n_heap)[:, None]
+            shift = 2 - root
             node = np.repeat(root, row_start.size, axis=1)
+            below = np.empty(node.shape, dtype=bool)
             for _ in range(forest.height_limit):
                 # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
-                below = coords[row_start + feature[node]] < threshold[node]
+                idx = feature[node]
+                idx += row_start
+                np.less(coords[idx], threshold[node], out=below)
                 node *= 2
-                node += 2 - root
+                node += shift
                 node -= below
             # Row i becomes the total after tree top + i: cumsum adds one tree
             # at a time, in tree order, as a walk over single trees does.

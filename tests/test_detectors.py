@@ -458,7 +458,7 @@ class TestLof:
 def served_rows(dist, top, tol):
     """Positions of the rows :func:`detectors._nearest` serves from their prefix."""
     rows = np.arange(len(dist))
-    parts = detectors._nearest(dist, top, tol)[1]
+    parts = detectors._nearest(dist, top, tol)[2]
     return {int(i) for part in parts if part.cols is not None for i in rows[part.index]}
 
 
@@ -585,6 +585,138 @@ class TestNeighbourPrefix:
         finally:
             tracemalloc.stop()
         assert peak < 3000 * 3000 * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# kNN tables from the sorted prefix
+# ---------------------------------------------------------------------------
+
+# Training points on a line.  Seen from the origin, rows 0 and 1 near-tie
+# (1 + 2 ulp and 1, the farther one first, so the tie rule and a plain
+# distance sort disagree), rows 2 and 3 tie exactly at 2, and rows 4 and 5
+# near-tie at 3 (the nearer one first); the other distances lie far apart.
+LINE = np.array([-(1.0 + 2**-51), 1.0, 2.0, -2.0, 3.0, -(3.0 + 2**-51),
+                 5.0, -7.0, 11.0, -13.0, 17.0, -19.0, 23.0, -29.0])[:, None]
+# The origin, a point whose second and third nearest near-tie (the farther
+# one first), a point with an exact tie, two far points whose distances all
+# lie apart, and a NaN row.
+LINE_QUERIES = np.array([0.0, 0.5, 10.0, 100.0, np.nan, -100.0])[:, None]
+
+
+def tabled_rows(monkeypatch):
+    """The sizes of the row sets that reach :func:`detectors._neighbour_table`, as calls go."""
+    sizes = []
+    table = detectors._neighbour_table
+    monkeypatch.setattr(detectors, "_neighbour_table",
+                        lambda rows, *args: sizes.append(len(rows.dist)) or table(rows, *args))
+    return sizes
+
+
+class TestPrefixTable:
+    @pytest.mark.parametrize("k", range(1, len(LINE) + 1))
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_prefix_table_equals_row_table(self, monkeypatch, k, extra):
+        """Every row's table is :func:`_neighbour_table`'s over its whole row, bit for bit.
+
+        The prefix is taken at K = k and at K = k + 3 (as a larger LOF or kNN
+        k sets it), so both sides of the whole-row switch (2 (K + 1) > n)
+        are met.  The far rows come from the prefix and the others from the
+        row table, in one chunk; at k = n every row has the row table.
+        """
+        dist = cdist(LINE_QUERIES, LINE)
+        tol = detectors._tie_tolerance(LINE_QUERIES, LINE)
+        gaps = np.diff(np.sort(dist[0]))
+        assert 0 < gaps[0] <= tol[0, 0] and gaps[1] > tol[0, 0] and gaps[2] == 0
+        top = min(k + extra, len(LINE))
+        near, cols, parts = detectors._nearest(dist, top, tol, ordered=True)
+        bound = near[:, [k - 1]] + tol
+        sizes = tabled_rows(monkeypatch)
+        table, idx = detectors._knn_table(near, cols, parts, k, bound, tol)
+        tabled = sum(sizes)
+        rows = detectors._Rows(slice(None), dist, None, len(LINE))
+        expected = detectors._neighbour_table(rows, k, bound, tol)
+        assert np.array_equal(table, expected[0], equal_nan=True)
+        assert np.array_equal(idx, expected[1])
+        if k == len(LINE):
+            assert tabled == len(LINE_QUERIES)
+        else:
+            assert 1 <= tabled <= len(LINE_QUERIES) - 2
+
+    @pytest.mark.parametrize("lof_ks, knn_ks", [
+        ([1, 3], [1, 2, 3, 4, 5, 6]),
+        ([2, 6], [1, 5, 9, 13]),
+        ([1, 13], [2, 14]),
+        ([2, 5, 13], []),
+    ], ids=["prefix", "whole-rows", "k-equals-n", "lof-only"])
+    def test_scores_equal_references(self, lof_ks, knn_ks):
+        """Ties below k, at k and k + 1 and past k + 1, a NaN row and far rows.
+
+        The tie rule and ``knn_reference``'s stable distance sort agree
+        where every near-tie lists the nearer point first: so rows 0 and 1
+        swap places, the query at 0.5 is left out, and the other queries
+        are real-valued.
+        """
+        train = LINE[[1, 0, *range(2, len(LINE))]]
+        rng = np.random.default_rng(12)
+        queries = np.vstack([LINE_QUERIES[[0, 2, 3, 4, 5]], rng.normal(scale=10.0, size=(30, 1))])
+        assert_block_equals_references(train, queries, lof_ks=lof_ks, knn_ks=knn_ks)
+
+    def test_gaussian_queries_never_reach_the_row_table(self, monkeypatch):
+        """Real-valued distances are apart, so the sorted prefix serves every row.
+
+        n = 72 in 2-D reads whole rows at K = 51, n = 480 in 8-D prefixes.
+        Grid distances tie, so grid queries reach the row table.
+        """
+        sizes = tabled_rows(monkeypatch)
+        rng = np.random.default_rng(11)
+        for n, dim in ((72, 2), (480, 8)):
+            train = rng.normal(size=(n, dim))
+            models = [lof_fitter(train)(10),
+                      *(knn_fit(train, k, v) for k in (1, 5, 51) for v in detectors.KNN_VARIANTS)]
+            neighbour_scores(models, rng.uniform(-3.0, 3.0, size=(2000, dim)))
+        assert sizes == []
+        grid = rng.integers(-3, 4, size=(72, 2)).astype(float)
+        queries = rng.integers(-8, 9, size=(300, 2)) / 2.0
+        assert_block_equals_references(grid, queries, lof_ks=[10], knn_ks=[1, 5, 51])
+        assert sizes
+
+
+@st.composite
+def grid_queries(draw, max_rows=20, dim=2):
+    """Query rows on the half-integer grid of [-11, 11]^dim, some with a NaN coordinate."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    values = draw(st.lists(st.integers(min_value=-22, max_value=22),
+                           min_size=rows * dim, max_size=rows * dim))
+    queries = np.array(values, dtype=float).reshape(rows, dim) / 2
+    nan = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    queries[np.array(nan), 0] = np.nan
+    return queries
+
+
+@given(grid_cloud(), grid_queries(), grid_queries(), st.integers(min_value=1, max_value=25),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None)
+def test_stacked_queries_score_as_apart(train, a, b, k, seed):
+    """Scoring ``vstack([a, b])`` gives the bits of scoring ``a`` and ``b`` apart.
+
+    A grid block scores its stacked test fold and one shared volume sample
+    in one call per scorer, so no row's score may depend on the rows
+    beside it: not on which rows the sorted prefix serves, nor on the
+    forest's tiles.
+    """
+    n = len(train)
+    fit = lof_fitter(train)
+    forest = iforest_fit(train, n_trees=7, subsample=16, seed=seed)
+    scorers = [
+        (neighbour_scores, [fit(min(k, n - 1)), fit(1), knn_fit(train, 1, "kappa"),
+                            *(knn_fit(train, min(k, n), v) for v in detectors.KNN_VARIANTS)]),
+        (forest_scores, [forest, forest.prefix(3)]),
+    ]
+    # A NaN query has an empty LOF neighbourhood: 0 / 0.
+    with np.errstate(invalid="ignore"):
+        for score, models in scorers:
+            apart = np.hstack([score(models, a), score(models, b)])
+            assert np.array_equal(score(models, np.vstack([a, b])), apart, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
