@@ -10,7 +10,8 @@ output file carries the hash in a ``# manifest:`` comment line, and a
 rerun against the same output directory verifies the manifest before
 touching anything.  ``aggregate`` takes a run's configuration and
 benchmark set from its manifest alone.  Exit codes: 0 success, 1
-completed with flagged-missing cells, 2 usage or configuration error.
+completed with flagged-missing cells, 2 usage, configuration or file
+error (an ``OSError``, such as an output path that is an existing file).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from adeval.datasets import (
 from adeval.experiments import (
     Combo,
     GridConfig,
-    MeasureId,
     RecordStore,
     benchmarks_of,
     collapse,
@@ -461,27 +461,35 @@ def _select_measures(
     alpha: float | None,
     p: float | None,
 ) -> tuple[str, ...]:
-    names = [m.name for m in cfg.measures()]
+    """The run's measures that ``--measure`` names, at the ``--alpha`` and ``--p`` levels.
+
+    A named measure or a level that the run does not have is refused.
+    """
+    wanted = {"alphas": alpha, "ps": p}  # the level each family keeps, None for all
+    for flag, family in (("--alpha", "alphas"), ("--p", "ps")):
+        have = getattr(cfg, family)
+        if wanted[family] is not None and wanted[family] not in have:
+            shown = ", ".join(f"{v:g}" for v in have)
+            raise CliError(f"{flag} {wanted[family]:g} not in this run (has: {shown})")
+    by_name = {m.name: m for m in cfg.measures()}
+    names = list(by_name)
     if measure_flags:
         chosen = []
         for flag in measure_flags:
             for part in (s.strip() for s in flag.split(",")):
                 if not part:
                     continue
-                if part not in names:
+                if part not in by_name:
                     raise CliError(
-                        f"measure {part!r} not in this run (has: {', '.join(names)})"
+                        f"measure {part!r} not in this run (has: {', '.join(by_name)})"
                     )
                 chosen.append(part)
         names = chosen
 
     def keep(name: str) -> bool:
-        if "@" not in name:
-            return True
-        measure = MeasureId.parse(name)
-        if measure.kind == "precision_at":
-            return p is None or measure.level == p
-        return alpha is None or measure.level == alpha
+        measure = by_name[name]
+        level = wanted.get(measure.family)
+        return level is None or measure.level == level
 
     names = [n for n in names if keep(n)]
     if not names:
@@ -807,7 +815,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ scores across classes produce a diagonal segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,24 +41,13 @@ class RocRows:
     (1, 1) with nondecreasing FPR and TPR and nonincreasing thresholds;
     the first threshold is +inf, the operating point before any sample is
     flagged, and each later vertex carries the score value whose >= rule
-    realizes it.  The rows may come from different labelled samples.
+    realizes it.
     """
 
     fpr: NDArray[np.float64]
     tpr: NDArray[np.float64]
     thresholds: NDArray[np.float64]
     starts: NDArray[np.intp]
-
-    @classmethod
-    def of(cls, parts: Sequence[RocRows]) -> RocRows:
-        """The rows of ``parts`` one after another."""
-        offsets = np.cumsum([0] + [len(p.fpr) for p in parts])
-        return cls(
-            fpr=np.concatenate([p.fpr for p in parts]),
-            tpr=np.concatenate([p.tpr for p in parts]),
-            thresholds=np.concatenate([p.thresholds for p in parts]),
-            starts=np.concatenate([[0]] + [p.starts[1:] + o for p, o in zip(parts, offsets)]),
-        )
 
 
 # ---------------------------------------------------------------------------

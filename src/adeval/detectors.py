@@ -28,14 +28,14 @@ block, from one distance matrix and one prefix per chunk of queries: the
 sorted prefix gives the k-th distance of every k, one neighbour table
 every kNN statistic, and one running sum of the neighbours' coordinates
 every delta; a chunk of queries holds at most ``_CHUNK`` rows and
-``_CHUNK_ELEMENTS`` (rows x training points) elements.  With a kNN model
-in the group the prefix keeps its columns in sorted order, and a row whose
-first k + 1 distances lie pairwise more than the tolerance apart takes its
-neighbour table from that prefix as it stands (:func:`_knn_table`); only
-the other rows sort candidates by tie group and index.  Isolation trees
-are grown level by level in heap layout, from training-row ids and the
-coordinates of each split's column (:func:`_grow_batch`), every draw of
-tree t a counter-based hash of (seed, t, slot), so a forest of n trees is
+``_CHUNK_ELEMENTS`` (rows x training points) elements.  The prefix keeps
+its columns in sorted order, and a row whose first k + 1 distances lie
+pairwise more than the tolerance apart takes its kNN neighbour table from
+that prefix as it stands (:func:`_knn_table`); only the other rows sort
+candidates by tie group and index.  Isolation trees are grown level by
+level in heap layout, from training-row ids and the coordinates of each
+split's column (:func:`_grow_batch`), every draw of tree t a
+counter-based hash of (seed, t, slot), so a forest of n trees is
 the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
@@ -120,14 +120,14 @@ def _tie_tolerance(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 class _Rows:
     """Distance rows to the n training points: whole rows, or a prefix of each.
 
-    ``index`` picks the rows from the matrix they come from (a slice when
-    it picks them all, so that nothing is copied).  With ``cols`` None,
-    ``dist`` holds whole rows; otherwise entry (i, j) of ``dist`` is the
-    distance to training column ``cols[i, j]``, and the prefix holds every
-    column within the row's largest neighbourhood bound (:func:`_nearest`).
+    ``index`` picks the rows from the matrix they come from.  With ``cols``
+    None, ``dist`` holds whole rows; otherwise entry (i, j) of ``dist`` is
+    the distance to training column ``cols[i, j]``, and the prefix holds
+    every column within the row's largest neighbourhood bound
+    (:func:`_nearest`).
     """
 
-    index: NDArray[np.intp] | slice
+    index: NDArray[np.intp]
     dist: NDArray[np.float64]
     cols: NDArray[np.intp] | None
     n: int
@@ -161,62 +161,48 @@ class _Rows:
 
     def take(self, at: np.ndarray) -> _Rows:
         """The rows at positions ``at`` of these rows."""
-        index = at if isinstance(self.index, slice) else self.index[at]
-        return _Rows(index, self.dist[at], None if self.cols is None else self.cols[at], self.n)
+        cols = None if self.cols is None else self.cols[at]
+        return _Rows(self.index[at], self.dist[at], cols, self.n)
 
 
 def _nearest(
-    dist: np.ndarray, top: int, tol: np.ndarray, ordered: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, list[_Rows]]:
+    dist: np.ndarray, top: int, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[_Rows]]:
     """Each row's nearest distances and columns, sorted, and the rows that hold its neighbours.
 
     Returns ``(near, cols, parts)``.  ``near`` holds each row's top + 1
-    smallest distances (all n when top = n) in ascending order.  With
-    ``ordered``, ``cols`` holds their training columns in the same order;
-    otherwise it is None, as a group without a kNN model reads no column
-    order.  Equal distances come in the order an unstable sort gives, so
-    only a row whose distances are pairwise more than ``tol`` apart may
-    read its order (:func:`_knn_table`).
+    smallest distances (all n when top = n) in ascending order, and
+    ``cols`` their training columns in the same order.  Equal distances
+    come in the order an unstable sort gives, so only a row whose
+    distances are pairwise more than ``tol`` apart may read its order
+    (:func:`_knn_table`).
 
-    One ``argpartition`` takes each row's top + 1 nearest columns.  A row
-    keeps only that prefix when its (top + 1)-th distance is beyond the
-    bound of ``top`` (the top-th distance plus ``tol``): every column
-    within the bound of any k <= top is then in the prefix.  Any other row
-    (a tie group at the top-th distance may reach past the prefix, or the
-    row is NaN) keeps its whole row, and so does every row when the prefix
-    would hold more than half the columns; ``cols`` then comes from one
+    One ``argpartition`` takes each row's top + 1 nearest columns, and one
+    ``argsort`` of that prefix orders them.  A row keeps only its prefix
+    when its (top + 1)-th distance is beyond the bound of ``top`` (the
+    top-th distance plus ``tol``): every column within the bound of any
+    k <= top is then in the prefix.  Any other row (a tie group at the
+    top-th distance may reach past the prefix, or the row is NaN) keeps
+    its whole row.  ``parts`` holds the prefix rows, then the whole rows,
+    each part only if it holds a row.  When the prefix would hold more than half the
+    columns, every row keeps its whole row and ``cols`` comes from one
     ``argsort`` of each whole row, faster there than a partition and a
     sort of the prefix.
     """
     n = dist.shape[1]
     if 2 * (top + 1) > n:
-        if ordered:
-            cols = np.argsort(dist, axis=1)[:, : top + 1]
-            near = np.take_along_axis(dist, cols, axis=1)
-        else:
-            cols = None
-            near = np.partition(dist, min(top, n - 1), axis=1)[:, : top + 1]
-            near.sort(axis=1)
-        return near, cols, [_Rows(slice(None), dist, None, n)]
+        cols = np.argsort(dist, axis=1)[:, : top + 1]
+        near = np.take_along_axis(dist, cols, axis=1)
+        return near, cols, [_Rows(np.arange(len(dist)), dist, None, n)]
     cols = np.argpartition(dist, top, axis=1)[:, : top + 1]
-    prefix = np.take_along_axis(dist, cols, axis=1)
-    if ordered:
-        order = np.argsort(prefix, axis=1)
-        cols = np.take_along_axis(cols, order, axis=1)
-        near = prefix = np.take_along_axis(prefix, order, axis=1)
-    else:
-        cols = cols.copy()  # releases the partition of the whole rows
-        near = np.sort(prefix, axis=1)
+    near = np.take_along_axis(dist, cols, axis=1)
+    order = np.argsort(near, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    near = np.take_along_axis(near, order, axis=1)
     served = near[:, top] > near[:, top - 1] + tol[:, 0]
-    if served.all():
-        parts = [_Rows(slice(None), prefix, cols, n)]
-    elif not served.any():
-        parts = [_Rows(slice(None), dist, None, n)]
-    else:
-        whole = np.flatnonzero(~served)
-        served = np.flatnonzero(served)
-        parts = [_Rows(served, prefix[served], cols[served], n), _Rows(whole, dist[whole], None, n)]
-    return near, cols if ordered else None, parts
+    prefix, whole = np.flatnonzero(served), np.flatnonzero(~served)
+    parts = [_Rows(prefix, near[prefix], cols[prefix], n), _Rows(whole, dist[whole], None, n)]
+    return near, cols, [part for part in parts if len(part.index)]
 
 
 def _neighbour_table(
@@ -277,12 +263,12 @@ def _knn_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_neighbour_table` of every row, read from the sorted prefix where it can be.
 
-    ``near``, ``cols`` and ``parts`` come from :func:`_nearest` with
-    ``ordered``.  A row whose first k distances are each more than ``tol``
-    above the one before, and whose (k + 1)-th is beyond ``bound`` (the
-    k-th plus ``tol``), has exactly its first k columns as candidates,
-    each a tie group of its own, so its table is that sorted prefix: the
-    same bits as :func:`_neighbour_table`.  Its order is unique, whatever
+    ``near``, ``cols`` and ``parts`` come from :func:`_nearest`.  A row
+    whose first k distances are each more than ``tol`` above the one
+    before, and whose (k + 1)-th is beyond ``bound`` (the k-th plus
+    ``tol``), has exactly its first k columns as candidates, each a tie
+    group of its own, so its table is that sorted prefix: the same bits as
+    :func:`_neighbour_table`.  Its order is unique, whatever
     the sort.  Any other row (near-ties, exact ties, a NaN row, and every
     row when k = n, which has no (k + 1)-th column) is tabled by
     :func:`_neighbour_table` from the rows ``parts`` hold for it.
@@ -491,10 +477,10 @@ def neighbour_scores(
     the LOF members and the reachability and lrd sums read only the prefix
     columns; any other row, and every row when K + 1 is more than half the
     training points, reads its whole row.  Both give the same bits
-    (:func:`_neighbour_table`, :meth:`_Rows.sums`).  With a kNN model the
-    prefix is sorted with its columns (by one ``argsort`` of each whole
-    row when those are read), and the neighbour table at the largest kNN
-    k is that sorted prefix for every row whose first k + 1 distances lie
+    (:func:`_neighbour_table`, :meth:`_Rows.sums`).  The prefix is sorted
+    with its columns (by one ``argsort`` of each whole row when those are
+    read), and the neighbour table at the largest kNN k is that sorted
+    prefix for every row whose first k + 1 distances lie
     pairwise apart (:func:`_knn_table`): on real-valued data, every row.
     kNN statistics are prefixes of that table: kappa = ``d[:, k-1]``, gamma
     = ``d[:, :k].mean(axis=1)``, delta = ``|s_k / k - q|``, where ``s_k``
@@ -519,7 +505,7 @@ def neighbour_scores(
         chunk = queries[start : start + step]
         rows = out[:, start : start + step]
         tol = _tie_tolerance(chunk, points)
-        near, cols, parts = _nearest(cdist(chunk, points), ks[-1], tol, ordered=knn_k > 0)
+        near, cols, parts = _nearest(cdist(chunk, points), ks[-1], tol)
         bound = {k: near[:, [k - 1]] + tol for k in ks}
         if knn_k:
             table, idx = _knn_table(near, cols, parts, knn_k, bound[knn_k], tol)
@@ -538,8 +524,7 @@ def neighbour_scores(
                 else:  # delta
                     row[:] = np.linalg.norm(gathered[:, m.k - 1] / m.k - chunk, axis=1)
             del table, idx, gathered
-        # ``near`` and ``cols`` may be views that keep a partition or a sort
-        # of the whole distance rows alive.
+        # ``cols`` may be a view that keeps a sort of the whole distance rows alive.
         del near, cols
         for part in parts:
             at = part.index

@@ -44,7 +44,7 @@ from numpy.typing import NDArray
 
 from adeval._text import data_rows
 from adeval.curves import (
-    RocRows, auc_at_rows, auc_rows, auc_weighted_rows, check_labels, descending_order,
+    auc_at_rows, auc_rows, auc_weighted_rows, check_labels, descending_order,
     roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import (
@@ -64,15 +64,24 @@ from adeval.volume import (
 # Measure identifiers
 # ---------------------------------------------------------------------------
 
-_LEVELED_KINDS = {
-    "auc_at": "AUC",
-    "precision_at": "precision",
-    "tpr_at": "TPR",
-    "f1_at": "F1",
-    "cvol_at": "CVOL",
+# Every measure kind, in column order: its label and its level family, the
+# GridConfig field whose levels it takes (None: the kind takes no level).
+_KINDS = {
+    "auc": ("AUC", None),
+    "auc_w": ("AUC_w", None),
+    "auc_at": ("AUC", "alphas"),
+    "precision_at": ("precision", "ps"),
+    "tpr_at": ("TPR", "alphas"),
+    "f1_at": ("F1", "alphas"),
+    "cvol_at": ("CVOL", "alphas"),
 }
-_PLAIN_KINDS = {"auc": "AUC", "auc_w": "AUC_w"}
-_PREFIX_TO_KIND = {v: k for k, v in _LEVELED_KINDS.items()}
+# The range of each family's levels.  An FPR budget may be 1; precision@p
+# keeps a p-fraction of anomalies, so p = 1 leaves no normals.
+_RANGES = {"alphas": "(0, 1]", "ps": "(0, 1)"}
+
+
+def _in_range(family: str, level: float) -> bool:
+    return 0.0 < level < 1.0 or (level == 1.0 and family == "alphas")
 
 
 @dataclass(frozen=True)
@@ -80,39 +89,38 @@ class MeasureId:
     """One evaluation measure, e.g. AUC, or TPR at a false-positive level.
 
     ``level`` is the FPR budget alpha for the curve-based measures and
-    the contamination p for ``precision_at``; plain AUC and the weighted
-    AUC take no level.
+    the contamination p for ``precision_at`` (:attr:`family`); plain AUC
+    and the weighted AUC take no level.
     """
 
     kind: str
     level: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _PLAIN_KINDS:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.family is None:
             if self.level is not None:
                 raise ValueError(f"measure {self.kind!r} takes no level")
-        elif self.kind in _LEVELED_KINDS:
-            if self.level is None or not 0.0 < self.level <= 1.0:
-                raise ValueError(f"measure {self.kind!r} needs a level in (0, 1]")
-        else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+        elif self.level is None or not _in_range(self.family, self.level):
+            raise ValueError(f"measure {self.kind!r} needs a level in {_RANGES[self.family]}")
+
+    @property
+    def family(self) -> str | None:
+        """The ``GridConfig`` field whose levels this kind takes: ``alphas``, ``ps`` or None."""
+        return _KINDS[self.kind][1]
 
     @property
     def name(self) -> str:
-        if self.kind in _PLAIN_KINDS:
-            return _PLAIN_KINDS[self.kind]
-        return f"{_LEVELED_KINDS[self.kind]}@{self.level:g}"
+        label = _KINDS[self.kind][0]
+        return label if self.level is None else f"{label}@{self.level:g}"
 
     @classmethod
     def parse(cls, text: str) -> "MeasureId":
-        text = text.strip()
-        for kind, label in _PLAIN_KINDS.items():
-            if text == label:
-                return cls(kind=kind)
-        if "@" in text:
-            prefix, _, level = text.partition("@")
-            if prefix in _PREFIX_TO_KIND:
-                return cls(kind=_PREFIX_TO_KIND[prefix], level=float(level))
+        label, at, level = text.strip().partition("@")
+        for kind, (kind_label, family) in _KINDS.items():
+            if kind_label == label and (family is not None) == bool(at):
+                return cls(kind, float(level) if at else None)
         raise ValueError(f"cannot parse measure name {text!r}")
 
 
@@ -164,13 +172,10 @@ class GridConfig:
             raise ValueError("repetitions must be at least 1")
         if not self.alphas or not self.ps or not self.contaminations:
             raise ValueError("need at least one alpha, p and contamination level")
-        for alpha in self.alphas:
-            if not 0.0 < alpha <= 1.0:
-                raise ValueError(f"alphas must lie in (0, 1], got {alpha!r}")
-        # precision@p keeps a p-fraction of anomalies, so p = 1 leaves no normals.
-        for p in self.ps:
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"ps must lie in (0, 1), got {p!r}")
+        for family, shown in _RANGES.items():
+            for level in getattr(self, family):
+                if not _in_range(family, level):
+                    raise ValueError(f"{family} must lie in {shown}, got {level!r}")
         if self.precision_rounds < 1:
             raise ValueError("precision_rounds must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -214,16 +219,14 @@ class GridConfig:
         return tuple(combos)
 
     def measures(self) -> tuple[MeasureId, ...]:
-        out: list[MeasureId] = [MeasureId("auc"), MeasureId("auc_w")]
+        """The kinds without a level, then each level, highest first, with its kinds.
+
+        Kinds keep their ``_KINDS`` order, and a kind takes the levels of its family.
+        """
+        out = [MeasureId(kind) for kind, (_, family) in _KINDS.items() if family is None]
         for level in sorted(set(self.alphas) | set(self.ps), reverse=True):
-            if level in self.alphas:
-                out.append(MeasureId("auc_at", level))
-            if level in self.ps:
-                out.append(MeasureId("precision_at", level))
-            if level in self.alphas:
-                out.append(MeasureId("tpr_at", level))
-                out.append(MeasureId("f1_at", level))
-                out.append(MeasureId("cvol_at", level))
+            out += [MeasureId(kind, level) for kind, (_, family) in _KINDS.items()
+                    if family is not None and level in getattr(self, family)]
         return tuple(out)
 
     def measure_names(self) -> tuple[str, ...]:
@@ -613,7 +616,7 @@ def _evaluate_cells(
     finite = np.isfinite(volume_scores).all(axis=1)
     fail(np.flatnonzero(~finite), ValueError("score function returned a non-finite value"))
     live = np.flatnonzero(finite).tolist()
-    precisions = [m.level for m in measures if m.kind == "precision_at"]
+    precisions = [m.level for m in measures if m.family == "ps"]
     for prefix, idx in samples:
         try:
             sample_labels = check_labels(labels[idx])
@@ -897,14 +900,13 @@ class Collapsed:
     values: NDArray[np.float64]  # (benchmark, combo, measure)
     present: NDArray[np.bool_]  # (benchmark, combo)
 
-    def column(self, measure: MeasureId | str) -> NDArray[np.float64]:
-        """The (benchmark, combo) means of one measure, all NaN if never recorded."""
-        name = _measure_name(measure)
+    def column(self, name: str) -> NDArray[np.float64]:
+        """The (benchmark, combo) means of measure ``name``, all NaN if never recorded."""
         if name not in self.measures:
             return np.full(self.present.shape, np.nan)
         return self.values[:, :, self.measures.index(name)]
 
-    def block(self, measures: Sequence[MeasureId | str]) -> NDArray[np.float64]:
+    def block(self, measures: Sequence[str]) -> NDArray[np.float64]:
         """The (benchmark, measure, combo) means of ``measures``, each as :meth:`column`."""
         return np.stack([self.column(m) for m in measures], axis=1)
 
@@ -985,10 +987,6 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     )
 
 
-def _measure_name(measure: MeasureId | str) -> str:
-    return measure.name if isinstance(measure, MeasureId) else str(measure)
-
-
 # ---------------------------------------------------------------------------
 # Mean ranks
 # ---------------------------------------------------------------------------
@@ -1027,7 +1025,7 @@ def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
     return ranks
 
 
-def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
+def mean_rank_table(data: Collapsed, measure: str) -> RankTable:
     """Rank detectors per benchmark (best hyperparameters, rank 1 = best).
 
     Each detector is represented by its best hyperparameter setting under
@@ -1046,7 +1044,7 @@ def mean_rank_table(data: Collapsed, measure: MeasureId | str) -> RankTable:
         raise ValueError(f"missing detector results for: {shown}")
     ranks = average_ranks(-best)
     return RankTable(
-        measure=_measure_name(measure),
+        measure=measure,
         detectors=detectors,
         mean=ranks.mean(axis=0),
         std=ranks.std(axis=0),
@@ -1261,13 +1259,16 @@ def roc_band(
     the same fit (:func:`fit_models`).  All curves are interpolated onto
     the union of their vertex FPRs; the band reports mean and sample std
     of TPR and of the ratio TPR/FPR (0 at FPR = 0) per grid point.  Splits
-    whose fit raises ``ValueError``, whose test scores are not finite or
-    whose test fold degenerates to one class are skipped and counted.
+    whose fit raises ``ValueError`` or whose test scores are not finite
+    are skipped and counted.  Every split's test fold has the same labels,
+    its test normals and then its test anomalies in counts that depend
+    only on the split settings (:func:`split`), so the usable score rows
+    form one matrix with one set of labels; if those labels hold one class
+    only, every split is skipped.
     """
     if n_splits < 2:
         raise ValueError("need at least 2 splits for a band")
     rows = []
-    skipped = 0
     for rep in range(n_splits):
         spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
                          seed=master_seed, repetition=rep)
@@ -1276,17 +1277,19 @@ def roc_band(
         try:
             if isinstance(model, Exception):
                 raise model
-            scores = score_row(model, fold.test, "scores must be finite")
-            labels = check_labels(fold.test_labels)
+            rows.append(score_row(model, fold.test, "scores must be finite"))
         except ValueError:
-            skipped += 1
-            continue
-        rows.append(roc_rows(labels, scores, descending_order(scores)))
+            pass  # a skipped split
+    try:
+        labels = check_labels(fold.test_labels)
+    except ValueError:
+        rows = []
     if len(rows) < 2:
         raise ValueError("fewer than 2 usable splits; cannot band")
-    stacked = RocRows.of(rows)
-    grid = np.unique(stacked.fpr)
-    tprs = np.stack([tpr_at_rows(stacked, a) for a in grid], axis=1)
+    scores = np.vstack(rows)
+    curves = roc_rows(labels, scores, descending_order(scores))
+    grid = np.unique(curves.fpr)
+    tprs = np.stack([tpr_at_rows(curves, a) for a in grid], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(grid[None, :] > 0, tprs / grid[None, :], 0.0)
     return RocBand(
@@ -1296,5 +1299,5 @@ def roc_band(
         ratio_mean=ratios.mean(axis=0),
         ratio_std=ratios.std(axis=0, ddof=1),
         n_splits_used=len(rows),
-        n_skipped=skipped,
+        n_skipped=n_splits - len(rows),
     )

@@ -202,6 +202,14 @@ class TestPrepare:
         assert "is the input directory" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (tmp_path / "raw").iterdir()} == before
 
+    def test_cache_path_that_is_a_file_exits_two(self, tmp_path, capsys):
+        # An OSError is a usage error (2), not the flagged-cells code (1).
+        write_tables(tmp_path / "raw", n_tables=1)
+        (tmp_path / "cachefile").write_text("not a directory\n")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cachefile")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "cachefile").read_text() == "not a directory\n"
+
     def test_minmax_scales_each_table(self, tmp_path):
         write_tables(tmp_path / "raw", n_tables=1)
         assert main(
@@ -256,6 +264,14 @@ class TestRun:
         out = capsys.readouterr().out
         assert "resuming" in out and "0 new" in out
         assert read_store_bytes(study.run) == before
+
+    def test_output_path_that_is_a_file_exits_two(self, study, tmp_path, capsys):
+        # An OSError is a usage error (2), not the flagged-cells code (1).
+        (tmp_path / "outfile").write_text("not a directory\n")
+        assert main(["run", "--config", str(study.config),
+                     "--out", str(tmp_path / "outfile")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "outfile").read_text() == "not a directory\n"
 
     def test_only_names_that_select_nothing_are_refused(self, study, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -561,6 +577,30 @@ class TestAggregate:
         ) == 0
         text = (out_dir / "rank_c0.csv").read_text()
         assert "AUC," in text and "CVOL" not in text
+
+    def test_level_filters(self, study, tmp_path):
+        out_dir = tmp_path / "tables"
+        for flags, kept in (
+            (["--alpha", "0.05"], ["AUC", "AUC_w", "AUC@0.05", "precision@0.05", "TPR@0.05",
+                                   "F1@0.05", "CVOL@0.05"]),
+            (["--p", "0.05", "--measure", "AUC,precision@0.05,TPR@0.05"],
+             ["AUC", "precision@0.05", "TPR@0.05"]),
+        ):
+            assert main(["aggregate", "rank", str(study.run), "--out", str(out_dir), *flags]) == 0
+            with open(out_dir / "rank_c0.csv", newline="") as handle:
+                rows = [r for r in csv.reader(handle) if not r[0].startswith("#")]
+            assert [r[0] for r in rows[1:]] == kept
+
+    @pytest.mark.parametrize("flags", [["--alpha", "0.3"], ["--p", "0.3"],
+                                       ["--alpha", "0.05", "--p", "0.01"]],
+                             ids=["alpha", "p", "p-beside-alpha"])
+    def test_level_the_run_lacks_is_refused(self, study, tmp_path, capsys, flags):
+        # Every measure of that family would otherwise be dropped without a word.
+        out_dir = tmp_path / "tables"
+        assert main(["aggregate", "rank", str(study.run), "--out", str(out_dir), *flags]) == 2
+        flag, level = flags[-2:]
+        assert f"{flag} {level} not in this run (has: 0.05)" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_prints_only_the_table_it_wrote(self, study, tmp_path, capsys):
         out_dir = tmp_path / "tables"

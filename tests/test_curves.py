@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeval.curves import (
-    RocRows,
     auc_at_rows,
     auc_rows,
     auc_weighted_rows,
@@ -316,8 +315,7 @@ def alpha_probes(labels):
 
 def assert_rows_match_their_curves(labels, scores):
     """Each row of a multi-row staircase equals the one-row staircase of that
-    row alone, vertex for vertex and in every measure, bit for bit; stacking
-    the one-row staircases gives the multi-row one."""
+    row alone, vertex for vertex and in every measure, bit for bit."""
     rows = roc_rows(labels, scores, descending_order(scores))
     curves = [one_row(labels, row).curve for row in scores]
     assert len(rows.starts) == len(curves) + 1
@@ -326,9 +324,6 @@ def assert_rows_match_their_curves(labels, scores):
         got = list(zip(rows.fpr[lo:hi].tolist(), rows.tpr[lo:hi].tolist(),
                        rows.thresholds[lo:hi].tolist()))
         assert got == vertices(curve) == roc_reference(labels, row)
-    stacked = RocRows.of(curves)
-    for field in ("fpr", "tpr", "thresholds", "starts"):
-        assert getattr(stacked, field).tolist() == getattr(rows, field).tolist()
     assert auc_rows(rows).tolist() == [auc_rows(c)[0] for c in curves]
     assert auc_rows(rows).tolist() == pytest.approx(
         [pairwise_auc(labels, row) for row in scores], abs=1e-12
@@ -367,21 +362,6 @@ class TestRocRows:
         assert threshold_at_fpr_rows(rows, 0.25).tolist() == [2.0, 2.5, 3.0]
         assert tpr_at_rows(rows, 0.25).tolist() == [0.25, 1.0, 0.0]
         assert_rows_match_their_curves(labels, scores)
-
-    def test_of_stacks_rows_of_different_samples(self):
-        # Two samples of different sizes and labels: each stacked row keeps
-        # its own staircase and measures.
-        first = one_row([1, 0, 0], [3.0, 1.0, 2.0]).curve
-        second = one_row([0, 1, 1, 0, 1], [0.5, 0.5, 0.9, 0.1, 0.2]).curve
-        stacked = RocRows.of([first, second])
-        n = len(first.fpr)
-        assert stacked.starts.tolist() == [0, n, n + len(second.fpr)]
-        assert vertices(stacked) == vertices(first) + vertices(second)
-        assert auc_rows(stacked).tolist() == [auc_rows(first)[0], auc_rows(second)[0]]
-        for alpha in (0.0, 0.25, 0.5, 1.0):
-            assert tpr_at_rows(stacked, alpha).tolist() == [
-                tpr_at_rows(first, alpha)[0], tpr_at_rows(second, alpha)[0]
-            ]
 
     @given(score_rows())
     @settings(max_examples=150, deadline=None)

@@ -628,12 +628,12 @@ class TestPrefixTable:
         gaps = np.diff(np.sort(dist[0]))
         assert 0 < gaps[0] <= tol[0, 0] and gaps[1] > tol[0, 0] and gaps[2] == 0
         top = min(k + extra, len(LINE))
-        near, cols, parts = detectors._nearest(dist, top, tol, ordered=True)
+        near, cols, parts = detectors._nearest(dist, top, tol)
         bound = near[:, [k - 1]] + tol
         sizes = tabled_rows(monkeypatch)
         table, idx = detectors._knn_table(near, cols, parts, k, bound, tol)
         tabled = sum(sizes)
-        rows = detectors._Rows(slice(None), dist, None, len(LINE))
+        rows = detectors._Rows(np.arange(len(dist)), dist, None, len(LINE))
         expected = detectors._neighbour_table(rows, k, bound, tol)
         assert np.array_equal(table, expected[0], equal_nan=True)
         assert np.array_equal(idx, expected[1])

@@ -97,9 +97,9 @@ class TestMeasureId:
         for measure in (
             MeasureId("auc"),
             MeasureId("auc_w"),
-            MeasureId("auc_at", 0.05),
-            MeasureId("precision_at", 0.01),
-            MeasureId("cvol_at", 0.25),
+            *(MeasureId(kind, level)
+              for kind in ("auc_at", "precision_at", "tpr_at", "f1_at", "cvol_at")
+              for level in (0.01, 0.05, 0.25)),
         ):
             assert MeasureId.parse(measure.name) == measure
         with pytest.raises(ValueError):
@@ -114,6 +114,10 @@ class TestMeasureId:
             MeasureId("tpr_at", 1.5)
         with pytest.raises(ValueError):
             MeasureId("mystery")
+        # An FPR budget may be 1; a contamination p may not, as in GridConfig.ps.
+        assert MeasureId("tpr_at", 1.0).name == "TPR@1"
+        with pytest.raises(ValueError):
+            MeasureId("precision_at", 1.0)
 
 
 class TestGridConfig:
@@ -142,6 +146,26 @@ class TestGridConfig:
             "CVOL@0.01",
         ]
 
+    def test_measure_order_when_alpha_and_p_levels_differ(self):
+        names = [m.name for m in GridConfig(alphas=(0.2, 0.01), ps=(0.05,)).measures()]
+        assert names == [
+            "AUC", "AUC_w",
+            "AUC@0.2", "TPR@0.2", "F1@0.2", "CVOL@0.2",
+            "precision@0.05",
+            "AUC@0.01", "TPR@0.01", "F1@0.01", "CVOL@0.01",
+        ]
+
+    def test_measure_order_of_four_shared_levels(self):
+        levels = (0.01, 0.05, 0.1, 0.2)
+        names = GridConfig(alphas=levels, ps=levels).measure_names()
+        assert names == (
+            "AUC", "AUC_w",
+            "AUC@0.2", "precision@0.2", "TPR@0.2", "F1@0.2", "CVOL@0.2",
+            "AUC@0.1", "precision@0.1", "TPR@0.1", "F1@0.1", "CVOL@0.1",
+            "AUC@0.05", "precision@0.05", "TPR@0.05", "F1@0.05", "CVOL@0.05",
+            "AUC@0.01", "precision@0.01", "TPR@0.01", "F1@0.01", "CVOL@0.01",
+        )
+
     def test_validation_columns_appended(self):
         names = GridConfig(validation_fraction=0.25).measure_names()
         assert "val:AUC" in names and names.index("val:AUC") > names.index("AUC")
@@ -149,9 +173,9 @@ class TestGridConfig:
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError):
             GridConfig(repetitions=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alphas must lie in \(0, 1\], got 0\.0$"):
             GridConfig(alphas=(0.0,))
-        with pytest.raises(ValueError, match="ps"):
+        with pytest.raises(ValueError, match=r"^ps must lie in \(0, 1\), got 1\.0$"):
             GridConfig(ps=(0.05, 1.0))  # precision@p needs p < 1
         with pytest.raises(ValueError, match="precision_rounds"):
             GridConfig(precision_rounds=0)
