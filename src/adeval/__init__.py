@@ -13,10 +13,10 @@ from adeval.curves import (
     tpr_at_rows,
 )
 from adeval.thresholded import (
-    PrecisionAtPConfig,
     confusion_rows,
     f1_rows,
     precision_at_p_rows,
+    precision_composition,
 )
 from adeval.volume import (
     SamplingBox,
@@ -61,4 +61,4 @@ from adeval.experiments import (
     run_grid,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -693,7 +693,9 @@ def cmd_volume(args: argparse.Namespace) -> int:
     bench, combo, fold, model, hash_ = _one_off(args, "volume", alpha=args.alpha, n=args.n)
     test = score_row(model, fold.test, "scores must be finite")
     labels = check_labels(fold.test_labels)
-    (tau,) = threshold_at_fpr_rows(roc_rows(labels, test, descending_order(test)), args.alpha)
+    ((tau,),) = threshold_at_fpr_rows(
+        roc_rows(labels, test, descending_order(test)), [args.alpha]
+    )
     box, seed = volume_box_and_seed(bench.table, bench.normal, args.seed, args.rep)
     sample = score_row(
         model, uniform_sample(box, args.n, seed), "score function returned a non-finite value"

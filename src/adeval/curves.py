@@ -10,6 +10,7 @@ scores across classes produce a diagonal segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,15 +99,22 @@ def roc_rows(
 # Measures on curves
 #
 # Each measure is defined once, over every row of a RocRows; a row's value
-# does not depend on the other rows.
+# does not depend on the other rows.  A measure at an FPR level takes a
+# sequence of levels and returns one row of values per level, each level's
+# row the same, bit for bit, as a one-level call at it.
 # ---------------------------------------------------------------------------
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return alpha
+def _check_alphas(alphas: Sequence[float], zero_ok: bool = False) -> NDArray[np.float64]:
+    """``alphas`` as a nonempty 1-D array, each level in (0, 1], or in [0, 1] with ``zero_ok``."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.ndim != 1 or len(alphas) == 0:
+        raise ValueError("alphas must be a nonempty one-dimensional sequence of levels")
+    bad = ~(((alphas >= 0.0) if zero_ok else (alphas > 0.0)) & (alphas <= 1.0))
+    if bad.any():
+        shown = "[0, 1]" if zero_ok else "(0, 1]"
+        raise ValueError(f"alpha must lie in {shown}, got {float(alphas[bad][0])!r}")
+    return alphas
 
 
 def _row_sums(values: NDArray[np.float64], bounds: NDArray[np.intp]) -> NDArray[np.float64]:
@@ -132,15 +140,16 @@ def _segment_bounds(rows: RocRows) -> NDArray[np.intp]:
     return np.stack([rows.starts[:-1], rows.starts[1:] - 1], axis=1)
 
 
-def _area_below(rows: RocRows, alpha: float) -> NDArray[np.float64]:
-    """Trapezoidal area under each row's polyline restricted to FPR in [0, alpha].
+def _area_below(rows: RocRows, alphas: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Trapezoidal area under each row's polyline restricted to FPR in [0, alpha], per level.
 
-    The segment bracketing ``alpha`` is split linearly at FPR = alpha.
-    Both :func:`auc_rows` and :func:`auc_at_rows` route through here, so
-    the alpha = 1 case is the full AUC by construction, not merely up to
-    rounding.
+    Returns a (levels, rows) array.  The segment bracketing each alpha is
+    split linearly at FPR = alpha.  Both :func:`auc_rows` and
+    :func:`auc_at_rows` route through here, so the alpha = 1 case is the
+    full AUC by construction, not merely up to rounding.
     """
     f0, f1, t0, t1 = _segments(rows)
+    alpha = alphas[:, None]
     width = f1 - f0
     live = (width > 0) & (f0 < alpha)
     hi = np.minimum(f1, alpha)
@@ -150,7 +159,8 @@ def _area_below(rows: RocRows, alpha: float) -> NDArray[np.float64]:
         t0 + np.where(live, (hi - f0) / np.where(width > 0, width, 1.0), 0.0) * (t1 - t0),
     )
     areas = np.where(live, (hi - f0) * (t0 + t_hi) / 2.0, 0.0)
-    return _row_sums(areas, _segment_bounds(rows))
+    bounds = _segment_bounds(rows)
+    return np.array([_row_sums(level, bounds) for level in areas])
 
 
 def auc_rows(rows: RocRows) -> NDArray[np.float64]:
@@ -159,19 +169,22 @@ def auc_rows(rows: RocRows) -> NDArray[np.float64]:
     Equals the probability that a random positive outranks a random
     negative, counting score ties as one half.
     """
-    return _area_below(rows, 1.0)
+    return _area_below(rows, np.ones(1))[0]
 
 
-def auc_at_rows(rows: RocRows, alpha: float, normalized: bool = False) -> NDArray[np.float64]:
-    """Area under each row's ROC curve restricted to FPR in [0, alpha].
+def auc_at_rows(
+    rows: RocRows, alphas: Sequence[float], normalized: bool = False
+) -> NDArray[np.float64]:
+    """Area under each row's ROC curve restricted to FPR in [0, alpha], per level.
 
-    ``alpha`` lies in (0, 1]; the bracketing segment is split linearly at
-    FPR = alpha.  With ``normalized`` the area is divided by ``alpha``, so
-    an ideal detector scores 1.
+    Returns a (levels, rows) array.  Each alpha lies in (0, 1]; the
+    bracketing segment is split linearly at FPR = alpha.  With
+    ``normalized`` the area is divided by alpha, so an ideal detector
+    scores 1.
     """
-    alpha = _check_alpha(alpha)
-    area = _area_below(rows, alpha)
-    return area / alpha if normalized else area
+    alphas = _check_alphas(alphas)
+    area = _area_below(rows, alphas)
+    return area / alphas[:, None] if normalized else area
 
 
 def auc_weighted_rows(rows: RocRows) -> NDArray[np.float64]:
@@ -191,62 +204,66 @@ def auc_weighted_rows(rows: RocRows) -> NDArray[np.float64]:
     return _row_sums((ratio * (f1 - f0))[live], at)
 
 
-def _bracket(rows: RocRows, alpha: float) -> tuple[NDArray, NDArray, NDArray]:
-    """Flat vertex indices around FPR = alpha in each row.
+def _bracket(rows: RocRows, alphas: NDArray[np.float64]) -> tuple[NDArray, NDArray, NDArray]:
+    """Flat vertex indices around FPR = alpha in each row, as (levels, rows) arrays.
 
     Returns (hit, top, left): ``hit`` where some vertex sits exactly at
-    ``alpha``, ``top`` the uppermost such vertex, and ``left`` the first
+    alpha, ``top`` the uppermost such vertex, and ``left`` the first
     vertex with FPR >= alpha.  Each row's FPRs are nondecreasing, so the
-    counts of FPRs below and at most ``alpha`` are its ``searchsorted``
+    counts of FPRs below and at most alpha are its ``searchsorted``
     positions.
     """
     first = rows.starts[:-1]
-    below = np.add.reduceat(rows.fpr < alpha, first, dtype=np.intp)
-    at_most = np.add.reduceat(rows.fpr <= alpha, first, dtype=np.intp)
+    alpha = alphas[:, None]
+    below = np.add.reduceat(rows.fpr < alpha, first, axis=1, dtype=np.intp)
+    at_most = np.add.reduceat(rows.fpr <= alpha, first, axis=1, dtype=np.intp)
     left = first + below
     return rows.fpr[left] == alpha, first + at_most - 1, left
 
 
-def tpr_at_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
-    """True-positive rate of each row's polyline at FPR = alpha, in [0, 1].
+def tpr_at_rows(rows: RocRows, alphas: Sequence[float]) -> NDArray[np.float64]:
+    """True-positive rate of each row's polyline at FPR = alpha, in [0, 1], per level.
 
-    Where a vertical edge sits exactly at ``alpha`` the uppermost TPR is
-    returned; ``alpha`` = 0 therefore gives the TPR attainable at zero
-    false-positive rate.
+    Returns a (levels, rows) array.  Each alpha lies in [0, 1].  Where a
+    vertical edge sits exactly at alpha the uppermost TPR is returned;
+    alpha = 0 therefore gives the TPR attainable at zero false-positive
+    rate.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    hit, top, left = _bracket(rows, alpha)
+    alphas = _check_alphas(alphas, zero_ok=True)
+    hit, top, left = _bracket(rows, alphas)
     out = rows.tpr[top]
-    hi = left[~hit]
+    miss = ~hit
+    hi = left[miss]
     lo = hi - 1
+    alpha = np.broadcast_to(alphas[:, None], hit.shape)[miss]
     frac = (alpha - rows.fpr[lo]) / (rows.fpr[hi] - rows.fpr[lo])
-    out[~hit] = rows.tpr[lo] + frac * (rows.tpr[hi] - rows.tpr[lo])
+    out[miss] = rows.tpr[lo] + frac * (rows.tpr[hi] - rows.tpr[lo])
     return out
 
 
-def threshold_at_fpr_rows(rows: RocRows, alpha: float) -> NDArray[np.float64]:
-    """Score threshold of each row realizing the target FPR alpha, in (0, 1].
+def threshold_at_fpr_rows(rows: RocRows, alphas: Sequence[float]) -> NDArray[np.float64]:
+    """Score threshold of each row realizing the target FPR alpha, in (0, 1], per level.
 
-    If ``alpha`` coincides with a vertex FPR, the threshold of the
-    uppermost-TPR vertex at that FPR is returned.  Otherwise the threshold
-    is interpolated linearly between the endpoints of the FPR-increasing
-    segment bracketing ``alpha``.  When ``alpha`` falls below the first
-    achievable positive FPR (the top score block contains a negative), the
-    first finite threshold is returned.  ``alpha`` = 1 gives the minimal
-    threshold, at which every sample is flagged.
+    Returns a (levels, rows) array.  If alpha coincides with a vertex FPR,
+    the threshold of the uppermost-TPR vertex at that FPR is returned.
+    Otherwise the threshold is interpolated linearly between the endpoints
+    of the FPR-increasing segment bracketing alpha.  When alpha falls below
+    the first achievable positive FPR (the top score block contains a
+    negative), the first finite threshold is returned.  Alpha = 1 gives the
+    minimal threshold, at which every sample is flagged.
     """
-    alpha = _check_alpha(alpha)
-    hit, top, left = _bracket(rows, alpha)
+    alphas = _check_alphas(alphas)
+    hit, top, left = _bracket(rows, alphas)
     out = rows.thresholds[top]
-    hi = left[~hit]
+    miss = ~hit
+    hi = left[miss]
     lo = hi - 1
+    alpha = np.broadcast_to(alphas[:, None], hit.shape)[miss]
     t_lo, t_hi = rows.thresholds[lo], rows.thresholds[hi]
     # Below the first achievable positive FPR: the first finite threshold.
     finite = np.isfinite(t_lo)
-    lo, hi = lo[finite], hi[finite]
+    lo, hi, alpha = lo[finite], hi[finite], alpha[finite]
     frac = (alpha - rows.fpr[lo]) / (rows.fpr[hi] - rows.fpr[lo])
     t_hi[finite] = t_lo[finite] + frac * (t_hi[finite] - t_lo[finite])
-    out[~hit] = t_hi
+    out[miss] = t_hi
     return out

@@ -54,7 +54,9 @@ from adeval.detectors import (
     KNN_VARIANTS, forest_scores, iforest_fit, knn_fit, lof_fitter, neighbour_scores,
 )
 from adeval.seeding import derive_seed
-from adeval.thresholded import PrecisionAtPConfig, confusion_rows, f1_rows, precision_at_p_rows
+from adeval.thresholded import (
+    confusion_rows, f1_rows, precision_at_p_rows, precision_composition,
+)
 from adeval.volume import (
     SamplingBox, accepted_fraction, bounding_box, uniform_sample,
 )
@@ -173,9 +175,15 @@ class GridConfig:
         if not self.alphas or not self.ps or not self.contaminations:
             raise ValueError("need at least one alpha, p and contamination level")
         for family, shown in _RANGES.items():
+            named: dict[str, float] = {}
             for level in getattr(self, family):
                 if not _in_range(family, level):
                     raise ValueError(f"{family} must lie in {shown}, got {level!r}")
+                # Two levels of one name would repeat the family's store columns.
+                other = named.setdefault(f"{level:g}", level)
+                if other != level:
+                    raise ValueError(f"{family} levels {other!r} and {level!r} "
+                                     f"both name measures @{level:g}")
         if self.precision_rounds < 1:
             raise ValueError("precision_rounds must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -542,42 +550,35 @@ def _measure_rows(
     labels: NDArray[np.int64],
     test_scores: NDArray[np.float64],
     volume_scores: NDArray[np.float64],
-    measures: Sequence[MeasureId],
     cfg: GridConfig,
     prec_seed: int,
 ) -> dict[str, NDArray[np.float64]]:
-    """Every measure of every score row of one labelled sample, by measure name.
+    """Every measure of every score row of one labelled sample, by kind.
 
-    Each row is sorted once (:func:`descending_order`).  That order sweeps
-    the rows' ROC curves (:func:`roc_rows`), which give every curve measure;
-    F1@alpha and CVOL@alpha share the threshold read off each curve at
-    FPR = alpha, CVOL thresholding the row's scored volume sample; and
-    precision@p cuts its top sets from the same order.
+    Each kind's value is a (levels, rows) array, its levels those of its
+    family in ``cfg`` order; a kind that takes no level has one level row.
+    Each score row is sorted once (:func:`descending_order`).  That order
+    sweeps the rows' ROC curves (:func:`roc_rows`), which give every curve
+    measure at every level in one pass; F1@alpha and CVOL@alpha share the
+    thresholds read off each curve at FPR = alpha, CVOL thresholding the
+    row's scored volume sample; and precision@p cuts every level's top sets
+    from the same order and one shared draw.
     """
     order = descending_order(test_scores)
     rows = roc_rows(labels, test_scores, order)
-    tau = {alpha: threshold_at_fpr_rows(rows, alpha) for alpha in cfg.alphas}
-    values: dict[str, NDArray[np.float64]] = {}
-    for measure in measures:
-        if measure.kind == "auc":
-            values[measure.name] = auc_rows(rows)
-        elif measure.kind == "auc_w":
-            values[measure.name] = auc_weighted_rows(rows)
-        elif measure.kind == "auc_at":
-            values[measure.name] = auc_at_rows(rows, measure.level, normalized=True)
-        elif measure.kind == "tpr_at":
-            values[measure.name] = tpr_at_rows(rows, measure.level)
-        elif measure.kind == "f1_at":
-            tp, fp, _, fn = confusion_rows(labels, test_scores, tau[measure.level])
-            values[measure.name] = f1_rows(tp, fp, fn)
-        elif measure.kind == "cvol_at":
-            values[measure.name] = 1.0 - accepted_fraction(volume_scores, tau[measure.level])
-        elif measure.kind == "precision_at":
-            prec_cfg = PrecisionAtPConfig(
-                p=measure.level, rounds=cfg.precision_rounds, seed=prec_seed
-            )
-            values[measure.name] = precision_at_p_rows(labels, order, prec_cfg)
-    return values
+    tau = threshold_at_fpr_rows(rows, cfg.alphas)
+    tp, fp, _, fn = confusion_rows(labels, test_scores, tau)
+    return {
+        "auc": auc_rows(rows)[None],
+        "auc_w": auc_weighted_rows(rows)[None],
+        "auc_at": auc_at_rows(rows, cfg.alphas, normalized=True),
+        "precision_at": precision_at_p_rows(
+            labels, order, cfg.ps, cfg.precision_rounds, prec_seed
+        ),
+        "tpr_at": tpr_at_rows(rows, cfg.alphas),
+        "f1_at": f1_rows(tp, fp, fn),
+        "cvol_at": 1.0 - accepted_fraction(volume_scores, tau),
+    }
 
 
 def _error_flag(exc: Exception) -> str:
@@ -616,6 +617,9 @@ def _evaluate_cells(
     finite = np.isfinite(volume_scores).all(axis=1)
     fail(np.flatnonzero(~finite), ValueError("score function returned a non-finite value"))
     live = np.flatnonzero(finite).tolist()
+    # Each measure's (kind, level index) in _measure_rows' arrays.
+    picks = [(m.name, m.kind, 0 if m.family is None else getattr(cfg, m.family).index(m.level))
+             for m in measures]
     precisions = [m.level for m in measures if m.family == "ps"]
     for prefix, idx in samples:
         try:
@@ -630,15 +634,17 @@ def _evaluate_cells(
         if not live:
             break
         try:
-            rows = _measure_rows(
-                sample_labels, scores[finite], volume_scores[live], measures, cfg, prec_seed
+            by_kind = _measure_rows(
+                sample_labels, scores[finite], volume_scores[live], cfg, prec_seed
             )
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
-        contamination = int(sample_labels.sum()) / len(idx)
-        sample_flags = [f"thinned-normals@{p:g}" for p in precisions if contamination < p]
-        columns = [(prefix + name, column.tolist()) for name, column in rows.items()]
+        n_pos = int(sample_labels.sum())
+        n_neg = len(idx) - n_pos
+        sample_flags = [f"thinned-normals@{p:g}" for p in precisions
+                        if precision_composition(n_pos, n_neg, p)[1] < n_neg]
+        columns = [(prefix + name, by_kind[kind][level].tolist()) for name, kind, level in picks]
         for k, i in enumerate(live):
             values[i].update((name, column[k]) for name, column in columns)
             if not prefix:
@@ -1289,7 +1295,9 @@ def roc_band(
     scores = np.vstack(rows)
     curves = roc_rows(labels, scores, descending_order(scores))
     grid = np.unique(curves.fpr)
-    tprs = np.stack([tpr_at_rows(curves, a) for a in grid], axis=1)
+    # One level at a time: the grid holds every vertex FPR, so one pass over
+    # all of them would hold a (levels x vertices) mask.
+    tprs = np.stack([tpr_at_rows(curves, [a])[0] for a in grid], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(grid[None, :] > 0, tprs / grid[None, :], 0.0)
     return RocBand(

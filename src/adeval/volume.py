@@ -11,8 +11,8 @@ the models score, and :func:`accepted_fraction` counts each model's scores
 below its threshold.  The grid draws one sample per (table, repetition)
 block, in the bounding box of the table's normal class, scores each of its
 points once per model, checks each model's scores to be finite and
-thresholds every model's row at each FPR level; ``adeval volume`` does the
-same for the one row of one combo at one level.
+thresholds every model's row at every FPR level in one comparison;
+``adeval volume`` does the same for the one row of one combo at one level.
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ def accepted_fraction(
 ) -> NDArray[np.float64]:
     """Fraction of each row of a (rows, n) scored sample strictly below its row's threshold.
 
-    Ties count as anomalous.  CVOL is one minus this fraction.
+    Row r is thresholded at ``thresholds[..., r]``, so a (levels, rows)
+    array of thresholds gives (levels, rows) fractions.  Ties count as
+    anomalous.  CVOL is one minus this fraction.
     """
-    below = scores < np.asarray(thresholds)[:, None]
-    return np.count_nonzero(below, axis=1) / scores.shape[1]
+    below = scores < np.asarray(thresholds)[..., None]
+    return np.count_nonzero(below, axis=-1) / scores.shape[-1]

@@ -299,12 +299,14 @@ def lof_score_reference(model, queries, chunk=4096):
 
 
 def precision_reference(labels, scores, p, rounds, seed):
-    """precision@p of one score vector, one round at a time.
+    """precision@p of one score vector at one level, one round at a time.
 
-    Each round keeps the anomalies or thins the normals toward proportion
-    p with the library's draws from ``default_rng(seed)``, sorts the
-    retained samples by (descending score, ascending index) alone and
-    averages the anomaly share of the top ceil(p * size).
+    ``default_rng(seed)`` draws one permutation of the anomaly indices per
+    round, then one of the normal indices per round.  Round r keeps a
+    prefix of one class's permutation and the other class whole, toward
+    proportion p, sorts the retained samples by (descending score,
+    ascending index) alone and takes the anomaly share of the top
+    ceil(p * size).  Rounds are averaged.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=float)
@@ -316,11 +318,11 @@ def precision_reference(labels, scores, p, rounds, seed):
         keep_pos = len(pos_idx)
         keep_neg = min(len(neg_idx), max(1, int(round(len(pos_idx) * (1.0 - p) / p))))
     rng = np.random.default_rng(seed)
+    pos_perms = [rng.permutation(pos_idx) for _ in range(rounds)]
+    neg_perms = [rng.permutation(neg_idx) for _ in range(rounds)]
     values = np.empty(rounds)
     for r in range(rounds):
-        pos = pos_idx if keep_pos == len(pos_idx) else rng.choice(pos_idx, keep_pos, replace=False)
-        neg = neg_idx if keep_neg == len(neg_idx) else rng.choice(neg_idx, keep_neg, replace=False)
-        retained = np.concatenate([pos, neg])
+        retained = np.concatenate([pos_perms[r][:keep_pos], neg_perms[r][:keep_neg]])
         top = np.lexsort((retained, -scores[retained]))[: math.ceil(p * len(retained))]
         values[r] = labels[retained][top].mean()
     return float(values.mean())

@@ -30,7 +30,7 @@ from adeval.experiments import (
     loss_matrix_table,
     roc_band,
 )
-from adeval.thresholded import PrecisionAtPConfig, precision_at_p_rows
+from adeval.thresholded import precision_at_p_rows
 from adeval.volume import SamplingBox
 from _oracles import pairwise_auc
 from test_curves import one_row
@@ -136,9 +136,9 @@ def test_criterion_2_consistency_identities():
         alphas = np.linspace(0.0, 1.0, 21)
         for _ in range(500):
             curve = random_tied_instance(rng).curve
-            assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
+            assert auc_at_rows(curve, [1.0])[0, 0] == auc_rows(curve)[0]
             assert auc_weighted_rows(curve)[0] >= auc_rows(curve)[0]
-            tprs = [tpr_at_rows(curve, a)[0] for a in alphas]
+            tprs = tpr_at_rows(curve, alphas)[:, 0].tolist()
             assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         for seed in range(5):
             est = four_point_volume(n=2048, seed=seed)
@@ -189,8 +189,8 @@ def test_criterion_4_degenerate_detector_disagreement():
         curve = one_row(labels, scores).curve
         value = auc_rows(curve)[0]
         assert value >= 0.85, f"AUC={value}"
-        assert tpr_at_rows(curve, 0.01)[0] == 0.0
-        assert auc_at_rows(curve, 0.05, normalized=True)[0] <= 0.15
+        assert tpr_at_rows(curve, [0.01])[0, 0] == 0.0
+        assert auc_at_rows(curve, [0.05], normalized=True)[0, 0] <= 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,11 @@ def test_criterion_5_precision_at_p_normalization():
     ):
         normal = np.random.default_rng(7).normal(0.0, 1.0, size=2000)
         anomaly = np.random.default_rng(8).normal(1.5, 1.0, size=400)
-        cfg = PrecisionAtPConfig(p=0.05, rounds=1000, seed=3)
-
         def precision(n_anom: int) -> float:
             scores = np.concatenate([normal, anomaly[:n_anom]])
             labels = np.concatenate([np.zeros(2000), np.ones(n_anom)]).astype(int)
             data = one_row(labels, scores)
-            return precision_at_p_rows(data.labels, data.order, cfg)[0]
+            return precision_at_p_rows(data.labels, data.order, [0.05], rounds=1000, seed=3)[0, 0]
 
         single = precision(200)
         double = precision(400)

@@ -99,7 +99,7 @@ def cell_tpr_mean(cache, flags, fpr, capsys):
                      *flags, "--seed", "7", "--rep", rep]) == 0
         scored = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         curves.append(scored_curve(scored))
-    return np.array([[tpr_at_rows(curve, a)[0] for a in fpr] for curve in curves]).mean(axis=0)
+    return np.array([tpr_at_rows(curve, fpr)[:, 0] for curve in curves]).mean(axis=0)
 
 
 def cached(cache, name):

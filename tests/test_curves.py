@@ -1,3 +1,4 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -171,51 +172,51 @@ class TestAuc:
 class TestAucAt:
     def test_hand_values(self):
         curve = simple_curve()
-        assert auc_at_rows(curve, 0.5)[0] == 0.25
-        assert auc_at_rows(curve, 0.5, normalized=True)[0] == 0.5
-        assert auc_at_rows(curve, 0.25)[0] == 0.125
+        assert auc_at_rows(curve, [0.5])[0, 0] == 0.25
+        assert auc_at_rows(curve, [0.5], normalized=True)[0, 0] == 0.5
+        assert auc_at_rows(curve, [0.25])[0, 0] == 0.125
 
     def test_alpha_one_equals_auc_exactly(self):
         curve = simple_curve()
-        assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
+        assert auc_at_rows(curve, [1.0])[0, 0] == auc_rows(curve)[0]
 
     def test_normalized_perfect_detector_is_one(self):
         curve = one_row([0, 1], [1.0, 2.0]).curve
         for alpha in (0.01, 0.05, 0.5, 1.0):
-            assert auc_at_rows(curve, alpha, normalized=True)[0] == 1.0
+            assert auc_at_rows(curve, [alpha], normalized=True)[0, 0] == 1.0
 
     def test_rejects_alpha_zero_and_out_of_range(self):
         curve = simple_curve()
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                auc_at_rows(curve, alpha)
+                auc_at_rows(curve, [alpha])
 
     @given(labeled_scores(), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=100, deadline=None)
     def test_alpha_one_identity_random(self, data, alpha):
         curve = data.curve
-        assert auc_at_rows(curve, 1.0)[0] == auc_rows(curve)[0]
-        assert 0.0 <= auc_at_rows(curve, alpha)[0] <= alpha + 1e-15
+        assert auc_at_rows(curve, [1.0])[0, 0] == auc_rows(curve)[0]
+        assert 0.0 <= auc_at_rows(curve, [alpha])[0, 0] <= alpha + 1e-15
 
 
 class TestTprAt:
     def test_hand_values(self):
         curve = simple_curve()
-        assert tpr_at_rows(curve, 0.5)[0] == 1.0  # uppermost TPR on the vertical edge
-        assert tpr_at_rows(curve, 0.25)[0] == 0.5  # interior of a flat step
-        assert tpr_at_rows(curve, 0.0)[0] == 0.5  # TPR attainable at zero FPR
-        assert tpr_at_rows(curve, 1.0)[0] == 1.0
+        assert tpr_at_rows(curve, [0.5])[0, 0] == 1.0  # uppermost TPR on the vertical edge
+        assert tpr_at_rows(curve, [0.25])[0, 0] == 0.5  # interior of a flat step
+        assert tpr_at_rows(curve, [0.0])[0, 0] == 0.5  # TPR attainable at zero FPR
+        assert tpr_at_rows(curve, [1.0])[0, 0] == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            tpr_at_rows(simple_curve(), -0.01)
+            tpr_at_rows(simple_curve(), [-0.01])
         with pytest.raises(ValueError):
-            tpr_at_rows(simple_curve(), 1.01)
+            tpr_at_rows(simple_curve(), [0.5, 1.01])
 
     @given(labeled_scores(), st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_in_alpha(self, data, alphas):
-        values = [tpr_at_rows(data.curve, a)[0] for a in sorted(alphas)]
+        values = tpr_at_rows(data.curve, sorted(alphas))[:, 0].tolist()
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -242,32 +243,37 @@ class TestAucWeighted:
 
 class TestThresholdAtFpr:
     def test_vertex_hit_returns_uppermost_vertex_threshold(self):
-        assert threshold_at_fpr_rows(simple_curve(), 0.5)[0] == 0.35
+        assert threshold_at_fpr_rows(simple_curve(), [0.5])[0, 0] == 0.35
 
     def test_interpolates_between_thresholds(self):
         curve = one_row([0, 1], [1.0, 2.0]).curve
-        assert threshold_at_fpr_rows(curve, 0.5)[0] == 1.5
+        assert threshold_at_fpr_rows(curve, [0.5])[0, 0] == 1.5
 
     def test_alpha_one_flags_everything(self):
         data = one_row([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8])
-        tau = threshold_at_fpr_rows(data.curve, 1.0)[0]
+        tau = threshold_at_fpr_rows(data.curve, [1.0])[0, 0]
         assert tau == 0.1
         assert (data.scores >= tau).all()
 
     def test_rejects_alpha_zero(self):
-        with pytest.raises(ValueError):
-            threshold_at_fpr_rows(simple_curve(), 0.0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got 0.0"):
+            threshold_at_fpr_rows(simple_curve(), [0.5, 0.0])
+
+    def test_rejects_a_level_set_that_is_not_one_nonempty_sequence(self):
+        for alphas in ([], [[0.5]], 0.5):
+            with pytest.raises(ValueError, match="nonempty one-dimensional"):
+                threshold_at_fpr_rows(simple_curve(), alphas)
 
     def test_below_first_achievable_fpr_clamps_to_first_threshold(self):
         # Highest score belongs to a normal sample: FPR jumps straight to
         # 0.5 and no deterministic threshold realizes alpha = 0.25.
         curve = one_row([0, 1], [2.0, 1.0]).curve
-        assert threshold_at_fpr_rows(curve, 0.25)[0] == 2.0
+        assert threshold_at_fpr_rows(curve, [0.25])[0, 0] == 2.0
 
     @given(labeled_scores(), st.lists(st.floats(min_value=0.01, max_value=1), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_nonincreasing_in_alpha(self, data, alphas):
-        taus = [threshold_at_fpr_rows(data.curve, a)[0] for a in sorted(alphas)]
+        taus = threshold_at_fpr_rows(data.curve, sorted(alphas))[:, 0].tolist()
         assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
 
 
@@ -280,8 +286,8 @@ class TestMonotoneTransformInvariance:
         assert np.array_equal(a.fpr, b.fpr)
         assert np.array_equal(a.tpr, b.tpr)
         assert abs(auc_rows(a)[0] - auc_rows(b)[0]) <= 1e-12
-        assert abs(auc_at_rows(a, 0.3)[0] - auc_at_rows(b, 0.3)[0]) <= 1e-12
-        assert abs(tpr_at_rows(a, 0.3)[0] - tpr_at_rows(b, 0.3)[0]) <= 1e-12
+        assert abs(auc_at_rows(a, [0.3])[0, 0] - auc_at_rows(b, [0.3])[0, 0]) <= 1e-12
+        assert abs(tpr_at_rows(a, [0.3])[0, 0] - tpr_at_rows(b, [0.3])[0, 0]) <= 1e-12
         assert abs(auc_weighted_rows(a)[0] - auc_weighted_rows(b)[0]) <= 1e-9
 
 
@@ -315,7 +321,8 @@ def alpha_probes(labels):
 
 def assert_rows_match_their_curves(labels, scores):
     """Each row of a multi-row staircase equals the one-row staircase of that
-    row alone, vertex for vertex and in every measure, bit for bit."""
+    row alone, vertex for vertex and in every measure, bit for bit; and each
+    level's row of an all-levels call equals the one-level call at it."""
     rows = roc_rows(labels, scores, descending_order(scores))
     curves = [one_row(labels, row).curve for row in scores]
     assert len(rows.starts) == len(curves) + 1
@@ -329,16 +336,16 @@ def assert_rows_match_their_curves(labels, scores):
         [pairwise_auc(labels, row) for row in scores], abs=1e-12
     )
     assert auc_weighted_rows(rows).tolist() == [auc_weighted_rows(c)[0] for c in curves]
-    for alpha in alpha_probes(labels):
-        for normalized in (False, True):
-            assert auc_at_rows(rows, alpha, normalized).tolist() == [
-                auc_at_rows(c, alpha, normalized)[0] for c in curves
-            ]
-        assert tpr_at_rows(rows, alpha).tolist() == [tpr_at_rows(c, alpha)[0] for c in curves]
-        assert threshold_at_fpr_rows(rows, alpha).tolist() == [
-            threshold_at_fpr_rows(c, alpha)[0] for c in curves
-        ]
-    assert tpr_at_rows(rows, 0.0).tolist() == [tpr_at_rows(c, 0.0)[0] for c in curves]
+    alphas = alpha_probes(labels)
+    measures = [partial(auc_at_rows, normalized=False), partial(auc_at_rows, normalized=True),
+                tpr_at_rows, threshold_at_fpr_rows]
+    for measure in measures:
+        every = measure(rows, alphas)
+        assert every.shape == (len(alphas), len(scores))
+        for level, alpha in zip(every, alphas):
+            assert level.tolist() == measure(rows, [alpha])[0].tolist()
+            assert level.tolist() == [measure(c, [alpha])[0, 0] for c in curves]
+    assert tpr_at_rows(rows, [0.0]).tolist() == [[tpr_at_rows(c, [0.0])[0, 0] for c in curves]]
 
 
 class TestRocRows:
@@ -355,12 +362,12 @@ class TestRocRows:
         assert rows.tpr.tolist() == [0, 1, 0, 0.5, 1, 1, 1, 0, 0, 0.5, 1, 1]
         assert auc_rows(rows).tolist() == [0.5, 1.0, 0.5]
         # alpha = 0.5 sits on a vertex of the last two rows: the uppermost one.
-        assert tpr_at_rows(rows, 0.5).tolist() == [0.5, 1.0, 1.0]
-        assert threshold_at_fpr_rows(rows, 0.5).tolist() == [2.0, 2.0, 1.0]
+        assert tpr_at_rows(rows, [0.5]).tolist() == [[0.5, 1.0, 1.0]]
+        assert threshold_at_fpr_rows(rows, [0.5]).tolist() == [[2.0, 2.0, 1.0]]
         # alpha = 0.25 lies below the first positive FPR of the first and
         # last rows: their first finite threshold.
-        assert threshold_at_fpr_rows(rows, 0.25).tolist() == [2.0, 2.5, 3.0]
-        assert tpr_at_rows(rows, 0.25).tolist() == [0.25, 1.0, 0.0]
+        assert threshold_at_fpr_rows(rows, [0.25]).tolist() == [[2.0, 2.5, 3.0]]
+        assert tpr_at_rows(rows, [0.25]).tolist() == [[0.25, 1.0, 0.0]]
         assert_rows_match_their_curves(labels, scores)
 
     @given(score_rows())

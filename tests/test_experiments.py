@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.stats import kendalltau as scipy_kendalltau
 
 from adeval.curves import tpr_at_rows
@@ -28,6 +29,7 @@ from adeval.experiments import (
     roc_band,
     run_grid,
 )
+from adeval.thresholded import precision_composition
 from _oracles import (
     class_transfer_reference,
     kendall_reference,
@@ -36,7 +38,7 @@ from _oracles import (
     repetition_means,
     selection_loss_reference,
 )
-from test_curves import one_row
+from test_curves import alpha_probes, one_row, score_rows
 
 
 def record(
@@ -183,6 +185,19 @@ class TestGridConfig:
             GridConfig(validation_fraction=1.0)
         with pytest.raises(ValueError):
             GridConfig(knn_ks=(), lof_ks=(), iforest_trees=()).detector_combos()
+
+    def test_rejects_two_levels_of_one_family_with_one_name(self):
+        with pytest.raises(
+            ValueError, match=r"^alphas levels 0\.01 and 0\.0100000001 both name measures @0\.01$"
+        ):
+            GridConfig(alphas=(0.01, 0.0100000001))
+        with pytest.raises(
+            ValueError, match=r"^ps levels 0\.2 and 0\.2000000001 both name measures @0\.2$"
+        ):
+            GridConfig(ps=(0.05, 0.2, 0.2000000001))
+        # A level repeated exactly, or one name in two families, repeats no column.
+        names = GridConfig(alphas=(0.01, 0.01), ps=(0.0100000001,)).measure_names()
+        assert len(names) == len(set(names))
 
     def test_rejects_an_empty_contamination_list(self):
         with pytest.raises(ValueError, match="contamination"):
@@ -910,6 +925,44 @@ class TestEvaluateCells:
             assert cells[i] == (values, flags + ["error:ValueError"])
 
 
+    def test_thinned_normals_flags_only_the_levels_whose_normals_are_thinned(self):
+        # 1 anomaly in 21 is less contaminated than p = 0.05, yet precision@0.05
+        # keeps round(0.05 * 20 / 0.95) = 1 anomaly and so every normal.  At
+        # p = 0.1 it would keep 2 anomalies, so it thins the normals to 9.
+        labels = np.r_[1, np.zeros(20, dtype=int)]
+        cfg = knn_only_config(ps=(0.05, 0.1))
+        assert precision_composition(1, 20, 0.05) == (1, 20, 2)
+        assert precision_composition(1, 20, 0.1) == (1, 9, 1)
+        rng = np.random.default_rng(4)
+        cells = experiments._evaluate_cells(
+            labels, [("", np.arange(21))], rng.random((2, 21)), rng.random((2, 10)),
+            cfg.measures(), cfg, 9,
+        )
+        assert [flags for _, flags in cells] == [["thinned-normals@0.1"]] * 2
+
+
+class TestMeasureRows:
+    @given(score_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_each_alpha_level_equals_its_one_level_call_bit_for_bit(self, case):
+        # The probes put alpha on every vertex FPR, between them and below
+        # the first FPR step; the volume sample repeats the test scores, so
+        # thresholds land on volume scores.
+        labels, scores = case
+        alphas = tuple(alpha_probes(labels))
+        volume = np.hstack([scores, scores + 0.25])
+        every = experiments._measure_rows(
+            labels, scores, volume, knn_only_config(alphas=alphas), 9
+        )
+        for level, alpha in enumerate(alphas):
+            one = experiments._measure_rows(
+                labels, scores, volume, knn_only_config(alphas=(alpha,)), 9
+            )
+            for kind in ("auc_at", "tpr_at", "f1_at", "cvol_at"):
+                assert every[kind].shape == (len(alphas), len(scores))
+                assert every[kind][level].tobytes() == one[kind][0].tobytes()
+
+
 class TestRecordStore:
     def test_roundtrip_preserves_values_exactly(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
@@ -1575,7 +1628,7 @@ class TestRocBand:
             fold = split(bench, SplitSpec(seed=1, repetition=rep))
             scores = knn_fit(fold.train, k=3, variant="kappa").score(fold.test)
             curves.append(one_row(fold.test_labels, scores).curve)
-        tprs = np.array([[tpr_at_rows(c, a)[0] for a in band.fpr] for c in curves])
+        tprs = np.array([tpr_at_rows(c, band.fpr)[:, 0] for c in curves])
         np.testing.assert_allclose(band.tpr_mean, tprs.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(
             band.tpr_std, np.abs(tprs[0] - tprs[1]) / np.sqrt(2.0), atol=1e-12

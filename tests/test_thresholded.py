@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from adeval.curves import descending_order, threshold_at_fpr_rows
 from adeval.thresholded import (
-    PrecisionAtPConfig,
     confusion_rows,
     f1_rows,
     precision_at_p_rows,
+    precision_composition,
 )
 from _oracles import precision_reference
 from test_curves import labeled_scores, one_row
@@ -51,9 +51,9 @@ class TestConfusionAt:
 def f1_at_fpr(data, alpha):
     """F1 at the threshold the ROC curve of ``data`` gives for FPR = alpha."""
     tp, fp, _, fn = confusion_rows(
-        data.labels, data.scores, threshold_at_fpr_rows(data.curve, alpha)
+        data.labels, data.scores, threshold_at_fpr_rows(data.curve, [alpha])
     )
-    return f1_rows(tp, fp, fn)[0]
+    return f1_rows(tp, fp, fn)[0, 0]
 
 
 class TestF1:
@@ -88,41 +88,52 @@ class TestF1:
             )
 
 
+def precision(data, p, rounds, seed):
+    """precision@p of ``data``'s one row at the one level ``p``."""
+    return precision_at_p_rows(data.labels, data.order, [p], rounds, seed)[0, 0]
+
+
 class TestPrecisionAtP:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PrecisionAtPConfig(p=0.0)
-        with pytest.raises(ValueError):
-            PrecisionAtPConfig(p=1.0)
-        with pytest.raises(ValueError):
-            PrecisionAtPConfig(p=0.1, rounds=0)
+        data = simple_data()
+        for ps in ([0.0], [0.05, 1.0], [float("nan")]):
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                precision_at_p_rows(data.labels, data.order, ps)
+        for ps in ([], [[0.05]]):
+            with pytest.raises(ValueError, match="nonempty one-dimensional"):
+                precision_at_p_rows(data.labels, data.order, ps)
+        with pytest.raises(ValueError, match="rounds"):
+            precision_at_p_rows(data.labels, data.order, [0.1], rounds=0)
+
+    def test_composition_keeps_one_class_whole(self):
+        # 50 anomalies among 100 normals at p = 0.2: keep 25 of the anomalies.
+        assert precision_composition(50, 100, 0.2) == (25, 100, 25)
+        # 2 anomalies among 198 normals at p = 0.1: thin the normals to 18.
+        assert precision_composition(2, 198, 0.1) == (2, 18, 2)
+        # 1 anomaly among 20 normals at p = 0.05 keeps both classes whole,
+        # though 1 / 21 is below 0.05.
+        assert precision_composition(1, 20, 0.05) == (1, 20, 2)
 
     def test_perfect_ranking_gives_one(self):
         # 5 anomalies on top of 95 normals; evaluating at the true
         # contamination keeps the sample intact and the top 5 are all true.
         labels = np.r_[np.ones(5, dtype=int), np.zeros(95, dtype=int)]
         scores = np.r_[np.linspace(10, 11, 5), np.linspace(0, 1, 95)]
-        data = one_row(labels, scores)
-        cfg = PrecisionAtPConfig(p=0.05, rounds=3, seed=1)
-        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 1.0
+        assert precision(one_row(labels, scores), 0.05, rounds=3, seed=1) == 1.0
 
     def test_inverted_ranking_gives_zero(self):
         labels = np.r_[np.ones(5, dtype=int), np.zeros(95, dtype=int)]
         scores = np.r_[np.linspace(0, 1, 5), np.linspace(10, 11, 95)]
-        data = one_row(labels, scores)
-        cfg = PrecisionAtPConfig(p=0.05, rounds=3, seed=1)
-        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 0.0
+        assert precision(one_row(labels, scores), 0.05, rounds=3, seed=1) == 0.0
 
     def test_anomalies_subsampled_to_target_proportion(self):
         # 50 anomalies among 100 normals, p = 0.2: rounds keep
         # round(0.2 * 100 / 0.8) = 25 anomalies out of 50.
         rng = np.random.default_rng(7)
         labels = np.r_[np.ones(50, dtype=int), np.zeros(100, dtype=int)]
-        scores = rng.normal(size=150)
-        data = one_row(labels, scores)
-        cfg = PrecisionAtPConfig(p=0.2, rounds=20, seed=3)
-        v1 = precision_at_p_rows(data.labels, data.order, cfg)[0]
-        v2 = precision_at_p_rows(data.labels, data.order, cfg)[0]
+        data = one_row(labels, rng.normal(size=150))
+        v1 = precision(data, 0.2, rounds=20, seed=3)
+        v2 = precision(data, 0.2, rounds=20, seed=3)
         assert v1 == v2  # deterministic under a fixed seed
         assert 0.0 <= v1 <= 1.0
 
@@ -131,38 +142,35 @@ class TestPrecisionAtP:
         # contamination, here exactly 0.05.
         rng = np.random.default_rng(42)
         labels = np.r_[np.ones(400, dtype=int), np.zeros(1900, dtype=int)]
-        scores = rng.normal(size=2300)
-        data = one_row(labels, scores)
-        cfg = PrecisionAtPConfig(p=0.05, rounds=1000, seed=5)
-        value = precision_at_p_rows(data.labels, data.order, cfg)[0]
-        assert value == pytest.approx(0.05, abs=0.01)
+        data = one_row(labels, rng.normal(size=2300))
+        assert precision(data, 0.05, rounds=1000, seed=5) == pytest.approx(0.05, abs=0.01)
 
     def test_less_contaminated_than_p_thins_normals(self):
         # 2 anomalies in 198 normals is 1% contamination; at p = 0.1 the
         # normals are thinned to round(2 * 0.9 / 0.1) = 18.
         labels = np.r_[np.ones(2, dtype=int), np.zeros(198, dtype=int)]
         scores = np.r_[np.array([5.0, 6.0]), np.linspace(0, 1, 198)]
-        data = one_row(labels, scores)
-        cfg = PrecisionAtPConfig(p=0.1, rounds=10, seed=2)
-        value = precision_at_p_rows(data.labels, data.order, cfg)[0]
-        assert value == 1.0  # both anomalies always fall in the top 2 of 20
+        # Both anomalies always fall in the top 2 of 20.
+        assert precision(one_row(labels, scores), 0.1, rounds=10, seed=2) == 1.0
 
     def test_tie_break_is_deterministic(self):
         labels = np.array([1, 0, 1, 0])
         scores = np.array([1.0, 1.0, 1.0, 1.0])
-        data = one_row(labels, scores)
         # Top ceil(0.5 * 4) = 2 under index tie-break: indices 0 and 1.
-        cfg = PrecisionAtPConfig(p=0.5, rounds=4, seed=0)
-        assert precision_at_p_rows(data.labels, data.order, cfg)[0] == 0.5
+        assert precision(one_row(labels, scores), 0.5, rounds=4, seed=0) == 0.5
+
+
+LEVELS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.8)
 
 
 @st.composite
 def precision_cases(draw):
-    """(labels, integer-valued score matrix, config) in either branch of precision@p.
+    """(labels, integer-valued score matrix, levels, rounds, seed), with one
+    level of the set in either branch of precision@p.
 
     p = 0.01 keeps a top set of one sample (m = 1) on every sample drawn here.
     """
-    p = draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8]))
+    p = draw(st.sampled_from(LEVELS))
     n_neg = draw(st.integers(1, 40))
     keep = max(1, round(p * n_neg / (1.0 - p)))
     if draw(st.booleans()):
@@ -179,22 +187,33 @@ def precision_cases(draw):
                       min_size=rows, max_size=rows)),
         dtype=float,
     )
-    cfg = PrecisionAtPConfig(p=p, rounds=draw(st.integers(1, 10)),
-                             seed=draw(st.integers(0, 2**32 - 1)))
-    return labels, scores, cfg
+    others = draw(st.lists(st.sampled_from(LEVELS), max_size=3))
+    ps = tuple(draw(st.permutations(sorted({p, *others}))))
+    return labels, scores, ps, draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestPrecisionAtPRows:
     @given(precision_cases())
     @settings(max_examples=300, deadline=None)
     def test_each_row_equals_its_own_precision_bit_for_bit(self, case):
-        labels, scores, cfg = case
-        batch = precision_at_p_rows(labels, descending_order(scores), cfg)
-        assert batch.shape == (len(scores),)
-        for row, value in zip(scores, batch):
-            single = precision_at_p_rows(labels, descending_order(row[None, :]), cfg)[0]
-            reference = precision_reference(labels, row, cfg.p, cfg.rounds, cfg.seed)
-            assert value == single == reference
+        labels, scores, ps, rounds, seed = case
+        batch = precision_at_p_rows(labels, descending_order(scores), ps, rounds, seed)
+        assert batch.shape == (len(ps), len(scores))
+        for row, values in zip(scores, batch.T):
+            single = precision_at_p_rows(labels, descending_order(row[None, :]), ps, rounds, seed)
+            assert values.tolist() == single[:, 0].tolist() == [
+                precision_reference(labels, row, p, rounds, seed) for p in ps
+            ]
+
+    @given(precision_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_a_level_does_not_depend_on_the_other_levels(self, case):
+        labels, scores, ps, rounds, seed = case
+        order = descending_order(scores)
+        for p in ps:
+            alone = precision_at_p_rows(labels, order, (p,), rounds, seed)[0]
+            among = precision_at_p_rows(labels, order, (0.01, p, 0.3), rounds, seed)[1]
+            assert alone.tobytes() == among.tobytes()
 
     @pytest.mark.parametrize("n_pos", [2, 12])
     def test_tie_heavy_rows_match_the_lexsort_reference(self, n_pos):
@@ -206,9 +225,8 @@ class TestPrecisionAtPRows:
         scores = np.round(rng.random((6, len(labels))), 1)
         scores[0] = 0.5
         order = descending_order(scores)
-        for p in (0.01, 0.05, 0.1, 0.3, 0.5):
-            for rounds in (1, 3, 10):
-                cfg = PrecisionAtPConfig(p=p, rounds=rounds, seed=7)
-                assert precision_at_p_rows(labels, order, cfg).tolist() == [
-                    precision_reference(labels, row, p, rounds, 7) for row in scores
-                ]
+        ps = (0.01, 0.05, 0.1, 0.3, 0.5)
+        for rounds in (1, 3, 10):
+            assert precision_at_p_rows(labels, order, ps, rounds, 7).tolist() == [
+                [precision_reference(labels, row, p, rounds, 7) for row in scores] for p in ps
+            ]

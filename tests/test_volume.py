@@ -22,7 +22,7 @@ def max_norm(points):
 def volume_at_fpr(f, box, data, alpha, n=100_000, seed=0):
     """The estimate of ``adeval volume``: the threshold at FPR ``alpha`` of
     ``data``'s ROC, applied to the checked scores of one uniform sample."""
-    (tau,) = threshold_at_fpr_rows(data.curve, alpha)
+    ((tau,),) = threshold_at_fpr_rows(data.curve, [alpha])
     model = SimpleNamespace(score=f)
     sample = score_row(model, uniform_sample(box, n, seed), "non-finite volume score")
     (vol,) = accepted_fraction(sample, [tau])
@@ -157,10 +157,13 @@ class TestVolumePrimitives:
         scores = np.r_[rng.uniform(0.3, 1.1, 40), rng.uniform(0.0, 0.8, 160)]
         data = one_row(labels, scores)
         sample = max_norm(uniform_sample(UNIT_BOX_2D, 4000, seed=11))[None, :]
-        for a in (0.05, 0.1, 0.25, 0.5, 0.9):
-            tau = threshold_at_fpr_rows(data.curve, a)
-            (vol,) = accepted_fraction(sample, tau)
-            assert SimpleNamespace(threshold=tau[0], vol=vol, cvol=1.0 - vol) == volume_at_fpr(
+        alphas = (0.05, 0.1, 0.25, 0.5, 0.9)
+        # One (levels, rows) pass: every level's thresholds, then every fraction.
+        tau = threshold_at_fpr_rows(data.curve, alphas)
+        vol = accepted_fraction(sample, tau)
+        assert tau.shape == vol.shape == (len(alphas), 1)
+        for a, t, v in zip(alphas, tau[:, 0], vol[:, 0]):
+            assert SimpleNamespace(threshold=t, vol=v, cvol=1.0 - v) == volume_at_fpr(
                 max_norm, UNIT_BOX_2D, data, a, n=4000, seed=11
             )
 
