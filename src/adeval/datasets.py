@@ -380,7 +380,10 @@ def read_raw_table(path: str | Path) -> RawTable:
                 rows.append([float(v) for v in row[:-1]])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            classes.append(row[-1].strip())
+            label = row[-1].strip()
+            if not label:
+                raise ValueError(f"{path}: line {lineno}: empty class field")
+            classes.append(label)
     if not rows:
         raise ValueError(f"{path}: table has no data rows")
     return RawTable(name=path.stem, features=np.array(rows), classes=tuple(classes))

@@ -39,10 +39,13 @@ counter-based hash of (seed, t, slot), so a forest of n trees is
 the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
-place.  Forest growth and descent work in batches of at most ``_TILE``
-elements (trees x subsample points x dimensions, trees x queries), so a
-batch holds every tree for a test fold and a few trees for a large volume
-sample.
+place.  Forest growth works in batches of at most ``_GROWTH_BATCH``
+elements (trees x subsample points x dimensions, or trees x training
+points), and a descent in tiles of at most ``_DESCENT_TILE`` (trees x
+queries) elements, so a tile holds every tree for a small test fold and a
+few trees for a large volume sample.  The root level of a tile compares one
+gathered row of the transposed queries per tree with the tree's root
+threshold; only the levels below gather per element.
 """
 
 from __future__ import annotations
@@ -540,12 +543,16 @@ def neighbour_scores(
 # Isolation forest
 # ---------------------------------------------------------------------------
 
-# Elements in one batch of forest work: trees x subsample points x dimensions
-# (or trees x training points, whichever is larger) in growth, trees x
-# queries in a descent.  A batch of this size makes each numpy pass long
-# enough to pay for its call, and bounds the working set whatever the forest
-# size or the number of queries.
-_TILE = 2**16
+# Elements in one batch of forest growth: trees x subsample points x
+# dimensions, or trees x training points, whichever is larger.  Growth makes
+# a dozen numpy calls per level and batch, so a batch long enough to pay for
+# them beats one that fits a cache; the batch still bounds the working set
+# whatever the forest size or the number of training points.
+_GROWTH_BATCH = 2**18
+# Elements (trees x queries) in one tile of a forest descent.  A level of a
+# descent makes a few tile-sized temporaries, and at this size they stay
+# within a 2 MiB L2 cache.
+_DESCENT_TILE = 2**15
 
 
 def _avg_path_length(n: int) -> float:
@@ -731,10 +738,10 @@ def iforest_fit(
     height ceil(log2(psi)).
 
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
-    grow level by level, ``max(1, _TILE // max(psi * d, n))`` trees at a
-    time, so a batch's point ids and its per-point keys both stay within
-    ``_TILE`` elements when n does.  Trees of a batch grow independently,
-    so the batch size changes no tree.  The columns with a repeated value
+    grow level by level, ``max(1, _GROWTH_BATCH // max(psi * d, n))`` trees
+    at a time, so a batch's point ids and its per-point keys both stay
+    within ``_GROWTH_BATCH`` elements when n does.  Trees of a batch grow
+    independently, so the batch size changes no tree.  The columns with a repeated value
     among the training points are found once, from one sort of the
     training matrix: no other column can be constant in a node of two or
     more points, so growth reads only those columns' bounds and the split
@@ -786,7 +793,7 @@ def iforest_fit(
     path = np.zeros((n_trees, n_heap))
     ordered = np.sort(pts, axis=0)
     repeated = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
-    per_batch = max(1, _TILE // max(psi * pts.shape[1], pts.shape[0]))
+    per_batch = max(1, _GROWTH_BATCH // max(psi * pts.shape[1], pts.shape[0]))
     for first in range(0, n_trees, per_batch):
         batch = slice(first, first + per_batch)
         _grow_batch(pts, repeated, seed, first, psi, leaf_path,
@@ -811,17 +818,24 @@ def forest_scores(
     """Scores of isolation forests that are prefixes of one forest, one row per model.
 
     The trees of the largest forest are descended once, in tiles of at most
-    ``_TILE`` (trees x queries) elements: all trees at once for up to
-    ``_TILE // n_trees`` queries, chunks of ``_TILE`` queries one tree at a
-    time for more than ``_TILE``.  Every query descends each tree of a tile
-    from the root by ``idx = 2*idx + 1 + go_right`` to depth
-    ``height_limit`` (past its leaf, see :class:`IsolationForestModel`).  A
-    level makes no tile-sized temporary beyond its three gathers (split
-    column, coordinate, threshold): the column indices are offset in place,
-    the comparison writes one preallocated mask and the node array is
-    updated in place.  Fancy indexing keeps its bounds check.  The path
-    length found at depth ``height_limit`` over c(psi) is added to the
-    query's running total one tree at a time, in tree order; a model's row,
+    ``_DESCENT_TILE`` (trees x queries) elements: all trees at once for up
+    to ``_DESCENT_TILE // n_trees`` queries, chunks of ``_DESCENT_TILE``
+    queries one tree at a time for more than ``_DESCENT_TILE``.  Every
+    query descends each tree of a tile from the root by
+    ``idx = 2*idx + 1 + go_right`` to depth ``height_limit`` (past its
+    leaf, see :class:`IsolationForestModel`).  The root level is one row
+    gather and one broadcast compare: each tree's root split column is a
+    row of the transposed queries, compared with that tree's root
+    threshold.  A leaf root (feature -1, threshold -inf) reads the last
+    row, and no coordinate lies below -inf, so its queries go right, as
+    they do at every leaf below; a NaN coordinate goes right at every
+    split.  Each level below makes no tile-sized
+    temporary beyond its three gathers (split column, coordinate,
+    threshold): the column indices are offset in place, the comparison
+    writes the root level's mask and the node array is updated in place.
+    Fancy indexing keeps its bounds check.  The path length found at depth
+    ``height_limit`` over c(psi) is added to the query's running total one
+    tree at a time, in tree order; a model's row,
     ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
     therefore gives the same scores, bit for bit, as a walk over single
     trees, and a forest scores the same alone or as a prefix of a larger
@@ -843,6 +857,7 @@ def forest_scores(
     queries = _as_points(x, forest.dim)
     n, d = queries.shape
     coords = queries.ravel()
+    coords_t = np.ascontiguousarray(queries.T)
     n_heap = forest.feature.shape[1]
     feature, threshold, path = (
         getattr(forest, a).ravel() for a in ("feature", "threshold", "path")
@@ -852,8 +867,8 @@ def forest_scores(
     for row, m in enumerate(models):
         readout.setdefault(m.n_trees, []).append(row)
     out = np.empty((len(models), n))
-    width = max(1, min(n, _TILE))  # queries per tile
-    height = max(1, _TILE // width)  # trees per tile
+    width = max(1, min(n, _DESCENT_TILE))  # queries per tile
+    height = max(1, _DESCENT_TILE // width)  # trees per tile
     for first in range(0, n, width):
         cols = slice(first, first + width)
         row_start = np.arange(n)[cols] * d
@@ -864,9 +879,12 @@ def forest_scores(
             # children of node i are 2i + 1 - root and 2i + 2 - root.
             root = np.arange(top * n_heap, stop * n_heap, n_heap)[:, None]
             shift = 2 - root
-            node = np.repeat(root, row_start.size, axis=1)
-            below = np.empty(node.shape, dtype=bool)
-            for _ in range(forest.height_limit):
+            # The root level: at a leaf root, feature -1 reads the last row
+            # and nothing lies below its threshold -inf.
+            below = np.less(coords_t[forest.feature[top:stop, 0], cols],
+                            forest.threshold[top:stop, 0, None])
+            node = root + 2 - below
+            for _ in range(forest.height_limit - 1):
                 # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
                 idx = feature[node]
                 idx += row_start

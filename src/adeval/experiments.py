@@ -193,9 +193,13 @@ class GridConfig:
         # The settings below would otherwise fail every cell they reach.
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
-        for c in self.contaminations:
+        for i, c in enumerate(self.contaminations):
             if not 0.0 <= c < 1.0:
                 raise ValueError(f"contaminations must lie in [0, 1), got {c!r}")
+            # A level given twice would plan and append its every block twice;
+            # levels compare by value, so 0.0 and -0.0 are one level.
+            if c in self.contaminations[:i]:
+                raise ValueError(f"contaminations level {c!r} is given twice")
         for variant in self.knn_variants:
             if variant not in KNN_VARIANTS:
                 raise ValueError(f"knn_variants must be among {KNN_VARIANTS}, got {variant!r}")

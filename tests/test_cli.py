@@ -177,6 +177,13 @@ class TestPrepare:
         # The well-formed table must not have been cached either.
         assert not (tmp_path / "cache").exists()
 
+    def test_empty_class_field_aborts_with_line_number(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        (tmp_path / "raw" / "t.csv").write_text("f0,class\n1.0,n\n2.0,n\n3.0,a\n4.0,\n5.0, \n")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 2
+        assert "t.csv: line 5: empty class field" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_classes_that_make_one_name_are_refused(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1)
         classes = ("n",) * 20 + ("c/1",) * 4 + ("c_1",) * 6
@@ -458,6 +465,14 @@ class TestRun:
         assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
                      "--set", "contaminations="]) == 2
         assert "contamination" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("levels", ["0.0,0.0", "0.0,-0.0"])
+    def test_repeated_contamination_level_is_rejected(self, study, tmp_path, capsys, levels):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
+                     "--set", f"contaminations={levels}"]) == 2
+        assert "given twice" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     @staticmethod

@@ -274,6 +274,14 @@ class TestTableIo:
         with pytest.raises(ValueError, match="line 3"):
             read_raw_table(path)
 
+    @pytest.mark.parametrize("label", ["", " ", '""'])
+    def test_empty_class_field_names_its_line(self, tmp_path, label):
+        # An empty label would otherwise make an anomaly class of its own.
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,class\n1.0,a\n2.0,{label}\n3.0,b\n")
+        with pytest.raises(ValueError, match=r"t\.csv: line 3: empty class field$"):
+            read_raw_table(path)
+
     def test_line_numbers_are_physical_after_a_two_line_label(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('f0,class\n1.0,a\n2.0,"two\nlines"\noops,b\n')

@@ -10,8 +10,8 @@ from scipy.spatial.distance import cdist
 
 from adeval import detectors
 from adeval.detectors import (
-    _CHUNK, _TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit, knn_fit, lof_fitter,
-    neighbour_scores,
+    _CHUNK, _DESCENT_TILE, _avg_path_length, _splitmix, forest_scores, iforest_fit, knn_fit,
+    lof_fitter, neighbour_scores,
 )
 from _oracles import (
     forest_draw, forest_growth_reference, forest_reference, forest_subsample, knn_reference,
@@ -699,8 +699,9 @@ def grid_queries(draw, max_rows=20, dim=2):
 def test_stacked_queries_score_as_apart(train, a, b, k, seed):
     """Scoring ``vstack([a, b])`` gives the bits of scoring ``a`` and ``b`` apart.
 
-    A grid block scores its stacked test fold and one shared volume sample
-    in one call per scorer, so no row's score may depend on the rows
+    A grid block scores its stacked test points (the shared normals, then
+    each benchmark's anomalies) in one call per scorer, and its shared
+    volume sample in a second call, so no row's score may depend on the rows
     beside it: not on which rows the sorted prefix serves, nor on the
     forest's tiles.
     """
@@ -814,14 +815,39 @@ class TestIsolationForest:
         train = rng.normal(size=(40, 3))
         model = iforest_fit(train, n_trees=n_trees, subsample=16, seed=4)
         models = [model] + [model.prefix(t) for t in (1, 50, 100) if t < n_trees]
-        per_tile = _TILE // n_trees
-        for n in (1, per_tile - 1, per_tile + 1, _TILE + 5):
+        per_tile = _DESCENT_TILE // n_trees
+        for n in (1, per_tile - 1, per_tile + 1, _DESCENT_TILE + 5):
             queries = rng.normal(scale=2.0, size=(n, 3))
             if n > 1:
                 queries[n // 2] = np.nan
             rows = forest_scores(models, queries)
             for row, m in zip(rows, models):
                 assert np.array_equal(row, forest_reference(m, queries)), (n, m.n_trees)
+
+    @pytest.mark.parametrize("subsample", [2, 8], ids=["height-1", "height-3"])
+    def test_root_level_equals_per_tree_walk(self, subsample):
+        """The root level's row gather descends leaf roots and split roots as the walk does.
+
+        Duplicate rows make some trees' subsamples all one row, and so a
+        leaf root (feature -1, threshold -inf); the others split at the
+        root.  A query on a root threshold goes right, as does a NaN query.
+        """
+        rng = np.random.default_rng(12)
+        train = np.vstack([np.repeat(rng.normal(size=(1, 3)), 30, axis=0),
+                           rng.normal(size=(2, 3))])
+        model = iforest_fit(train, n_trees=40, subsample=subsample, seed=7)
+        assert model.height_limit == math.ceil(math.log2(subsample))
+        roots = model.feature[:, 0]
+        assert (roots < 0).any() and (roots >= 0).any()
+        queries = rng.normal(size=(60, 3))
+        queries[:3] = train[[0, 30, 31]]
+        queries[3] = np.nan
+        # Queries exactly on the root threshold of each tree that splits there.
+        on_threshold = queries[4:4 + int((roots >= 0).sum())]
+        on_threshold[np.arange(len(on_threshold)), roots[roots >= 0]] = model.threshold[roots >= 0, 0]
+        models = [model, model.prefix(1), model.prefix(13)]
+        for row, m in zip(forest_scores(models, queries), models):
+            assert np.array_equal(row, forest_reference(m, queries)), m.n_trees
 
     def test_growth_does_not_depend_on_batching(self, monkeypatch):
         train = np.random.default_rng(8).normal(size=(50, 3))
@@ -831,7 +857,7 @@ class TestIsolationForest:
             psi = min(subsample, len(train))
             fits = []
             for per_batch in (1, 3, n_trees):
-                monkeypatch.setattr(detectors, "_TILE", per_batch * psi * train.shape[1])
+                monkeypatch.setattr(detectors, "_GROWTH_BATCH", per_batch * psi * train.shape[1])
                 fits.append(iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=2))
             for fit in fits[1:]:
                 for attr in ("feature", "threshold", "path"):
@@ -866,7 +892,7 @@ class TestIsolationForest:
         expected = forest_growth_reference(train, n_trees, subsample, seed=5)
         psi = min(subsample, len(train))
         for per_batch in (1, 3, n_trees):
-            monkeypatch.setattr(detectors, "_TILE", per_batch * psi * train.shape[1])
+            monkeypatch.setattr(detectors, "_GROWTH_BATCH", per_batch * psi * train.shape[1])
             model = iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=5)
             for attr, want in zip(("feature", "threshold", "path"), expected):
                 assert np.array_equal(getattr(model, attr), want), (per_batch, attr)
@@ -881,7 +907,7 @@ class TestIsolationForest:
             sizes.append(out.size)
             return out
 
-        monkeypatch.setattr(detectors, "_TILE", tile)
+        monkeypatch.setattr(detectors, "_GROWTH_BATCH", tile)
         monkeypatch.setattr(detectors, "_splitmix", recording)
         # Bounded by psi * d = 32 alone, all 20 trees would share one batch of 20000 keys.
         train = np.random.default_rng(9).normal(size=(1000, 2))

@@ -199,6 +199,12 @@ class TestGridConfig:
         names = GridConfig(alphas=(0.01, 0.01), ps=(0.0100000001,)).measure_names()
         assert len(names) == len(set(names))
 
+    @pytest.mark.parametrize("levels", [(0.0, 0.0), (0.0, -0.0), (0.1, 0.0, 0.1)])
+    def test_rejects_a_contamination_level_given_twice(self, levels):
+        # A repeated level would plan and append every block of it twice.
+        with pytest.raises(ValueError, match=r"^contaminations level .* is given twice$"):
+            GridConfig(contaminations=levels)
+
     def test_rejects_an_empty_contamination_list(self):
         with pytest.raises(ValueError, match="contamination"):
             GridConfig(contaminations=())
