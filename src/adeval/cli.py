@@ -218,9 +218,12 @@ def _write_delimited(path: Path, header: Sequence[str], rows, hash_: str, *notes
         writer.writerows(rows)
 
 
-def _write_text(path: Path, lines: Sequence[str], hash_: str) -> None:
+def _write_text(path: Path, lines: Sequence[str], hash_: str) -> str:
+    """Write ``lines`` under ``# manifest: <hash>``; returns the text written."""
+    text = f"# manifest: {hash_}\n" + "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"# manifest: {hash_}\n" + "\n".join(lines) + "\n")
+    path.write_text(text)
+    return text
 
 
 def _aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -498,41 +501,33 @@ def _select_measures(
 
 
 def _rank_table(data, names, args, tag) -> tuple:
-    tables = [mean_rank_table(data, name) for name in names]
+    table = mean_rank_table(data, names)
     order = sorted(
-        range(len(tables[0].detectors)),
-        key=lambda i: _DETECTOR_ORDER.get(tables[0].detectors[i], 99),
+        range(len(table.detectors)), key=lambda i: _DETECTOR_ORDER.get(table.detectors[i], 99)
     )
-    detectors = [tables[0].detectors[i] for i in order]
-    rows = []
-    for table in tables:
-        for i in order:
-            rows.append(
-                [table.measure, table.detectors[i], repr(float(table.mean[i])),
-                 repr(float(table.std[i])), table.n_datasets]
-            )
+    detectors = [table.detectors[i] for i in order]
+    rows, text_rows = [], []
+    for measure, mean, std in zip(table.measures, table.mean.tolist(), table.std.tolist()):
+        rows += [[measure, table.detectors[i], repr(mean[i]), repr(std[i]), table.n_datasets]
+                 for i in order]
+        text_rows.append([measure] + [f"{mean[i]:.2f}+-{std[i]:.2f}" for i in order])
     header = ["measure"] + [_DETECTOR_LABELS.get(d, d) for d in detectors]
-    text_rows = [
-        [t.measure] + [f"{t.mean[i]:.2f}+-{t.std[i]:.2f}" for i in order]
-        for t in tables
-    ]
     return (f"rank_{tag}", ["measure", "detector", "mean_rank", "std_rank", "n_datasets"],
             rows, _aligned(header, text_rows))
 
 
 def _pair_rows(names, matrix, counts=None) -> list[list]:
     """One (measure_a, measure_b, value[, count]) CSV row per entry of a measure table."""
-    return [
-        [a, b, repr(float(matrix[i, j]))] + ([] if counts is None else [int(counts[i, j])])
-        for i, a in enumerate(names) for j, b in enumerate(names)
-    ]
+    rows = [[a, b, repr(v)] for a, row in zip(names, matrix.tolist()) for b, v in zip(names, row)]
+    if counts is not None:
+        for row, n in zip(rows, counts.ravel().tolist()):
+            row.append(n)
+    return rows
 
 
 def _matrix_lines(names, matrix, fmt) -> list[str]:
-    header = [""] + list(names)
-    rows = [[name] + [fmt(matrix[i, j]) for j in range(len(names))]
-            for i, name in enumerate(names)]
-    return _aligned(header, rows)
+    rows = [[name] + [fmt(v) for v in row] for name, row in zip(names, matrix.tolist())]
+    return _aligned([""] + list(names), rows)
 
 
 def _percent_lines(title: str, names, matrix) -> list[str]:
@@ -647,8 +642,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
     stem, header, rows, lines = _TABLE_BUILDERS[args.kind](data, names, args, tag)
     _write_delimited(out_dir / f"{stem}.csv", header, rows, hash_)
-    _write_text(out_dir / f"{stem}.txt", lines, hash_)
-    print((out_dir / f"{stem}.txt").read_text().rstrip())
+    print(_write_text(out_dir / f"{stem}.txt", lines, hash_).rstrip())
     print(f"wrote tables under {out_dir}")
     return 0
 

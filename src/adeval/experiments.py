@@ -193,19 +193,23 @@ class GridConfig:
         # The settings below would otherwise fail every cell they reach.
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
-        for i, c in enumerate(self.contaminations):
+        for c in self.contaminations:
             if not 0.0 <= c < 1.0:
                 raise ValueError(f"contaminations must lie in [0, 1), got {c!r}")
-            # A level given twice would plan and append its every block twice;
-            # levels compare by value, so 0.0 and -0.0 are one level.
-            if c in self.contaminations[:i]:
-                raise ValueError(f"contaminations level {c!r} is given twice")
         for variant in self.knn_variants:
             if variant not in KNN_VARIANTS:
                 raise ValueError(f"knn_variants must be among {KNN_VARIANTS}, got {variant!r}")
         for key in ("knn_ks", "lof_ks", "iforest_trees"):
             if any(v < 1 for v in getattr(self, key)):
                 raise ValueError(f"{key} must be at least 1")
+        # A value given twice would plan and append a level's blocks twice, or
+        # fit and rank one detector as two combos.  Values compare by value,
+        # so 0.0 and -0.0 are one contamination level.
+        for key in ("contaminations", "knn_variants", "knn_ks", "lof_ks", "iforest_trees"):
+            values = getattr(self, key)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{key} value {v!r} is given twice")
         if self.iforest_subsample < 2:
             raise ValueError("iforest_subsample must be at least 2")
 
@@ -1004,12 +1008,12 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
 
 @dataclass(frozen=True)
 class RankTable:
-    """Mean +- std of detector ranks across benchmarks for one measure."""
+    """Mean +- std of detector ranks across benchmarks, one row per measure."""
 
-    measure: str
+    measures: tuple[str, ...]
     detectors: tuple[str, ...]
-    mean: NDArray[np.float64]
-    std: NDArray[np.float64]
+    mean: NDArray[np.float64]  # (measure, detector)
+    std: NDArray[np.float64]  # (measure, detector)
     n_datasets: int
 
 
@@ -1035,26 +1039,36 @@ def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
     return ranks
 
 
-def mean_rank_table(data: Collapsed, measure: str) -> RankTable:
-    """Rank detectors per benchmark (best hyperparameters, rank 1 = best).
+def mean_rank_table(data: Collapsed, measures: Sequence[str] | None = None) -> RankTable:
+    """Rank detectors per benchmark and measure (best hyperparameters, rank 1 = best).
 
     Each detector is represented by its best hyperparameter setting under
     the measure; ties get fractional ranks.  Requires every detector to
-    have a value on every benchmark.
+    have a value on every benchmark: the first measure, in order, where one
+    lacks it is reported with its benchmark/detector pairs.
+
+    Every measure is ranked in one pass over a (benchmark, measure,
+    detector) array.  Mean and std reduce its outer benchmark axis, which
+    numpy sums one benchmark at a time, as it sums one measure's
+    (benchmark, detector) ranks; a contiguous benchmark axis would take its
+    pairwise sum instead.  So each row is bit for bit its measure's alone.
     """
-    column = data.column(measure)
+    names = data.table_measures(measures)
+    block = data.block(names)  # (benchmark, measure, combo)
     detectors = tuple(sorted(set(data.detectors)))
     owner = np.array(data.detectors)
     best = np.stack(
-        [np.fmax.reduce(column[:, owner == d], axis=1) for d in detectors], axis=1
+        [np.fmax.reduce(block[:, :, owner == d], axis=2) for d in detectors], axis=2
     )
-    missing = np.argwhere(np.isnan(best))
-    if len(missing):
-        shown = ", ".join(f"{data.benchmarks[b]}/{detectors[d]}" for b, d in missing[:10])
+    missing = np.isnan(best)
+    if missing.any():
+        first = missing.any(axis=(0, 2)).argmax()
+        pairs = np.argwhere(missing[:, first])[:10]
+        shown = ", ".join(f"{data.benchmarks[b]}/{detectors[d]}" for b, d in pairs)
         raise ValueError(f"missing detector results for: {shown}")
-    ranks = average_ranks(-best)
+    ranks = average_ranks(-best.reshape(-1, len(detectors))).reshape(best.shape)
     return RankTable(
-        measure=measure,
+        measures=names,
         detectors=detectors,
         mean=ranks.mean(axis=0),
         std=ranks.std(axis=0),

@@ -475,6 +475,13 @@ class TestRun:
         assert "given twice" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_repeated_detector_setting_is_rejected(self, study, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={out}",
+                     "--set", "knn_ks=1,1"]) == 2
+        assert "knn_ks value 1 is given twice" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @staticmethod
     def failing_run(tmp_path) -> list[str]:
         """``adeval run`` arguments of a one-benchmark grid whose k = 51 cell fails."""
@@ -558,7 +565,7 @@ class TestRun:
 
 
 class TestAggregate:
-    def test_all_store_kinds_write_hashed_tables(self, study):
+    def test_all_store_kinds_write_hashed_tables(self, study, capsys):
         hash_ = json.loads((study.run / "manifest.json").read_text())["hash"]
         for kind in ("rank", "kendall", "loss", "multiclass"):
             assert main(["aggregate", kind, str(study.run)]) == 0
@@ -566,6 +573,9 @@ class TestAggregate:
             txt_path = study.run / "tables" / f"{kind}_c0.txt"
             assert csv_path.read_text().startswith(f"# manifest: {hash_}\n")
             assert txt_path.read_text().startswith(f"# manifest: {hash_}\n")
+            # stdout is the text table as written, then where it went.
+            written = f"wrote tables under {study.run / 'tables'}\n"
+            assert capsys.readouterr().out == txt_path.read_text() + written
 
     def test_rank_table_is_well_formed(self, study):
         main(["aggregate", "rank", str(study.run)])

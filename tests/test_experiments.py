@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.stats import kendalltau as scipy_kendalltau
+from scipy.stats import rankdata
 
 from adeval.curves import tpr_at_rows
 from adeval.datasets import SplitSpec, prepare_table, split, synth_gaussian, synth_multiclass_table
@@ -14,6 +15,7 @@ from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     _kendall_block,
     _run_repetition,
+    Collapsed,
     Combo,
     ExperimentRecord,
     GridConfig,
@@ -202,8 +204,19 @@ class TestGridConfig:
     @pytest.mark.parametrize("levels", [(0.0, 0.0), (0.0, -0.0), (0.1, 0.0, 0.1)])
     def test_rejects_a_contamination_level_given_twice(self, levels):
         # A repeated level would plan and append every block of it twice.
-        with pytest.raises(ValueError, match=r"^contaminations level .* is given twice$"):
+        with pytest.raises(ValueError, match=r"^contaminations value .* is given twice$"):
             GridConfig(contaminations=levels)
+
+    @pytest.mark.parametrize("key, values", [
+        ("knn_variants", ("kappa", "gamma", "kappa")),
+        ("knn_ks", (1, 1)),
+        ("lof_ks", (10, 20, 10)),
+        ("iforest_trees", (50, 50)),
+    ])
+    def test_rejects_a_detector_setting_given_twice(self, key, values):
+        # A repeated setting would fit and store one detector as two combos.
+        with pytest.raises(ValueError, match=rf"^{key} value .* is given twice$"):
+            GridConfig(**{key: values})
 
     def test_rejects_an_empty_contamination_list(self):
         with pytest.raises(ValueError, match="contamination"):
@@ -1030,6 +1043,24 @@ class TestRecordStore:
         with pytest.raises(ValueError, match=rf"{path.name}: line 3: .*0\.2x"):
             store.load()
 
+    def test_na_nan_and_inf_load(self, tmp_path):
+        store = RecordStore(tmp_path, manifest_hash="cafe01")
+        names = ("A", "B", "C")
+        store.append([
+            record(repetition=0, values={"A": None, "B": math.nan, "C": -math.inf}),
+            record(repetition=1, values={"A": math.inf, "B": math.nan, "C": 0.25}),
+        ], names)
+        text = next(tmp_path.glob("*.csv")).read_text()
+        assert text.endswith(",NA,nan,-inf\n0,t,c1,knn,g0,0.0,1,,inf,nan,0.25\n")
+        with_na, without = store.load()
+        assert with_na.values["A"] is None and with_na.is_flagged_missing
+        assert math.isnan(with_na.values["B"]) and with_na.values["C"] == -math.inf
+        assert without.values["A"] == math.inf and not without.is_flagged_missing
+        assert math.isnan(without.values["B"]) and without.values["C"] == 0.25
+        for rec in (with_na, without):
+            assert list(rec.values) == list(names)
+            assert all(type(v) is float for v in rec.values.values() if v is not None)
+
     def test_file_of_another_run_rejected_naming_it(self, tmp_path):
         _, path = self.two_row_store(tmp_path)
         with pytest.raises(ValueError, match=rf"{path.name}: .*'# manifest: beef02'.*another run"):
@@ -1227,10 +1258,10 @@ class TestMeanRankTable:
         return out
 
     def test_best_hyperparameter_represents_each_detector(self):
-        table = mean_rank_table(collapse(self.two_bench_records()), "AUC")
-        assert table.detectors == ("knn", "lof")
-        np.testing.assert_array_equal(table.mean, [1.0, 2.0])
-        np.testing.assert_array_equal(table.std, [0.0, 0.0])
+        table = mean_rank_table(collapse(self.two_bench_records()), ["AUC"])
+        assert table.measures == ("AUC",) and table.detectors == ("knn", "lof")
+        np.testing.assert_array_equal(table.mean, [[1.0, 2.0]])
+        np.testing.assert_array_equal(table.std, [[0.0, 0.0]])
         assert table.n_datasets == 2
 
     def test_rank_conservation(self):
@@ -1246,7 +1277,7 @@ class TestMeanRankTable:
                         values={"AUC": float(rng.uniform())},
                     )
                 )
-        table = mean_rank_table(collapse(records), "AUC")
+        table = mean_rank_table(collapse(records), ["AUC"])
         # Ranks are conserved: detector means average to (D + 1) / 2.
         assert table.mean.mean() == pytest.approx(2.0, abs=1e-12)
 
@@ -1255,8 +1286,8 @@ class TestMeanRankTable:
             record(grid_index=0, values={"AUC": 0.7}),
             record(grid_index=1, detector="lof", values={"AUC": 0.7}),
         ]
-        table = mean_rank_table(collapse(records), "AUC")
-        np.testing.assert_array_equal(table.mean, [1.5, 1.5])
+        table = mean_rank_table(collapse(records), ["AUC"])
+        np.testing.assert_array_equal(table.mean, [[1.5, 1.5]])
 
     def test_average_ranks_by_hand(self):
         values = np.array([
@@ -1275,7 +1306,54 @@ class TestMeanRankTable:
     def test_missing_detector_is_reported(self):
         records = self.two_bench_records()[:-1]  # drop lof on c2
         with pytest.raises(ValueError, match="t-c2/lof"):
-            mean_rank_table(collapse(records), "AUC")
+            mean_rank_table(collapse(records), ["AUC"])
+
+    @staticmethod
+    def collapsed(values):
+        """A :class:`Collapsed` of (benchmark, combo, measure) ``values``, all combos present."""
+        return Collapsed(
+            benchmarks=tuple(f"t-c{b:02d}" for b in range(values.shape[0])),
+            tables=("t",) * values.shape[0],
+            detectors=("iforest", "knn", "knn", "lof", "lof"),
+            measures=tuple("ABCDEF"[: values.shape[2]]),
+            values=values,
+            present=np.ones(values.shape[:2], dtype=bool),
+        )
+
+    def test_one_pass_equals_each_measure_alone(self):
+        # 11 benchmarks: numpy sums a contiguous axis of 8 or more values
+        # pairwise, which moves some std below in its last bits.
+        values = np.random.default_rng(3).integers(0, 4, size=(11, 5, 6)) / 4.0  # ties
+        values[2, 1] = np.nan  # a NaN combo: knn keeps its other setting there
+        data = self.collapsed(values)
+        table = mean_rank_table(data, data.measures)
+        assert table.measures == data.measures and table.detectors == ("iforest", "knn", "lof")
+        assert table.mean.shape == table.std.shape == (6, 3) and table.n_datasets == 11
+        pairwise_differs = False
+        for m, name in enumerate(data.measures):
+            alone = mean_rank_table(data, [name])
+            assert alone.measures == (name,) and alone.detectors == table.detectors
+            assert (table.mean[m] == alone.mean[0]).all() and (table.std[m] == alone.std[0]).all()
+            best = np.stack([np.nanmax(values[:, cols, m], axis=1)
+                             for cols in ([0], [1, 2], [3, 4])], axis=1)
+            ranks = np.array([rankdata(-row) for row in best])
+            assert (alone.mean[0] == ranks.mean(axis=0)).all()
+            assert (alone.std[0] == ranks.std(axis=0)).all()
+            pairwise_differs |= not np.array_equal(
+                np.ascontiguousarray(ranks.T).std(axis=1), ranks.std(axis=0)
+            )
+        assert pairwise_differs  # so the data tells the two reductions apart
+
+    def test_first_measure_missing_a_detector_is_reported(self):
+        values = np.random.default_rng(4).uniform(size=(9, 5, 4))
+        values[3, 3:, 1] = np.nan  # B: lof on t-c03
+        values[1, 0, 2] = values[5, 0, 2] = np.nan  # C: iforest on t-c01 and t-c05
+        data = self.collapsed(values)
+        with pytest.raises(ValueError, match=r"^missing detector results for: "
+                                             r"t-c01/iforest, t-c05/iforest$"):
+            mean_rank_table(data, ["A", "C", "D", "B"])
+        with pytest.raises(ValueError, match=r"^missing detector results for: t-c03/lof$"):
+            mean_rank_table(data, ["D", "B", "C"])
 
     def test_mixed_contamination_rejected(self):
         records = [
@@ -1283,7 +1361,7 @@ class TestMeanRankTable:
             record(contamination=0.05, values={"AUC": 0.5}),
         ]
         with pytest.raises(ValueError, match="contamination"):
-            mean_rank_table(collapse(records), "AUC")
+            mean_rank_table(collapse(records), ["AUC"])
 
 
 # ---------------------------------------------------------------------------
@@ -1568,13 +1646,13 @@ class TestReductionsMatchLoopReference:
                 if expected is None:
                     seen["rank_missing"] += 1
                     with pytest.raises(ValueError, match="missing detector"):
-                        mean_rank_table(data, name)
+                        mean_rank_table(data, [name])
                     continue
                 seen["rank"] += 1
-                table = mean_rank_table(data, name)
+                table = mean_rank_table(data, [name])
                 assert table.detectors == expected[0]
-                assert np.array_equal(table.mean, expected[1])
-                assert np.array_equal(table.std, expected[2])
+                assert np.array_equal(table.mean, [expected[1]])
+                assert np.array_equal(table.std, [expected[2]])
 
             for names in subsets:
                 seen["loss" if check_loss_table(data, means, names, False) else "loss_empty"] += 1
