@@ -31,7 +31,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from adeval import __version__
-from adeval.curves import check_labels, descending_order, roc_rows, threshold_at_fpr_rows
+from adeval.curves import check_labels
 from adeval.datasets import (
     BenchmarkDataset,
     SplitSpec,
@@ -48,6 +48,7 @@ from adeval.datasets import (
 from adeval.experiments import (
     Combo,
     GridConfig,
+    LabelledSample,
     RecordStore,
     benchmarks_of,
     collapse,
@@ -684,17 +685,18 @@ def _one_off(
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    cfg = GridConfig(alphas=(args.alpha,))
     bench, combo, fold, model, hash_ = _one_off(args, "volume", alpha=args.alpha, n=args.n)
     test = score_row(model, fold.test, "scores must be finite")
     labels = check_labels(fold.test_labels)
-    ((tau,),) = threshold_at_fpr_rows(
-        roc_rows(labels, test, descending_order(test)), [args.alpha]
-    )
     box, seed = volume_box_and_seed(bench.table, bench.normal, args.seed, args.rep)
-    sample = score_row(
+    volume = score_row(
         model, uniform_sample(box, args.n, seed), "score function returned a non-finite value"
     )
-    (vol,) = accepted_fraction(sample, [tau])
+    # The grid cell's threshold, read off the test fold's curve at FPR = alpha.
+    sample = LabelledSample(labels, test, volume, cfg)
+    ((tau,),) = sample.thresholds
+    ((vol,),) = accepted_fraction(volume, sample.thresholds)
     rows = [
         ("benchmark", bench.name),
         ("detector", combo.detector),

@@ -34,7 +34,7 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -44,7 +44,7 @@ from numpy.typing import NDArray
 
 from adeval._text import data_rows
 from adeval.curves import (
-    auc_at_rows, auc_rows, auc_weighted_rows, check_labels, descending_order,
+    RocRows, auc_at_rows, auc_rows, auc_weighted_rows, check_labels, descending_order,
     roc_rows, threshold_at_fpr_rows, tpr_at_rows,
 )
 from adeval.datasets import (
@@ -66,16 +66,20 @@ from adeval.volume import (
 # Measure identifiers
 # ---------------------------------------------------------------------------
 
-# Every measure kind, in column order: its label and its level family, the
-# GridConfig field whose levels it takes (None: the kind takes no level).
+# Every measure kind, in column order: its label; its level family, the
+# GridConfig field whose levels it takes (None: the kind takes no level); and
+# its row function, which gives the kind's values of one LabelledSample as a
+# (levels, rows) array, its levels those of its family in config order, or one
+# level row for a kind that takes no level.
 _KINDS = {
-    "auc": ("AUC", None),
-    "auc_w": ("AUC_w", None),
-    "auc_at": ("AUC", "alphas"),
-    "precision_at": ("precision", "ps"),
-    "tpr_at": ("TPR", "alphas"),
-    "f1_at": ("F1", "alphas"),
-    "cvol_at": ("CVOL", "alphas"),
+    "auc": ("AUC", None, lambda s: auc_rows(s.roc)[None]),
+    "auc_w": ("AUC_w", None, lambda s: auc_weighted_rows(s.roc)[None]),
+    "auc_at": ("AUC", "alphas", lambda s: auc_at_rows(s.roc, s.cfg.alphas, normalized=True)),
+    "precision_at": ("precision", "ps", lambda s: precision_at_p_rows(
+        s.labels, s.order, s.cfg.ps, s.cfg.precision_rounds, s.prec_seed)),
+    "tpr_at": ("TPR", "alphas", lambda s: tpr_at_rows(s.roc, s.cfg.alphas)),
+    "f1_at": ("F1", "alphas", lambda s: f1_rows(*s.confusion[:2], s.confusion[3])),
+    "cvol_at": ("CVOL", "alphas", lambda s: 1.0 - accepted_fraction(s.volume, s.thresholds)),
 }
 # The range of each family's levels.  An FPR budget may be 1; precision@p
 # keeps a p-fraction of anomalies, so p = 1 leaves no normals.
@@ -116,14 +120,6 @@ class MeasureId:
     def name(self) -> str:
         label = _KINDS[self.kind][0]
         return label if self.level is None else f"{label}@{self.level:g}"
-
-    @classmethod
-    def parse(cls, text: str) -> "MeasureId":
-        label, at, level = text.strip().partition("@")
-        for kind, (kind_label, family) in _KINDS.items():
-            if kind_label == label and (family is not None) == bool(at):
-                return cls(kind, float(level) if at else None)
-        raise ValueError(f"cannot parse measure name {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +235,9 @@ class GridConfig:
 
         Kinds keep their ``_KINDS`` order, and a kind takes the levels of its family.
         """
-        out = [MeasureId(kind) for kind, (_, family) in _KINDS.items() if family is None]
+        out = [MeasureId(kind) for kind, (_, family, _) in _KINDS.items() if family is None]
         for level in sorted(set(self.alphas) | set(self.ps), reverse=True):
-            out += [MeasureId(kind, level) for kind, (_, family) in _KINDS.items()
+            out += [MeasureId(kind, level) for kind, (_, family, _) in _KINDS.items()
                     if family is not None and level in getattr(self, family)]
         return tuple(out)
 
@@ -554,39 +550,38 @@ def missing_cells(
     return [cell for cell in cells if cell not in have]
 
 
-def _measure_rows(
-    labels: NDArray[np.int64],
-    test_scores: NDArray[np.float64],
-    volume_scores: NDArray[np.float64],
-    cfg: GridConfig,
-    prec_seed: int,
-) -> dict[str, NDArray[np.float64]]:
-    """Every measure of every score row of one labelled sample, by kind.
+@dataclass(frozen=True, eq=False)
+class LabelledSample:
+    """One labelled sample's score rows, from which every measure kind reads its values.
 
-    Each kind's value is a (levels, rows) array, its levels those of its
-    family in ``cfg`` order; a kind that takes no level has one level row.
-    Each score row is sorted once (:func:`descending_order`).  That order
-    sweeps the rows' ROC curves (:func:`roc_rows`), which give every curve
-    measure at every level in one pass; F1@alpha and CVOL@alpha share the
-    thresholds read off each curve at FPR = alpha, CVOL thresholding the
-    row's scored volume sample; and precision@p cuts every level's top sets
-    from the same order and one shared draw.
+    Row r of ``scores`` holds one model's scores of the points labelled
+    ``labels``, and row r of ``volume`` its scores of the volume sample;
+    ``cfg`` gives the levels and ``prec_seed`` seeds precision@p's draw.  What
+    several kinds share is computed once, on first use: each row's sort, its
+    ROC curve, its thresholds at every alpha and the (tp, fp, tn, fn) there.
     """
-    order = descending_order(test_scores)
-    rows = roc_rows(labels, test_scores, order)
-    tau = threshold_at_fpr_rows(rows, cfg.alphas)
-    tp, fp, _, fn = confusion_rows(labels, test_scores, tau)
-    return {
-        "auc": auc_rows(rows)[None],
-        "auc_w": auc_weighted_rows(rows)[None],
-        "auc_at": auc_at_rows(rows, cfg.alphas, normalized=True),
-        "precision_at": precision_at_p_rows(
-            labels, order, cfg.ps, cfg.precision_rounds, prec_seed
-        ),
-        "tpr_at": tpr_at_rows(rows, cfg.alphas),
-        "f1_at": f1_rows(tp, fp, fn),
-        "cvol_at": 1.0 - accepted_fraction(volume_scores, tau),
-    }
+
+    labels: NDArray[np.int64]
+    scores: NDArray[np.float64]
+    volume: NDArray[np.float64]
+    cfg: GridConfig
+    prec_seed: int = 0
+
+    @cached_property
+    def order(self) -> NDArray[np.intp]:
+        return descending_order(self.scores)
+
+    @cached_property
+    def roc(self) -> RocRows:
+        return roc_rows(self.labels, self.scores, self.order)
+
+    @cached_property
+    def thresholds(self) -> NDArray[np.float64]:
+        return threshold_at_fpr_rows(self.roc, self.cfg.alphas)
+
+    @cached_property
+    def confusion(self) -> tuple[NDArray[np.intp], ...]:
+        return confusion_rows(self.labels, self.scores, self.thresholds)
 
 
 def _error_flag(exc: Exception) -> str:
@@ -598,7 +593,6 @@ def _evaluate_cells(
     samples: Sequence[tuple[str, NDArray[np.intp]]],
     test_scores: NDArray[np.float64],
     volume_scores: NDArray[np.float64],
-    measures: Sequence[MeasureId],
     cfg: GridConfig,
     prec_seed: int,
 ) -> list[tuple[dict[str, float], list[str]]]:
@@ -609,11 +603,12 @@ def _evaluate_cells(
     Each cell's volume scores are checked to be finite.  Then each labelled
     sample, given as (column name prefix, test fold indices), has its
     labels checked once (:func:`check_labels`) and each cell's test scores
-    checked to be finite; the cells still standing get every measure from
-    one sort per row (:func:`_measure_rows`).  A failure flags
+    checked to be finite; the cells still standing make one
+    :class:`LabelledSample`, which each kind's row function reads.  A failure flags
     ``error:<exception type>`` and leaves missing the values not yet
     evaluated: bad labels fail every cell still standing, a bad score row
-    only its own cell.  Each cell keeps the flags of the first sample.
+    only its own cell.  Each cell keeps the flags of the first sample
+    (``thinned-normals@p`` per level whose normals it thins, in column order).
     """
     values: list[dict[str, float]] = [{} for _ in test_scores]
     flags: list[list[str]] = [[] for _ in test_scores]
@@ -625,7 +620,8 @@ def _evaluate_cells(
     finite = np.isfinite(volume_scores).all(axis=1)
     fail(np.flatnonzero(~finite), ValueError("score function returned a non-finite value"))
     live = np.flatnonzero(finite).tolist()
-    # Each measure's (kind, level index) in _measure_rows' arrays.
+    measures = cfg.measures()
+    # Each measure's (kind, level index) in its kind's rows.
     picks = [(m.name, m.kind, 0 if m.family is None else getattr(cfg, m.family).index(m.level))
              for m in measures]
     precisions = [m.level for m in measures if m.family == "ps"]
@@ -642,9 +638,10 @@ def _evaluate_cells(
         if not live:
             break
         try:
-            by_kind = _measure_rows(
+            sample = LabelledSample(
                 sample_labels, scores[finite], volume_scores[live], cfg, prec_seed
             )
+            by_kind = {kind: rows(sample) for kind, (_, _, rows) in _KINDS.items()}
         except _CELL_ERRORS as exc:
             fail(live, exc)
             break
@@ -706,7 +703,6 @@ def _run_repetition(
     any other failed fit or a non-finite score only its own cell.
     """
     names = cfg.measure_names()
-    measures = cfg.measures()
     combos = cfg.detector_combos()
     spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
                      seed=cfg.master_seed, repetition=repetition)
@@ -782,7 +778,7 @@ def _run_repetition(
                 evaluated = _evaluate_cells(
                     fold.test_labels, samples(benches[i], len(fold.test_labels)),
                     test_scores[:, np.r_[:n_normal, start:stop]], volume_scores,
-                    measures, cfg, prec_seed,
+                    cfg, prec_seed,
                 )
                 for r, cell in zip(fitted, evaluated):
                     cells[i][r] = cell

@@ -2,9 +2,9 @@
 
 The decision rule everywhere is: a sample is flagged anomalous when its
 score is >= the threshold.  F1 at an FPR budget alpha is :func:`f1_rows` of
-the :func:`confusion_rows` at each row's
-:func:`~adeval.curves.threshold_at_fpr_rows`; the grid shares that threshold
-with CVOL at the same alpha, and passes every level's thresholds at once.
+the :func:`confusion_rows` at each row's :func:`~adeval.curves.threshold_at_fpr_rows`,
+which :class:`~adeval.experiments.LabelledSample` computes once for every level
+and CVOL at alpha shares.
 
 precision@p evaluates every level p from one shared draw: one permutation
 per class and round, each level keeping a prefix of its subsampled class's

@@ -11,8 +11,9 @@ the models score, and :func:`accepted_fraction` counts each model's scores
 below its threshold.  The grid draws one sample per (table, repetition)
 block, in the bounding box of the table's normal class, scores each of its
 points once per model, checks each model's scores to be finite and
-thresholds every model's row at every FPR level in one comparison;
-``adeval volume`` does the same for the one row of one combo at one level.
+thresholds every model's row at every FPR level in one comparison, at the
+thresholds of :class:`~adeval.experiments.LabelledSample`; ``adeval volume``
+does the same for the one row of one combo at one level.
 """
 
 from __future__ import annotations

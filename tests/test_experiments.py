@@ -11,6 +11,7 @@ from scipy.stats import rankdata
 from adeval.curves import tpr_at_rows
 from adeval.datasets import SplitSpec, prepare_table, split, synth_gaussian, synth_multiclass_table
 from adeval import detectors, experiments
+from adeval.cli import _select_measures
 from adeval.detectors import _CHUNK, iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     _kendall_block,
@@ -96,18 +97,6 @@ class TestMeasureId:
         assert MeasureId("tpr_at", 0.5).name == "TPR@0.5"
         assert MeasureId("f1_at", 0.05).name == "F1@0.05"
         assert MeasureId("cvol_at", 0.05).name == "CVOL@0.05"
-
-    def test_parse_inverts_name(self):
-        for measure in (
-            MeasureId("auc"),
-            MeasureId("auc_w"),
-            *(MeasureId(kind, level)
-              for kind in ("auc_at", "precision_at", "tpr_at", "f1_at", "cvol_at")
-              for level in (0.01, 0.05, 0.25)),
-        ):
-            assert MeasureId.parse(measure.name) == measure
-        with pytest.raises(ValueError):
-            MeasureId.parse("nonsense")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -914,7 +903,7 @@ class TestEvaluateCells:
 
     def evaluate(self, samples, test_scores, volume_scores):
         return experiments._evaluate_cells(
-            self.labels, samples, test_scores, volume_scores, self.cfg.measures(), self.cfg, 9
+            self.labels, samples, test_scores, volume_scores, self.cfg, 9
         )
 
     def test_non_finite_row_fails_only_its_own_cell(self):
@@ -954,32 +943,76 @@ class TestEvaluateCells:
         assert precision_composition(1, 20, 0.1) == (1, 9, 1)
         rng = np.random.default_rng(4)
         cells = experiments._evaluate_cells(
-            labels, [("", np.arange(21))], rng.random((2, 21)), rng.random((2, 10)),
-            cfg.measures(), cfg, 9,
+            labels, [("", np.arange(21))], rng.random((2, 21)), rng.random((2, 10)), cfg, 9,
         )
         assert [flags for _, flags in cells] == [["thinned-normals@0.1"]] * 2
+
+    def test_thinned_normals_flags_follow_the_store_column_order(self):
+        # 1 anomaly in 201 is less contaminated than either level, so both
+        # thin the normals; the flags follow the columns, highest level first.
+        labels = np.r_[1, np.zeros(200, dtype=int)]
+        cfg = knn_only_config(ps=(0.01, 0.05))
+        assert all(precision_composition(1, 200, p)[1] < 200 for p in cfg.ps)
+        rng = np.random.default_rng(5)
+        cells = experiments._evaluate_cells(
+            labels, [("", np.arange(201))], rng.random((2, 201)), rng.random((2, 10)), cfg, 9,
+        )
+        assert [name for name in cfg.measure_names() if name.startswith("precision@")] == [
+            "precision@0.05", "precision@0.01"]
+        assert [flags for _, flags in cells] == [
+            ["thinned-normals@0.05", "thinned-normals@0.01"]] * 2
+
+    def test_a_kind_is_one_row_of_the_kinds_table(self, monkeypatch):
+        # A kind added as one _KINDS row, with no other edit, is a column of
+        # the grid at each level of its family and survives aggregate's filter.
+        monkeypatch.setitem(experiments._KINDS, "const_at", (
+            "CONST", "alphas", lambda s: np.full((len(s.cfg.alphas), len(s.scores)), 0.25)))
+        cfg = knn_only_config(alphas=(0.01, 0.05, 0.2), ps=(0.05, 0.5))
+        names = cfg.measure_names()
+        assert len(set(names)) == len(names)
+        added = ["CONST@0.2", "CONST@0.05", "CONST@0.01"]
+        assert [n for n in names if n.startswith("CONST")] == added
+        test_scores, volume_scores = self.scores()
+        cells = experiments._evaluate_cells(
+            self.labels, [("", np.arange(len(self.labels)))], test_scores, volume_scores, cfg, 9
+        )
+        for values, flags in cells:
+            assert set(values) == set(names)
+            assert [values[n] for n in added] == [0.25] * 3
+            assert not any(f.startswith("error:") for f in flags)
+        kept = _select_measures(cfg, None, alpha=0.05, p=None)
+        assert "CONST@0.05" in kept
+        assert not {"CONST@0.2", "CONST@0.01"} & set(kept)
 
 
 class TestMeasureRows:
     @given(score_rows())
     @settings(max_examples=60, deadline=None)
-    def test_each_alpha_level_equals_its_one_level_call_bit_for_bit(self, case):
-        # The probes put alpha on every vertex FPR, between them and below
+    def test_each_level_equals_its_one_level_config_bit_for_bit(self, case):
+        # The alpha probes sit on every vertex FPR, between them and below
         # the first FPR step; the volume sample repeats the test scores, so
-        # thresholds land on volume scores.
+        # thresholds land on volume scores.  Every kind that takes a level is
+        # read from the kinds table, so a kind added there is checked too.
         labels, scores = case
-        alphas = tuple(alpha_probes(labels))
+        levels = {"alphas": tuple(alpha_probes(labels)), "ps": (0.9, 0.5, 0.2, 0.05, 0.01)}
         volume = np.hstack([scores, scores + 0.25])
-        every = experiments._measure_rows(
-            labels, scores, volume, knn_only_config(alphas=alphas), 9
-        )
-        for level, alpha in enumerate(alphas):
-            one = experiments._measure_rows(
-                labels, scores, volume, knn_only_config(alphas=(alpha,)), 9
+
+        def rows(**overrides):
+            sample = experiments.LabelledSample(
+                labels, scores, volume, knn_only_config(**overrides), 9
             )
-            for kind in ("auc_at", "tpr_at", "f1_at", "cvol_at"):
-                assert every[kind].shape == (len(alphas), len(scores))
-                assert every[kind][level].tobytes() == one[kind][0].tobytes()
+            return {kind: row(sample) for kind, (_, family, row) in experiments._KINDS.items()
+                    if family is not None}
+
+        every = rows(**levels)
+        for family, family_levels in levels.items():
+            kinds = [kind for kind, (_, f, _) in experiments._KINDS.items() if f == family]
+            assert kinds, family
+            for level, value in enumerate(family_levels):
+                one = rows(**{family: (value,)})
+                for kind in kinds:
+                    assert every[kind].shape == (len(family_levels), len(scores))
+                    assert every[kind][level].tobytes() == one[kind][0].tobytes(), (kind, value)
 
 
 class TestRecordStore:
