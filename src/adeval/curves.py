@@ -118,12 +118,23 @@ def _check_alphas(alphas: Sequence[float], zero_ok: bool = False) -> NDArray[np.
 
 
 def _row_sums(values: NDArray[np.float64], bounds: NDArray[np.intp]) -> NDArray[np.float64]:
-    """``values[bounds[r, 0]:bounds[r, 1]].sum()`` of every row r.
+    """``values[..., bounds[r, 0]:bounds[r, 1]].sum(axis=-1)`` of every row r.
 
-    Each sum is a 1-D ``sum`` over the row's own slice, so a row's value
-    does not depend on the other rows.
+    Returns a (..., rows) array.  The rows of one slice length are summed
+    together, by one reduction over the last axis of their (..., rows,
+    length) gather, which ``take`` writes C-contiguous (a fancy index
+    after ``...`` need not).  numpy sums each contiguous row pairwise,
+    as it sums the 1-D slice alone, so every sum equals the slice's own
+    ``sum`` bit for bit and does not depend on the other rows.
     """
-    return np.array([values[a:b].sum() for a, b in bounds.tolist()])
+    start, stop = bounds[:, 0], bounds[:, 1]
+    length = stop - start
+    out = np.empty(values.shape[:-1] + (len(bounds),))
+    for n in dict.fromkeys(length.tolist()):
+        rows = np.flatnonzero(length == n)
+        gather = np.take(values, start[rows, None] + np.arange(n), axis=-1)
+        out[..., rows] = np.add.reduce(gather, axis=-1)
+    return out
 
 
 def _segments(rows: RocRows) -> tuple[NDArray[np.float64], ...]:
@@ -159,8 +170,7 @@ def _area_below(rows: RocRows, alphas: NDArray[np.float64]) -> NDArray[np.float6
         t0 + np.where(live, (hi - f0) / np.where(width > 0, width, 1.0), 0.0) * (t1 - t0),
     )
     areas = np.where(live, (hi - f0) * (t0 + t_hi) / 2.0, 0.0)
-    bounds = _segment_bounds(rows)
-    return np.array([_row_sums(level, bounds) for level in areas])
+    return _row_sums(areas, _segment_bounds(rows))
 
 
 def auc_rows(rows: RocRows) -> NDArray[np.float64]:

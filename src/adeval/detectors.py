@@ -33,9 +33,12 @@ its columns in sorted order, and a row whose first k + 1 distances lie
 pairwise more than the tolerance apart takes its kNN neighbour table from
 that prefix as it stands (:func:`_knn_table`); only the other rows sort
 candidates by tie group and index.  Isolation trees are grown level by
-level in heap layout, from training-row ids and the coordinates of each
-split's column (:func:`_grow_batch`), every draw of tree t a
-counter-based hash of (seed, t, slot), so a forest of n trees is
+level in heap layout, from training-row ids that each carry the index of
+their live node, never sorted by node: a level reads node sizes from one
+``bincount`` and a split's bounds from ``minimum.at`` / ``maximum.at`` over
+the coordinates of its column (:func:`_grow_batch`).  Every draw of tree
+t is a counter-based hash of (seed, t, slot), hashed per point only when
+the subsample is smaller than the training set, so a forest of n trees is
 the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
@@ -648,16 +651,22 @@ def _grow_batch(
     """Grow trees ``first, first + 1, ...`` level by level into ``rows``.
 
     ``rows`` are the (feature, threshold, path) rows of the batch's trees.
-    The points still in inner nodes are training-row ids, one run per
-    node, the runs in (tree, heap index) order.  A split partitions its
-    node's run stably, left child first, so the runs keep that order
-    without a sort by node.  A split node's bounds are read in its split
-    column alone, from one gather of each id's coordinate there.  Only the
-    ``repeated`` columns (those with a repeated value among ``points``) are
-    read in every node, to find the columns constant in it: a subsample
-    holds distinct rows, so no other column is constant in a node of two
-    or more points.  A level's work is O(points x (1 + repeated columns)),
-    not O(points x d).  ``leaf_path[s]`` is c(s).
+    The points still in inner nodes are training-row ids, each carrying
+    the index of its live node among the level's nodes, which are in
+    (tree, heap index) order; ids are never sorted or grouped by node.  A
+    level counts its nodes' sizes with one ``bincount`` and reads a split
+    node's bounds in its split column alone, from one gather of each id's
+    coordinate there and one ``minimum.at`` / ``maximum.at`` over the node
+    indices.  Only the ``repeated`` columns (those with a repeated value
+    among ``points``) are read in every node, to find the columns constant
+    in it: a subsample holds distinct rows, so no other column is constant
+    in a node of two or more points.  A split sends each id to child
+    ``2 * node + 1 - below`` of the next level's nodes (an empty child is a
+    leaf there, of size 0), and the ids of leaves drop out with one
+    ``cumsum`` remap of the nodes that split.  A level's work is
+    O(points x (1 + repeated columns)), not O(points x d).
+    ``leaf_path[s]`` is c(s), and c(0) = 0, so a node's path is its depth
+    plus c(its size) at a leaf and its depth at a split.
 
     Every draw is a pure function of (seed, t, slot), counter-based in the
     sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
@@ -666,35 +675,52 @@ def _grow_batch(
     and 2i + 1, as their top 53 bits over 2**53, computed only for the
     nodes that split.  The key of point j is slot ``2 * n_heap + j`` with
     its low ceil(log2 n) bits replaced by j, and a tree grows on the points
-    of its psi smallest keys (every point when psi equals n).  A batch
-    hashes one key per tree and training point.
+    of its psi smallest keys.  When psi equals n that is every point, and
+    no key is hashed: a tree depends on the set of its points alone.
+    Otherwise a batch hashes one key per tree and training point.
     """
     batch, n_heap = rows[0].shape
     n, d = points.shape
     height_limit = n_heap.bit_length() - 1
     tree_key = _splitmix(np.array([seed], dtype=np.uint64),
                          np.arange(first, first + batch, dtype=np.uint64))
-    # The psi smallest keys, whose low bits are the point index, so all keys
-    # differ and the chosen set does not depend on how ties break.
-    index = np.arange(n, dtype=np.uint64)
-    slot = np.uint64(2 * n_heap) + index
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = _splitmix(tree_key[:, None], slot) & ~low | index
-    ids = np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()
+    if psi < n:
+        # The psi smallest keys, whose low bits are the point index, so all
+        # keys differ and the chosen set does not depend on how ties break.
+        index = np.arange(n, dtype=np.uint64)
+        slot = np.uint64(2 * n_heap) + index
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)
+        keys = _splitmix(tree_key[:, None], slot) & ~low | index
+        ids = np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()
+    else:
+        ids = np.tile(np.arange(n), batch)
     feature, threshold, path = (r.reshape(-1) for r in rows)
-    head = np.arange(batch) * n_heap  # per node: tree * n_heap + heap index
-    size = np.full(batch, psi)
+    node = np.repeat(np.arange(batch), psi)  # per id: its live node
+    head = np.arange(batch) * n_heap  # per live node: tree * n_heap + heap index
+    r = repeated.size
+    # Live node g's bound of repeated column c sits at flat index g * r + c.
+    repeated_at = np.arange(r)
     for depth in range(height_limit + 1):
-        starts = np.cumsum(size) - size
-        col = points[ids[:, None], repeated]
-        constant = np.maximum.reduceat(col, starts) == np.minimum.reduceat(col, starts)
+        size = np.bincount(node, minlength=head.size)
+        if r:
+            col = points[ids[:, None], repeated].ravel()
+            at = (node[:, None] * r + repeated_at).ravel()
+            lo = np.full(head.size * r, np.inf)
+            hi = np.full(head.size * r, -np.inf)
+            np.minimum.at(lo, at, col)
+            np.maximum.at(hi, at, col)
+            constant = (lo == hi).reshape(head.size, r)
+        else:
+            constant = np.zeros((head.size, 0), dtype=bool)
         count = d - constant.sum(axis=1)
         split = (size > 1) & (count > 0) & (depth < height_limit)
-        path[head[~split]] = depth + leaf_path[size[~split]]
+        path[head] = depth + leaf_path[np.where(split, 0, size)]
         if not split.any():
             break
-        ids = ids[np.repeat(split, size)]
-        head, size, count, constant = head[split], size[split], count[split], constant[split]
+        # The ids in nodes that split, renumbered among those nodes.
+        kept = np.flatnonzero(split[node])
+        ids, node = ids[kept], (np.cumsum(split) - 1)[node[kept]]
+        head, count = head[split], count[split]
         local = head % n_heap
         slot = (2 * local).astype(np.uint64)[:, None] + np.array([0, 1], dtype=np.uint64)
         bits = _splitmix(tree_key[head // n_heap, None], slot) >> np.uint64(11)
@@ -702,25 +728,20 @@ def _grow_batch(
         # The pick-th non-constant column: each constant column at or before
         # the candidate, in column order, moves it on by one.
         dim = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
-        for column, fixed in zip(repeated, constant.T):
+        for column, fixed in zip(repeated, constant[split].T):
             dim += fixed & (column <= dim)
-        group = np.repeat(np.arange(head.size), size)
-        starts = np.cumsum(size) - size
-        coord = points[ids, dim[group]]
-        lo = np.minimum.reduceat(coord, starts)
-        hi = np.maximum.reduceat(coord, starts)
+        coord = points[ids, dim[node]]
+        lo = np.full(head.size, np.inf)
+        hi = np.full(head.size, -np.inf)
+        np.minimum.at(lo, node, coord)
+        np.maximum.at(hi, node, coord)
         value = np.minimum(lo + u[:, 1] * (hi - lo), hi)
         feature[head] = dim
         threshold[head] = value
-        # A child that receives no point stays an empty leaf one level down.
-        path[head + local + 1] = path[head + local + 2] = depth + 1
-        # Run 2g holds node g's points below its threshold, run 2g + 1 the
-        # others, in their order: the children's runs, in heap order.
-        run = 2 * group + 1 - (coord < value[group])
-        ids = ids[np.argsort(run, kind="stable")]
-        size = np.bincount(run, minlength=2 * head.size)
+        # Node g's children are the next level's nodes 2g (below its
+        # threshold) and 2g + 1, in heap order.
+        node = 2 * node + 1 - (coord < value[node])
         head = ((head + local + 1)[:, None] + np.array([0, 1])).ravel()
-        head, size = head[size > 0], size[size > 0]
 
 
 def iforest_fit(
@@ -741,21 +762,22 @@ def iforest_fit(
     grow level by level, ``max(1, _GROWTH_BATCH // max(psi * d, n))`` trees
     at a time, so a batch's point ids and its per-point keys both stay
     within ``_GROWTH_BATCH`` elements when n does.  Trees of a batch grow
-    independently, so the batch size changes no tree.  The columns with a repeated value
-    among the training points are found once, from one sort of the
-    training matrix: no other column can be constant in a node of two or
-    more points, so growth reads only those columns' bounds and the split
-    column's (:func:`_grow_batch`).  Every draw of tree t is a
-    splitmix64 hash of ``(seed, t, slot)`` (:func:`_grow_batch`), with no
-    generator state: its subsample is the psi points with the smallest
-    per-point keys, so every point when psi equals n, and each node that
-    splits takes one pair of uniforms
-    (u1, u2) from its heap index, where u1 picks among the node's
-    non-constant dimensions and u2 places the split.  A tree depends on the
-    set of its points, not on their row order.  Tree t therefore depends
-    only on the points, psi, ``seed`` and t, so the first n trees of a
-    forest are the forest of n trees, and :func:`forest_scores` scores both
-    the same, bit for bit.  Trees are i.i.d. (Liu, Ting & Zhou,
+    independently, so the batch size changes no tree.  The columns with a
+    repeated value among the training points are found once, from one
+    sort of the training matrix: no other column can be constant in a node
+    of two or more points, so growth reads only those columns' bounds and
+    the split column's, and sorts no ids (:func:`_grow_batch`).  Every
+    draw of tree t is a splitmix64 hash of ``(seed, t, slot)``
+    (:func:`_grow_batch`), with no generator state: its subsample is the
+    psi points with the smallest per-point keys, hashed only when psi is
+    less than n (every point is taken when psi equals n), and each node
+    that splits takes one pair of uniforms (u1, u2) from its heap index,
+    where u1 picks among the node's non-constant dimensions and u2 places
+    the split.  A tree depends on the set of its points, not on their row
+    order.  Tree t therefore depends only on the points, psi, ``seed`` and
+    t, so the first n trees of a forest are the forest of n trees, and
+    :func:`forest_scores` scores both the same, bit for bit.  Trees are
+    i.i.d. (Liu, Ting & Zhou,
     "Isolation Forest", ICDM 2008), so nesting smaller forests in a larger
     one changes no forest's distribution.
 

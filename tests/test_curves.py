@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adeval.curves import (
+    _row_sums,
     auc_at_rows,
     auc_rows,
     auc_weighted_rows,
@@ -374,3 +375,25 @@ class TestRocRows:
     @settings(max_examples=150, deadline=None)
     def test_every_row_equals_its_own_curve_and_measures(self, case):
         assert_rows_match_their_curves(*case)
+
+
+class TestRowSums:
+    def test_grouped_sums_equal_each_slice_sum_bit_for_bit(self):
+        """Rows summed by slice length equal each slice's own 1-D ``sum``.
+
+        The lengths cross numpy's 8-element unrolled and 128-element
+        pairwise blocks; several rows share each length, in shuffled order,
+        and every level of a 2-D value array is summed at once.
+        """
+        rng = np.random.default_rng(12)
+        lengths = np.r_[0, np.arange(1, 301), 511, 512, 513, 1000, 1025]
+        lengths = rng.permutation(np.repeat(lengths, 2))
+        stop = np.cumsum(lengths)
+        bounds = np.stack([stop - lengths, stop], axis=1)
+        # Magnitudes over 16 decades, so the order of additions shows in the bits.
+        values = rng.normal(size=(3, stop[-1])) * 10.0 ** rng.integers(-8, 8, size=(3, stop[-1]))
+        want = np.array([[level[a:b].sum() for a, b in bounds] for level in values])
+        assert (_row_sums(values, bounds) == want).all()
+        assert (_row_sums(values[1], bounds) == want[1]).all()
+        sequential = np.array([np.cumsum(values[0, a:b])[-1] for a, b in bounds if b > a])
+        assert (sequential != want[0][lengths > 0]).any()

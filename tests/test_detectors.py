@@ -897,6 +897,32 @@ class TestIsolationForest:
             for attr, want in zip(("feature", "threshold", "path"), expected):
                 assert np.array_equal(getattr(model, attr), want), (per_batch, attr)
 
+    @pytest.mark.parametrize("full", [False, True], ids=["psi<n", "psi=n"])
+    @given(grid_cloud(max_points=30, dim=3), st.integers(min_value=2, max_value=29),
+           st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=90, max_size=90),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_equals_the_sorting_reference_property(self, full, points, subsample, zeros,
+                                                         seed):
+        """Growth equals the reference bit for bit, one tree per batch or all in one.
+
+        Grid columns repeat values, and the drawn 0.0 and -0.0 entries are
+        equal values with different bits.
+        """
+        for at, zero in zip(np.ndindex(points.shape), zeros):
+            if zero is not None:
+                points[at] = zero
+        n, d = points.shape
+        psi = n if full else min(subsample, n - 1)
+        n_trees = 6
+        expected = forest_growth_reference(points, n_trees, psi, seed)
+        for per_batch in (1, n_trees):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(detectors, "_GROWTH_BATCH", per_batch * max(psi * d, n))
+                model = iforest_fit(points, n_trees=n_trees, subsample=psi, seed=seed)
+            for attr, want in zip(("feature", "threshold", "path"), expected):
+                assert getattr(model, attr).tobytes() == want.tobytes(), (per_batch, attr)
+
     def test_growth_batch_keys_stay_within_tile(self, monkeypatch):
         """A batch hashes one key per tree and training point, so n bounds it too."""
         tile, sizes = 4096, []
@@ -963,8 +989,12 @@ class TestIsolationForest:
             (np.random.default_rng(3).integers(0, 3, size=(40, 2)).astype(float), 23),
             (np.random.default_rng(4).normal(size=(11, 1)), 256),
             (np.vstack([np.ones((7, 2)), [[2.0, 1.0]]]), 8),
+            # Consecutive floats: a split value rounds onto a coordinate,
+            # which must go right, as in the descent.
+            (np.c_[1.0 + 2.0**-52 * np.arange(16), np.arange(16) % 3], 16),
         ],
-        ids=["duplicate-rows", "psi-2", "grid-psi-23", "psi-11-of-11", "one-odd-point"],
+        ids=["duplicate-rows", "psi-2", "grid-psi-23", "psi-11-of-11", "one-odd-point",
+             "consecutive-floats"],
     )
     def test_level_wise_growth_keeps_the_tree_rules(self, points, subsample):
         check_growth(points, subsample, seed=3)
