@@ -51,6 +51,7 @@ from adeval.experiments import (
     LabelledSample,
     RecordStore,
     benchmarks_of,
+    check_parts,
     collapse,
     fit_models,
     kendall_matrix,
@@ -399,6 +400,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                        f"under {dataset_dir}")
     if not tables:
         raise CliError(f"no benchmarks under {dataset_dir}; run prepare first")
+    check_parts(cfg, benches)
     data = {bench.name: _data_digest(bench) for bench in benches}
     manifest = RunManifest(
         config_path=str(args.config) if args.config else "<flags>",
@@ -621,6 +623,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             raise CliError(f"--{dest.replace('_', '-')} does not apply to aggregate {args.kind}")
     run_dir = Path(args.records)
     manifest, cfg = _load_manifest(run_dir)
+    if args.select_on_validation and "validation" not in cfg.parts():
+        raise CliError("--select-on-validation reads the validation part, and this run "
+                       "has none (validation_fraction = 0)")
     hash_ = manifest.hash
     out_dir = Path(args.out) if args.out else run_dir / "tables"
 

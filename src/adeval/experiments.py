@@ -85,6 +85,17 @@ _KINDS = {
 # keeps a p-fraction of anomalies, so p = 1 leaves no normals.
 _RANGES = {"alphas": "(0, 1]", "ps": "(0, 1)"}
 
+# Every part a test fold can be cut into, in column order: its name, its
+# column-name prefix and its rule, which takes the config, a permutation of the
+# fold and the validation part's size n, and gives the part's indices into the
+# fold, or None where the config has no such part.  Only GridConfig.parts
+# applies the rules.  The first part is the evaluation part: its columns carry
+# the measures' own names, and it alone gives a cell its flags.
+_PARTS = {
+    "evaluation": ("", lambda cfg, perm, n: perm[n:]),
+    "validation": ("val:", lambda cfg, perm, n: perm[:n] if cfg.validation_fraction > 0 else None),
+}
+
 
 def _in_range(family: str, level: float) -> bool:
     return 0.0 < level < 1.0 or (level == 1.0 and family == "alphas")
@@ -241,11 +252,23 @@ class GridConfig:
                     if family is not None and level in getattr(self, family)]
         return tuple(out)
 
+    def parts(self, name: str = "", repetition: int = 0,
+              n_test: int = 0) -> dict[str, tuple[str, NDArray[np.intp]]]:
+        """The part planner: benchmark ``name``'s test fold cut into parts (:data:`_PARTS`)."""
+        # Each part the config has, by name in column order, as (column-name
+        # prefix, indices into the fold of n_test points at this repetition).
+        # With validation_fraction > 0 a seeded permutation of the fold gives the
+        # validation part round(validation_fraction * n_test) points and the
+        # evaluation part the rest; without, the evaluation part is the fold in order.
+        # With the defaults, an empty fold, it tells which parts the config has.
+        perm = (np.random.default_rng(derive_seed(self.master_seed, "valsplit", name, repetition))
+                .permutation(n_test) if self.validation_fraction > 0 else np.arange(n_test))
+        n_val = int(round(self.validation_fraction * n_test))
+        cut = [(part, prefix, rule(self, perm, n_val)) for part, (prefix, rule) in _PARTS.items()]
+        return {part: (prefix, idx) for part, prefix, idx in cut if idx is not None}
+
     def measure_names(self) -> tuple[str, ...]:
-        names = [m.name for m in self.measures()]
-        if self.validation_fraction > 0:
-            names += [f"val:{n}" for n in names]
-        return tuple(names)
+        return tuple(p + m.name for p, _ in self.parts().values() for m in self.measures())
 
 
 def _fit_seed(table: str, combo: Combo, spec: SplitSpec) -> int:
@@ -590,7 +613,7 @@ def _error_flag(exc: Exception) -> str:
 
 def _evaluate_cells(
     labels: NDArray[np.int64],
-    samples: Sequence[tuple[str, NDArray[np.intp]]],
+    parts: Iterable[tuple[str, NDArray[np.intp]]],
     test_scores: NDArray[np.float64],
     volume_scores: NDArray[np.float64],
     cfg: GridConfig,
@@ -600,14 +623,14 @@ def _evaluate_cells(
 
     Row i of ``test_scores`` and of ``volume_scores`` holds one cell's
     scores of the test fold (labelled ``labels``) and of the volume sample.
-    Each cell's volume scores are checked to be finite.  Then each labelled
-    sample, given as (column name prefix, test fold indices), has its
+    Each cell's volume scores are checked to be finite.  Then each part of the
+    test fold (:meth:`GridConfig.parts`: column-name prefix, fold indices) has its
     labels checked once (:func:`check_labels`) and each cell's test scores
     checked to be finite; the cells still standing make one
     :class:`LabelledSample`, which each kind's row function reads.  A failure flags
     ``error:<exception type>`` and leaves missing the values not yet
     evaluated: bad labels fail every cell still standing, a bad score row
-    only its own cell.  Each cell keeps the flags of the first sample
+    only its own cell.  Each cell keeps the flags of the first part
     (``thinned-normals@p`` per level whose normals it thins, in column order).
     """
     values: list[dict[str, float]] = [{} for _ in test_scores]
@@ -625,7 +648,7 @@ def _evaluate_cells(
     picks = [(m.name, m.kind, 0 if m.family is None else getattr(cfg, m.family).index(m.level))
              for m in measures]
     precisions = [m.level for m in measures if m.family == "ps"]
-    for prefix, idx in samples:
+    for k, (prefix, idx) in enumerate(parts):
         try:
             sample_labels = check_labels(labels[idx])
         except _CELL_ERRORS as exc:
@@ -647,13 +670,13 @@ def _evaluate_cells(
             break
         n_pos = int(sample_labels.sum())
         n_neg = len(idx) - n_pos
-        sample_flags = [f"thinned-normals@{p:g}" for p in precisions
-                        if precision_composition(n_pos, n_neg, p)[1] < n_neg]
+        # Only the first part flags its cells.
+        thinned = [f"thinned-normals@{p:g}" for p in precisions
+                   if k == 0 and precision_composition(n_pos, n_neg, p)[1] < n_neg]
         columns = [(prefix + name, by_kind[kind][level].tolist()) for name, kind, level in picks]
-        for k, i in enumerate(live):
-            values[i].update((name, column[k]) for name, column in columns)
-            if not prefix:
-                flags[i] = list(sample_flags)
+        for j, i in enumerate(live):
+            values[i].update((name, column[j]) for name, column in columns)
+            flags[i] += thinned
     return list(zip(values, flags))
 
 
@@ -686,8 +709,8 @@ def _run_repetition(
     stacked into one (combo x point) matrix of test scores and one of
     volume scores.  Each benchmark takes its columns (the shared normals
     and its own anomalies, which is its test fold in split order) and
-    evaluates its cells once (:func:`_evaluate_cells`): with validation,
-    the evaluation part of the test fold, then its ``val:`` part.  Every
+    evaluates its cells once (:func:`_evaluate_cells`), part by part of
+    its test fold as the planner :meth:`GridConfig.parts` cuts it.  Every
     measure is row-wise and the precision@p draws depend only on the labels
     and the benchmark's seed, and a point's score does not depend on the
     other points scored with it, so a cell's values depend neither on
@@ -717,16 +740,6 @@ def _run_repetition(
         for i in members:
             for r in rows:
                 cells[i][r] = ({}, [_error_flag(exc)])
-
-    def samples(bench: BenchmarkDataset, n_test: int) -> list[tuple[str, NDArray[np.intp]]]:
-        if cfg.validation_fraction == 0:
-            return [("", np.arange(n_test))]
-        rng = np.random.default_rng(
-            derive_seed(cfg.master_seed, "valsplit", bench.name, repetition)
-        )
-        perm = rng.permutation(n_test)
-        n_val = int(round(cfg.validation_fraction * n_test))
-        return [("", perm[n_val:]), ("val:", perm[:n_val])]
 
     every = range(len(combos))
     folds: dict[int, TrainTestSplit] = {}
@@ -776,9 +789,9 @@ def _run_repetition(
             for (i, fold), start, stop in zip(folds.items(), ends, ends[1:]):
                 prec_seed = derive_seed(cfg.master_seed, "precision", benches[i].name, repetition)
                 evaluated = _evaluate_cells(
-                    fold.test_labels, samples(benches[i], len(fold.test_labels)),
-                    test_scores[:, np.r_[:n_normal, start:stop]], volume_scores,
-                    cfg, prec_seed,
+                    fold.test_labels,
+                    cfg.parts(benches[i].name, repetition, len(fold.test_labels)).values(),
+                    test_scores[:, np.r_[:n_normal, start:stop]], volume_scores, cfg, prec_seed,
                 )
                 for r, cell in zip(fitted, evaluated):
                     cells[i][r] = cell
@@ -806,6 +819,30 @@ def benchmarks_of(tables: Sequence[PreparedTable]) -> list[BenchmarkDataset]:
     return benches
 
 
+def check_parts(cfg: GridConfig, benches: Iterable[BenchmarkDataset]) -> None:
+    """Raise ``ValueError`` if ``cfg`` cuts some benchmark's test fold into an empty part.
+
+    A fold's size depends only on its benchmark and contamination level
+    (:func:`train_counts`), and the planner's part sizes (:meth:`GridConfig.parts`)
+    only on that size.  A level whose split fails anyway, and so fails its
+    cells, is skipped.
+    """
+    for bench in benches:
+        n_normal, n_anomaly = len(bench.normal), len(bench.anomaly)
+        for c in cfg.contaminations:
+            spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=c)
+            n_train, n_inject = train_counts(spec, n_normal)
+            if not 1 <= n_train < n_normal or n_inject > n_anomaly:
+                continue
+            n_test = n_normal - n_train + n_anomaly - n_inject
+            for part, (_, idx) in cfg.parts(bench.name, 0, n_test).items():
+                if not len(idx):
+                    raise ValueError(
+                        f"validation_fraction {cfg.validation_fraction:g} leaves the {part} "
+                        f"part of {bench.name}'s {n_test}-point test fold empty at "
+                        f"contamination {c:g}")
+
+
 def run_grid(
     cfg: GridConfig,
     tables: Sequence[PreparedTable],
@@ -816,7 +853,8 @@ def run_grid(
     """Run every missing cell of the grid over the benchmarks of ``tables`` into the store.
 
     Raises ``ValueError`` for two tables or two benchmarks of one name
-    (:func:`benchmarks_of`), before the store is loaded.
+    (:func:`benchmarks_of`) or an empty test fold part (:func:`check_parts`),
+    before the store is loaded.
     The store is loaded once.  Cells already present in it are skipped
     (:func:`missing_cells`), so an interrupted run resumes where it
     stopped and a completed run is a no-op.  A failing cell is recorded
@@ -846,6 +884,7 @@ def run_grid(
     benchmarks = benchmarks_of(tables)
     if not benchmarks:
         raise ValueError("no benchmarks to run on")
+    check_parts(cfg, benchmarks)
     names = cfg.measure_names()
     stored = store.load()
     missing = set(missing_cells(cfg, [b.name for b in benchmarks], stored))
@@ -900,7 +939,7 @@ class Collapsed:
     combo ``c`` on benchmark ``b``: NaN where the value is missing in every
     repetition or the combo has no record there (``present[b, c]`` False).
     Benchmarks are ordered by name and combos by grid index; ``measures``
-    includes the ``val:`` columns.
+    holds every part's columns (:meth:`GridConfig.parts`), the first part's first.
     """
 
     benchmarks: tuple[str, ...]
@@ -921,10 +960,11 @@ class Collapsed:
         return np.stack([self.column(m) for m in measures], axis=1)
 
     def table_measures(self, measures: Sequence[str] | None) -> tuple[str, ...]:
-        """``measures`` if given, else every recorded measure but the ``val:`` ones."""
+        """``measures`` if given, else every recorded measure of the first part (:data:`_PARTS`)."""
         if measures:
             return tuple(measures)
-        return tuple(n for n in self.measures if not n.startswith("val:"))
+        later = tuple(prefix for prefix, _ in list(_PARTS.values())[1:])
+        return tuple(n for n in self.measures if not n.startswith(later))
 
 
 def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
@@ -1196,13 +1236,13 @@ def loss_matrix_table(
     """Full selection-vs-target loss matrix over all measure pairs.
 
     Entry (i, j) is the mean over benchmarks of the relative loss of
-    selecting by measure i (its ``val:`` column with
-    ``select_on_validation``) and judging by measure j.  Raises for the
+    selecting by measure i (its validation part's column with
+    ``select_on_validation``, :data:`_PARTS`) and judging by measure j.  Raises for the
     first pair, in row-major order, that some benchmark cannot use, so
     every benchmark counts in every entry.
     """
     names = data.table_measures(measures)
-    selections = [f"val:{n}" for n in names] if select_on_validation else names
+    selections = [_PARTS["validation"][0] + n for n in names] if select_on_validation else names
     # Benchmarks last: np.mean sums each entry's losses as numpy sums a list of them.
     losses = np.dstack(list(map(_pair_losses, data.block(selections), data.block(names))))
     unusable = np.isnan(losses)

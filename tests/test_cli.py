@@ -245,6 +245,7 @@ class TestConfigFile:
         assert cfg.contaminations == (0.0,)
         assert cfg.knn_ks == (1, 3, 5, 7, 9, 13, 21, 31, 51)
         assert cfg.repetitions == 10 and cfg.volume_samples == 100_000
+        assert cfg.validation_fraction == 0.0
 
     def test_inline_comment_needs_leading_whitespace(self, tmp_path):
         path = tmp_path / "study.cfg"
@@ -523,6 +524,24 @@ class TestRun:
         assert "  error:ValueError: 1 cells" in out
         assert len(loads) == 3  # a resume loads it once
         assert read_store_bytes(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("fraction, sizes, part", [
+        ("0.01", (80, 20, 20), "validation"),  # 36-point test folds: round(0.36) = 0
+        ("0.9", (10, 2), "evaluation"),  # 4-point test folds: round(3.6) = 4
+    ], ids=["empty-validation", "empty-evaluation"])
+    def test_validation_fraction_leaving_a_part_empty_is_refused(
+        self, tmp_path, capsys, fraction, sizes, part
+    ):
+        (tmp_path / "raw").mkdir()
+        write_raw_table(synth_multiclass_table("toy", sizes), tmp_path / "raw" / "toy.csv")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 0
+        run = tmp_path / "run"
+        assert main(["run", "--set", f"dataset_dir={tmp_path / 'cache'}",
+                     "--set", f"output_dir={run}", "--set", f"validation_fraction={fraction}",
+                     "--set", "repetitions=2", "--set", "volume_samples=100"]) == 2
+        err = capsys.readouterr().err
+        assert f"validation_fraction {fraction} leaves the {part} part of toy-c1's" in err
+        assert not (run / "manifest.json").exists()
 
     def test_benchmarks_sharing_a_name_are_refused(self, tmp_path, capsys):
         # Table a-b with anomaly class c and table a with class b-c are both a-b-c.
@@ -851,6 +870,17 @@ class TestAggregate:
         assert main(["aggregate", kind, str(study.run), "--out", str(tmp_path / "tables"),
                      *extra, *flags]) == 2
         assert f"{flags[0]} does not apply to aggregate {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
+    def test_select_on_validation_is_refused_without_a_validation_part(
+        self, study, tmp_path, capsys, monkeypatch
+    ):
+        # The run has validation_fraction = 0: refused before the store is read.
+        monkeypatch.setattr(RecordStore, "load", lambda self: pytest.fail("store read"))
+        assert main(["aggregate", "loss", str(study.run), "--out", str(tmp_path / "tables"),
+                     "--select-on-validation"]) == 2
+        err = capsys.readouterr().err
+        assert "validation_fraction = 0" in err and "usable combo" not in err
         assert not (tmp_path / "tables").exists()
 
     def test_store_without_manifest_rejected(self, tmp_path, capsys):

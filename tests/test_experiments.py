@@ -985,6 +985,74 @@ class TestEvaluateCells:
         assert not {"CONST@0.2", "CONST@0.01"} & set(kept)
 
 
+class TestParts:
+    """The planner GridConfig.parts is the one place that cuts a test fold into parts."""
+
+    cfg = knn_only_config(ps=(0.05, 0.2, 0.5), validation_fraction=0.25)
+    table = synth_gaussian(60, 10, seed=3)  # 22-point test folds: 12 normals, then 10 anomalies
+
+    def run(self, tmp_path, name):
+        store = RecordStore(tmp_path / name, manifest_hash="h")
+        run_grid(self.cfg, [self.table], store)
+        return store
+
+    def test_a_part_is_one_row_of_the_parts_table(self, tmp_path, monkeypatch):
+        # The first 13 points of each fold, whichever permutation the planner
+        # draws: 12 normals and 1 anomaly, which precision@0.2 and @0.5 thin.
+        def head(cfg, perm, n_val):
+            return np.sort(perm)[:13]
+
+        plain = self.run(tmp_path, "plain").load()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_PARTS", {"evaluation": ("", head)})
+            alone = self.run(tmp_path, "alone").load()
+        # A part added as one _PARTS row, with no other edit.
+        monkeypatch.setitem(experiments._PARTS, "head", ("head:", head))
+        store = self.run(tmp_path, "three")
+        records = store.load()
+        names = [m.name for m in self.cfg.measures()]
+        header = next(store.root.glob("*.csv")).read_text().splitlines()[1].split(",")
+        assert header[len(experiments._ID_COLUMNS):] == (
+            names + [f"val:{n}" for n in names] + [f"head:{n}" for n in names])
+        assert len(records) == len(plain) == len(alone) == 4
+        for rec, own, two in zip(records, alone, plain):
+            # Its columns are the part's own sample, evaluated alone.
+            assert {n: rec.values[f"head:{n}"] for n in names} == own.values
+            # The other parts' columns and the flags do not move.
+            assert {n: v for n, v in rec.values.items() if not n.startswith("head:")} == two.values
+            assert rec.flags == two.flags == ("thinned-normals@0.5",)
+            assert own.flags == ("thinned-normals@0.5", "thinned-normals@0.2")
+        data = collapse(records)
+        assert mean_rank_table(data).measures == kendall_matrix(data).measures == tuple(names)
+        assert loss_matrix_table(data, select_on_validation=True).measures == tuple(names)
+
+    @pytest.mark.parametrize("fraction, sizes, part", [
+        (0.01, (80, 20, 20), "validation"),  # 36-point folds: round(0.36) = 0
+        (0.9, (10, 2), "evaluation"),  # 4-point folds: round(3.6) = 4
+    ], ids=["empty-validation", "empty-evaluation"])
+    def test_an_empty_part_is_refused(self, tmp_path, fraction, sizes, part):
+        cfg = knn_only_config(validation_fraction=fraction)
+        table = prepare_table(synth_multiclass_table("toy", sizes))
+        store = RecordStore(tmp_path / "store", manifest_hash="h")
+        bench = table.benchmarks()[0].name
+        with pytest.raises(ValueError, match=rf"^validation_fraction {fraction} leaves the "
+                           rf"{part} part of {bench}'s \d+-point test fold empty at "
+                           r"contamination 0$"):
+            run_grid(cfg, [table], store)
+        assert not store.root.exists()
+
+    def test_a_level_whose_split_fails_is_not_refused(self, tmp_path):
+        # At contamination 0.5 the 8 training normals need 8 anomalies, which
+        # the class lacks: that level's cells fail as before, the others run.
+        cfg = knn_only_config(validation_fraction=0.3, contaminations=(0.0, 0.5), repetitions=1)
+        table = prepare_table(synth_multiclass_table("toy", (10, 2)))
+        store = RecordStore(tmp_path, manifest_hash="h")
+        assert run_grid(cfg, [table], store).n_new == 4
+        for rec in store.load():
+            failed = rec.contamination == 0.5
+            assert (rec.values["AUC"] is None) == failed, rec
+
+
 class TestMeasureRows:
     @given(score_rows())
     @settings(max_examples=60, deadline=None)
