@@ -28,7 +28,7 @@ block, from one distance matrix and one prefix per chunk of queries: the
 sorted prefix gives the k-th distance of every k, one neighbour table
 every kNN statistic, and one running sum of the neighbours' coordinates
 every delta; a chunk of queries holds at most ``_CHUNK`` rows and
-``_CHUNK_ELEMENTS`` (rows x training points) elements.  The prefix keeps
+``_BLOCK_ELEMENTS`` (rows x training points) elements.  The prefix keeps
 its columns in sorted order, and a row whose first k + 1 distances lie
 pairwise more than the tolerance apart takes its kNN neighbour table from
 that prefix as it stands (:func:`_knn_table`); only the other rows sort
@@ -42,13 +42,16 @@ the subsample is smaller than the training set, so a forest of n trees is
 the n-tree prefix of a larger forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
-place.  Forest growth works in batches of at most ``_GROWTH_BATCH``
+place.  Forest growth works in batches of at most ``_BLOCK_ELEMENTS``
 elements (trees x subsample points x dimensions, or trees x training
 points), and a descent in tiles of at most ``_DESCENT_TILE`` (trees x
 queries) elements, so a tile holds every tree for a small test fold and a
 few trees for a large volume sample.  The root level of a tile compares one
 gathered row of the transposed queries per tree with the tree's root
-threshold; only the levels below gather per element.
+threshold; only the levels below gather per element.  Query chunks, LOF
+fit blocks and growth batches share the one budget ``_BLOCK_ELEMENTS``
+(2**17 elements, 1 MiB of float64), and each query, training row and tree
+is computed alone, so the budget changes no value.
 """
 
 from __future__ import annotations
@@ -62,15 +65,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-# Queries per chunk of neighbour scoring: at most _CHUNK rows and at most
-# _CHUNK_ELEMENTS (rows x training points) elements, so the distance matrix
-# of a chunk and the arrays as large as it stay bounded whatever n_train.
+# Elements (1 MiB of float64) in one unit of work over an array wider than a
+# cache: a chunk of neighbour-scoring queries (rows x training points), a
+# block of training rows in a LOF fit (rows x training points) and a batch of
+# forest growth (trees x the larger of subsample points x dimensions and
+# training points).  Each site divides it by its row width, so its arrays
+# stay bounded whatever n_train, n_trees or psi.  Of 2**16, 2**17 and 2**18,
+# 2**17 was fastest or tied at every shape measured (2-vCPU x86_64): query
+# chunks of 2**21 elements ran about 1.35x slower at n_train = 4000 and 8000,
+# with a 13x larger traced peak, and 2**16 grew forests up to 18% slower.
+_BLOCK_ELEMENTS = 2**17
+# At most this many queries per chunk, for small training sets.
 _CHUNK = 4096
-_CHUNK_ELEMENTS = 2**21
-# Elements (rows x training points) of one block of training rows in a LOF
-# fit: a fit holds a few such blocks and each row's neighbour prefix, never
-# the n x n distance matrix.
-_BLOCK = 2**18
 
 
 def cdist(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -405,11 +411,12 @@ def lof_fitter(points: np.ndarray, ks: Iterable[int] = ()) -> Callable[[int], Lo
     a k out of range fails only its own fit.
 
     The training distances are computed in blocks of rows of at most
-    ``_BLOCK`` (rows x n) elements, and only each row's prefix is kept, so
-    a fit never holds the n x n matrix.  A row served by its prefix sums
-    its reachability distances through :meth:`_Rows.sums`, bit for bit as
-    its whole row would; the other rows' distances are computed again, a
-    block at a time, for each k.
+    ``_BLOCK_ELEMENTS`` (rows x n) elements, and only each row's prefix is
+    kept, so a fit never holds the n x n matrix.  A row served by its
+    prefix sums its reachability distances through :meth:`_Rows.sums`, bit
+    for bit as its whole row would; the other rows' distances are computed
+    again, a block at a time, for each k.  Each row is computed alone, so
+    the block size changes no value.
     """
     ks = tuple(ks)
 
@@ -422,7 +429,7 @@ def lof_fitter(points: np.ndarray, ks: Iterable[int] = ()) -> Callable[[int], Lo
     def neighbourhoods(top: int):
         pts, tol = training()
         n = pts.shape[0]
-        step = max(1, _BLOCK // n)
+        step = max(1, _BLOCK_ELEMENTS // n)
         near = np.empty((n, top))
         # (index, prefix, cols) per block of rows and group; whole rows keep
         # only their index, as their distances are computed again.
@@ -472,7 +479,7 @@ def neighbour_scores(
     """Scores of kNN and LOF models fitted on the same points, one row per model.
 
     Queries are scored in chunks of at most ``_CHUNK`` rows and at most
-    ``_CHUNK_ELEMENTS`` (rows x n_train) elements: 4096 rows up to 512
+    ``_BLOCK_ELEMENTS`` (rows x n_train) elements: 4096 rows up to 32
     training points, fewer above.  Each chunk gets one distance matrix and
     one tie tolerance (:func:`_tie_tolerance`).  :func:`_nearest` takes
     each row's K + 1 nearest columns from one partition, K the largest k
@@ -506,7 +513,7 @@ def neighbour_scores(
     delta_k = max((m.k for m in knn if m.variant == "delta"), default=0)
     ks = sorted({m.k for m in models if isinstance(m, LofModel)} | ({knn_k} if knn_k else set()))
     out = np.empty((len(models), queries.shape[0]))
-    step = min(_CHUNK, max(1, _CHUNK_ELEMENTS // points.shape[0]))
+    step = min(_CHUNK, max(1, _BLOCK_ELEMENTS // points.shape[0]))
     for start in range(0, queries.shape[0], step):
         chunk = queries[start : start + step]
         rows = out[:, start : start + step]
@@ -546,12 +553,6 @@ def neighbour_scores(
 # Isolation forest
 # ---------------------------------------------------------------------------
 
-# Elements in one batch of forest growth: trees x subsample points x
-# dimensions, or trees x training points, whichever is larger.  Growth makes
-# a dozen numpy calls per level and batch, so a batch long enough to pay for
-# them beats one that fits a cache; the batch still bounds the working set
-# whatever the forest size or the number of training points.
-_GROWTH_BATCH = 2**18
 # Elements (trees x queries) in one tile of a forest descent.  A level of a
 # descent makes a few tile-sized temporaries, and at this size they stay
 # within a 2 MiB L2 cache.
@@ -759,9 +760,9 @@ def iforest_fit(
     height ceil(log2(psi)).
 
     Trees are stored in heap layout (:class:`IsolationForestModel`) and
-    grow level by level, ``max(1, _GROWTH_BATCH // max(psi * d, n))`` trees
+    grow level by level, ``max(1, _BLOCK_ELEMENTS // max(psi * d, n))`` trees
     at a time, so a batch's point ids and its per-point keys both stay
-    within ``_GROWTH_BATCH`` elements when n does.  Trees of a batch grow
+    within ``_BLOCK_ELEMENTS`` elements when n does.  Trees of a batch grow
     independently, so the batch size changes no tree.  The columns with a
     repeated value among the training points are found once, from one
     sort of the training matrix: no other column can be constant in a node
@@ -815,7 +816,7 @@ def iforest_fit(
     path = np.zeros((n_trees, n_heap))
     ordered = np.sort(pts, axis=0)
     repeated = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
-    per_batch = max(1, _GROWTH_BATCH // max(psi * pts.shape[1], pts.shape[0]))
+    per_batch = max(1, _BLOCK_ELEMENTS // max(psi * pts.shape[1], pts.shape[0]))
     for first in range(0, n_trees, per_batch):
         batch = slice(first, first + per_batch)
         _grow_batch(pts, repeated, seed, first, psi, leaf_path,

@@ -820,9 +820,10 @@ def benchmarks_of(tables: Sequence[PreparedTable]) -> list[BenchmarkDataset]:
 
 
 def check_parts(cfg: GridConfig, benches: Iterable[BenchmarkDataset]) -> None:
-    """Raise ``ValueError`` if ``cfg`` cuts some benchmark's test fold into an empty part.
+    """Raise ``ValueError`` if ``cfg`` cuts some benchmark's test fold into a part of < 2 points.
 
-    A fold's size depends only on its benchmark and contamination level
+    A part of one point holds one class, so every measure of it fails.  A
+    fold's size depends only on its benchmark and contamination level
     (:func:`train_counts`), and the planner's part sizes (:meth:`GridConfig.parts`)
     only on that size.  A level whose split fails anyway, and so fails its
     cells, is skipped.
@@ -836,10 +837,11 @@ def check_parts(cfg: GridConfig, benches: Iterable[BenchmarkDataset]) -> None:
                 continue
             n_test = n_normal - n_train + n_anomaly - n_inject
             for part, (_, idx) in cfg.parts(bench.name, 0, n_test).items():
-                if not len(idx):
+                if len(idx) < 2:
+                    held = "with 1 point" if len(idx) else "empty"
                     raise ValueError(
                         f"validation_fraction {cfg.validation_fraction:g} leaves the {part} "
-                        f"part of {bench.name}'s {n_test}-point test fold empty at "
+                        f"part of {bench.name}'s {n_test}-point test fold {held} at "
                         f"contamination {c:g}")
 
 
@@ -853,7 +855,7 @@ def run_grid(
     """Run every missing cell of the grid over the benchmarks of ``tables`` into the store.
 
     Raises ``ValueError`` for two tables or two benchmarks of one name
-    (:func:`benchmarks_of`) or an empty test fold part (:func:`check_parts`),
+    (:func:`benchmarks_of`) or a test fold part of < 2 points (:func:`check_parts`),
     before the store is loaded.
     The store is loaded once.  Cells already present in it are skipped
     (:func:`missing_cells`), so an interrupted run resumes where it

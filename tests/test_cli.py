@@ -528,7 +528,10 @@ class TestRun:
     @pytest.mark.parametrize("fraction, sizes, part", [
         ("0.01", (80, 20, 20), "validation"),  # 36-point test folds: round(0.36) = 0
         ("0.9", (10, 2), "evaluation"),  # 4-point test folds: round(3.6) = 4
-    ], ids=["empty-validation", "empty-evaluation"])
+        ("0.3", (10, 2), "validation"),  # round(1.2) = 1 point
+        ("0.75", (10, 2), "evaluation"),  # round(3.0) = 3 of 4 points
+    ], ids=["empty-validation", "empty-evaluation", "one-point-validation",
+            "one-point-evaluation"])
     def test_validation_fraction_leaving_a_part_empty_is_refused(
         self, tmp_path, capsys, fraction, sizes, part
     ):

@@ -536,7 +536,7 @@ class TestNeighbourPrefix:
         rng = np.random.default_rng(3)
         grid = rng.integers(-3, 4, size=(300, 3)).astype(float)
         train = np.vstack([grid, rng.normal(size=(300, 3))])
-        assert 1 < detectors._BLOCK // len(train) < len(train)
+        assert 1 < detectors._BLOCK_ELEMENTS // len(train) < len(train)
         queries = np.vstack([grid[:50] + 0.5, rng.normal(size=(50, 3))])
         assert_block_equals_references(train, queries, lof_ks=[1, 10, 40], knn_ks=[3, 40])
 
@@ -561,11 +561,11 @@ class TestNeighbourPrefix:
         assert_block_equals_references(train, queries, lof_ks=[3, 20], knn_ks=[1, 7, 30])
 
     def test_chunks_of_a_large_training_set(self, monkeypatch):
-        """Above 512 training points a chunk holds _CHUNK_ELEMENTS // n_train queries."""
+        """Above 32 training points a chunk holds _BLOCK_ELEMENTS // n_train queries."""
         rng = np.random.default_rng(6)
         grid = rng.integers(-3, 4, size=(600, 2)).astype(float)
         train = np.vstack([grid, rng.normal(size=(600, 2))])
-        step = detectors._CHUNK_ELEMENTS // len(train)
+        step = detectors._BLOCK_ELEMENTS // len(train)
         assert step < _CHUNK
         queries = np.vstack([rng.integers(-8, 9, size=(step, 2)) / 2.0, rng.normal(size=(10, 2))])
         assert_block_equals_references(train, queries, lof_ks=[3, 20], knn_ks=[1, 20])
@@ -585,6 +585,26 @@ class TestNeighbourPrefix:
         finally:
             tracemalloc.stop()
         assert peak < 3000 * 3000 * 8 / 4
+
+    def test_scoring_holds_no_large_chunk(self):
+        """Scoring 500 queries at n_train = 4000 allocates less than 16 MiB.
+
+        One 500-row chunk would hold a 16 MiB distance matrix, and arrays as
+        large beside it.
+        """
+        rng = np.random.default_rng(7)
+        train = rng.normal(size=(4000, 4))
+        fit = lof_fitter(train, (10, 20))
+        models = [knn_fit(train, k, v) for k in (1, 5, 21) for v in detectors.KNN_VARIANTS]
+        models += [fit(k) for k in (10, 20)]
+        queries = rng.normal(size=(500, 4))
+        tracemalloc.start()
+        try:
+            neighbour_scores(models, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +877,7 @@ class TestIsolationForest:
             psi = min(subsample, len(train))
             fits = []
             for per_batch in (1, 3, n_trees):
-                monkeypatch.setattr(detectors, "_GROWTH_BATCH", per_batch * psi * train.shape[1])
+                monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", per_batch * psi * train.shape[1])
                 fits.append(iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=2))
             for fit in fits[1:]:
                 for attr in ("feature", "threshold", "path"):
@@ -892,7 +912,7 @@ class TestIsolationForest:
         expected = forest_growth_reference(train, n_trees, subsample, seed=5)
         psi = min(subsample, len(train))
         for per_batch in (1, 3, n_trees):
-            monkeypatch.setattr(detectors, "_GROWTH_BATCH", per_batch * psi * train.shape[1])
+            monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", per_batch * psi * train.shape[1])
             model = iforest_fit(train, n_trees=n_trees, subsample=subsample, seed=5)
             for attr, want in zip(("feature", "threshold", "path"), expected):
                 assert np.array_equal(getattr(model, attr), want), (per_batch, attr)
@@ -918,7 +938,7 @@ class TestIsolationForest:
         expected = forest_growth_reference(points, n_trees, psi, seed)
         for per_batch in (1, n_trees):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(detectors, "_GROWTH_BATCH", per_batch * max(psi * d, n))
+                patch.setattr(detectors, "_BLOCK_ELEMENTS", per_batch * max(psi * d, n))
                 model = iforest_fit(points, n_trees=n_trees, subsample=psi, seed=seed)
             for attr, want in zip(("feature", "threshold", "path"), expected):
                 assert getattr(model, attr).tobytes() == want.tobytes(), (per_batch, attr)
@@ -933,7 +953,7 @@ class TestIsolationForest:
             sizes.append(out.size)
             return out
 
-        monkeypatch.setattr(detectors, "_GROWTH_BATCH", tile)
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", tile)
         monkeypatch.setattr(detectors, "_splitmix", recording)
         # Bounded by psi * d = 32 alone, all 20 trees would share one batch of 20000 keys.
         train = np.random.default_rng(9).normal(size=(1000, 2))
@@ -1051,3 +1071,59 @@ def check_growth(points, subsample, seed, n_trees=6):
                 node = 2 * node + (1 if below else 2)
             total[j] += model.path[t, node] / _avg_path_length(psi)
     np.testing.assert_array_equal(model.score(queries), 2.0 ** (-total / n_trees))
+
+
+# ---------------------------------------------------------------------------
+# One element budget for query chunks, LOF fit blocks and growth batches
+# ---------------------------------------------------------------------------
+
+
+def test_element_budget_changes_no_value(monkeypatch):
+    """Scores, LOF fits and trees are the same bits at any ``_BLOCK_ELEMENTS``.
+
+    A budget of 3 elements scores one query per chunk, fits one training
+    row per block and grows one tree per batch; an odd budget leaves a
+    short last chunk, block and batch.  The training points tie exactly on
+    a grid, repeat, and near-tie there (rows moved by 2**-50); the queries
+    hold a NaN row, the training points and grid points.
+    """
+    rng = np.random.default_rng(12)
+    grid = rng.integers(-3, 4, size=(30, 2)).astype(float)
+    train = np.vstack([grid, grid[:4], grid[4:10] + [2**-50, 0.0]])
+    queries = np.vstack([[[np.nan, 0.0]], train, rng.integers(-8, 9, size=(15, 2)) / 2.0,
+                         rng.normal(size=(10, 2))])
+    rows = []  # rows of each distance block and trees of each growth batch
+    distances, grow = detectors.cdist, detectors._grow_batch
+    monkeypatch.setattr(detectors, "cdist", lambda a, b: rows.append(len(a)) or distances(a, b))
+    monkeypatch.setattr(detectors, "_grow_batch",
+                        lambda *args: rows.append(len(args[-1][0])) or grow(*args))
+
+    def fitted_and_scored():
+        fit = lof_fitter(train, (2, 5))
+        lofs = [fit(k) for k in (2, 5)]
+        models = [knn_fit(train, k, v) for k in (1, 4) for v in detectors.KNN_VARIANTS]
+        # k = 30: every row reads its whole row, as the prefix would hold
+        # more than half the training points.
+        whole = [knn_fit(train, 30, v) for v in detectors.KNN_VARIANTS]
+        with np.errstate(invalid="ignore"):  # the NaN query's LOF sums are 0 / 0
+            arrays = [neighbour_scores(models + lofs, queries), neighbour_scores(whole, queries)]
+        arrays += [a for m in lofs for a in (m.kdist, m.lrd)]
+        for subsample in (16, 256):  # psi < n and psi = n
+            forest = iforest_fit(train, n_trees=10, subsample=subsample, seed=4)
+            arrays += [forest.feature, forest.threshold, forest.path]
+        return arrays
+
+    default = detectors._BLOCK_ELEMENTS
+    results = []
+    for budget in (3, 7 * len(train) + 3, default):
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+        rows.clear()
+        results.append(fitted_and_scored())
+        if budget == 3:
+            assert set(rows) == {1}
+        else:
+            assert max(rows) > 1
+    assert np.isnan(results[-1][0][:, 0]).all()
+    for arrays in results[:-1]:
+        for got, want in zip(arrays, results[-1], strict=True):
+            assert got.tobytes() == want.tobytes()

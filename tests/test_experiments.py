@@ -528,13 +528,19 @@ class TestRunCell:
         assert sum(points) == len(fold.test_labels) + cfg.volume_samples
 
     def test_knn_block_shares_split_volume_draw_and_distances(self, tmp_path, monkeypatch):
+        table = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
         cfg = knn_only_config(
             knn_variants=("kappa", "gamma", "delta"),
             knn_ks=(1, 3, 5, 7, 9, 13, 21, 31, 51),
             repetitions=1,
-            volume_samples=_CHUNK + 100,
         )
-        table = synth_gaussian(120, 60, dim=2, shift=3.0, seed=0)
+        fold = split(table.benchmarks()[0], SplitSpec(seed=cfg.master_seed))
+        # Queries per chunk at this training fold's size: the test fold fits
+        # in one chunk, and a volume sample of 100 more points takes two.
+        step = min(_CHUNK, detectors._BLOCK_ELEMENTS // len(fold.train))
+        n_test = len(fold.test_labels)
+        assert n_test <= step
+        cfg = dataclasses.replace(cfg, volume_samples=step + 100)
         calls = {"split": 0, "uniform_sample": 0}
         distances = []
 
@@ -559,8 +565,7 @@ class TestRunCell:
         assert calls == {"split": 1, "uniform_sample": 1}
         # One query-train distance matrix per query chunk: the test fold is
         # one chunk, the volume sample two.
-        n_test = len(split(table.benchmarks()[0], SplitSpec(seed=cfg.master_seed)).test_labels)
-        assert distances == [n_test, _CHUNK, 100]
+        assert distances == [n_test, step, 100]
 
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
@@ -1041,16 +1046,35 @@ class TestParts:
             run_grid(cfg, [table], store)
         assert not store.root.exists()
 
-    def test_a_level_whose_split_fails_is_not_refused(self, tmp_path):
-        # At contamination 0.5 the 8 training normals need 8 anomalies, which
-        # the class lacks: that level's cells fail as before, the others run.
-        cfg = knn_only_config(validation_fraction=0.3, contaminations=(0.0, 0.5), repetitions=1)
+    @pytest.mark.parametrize("fraction, part", [
+        (0.3, "validation"),  # 4-point folds: round(1.2) = 1
+        (0.75, "evaluation"),  # 4-point folds: round(3.0) = 3
+    ], ids=["one-point-validation", "one-point-evaluation"])
+    def test_a_one_point_part_is_refused(self, tmp_path, fraction, part):
+        """A part of one point holds one class, so every measure of it would fail."""
+        cfg = knn_only_config(validation_fraction=fraction)
         table = prepare_table(synth_multiclass_table("toy", (10, 2)))
+        store = RecordStore(tmp_path / "store", manifest_hash="h")
+        bench = table.benchmarks()[0].name
+        with pytest.raises(ValueError, match=rf"^validation_fraction {fraction} leaves the "
+                           rf"{part} part of {bench}'s 4-point test fold with 1 point at "
+                           r"contamination 0$"):
+            run_grid(cfg, [table], store)
+        assert not store.root.exists()
+
+    def test_a_level_whose_split_fails_is_not_refused(self, tmp_path):
+        # 10-point test folds at contamination 0: 3 validation and 7 evaluation
+        # points, each part of both classes.  At contamination 0.5 the 16
+        # training normals need 16 anomalies, which the class lacks: that
+        # level's cells fail as before, the others run.
+        cfg = knn_only_config(validation_fraction=0.3, contaminations=(0.0, 0.5), repetitions=1)
+        table = prepare_table(synth_multiclass_table("toy", (20, 6)))
         store = RecordStore(tmp_path, manifest_hash="h")
         assert run_grid(cfg, [table], store).n_new == 4
         for rec in store.load():
             failed = rec.contamination == 0.5
             assert (rec.values["AUC"] is None) == failed, rec
+            assert bool(rec.flags) == failed, rec
 
 
 class TestMeasureRows:
