@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from adeval.datasets import synth_gaussian
-from adeval.experiments import Combo, roc_band
+from adeval.experiments import Combo, GridConfig, roc_band
 
 
 def parse_args() -> argparse.Namespace:
@@ -52,12 +52,7 @@ def run(args: argparse.Namespace) -> int:
     (bench,) = synth_gaussian(
         args.n_normal, args.n_anomaly, dim=2, shift=args.shift, seed=args.seed
     ).benchmarks()
-    band = roc_band(
-        bench,
-        combo(args),
-        n_splits=args.splits,
-        master_seed=args.seed,
-    )
+    band = roc_band(GridConfig(master_seed=args.seed), bench, combo(args), n_splits=args.splits)
     print(f"{band.n_splits_used} splits used, {band.n_skipped} skipped")
 
     smallest = np.flatnonzero(band.fpr > 0.0)[0]

@@ -34,7 +34,6 @@ from adeval import __version__
 from adeval.curves import check_labels
 from adeval.datasets import (
     BenchmarkDataset,
-    SplitSpec,
     TrainTestSplit,
     _safe_name,
     load_tables,
@@ -45,6 +44,7 @@ from adeval.datasets import (
     table_files,
     write_raw_table,
 )
+from adeval.detectors import KNN_VARIANTS
 from adeval.experiments import (
     Combo,
     GridConfig,
@@ -62,9 +62,8 @@ from adeval.experiments import (
     roc_band,
     run_grid,
     score_row,
-    volume_box_and_seed,
 )
-from adeval.volume import accepted_fraction, uniform_sample
+from adeval.volume import accepted_fraction
 
 _DETECTOR_LABELS = {"knn": "kNN", "lof": "LOF", "iforest": "IF"}
 _DETECTOR_ORDER = {"knn": 0, "lof": 1, "iforest": 2}
@@ -259,7 +258,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser, required: bool) -> None
     # Unset defaults (None) let `aggregate` refuse these flags on kinds that
     # never read them; _combo_from_flags applies the defaults named here.
     parser.add_argument(
-        "--variant", choices=("kappa", "gamma", "delta"), default=None,
+        "--variant", choices=KNN_VARIANTS, default=None,
         help="k-nearest-neighbor score variant (knn only; default kappa)",
     )
     parser.add_argument("--k", type=int, default=None,
@@ -598,14 +597,8 @@ def _aggregate_rocband(args, manifest: RunManifest, cfg, out_dir: Path) -> int:
         raise CliError(f"{bench.name} under {manifest.dataset_dir} holds other data "
                        f"than in run {manifest.hash}")
     combo = _combo_from_flags(args)
-    band = roc_band(
-        bench,
-        combo,
-        n_splits=100 if args.splits is None else args.splits,
-        train_fraction=cfg.train_fraction,
-        contamination=_pick_contamination(args, cfg),
-        master_seed=cfg.master_seed,
-    )
+    band = roc_band(cfg, bench, combo, n_splits=100 if args.splits is None else args.splits,
+                    contamination=_pick_contamination(args, cfg))
     stem = _safe_name(f"rocband_{bench.name}_{combo.detector}_{combo.params_text}")
     path = out_dir / f"{stem}.csv"
     columns = (band.fpr, band.tpr_mean, band.tpr_std, band.ratio_mean, band.ratio_std)
@@ -659,22 +652,18 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _one_off(
-    args: argparse.Namespace, command: str, **inputs
+    args: argparse.Namespace, cfg: GridConfig, command: str, **inputs
 ) -> tuple[BenchmarkDataset, Combo, TrainTestSplit, object, str]:
-    """The grid cell that the flags name: benchmark, combo, test fold and fitted model.
+    """The grid cell that the flags name in a run of ``cfg``: benchmark, combo, test fold and model.
 
-    The cell is split and fitted as the grid does (:func:`fit_models`).  The
-    last entry is the manifest hash of the command's output, which covers
-    the benchmark's data, the combo, the split and ``inputs``.
+    The cell is split (:meth:`GridConfig.split_spec`) and fitted as the grid
+    does (:func:`fit_models`).  The last entry is the manifest hash of the
+    command's output, which covers the benchmark's data, the combo, the
+    split and ``inputs``.
     """
     bench = _find_benchmark(args.dataset, args.benchmark)
     combo = _combo_from_flags(args)
-    spec = SplitSpec(
-        train_fraction=args.train_fraction,
-        contamination=args.contamination if args.contamination is not None else 0.0,
-        seed=args.seed,
-        repetition=args.rep,
-    )
+    spec = cfg.split_spec(args.contamination, args.rep)
     fold = split(bench, spec)
     (model,) = fit_models(bench.table, spec, fold.train, [combo])
     if isinstance(model, Exception):
@@ -690,14 +679,13 @@ def _one_off(
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
-    cfg = GridConfig(alphas=(args.alpha,))
-    bench, combo, fold, model, hash_ = _one_off(args, "volume", alpha=args.alpha, n=args.n)
+    cfg = GridConfig(train_fraction=args.train_fraction, master_seed=args.seed,
+                     alphas=(args.alpha,), volume_samples=args.n)
+    bench, combo, fold, model, hash_ = _one_off(args, cfg, "volume", alpha=args.alpha, n=args.n)
     test = score_row(model, fold.test, "scores must be finite")
     labels = check_labels(fold.test_labels)
-    box, seed = volume_box_and_seed(bench.table, bench.normal, args.seed, args.rep)
-    volume = score_row(
-        model, uniform_sample(box, args.n, seed), "score function returned a non-finite value"
-    )
+    volume = score_row(model, cfg.volume_sample(bench.table, bench.normal, args.rep),
+                       "score function returned a non-finite value")
     # The grid cell's threshold, read off the test fold's curve at FPR = alpha.
     sample = LabelledSample(labels, test, volume, cfg)
     ((tau,),) = sample.thresholds
@@ -720,7 +708,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def cmd_scores(args: argparse.Namespace) -> int:
-    _, _, fold, model, hash_ = _one_off(args, "scores")
+    cfg = GridConfig(train_fraction=args.train_fraction, master_seed=args.seed)
+    _, _, fold, model, hash_ = _one_off(args, cfg, "scores")
     scores = model.score(fold.test)
     rows = [(sid, repr(float(s))) for sid, s in zip(fold.test_ids, scores)]
     if args.out:
@@ -801,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--benchmark", required=True, help="benchmark name (table-class)")
         _add_detector_flags(p, required=True)
         p.add_argument("--train-fraction", type=float, default=0.8)
-        p.add_argument("--contamination", type=float, default=None)
+        p.add_argument("--contamination", type=float, default=0.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rep", type=int, default=0)
         if extra:

@@ -57,9 +57,7 @@ from adeval.seeding import derive_seed
 from adeval.thresholded import (
     confusion_rows, f1_rows, precision_at_p_rows, precision_composition,
 )
-from adeval.volume import (
-    SamplingBox, accepted_fraction, bounding_box, uniform_sample,
-)
+from adeval.volume import accepted_fraction, bounding_box, uniform_sample
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +265,20 @@ class GridConfig:
         cut = [(part, prefix, rule(self, perm, n_val)) for part, (prefix, rule) in _PARTS.items()]
         return {part: (prefix, idx) for part, prefix, idx in cut if idx is not None}
 
+    def split_spec(self, contamination: float, repetition: int = 0) -> SplitSpec:
+        """The split planner: the split of every cell at ``contamination`` and ``repetition``."""
+        return SplitSpec(train_fraction=self.train_fraction, contamination=contamination,
+                         seed=self.master_seed, repetition=repetition)
+
+    def volume_sample(self, table: str, normal: np.ndarray, repetition: int) -> NDArray[np.float64]:
+        """Table ``table``'s volume sample at ``repetition``, which all its cells there score.
+
+        ``volume_samples`` points drawn uniformly from the bounding box of the
+        table's normal array ``normal``, seeded by the table and repetition.
+        """
+        return uniform_sample(bounding_box(normal), self.volume_samples,
+                              derive_seed(self.master_seed, "volume", table, repetition))
+
     def measure_names(self) -> tuple[str, ...]:
         return tuple(p + m.name for p, _ in self.parts().values() for m in self.measures())
 
@@ -290,7 +302,8 @@ def fit_models(
     """The model of each combo fitted on ``train``, table ``table``'s training fold of ``spec``.
 
     This is the one rule that maps a combo to its fit, used by grid cells,
-    the ``volume`` / ``scores`` one-offs and :func:`roc_band`.  kNN combos
+    the ``volume`` / ``scores`` one-offs and :func:`roc_band`, each of which
+    takes ``spec`` from :meth:`GridConfig.split_spec`.  kNN combos
     fit with :func:`knn_fit` and LOF combos from one :func:`lof_fitter` of
     ``train``, given every LOF k of ``combos`` so one neighbour prefix per
     training row serves them all.  The forest combos of a subsample take
@@ -350,16 +363,6 @@ def score_row(model, points: np.ndarray, non_finite: str) -> NDArray[np.float64]
     if not np.isfinite(scores).all():
         raise ValueError(non_finite)
     return scores[None, :]
-
-
-def volume_box_and_seed(
-    table: str, normal: np.ndarray, master_seed: int, repetition: int
-) -> tuple[SamplingBox, int]:
-    """Sampling box (over ``normal``) and seed of table ``table``'s volume sample at a repetition.
-
-    Grid cells and the ``volume`` one-off draw the same sample.
-    """
-    return bounding_box(normal), derive_seed(master_seed, "volume", table, repetition)
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +698,10 @@ def _run_repetition(
     injected anomalies raises ``ValueError``.  Records come back by
     benchmark, then combo.  The benchmarks hold the table's normal array,
     so by :func:`split` they share the test normals, which lead each test
-    fold.  The block splits each benchmark, draws the table's volume sample
-    (:func:`volume_box_and_seed`) and makes one :func:`fit_models` call
-    over every combo on the shared training fold.
+    fold.  The block splits each benchmark (:meth:`GridConfig.split_spec`),
+    draws the table's volume sample (:meth:`GridConfig.volume_sample`) and
+    makes one :func:`fit_models` call over every combo on the shared
+    training fold.
 
     The models are scored in groups, one per scorer: every kNN and LOF
     model in one group that shares one distance matrix per query chunk
@@ -727,8 +731,7 @@ def _run_repetition(
     """
     names = cfg.measure_names()
     combos = cfg.detector_combos()
-    spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination,
-                     seed=cfg.master_seed, repetition=repetition)
+    spec = cfg.split_spec(contamination, repetition)
     benches = table.benchmarks()
     if len(benches) > 1 and train_counts(spec, len(table.normal))[1] > 0:
         raise ValueError("benchmarks whose training folds take injected anomalies "
@@ -749,8 +752,7 @@ def _run_repetition(
         except _CELL_ERRORS as exc:
             fail([i], every, exc)
     try:
-        box, seed = volume_box_and_seed(table.name, table.normal, cfg.master_seed, repetition)
-        volume = uniform_sample(box, cfg.volume_samples, seed)
+        volume = cfg.volume_sample(table.name, table.normal, repetition)
     except _CELL_ERRORS as exc:
         fail(folds, every, exc)
         folds.clear()
@@ -820,28 +822,40 @@ def benchmarks_of(tables: Sequence[PreparedTable]) -> list[BenchmarkDataset]:
 
 
 def check_parts(cfg: GridConfig, benches: Iterable[BenchmarkDataset]) -> None:
-    """Raise ``ValueError`` if ``cfg`` cuts some benchmark's test fold into a part of < 2 points.
+    """Raise ``ValueError`` if ``cfg`` cuts some benchmark's test fold into a part of one class.
 
-    A part of one point holds one class, so every measure of it fails.  A
-    fold's size depends only on its benchmark and contamination level
-    (:func:`train_counts`), and the planner's part sizes (:meth:`GridConfig.parts`)
-    only on that size.  A level whose split fails anyway, and so fails its
-    cells, is skipped.
+    Every measure of a part that holds one class fails.  A part is refused
+    when it holds < 2 points, or when its fold holds both classes and the
+    part holds one of them at every repetition; a part that mixes them at
+    some repetition runs, and only its one-class repetitions fail.  A
+    fold's labels depend only on its benchmark and contamination level
+    (:func:`train_counts`; :func:`split` puts its test normals first), and
+    the planner's parts (:meth:`GridConfig.parts`) only on the fold's size,
+    the benchmark and the repetition.  A level whose split fails anyway,
+    and so fails its cells, is skipped.
     """
     for bench in benches:
         n_normal, n_anomaly = len(bench.normal), len(bench.anomaly)
         for c in cfg.contaminations:
-            spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=c)
-            n_train, n_inject = train_counts(spec, n_normal)
+            n_train, n_inject = train_counts(cfg.split_spec(c), n_normal)
             if not 1 <= n_train < n_normal or n_inject > n_anomaly:
                 continue
-            n_test = n_normal - n_train + n_anomaly - n_inject
-            for part, (_, idx) in cfg.parts(bench.name, 0, n_test).items():
-                if len(idx) < 2:
-                    held = "with 1 point" if len(idx) else "empty"
+            labels = np.repeat([0, 1], [n_normal - n_train, n_anomaly - n_inject])
+            # The parts not yet seen to mix both classes; none in a one-class fold.
+            one_class = set(cfg.parts()) if 0 < labels.sum() < len(labels) else set()
+            for rep in range(cfg.repetitions):  # part sizes do not depend on rep
+                parts = cfg.parts(bench.name, rep, len(labels))
+                one_class -= {part for part, (_, idx) in parts.items()
+                              if 0 < labels[idx].sum() < len(idx)}
+                if not one_class:
+                    break
+            for part, (_, idx) in parts.items():
+                if len(idx) < 2 or part in one_class:
+                    held = {0: "empty", 1: "with 1 point"}.get(
+                        len(idx), f"with {len(idx)} points of one class in every repetition")
                     raise ValueError(
                         f"validation_fraction {cfg.validation_fraction:g} leaves the {part} "
-                        f"part of {bench.name}'s {n_test}-point test fold {held} at "
+                        f"part of {bench.name}'s {len(labels)}-point test fold {held} at "
                         f"contamination {c:g}")
 
 
@@ -855,7 +869,7 @@ def run_grid(
     """Run every missing cell of the grid over the benchmarks of ``tables`` into the store.
 
     Raises ``ValueError`` for two tables or two benchmarks of one name
-    (:func:`benchmarks_of`) or a test fold part of < 2 points (:func:`check_parts`),
+    (:func:`benchmarks_of`) or a test fold part of one class (:func:`check_parts`),
     before the store is loaded.
     The store is loaded once.  Cells already present in it are skipped
     (:func:`missing_cells`), so an interrupted run resumes where it
@@ -896,8 +910,7 @@ def run_grid(
     for table in tables:
         benches = table.benchmarks()
         for contamination in cfg.contaminations:
-            spec = SplitSpec(train_fraction=cfg.train_fraction, contamination=contamination)
-            shared = train_counts(spec, len(table.normal))[1] == 0
+            shared = train_counts(cfg.split_spec(contamination), len(table.normal))[1] == 0
             for repetition in range(cfg.repetitions):
                 pending = [b.anomaly_class for b in benches
                            if (b.name, contamination, repetition) in todo]
@@ -1307,18 +1320,18 @@ class RocBand:
 
 
 def roc_band(
+    cfg: GridConfig,
     bench: BenchmarkDataset,
     combo: Combo,
     n_splits: int,
-    train_fraction: float = 0.8,
     contamination: float = 0.0,
-    master_seed: int = 0,
 ) -> RocBand:
     """Evaluate the ROC curve on repeated resplits and band its spread.
 
     Repetitions 0 to ``n_splits`` - 1 each give one test ROC: repetition r
-    is the grid cell of ``combo`` at repetition r, with the same split and
-    the same fit (:func:`fit_models`).  All curves are interpolated onto
+    is the grid cell of ``combo`` at repetition r of a run with config
+    ``cfg``, with the same split (:meth:`GridConfig.split_spec`) and the
+    same fit (:func:`fit_models`).  All curves are interpolated onto
     the union of their vertex FPRs; the band reports mean and sample std
     of TPR and of the ratio TPR/FPR (0 at FPR = 0) per grid point.  Splits
     whose fit raises ``ValueError`` or whose test scores are not finite
@@ -1332,8 +1345,7 @@ def roc_band(
         raise ValueError("need at least 2 splits for a band")
     rows = []
     for rep in range(n_splits):
-        spec = SplitSpec(train_fraction=train_fraction, contamination=contamination,
-                         seed=master_seed, repetition=rep)
+        spec = cfg.split_spec(contamination, rep)
         fold = split(bench, spec)
         (model,) = fit_models(bench.table, spec, fold.train, [combo])
         try:

@@ -8,9 +8,11 @@ given false-positive budget means a tight model of the normal class.
 
 The estimate has two steps: :func:`uniform_sample` draws the sample that
 the models score, and :func:`accepted_fraction` counts each model's scores
-below its threshold.  The grid draws one sample per (table, repetition)
-block, in the bounding box of the table's normal class, scores each of its
-points once per model, checks each model's scores to be finite and
+below its threshold.  In the package only one method draws,
+:meth:`~adeval.experiments.GridConfig.volume_sample`: one sample per
+(table, repetition), in the bounding box of the table's normal class,
+which the grid's block and ``adeval volume`` score alike.  The grid scores
+each point once per model, checks each model's scores to be finite and
 thresholds every model's row at every FPR level in one comparison, at the
 thresholds of :class:`~adeval.experiments.LabelledSample`; ``adeval volume``
 does the same for the one row of one combo at one level.

@@ -25,6 +25,7 @@ from adeval.detectors import iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     Combo,
     ExperimentRecord,
+    GridConfig,
     collapse,
     kendall_matrix,
     loss_matrix_table,
@@ -370,12 +371,11 @@ def test_criterion_9_resplit_band_variance_at_small_fpr(tmp_path):
     ):
         (bench,) = synth_gaussian(150, 60, dim=2, shift=1.0, seed=5).benchmarks()
         band = roc_band(
+            GridConfig(train_fraction=0.8, master_seed=3),
             bench,
             Combo(0, "knn", (("variant", "kappa"), ("k", 5))),
             n_splits=100,
-            train_fraction=0.8,
             contamination=0.0,
-            master_seed=3,
         )
         assert band.n_splits_used == 100
         positive = np.flatnonzero(band.fpr > 0.0)[0]

@@ -525,15 +525,18 @@ class TestRun:
         assert len(loads) == 3  # a resume loads it once
         assert read_store_bytes(tmp_path / "run") == before
 
-    @pytest.mark.parametrize("fraction, sizes, part", [
-        ("0.01", (80, 20, 20), "validation"),  # 36-point test folds: round(0.36) = 0
-        ("0.9", (10, 2), "evaluation"),  # 4-point test folds: round(3.6) = 4
-        ("0.3", (10, 2), "validation"),  # round(1.2) = 1 point
-        ("0.75", (10, 2), "evaluation"),  # round(3.0) = 3 of 4 points
+    @pytest.mark.parametrize("fraction, sizes, part, settings", [
+        ("0.01", (80, 20, 20), "validation", ()),  # 36-point test folds: round(0.36) = 0
+        ("0.9", (10, 2), "evaluation", ()),  # 4-point test folds: round(3.6) = 4
+        ("0.3", (10, 2), "validation", ()),  # round(1.2) = 1 point
+        ("0.75", (10, 2), "evaluation", ()),  # round(3.0) = 3 of 4 points
+        # 5-point test folds: the one repetition's 2-point validation part
+        # draws 2 of the 3 anomalies.
+        ("0.4", (10, 3), "validation", ("master_seed=1", "repetitions=1")),
     ], ids=["empty-validation", "empty-evaluation", "one-point-validation",
-            "one-point-evaluation"])
+            "one-point-evaluation", "one-class-validation"])
     def test_validation_fraction_leaving_a_part_empty_is_refused(
-        self, tmp_path, capsys, fraction, sizes, part
+        self, tmp_path, capsys, fraction, sizes, part, settings
     ):
         (tmp_path / "raw").mkdir()
         write_raw_table(synth_multiclass_table("toy", sizes), tmp_path / "raw" / "toy.csv")
@@ -541,7 +544,8 @@ class TestRun:
         run = tmp_path / "run"
         assert main(["run", "--set", f"dataset_dir={tmp_path / 'cache'}",
                      "--set", f"output_dir={run}", "--set", f"validation_fraction={fraction}",
-                     "--set", "repetitions=2", "--set", "volume_samples=100"]) == 2
+                     "--set", "repetitions=2", "--set", "volume_samples=100",
+                     *(arg for setting in settings for arg in ("--set", setting))]) == 2
         err = capsys.readouterr().err
         assert f"validation_fraction {fraction} leaves the {part} part of toy-c1's" in err
         assert not (run / "manifest.json").exists()
@@ -1004,6 +1008,16 @@ class TestOneOffs:
         main(args)
         assert capsys.readouterr().out == first
 
+    @staticmethod
+    def cell_flags(cell):
+        """The one-off flags that name ``cell``'s detector and parameters."""
+        params = dict(p.split("=") for p in cell.params.split())
+        return ["--detector", cell.detector, *{
+            "knn": ["--variant", params.get("variant"), "--k", params.get("k")],
+            "lof": ["--k", params.get("k")],
+            "iforest": ["--trees", params.get("n_trees"), "--subsample", params.get("subsample")],
+        }[cell.detector]]
+
     def stored_cell(self, study, benchmark, params, repetition):
         (cell,) = [
             r for r in stored_records(study.run)
@@ -1137,17 +1151,36 @@ class TestOneOffs:
         assert {r.anomaly_class for r in cells} == {"c1", "c2", "c3"}
         assert {r.detector for r in cells} == {"knn", "lof", "iforest"}
         for cell in cells:
-            params = dict(p.split("=") for p in cell.params.split())
-            flags = {
-                "knn": ["--variant", params.get("variant"), "--k", params.get("k")],
-                "lof": ["--k", params.get("k")],
-                "iforest": ["--trees", params.get("n_trees"),
-                            "--subsample", params.get("subsample")],
-            }[cell.detector]
             capsys.readouterr()
             assert main(["volume", "--dataset", str(cache), "--benchmark", cell.benchmark,
-                         "--detector", cell.detector, *flags, "--alpha", "0.05", "--n", "400",
+                         *self.cell_flags(cell), "--alpha", "0.05", "--n", "400",
                          "--seed", "7", "--rep", "1"]) == 0
+            lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
+
+    def test_one_offs_reproduce_contaminated_cells(self, tmp_path, capsys):
+        # At contamination 0.05 the 48 training normals take 3 injected
+        # anomalies, so each class trains on a fold of its own.
+        write_tables(tmp_path / "raw", n_tables=1, sizes=(60, 12, 12))
+        cache, run_dir = tmp_path / "cache", tmp_path / "run"
+        assert main(["prepare", str(tmp_path / "raw"), str(cache)]) == 0
+        (tmp_path / "study.cfg").write_text(CONFIG_TEXT.format(cache=cache, run=run_dir))
+        assert main(["run", "--config", str(tmp_path / "study.cfg"),
+                     "--set", "contaminations=0.0,0.05", "--set", "knn_variants=delta",
+                     "--set", "knn_ks=3", "--set", "lof_ks=5", "--set", "iforest_trees=10"]) == 0
+        cells = [r for r in stored_records(run_dir) if r.contamination == 0.05]
+        assert len(cells) == 12 and not any(r.flags for r in cells)
+        assert {r.anomaly_class for r in cells} == {"c1", "c2"}
+        assert {r.detector for r in cells} == {"knn", "lof", "iforest"}
+        for cell in cells:
+            where = ["--dataset", str(cache), "--benchmark", cell.benchmark,
+                     *self.cell_flags(cell), "--contamination", "0.05", "--seed", "7",
+                     "--rep", str(cell.repetition)]
+            capsys.readouterr()
+            assert main(["scores", *where]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert auc_rows(scored_curve(rows))[0] == cell.values["AUC"], cell.cell_key
+            assert main(["volume", *where, "--alpha", "0.05", "--n", "400"]) == 0
             lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
             assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
 

@@ -32,7 +32,9 @@ from adeval.experiments import (
     roc_band,
     run_grid,
 )
+from adeval.seeding import derive_seed
 from adeval.thresholded import precision_composition
+from adeval.volume import bounding_box, uniform_sample
 from _oracles import (
     class_transfer_reference,
     kendall_reference,
@@ -888,12 +890,20 @@ class TestSharedVolumeAndScoring:
             assert np.array_equal(points, volume), family
 
     def test_every_class_of_a_table_draws_in_its_normal_box(self):
-        boxes = [experiments.volume_box_and_seed(b.table, b.normal, 3, 1) for b in self.benches]
-        for box, seed in boxes:
-            assert np.array_equal(box.b_min, self.benches[0].normal.min(axis=0))
-            assert np.array_equal(box.b_max, self.benches[0].normal.max(axis=0))
-            assert seed == boxes[0][1]
-        assert experiments.volume_box_and_seed("m", self.table.normal, 3, 2)[1] != boxes[0][1]
+        cfg = self.config()
+        normal = self.table.normal
+        box = bounding_box(normal)
+        assert np.array_equal(box.b_min, normal.min(axis=0))
+        assert np.array_equal(box.b_max, normal.max(axis=0))
+        # The table's box, the master seed's stream of (table, repetition), n points.
+        drawn = uniform_sample(box, 300, derive_seed(3, "volume", "m", 1))
+        for bench in self.benches:
+            sample = cfg.volume_sample(bench.table, bench.normal, 1)
+            assert sample.shape == drawn.shape and (sample == drawn).all(), bench.name
+        # Another table name or another repetition draws another sample.
+        for table, rep in (("n", 1), ("m", 2)):
+            other = cfg.volume_sample(table, normal, rep)
+            assert other.shape == drawn.shape and not (other == drawn).any(), (table, rep)
 
 
 class TestEvaluateCells:
@@ -1061,6 +1071,33 @@ class TestParts:
                            r"contamination 0$"):
             run_grid(cfg, [table], store)
         assert not store.root.exists()
+
+    def test_a_part_of_one_class_in_every_repetition_is_refused(self, tmp_path):
+        # 5-point test folds at contamination 0, 2 normals and then 3 anomalies;
+        # at master seed 1 the one repetition's 2-point validation part draws
+        # 2 anomalies.
+        cfg = knn_only_config(validation_fraction=0.4, master_seed=1, repetitions=1)
+        table = prepare_table(synth_multiclass_table("toy", (10, 3)))
+        store = RecordStore(tmp_path / "store", manifest_hash="h")
+        with pytest.raises(ValueError, match=r"^validation_fraction 0.4 leaves the validation "
+                           r"part of toy-c1's 5-point test fold with 2 points of one class in "
+                           r"every repetition at contamination 0$"):
+            run_grid(cfg, [table], store)
+        assert not store.root.exists()
+
+    def test_a_part_of_one_class_in_some_repetitions_runs(self, tmp_path):
+        # 8-point test folds at contamination 0 with 2-point validation parts:
+        # two anomalies at repetition 0, one point of each class at repetition 1.
+        cfg = knn_only_config(validation_fraction=0.3)
+        table = prepare_table(synth_multiclass_table("toy", (20, 4)))
+        store = RecordStore(tmp_path, manifest_hash="h")
+        summary = run_grid(cfg, [table], store)
+        assert (summary.n_new, summary.errors) == (4, {"error:ValueError": 2})
+        for rec in store.load():
+            one_class = rec.repetition == 0
+            assert rec.flags == (("error:ValueError",) if one_class else ()), rec
+            assert (rec.values["val:AUC"] is None) == one_class, rec
+            assert rec.values["AUC"] is not None, rec
 
     def test_a_level_whose_split_fails_is_not_refused(self, tmp_path):
         # 10-point test folds at contamination 0: 3 validation and 7 evaluation
@@ -1824,14 +1861,14 @@ class TestRocBand:
     def test_identical_splits_have_zero_spread(self):
         # Shifted by 50 standard deviations, every split separates perfectly.
         (bench,) = synth_gaussian(80, 40, dim=2, shift=50.0, seed=6).benchmarks()
-        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1)
+        band = roc_band(GridConfig(master_seed=1), bench, KNN_3, n_splits=2)
         np.testing.assert_array_equal(band.tpr_std, 0.0)
         np.testing.assert_array_equal(band.ratio_std, 0.0)
         assert band.n_splits_used == 2
 
     def test_two_split_spread_matches_two_sample_formula(self):
         bench = self.bench()
-        band = roc_band(bench, KNN_3, n_splits=2, master_seed=1)
+        band = roc_band(GridConfig(master_seed=1), bench, KNN_3, n_splits=2)
         curves = []
         for rep in (0, 1):
             fold = split(bench, SplitSpec(seed=1, repetition=rep))
@@ -1844,12 +1881,12 @@ class TestRocBand:
         )
 
     def test_ratio_is_zero_at_fpr_zero(self):
-        band = roc_band(self.bench(), KNN_3, n_splits=3, master_seed=2)
+        band = roc_band(GridConfig(master_seed=2), self.bench(), KNN_3, n_splits=3)
         assert band.fpr[0] == 0.0
         assert band.ratio_mean[0] == 0.0 and band.ratio_std[0] == 0.0
 
     def test_band_grid_is_sorted_union(self):
-        band = roc_band(self.bench(), KNN_3, n_splits=4, master_seed=3)
+        band = roc_band(GridConfig(master_seed=3), self.bench(), KNN_3, n_splits=4)
         assert np.all(np.diff(band.fpr) > 0)
         assert band.fpr[0] == 0.0 and band.fpr[-1] == 1.0
 
@@ -1864,13 +1901,13 @@ class TestRocBand:
             return [Nan()] if spec.repetition == 0 else fit(table, spec, train, combos)
 
         monkeypatch.setattr(experiments, "fit_models", nan_at_rep_0)
-        band = roc_band(self.bench(), KNN_3, n_splits=3, master_seed=2)
+        band = roc_band(GridConfig(master_seed=2), self.bench(), KNN_3, n_splits=3)
         assert (band.n_splits_used, band.n_skipped) == (2, 1)
 
     def test_requires_two_usable_splits(self):
         with pytest.raises(ValueError):
-            roc_band(self.bench(), KNN_3, n_splits=1)
+            roc_band(GridConfig(), self.bench(), KNN_3, n_splits=1)
         # All anomalies get injected into training: every split degenerates.
         (bench,) = synth_gaussian(50, 2, dim=2, seed=0).benchmarks()
         with pytest.raises(ValueError, match="usable"):
-            roc_band(bench, KNN_3, n_splits=2, contamination=0.05)
+            roc_band(GridConfig(), bench, KNN_3, n_splits=2, contamination=0.05)
