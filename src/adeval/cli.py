@@ -626,8 +626,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         return _aggregate_rocband(args, manifest, cfg, out_dir)
 
     contamination = _pick_contamination(args, cfg)
-    records = RecordStore(run_dir / "records", manifest_hash=hash_).load()
-    missing = [cell for cell in missing_cells(cfg, manifest.data, records)
+    stored = RecordStore(run_dir / "records", manifest_hash=hash_).load()
+    missing = [cell for cell in missing_cells(cfg, manifest.data, stored)
                if cell[1] == contamination]
     if missing:
         shown = "\n".join(f"  {b} c={c:g} combo={g} rep={r}" for b, c, g, r in missing[:20])
@@ -635,7 +635,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         raise CliError(
             f"record store incomplete, {len(missing)} missing cells:\n{shown}{extra}"
         )
-    data = collapse(r for r in records if r.contamination == contamination)
+    data = collapse(stored.select(stored.contamination == contamination))
     names = _select_measures(cfg, args.measure, args.alpha, args.p)
     tag = f"c{contamination:g}"
 

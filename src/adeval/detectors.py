@@ -33,13 +33,14 @@ its columns in sorted order, and a row whose first k + 1 distances lie
 pairwise more than the tolerance apart takes its kNN neighbour table from
 that prefix as it stands (:func:`_knn_table`); only the other rows sort
 candidates by tie group and index.  Isolation trees are grown level by
-level in heap layout, from training-row ids that each carry the index of
-their live node, never sorted by node: a level reads node sizes from one
-``bincount`` and a split's bounds from ``minimum.at`` / ``maximum.at`` over
-the coordinates of its column (:func:`_grow_batch`).  Every draw of tree
-t is a counter-based hash of (seed, t, slot), hashed per point only when
-the subsample is smaller than the training set, so a forest of n trees is
-the n-tree prefix of a larger forest of the same seed;
+level in heap layout, from training rows held as flat offsets into the
+points, each carrying the index of its live node and never sorted by
+node: a level reads node sizes from one ``bincount`` and a split's bounds
+from ``minimum.at`` / ``maximum.at`` over the coordinates of its column
+(:func:`_grow_batch`).  Every draw of tree t is a counter-based hash of
+(seed, t, slot), hashed per point only when the subsample is smaller than
+the training set, so a forest of n trees is the n-tree prefix of a larger
+forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
 place.  Forest growth works in batches of at most ``_BLOCK_ELEMENTS``
@@ -652,18 +653,20 @@ def _grow_batch(
     """Grow trees ``first, first + 1, ...`` level by level into ``rows``.
 
     ``rows`` are the (feature, threshold, path) rows of the batch's trees.
-    The points still in inner nodes are training-row ids, each carrying
-    the index of its live node among the level's nodes, which are in
-    (tree, heap index) order; ids are never sorted or grouped by node.  A
-    level counts its nodes' sizes with one ``bincount`` and reads a split
-    node's bounds in its split column alone, from one gather of each id's
+    The points still in inner nodes are training rows, each held as the
+    flat offset ``id * d`` of its row in the C-ordered ``points`` and
+    carrying the index of its live node among the level's nodes, which are
+    in (tree, heap index) order; rows are never sorted or grouped by node.
+    Every coordinate is gathered by one 1-D ``take`` from the flat points.
+    A level counts its nodes' sizes with one ``bincount`` and reads a split
+    node's bounds in its split column alone, from one gather of each row's
     coordinate there and one ``minimum.at`` / ``maximum.at`` over the node
     indices.  Only the ``repeated`` columns (those with a repeated value
     among ``points``) are read in every node, to find the columns constant
     in it: a subsample holds distinct rows, so no other column is constant
-    in a node of two or more points.  A split sends each id to child
+    in a node of two or more points.  A split sends each row to child
     ``2 * node + 1 - below`` of the next level's nodes (an empty child is a
-    leaf there, of size 0), and the ids of leaves drop out with one
+    leaf there, of size 0), and the rows of leaves drop out with one
     ``cumsum`` remap of the nodes that split.  A level's work is
     O(points x (1 + repeated columns)), not O(points x d).
     ``leaf_path[s]`` is c(s), and c(0) = 0, so a node's path is its depth
@@ -695,8 +698,10 @@ def _grow_batch(
         ids = np.argpartition(keys, psi - 1, axis=1)[:, :psi].ravel()
     else:
         ids = np.tile(np.arange(n), batch)
+    flat = np.ascontiguousarray(points).ravel()
+    offset = ids * d  # per row: its flat offset in points
     feature, threshold, path = (r.reshape(-1) for r in rows)
-    node = np.repeat(np.arange(batch), psi)  # per id: its live node
+    node = np.repeat(np.arange(batch), psi)  # per row: its live node
     head = np.arange(batch) * n_heap  # per live node: tree * n_heap + heap index
     r = repeated.size
     # Live node g's bound of repeated column c sits at flat index g * r + c.
@@ -704,7 +709,7 @@ def _grow_batch(
     for depth in range(height_limit + 1):
         size = np.bincount(node, minlength=head.size)
         if r:
-            col = points[ids[:, None], repeated].ravel()
+            col = flat.take((offset[:, None] + repeated).ravel())
             at = (node[:, None] * r + repeated_at).ravel()
             lo = np.full(head.size * r, np.inf)
             hi = np.full(head.size * r, -np.inf)
@@ -718,9 +723,9 @@ def _grow_batch(
         path[head] = depth + leaf_path[np.where(split, 0, size)]
         if not split.any():
             break
-        # The ids in nodes that split, renumbered among those nodes.
+        # The rows in nodes that split, renumbered among those nodes.
         kept = np.flatnonzero(split[node])
-        ids, node = ids[kept], (np.cumsum(split) - 1)[node[kept]]
+        offset, node = offset[kept], (np.cumsum(split) - 1)[node[kept]]
         head, count = head[split], count[split]
         local = head % n_heap
         slot = (2 * local).astype(np.uint64)[:, None] + np.array([0, 1], dtype=np.uint64)
@@ -731,7 +736,7 @@ def _grow_batch(
         dim = np.minimum((u[:, 0] * count).astype(np.intp), count - 1)
         for column, fixed in zip(repeated, constant[split].T):
             dim += fixed & (column <= dim)
-        coord = points[ids, dim[node]]
+        coord = flat.take(offset + dim[node])
         lo = np.full(head.size, np.inf)
         hi = np.full(head.size, -np.inf)
         np.minimum.at(lo, node, coord)

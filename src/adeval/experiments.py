@@ -12,7 +12,7 @@ scores the shared test normals once, and each benchmark's cells of a block
 are evaluated together, from one score matrix per benchmark and block.
 Each block's records land, as soon as it and every block before it are
 done, in a resumable delimited-text store, one file per (benchmark,
-detector).
+detector), which loads as columns (:class:`StoredCells`), one row per cell.
 Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
@@ -411,6 +411,122 @@ class ExperimentRecord:
         return any(v is None for v in self.values.values())
 
 
+@dataclass(frozen=True, eq=False)
+class StoredCells:
+    """Rows of cells as columns, sorted by cell, one row per cell.
+
+    Row i is the cell ``(benchmark[i], contamination[i], grid_index[i],
+    repetition[i])`` (:attr:`ExperimentRecord.cell_key`), and rows are sorted
+    by it.  The string columns are object arrays, and ``flags`` holds each
+    row's flags as a tuple.  ``measures`` are the measure columns that some
+    row holds, in the order of its files (or records).  ``values[i, m]`` is
+    row i's value of measure m where ``present[i, m]``, else 0; ``na[i, m]``
+    marks a missing value (``NA``) in a column of row i's own header, so a
+    measure that row i's file lacks is neither present nor ``NA`` there.
+    """
+
+    grid_index: NDArray[np.int64]
+    table: NDArray[np.object_]
+    anomaly_class: NDArray[np.object_]
+    detector: NDArray[np.object_]
+    params: NDArray[np.object_]
+    contamination: NDArray[np.float64]
+    repetition: NDArray[np.int64]
+    flags: NDArray[np.object_]
+    benchmark: NDArray[np.object_]
+    measures: tuple[str, ...]
+    values: NDArray[np.float64]  # (row, measure)
+    present: NDArray[np.bool_]  # (row, measure)
+    na: NDArray[np.bool_]  # (row, measure)
+
+    def __len__(self) -> int:
+        return len(self.grid_index)
+
+    @property
+    def flagged_missing(self) -> NDArray[np.bool_]:
+        """Rows with an ``NA`` value (:attr:`ExperimentRecord.is_flagged_missing`)."""
+        return self.na.any(axis=1)
+
+    @classmethod
+    def from_records(cls, records: Iterable[ExperimentRecord]) -> StoredCells:
+        """The columns of ``records``, with their measures in order of first appearance.
+
+        Raises ``ValueError`` for two records of one cell.
+        """
+        records = list(records)
+        measures = tuple(dict.fromkeys(name for r in records for name in r.values))
+        shape = (len(records), len(measures))
+        held = np.array([[name in r.values for name in measures] for r in records],
+                        dtype=bool).reshape(shape)
+        raw = np.array([[r.values.get(name) for name in measures] for r in records],
+                       dtype=object).reshape(shape)
+        na = held & np.equal(raw, None)
+        present = held & ~na
+        values = np.where(present, raw, 0.0).astype(np.float64)
+        ids = [[getattr(r, name) for r in records] for name in _ID_COLUMNS]
+        cells, _ = _sorted_cells(ids, measures, values, present, na)
+        twice = cells._first_repeat()
+        if twice is not None:
+            raise ValueError(f"two records of cell {cells._cell_text(twice)}")
+        return cells
+
+    def select(self, rows: NDArray[np.bool_]) -> StoredCells:
+        """The rows where ``rows`` holds, with the measures that some of them hold."""
+        held = (self.present[rows] | self.na[rows]).any(axis=0)
+        columns = [getattr(self, name)[rows] for name in _ID_COLUMNS + ("benchmark",)]
+        return StoredCells(
+            *columns, tuple(m for m, h in zip(self.measures, held) if h),
+            *(getattr(self, name)[rows][:, held] for name in ("values", "present", "na")),
+        )
+
+    def _first_repeat(self) -> int | None:
+        """The first row i whose cell row i + 1 holds too, or None if every cell has one row."""
+        same = ((self.benchmark[1:] == self.benchmark[:-1])
+                & (self.contamination[1:] == self.contamination[:-1])
+                & (self.grid_index[1:] == self.grid_index[:-1])
+                & (self.repetition[1:] == self.repetition[:-1]))
+        hits = np.flatnonzero(same)
+        return int(hits[0]) if hits.size else None
+
+    def _cell_text(self, i: int) -> str:
+        return (f"{self.benchmark[i]} c={self.contamination[i]:g} combo={self.grid_index[i]} "
+                f"rep={self.repetition[i]}")
+
+
+def _sorted_cells(
+    ids: Sequence[Sequence],
+    measures: tuple[str, ...],
+    values: NDArray[np.float64],
+    present: NDArray[np.bool_],
+    na: NDArray[np.bool_],
+) -> tuple[StoredCells, NDArray[np.intp]]:
+    """The rows as :class:`StoredCells`, sorted by cell, and the order that sorted them.
+
+    ``ids`` are the parsed id columns, in :data:`_ID_COLUMNS` order, and the
+    arrays are (row, measure).  One stable ``lexsort`` sorts the rows by
+    (benchmark, contamination, grid index, repetition), the benchmarks as
+    integer codes in name order.
+    """
+    n = len(ids[0])
+    benchmark = [f"{t}-{c}" for t, c in zip(ids[1], ids[2])]
+    code = {name: i for i, name in enumerate(sorted(set(benchmark)))}
+    grid_index = np.fromiter(ids[0], np.int64, n)
+    contamination = np.fromiter(ids[5], np.float64, n)
+    repetition = np.fromiter(ids[6], np.int64, n)
+    order = np.lexsort((repetition, grid_index, contamination,
+                        np.fromiter(map(code.__getitem__, benchmark), np.intp, n)))
+
+    def text(column: Sequence) -> NDArray[np.object_]:
+        return np.fromiter(column, object, n)[order]
+
+    cells = StoredCells(
+        grid_index[order], text(ids[1]), text(ids[2]), text(ids[3]), text(ids[4]),
+        contamination[order], repetition[order], text(ids[7]), text(benchmark),
+        measures, values[order], present[order], na[order],
+    )
+    return cells, order
+
+
 class RecordStore:
     """Resumable record store: one delimited file per (benchmark, detector).
 
@@ -454,40 +570,125 @@ class RecordStore:
                     writer.writerow(list(_ID_COLUMNS) + list(measure_names))
                 writer.writerows(_record_row(record, measure_names) for record in rows)
 
-    def load(self) -> list[ExperimentRecord]:
-        """Every record in the store, sorted by cell.
+    def load(self) -> StoredCells:
+        """Every row in the store, as the columns of its cells.
 
         A row whose width differs from its header, or with a value that is
         neither ``NA`` nor a float, raises ``ValueError`` naming its file
         and line rather than loading as a finished cell.  So does a file
         whose first complete line is not this store's manifest line: its
-        rows belong to another run.  A torn tail is skipped, and a file torn
-        before its first line end loads as no rows.
+        rows belong to another run.  Of two such faults the first in file
+        and line order is named.  A second row of one cell raises
+        ``ValueError`` naming its file and both lines, so a duplicated row
+        is never averaged in as a repetition.  A torn tail is skipped, and a
+        file torn before its first line end loads as no rows.  A measure
+        missing from a file's header is absent, not ``NA``, in its rows.
         """
-        records: list[ExperimentRecord] = []
+        files = []  # (path, measure names, line numbers, rows) of each file with rows
+        fault = None
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
                 text = handle.read()
             complete = text[: text.rfind("\n") + 1]
             first = complete[: complete.find("\n")]
             if complete and first != self._manifest_line:
-                raise ValueError(
+                fault = (
                     f"{path}: first line {first!r} is not this run's manifest header "
                     f"{self._manifest_line!r}; the file belongs to another run"
                 )
-            header = None
+                break
+            header, lines, rows = None, [], []
             for lineno, row in data_rows(io.StringIO(complete, newline="")):
                 if header is None:
                     header = row
                     if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
-                        raise ValueError(f"{path}: unrecognized record header")
-                    continue
+                        fault = f"{path}: unrecognized record header"
+                        break
+                elif len(row) != len(header):
+                    fault = (f"{path}: line {lineno}: {len(row)} fields where the header "
+                             f"has {len(header)}")
+                    break
+                else:
+                    lines.append(lineno)
+                    rows.append(row)
+            if rows:
+                files.append((path, header[len(_ID_COLUMNS) :], lines, rows))
+            if fault:
+                break
+        cells, order = _parse_rows(files)
+        if fault:
+            raise ValueError(fault)
+        twice = cells._first_repeat()
+        if twice is not None:
+            source = [(path, line) for path, _, lines, _ in files for line in lines]
+            (path_a, line_a), (path_b, line_b) = source[order[twice]], source[order[twice + 1]]
+            where = f"line {line_a}" if path_a == path_b else f"{path_a}: line {line_a}"
+            raise ValueError(f"{path_b}: line {line_b} repeats the cell of {where} "
+                             f"({cells._cell_text(twice)}); a cell has one row")
+        return cells
+
+
+def _parse_rows(files: Sequence[tuple[Path, list[str], list[int], list[list[str]]]]
+                ) -> tuple[StoredCells, NDArray[np.intp]]:
+    """The :class:`StoredCells` of the rows read from ``files``, and the order that sorted them.
+
+    Every measure value of every file is parsed from one flat list, in one
+    ``float`` pass.  If any field does not parse, the rows are parsed one by
+    one to raise ``ValueError`` naming the first bad row's file and line.
+    """
+    ids: list[list[str]] = [[] for _ in _ID_COLUMNS]
+    raw: list[str] = []  # each file's measure columns, one column after another
+    for _, _, _, rows in files:
+        columns = list(zip(*rows))
+        for column, strings in zip(ids, columns):
+            column += strings
+        for strings in columns[len(_ID_COLUMNS) :]:
+            raw += strings
+    try:
+        try:
+            flat = np.fromiter(map(float, raw), np.float64, len(raw))
+            missing = np.zeros(len(raw), dtype=bool)
+        except ValueError:
+            na_list = [text == _MISSING for text in raw]
+            flat = np.fromiter((0.0 if na else float(text) for text, na in zip(raw, na_list)),
+                               np.float64, len(raw))
+            missing = np.array(na_list, dtype=bool)
+        ids[0] = list(map(int, ids[0]))
+        ids[5] = list(map(float, ids[5]))
+        ids[6] = list(map(int, ids[6]))
+    except ValueError:
+        for path, _, lines, rows in files:
+            for lineno, row in zip(lines, rows):
                 try:
-                    records.append(_parse_row(header, row))
+                    _check_row(row)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        records.sort(key=lambda r: r.cell_key)
-        return records
+        raise
+    ids[7] = [tuple(t for t in text.split(";") if t) if text else () for text in ids[7]]
+
+    measures = tuple(dict.fromkeys(name for _, names, _, _ in files for name in names))
+    column = {name: j for j, name in enumerate(measures)}
+    shape = (len(ids[0]), len(measures))
+    values = np.zeros(shape)
+    na = np.zeros(shape, dtype=bool)
+    held = np.zeros(shape, dtype=bool)
+    start = offset = 0
+    for _, names, _, rows in files:
+        block = (slice(start, start + len(rows)), [column[name] for name in names])
+        end = offset + len(rows) * len(names)
+        values[block] = flat[offset:end].reshape(len(names), len(rows)).T
+        na[block] = missing[offset:end].reshape(len(names), len(rows)).T
+        held[block] = True
+        start, offset = start + len(rows), end
+    return _sorted_cells(ids, measures, values, held & ~na, na)
+
+
+def _check_row(row: list[str]) -> None:
+    """Raise the ``ValueError`` of a row's first bad field: its measures, then its ids."""
+    for text in row[len(_ID_COLUMNS) :]:
+        if text != _MISSING:
+            float(text)
+    int(row[0]), float(row[5]), int(row[6])
 
 
 def _record_row(record: ExperimentRecord, measure_names: Sequence[str]) -> list:
@@ -530,27 +731,6 @@ def _drop_torn_tail(path: Path) -> bool:
     return kept == 0
 
 
-def _parse_row(header: list[str], row: list[str]) -> ExperimentRecord:
-    if len(row) != len(header):
-        raise ValueError(f"{len(row)} fields where the header has {len(header)}")
-    base = dict(zip(_ID_COLUMNS, row))
-    values = {
-        name: (None if raw == _MISSING else float(raw))
-        for name, raw in zip(header[len(_ID_COLUMNS) :], row[len(_ID_COLUMNS) :])
-    }
-    return ExperimentRecord(
-        grid_index=int(base["grid_index"]),
-        table=base["table"],
-        anomaly_class=base["anomaly_class"],
-        detector=base["detector"],
-        params=base["params"],
-        contamination=float(base["contamination"]),
-        repetition=int(base["repetition"]),
-        values=values,
-        flags=tuple(t for t in base["flags"].split(";") if t),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Running the grid
 # ---------------------------------------------------------------------------
@@ -567,10 +747,11 @@ class RunSummary:
 
 
 def missing_cells(
-    cfg: GridConfig, benchmarks: Iterable[str], records: Iterable[ExperimentRecord]
+    cfg: GridConfig, benchmarks: Iterable[str], stored: StoredCells
 ) -> list[tuple[str, float, int, int]]:
-    """The grid's cells of ``benchmarks`` that ``records`` lack, as sorted ``cell_key`` tuples."""
-    have = {r.cell_key for r in records}
+    """The grid's cells of ``benchmarks`` that ``stored`` lacks, as sorted ``cell_key`` tuples."""
+    have = set(zip(stored.benchmark.tolist(), stored.contamination.tolist(),
+                   stored.grid_index.tolist(), stored.repetition.tolist()))
     cells = [(name, c, combo.index, rep) for name in sorted(benchmarks) for c in cfg.contaminations
              for combo in cfg.detector_combos() for rep in range(cfg.repetitions)]
     return [cell for cell in cells if cell not in have]
@@ -919,7 +1100,7 @@ def run_grid(
                            for part in parts if part]
 
     run = partial(_run_repetition, cfg)
-    flagged = [r for r in stored if r.is_flagged_missing]
+    flagged = stored.flags[stored.flagged_missing].tolist()  # flags of each flagged cell
     with ExitStack() as stack:
         results = starmap(run, blocks)
         if workers > 1 and len(blocks) > 1:
@@ -933,10 +1114,10 @@ def run_grid(
                 progress(f"{records[0].table} c={contamination:g} rep={repetition}: "
                          f"{len(records)} cells")
             store.append(records, names)
-            flagged += [r for r in records if r.is_flagged_missing]
+            flagged += [r.flags for r in records if r.is_flagged_missing]
     n_cells = (len(benchmarks) * len(cfg.contaminations) * cfg.repetitions
                * len(cfg.detector_combos()))
-    errors = Counter(f for r in flagged for f in r.flags if f.startswith("error:"))
+    errors = Counter(f for flags in flagged for f in flags if f.startswith("error:"))
     return RunSummary(n_cells=n_cells, n_new=len(missing), n_flagged=len(flagged),
                       errors=dict(sorted(errors.items())))
 
@@ -982,16 +1163,17 @@ class Collapsed:
         return tuple(n for n in self.measures if not n.startswith(later))
 
 
-def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
+def collapse(stored: StoredCells) -> Collapsed:
     """Average measure values over repetitions into one :class:`Collapsed`.
 
-    A value missing (``None``) in some repetitions averages over the present
-    ones; a value missing everywhere stays missing.  A stored NaN is a
-    present value, so its mean is NaN.  The records must share one
+    A value missing (not present) in some repetitions averages over the
+    present ones; a value missing everywhere stays missing.  A stored NaN is
+    a present value, so its mean is NaN.  The rows must share one
     contamination level.
 
-    The records' values form one (cell × measure × repetition) array,
-    repetitions in input order.  A stable argsort on the absent mask moves
+    The rows' values form one (cell × measure × repetition) array, each
+    (benchmark, combo)'s repetitions in row order, which is repetition order.
+    A stable argsort on the absent mask moves
     each (cell, measure)'s present values to the front, keeping their order.
     Then, for each distinct present count c, one ``np.add.reduce`` along the
     last axis of a C-contiguous (rows × c) array sums every row with that
@@ -1000,34 +1182,32 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
     pairwise grouping of the sum, so each mean is bit for bit the
     ``np.mean`` of its present values.
     """
-    records = sorted(records, key=lambda r: r.cell_key[:3])  # stable: reps keep their order
-    if not records:
+    if not len(stored):
         raise ValueError("no records to collapse")
-    levels = sorted({r.contamination for r in records})
+    levels = np.unique(stored.contamination).tolist()
     if len(levels) != 1:
         raise ValueError(
             f"records mix contamination levels {levels}; filter to one first"
         )
-    table_of = {r.benchmark: r.table for r in records}
-    detector_of = {r.grid_index: r.detector for r in records}
-    benchmarks, grid = sorted(table_of), sorted(detector_of)
-    measures = tuple(dict.fromkeys(name for r in records for name in r.values))
-    row = {bench: i for i, bench in enumerate(benchmarks)}
-    col = {g: j for j, g in enumerate(grid)}
-    # Each cell's records are contiguous: its slots number them in input order.
-    keys = [r.cell_key[:3] for r in records]
-    starts = np.flatnonzero([True] + [a != b for a, b in zip(keys[1:], keys)])
-    cell = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(records)))
-    slot = np.arange(len(records)) - starts[cell]
-    cell_i = np.array([row[records[s].benchmark] for s in starts], dtype=np.intp)
-    cell_j = np.array([col[records[s].grid_index] for s in starts], dtype=np.intp)
+    # Rows are sorted by cell, so each benchmark's rows, and each of its
+    # combos' rows, are contiguous.
+    bench, grid = stored.benchmark, stored.grid_index
+    new_bench = np.ones(len(stored), dtype=bool)
+    new_bench[1:] = bench[1:] != bench[:-1]
+    new_cell = new_bench.copy()
+    new_cell[1:] |= grid[1:] != grid[:-1]
+    starts = np.flatnonzero(new_cell)
+    cell = np.cumsum(new_cell) - 1
+    slot = np.arange(len(stored)) - starts[cell]
+    firsts = np.flatnonzero(new_bench)
+    cell_i = (np.cumsum(new_bench) - 1)[starts]
+    grid_ids, first_of, cell_j = np.unique(grid[starts], return_index=True, return_inverse=True)
+    measures = stored.measures
 
-    raw = np.array([[r.values.get(name) for name in measures] for r in records], dtype=object)
-    given = np.not_equal(raw, None)
     reps = np.zeros((len(starts), len(measures), int(slot.max()) + 1))
     absent = np.ones(reps.shape, dtype=bool)
-    reps[cell, :, slot] = np.where(given, raw, 0.0).astype(np.float64)
-    absent[cell, :, slot] = ~given
+    reps[cell, :, slot] = stored.values
+    absent[cell, :, slot] = ~stored.present
 
     # Each (cell, measure)'s present values first, in repetition order.
     order = np.argsort(absent, axis=2, kind="stable")
@@ -1038,14 +1218,14 @@ def collapse(records: Iterable[ExperimentRecord]) -> Collapsed:
         rows = counts == c
         means[rows] = np.add.reduce(np.ascontiguousarray(packed[rows, :c]), axis=1) / c
 
-    values = np.full((len(benchmarks), len(grid), len(measures)), np.nan)
+    values = np.full((len(firsts), len(grid_ids), len(measures)), np.nan)
     values[cell_i, cell_j] = means.reshape(len(starts), len(measures))
     present = np.zeros(values.shape[:2], dtype=bool)
     present[cell_i, cell_j] = True
     return Collapsed(
-        benchmarks=tuple(benchmarks),
-        tables=tuple(table_of[b] for b in benchmarks),
-        detectors=tuple(detector_of[g] for g in grid),
+        benchmarks=tuple(bench[firsts].tolist()),
+        tables=tuple(stored.table[firsts].tolist()),
+        detectors=tuple(stored.detector[starts[first_of]].tolist()),
         measures=measures,
         values=values,
         present=present,

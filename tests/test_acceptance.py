@@ -26,6 +26,7 @@ from adeval.experiments import (
     Combo,
     ExperimentRecord,
     GridConfig,
+    StoredCells,
     collapse,
     kendall_matrix,
     loss_matrix_table,
@@ -145,9 +146,9 @@ def test_criterion_2_consistency_identities():
             est = four_point_volume(n=2048, seed=seed)
             assert est.vol + est.cvol == 1.0
         records = _hand_records()
-        loss = loss_matrix_table(collapse(records))
+        loss = loss_matrix_table(collapse(StoredCells.from_records(records)))
         assert np.all(np.diag(loss.matrix) == 0.0)
-        kendall = kendall_matrix(collapse(records))
+        kendall = kendall_matrix(collapse(StoredCells.from_records(records)))
         assert np.array_equal(kendall.matrix, kendall.matrix.T)
         assert np.all(np.diag(kendall.matrix) == 1.0)
 

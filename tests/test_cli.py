@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import adeval
-from adeval import cli
+from adeval import cli, experiments
 from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import auc_rows, tpr_at_rows
 from adeval.datasets import (
@@ -24,6 +24,7 @@ from adeval.datasets import (
 from adeval.experiments import RecordStore
 from _oracles import rank_reference, repetition_means, selection_loss_reference
 from test_curves import one_row
+from test_experiments import stored_rows
 
 CONFIG_TEXT = """\
 # small study used across the CLI tests
@@ -124,7 +125,7 @@ def read_store_bytes(run_dir):
 def stored_records(run_dir):
     """The run's records, loaded under the hash in its manifest."""
     hash_ = json.loads((run_dir / "manifest.json").read_text())["hash"]
-    return RecordStore(run_dir / "records", manifest_hash=hash_).load()
+    return stored_rows(RecordStore(run_dir / "records", manifest_hash=hash_).load())
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +677,34 @@ class TestAggregate:
         assert main(["aggregate", "rank", str(clone)]) == 2
         err = capsys.readouterr().err
         assert "incomplete" in err and "combo=" in err
+
+    def test_a_repeated_row_is_refused_by_aggregate_and_by_resume(self, study, tmp_path, capsys):
+        # A cell's row appended twice, as two runs started into one directory
+        # leave it: it is neither averaged in as a repetition nor resumed past.
+        clone = tmp_path / "clone"
+        shutil.copytree(study.run, clone)
+        path = clone / "records" / "tab0-c1__knn.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        text = "".join(lines + lines[2:3])
+        path.write_text(text)
+        message = (f"error: {path}: line {len(lines) + 1} repeats the cell of line 3 "
+                   "(tab0-c1 c=0 combo=0 rep=0); a cell has one row\n")
+        assert main(["aggregate", "rank", str(clone), "--out", str(tmp_path / "tables")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "tables").exists()
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={clone}"]) == 2
+        assert capsys.readouterr().err == message
+        assert path.read_text() == text
+
+    def test_aggregate_builds_no_record_object(self, study, tmp_path, monkeypatch):
+        built = []
+        init = experiments.ExperimentRecord.__init__
+        monkeypatch.setattr(experiments.ExperimentRecord, "__init__",
+                            lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw))
+        assert main(["aggregate", "rank", str(study.run), "--out", str(tmp_path)]) == 0
+        assert built == []
+        stored_records(study.run)  # the counter sees a record built from the columns
+        assert built
 
     def test_unknown_contamination_rejected(self, study, capsys):
         assert main(

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,6 +24,7 @@ from adeval.experiments import (
     GridConfig,
     MeasureId,
     RecordStore,
+    StoredCells,
     collapse,
     fit_models,
     kendall_matrix,
@@ -67,6 +70,38 @@ def record(
         values=dict(values or {}),
         flags=tuple(flags),
     )
+
+
+def columns(records):
+    """The store columns of in-memory ``records`` (the rows -> columns constructor)."""
+    return StoredCells.from_records(records)
+
+
+def stored_rows(stored):
+    """The rows of ``stored`` as records, in cell order.
+
+    Each row's values hold the measures of its own header, ``None`` where
+    the store reads ``NA``.
+    """
+    held = (stored.present | stored.na).tolist()
+    return [
+        ExperimentRecord(
+            grid_index=g, table=t, anomaly_class=a, detector=d, params=p, contamination=c,
+            repetition=r, flags=f,
+            values={m: None if n else v for m, v, n, h in zip(stored.measures, vs, ns, hs) if h},
+        )
+        for g, t, a, d, p, c, r, f, vs, ns, hs in zip(
+            stored.grid_index.tolist(), stored.table.tolist(), stored.anomaly_class.tolist(),
+            stored.detector.tolist(), stored.params.tolist(), stored.contamination.tolist(),
+            stored.repetition.tolist(), stored.flags.tolist(), stored.values.tolist(),
+            stored.na.tolist(), held,
+        )
+    ]
+
+
+def loaded(store):
+    """The rows of ``store`` as records (:func:`stored_rows` of its load)."""
+    return stored_rows(store.load())
 
 
 def knn_only_config(**overrides):
@@ -240,7 +275,7 @@ class TestRunGrid:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [self.table()], store)
         assert summary.n_cells == 270 and summary.n_new == 270
-        records = store.load()
+        records = loaded(store)
         assert len(records) == 270
         assert all(not r.is_flagged_missing for r in records)
         assert {r.repetition for r in records} == set(range(10))
@@ -260,11 +295,11 @@ class TestRunGrid:
         cfg = knn_only_config()
         store = RecordStore(tmp_path, manifest_hash="h")
         run_grid(cfg, [self.table()], store)
-        whole = store.load()
+        whole = loaded(store)
         path = sorted(tmp_path.glob("*.csv"))[0]
         before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         path.write_bytes(before[path.name][:-6])
-        torn = store.load()
+        torn = loaded(store)
         assert len(torn) == len(whole) - 1 and all(r in whole for r in torn)
         summary = run_grid(cfg, [self.table()], store)
         assert summary.n_new == 1
@@ -290,8 +325,8 @@ class TestRunGrid:
         with pytest.raises(KeyboardInterrupt):
             run_grid(cfg, tables, store, workers=1)
         monkeypatch.undo()
-        first_block = [r for r in whole.load() if r.repetition == 0]
-        assert len(first_block) == 4 and store.load() == first_block
+        first_block = [r for r in loaded(whole) if r.repetition == 0]
+        assert len(first_block) == 4 and loaded(store) == first_block
         assert run_grid(cfg, tables, store, workers=1).n_new == 4
         assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
@@ -328,7 +363,7 @@ class TestRunGrid:
         assert len(stores[1]) == 4 * 3 and stores[1] == stores[3] == stores[9]
         # Each file lists its cells in block order: contamination, repetition, combo.
         ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
-        records = RecordStore(tmp_path / "1", manifest_hash="h").load()
+        records = loaded(RecordStore(tmp_path / "1", manifest_hash="h"))
         ordered.append(sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)),
                        cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
@@ -389,7 +424,7 @@ class TestRunGrid:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [table], store)
         assert summary.n_flagged == 1
-        flagged = [r for r in store.load() if r.is_flagged_missing]
+        flagged = [r for r in loaded(store) if r.is_flagged_missing]
         assert len(flagged) == 1
         assert flagged[0].flags == ("error:ValueError",)
         assert all(v is None for v in flagged[0].values.values())
@@ -411,7 +446,7 @@ class TestRunGrid:
         cfg = knn_only_config(validation_fraction=0.3, repetitions=1)
         store = RecordStore(tmp_path, manifest_hash="h")
         run_grid(cfg, [self.table()], store)
-        rec = store.load()[0]
+        rec = loaded(store)[0]
         assert rec.values.get("val:AUC") is not None
         assert rec.values.get("AUC") is not None
 
@@ -587,7 +622,7 @@ class TestRunCell:
         (bench,) = table.benchmarks()
         clean = RecordStore(tmp_path / "clean", manifest_hash="h")
         run_grid(cfg, [table], clean)
-        expected = {r.grid_index: r for r in clean.load()}
+        expected = {r.grid_index: r for r in loaded(clean)}
         n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
         # The column made NaN: a point of the validation part, if there is one.
         perm = np.random.default_rng(
@@ -607,7 +642,7 @@ class TestRunCell:
         patched = RecordStore(tmp_path / "patched", manifest_hash="h")
         summary = run_grid(cfg, [table], patched)
         assert summary.n_flagged == 1
-        records = {r.grid_index: r for r in patched.load()}
+        records = {r.grid_index: r for r in loaded(patched)}
         assert records.keys() == expected.keys()
         for index, rec in records.items():
             if index != bad:
@@ -659,9 +694,9 @@ class TestRunCell:
         summary = run_grid(cfg, [table], store)
         assert summary.n_cells == len(cells)
         assert summary.n_new == len(cells) - len(stored)
-        loaded = {(r.contamination, r.grid_index, r.repetition): r for r in store.load()}
-        assert loaded == expected
-        flags = {key: r.flags for key, r in loaded.items() if r.is_flagged_missing}
+        rows = {(r.contamination, r.grid_index, r.repetition): r for r in loaded(store)}
+        assert rows == expected
+        flags = {key: r.flags for key, r in rows.items() if r.is_flagged_missing}
         oversized = {i for i, combo in enumerate(combos) if combo.params[-1] == ("k", 60)}
         assert {(c, i) for c, i, _ in flags} == (
             {(c, i) for c in (0.0, 0.05) for i in oversized}
@@ -720,12 +755,12 @@ class TestSharedFits:
                       for bench, c, combo, rep in stored], cfg.measure_names())
         summary = run_grid(cfg, [self.table], store)
         assert summary.n_new == len(expected) - len(stored)
-        loaded = {
+        rows = {
             (r.anomaly_class, r.contamination, r.grid_index, r.repetition): r
-            for r in store.load()
+            for r in loaded(store)
         }
-        assert loaded == expected
-        failed = {key[:2] for key, r in loaded.items() if r.flags == ("error:ValueError",)}
+        assert rows == expected
+        failed = {key[:2] for key, r in rows.items() if r.flags == ("error:ValueError",)}
         assert ("c3", 0.15) in failed and ("c1", 0.15) not in failed
 
     def test_resume_of_a_partly_stored_block_appends_each_missing_cell_once(self, tmp_path):
@@ -744,7 +779,7 @@ class TestSharedFits:
         assert 0 < n_missing < len(self.cells())
         summary = run_grid(self.cfg, [self.table], store)
         assert summary.n_new == n_missing
-        keys = [r.cell_key for r in store.load()]
+        keys = [r.cell_key for r in loaded(store)]
         assert len(keys) == len(set(keys)) == len(self.cells())
         assert {p.name: p.read_bytes() for p in resumed.glob("*.csv")} == files
 
@@ -1017,14 +1052,14 @@ class TestParts:
         def head(cfg, perm, n_val):
             return np.sort(perm)[:13]
 
-        plain = self.run(tmp_path, "plain").load()
+        plain = loaded(self.run(tmp_path, "plain"))
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "_PARTS", {"evaluation": ("", head)})
-            alone = self.run(tmp_path, "alone").load()
+            alone = loaded(self.run(tmp_path, "alone"))
         # A part added as one _PARTS row, with no other edit.
         monkeypatch.setitem(experiments._PARTS, "head", ("head:", head))
         store = self.run(tmp_path, "three")
-        records = store.load()
+        records = loaded(store)
         names = [m.name for m in self.cfg.measures()]
         header = next(store.root.glob("*.csv")).read_text().splitlines()[1].split(",")
         assert header[len(experiments._ID_COLUMNS):] == (
@@ -1037,7 +1072,7 @@ class TestParts:
             assert {n: v for n, v in rec.values.items() if not n.startswith("head:")} == two.values
             assert rec.flags == two.flags == ("thinned-normals@0.5",)
             assert own.flags == ("thinned-normals@0.5", "thinned-normals@0.2")
-        data = collapse(records)
+        data = collapse(store.load())
         assert mean_rank_table(data).measures == kendall_matrix(data).measures == tuple(names)
         assert loss_matrix_table(data, select_on_validation=True).measures == tuple(names)
 
@@ -1093,7 +1128,7 @@ class TestParts:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [table], store)
         assert (summary.n_new, summary.errors) == (4, {"error:ValueError": 2})
-        for rec in store.load():
+        for rec in loaded(store):
             one_class = rec.repetition == 0
             assert rec.flags == (("error:ValueError",) if one_class else ()), rec
             assert (rec.values["val:AUC"] is None) == one_class, rec
@@ -1108,7 +1143,7 @@ class TestParts:
         table = prepare_table(synth_multiclass_table("toy", (20, 6)))
         store = RecordStore(tmp_path, manifest_hash="h")
         assert run_grid(cfg, [table], store).n_new == 4
-        for rec in store.load():
+        for rec in loaded(store):
             failed = rec.contamination == 0.5
             assert (rec.values["AUC"] is None) == failed, rec
             assert bool(rec.flags) == failed, rec
@@ -1149,8 +1184,7 @@ class TestRecordStore:
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         rec = record(values={"AUC": 1 / 3, "TPR@0.05": None}, flags=("note", "x"))
         store.append([rec], ("AUC", "TPR@0.05"))
-        (loaded,) = store.load()
-        assert loaded == rec
+        assert loaded(store) == [rec]
 
     def test_manifest_comment_heads_each_file(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
@@ -1178,6 +1212,23 @@ class TestRecordStore:
         with pytest.raises(ValueError, match=rf"{path.name}: line 4: 9 fields"):
             store.load()
 
+    def test_a_repeated_cell_is_refused_naming_its_file_and_both_lines(self, tmp_path):
+        store, path = self.two_row_store(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[2:3]))  # line 5 repeats line 3's cell
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 5 repeats the "
+                           r"cell of line 3 \(t-c1 c=0 combo=0 rep=0\); a cell has one row$"):
+            store.load()
+        # A copy in another file names both files.
+        path.write_text("".join(lines))
+        other = tmp_path / "t-c1__lof.csv"
+        other.write_text("".join(lines[:2] + lines[3:4]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(other))}: line 3 repeats the "
+                           rf"cell of {re.escape(str(path))}: line 4 \(t-c1 c=0 combo=0 rep=1\)"):
+            store.load()
+        with pytest.raises(ValueError, match=r"^two records of cell t-c1 c=0 combo=0 rep=1$"):
+            columns([record(repetition=1), record(), record(repetition=1)])
+
     def test_torn_tail_loads_as_missing_cell(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         recs = [
@@ -1190,14 +1241,14 @@ class TestRecordStore:
         whole = path.read_bytes()
         # A write cut 6 bytes short leaves "...,0.12345" without a line end.
         path.write_bytes(whole[:-6])
-        assert store.load() == recs[:1]
+        assert loaded(store) == recs[:1]
         store.append([recs[1]], ("AUC", "TPR@0.05"))
         assert path.read_bytes() == whole
         # A torn header row leaves nothing to keep: the file starts afresh.
         path.write_bytes(whole[: whole.index(b"\n") + 5])
-        assert store.load() == []
+        assert loaded(store) == []
         store.append([recs[0]], ("AUC", "TPR@0.05"))
-        assert store.load() == recs[:1]
+        assert loaded(store) == recs[:1]
 
     def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
         store, path = self.two_row_store(tmp_path)
@@ -1214,7 +1265,7 @@ class TestRecordStore:
         ], names)
         text = next(tmp_path.glob("*.csv")).read_text()
         assert text.endswith(",NA,nan,-inf\n0,t,c1,knn,g0,0.0,1,,inf,nan,0.25\n")
-        with_na, without = store.load()
+        with_na, without = loaded(store)
         assert with_na.values["A"] is None and with_na.is_flagged_missing
         assert math.isnan(with_na.values["B"]) and with_na.values["C"] == -math.inf
         assert without.values["A"] == math.inf and not without.is_flagged_missing
@@ -1236,7 +1287,7 @@ class TestRecordStore:
     def test_empty_or_torn_to_nothing_file_loads_as_no_rows(self, tmp_path):
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "torn.csv").write_text("# manifest: ca")  # no complete line
-        assert RecordStore(tmp_path, manifest_hash="cafe01").load() == []
+        assert loaded(RecordStore(tmp_path, manifest_hash="cafe01")) == []
 
     def two_blocks(self):
         """Two blocks of rows over two files, each block holding both files' rows."""
@@ -1263,7 +1314,7 @@ class TestRecordStore:
         assert len(files) == 2 and sorted(cuts) == sorted(files * 2)  # one check per file and block
         assert ({p.name: p.read_bytes() for p in (tmp_path / "batched").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "single").glob("*.csv")})
-        assert batched.load() == sorted((r for b in self.two_blocks() for r in b),
+        assert loaded(batched) == sorted((r for b in self.two_blocks() for r in b),
                                         key=lambda r: r.cell_key)
 
     def test_torn_tail_before_a_block_is_cut_once(self, tmp_path, monkeypatch):
@@ -1276,7 +1327,7 @@ class TestRecordStore:
         path = sorted((tmp_path / "store").glob("*.csv"))[0]
         path.write_bytes(path.read_bytes()[:-6])  # the last row of the first block is torn
         assert store._file_for(first[1]) == path
-        assert store.load() == sorted(first[:1] + first[2:], key=lambda r: r.cell_key)
+        assert loaded(store) == sorted(first[:1] + first[2:], key=lambda r: r.cell_key)
         checks = []
         drop = experiments._drop_torn_tail
         monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: checks.append(p.name) or drop(p))
@@ -1297,7 +1348,7 @@ class TestMeanRecords:
             record(repetition=0, values={"AUC": 0.4}),
             record(repetition=1, values={"AUC": 0.6}),
         ]
-        data = collapse(records)
+        data = collapse(columns(records))
         assert data.values.shape == (1, 1, 1)
         assert data.values[0, 0, 0] == 0.5
 
@@ -1306,11 +1357,11 @@ class TestMeanRecords:
             record(repetition=0, values={"AUC": 0.4}, flags=("error:ValueError",)),
             record(repetition=1, values={"AUC": None}),
         ]
-        assert collapse(records).column("AUC")[0, 0] == 0.4
+        assert collapse(columns(records)).column("AUC")[0, 0] == 0.4
 
     def test_value_missing_everywhere_stays_missing(self):
         records = [record(values={"AUC": None}), record(repetition=1, values={"AUC": None})]
-        data = collapse(records)
+        data = collapse(columns(records))
         assert math.isnan(data.column("AUC")[0, 0])
         assert data.present[0, 0]
 
@@ -1319,7 +1370,7 @@ class TestMeanRecords:
             record(grid_index=0, values={"AUC": 0.2}),
             record(grid_index=1, values={"AUC": 0.8}),
         ]
-        data = collapse(records)
+        data = collapse(columns(records))
         assert data.values.shape == (1, 2, 1)
         assert data.values[0, :, 0].tolist() == [0.2, 0.8]
 
@@ -1329,7 +1380,7 @@ class TestMeanRecords:
                    values={"AUC": 0.5, "val:AUC": 0.25}),
             record(table="t", anomaly_class="c1", grid_index=0, values={"AUC": 0.7}),
         ]
-        data = collapse(records)
+        data = collapse(columns(records))
         assert data.benchmarks == ("t-c1", "u-c2")
         assert data.tables == ("t", "u")
         assert data.detectors == ("knn", "lof")
@@ -1341,7 +1392,7 @@ class TestMeanRecords:
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            collapse([])
+            collapse(columns([]))
 
 
 def exactness_records(rng):
@@ -1371,7 +1422,9 @@ class TestCollapseExactness:
     @pytest.mark.parametrize("seed", range(6))
     def test_each_mean_is_np_mean_of_its_present_values_bit_for_bit(self, seed):
         records = exactness_records(np.random.default_rng(seed))
-        data = collapse(records)
+        data = collapse(columns(records))
+        # The columns hold each cell's repetitions in repetition order.
+        records.sort(key=lambda r: r.cell_key)
         means = repetition_means(records)
         assert len(means) == 40 and data.present.sum() == 40
         regrouped = 0  # cells where a left-to-right sum would give other bytes
@@ -1389,7 +1442,7 @@ class TestCollapseExactness:
     def test_stored_nan_is_present_not_missing(self):
         records = [record(repetition=0, values={"A": math.nan, "B": None, "C": -0.0}),
                    record(repetition=1, values={"A": 0.5, "B": 0.25, "C": None})]
-        data = collapse(records)
+        data = collapse(columns(records))
         assert math.isnan(data.column("A")[0, 0]) and data.column("B")[0, 0] == 0.25
         assert data.column("C")[0, 0].tobytes() == np.mean([-0.0]).tobytes()
 
@@ -1420,7 +1473,7 @@ class TestMeanRankTable:
         return out
 
     def test_best_hyperparameter_represents_each_detector(self):
-        table = mean_rank_table(collapse(self.two_bench_records()), ["AUC"])
+        table = mean_rank_table(collapse(columns(self.two_bench_records())), ["AUC"])
         assert table.measures == ("AUC",) and table.detectors == ("knn", "lof")
         np.testing.assert_array_equal(table.mean, [[1.0, 2.0]])
         np.testing.assert_array_equal(table.std, [[0.0, 0.0]])
@@ -1439,7 +1492,7 @@ class TestMeanRankTable:
                         values={"AUC": float(rng.uniform())},
                     )
                 )
-        table = mean_rank_table(collapse(records), ["AUC"])
+        table = mean_rank_table(collapse(columns(records)), ["AUC"])
         # Ranks are conserved: detector means average to (D + 1) / 2.
         assert table.mean.mean() == pytest.approx(2.0, abs=1e-12)
 
@@ -1448,7 +1501,7 @@ class TestMeanRankTable:
             record(grid_index=0, values={"AUC": 0.7}),
             record(grid_index=1, detector="lof", values={"AUC": 0.7}),
         ]
-        table = mean_rank_table(collapse(records), ["AUC"])
+        table = mean_rank_table(collapse(columns(records)), ["AUC"])
         np.testing.assert_array_equal(table.mean, [[1.5, 1.5]])
 
     def test_average_ranks_by_hand(self):
@@ -1468,7 +1521,7 @@ class TestMeanRankTable:
     def test_missing_detector_is_reported(self):
         records = self.two_bench_records()[:-1]  # drop lof on c2
         with pytest.raises(ValueError, match="t-c2/lof"):
-            mean_rank_table(collapse(records), ["AUC"])
+            mean_rank_table(collapse(columns(records)), ["AUC"])
 
     @staticmethod
     def collapsed(values):
@@ -1523,7 +1576,7 @@ class TestMeanRankTable:
             record(contamination=0.05, values={"AUC": 0.5}),
         ]
         with pytest.raises(ValueError, match="contamination"):
-            mean_rank_table(collapse(records), ["AUC"])
+            mean_rank_table(collapse(columns(records)), ["AUC"])
 
 
 # ---------------------------------------------------------------------------
@@ -1582,7 +1635,7 @@ class TestKendallMatrix:
         return out
 
     def test_symmetric_with_unit_diagonal(self):
-        result = kendall_matrix(collapse(self.correlated_records()), measures=("A", "B"))
+        result = kendall_matrix(collapse(columns(self.correlated_records())), measures=("A", "B"))
         np.testing.assert_array_equal(result.matrix, result.matrix.T)
         np.testing.assert_array_equal(np.diag(result.matrix), 1.0)
         assert result.matrix[0, 1] == 1.0  # the two measures agree in order
@@ -1590,7 +1643,8 @@ class TestKendallMatrix:
 
     def test_single_combo_benchmark_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            kendall_matrix(collapse([record(values={"A": 0.5, "B": 0.5})]), measures=("A", "B"))
+            kendall_matrix(collapse(columns([record(values={"A": 0.5, "B": 0.5})])),
+                           measures=("A", "B"))
 
     def test_undefined_benchmarks_are_skipped(self):
         records = self.correlated_records()
@@ -1599,7 +1653,7 @@ class TestKendallMatrix:
             record(grid_index=g, anomaly_class="c3", values={"A": 0.5, "B": float(g)})
             for g in range(2)
         ]
-        result = kendall_matrix(collapse(records), measures=("A", "B"))
+        result = kendall_matrix(collapse(columns(records)), measures=("A", "B"))
         assert result.counts[0, 1] == 2
         assert result.matrix[0, 1] == 1.0
 
@@ -1612,7 +1666,7 @@ class TestKendallMatrix:
 def pair_loss(records, select_on_validation=False) -> float:
     """Entry (S, T) of the loss table: the mean loss of selecting by S, judging by T."""
     table = loss_matrix_table(
-        collapse(records), measures=("S", "T"), select_on_validation=select_on_validation
+        collapse(columns(records)), measures=("S", "T"), select_on_validation=select_on_validation
     )
     return table.matrix[0, 1]
 
@@ -1626,13 +1680,13 @@ class TestLossMatrix:
         ]
 
     def test_hand_value(self):
-        result = loss_matrix_table(collapse(self.records_with_disagreement()), ("S", "T"))
+        result = loss_matrix_table(collapse(columns(self.records_with_disagreement())), ("S", "T"))
         assert result.matrix[0, 1] == pytest.approx((0.8 - 0.2) / 0.8)
         assert result.counts[0, 1] == 1
 
     def test_diagonal_is_zero(self):
         records = self.records_with_disagreement()
-        result = loss_matrix_table(collapse(records), measures=("S", "T"))
+        result = loss_matrix_table(collapse(columns(records)), measures=("S", "T"))
         assert result.measures == ("S", "T")
         np.testing.assert_array_equal(np.diag(result.matrix), 0.0)
 
@@ -1642,7 +1696,7 @@ class TestLossMatrix:
             record(grid_index=g, values={"S": float(rng.uniform()), "T": float(rng.uniform())})
             for g in range(8)
         ]
-        matrix = loss_matrix_table(collapse(records), measures=("S", "T")).matrix
+        matrix = loss_matrix_table(collapse(columns(records)), measures=("S", "T")).matrix
         # Selecting by the target itself is never worse than any other
         # selector, so every column is minimized on the diagonal.
         for j in range(2):
@@ -1686,7 +1740,7 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
             record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
         ]
-        result = multiclass_sensitivity(collapse(records), measures=("M",))
+        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
         assert result.matrix[0, 0] == pytest.approx(8 / 9)
         assert result.n_tables == 1 and result.n_skipped_tables == 0
 
@@ -1697,7 +1751,7 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=0, values={"M": 0.8}),
             record(anomaly_class="c2", grid_index=1, values={"M": 0.2}),
         ]
-        result = multiclass_sensitivity(collapse(records), measures=("M",))
+        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
         assert result.matrix[0, 0] == 0.0
 
     def test_single_class_tables_skipped_and_counted(self):
@@ -1708,12 +1762,12 @@ class TestMulticlassSensitivity:
             record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
             record(table="solo", anomaly_class="only", values={"M": 0.5}),
         ]
-        result = multiclass_sensitivity(collapse(records), measures=("M",))
+        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
         assert result.n_tables == 1 and result.n_skipped_tables == 1
 
     def test_all_single_class_rejected(self):
         with pytest.raises(ValueError, match="two or more"):
-            multiclass_sensitivity(collapse([record(values={"M": 0.5})]), measures=("M",))
+            multiclass_sensitivity(collapse(columns([record(values={"M": 0.5})])), measures=("M",))
 
 
 # ---------------------------------------------------------------------------
@@ -1751,6 +1805,101 @@ def random_records(rng):
     return out
 
 
+STORE_MEASURES = ("AUC", "TPR@0.05", "CVOL@0.05", "val:AUC", "val:TPR@0.05")
+STORE_FLAGS = ("error:ValueError", "thinned-normals@0.05", "thinned-normals@0.2")
+
+
+def store_value(rng):
+    """A measure value: NA, NaN, +-inf, -0.0, or a float of any magnitude."""
+    u = rng.random()
+    if u < 0.3:
+        return [None, math.nan, math.inf, -math.inf, -0.0, 0.5][int(u * 20)]
+    return float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-9, 10))
+
+
+def write_random_store(rng, root):
+    """A store of 3 benchmarks x 4 combos x 2 levels x 3 repetitions, some cells absent.
+
+    Records are appended shuffled, in several calls.  The file of u-v-w's
+    lof rows holds no ``TPR@0.05`` column, so its records lack that measure.
+    Returns the store and its records.
+    """
+    store = RecordStore(root, manifest_hash="feed01")
+    short = tuple(n for n in STORE_MEASURES if n != "TPR@0.05")
+    records = []
+    for table, anomaly_class in (("t", "c1"), ("t", "c2"), ("u-v", "w")):
+        for g, detector in enumerate(("knn", "knn", "lof", "iforest")):
+            names = short if (table, detector) == ("u-v", "lof") else STORE_MEASURES
+            for c in (0.0, 0.05):
+                for rep in range(3):
+                    if rng.random() < 0.15:
+                        continue  # a missing cell
+                    flags = rng.choice(STORE_FLAGS, size=int(rng.integers(0, 3)), replace=False)
+                    records.append(ExperimentRecord(
+                        grid_index=g, table=table, anomaly_class=anomaly_class,
+                        detector=detector, params=f"k={g}", contamination=c, repetition=rep,
+                        values={n: store_value(rng) for n in names}, flags=tuple(flags),
+                    ))
+    rng.shuffle(records)
+    for batch in np.array_split(np.arange(len(records)), 4):
+        chunk = [records[i] for i in batch]
+        for part, names in ((True, short), (False, STORE_MEASURES)):
+            store.append([r for r in chunk if (r.detector == "lof" and r.table == "u-v") == part],
+                         names)
+    return store, records
+
+
+def exact(rows):
+    """Records as comparable tuples: values by ``repr``, so NaN equals NaN and -0.0 differs."""
+    return [(dataclasses.replace(r, values={}), {n: repr(v) for n, v in r.values.items()})
+            for r in rows]
+
+
+class TestStoreRoundTrip:
+    """Loaded columns against the rows appended, through the loop references."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_load_collapse_and_missing_cells_equal_the_loop_references(self, tmp_path, seed):
+        store, records = write_random_store(np.random.default_rng(seed), tmp_path)
+        records.sort(key=lambda r: r.cell_key)
+        seen = {repr(v) for r in records for v in r.values.values()}
+        assert {"None", "nan", "inf", "-inf", "-0.0"} <= seen
+        assert any(len(r.flags) == 2 for r in records)
+        stored = store.load()
+        assert exact(stored_rows(stored)) == exact(records)
+        assert stored.flagged_missing.tolist() == [r.is_flagged_missing for r in records]
+        assert not stored.present[stored.na].any()
+        assert set(stored.measures) == set(STORE_MEASURES)
+
+        cfg = knn_only_config(knn_ks=(1, 3), lof_ks=(5,), iforest_trees=(10,),
+                              contaminations=(0.0, 0.05), repetitions=3)
+        names = ["t-c1", "t-c2", "u-v-w", "x-y"]  # x-y has no rows
+        have = {r.cell_key for r in records}
+        every = set(itertools.product(names, (0.0, 0.05), range(4), range(3)))
+        assert missing_cells(cfg, names, stored) == sorted(every - have)
+
+        for c in (0.0, 0.05):
+            level = [r for r in records if r.contamination == c]
+            # A mean over +inf and -inf is NaN, which numpy signals as invalid.
+            with np.errstate(invalid="ignore"):
+                data = collapse(stored.select(stored.contamination == c))
+                means = repetition_means(level)
+            grids = sorted({r.grid_index for r in level})
+            assert data.benchmarks == tuple(sorted({r.benchmark for r in level}))
+            assert set(data.measures) == {n for r in level for n in r.values}
+            expected = np.full(data.values.shape, np.nan)
+            present = np.zeros(data.present.shape, dtype=bool)
+            for (table, anomaly_class, g), (detector, values) in means.items():
+                i, j = data.benchmarks.index(f"{table}-{anomaly_class}"), grids.index(g)
+                assert data.detectors[j] == detector and data.tables[i] == table
+                present[i, j] = True
+                for name, mean in values.items():
+                    if mean is not None:
+                        expected[i, j, data.measures.index(name)] = mean
+            assert (data.present == present).all()
+            assert np.array_equal(data.values, expected, equal_nan=True)
+
+
 class TestMissingCells:
     def test_cells_a_store_lacks_by_benchmark_name(self):
         cfg = knn_only_config(contaminations=(0.05, 0.0))  # 2 combos, 2 repetitions
@@ -1761,10 +1910,10 @@ class TestMissingCells:
         ]
         records.append(record(table="z", anomaly_class="y"))  # not a listed benchmark
         # Sorted by name, then contamination in config order, combo and repetition.
-        assert missing_cells(cfg, names, records) == [("a-b-c", 0.0, 1, 0)] + [
+        assert missing_cells(cfg, names, columns(records)) == [("a-b-c", 0.0, 1, 0)] + [
             ("b-x", c, g, r) for c in (0.05, 0.0) for g in (0, 1) for r in (0, 1)
         ]
-        assert missing_cells(cfg, [], records) == []
+        assert missing_cells(cfg, [], columns(records)) == []
 
 
 def check_loss_table(data, means, names, select_on_validation):
@@ -1798,7 +1947,8 @@ class TestReductionsMatchLoopReference:
         ]
         for seed in range(25):
             records = random_records(np.random.default_rng(seed))
-            data = collapse(records)
+            data = collapse(columns(records))
+            records.sort(key=lambda r: r.cell_key)  # repetition order, as in the columns
             means = repetition_means(records)
             n_pairs = sum(n * (n - 1) for n in Counter(data.tables).values())
             seen["multiclass_8_pairs"] += n_pairs >= 8
