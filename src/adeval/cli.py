@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -741,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="benchmark cache directory")
     p.add_argument("--minmax", action="store_true",
                    help="scale each feature of each table to [0, 1] first")
-    p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("run", help="execute the detector grid into a record store")
     p.add_argument("--config", help="key = value configuration file")
@@ -752,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes, at least 1 (default: available parallelism); "
                    "never more than there are blocks to run")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("aggregate", help="reduce a record store to summary tables")
     p.add_argument("kind", choices=(*_TABLE_BUILDERS, "rocband"))
@@ -772,12 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, default=None,
                    help="rocband only: resplit count (default 100)")
     _add_detector_flags(p, required=False)
-    p.set_defaults(func=cmd_aggregate)
 
-    for name, func, extra in (
-        ("volume", cmd_volume, True),
-        ("scores", cmd_scores, False),
-    ):
+    for name, extra in (("volume", True), ("scores", False)):
         p = sub.add_parser(
             name,
             help="one-off decision-volume estimate for one split"
@@ -798,15 +793,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=100_000)
         p.add_argument("--out", help="write delimited output here instead of stdout"
                        if not extra else "also write the estimate to this file")
-        p.set_defaults(func=func)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call in a process and kept.
+
+    A parse leaves no state in the tree, so in-process callers that run
+    many commands build it once; an ``adeval`` process builds it once
+    either way.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The command is looked up by name at call time, so a wrapper or patch
+    # set on this module after the tree was built is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

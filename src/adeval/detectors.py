@@ -43,11 +43,14 @@ the training set, so a forest of n trees is the n-tree prefix of a larger
 forest of the same seed;
 :func:`forest_scores` scores one forest or all of its prefixes in one
 pass over the trees, each level of a descent updating one node array in
-place.  Forest growth works in batches of at most ``_BLOCK_ELEMENTS``
-elements (trees x subsample points x dimensions, or trees x training
-points), and a descent in tiles of at most ``_DESCENT_TILE`` (trees x
-queries) elements, so a tile holds every tree for a small test fold and a
-few trees for a large volume sample.  The root level of a tile compares one
+place from bounds-checked ``take`` gathers, and each tree adding its row
+of path lengths over c(psi) (divided once per call) to a running total, so
+a prefix is read off when the count reaches its trees.  Forest growth
+works in batches of at most ``_BLOCK_ELEMENTS`` elements (trees x
+subsample points x dimensions, or trees x training points), and a descent
+in tiles of at most ``_DESCENT_TILE`` (trees x queries) elements, so a
+tile holds every tree for a small test fold and a few trees for a large
+volume sample.  The root level of a tile compares one
 gathered row of the transposed queries per tree with the tree's root
 threshold; only the levels below gather per element.  Query chunks, LOF
 fit blocks and growth batches share the one budget ``_BLOCK_ELEMENTS``
@@ -861,13 +864,15 @@ def forest_scores(
     temporary beyond its three gathers (split column, coordinate,
     threshold): the column indices are offset in place, the comparison
     writes the root level's mask and the node array is updated in place.
-    Fancy indexing keeps its bounds check.  The path length found at depth
-    ``height_limit`` over c(psi) is added to the query's running total one
-    tree at a time, in tree order; a model's row,
-    ``2 ** (-total / n_trees)``, is read off at its tree count.  A tiling
-    therefore gives the same scores, bit for bit, as a walk over single
-    trees, and a forest scores the same alone or as a prefix of a larger
-    one (:meth:`IsolationForestModel.prefix`).  Averaging h/c(psi) rather
+    Every gather below the root level is an ``ndarray.take``, which keeps
+    its bounds check.  The forest's path table is divided by c(psi) once
+    per call, and the step found at depth ``height_limit`` is added to the
+    query's running total one tree at a time, in tree order, one row of the
+    tile per tree; a model's row, ``2 ** (-total / n_trees)``, is read off
+    when the count reaches its ``n_trees``.  A tiling therefore gives the
+    same scores, bit for bit, as a walk over single trees, and a forest
+    scores the same alone or as a prefix of a larger one
+    (:meth:`IsolationForestModel.prefix`).  Averaging h/c(psi) rather
     than normalizing the averaged depth is algebraically the same, but a
     forest of pure leaves then yields exponent -1 and score 0.5 without
     rounding.
@@ -887,10 +892,9 @@ def forest_scores(
     coords = queries.ravel()
     coords_t = np.ascontiguousarray(queries.T)
     n_heap = forest.feature.shape[1]
-    feature, threshold, path = (
-        getattr(forest, a).ravel() for a in ("feature", "threshold", "path")
-    )
-    norm = _avg_path_length(forest.subsample)
+    feature, threshold = forest.feature.ravel(), forest.threshold.ravel()
+    # Each node's path length over c(psi): the step a tree adds to a total.
+    steps = forest.path.ravel() / _avg_path_length(forest.subsample)
     readout: dict[int, list[int]] = {}
     for row, m in enumerate(models):
         readout.setdefault(m.n_trees, []).append(row)
@@ -914,19 +918,16 @@ def forest_scores(
             node = root + 2 - below
             for _ in range(forest.height_limit - 1):
                 # At a leaf, feature -1 reads some coordinate, and none lies below -inf.
-                idx = feature[node]
+                idx = feature.take(node)
                 idx += row_start
-                np.less(coords[idx], threshold[node], out=below)
+                np.less(coords.take(idx), threshold.take(node), out=below)
                 node *= 2
                 node += shift
                 node -= below
-            # Row i becomes the total after tree top + i: cumsum adds one tree
-            # at a time, in tree order, as a walk over single trees does.
-            step = path[node] / norm
-            step[0] += total
-            totals = np.cumsum(step, axis=0)
-            total = totals[-1]
-            for n_trees, rows in readout.items():
-                if top < n_trees <= stop:
-                    out[rows, cols] = np.power(2.0, -totals[n_trees - top - 1] / n_trees)
+            # One tree at a time, in tree order, as a walk over single trees
+            # adds; a model's row is read off when the count reaches its trees.
+            for n_trees, step in enumerate(steps.take(node), start=top + 1):
+                total += step
+                if n_trees in readout:
+                    out[readout[n_trees], cols] = np.power(2.0, -total / n_trees)
     return out

@@ -1293,18 +1293,96 @@ class TestOneOffs:
         assert "(tables: tab0, tab1, zz)" in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported where cdist is first called, so commands that fit
-    # no neighbour model never pay for it.
+class TestParserReuse:
+    """``main`` builds the argparse tree once per process and runs ``cmd_<command>`` by name."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts ``build_parser`` calls from a cleared parser cache on."""
+        cli._parser.cache_clear()
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_many_calls_build_the_tree_once(self, builds, study, tmp_path, capsys):
+        outputs = []
+        for _ in range(3):
+            assert main(["aggregate", "rank", str(study.run), "--out", str(tmp_path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert main(["aggregate", "rank", str(tmp_path / "absent")]) == 2
+        assert main(["prepare", str(tmp_path / "absent"), str(tmp_path / "cache")]) == 2
+        assert len(builds) == 1
+        assert outputs[0] == outputs[1] == outputs[2] != ""
+
+    def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
+        self, builds, study, tmp_path, monkeypatch, capsys
+    ):
+        assert main(["aggregate", "rank", str(study.run), "--out", str(tmp_path)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_aggregate", lambda args: seen.append(args) or 7)
+        assert main(["aggregate", "kendall", str(study.run)]) == 7
+        assert [(args.command, args.kind) for args in seen] == [("aggregate", "kendall")]
+        assert len(builds) == 1
+
+    def test_repeatable_flags_do_not_leak_between_calls(self, builds, monkeypatch):
+        seen = []
+        for command in ("cmd_run", "cmd_aggregate"):
+            monkeypatch.setattr(cli, command, lambda args: seen.append(args) or 0)
+        calls = [
+            ["run", "--set", "repetitions=1", "--set", "master_seed=2"],
+            ["run", "--set", "knn_ks=3"],
+            ["run"],
+            ["aggregate", "rank", "r", "--measure", "AUC", "--measure", "TPR@0.05"],
+            ["aggregate", "rank", "r", "--measure", "AUC,F1@0.05"],
+            ["aggregate", "loss", "r"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert [args.set for args in seen[:3]] == [
+            ["repetitions=1", "master_seed=2"], ["knn_ks=3"], None]
+        assert [args.measure for args in seen[3:]] == [
+            ["AUC", "TPR@0.05"], ["AUC,F1@0.05"], None]
+        # Each call's namespace holds its own subcommand's flags only.
+        assert "measure" not in vars(seen[2]) and "set" not in vars(seen[5])
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["aggregate", "bogus", "r"], ["run", "--workers", "two"], [],
+    ], ids=["version", "unknown-kind", "bad-int", "no-command"])
+    def test_a_call_that_exits_in_argparse_leaves_the_tree_working(
+        self, argv, builds, study, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert main(["aggregate", "rank", str(study.run), "--out", str(tmp_path)]) == 0
+        assert "wrote tables under" in capsys.readouterr().out
+        assert len(builds) == 1
+
+
+def fresh_import(code):
+    """Standard output of ``code`` run by a new Python with ``src`` on its path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = (
-        "import adeval.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_builds_no_parser():
+    assert fresh_import("import adeval.cli as cli; print(cli._parser.cache_info().currsize)") == "0"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where cdist is first called, so commands that fit
+    # no neighbour model never pay for it.
+    code = (
+        "import adeval.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_import(code) == "[]"

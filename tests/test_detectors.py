@@ -844,6 +844,31 @@ class TestIsolationForest:
             for row, m in zip(rows, models):
                 assert np.array_equal(row, forest_reference(m, queries)), (n, m.n_trees)
 
+    @pytest.mark.parametrize("trees_per_tile", [1, 5, 37], ids=["one-tree", "five-trees", "all-trees"])
+    def test_every_prefix_is_read_off_at_its_tree_count(self, trees_per_tile, monkeypatch):
+        """All 37 prefixes of a 37-tree forest, shuffled, two given twice, equal the walk.
+
+        With tiles of 6 queries times ``trees_per_tile`` trees, 6 queries fill
+        a tile exactly, 5 and 7 tile the trees one step more or less finely,
+        and one query past the tile spills into a second chunk of one-tree
+        tiles.  Five does not divide 37, so the last tile is short.
+        """
+        rng = np.random.default_rng(37)
+        model = iforest_fit(rng.normal(size=(40, 3)), n_trees=37, subsample=16, seed=3)
+        counts = [*range(1, 38), 5, 37]
+        rng.shuffle(counts)
+        models = [model.prefix(t) for t in counts]
+        width = 6
+        monkeypatch.setattr(detectors, "_DESCENT_TILE", trees_per_tile * width)
+        for n in (width - 1, width, width + 1, trees_per_tile * width + 1):
+            queries = rng.normal(scale=2.0, size=(n, 3))
+            queries[0] = np.nan
+            queries[1] = [np.inf, -np.inf, 0.0]
+            queries[2] = -np.inf if n % 2 else np.inf
+            rows = forest_scores(models, queries)
+            for row, m in zip(rows, models):
+                assert row.tobytes() == forest_reference(m, queries).tobytes(), (n, m.n_trees)
+
     @pytest.mark.parametrize("subsample", [2, 8], ids=["height-1", "height-3"])
     def test_root_level_equals_per_tree_walk(self, subsample):
         """The root level's row gather descends leaf roots and split roots as the walk does.
