@@ -36,11 +36,11 @@ from adeval.curves import check_labels
 from adeval.datasets import (
     BenchmarkDataset,
     TrainTestSplit,
+    _parse_raw_table,
     _safe_name,
     load_tables,
     minmax_scaled_table,
     prepare_table,
-    read_raw_table,
     split,
     table_files,
     write_raw_table,
@@ -315,6 +315,16 @@ def _find_benchmark(
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
+    """Prepare each raw table ``<input>/*.csv`` into ``<output>/<table>.csv``.
+
+    Each input file is read once, as text, and parsed as
+    :func:`read_raw_table` parses it; every table is parsed before any
+    file is written, so a malformed one writes nothing.  A cache file
+    holds its input's own text, so feature names, comments and number
+    forms are kept; with ``--minmax`` it holds the scaled table as
+    :func:`write_raw_table` writes it.  A cache file already present is
+    left as it is.
+    """
     input_dir = Path(args.input)
     output_dir = Path(args.output)
     paths = sorted(input_dir.glob("*.csv"))
@@ -323,24 +333,31 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if output_dir.resolve() == input_dir.resolve():
         raise CliError(f"the benchmark cache {output_dir} is the input directory; "
                        "prepare into another one")
-    tables = [read_raw_table(p) for p in paths]  # abort before any write
+    texts, tables = [], []
+    for path in paths:  # every table is parsed before any write
+        with open(path, newline="") as handle:
+            texts.append(handle.read())
+        tables.append(_parse_raw_table(path, texts[-1]))
     if args.minmax:
         tables = [minmax_scaled_table(t) for t in tables]
-    prepared = {}  # cache file -> (input file name, table, its benchmarks)
-    for path, table in zip(paths, tables):
+    prepared = {}  # cache file -> (input file name, table, its text, its benchmarks)
+    for path, table, text in zip(paths, tables, texts):
         benches = prepare_table(table).benchmarks()
         target = output_dir / f"{benches[0].table}.csv"
-        other = prepared.setdefault(target, (path.name, table, benches))[0]
+        other = prepared.setdefault(target, (path.name, table, text, benches))[0]
         if other != path.name:
             raise CliError(f"tables {other} and {path.name} both prepare into {target}; "
                            "rename one")
     written = present = 0
-    for target, (_, table, benches) in prepared.items():
+    for target, (_, table, text, benches) in prepared.items():
         if target.is_file():
             present += len(benches)
             continue
         output_dir.mkdir(parents=True, exist_ok=True)
-        write_raw_table(table, target)
+        if args.minmax:
+            write_raw_table(table, target)
+        else:
+            target.write_text(text, newline="")
         written += len(benches)
         for bench in benches:
             print(

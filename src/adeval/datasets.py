@@ -6,9 +6,16 @@ benchmark whose anomalies are that class alone.  A :class:`PreparedTable`
 holds the normal array and the anomaly classes, and its K - 1 benchmarks
 are views of it that hold the one normal array.
 
+A raw table is delimited text (:func:`read_raw_table`): a header whose
+last column is ``class``, then one row per point; blank rows and ``#``
+comment rows are skipped.  Every feature field is parsed in one flat
+pass, and a malformed or non-finite field is named by its file and line.
+
 The benchmark cache is a directory of prepared tables, one ``<table>.csv``
-each in the raw-table format (:func:`write_raw_table`), read back by
-:func:`load_tables`, so the cache stores a table's normal class once.
+each in the raw-table format, read back by :func:`load_tables`, so the
+cache stores a table's normal class once.  ``adeval prepare`` writes a
+cache file as its input's own text, or with ``--minmax`` the scaled
+table as :func:`write_raw_table` writes it.
 
 Splits are derived from (master seed, table name, repetition index) only:
 every detector and hyperparameter setting sees exactly the same folds,
@@ -20,8 +27,11 @@ contamination rate; everything else goes to the test fold.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -50,7 +60,7 @@ class RawTable:
         classes = tuple(str(c) for c in self.classes)
         if not self.name:
             raise ValueError("table name must be nonempty")
-        if features.ndim != 2 or features.shape[0] < 1:
+        if features.ndim != 2 or 0 in features.shape:
             raise ValueError("features must form a nonempty (n, d) array")
         if not np.isfinite(features).all():
             raise ValueError(f"table {self.name!r} contains non-finite values")
@@ -343,56 +353,118 @@ def minmax_scaled_table(table: RawTable) -> RawTable:
 
 
 def write_raw_table(table: RawTable, path: str | Path) -> None:
-    """Write a table as delimited text: feature columns, then ``class``."""
+    """Write a table as delimited text: feature columns, then ``class``.
+
+    The text is what ``csv.writer`` makes of a header ``f0, ..., class``
+    and one row per point of each feature's ``repr`` and its class.  A
+    finite float's ``repr`` never needs quoting, so each row's features
+    are joined in one flat pass, and ``csv`` writes each distinct class
+    field once.
+    """
     dim = table.features.shape[1]
+    ends = {c: _csv_line(["", c]) for c in set(table.classes)}  # "," + class field + line end
+    fields = map(repr, table.features.ravel().tolist())
+    rows = map(",".join, zip(*[fields] * dim))  # dim fields at a time
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["class"])
-        for row, cls in zip(table.features, table.classes):
-            writer.writerow([repr(v) for v in row.tolist()] + [cls])
+        handle.write(_csv_line([f"f{i}" for i in range(dim)] + ["class"]))
+        handle.writelines(map(str.__add__, rows, map(ends.__getitem__, table.classes)))
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One row as ``csv.writer`` writes it, line end included."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
 
 
 def read_raw_table(path: str | Path) -> RawTable:
     """Read a delimited table whose final column is ``class``, named after its file stem.
 
+    The file is read once, as text, and parsed by :func:`_parse_raw_table`.
+
     Raises
     ------
     ValueError
-        On a missing/misplaced class column or any malformed row; messages
-        carry the offending line number.
+        On a missing/misplaced class column, an empty table or a malformed
+        row: a row of the wrong width, a feature that does not parse or is
+        not finite (``nan``, ``inf``, ``1e400``), or an empty class field.
+        A row's message names the file and the line of the first fault.
     """
     path = Path(path)
+    with open(path, newline="") as handle:
+        return _parse_raw_table(path, handle.read())
+
+
+def _parse_raw_table(path: Path, text: str) -> RawTable:
+    """The table that ``text``, the contents of the file ``path``, holds (:func:`read_raw_table`).
+
+    The data rows are checked and every feature field is parsed from one
+    flat list, in one ``float`` pass (:func:`_flat_features`).  If some row
+    is at fault, the rows are parsed again one by one
+    (:func:`_row_features`), which raises ``ValueError`` naming the first
+    fault's line.
+    """
+    data = data_rows(io.StringIO(text, newline=""))
+    first = next(data, None)
+    header = None if first is None else first[1]
+    if header is None or len(header) < 2 or header[-1].strip() != "class":
+        raise ValueError(f"{path}: expected a header ending in a class column")
+    width = len(header) - 1
+    lines = list(data)
+    if not lines:
+        raise ValueError(f"{path}: table has no data rows")
+    features, classes = _flat_features(lines, width) or _row_features(path, lines, width)
+    return RawTable(name=path.stem, features=features, classes=classes)
+
+
+def _flat_features(
+    lines: list[tuple[int, list[str]]], width: int
+) -> tuple[NDArray[np.float64], tuple[str, ...]] | None:
+    """The (rows, ``width``) features and the labels of ``lines``; None if some row is at fault."""
+    if any(len(row) != width + 1 for _, row in lines):
+        return None
+    classes = tuple([row[-1].strip() for _, row in lines])
+    try:
+        flat = np.fromiter(map(float, chain.from_iterable(row[:-1] for _, row in lines)),
+                           np.float64, len(lines) * width)
+    except ValueError:
+        return None
+    if not all(classes) or not np.isfinite(flat).all():
+        return None
+    return flat.reshape(len(lines), width), classes
+
+
+def _row_features(
+    path: Path, lines: list[tuple[int, list[str]]], width: int
+) -> tuple[NDArray[np.float64], tuple[str, ...]]:
+    """:func:`_flat_features` one row at a time, raising ``ValueError`` at the first fault."""
     rows: list[list[float]] = []
     classes: list[str] = []
-    with open(path, newline="") as handle:
-        data = data_rows(handle)
-        first = next(data, None)
-        header = None if first is None else first[1]
-        if header is None or len(header) < 2 or header[-1].strip() != "class":
-            raise ValueError(f"{path}: expected a header ending in a class column")
-        width = len(header) - 1
-        for lineno, row in data:
-            if len(row) != width + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width + 1} fields, got {len(row)}"
-                )
+    for lineno, row in lines:
+        if len(row) != width + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width + 1} fields, got {len(row)}"
+            )
+        values = []
+        for field in row[:-1]:
             try:
-                rows.append([float(v) for v in row[:-1]])
+                values.append(float(field))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            label = row[-1].strip()
-            if not label:
-                raise ValueError(f"{path}: line {lineno}: empty class field")
-            classes.append(label)
-    if not rows:
-        raise ValueError(f"{path}: table has no data rows")
-    return RawTable(name=path.stem, features=np.array(rows), classes=tuple(classes))
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}: line {lineno}: non-finite value {field!r}")
+        rows.append(values)
+        label = row[-1].strip()
+        if not label:
+            raise ValueError(f"{path}: line {lineno}: empty class field")
+        classes.append(label)
+    return np.array(rows), tuple(classes)
 
 
 def load_tables(root: str | Path, only: Sequence[str] | None = None) -> list[PreparedTable]:
     """The prepared tables ``<table>.csv`` under ``root``, sorted by name.
 
-    Each file is a table as :func:`write_raw_table` writes it, prepared by
+    Each file is a raw table (:func:`read_raw_table`), prepared by
     :func:`prepare_table`.  With ``only``, keep the benchmarks whose table
     or full name it lists: a table keeps only those classes, a table left
     with none is dropped, and only the files that can hold one are read.

@@ -889,18 +889,18 @@ def _run_repetition(
     (:func:`neighbour_scores`), and the forest prefixes of each subsample
     in one group that one pass over the trees scores
     (:func:`forest_scores`).  Each scorer scores the block's test points,
-    the shared test normals and then each benchmark's test anomalies, and
-    then the volume sample.  The rows of every scorer that succeeded are
-    stacked into one (combo x point) matrix of test scores and one of
-    volume scores.  Each benchmark takes its columns (the shared normals
-    and its own anomalies, which is its test fold in split order) and
-    evaluates its cells once (:func:`_evaluate_cells`), part by part of
-    its test fold as the planner :meth:`GridConfig.parts` cuts it.  Every
-    measure is row-wise and the precision@p draws depend only on the labels
-    and the benchmark's seed, and a point's score does not depend on the
-    other points scored with it, so a cell's values depend neither on
-    which benchmarks share the block nor on which scorers share its
-    evaluation.
+    the shared test normals and then each benchmark's test anomalies,
+    followed by the volume sample, in one call.  The rows of every scorer
+    that succeeded are stacked into one (combo x point) matrix, cut into
+    its test scores and its volume scores.  Each benchmark takes its
+    columns (the shared normals and its own anomalies, which is its test
+    fold in split order) and evaluates its cells once
+    (:func:`_evaluate_cells`), part by part of its test fold as the
+    planner :meth:`GridConfig.parts` cuts it.  Every measure is row-wise
+    and the precision@p draws depend only on the labels and the
+    benchmark's seed, and a point's score does not depend on the other
+    points scored with it, so a cell's values depend neither on which
+    benchmarks share the block nor on which scorers share its evaluation.
 
     A failure leaves missing every value of the cells it reaches that is
     not yet evaluated and flags them ``error:<exception type>``: a failed
@@ -954,21 +954,19 @@ def _run_repetition(
                 key = ((forest_scores, combo.param("subsample")) if combo.detector == "iforest"
                        else (neighbour_scores, None))
                 groups.setdefault(key, []).append(r)
+        points = np.concatenate([tests, volume])
         fitted: list[int] = []
-        test_parts, volume_parts = [], []
+        parts = []
         for (score, _), rows in groups.items():
-            group_models = [models[r] for r in rows]
             try:
-                test_part = score(group_models, tests)
-                volume_part = score(group_models, volume)
+                parts.append(score([models[r] for r in rows], points))
             except _CELL_ERRORS as exc:
                 fail(folds, rows, exc)
                 continue
             fitted += rows
-            test_parts.append(test_part)
-            volume_parts.append(volume_part)
         if fitted:
-            test_scores, volume_scores = np.vstack(test_parts), np.vstack(volume_parts)
+            scores = np.vstack(parts)
+            test_scores, volume_scores = scores[:, : len(tests)], scores[:, len(tests) :]
             for (i, fold), start, stop in zip(folds.items(), ends, ends[1:]):
                 prec_seed = derive_seed(cfg.master_seed, "precision", benches[i].name, repetition)
                 evaluated = _evaluate_cells(

@@ -7,11 +7,68 @@ so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
+
+
+def raw_table_reference(path):
+    """A raw table read row by row with ``csv``: ``(features, classes)``.
+
+    Blank rows and rows whose first field starts with ``#`` are skipped.
+    Raises ``ValueError`` with the message of the first fault in line
+    order, naming the file and the physical line its row ends on: the
+    header, a row's width, then each feature field in turn (one that does
+    not parse, or is not finite), then its class field.
+    """
+    path = Path(path)
+    header, rows, classes = None, [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = row
+                if len(header) < 2 or header[-1].strip() != "class":
+                    raise ValueError(f"{path}: expected a header ending in a class column")
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            values = []
+            for field in row[:-1]:
+                try:
+                    values.append(float(field))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{where}: non-finite value {field!r}")
+            if not row[-1].strip():
+                raise ValueError(f"{where}: empty class field")
+            rows.append(values)
+            classes.append(row[-1].strip())
+    if header is None:
+        raise ValueError(f"{path}: expected a header ending in a class column")
+    if not rows:
+        raise ValueError(f"{path}: table has no data rows")
+    return np.array(rows, dtype=np.float64), tuple(classes)
+
+
+def raw_table_text_reference(features, classes):
+    """A table's text as ``csv.writer`` writes it row by row: ``f0, ..., class``,
+    then each point's features as their ``repr`` and its class."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([f"f{i}" for i in range(np.shape(features)[1])] + ["class"])
+    for row, cls in zip(np.asarray(features).tolist(), classes):
+        writer.writerow([repr(v) for v in row] + [cls])
+    return out.getvalue()
 
 
 def pairwise_auc(labels, scores) -> float:

@@ -156,6 +156,49 @@ class TestPrepare:
             assert b.anomaly.tobytes() == m.anomaly.tobytes()
         assert back[0].normal is back[1].normal and back[2].normal is back[3].normal
 
+    def test_cache_file_is_the_input_text(self, tmp_path):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        text = ('# source: survey, 2019\r\nwidth (cm), height ,class\r\n 1e-3,1_0,n\r\n'
+                '+.5,-0,n\r\n\r\n2.50,3,"a, b"\r\n')
+        (raw / "t.csv").write_bytes(text.encode())
+        assert main(["prepare", str(raw), str(tmp_path / "cache")]) == 0
+        assert (tmp_path / "cache" / "t.csv").read_bytes() == text.encode()
+        (bench,) = load_tables(tmp_path / "cache")[0].benchmarks()
+        assert bench.name == "t-a__b"
+        assert bench.normal.tobytes() == np.array([[1e-3, 10.0], [0.5, -0.0]]).tobytes()
+
+    def test_minmax_cache_is_the_written_scaled_table(self, tmp_path):
+        write_tables(tmp_path / "raw", n_tables=1)
+        (tmp_path / "raw" / "tab0.csv").write_text(
+            "# c\n" + (tmp_path / "raw" / "tab0.csv").read_text())
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache"), "--minmax"]) == 0
+        write_raw_table(minmax_scaled_table(read_raw_table(tmp_path / "raw" / "tab0.csv")),
+                        tmp_path / "want.csv")
+        assert (tmp_path / "cache" / "tab0.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    def test_each_input_file_is_opened_once(self, tmp_path, monkeypatch):
+        write_tables(tmp_path / "raw", n_tables=2)
+        raw = (tmp_path / "raw").resolve()
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file).resolve().parent == raw:
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 0
+        assert sorted(opened) == ["tab0.csv", "tab1.csv"]
+
+    def test_non_finite_value_aborts_with_line_number(self, tmp_path, capsys):
+        write_tables(tmp_path / "raw", n_tables=1)
+        (tmp_path / "raw" / "t.csv").write_text("f0,class\n1.0,n\n1e400,n\n3.0,a\n")
+        assert main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")]) == 2
+        assert "t.csv: line 3: non-finite value '1e400'" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_rerun_reports_up_to_date(self, tmp_path, capsys):
         write_tables(tmp_path / "raw", n_tables=1)
         main(["prepare", str(tmp_path / "raw"), str(tmp_path / "cache")])

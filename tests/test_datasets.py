@@ -1,5 +1,11 @@
+import csv
+import io
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adeval import datasets
 from adeval.datasets import (
@@ -16,6 +22,7 @@ from adeval.datasets import (
     synth_multiclass_table,
     write_raw_table,
 )
+from _oracles import raw_table_reference, raw_table_text_reference
 
 
 def three_class_table(sizes=(50, 20, 10), seed=0):
@@ -33,6 +40,8 @@ class TestRawTable:
             RawTable(name="", features=np.zeros((2, 2)), classes=("a", "b"))
         with pytest.raises(ValueError):
             RawTable(name="t", features=np.zeros((2,)), classes=("a", "b"))
+        with pytest.raises(ValueError, match=r"nonempty \(n, d\)"):
+            RawTable(name="t", features=np.zeros((2, 0)), classes=("a", "b"))
         with pytest.raises(ValueError):
             RawTable(
                 name="t", features=np.array([[np.nan, 0.0]]), classes=("a",)
@@ -288,6 +297,13 @@ class TestTableIo:
         with pytest.raises(ValueError, match="line 5:"):
             read_raw_table(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", " -Infinity", "1e400"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f0,f1,class\n1.0,2.0,a\n3.0,{field},b\n4.0,oops,b\n")
+        with pytest.raises(ValueError, match=rf"t\.csv: line 3: non-finite value {field!r}$"):
+            read_raw_table(path)
+
     def test_missing_class_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
@@ -299,6 +315,109 @@ class TestTableIo:
         path.write_text("f0,class\n")
         with pytest.raises(ValueError, match="no data"):
             read_raw_table(path)
+
+
+NUMBER_FORMS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300).map(repr),
+    st.floats(min_value=-1e300, max_value=1e300).map("{:.3e}".format),
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.sampled_from([" 1e-3", "1_0", "+.5", "-0", "0.0 ", "\t2.5", "-1E+2", "7.", "-.0"]),
+)
+LABELS = st.sampled_from(["n", "a", " b ", "x,y", 'say "hi"', "two\nlines", "#c"])
+FAULTS = ("short", "bad float", "empty label", "non-finite")
+
+
+@st.composite
+def raw_table_files(draw):
+    """(header, rows, comment/blank lines as (position, text), line end) of a well-formed table."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    names = st.sampled_from(["f0", "x y", "a,b", " g ", 'h"q'])
+    header = draw(st.lists(names, min_size=width, max_size=width))
+    header.append(draw(st.sampled_from(["class", " class", "class "])))
+    features = st.lists(NUMBER_FORMS, min_size=width, max_size=width)
+    rows = draw(st.lists(st.builds(lambda f, c: f + [c], features, LABELS),
+                         min_size=1, max_size=10))
+    extras = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=len(rows) + 1),
+                                     st.sampled_from(["", "# note", "#a,b,c", "  # x"])),
+                           max_size=4))
+    return header, rows, extras, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def render_table(header, rows, extras, ending):
+    """The text of a table: csv-quoted rows and, at their positions, raw comment/blank lines."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=ending).writerow(row)
+        lines.append(buf.getvalue())
+    for position, text in sorted(extras, reverse=True):
+        lines.insert(position, text + ending)
+    return "".join(lines)
+
+
+def read_outcome(read, path):
+    """``read(path)``'s (features bytes, shape, classes), or its ``ValueError`` message."""
+    try:
+        features, classes = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return features.tobytes(), features.shape, classes
+
+
+def read_table(path):
+    table = read_raw_table(path)
+    assert table.name == path.stem
+    return table.features, table.classes
+
+
+@given(table=raw_table_files(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reader_equals_the_row_by_row_reference(tmp_path_factory, table, data):
+    """Well-formed tables read as the reference reads them, and each injected fault,
+    alone or beside a second one, raises the reference's message: the same file and
+    first line."""
+    path = tmp_path_factory.mktemp("tables") / "t.csv"
+    header, rows, extras, ending = table
+    path.write_text(render_table(header, rows, extras, ending), newline="")
+    want = read_outcome(raw_table_reference, path)
+    assert not isinstance(want, str), want
+    assert read_outcome(read_table, path) == want
+    width = len(header) - 1
+    for faults in [(f,) for f in FAULTS] + list(combinations_with_replacement(FAULTS, 2)):
+        broken = [list(row) for row in rows]
+        for fault in faults:
+            i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1), label=fault)
+            j = data.draw(st.integers(min_value=0, max_value=width - 1), label="field")
+            if fault == "short":
+                del broken[i][-2:-1]  # a row of one field is short already
+            elif fault == "empty label":
+                broken[i][-1] = data.draw(st.sampled_from(["", "  ", "\t"]))
+            elif j < len(broken[i]) - 1:
+                forms = (["oops", "1.0.0", "", "0x10", "1,5"] if fault == "bad float"
+                         else ["nan", "inf", "-Infinity", "1e400", " NaN"])
+                broken[i][j] = data.draw(st.sampled_from(forms))
+        path.write_text(render_table(header, broken, extras, ending), newline="")
+        want = read_outcome(raw_table_reference, path)
+        # Only a short row can vanish: one field starting with "#" is a comment.
+        assert isinstance(want, str) or "short" in faults, faults
+        assert read_outcome(read_table, path) == want, faults
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(lambda dim: st.lists(
+        st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=dim, max_size=dim),
+                  st.sampled_from(["n", "", " b ", "x,y", 'say "hi"', "two\nlines", "cr\r",
+                                   "#c", "é"])),
+        min_size=1, max_size=8)),
+)
+@settings(max_examples=60, deadline=None)
+def test_written_text_is_the_csv_writer_text(tmp_path_factory, rows):
+    table = RawTable("t", np.array([f for f, _ in rows]), tuple(c for _, c in rows))
+    path = tmp_path_factory.mktemp("written") / "t.csv"
+    write_raw_table(table, path)
+    with open(path, newline="") as handle:
+        assert handle.read() == raw_table_text_reference(table.features, table.classes)
 
 
 def labelled_table(name, counts):

@@ -572,12 +572,13 @@ class TestRunCell:
             repetitions=1,
         )
         fold = split(table.benchmarks()[0], SplitSpec(seed=cfg.master_seed))
-        # Queries per chunk at this training fold's size: the test fold fits
-        # in one chunk, and a volume sample of 100 more points takes two.
+        # Queries per chunk at this training fold's size: the test fold and
+        # the volume sample, scored in one call, fill one chunk and 100
+        # points of a second.
         step = min(_CHUNK, detectors._BLOCK_ELEMENTS // len(fold.train))
         n_test = len(fold.test_labels)
         assert n_test <= step
-        cfg = dataclasses.replace(cfg, volume_samples=step + 100)
+        cfg = dataclasses.replace(cfg, volume_samples=step + 100 - n_test)
         calls = {"split": 0, "uniform_sample": 0}
         distances = []
 
@@ -600,9 +601,8 @@ class TestRunCell:
         summary = run_grid(cfg, [table], store)
         assert summary.n_new == 27 and summary.n_flagged == 0
         assert calls == {"split": 1, "uniform_sample": 1}
-        # One query-train distance matrix per query chunk: the test fold is
-        # one chunk, the volume sample two.
-        assert distances == [n_test, step, 100]
+        # One query-train distance matrix per query chunk of the one call.
+        assert distances == [step, 100]
 
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
@@ -634,7 +634,7 @@ class TestRunCell:
 
         def nan_in_one_row(models, x):
             out = score(models, x)
-            if len(x) == n_test:
+            if len(x) == n_test + cfg.volume_samples:  # the test fold, then the volume sample
                 out[bad, column] = np.nan
             return out
 
@@ -918,8 +918,9 @@ class TestSharedVolumeAndScoring:
         distinct = np.unique(np.concatenate([fold.test for fold in folds]), axis=0)
         volume = sample(*draws[0])
         for family, calls in scored.items():
-            # One scoring pass of the test points, then one of the volume sample.
-            tests, points = calls
+            # One scoring pass of the test points followed by the volume sample.
+            (scored_points,) = calls
+            tests, points = scored_points[:n_test], scored_points[n_test:]
             assert len(tests) == n_test == len(distinct), family
             assert np.array_equal(np.unique(tests, axis=0), distinct), family
             assert np.array_equal(points, volume), family
