@@ -47,7 +47,6 @@ from adeval.datasets import (
 )
 from adeval.experiments import (
     Combo,
-    ExperimentRecord,
     GridConfig,
     MeasureId,
     MeasurePairs,

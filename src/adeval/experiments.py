@@ -10,9 +10,11 @@ normals, and every benchmark whose training fold has no injected anomaly
 shares one fit: at contamination 0 the table trains once.  Each model
 scores the shared test normals once, and each benchmark's cells of a block
 are evaluated together, from one score matrix per benchmark and block.
-Each block's records land, as soon as it and every block before it are
-done, in a resumable delimited-text store, one file per (benchmark,
-detector), which loads as columns (:class:`StoredCells`), one row per cell.
+Cells are columns from the block to the store file: each block returns
+its cells as :class:`StoredCells`, one row per cell, which land, as soon
+as the block and every block before it are done, in a resumable
+delimited-text store, one file per (benchmark, detector), which loads as
+:class:`StoredCells` again.
 Analytics first collapse one contamination level of the store into a
 single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
@@ -383,43 +385,16 @@ _ID_COLUMNS = (
 _MISSING = "NA"
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Measure values of one grid cell; ``None`` marks a missing value."""
-
-    grid_index: int
-    table: str
-    anomaly_class: str
-    detector: str
-    params: str
-    contamination: float
-    repetition: int
-    values: dict[str, float | None]
-    flags: tuple[str, ...] = ()
-
-    @property
-    def benchmark(self) -> str:
-        return f"{self.table}-{self.anomaly_class}"
-
-    @property
-    def cell_key(self) -> tuple[str, float, int, int]:
-        """(benchmark, contamination, grid index, repetition): one cell of the grid."""
-        return (self.benchmark, self.contamination, self.grid_index, self.repetition)
-
-    @property
-    def is_flagged_missing(self) -> bool:
-        return any(v is None for v in self.values.values())
-
-
 @dataclass(frozen=True, eq=False)
 class StoredCells:
     """Rows of cells as columns, sorted by cell, one row per cell.
 
     Row i is the cell ``(benchmark[i], contamination[i], grid_index[i],
-    repetition[i])`` (:attr:`ExperimentRecord.cell_key`), and rows are sorted
-    by it.  The string columns are object arrays, and ``flags`` holds each
-    row's flags as a tuple.  ``measures`` are the measure columns that some
-    row holds, in the order of its files (or records).  ``values[i, m]`` is
+    repetition[i])`` (:meth:`keys`), and rows are sorted by it.  The string
+    columns are object arrays, and ``flags`` holds each row's flags as a
+    tuple.  ``measures`` are the measure columns that some row holds: in
+    the order of the store's files for a load, :meth:`GridConfig.measure_names`
+    for a grid block.  ``values[i, m]`` is
     row i's value of measure m where ``present[i, m]``, else 0; ``na[i, m]``
     marks a missing value (``NA``) in a column of row i's own header, so a
     measure that row i's file lacks is neither present nor ``NA`` there.
@@ -444,31 +419,13 @@ class StoredCells:
 
     @property
     def flagged_missing(self) -> NDArray[np.bool_]:
-        """Rows with an ``NA`` value (:attr:`ExperimentRecord.is_flagged_missing`)."""
+        """Rows with an ``NA`` value: the cells that a failure left missing."""
         return self.na.any(axis=1)
 
-    @classmethod
-    def from_records(cls, records: Iterable[ExperimentRecord]) -> StoredCells:
-        """The columns of ``records``, with their measures in order of first appearance.
-
-        Raises ``ValueError`` for two records of one cell.
-        """
-        records = list(records)
-        measures = tuple(dict.fromkeys(name for r in records for name in r.values))
-        shape = (len(records), len(measures))
-        held = np.array([[name in r.values for name in measures] for r in records],
-                        dtype=bool).reshape(shape)
-        raw = np.array([[r.values.get(name) for name in measures] for r in records],
-                       dtype=object).reshape(shape)
-        na = held & np.equal(raw, None)
-        present = held & ~na
-        values = np.where(present, raw, 0.0).astype(np.float64)
-        ids = [[getattr(r, name) for r in records] for name in _ID_COLUMNS]
-        cells, _ = _sorted_cells(ids, measures, values, present, na)
-        twice = cells._first_repeat()
-        if twice is not None:
-            raise ValueError(f"two records of cell {cells._cell_text(twice)}")
-        return cells
+    def keys(self) -> list[tuple[str, float, int, int]]:
+        """Each row's cell as (benchmark, contamination, grid index, repetition)."""
+        return list(zip(self.benchmark.tolist(), self.contamination.tolist(),
+                        self.grid_index.tolist(), self.repetition.tolist()))
 
     def select(self, rows: NDArray[np.bool_]) -> StoredCells:
         """The rows where ``rows`` holds, with the measures that some of them hold."""
@@ -546,19 +503,28 @@ class RecordStore:
         self.manifest_hash = manifest_hash
         self._manifest_line = f"# manifest: {manifest_hash}"
 
-    def _file_for(self, record: ExperimentRecord) -> Path:
-        stem = _safe_name(f"{record.table}-{record.anomaly_class}__{record.detector}")
-        return self.root / f"{stem}.csv"
+    def append(self, cells: StoredCells, measure_names: Sequence[str]) -> None:
+        """Append the rows of ``cells``, in their order, under a header of ``measure_names``.
 
-    def append(self, records: Iterable[ExperimentRecord], measure_names: Sequence[str]) -> None:
-        """Append ``records`` as rows, each file's in their given order.
-
-        Each file they reach gets one torn-tail check and one open, so a
-        block's rows cost one open per (benchmark, detector) file.
+        A row goes to the file of its (benchmark, detector).  A float is
+        written as its ``repr``, and a value is ``NA`` where it is not
+        present, also for a measure that ``cells`` lack.  Each file the rows
+        reach gets one torn-tail check and one open, so a block's rows cost
+        one open per (benchmark, detector) file.
         """
-        by_file: dict[Path, list[ExperimentRecord]] = {}
-        for record in records:
-            by_file.setdefault(self._file_for(record), []).append(record)
+        # Each measure's column in cells, or None; tolist() gives floats whose
+        # repr is the number, where an np.float64's names its type on numpy 2.
+        column = {name: j for j, name in enumerate(cells.measures)}
+        at = [column.get(name) for name in measure_names]
+        texts = [[_MISSING if j is None or not p[j] else repr(v[j]) for j in at]
+                 for v, p in zip(cells.values.tolist(), cells.present.tolist())]
+        ids = zip(cells.grid_index.tolist(), cells.table, cells.anomaly_class, cells.detector,
+                  cells.params, map(repr, cells.contamination.tolist()),
+                  cells.repetition.tolist(), map(";".join, cells.flags))
+        by_file: dict[Path, list[list]] = {}
+        for benchmark, detector, row, text in zip(cells.benchmark, cells.detector, ids, texts):
+            stem = _safe_name(f"{benchmark}__{detector}")
+            by_file.setdefault(self.root / f"{stem}.csv", []).append([*row, *text])
         for path, rows in by_file.items():
             fresh = _drop_torn_tail(path)
             if fresh:
@@ -568,7 +534,7 @@ class RecordStore:
                 if fresh:
                     handle.write(f"{self._manifest_line}\n")
                     writer.writerow(list(_ID_COLUMNS) + list(measure_names))
-                writer.writerows(_record_row(record, measure_names) for record in rows)
+                writer.writerows(rows)
 
     def load(self) -> StoredCells:
         """Every row in the store, as the columns of its cells.
@@ -691,23 +657,6 @@ def _check_row(row: list[str]) -> None:
     int(row[0]), float(row[5]), int(row[6])
 
 
-def _record_row(record: ExperimentRecord, measure_names: Sequence[str]) -> list:
-    row = [
-        record.grid_index,
-        record.table,
-        record.anomaly_class,
-        record.detector,
-        record.params,
-        repr(record.contamination),
-        record.repetition,
-        ";".join(record.flags),
-    ]
-    for name in measure_names:
-        value = record.values.get(name)
-        row.append(_MISSING if value is None else repr(value))
-    return row
-
-
 def _drop_torn_tail(path: Path) -> bool:
     """Cut a torn tail off ``path``; True if the file is missing or left empty.
 
@@ -749,9 +698,12 @@ class RunSummary:
 def missing_cells(
     cfg: GridConfig, benchmarks: Iterable[str], stored: StoredCells
 ) -> list[tuple[str, float, int, int]]:
-    """The grid's cells of ``benchmarks`` that ``stored`` lacks, as sorted ``cell_key`` tuples."""
-    have = set(zip(stored.benchmark.tolist(), stored.contamination.tolist(),
-                   stored.grid_index.tolist(), stored.repetition.tolist()))
+    """The grid's cells of ``benchmarks`` that ``stored`` lacks, sorted.
+
+    A cell is (benchmark, contamination, grid index, repetition), as in
+    :meth:`StoredCells.keys`.
+    """
+    have = set(stored.keys())
     cells = [(name, c, combo.index, rep) for name in sorted(benchmarks) for c in cfg.contaminations
              for combo in cfg.detector_combos() for rep in range(cfg.repetitions)]
     return [cell for cell in cells if cell not in have]
@@ -797,27 +749,35 @@ def _error_flag(exc: Exception) -> str:
 
 def _evaluate_cells(
     labels: NDArray[np.int64],
-    parts: Iterable[tuple[str, NDArray[np.intp]]],
+    parts: Sequence[tuple[str, NDArray[np.intp]]],
     test_scores: NDArray[np.float64],
     volume_scores: NDArray[np.float64],
     cfg: GridConfig,
     prec_seed: int,
-) -> list[tuple[dict[str, float], list[str]]]:
-    """Values and flags of one benchmark's cells of a block, one cell per score row.
+) -> tuple[NDArray[np.float64], NDArray[np.bool_], list[list[str]]]:
+    """Values, ``NA`` mask and flags of one benchmark's cells of a block, one cell per score row.
 
     Row i of ``test_scores`` and of ``volume_scores`` holds one cell's
     scores of the test fold (labelled ``labels``) and of the volume sample.
+    Row i of the (cell x measure) value array and of its ``NA`` mask holds
+    that cell's measures part by part: part k's columns are ``k * M`` to
+    ``(k + 1) * M``, its M measures in :meth:`GridConfig.measures` order, so
+    with the planner's parts the columns are :meth:`GridConfig.measure_names`.
+    A value is 0 where the mask marks it ``NA``.
     Each cell's volume scores are checked to be finite.  Then each part of the
     test fold (:meth:`GridConfig.parts`: column-name prefix, fold indices) has its
     labels checked once (:func:`check_labels`) and each cell's test scores
     checked to be finite; the cells still standing make one
     :class:`LabelledSample`, which each kind's row function reads.  A failure flags
-    ``error:<exception type>`` and leaves missing the values not yet
+    ``error:<exception type>`` and leaves ``NA`` the values not yet
     evaluated: bad labels fail every cell still standing, a bad score row
     only its own cell.  Each cell keeps the flags of the first part
     (``thinned-normals@p`` per level whose normals it thins, in column order).
     """
-    values: list[dict[str, float]] = [{} for _ in test_scores]
+    measures = cfg.measures()
+    width = len(measures)
+    values = np.zeros((len(test_scores), len(parts) * width))
+    na = np.ones(values.shape, dtype=bool)
     flags: list[list[str]] = [[] for _ in test_scores]
 
     def fail(rows: Iterable[int], exc: Exception) -> None:
@@ -827,12 +787,11 @@ def _evaluate_cells(
     finite = np.isfinite(volume_scores).all(axis=1)
     fail(np.flatnonzero(~finite), ValueError("score function returned a non-finite value"))
     live = np.flatnonzero(finite).tolist()
-    measures = cfg.measures()
     # Each measure's (kind, level index) in its kind's rows.
-    picks = [(m.name, m.kind, 0 if m.family is None else getattr(cfg, m.family).index(m.level))
+    picks = [(m.kind, 0 if m.family is None else getattr(cfg, m.family).index(m.level))
              for m in measures]
     precisions = [m.level for m in measures if m.family == "ps"]
-    for k, (prefix, idx) in enumerate(parts):
+    for k, (_, idx) in enumerate(parts):
         try:
             sample_labels = check_labels(labels[idx])
         except _CELL_ERRORS as exc:
@@ -857,11 +816,12 @@ def _evaluate_cells(
         # Only the first part flags its cells.
         thinned = [f"thinned-normals@{p:g}" for p in precisions
                    if k == 0 and precision_composition(n_pos, n_neg, p)[1] < n_neg]
-        columns = [(prefix + name, by_kind[kind][level].tolist()) for name, kind, level in picks]
-        for j, i in enumerate(live):
-            values[i].update((name, column[j]) for name, column in columns)
+        columns = slice(k * width, (k + 1) * width)
+        values[live, columns] = np.stack([by_kind[kind][level] for kind, level in picks], axis=1)
+        na[live, columns] = False
+        for i in live:
             flags[i] += thinned
-    return list(zip(values, flags))
+    return values, na, flags
 
 
 def _run_repetition(
@@ -869,15 +829,17 @@ def _run_repetition(
     table: PreparedTable,
     contamination: float,
     repetition: int,
-) -> list[ExperimentRecord]:
+) -> StoredCells:
     """Evaluate every combo's cell of ``table`` in one (contamination, repetition) block.
 
     The benchmarks' training folds share one fit: either the table has one
     class, or its folds take no injected anomaly (:func:`train_counts`),
     which at contamination 0 and at any level too low to inject one makes
     them all the table's normal fold.  More than one class whose folds take
-    injected anomalies raises ``ValueError``.  Records come back by
-    benchmark, then combo.  The benchmarks hold the table's normal array,
+    injected anomalies raises ``ValueError``.  The block's cells come back
+    as :class:`StoredCells` over :meth:`GridConfig.measure_names`, built from
+    one (cell x measure) array whose row ``i * len(combos) + r`` is
+    benchmark i and combo r.  The benchmarks hold the table's normal array,
     so by :func:`split` they share the test normals, which lead each test
     fold.  The block splits each benchmark (:meth:`GridConfig.split_spec`),
     draws the table's volume sample (:meth:`GridConfig.volume_sample`) and
@@ -894,15 +856,15 @@ def _run_repetition(
     that succeeded are stacked into one (combo x point) matrix, cut into
     its test scores and its volume scores.  Each benchmark takes its
     columns (the shared normals and its own anomalies, which is its test
-    fold in split order) and evaluates its cells once
-    (:func:`_evaluate_cells`), part by part of its test fold as the
-    planner :meth:`GridConfig.parts` cuts it.  Every measure is row-wise
+    fold in split order) and evaluates its cells once, into their rows of
+    the block array (:func:`_evaluate_cells`), part by part of its test
+    fold as the planner :meth:`GridConfig.parts` cuts it.  Every measure is row-wise
     and the precision@p draws depend only on the labels and the
     benchmark's seed, and a point's score does not depend on the other
     points scored with it, so a cell's values depend neither on which
     benchmarks share the block nor on which scorers share its evaluation.
 
-    A failure leaves missing every value of the cells it reaches that is
+    A failure leaves ``NA`` every value of the cells it reaches that is
     not yet evaluated and flags them ``error:<exception type>``: a failed
     split reaches every cell of its benchmark, a failed volume draw every
     cell of the block not already failed, a failed scoring pass every cell
@@ -917,13 +879,15 @@ def _run_repetition(
     if len(benches) > 1 and train_counts(spec, len(table.normal))[1] > 0:
         raise ValueError("benchmarks whose training folds take injected anomalies "
                          "cannot share one fit")
-    # cells[i][r]: (values, flags) of benchmark i and combo r.
-    cells: list[list] = [[None] * len(combos) for _ in benches]
+    # Row i * len(combos) + r: benchmark i, combo r.
+    values = np.zeros((len(benches) * len(combos), len(names)))
+    na = np.ones(values.shape, dtype=bool)
+    flags: list[list[str]] = [[] for _ in values]
 
     def fail(members: Iterable[int], rows: Iterable[int], exc: Exception) -> None:
         for i in members:
             for r in rows:
-                cells[i][r] = ({}, [_error_flag(exc)])
+                flags[i * len(combos) + r] = [_error_flag(exc)]
 
     every = range(len(combos))
     folds: dict[int, TrainTestSplit] = {}
@@ -969,21 +933,18 @@ def _run_repetition(
             test_scores, volume_scores = scores[:, : len(tests)], scores[:, len(tests) :]
             for (i, fold), start, stop in zip(folds.items(), ends, ends[1:]):
                 prec_seed = derive_seed(cfg.master_seed, "precision", benches[i].name, repetition)
-                evaluated = _evaluate_cells(
+                own_rows = [i * len(combos) + r for r in fitted]
+                values[own_rows], na[own_rows], own_flags = _evaluate_cells(
                     fold.test_labels,
-                    cfg.parts(benches[i].name, repetition, len(fold.test_labels)).values(),
+                    list(cfg.parts(benches[i].name, repetition, len(fold.test_labels)).values()),
                     test_scores[:, np.r_[:n_normal, start:stop]], volume_scores, cfg, prec_seed,
                 )
-                for r, cell in zip(fitted, evaluated):
-                    cells[i][r] = cell
-    return [
-        ExperimentRecord(
-            grid_index=combo.index, table=bench.table, anomaly_class=bench.anomaly_class,
-            detector=combo.detector, params=combo.params_text, contamination=contamination,
-            repetition=repetition, values={n: values.get(n) for n in names}, flags=tuple(flags),
-        )
-        for bench, row in zip(benches, cells) for combo, (values, flags) in zip(combos, row)
-    ]
+                for row, row_flags in zip(own_rows, own_flags):
+                    flags[row] = row_flags
+    ids = [(combo.index, bench.table, bench.anomaly_class, combo.detector, combo.params_text,
+            contamination, repetition) for bench in benches for combo in combos]
+    cells, _ = _sorted_cells([*zip(*ids), list(map(tuple, flags))], names, values, ~na, na)
+    return cells
 
 
 def benchmarks_of(tables: Sequence[PreparedTable]) -> list[BenchmarkDataset]:
@@ -1063,11 +1024,11 @@ def run_grid(
     one), the block is the table narrowed to its classes with a missing
     cell there, which share one fit; otherwise each such class is a block
     of its own.  A block runs whole (:func:`_run_repetition`) and only its
-    missing cells are appended, so a resume that meets a block torn by an
-    interrupted append recomputes its stored cells and keeps them as they
-    are.  Blocks are evaluated by
+    missing cells are appended (:meth:`StoredCells.select`), so a resume
+    that meets a block torn by an interrupted append recomputes its stored
+    cells and keeps them as they are.  Blocks are evaluated by
     up to ``workers`` processes, never more than there are blocks.  Each
-    block's records are appended as soon as it and every block before it
+    block's cells are appended as soon as it and every block before it
     are done, so an interrupted run keeps every block it appended, and
     each store file lists its cells by contamination, then repetition,
     then combo.  Seeds derive from cell identity and the table, never from
@@ -1106,13 +1067,13 @@ def run_grid(
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(blocks))))
             results = pool.map(run, *zip(*blocks))
-        for (_, contamination, repetition), records in zip(blocks, results):
-            records = [r for r in records if r.cell_key in missing]
+        for (_, contamination, repetition), cells in zip(blocks, results):
+            cells = cells.select(np.array([key in missing for key in cells.keys()], dtype=bool))
             if progress:
-                progress(f"{records[0].table} c={contamination:g} rep={repetition}: "
-                         f"{len(records)} cells")
-            store.append(records, names)
-            flagged += [r.flags for r in records if r.is_flagged_missing]
+                progress(f"{cells.table[0]} c={contamination:g} rep={repetition}: "
+                         f"{len(cells)} cells")
+            store.append(cells, names)
+            flagged += cells.flags[cells.flagged_missing].tolist()
     n_cells = (len(benchmarks) * len(cfg.contaminations) * cfg.repetitions
                * len(cfg.detector_combos()))
     errors = Counter(f for flags in flagged for f in flags if f.startswith("error:"))

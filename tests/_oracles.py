@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: measures are
 recomputed from first principles (pair enumeration, exhaustive counting)
-so that agreement is evidence, not tautology.
+so that agreement is evidence, not tautology.  The one exception is the
+store-row section at the end: :func:`cells_of` builds a store's columns
+through the library's own constructor, so tests can write stores by hand.
 """
 
 from __future__ import annotations
@@ -10,11 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
+
+from adeval.experiments import _sorted_cells
 
 
 def raw_table_reference(path):
@@ -520,3 +526,96 @@ def class_transfer_reference(means, names):
                             )
                             counts[i, j] += 1
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), used, skipped
+
+
+# ---------------------------------------------------------------------------
+# Store rows as plain tuples
+# ---------------------------------------------------------------------------
+
+
+class Row(NamedTuple):
+    """One cell of a store as a plain tuple: its id columns, flags and values.
+
+    ``values`` maps a measure to its float, or to ``None`` for ``NA``; a
+    measure it lacks is absent from the row.  The default ``values`` is one
+    shared dict, so no test mutates a row's values.
+    """
+
+    grid_index: int = 0
+    table: str = "t"
+    anomaly_class: str = "c1"
+    detector: str = "knn"
+    params: str = "g0"
+    contamination: float = 0.0
+    repetition: int = 0
+    flags: tuple[str, ...] = ()
+    values: dict = {}
+
+    @property
+    def benchmark(self) -> str:
+        return f"{self.table}-{self.anomaly_class}"
+
+    @property
+    def key(self) -> tuple[str, float, int, int]:
+        """(benchmark, contamination, grid index, repetition): the row's cell."""
+        return (self.benchmark, self.contamination, self.grid_index, self.repetition)
+
+    @property
+    def flagged_missing(self) -> bool:
+        return any(v is None for v in self.values.values())
+
+
+def cells_of(rows):
+    """The ``StoredCells`` of ``rows``, built by ``_sorted_cells``, as a load builds them.
+
+    The measures are those of the rows' values, in order of first appearance.
+    """
+    rows = list(rows)
+    measures = tuple(dict.fromkeys(name for r in rows for name in r.values))
+    shape = (len(rows), len(measures))
+    held = np.array([[m in r.values for m in measures] for r in rows], dtype=bool).reshape(shape)
+    na = np.array([[m in r.values and r.values[m] is None for m in measures] for r in rows],
+                  dtype=bool).reshape(shape)
+    values = np.array([[0.0 if r.values.get(m) is None else r.values[m] for m in measures]
+                       for r in rows], dtype=np.float64).reshape(shape)
+    ids = [[getattr(r, field) for r in rows] for field in Row._fields[:8]]
+    cells, _ = _sorted_cells(ids, measures, values, held & ~na, na)
+    return cells
+
+
+def rows_of(cells):
+    """The rows of ``StoredCells`` ``cells``, in their order, as :class:`Row` tuples.
+
+    A row's values hold the measures it holds (present or ``NA``), as Python floats.
+    """
+    held = (cells.present | cells.na).tolist()
+    ids = [getattr(cells, field).tolist() for field in Row._fields[:8]]
+    return [
+        Row(*row_ids, values={m: None if n else v
+                              for m, v, n, h in zip(cells.measures, vs, ns, hs) if h})
+        for *row_ids, vs, ns, hs in zip(*ids, cells.values.tolist(), cells.na.tolist(), held)
+    ]
+
+
+def store_text_reference(blocks, measure_names, manifest_hash):
+    """{file name: text} of a store that ``blocks`` of :class:`Row` were appended to, in order.
+
+    Each block's rows go in cell order, one file per (benchmark, detector),
+    each row written by ``csv.writer``: its ids, ``repr`` of its
+    contamination, its flags joined by ``;``, then ``repr`` of each value of
+    ``measure_names``, or ``NA`` where it is ``None`` or absent.
+    """
+    out: dict[str, io.StringIO] = {}
+    for block in blocks:
+        for r in sorted(block, key=lambda r: r.key):
+            name = re.sub(r"[^A-Za-z0-9._-]", "_", f"{r.benchmark}__{r.detector}") + ".csv"
+            if name not in out:
+                out[name] = io.StringIO()
+                out[name].write(f"# manifest: {manifest_hash}\n")
+                csv.writer(out[name]).writerow(list(Row._fields[:8]) + list(measure_names))
+            values = [r.values.get(m) for m in measure_names]
+            csv.writer(out[name]).writerow(
+                [r.grid_index, r.table, r.anomaly_class, r.detector, r.params,
+                 repr(r.contamination), r.repetition, ";".join(r.flags)]
+                + ["NA" if v is None else repr(v) for v in values])
+    return {name: text.getvalue() for name, text in out.items()}

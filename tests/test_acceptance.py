@@ -24,9 +24,7 @@ from adeval.datasets import (
 from adeval.detectors import iforest_fit, knn_fit, lof_fitter
 from adeval.experiments import (
     Combo,
-    ExperimentRecord,
     GridConfig,
-    StoredCells,
     collapse,
     kendall_matrix,
     loss_matrix_table,
@@ -34,7 +32,7 @@ from adeval.experiments import (
 )
 from adeval.thresholded import precision_at_p_rows
 from adeval.volume import SamplingBox
-from _oracles import pairwise_auc
+from _oracles import Row, cells_of, pairwise_auc
 from test_curves import one_row
 from test_volume import volume_at_fpr
 
@@ -107,7 +105,7 @@ def test_criterion_1_auc_matches_pairwise_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _hand_records() -> list[ExperimentRecord]:
+def _hand_records() -> list[Row]:
     grid = []
     values = {
         ("t", "c1", 0): {"AUC": 0.9, "AUC_w": 0.95},
@@ -117,7 +115,7 @@ def _hand_records() -> list[ExperimentRecord]:
     }
     for (table, anomaly_class, gi), vals in values.items():
         grid.append(
-            ExperimentRecord(
+            Row(
                 grid_index=gi,
                 table=table,
                 anomaly_class=anomaly_class,
@@ -146,9 +144,9 @@ def test_criterion_2_consistency_identities():
             est = four_point_volume(n=2048, seed=seed)
             assert est.vol + est.cvol == 1.0
         records = _hand_records()
-        loss = loss_matrix_table(collapse(StoredCells.from_records(records)))
+        loss = loss_matrix_table(collapse(cells_of(records)))
         assert np.all(np.diag(loss.matrix) == 0.0)
-        kendall = kendall_matrix(collapse(StoredCells.from_records(records)))
+        kendall = kendall_matrix(collapse(cells_of(records)))
         assert np.array_equal(kendall.matrix, kendall.matrix.T)
         assert np.all(np.diag(kendall.matrix) == 1.0)
 

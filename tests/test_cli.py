@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import adeval
-from adeval import cli, experiments
+from adeval import cli
 from adeval.cli import main, read_config_file, resolve_config
 from adeval.curves import auc_rows, tpr_at_rows
 from adeval.datasets import (
@@ -22,9 +22,8 @@ from adeval.datasets import (
     split, synth_gaussian, synth_multiclass_table, write_raw_table,
 )
 from adeval.experiments import RecordStore
-from _oracles import rank_reference, repetition_means, selection_loss_reference
+from _oracles import rank_reference, repetition_means, rows_of, selection_loss_reference
 from test_curves import one_row
-from test_experiments import stored_rows
 
 CONFIG_TEXT = """\
 # small study used across the CLI tests
@@ -123,9 +122,9 @@ def read_store_bytes(run_dir):
 
 
 def stored_records(run_dir):
-    """The run's records, loaded under the hash in its manifest."""
+    """The run's rows, loaded under the hash in its manifest."""
     hash_ = json.loads((run_dir / "manifest.json").read_text())["hash"]
-    return stored_rows(RecordStore(run_dir / "records", manifest_hash=hash_).load())
+    return rows_of(RecordStore(run_dir / "records", manifest_hash=hash_).load())
 
 
 # ---------------------------------------------------------------------------
@@ -739,16 +738,6 @@ class TestAggregate:
         assert capsys.readouterr().err == message
         assert path.read_text() == text
 
-    def test_aggregate_builds_no_record_object(self, study, tmp_path, monkeypatch):
-        built = []
-        init = experiments.ExperimentRecord.__init__
-        monkeypatch.setattr(experiments.ExperimentRecord, "__init__",
-                            lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw))
-        assert main(["aggregate", "rank", str(study.run), "--out", str(tmp_path)]) == 0
-        assert built == []
-        stored_records(study.run)  # the counter sees a record built from the columns
-        assert built
-
     def test_unknown_contamination_rejected(self, study, capsys):
         assert main(
             ["aggregate", "rank", str(study.run), "--contamination", "0.4"]
@@ -1228,7 +1217,7 @@ class TestOneOffs:
                          *self.cell_flags(cell), "--alpha", "0.05", "--n", "400",
                          "--seed", "7", "--rep", "1"]) == 0
             lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
-            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
+            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.key
 
     def test_one_offs_reproduce_contaminated_cells(self, tmp_path, capsys):
         # At contamination 0.05 the 48 training normals take 3 injected
@@ -1251,10 +1240,10 @@ class TestOneOffs:
             capsys.readouterr()
             assert main(["scores", *where]) == 0
             rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-            assert auc_rows(scored_curve(rows))[0] == cell.values["AUC"], cell.cell_key
+            assert auc_rows(scored_curve(rows))[0] == cell.values["AUC"], cell.key
             assert main(["volume", *where, "--alpha", "0.05", "--n", "400"]) == 0
             lines = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
-            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.cell_key
+            assert float(lines["cvol"]) == cell.values["CVOL@0.05"], cell.key
 
     def test_volume_prints_plain_float_values(self, study, capsys):
         for flags in (["--detector", "knn", "--k", "3"], ["--detector", "lof", "--k", "5"],

@@ -2,11 +2,14 @@ import dataclasses
 import itertools
 import math
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import rankdata
 
@@ -20,11 +23,9 @@ from adeval.experiments import (
     _run_repetition,
     Collapsed,
     Combo,
-    ExperimentRecord,
     GridConfig,
     MeasureId,
     RecordStore,
-    StoredCells,
     collapse,
     fit_models,
     kendall_matrix,
@@ -39,69 +40,18 @@ from adeval.seeding import derive_seed
 from adeval.thresholded import precision_composition
 from adeval.volume import bounding_box, uniform_sample
 from _oracles import (
+    Row,
+    cells_of,
     class_transfer_reference,
     kendall_reference,
     kendall_tau_pairs,
     rank_reference,
     repetition_means,
+    rows_of,
     selection_loss_reference,
+    store_text_reference,
 )
 from test_curves import alpha_probes, one_row, score_rows
-
-
-def record(
-    grid_index=0,
-    table="t",
-    anomaly_class="c1",
-    detector="knn",
-    contamination=0.0,
-    repetition=0,
-    values=None,
-    flags=(),
-):
-    return ExperimentRecord(
-        grid_index=grid_index,
-        table=table,
-        anomaly_class=anomaly_class,
-        detector=detector,
-        params=f"g{grid_index}",
-        contamination=contamination,
-        repetition=repetition,
-        values=dict(values or {}),
-        flags=tuple(flags),
-    )
-
-
-def columns(records):
-    """The store columns of in-memory ``records`` (the rows -> columns constructor)."""
-    return StoredCells.from_records(records)
-
-
-def stored_rows(stored):
-    """The rows of ``stored`` as records, in cell order.
-
-    Each row's values hold the measures of its own header, ``None`` where
-    the store reads ``NA``.
-    """
-    held = (stored.present | stored.na).tolist()
-    return [
-        ExperimentRecord(
-            grid_index=g, table=t, anomaly_class=a, detector=d, params=p, contamination=c,
-            repetition=r, flags=f,
-            values={m: None if n else v for m, v, n, h in zip(stored.measures, vs, ns, hs) if h},
-        )
-        for g, t, a, d, p, c, r, f, vs, ns, hs in zip(
-            stored.grid_index.tolist(), stored.table.tolist(), stored.anomaly_class.tolist(),
-            stored.detector.tolist(), stored.params.tolist(), stored.contamination.tolist(),
-            stored.repetition.tolist(), stored.flags.tolist(), stored.values.tolist(),
-            stored.na.tolist(), held,
-        )
-    ]
-
-
-def loaded(store):
-    """The rows of ``store`` as records (:func:`stored_rows` of its load)."""
-    return stored_rows(store.load())
 
 
 def knn_only_config(**overrides):
@@ -275,9 +225,9 @@ class TestRunGrid:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [self.table()], store)
         assert summary.n_cells == 270 and summary.n_new == 270
-        records = loaded(store)
+        records = rows_of(store.load())
         assert len(records) == 270
-        assert all(not r.is_flagged_missing for r in records)
+        assert all(not r.flagged_missing for r in records)
         assert {r.repetition for r in records} == set(range(10))
         assert {r.grid_index for r in records} == set(range(27))
 
@@ -295,11 +245,11 @@ class TestRunGrid:
         cfg = knn_only_config()
         store = RecordStore(tmp_path, manifest_hash="h")
         run_grid(cfg, [self.table()], store)
-        whole = loaded(store)
+        whole = rows_of(store.load())
         path = sorted(tmp_path.glob("*.csv"))[0]
         before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         path.write_bytes(before[path.name][:-6])
-        torn = loaded(store)
+        torn = rows_of(store.load())
         assert len(torn) == len(whole) - 1 and all(r in whole for r in torn)
         summary = run_grid(cfg, [self.table()], store)
         assert summary.n_new == 1
@@ -325,8 +275,8 @@ class TestRunGrid:
         with pytest.raises(KeyboardInterrupt):
             run_grid(cfg, tables, store, workers=1)
         monkeypatch.undo()
-        first_block = [r for r in loaded(whole) if r.repetition == 0]
-        assert len(first_block) == 4 and loaded(store) == first_block
+        first_block = [r for r in rows_of(whole.load()) if r.repetition == 0]
+        assert len(first_block) == 4 and rows_of(store.load()) == first_block
         assert run_grid(cfg, tables, store, workers=1).n_new == 4
         assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
@@ -361,11 +311,13 @@ class TestRunGrid:
                 p.name: p.read_bytes() for p in (tmp_path / str(workers)).glob("*.csv")
             }
         assert len(stores[1]) == 4 * 3 and stores[1] == stores[3] == stores[9]
-        # Each file lists its cells in block order: contamination, repetition, combo.
+        # Each file lists its cells in block order: contamination, repetition,
+        # then combo, the order in which an append writes one block's cells.
         ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
-        records = loaded(RecordStore(tmp_path / "1", manifest_hash="h"))
-        ordered.append(sorted(records, key=lambda r: (r.contamination, r.repetition, r.grid_index)),
-                       cfg.measure_names())
+        records = rows_of(RecordStore(tmp_path / "1", manifest_hash="h").load())
+        for block in sorted({(r.contamination, r.repetition) for r in records}):
+            ordered.append(cells_of(r for r in records if (r.contamination, r.repetition) == block),
+                           cfg.measure_names())
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
 
     @pytest.mark.parametrize("contamination, lines", [
@@ -413,8 +365,8 @@ class TestRunGrid:
         cfg = knn_only_config()
         table = self.table()
         combo = cfg.detector_combos()[1]
-        a = _run_repetition(cfg, table, 0.0, 1)[combo.index]
-        b = _run_repetition(cfg, table, 0.0, 1)[combo.index]
+        a = rows_of(_run_repetition(cfg, table, 0.0, 1))[combo.index]
+        b = rows_of(_run_repetition(cfg, table, 0.0, 1))[combo.index]
         assert a == b
 
     def test_failing_cell_is_flagged_not_fatal(self, tmp_path):
@@ -424,7 +376,7 @@ class TestRunGrid:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [table], store)
         assert summary.n_flagged == 1
-        flagged = [r for r in loaded(store) if r.is_flagged_missing]
+        flagged = [r for r in rows_of(store.load()) if r.flagged_missing]
         assert len(flagged) == 1
         assert flagged[0].flags == ("error:ValueError",)
         assert all(v is None for v in flagged[0].values.values())
@@ -446,7 +398,7 @@ class TestRunGrid:
         cfg = knn_only_config(validation_fraction=0.3, repetitions=1)
         store = RecordStore(tmp_path, manifest_hash="h")
         run_grid(cfg, [self.table()], store)
-        rec = loaded(store)[0]
+        rec = rows_of(store.load())[0]
         assert rec.values.get("val:AUC") is not None
         assert rec.values.get("AUC") is not None
 
@@ -529,7 +481,7 @@ class TestRunCell:
         table = synth_gaussian(40, 2, seed=3)
         (combo,) = cfg.detector_combos()
         for rep in (0, 1, 3):
-            (rec,) = _run_repetition(cfg, table, 0.0, rep)
+            (rec,) = rows_of(_run_repetition(cfg, table, 0.0, rep))
             kept = {n: v for n, v in rec.values.items() if not n.startswith("val:")}
             val = {n: v for n, v in rec.values.items() if n.startswith("val:")}
             assert len(kept) == len(val) == 7
@@ -554,8 +506,8 @@ class TestRunCell:
         monkeypatch.setattr(
             experiments, "neighbour_scores", lambda ms, x: points.append(len(x)) or score(ms, x)
         )
-        (rec,) = _run_repetition(cfg, table, 0.0, 1)
-        assert rec.flags == () and not rec.is_flagged_missing
+        (rec,) = rows_of(_run_repetition(cfg, table, 0.0, 1))
+        assert rec.flags == () and not rec.flagged_missing
         # One batched call per labelled sample (evaluation part, then
         # validation part), with one row for the one cell.
         assert [rows for rows, _ in curves] == [1, 1]
@@ -622,7 +574,7 @@ class TestRunCell:
         (bench,) = table.benchmarks()
         clean = RecordStore(tmp_path / "clean", manifest_hash="h")
         run_grid(cfg, [table], clean)
-        expected = {r.grid_index: r for r in loaded(clean)}
+        expected = {r.grid_index: r for r in rows_of(clean.load())}
         n_test = len(split(bench, SplitSpec(seed=cfg.master_seed)).test_labels)
         # The column made NaN: a point of the validation part, if there is one.
         perm = np.random.default_rng(
@@ -642,7 +594,7 @@ class TestRunCell:
         patched = RecordStore(tmp_path / "patched", manifest_hash="h")
         summary = run_grid(cfg, [table], patched)
         assert summary.n_flagged == 1
-        records = {r.grid_index: r for r in loaded(patched)}
+        records = {r.grid_index: r for r in rows_of(patched.load())}
         assert records.keys() == expected.keys()
         for index, rec in records.items():
             if index != bad:
@@ -684,25 +636,73 @@ class TestRunCell:
         expected = {
             (r.contamination, r.grid_index, r.repetition): r
             for c in cfg.contaminations for rep in range(cfg.repetitions)
-            for r in _run_repetition(cfg, table, c, rep)
+            for r in rows_of(_run_repetition(cfg, table, c, rep))
         }
         store = RecordStore(tmp_path, manifest_hash="h")
         # Resume from a store holding half of the c=0.05 block's combos.
         stored = [cell for cell in cells if cell[1] == 0.05 and cell[0].index % 2 == 0]
-        store.append([expected[c, combo.index, rep] for combo, c, rep in stored],
+        store.append(cells_of(expected[c, combo.index, rep] for combo, c, rep in stored),
                      cfg.measure_names())
         summary = run_grid(cfg, [table], store)
         assert summary.n_cells == len(cells)
         assert summary.n_new == len(cells) - len(stored)
-        rows = {(r.contamination, r.grid_index, r.repetition): r for r in loaded(store)}
+        rows = {(r.contamination, r.grid_index, r.repetition): r for r in rows_of(store.load())}
         assert rows == expected
-        flags = {key: r.flags for key, r in rows.items() if r.is_flagged_missing}
+        flags = {key: r.flags for key, r in rows.items() if r.flagged_missing}
         oversized = {i for i, combo in enumerate(combos) if combo.params[-1] == ("k", 60)}
         assert {(c, i) for c, i, _ in flags} == (
             {(c, i) for c in (0.0, 0.05) for i in oversized}
             | {(0.5, combo.index) for combo in combos}
         )
         assert set(flags.values()) == {("error:ValueError",)}
+
+    def test_block_columns_equal_the_store_of_its_cells_run_one_by_one(self, tmp_path):
+        # 8-point test folds with 2-point validation parts: c1's is of one class
+        # at repetition 0.  k=60 exceeds the 16-point training fold, and
+        # precision@0.8 thins the normals of a fold that is half anomalies.
+        cfg = GridConfig(
+            knn_variants=("kappa",), knn_ks=(1, 60), lof_ks=(5,), iforest_trees=(10,),
+            iforest_subsample=8, alphas=(0.05,), ps=(0.1, 0.8), repetitions=2,
+            volume_samples=100, validation_fraction=0.3, master_seed=11,
+        )
+        table = prepare_table(synth_multiclass_table("toy", (20, 4, 4), seed=0))
+        names = cfg.measure_names()
+        # Each cell alone: its benchmark alone, under a config of its combo alone.
+        alone = {}
+        for bench in table.benchmarks():
+            for combo in cfg.detector_combos():
+                own = dict(knn_ks=(), lof_ks=(), iforest_trees=())
+                if combo.detector == "knn":
+                    own.update(knn_variants=(combo.param("variant"),), knn_ks=(combo.param("k"),))
+                elif combo.detector == "lof":
+                    own.update(lof_ks=(combo.param("k"),))
+                else:
+                    own.update(iforest_trees=(combo.param("n_trees"),))
+                store = RecordStore(tmp_path / f"{bench.name}-{combo.index}", manifest_hash="h")
+                run_grid(dataclasses.replace(cfg, **own), [table.narrowed([bench.anomaly_class])],
+                         store)
+                alone[bench.name, combo.index] = store.load()
+        seen = Counter()
+        for rep in range(cfg.repetitions):
+            block = _run_repetition(cfg, table, 0.0, rep)
+            assert block.measures == names and len(block) == 2 * len(cfg.detector_combos())
+            assert block.keys() == sorted(block.keys())
+            for i, key in enumerate(block.keys()):
+                stored = alone[key[0], key[2]]
+                (j,) = np.flatnonzero(stored.repetition == rep)
+                assert stored.measures == names
+                for column in ("table", "anomaly_class", "detector", "params", "contamination",
+                               "repetition", "flags", "benchmark"):
+                    assert getattr(block, column)[i] == getattr(stored, column)[j], (key, column)
+                assert block.values[i].tobytes() == stored.values[j].tobytes(), key
+                assert (block.present[i] == stored.present[j]).all(), key
+                assert (block.na[i] == stored.na[j]).all(), key
+                val = np.array([n.startswith("val:") for n in names])
+                seen["failed"] += block.na[i].all()
+                seen["one-class part"] += block.na[i, val].all() and block.present[i, ~val].all()
+                seen["whole"] += block.present[i].all()
+                seen["thinned"] += "thinned-normals@0.8" in block.flags[i]
+        assert len(seen) == 4 and all(seen.values()), seen
 
 
 class TestSharedFits:
@@ -742,7 +742,8 @@ class TestSharedFits:
             (r.anomaly_class, c, r.grid_index, rep): r
             for bench in self.benches for c in cfg.contaminations
             for rep in range(cfg.repetitions)
-            for r in _run_repetition(cfg, self.table.narrowed([bench.anomaly_class]), c, rep)
+            for r in rows_of(_run_repetition(cfg, self.table.narrowed([bench.anomaly_class]), c,
+                                             rep))
         }
         # Resume from a store holding some cells of two benchmarks, so the
         # benchmarks of a block have different combos pending.
@@ -751,13 +752,13 @@ class TestSharedFits:
             if (bench.anomaly_class, combo.index % 2, rep) in {("c1", 0, 1), ("c2", 1, 0)}
         ]
         store = RecordStore(tmp_path, manifest_hash="h")
-        store.append([expected[bench.anomaly_class, c, combo.index, rep]
-                      for bench, c, combo, rep in stored], cfg.measure_names())
+        store.append(cells_of(expected[bench.anomaly_class, c, combo.index, rep]
+                              for bench, c, combo, rep in stored), cfg.measure_names())
         summary = run_grid(cfg, [self.table], store)
         assert summary.n_new == len(expected) - len(stored)
         rows = {
             (r.anomaly_class, r.contamination, r.grid_index, r.repetition): r
-            for r in loaded(store)
+            for r in rows_of(store.load())
         }
         assert rows == expected
         failed = {key[:2] for key, r in rows.items() if r.flags == ("error:ValueError",)}
@@ -779,7 +780,7 @@ class TestSharedFits:
         assert 0 < n_missing < len(self.cells())
         summary = run_grid(self.cfg, [self.table], store)
         assert summary.n_new == n_missing
-        keys = [r.cell_key for r in loaded(store)]
+        keys = [r.key for r in rows_of(store.load())]
         assert len(keys) == len(set(keys)) == len(self.cells())
         assert {p.name: p.read_bytes() for p in resumed.glob("*.csv")} == files
 
@@ -836,9 +837,10 @@ class TestSharedVolumeAndScoring:
 
     @staticmethod
     def run_table(cfg, contamination, table=table):
-        """Every record of ``table``: one block at contamination 0, else one per class."""
+        """Every row of ``table``: one block at contamination 0, else one per class."""
         blocks = [table] if contamination == 0 else [table.narrowed([c]) for c, _ in table.anomalies]
-        return [r for block in blocks for r in _run_repetition(cfg, block, contamination, 0)]
+        return [r for block in blocks
+                for r in rows_of(_run_repetition(cfg, block, contamination, 0))]
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.3])
     def test_benchmark_rows_do_not_depend_on_the_table_s_other_benchmarks(
@@ -907,9 +909,9 @@ class TestSharedVolumeAndScoring:
                 return scorer(models, x)
 
             monkeypatch.setattr(experiments, f"{family}_scores", recording)
-        records = _run_repetition(cfg, self.table, 0.0, 0)
-        assert len(records) == 3 * len(cfg.detector_combos())
-        assert not any(r.flags for r in records)
+        cells = _run_repetition(cfg, self.table, 0.0, 0)
+        assert len(cells) == 3 * len(cfg.detector_combos())
+        assert not any(cells.flags)
         assert len(draws) == 1
         spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.master_seed)
         folds = [split(bench, spec) for bench in self.benches]
@@ -942,6 +944,22 @@ class TestSharedVolumeAndScoring:
             assert other.shape == drawn.shape and not (other == drawn).any(), (table, rep)
 
 
+def evaluated_cells(labels, parts, test_scores, volume_scores, cfg):
+    """:func:`_evaluate_cells` as one (values, flags) pair per cell.
+
+    A cell's values map each column it evaluated, ``prefix + measure``
+    part by part, to its float; a column left ``NA`` is left out.
+    """
+    values, na, flags = experiments._evaluate_cells(
+        labels, parts, test_scores, volume_scores, cfg, 9
+    )
+    names = [prefix + m.name for prefix, _ in parts for m in cfg.measures()]
+    assert values.shape == na.shape == (len(test_scores), len(names))
+    assert not values[na].any()  # an NA value is held as 0
+    return [({n: v for n, v, missing in zip(names, row, row_na) if not missing}, cell_flags)
+            for row, row_na, cell_flags in zip(values.tolist(), na.tolist(), flags)]
+
+
 class TestEvaluateCells:
     """One benchmark's cells of a block, evaluated from its (combo x point) score matrices."""
 
@@ -953,9 +971,7 @@ class TestEvaluateCells:
         return np.round(rng.random((5, len(self.labels))), 1), np.round(rng.random((5, 40)), 1)
 
     def evaluate(self, samples, test_scores, volume_scores):
-        return experiments._evaluate_cells(
-            self.labels, samples, test_scores, volume_scores, self.cfg, 9
-        )
+        return evaluated_cells(self.labels, samples, test_scores, volume_scores, self.cfg)
 
     def test_non_finite_row_fails_only_its_own_cell(self):
         test_scores, volume_scores = self.scores()
@@ -993,8 +1009,8 @@ class TestEvaluateCells:
         assert precision_composition(1, 20, 0.05) == (1, 20, 2)
         assert precision_composition(1, 20, 0.1) == (1, 9, 1)
         rng = np.random.default_rng(4)
-        cells = experiments._evaluate_cells(
-            labels, [("", np.arange(21))], rng.random((2, 21)), rng.random((2, 10)), cfg, 9,
+        cells = evaluated_cells(
+            labels, [("", np.arange(21))], rng.random((2, 21)), rng.random((2, 10)), cfg,
         )
         assert [flags for _, flags in cells] == [["thinned-normals@0.1"]] * 2
 
@@ -1005,8 +1021,8 @@ class TestEvaluateCells:
         cfg = knn_only_config(ps=(0.01, 0.05))
         assert all(precision_composition(1, 200, p)[1] < 200 for p in cfg.ps)
         rng = np.random.default_rng(5)
-        cells = experiments._evaluate_cells(
-            labels, [("", np.arange(201))], rng.random((2, 201)), rng.random((2, 10)), cfg, 9,
+        cells = evaluated_cells(
+            labels, [("", np.arange(201))], rng.random((2, 201)), rng.random((2, 10)), cfg,
         )
         assert [name for name in cfg.measure_names() if name.startswith("precision@")] == [
             "precision@0.05", "precision@0.01"]
@@ -1024,8 +1040,8 @@ class TestEvaluateCells:
         added = ["CONST@0.2", "CONST@0.05", "CONST@0.01"]
         assert [n for n in names if n.startswith("CONST")] == added
         test_scores, volume_scores = self.scores()
-        cells = experiments._evaluate_cells(
-            self.labels, [("", np.arange(len(self.labels)))], test_scores, volume_scores, cfg, 9
+        cells = evaluated_cells(
+            self.labels, [("", np.arange(len(self.labels)))], test_scores, volume_scores, cfg
         )
         for values, flags in cells:
             assert set(values) == set(names)
@@ -1053,14 +1069,14 @@ class TestParts:
         def head(cfg, perm, n_val):
             return np.sort(perm)[:13]
 
-        plain = loaded(self.run(tmp_path, "plain"))
+        plain = rows_of(self.run(tmp_path, "plain").load())
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "_PARTS", {"evaluation": ("", head)})
-            alone = loaded(self.run(tmp_path, "alone"))
+            alone = rows_of(self.run(tmp_path, "alone").load())
         # A part added as one _PARTS row, with no other edit.
         monkeypatch.setitem(experiments._PARTS, "head", ("head:", head))
         store = self.run(tmp_path, "three")
-        records = loaded(store)
+        records = rows_of(store.load())
         names = [m.name for m in self.cfg.measures()]
         header = next(store.root.glob("*.csv")).read_text().splitlines()[1].split(",")
         assert header[len(experiments._ID_COLUMNS):] == (
@@ -1129,7 +1145,7 @@ class TestParts:
         store = RecordStore(tmp_path, manifest_hash="h")
         summary = run_grid(cfg, [table], store)
         assert (summary.n_new, summary.errors) == (4, {"error:ValueError": 2})
-        for rec in loaded(store):
+        for rec in rows_of(store.load()):
             one_class = rec.repetition == 0
             assert rec.flags == (("error:ValueError",) if one_class else ()), rec
             assert (rec.values["val:AUC"] is None) == one_class, rec
@@ -1144,7 +1160,7 @@ class TestParts:
         table = prepare_table(synth_multiclass_table("toy", (20, 6)))
         store = RecordStore(tmp_path, manifest_hash="h")
         assert run_grid(cfg, [table], store).n_new == 4
-        for rec in loaded(store):
+        for rec in rows_of(store.load()):
             failed = rec.contamination == 0.5
             assert (rec.values["AUC"] is None) == failed, rec
             assert bool(rec.flags) == failed, rec
@@ -1183,13 +1199,13 @@ class TestMeasureRows:
 class TestRecordStore:
     def test_roundtrip_preserves_values_exactly(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
-        rec = record(values={"AUC": 1 / 3, "TPR@0.05": None}, flags=("note", "x"))
-        store.append([rec], ("AUC", "TPR@0.05"))
-        assert loaded(store) == [rec]
+        rec = Row(values={"AUC": 1 / 3, "TPR@0.05": None}, flags=("note", "x"))
+        store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
+        assert rows_of(store.load()) == [rec]
 
     def test_manifest_comment_heads_each_file(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
-        store.append([record(values={"AUC": 0.5})], ("AUC",))
+        store.append(cells_of([Row(values={"AUC": 0.5})]), ("AUC",))
         path = next(tmp_path.glob("*.csv"))
         assert path.read_text().startswith("# manifest: cafe01\n")
 
@@ -1201,8 +1217,8 @@ class TestRecordStore:
     def two_row_store(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         for rep in range(2):
-            rec = record(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.25})
-            store.append([rec], ("AUC", "TPR@0.05"))
+            rec = Row(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.25})
+            store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
         return store, next(tmp_path.glob("*.csv"))
 
     def test_short_row_rejected_with_file_and_line(self, tmp_path):
@@ -1227,29 +1243,27 @@ class TestRecordStore:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(other))}: line 3 repeats the "
                            rf"cell of {re.escape(str(path))}: line 4 \(t-c1 c=0 combo=0 rep=1\)"):
             store.load()
-        with pytest.raises(ValueError, match=r"^two records of cell t-c1 c=0 combo=0 rep=1$"):
-            columns([record(repetition=1), record(), record(repetition=1)])
 
     def test_torn_tail_loads_as_missing_cell(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         recs = [
-            record(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.123456789})
+            Row(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.123456789})
             for rep in range(2)
         ]
         for rec in recs:
-            store.append([rec], ("AUC", "TPR@0.05"))
+            store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
         path = next(tmp_path.glob("*.csv"))
         whole = path.read_bytes()
         # A write cut 6 bytes short leaves "...,0.12345" without a line end.
         path.write_bytes(whole[:-6])
-        assert loaded(store) == recs[:1]
-        store.append([recs[1]], ("AUC", "TPR@0.05"))
+        assert rows_of(store.load()) == recs[:1]
+        store.append(cells_of([recs[1]]), ("AUC", "TPR@0.05"))
         assert path.read_bytes() == whole
         # A torn header row leaves nothing to keep: the file starts afresh.
         path.write_bytes(whole[: whole.index(b"\n") + 5])
-        assert loaded(store) == []
-        store.append([recs[0]], ("AUC", "TPR@0.05"))
-        assert loaded(store) == recs[:1]
+        assert rows_of(store.load()) == []
+        store.append(cells_of([recs[0]]), ("AUC", "TPR@0.05"))
+        assert rows_of(store.load()) == recs[:1]
 
     def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
         store, path = self.two_row_store(tmp_path)
@@ -1260,16 +1274,16 @@ class TestRecordStore:
     def test_na_nan_and_inf_load(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         names = ("A", "B", "C")
-        store.append([
-            record(repetition=0, values={"A": None, "B": math.nan, "C": -math.inf}),
-            record(repetition=1, values={"A": math.inf, "B": math.nan, "C": 0.25}),
-        ], names)
+        store.append(cells_of([
+            Row(repetition=0, values={"A": None, "B": math.nan, "C": -math.inf}),
+            Row(repetition=1, values={"A": math.inf, "B": math.nan, "C": 0.25}),
+        ]), names)
         text = next(tmp_path.glob("*.csv")).read_text()
         assert text.endswith(",NA,nan,-inf\n0,t,c1,knn,g0,0.0,1,,inf,nan,0.25\n")
-        with_na, without = loaded(store)
-        assert with_na.values["A"] is None and with_na.is_flagged_missing
+        with_na, without = rows_of(store.load())
+        assert with_na.values["A"] is None and with_na.flagged_missing
         assert math.isnan(with_na.values["B"]) and with_na.values["C"] == -math.inf
-        assert without.values["A"] == math.inf and not without.is_flagged_missing
+        assert without.values["A"] == math.inf and not without.flagged_missing
         assert math.isnan(without.values["B"]) and without.values["C"] == 0.25
         for rec in (with_na, without):
             assert list(rec.values) == list(names)
@@ -1288,15 +1302,19 @@ class TestRecordStore:
     def test_empty_or_torn_to_nothing_file_loads_as_no_rows(self, tmp_path):
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "torn.csv").write_text("# manifest: ca")  # no complete line
-        assert loaded(RecordStore(tmp_path, manifest_hash="cafe01")) == []
+        assert rows_of(RecordStore(tmp_path, manifest_hash="cafe01").load()) == []
 
     def two_blocks(self):
-        """Two blocks of rows over two files, each block holding both files' rows."""
+        """Two blocks of rows over two files, each block holding both files' rows.
+
+        The blocks are two contamination levels, as a run's blocks at one
+        repetition are, so each file's rows in block order are in cell order.
+        """
         return [
-            [record(anomaly_class=c, grid_index=g, repetition=rep,
-                    values={"AUC": 1 / (3 + g + rep), "TPR@0.05": None if g else 0.5})
+            [Row(anomaly_class=c, grid_index=g, contamination=level,
+                 values={"AUC": 1 / (3 + g + b), "TPR@0.05": None if g else 0.5})
              for c in ("c1", "c2") for g in (0, 1)]
-            for rep in (0, 1)
+            for b, level in enumerate((0.0, 0.05))
         ]
 
     def test_block_append_writes_the_bytes_of_per_record_appends(self, tmp_path, monkeypatch):
@@ -1304,35 +1322,70 @@ class TestRecordStore:
         single = RecordStore(tmp_path / "single", manifest_hash="cafe01")
         for block in self.two_blocks():
             for rec in block:
-                single.append([rec], names)
+                single.append(cells_of([rec]), names)
         cuts = []
         drop = experiments._drop_torn_tail
         monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: cuts.append(p.name) or drop(p))
         batched = RecordStore(tmp_path / "batched", manifest_hash="cafe01")
         for block in self.two_blocks():
-            batched.append(block, names)
+            batched.append(cells_of(block), names)
         files = sorted(p.name for p in (tmp_path / "single").glob("*.csv"))
         assert len(files) == 2 and sorted(cuts) == sorted(files * 2)  # one check per file and block
         assert ({p.name: p.read_bytes() for p in (tmp_path / "batched").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "single").glob("*.csv")})
-        assert loaded(batched) == sorted((r for b in self.two_blocks() for r in b),
-                                        key=lambda r: r.cell_key)
+        assert rows_of(batched.load()) == sorted((r for b in self.two_blocks() for r in b),
+                                                 key=lambda r: r.key)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_append_writes_the_reference_text(self, data):
+        # A block's columns reach the file as the row-by-row writer wrote
+        # records: ids, repr of each float, NA where a value is not present.
+        held = ["AUC", "val:AUC", "TPR@0.05"]
+        names = data.draw(st.permutations(held + ["CVOL@0.05"]))  # no row holds CVOL@0.05
+        value = st.one_of(
+            st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2]),
+            st.floats(allow_nan=False),
+        )
+        cells = data.draw(st.lists(
+            st.tuples(st.sampled_from([("t", "c1"), ("t", "c 2"), ("u-v", "w")]),
+                      st.integers(0, 3), st.sampled_from([0.0, 0.05, 0.1 + 0.2]),
+                      st.integers(0, 2)),
+            min_size=1, max_size=12, unique=True,
+        ))
+        rows = [
+            Row(grid_index=g, table=table, anomaly_class=anomaly_class,
+                detector=("knn", "lof")[g % 2], params=f"variant=kappa k={g + 1}",
+                contamination=c, repetition=rep,
+                flags=tuple(data.draw(st.lists(st.sampled_from(STORE_FLAGS), unique=True,
+                                               max_size=3))),
+                values={n: data.draw(value) for n in held if data.draw(st.booleans())})
+            for (table, anomaly_class), g, c, rep in cells
+        ]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        blocks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+        with tempfile.TemporaryDirectory() as root:
+            store = RecordStore(root, manifest_hash="cafe01")
+            for block in blocks:
+                store.append(cells_of(block), names)
+            files = {p.name: p.read_bytes().decode() for p in Path(root).glob("*.csv")}
+        assert files == store_text_reference(blocks, names, "cafe01")
 
     def test_torn_tail_before_a_block_is_cut_once(self, tmp_path, monkeypatch):
         names = ("AUC", "TPR@0.05")
         first, second = self.two_blocks()
         whole = RecordStore(tmp_path / "whole", manifest_hash="cafe01")
-        whole.append(first + second, names)
+        whole.append(cells_of(first + second), names)
         store = RecordStore(tmp_path / "store", manifest_hash="cafe01")
-        store.append(first, names)
+        store.append(cells_of(first), names)
         path = sorted((tmp_path / "store").glob("*.csv"))[0]
         path.write_bytes(path.read_bytes()[:-6])  # the last row of the first block is torn
-        assert store._file_for(first[1]) == path
-        assert loaded(store) == sorted(first[:1] + first[2:], key=lambda r: r.cell_key)
+        assert path.name == f"{first[1].benchmark}__{first[1].detector}.csv"
+        assert rows_of(store.load()) == sorted(first[:1] + first[2:], key=lambda r: r.key)
         checks = []
         drop = experiments._drop_torn_tail
         monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: checks.append(p.name) or drop(p))
-        store.append([first[1]] + second, names)  # the torn row's cell, then the next block
+        store.append(cells_of([first[1]] + second), names)  # the torn row's cell, the next block
         assert sorted(checks) == sorted(p.name for p in (tmp_path / "store").glob("*.csv"))
         assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
@@ -1346,42 +1399,42 @@ class TestRecordStore:
 class TestMeanRecords:
     def test_averages_over_repetitions(self):
         records = [
-            record(repetition=0, values={"AUC": 0.4}),
-            record(repetition=1, values={"AUC": 0.6}),
+            Row(repetition=0, values={"AUC": 0.4}),
+            Row(repetition=1, values={"AUC": 0.6}),
         ]
-        data = collapse(columns(records))
+        data = collapse(cells_of(records))
         assert data.values.shape == (1, 1, 1)
         assert data.values[0, 0, 0] == 0.5
 
     def test_missing_values_average_over_present_ones(self):
         records = [
-            record(repetition=0, values={"AUC": 0.4}, flags=("error:ValueError",)),
-            record(repetition=1, values={"AUC": None}),
+            Row(repetition=0, values={"AUC": 0.4}, flags=("error:ValueError",)),
+            Row(repetition=1, values={"AUC": None}),
         ]
-        assert collapse(columns(records)).column("AUC")[0, 0] == 0.4
+        assert collapse(cells_of(records)).column("AUC")[0, 0] == 0.4
 
     def test_value_missing_everywhere_stays_missing(self):
-        records = [record(values={"AUC": None}), record(repetition=1, values={"AUC": None})]
-        data = collapse(columns(records))
+        records = [Row(values={"AUC": None}), Row(repetition=1, values={"AUC": None})]
+        data = collapse(cells_of(records))
         assert math.isnan(data.column("AUC")[0, 0])
         assert data.present[0, 0]
 
     def test_groups_by_combo(self):
         records = [
-            record(grid_index=0, values={"AUC": 0.2}),
-            record(grid_index=1, values={"AUC": 0.8}),
+            Row(grid_index=0, values={"AUC": 0.2}),
+            Row(grid_index=1, values={"AUC": 0.8}),
         ]
-        data = collapse(columns(records))
+        data = collapse(cells_of(records))
         assert data.values.shape == (1, 2, 1)
         assert data.values[0, :, 0].tolist() == [0.2, 0.8]
 
     def test_axes_keep_names_tables_detectors_and_val_columns(self):
         records = [
-            record(table="u", anomaly_class="c2", grid_index=3, detector="lof",
+            Row(table="u", anomaly_class="c2", grid_index=3, detector="lof",
                    values={"AUC": 0.5, "val:AUC": 0.25}),
-            record(table="t", anomaly_class="c1", grid_index=0, values={"AUC": 0.7}),
+            Row(table="t", anomaly_class="c1", grid_index=0, values={"AUC": 0.7}),
         ]
-        data = collapse(columns(records))
+        data = collapse(cells_of(records))
         assert data.benchmarks == ("t-c1", "u-c2")
         assert data.tables == ("t", "u")
         assert data.detectors == ("knn", "lof")
@@ -1393,7 +1446,7 @@ class TestMeanRecords:
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            collapse(columns([]))
+            collapse(cells_of([]))
 
 
 def exactness_records(rng):
@@ -1413,7 +1466,7 @@ def exactness_records(rng):
                     values[name] = -0.0
                 else:
                     values[name] = float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-12, 13))
-            out.append(record(grid_index=g, anomaly_class=f"c{1 + g % 2}",
+            out.append(Row(grid_index=g, anomaly_class=f"c{1 + g % 2}",
                               repetition=rep, values=values))
     rng.shuffle(out)
     return out
@@ -1423,9 +1476,9 @@ class TestCollapseExactness:
     @pytest.mark.parametrize("seed", range(6))
     def test_each_mean_is_np_mean_of_its_present_values_bit_for_bit(self, seed):
         records = exactness_records(np.random.default_rng(seed))
-        data = collapse(columns(records))
+        data = collapse(cells_of(records))
         # The columns hold each cell's repetitions in repetition order.
-        records.sort(key=lambda r: r.cell_key)
+        records.sort(key=lambda r: r.key)
         means = repetition_means(records)
         assert len(means) == 40 and data.present.sum() == 40
         regrouped = 0  # cells where a left-to-right sum would give other bytes
@@ -1441,9 +1494,9 @@ class TestCollapseExactness:
         assert regrouped  # the data tells numpy's pairwise grouping from a plain sum
 
     def test_stored_nan_is_present_not_missing(self):
-        records = [record(repetition=0, values={"A": math.nan, "B": None, "C": -0.0}),
-                   record(repetition=1, values={"A": 0.5, "B": 0.25, "C": None})]
-        data = collapse(columns(records))
+        records = [Row(repetition=0, values={"A": math.nan, "B": None, "C": -0.0}),
+                   Row(repetition=1, values={"A": 0.5, "B": 0.25, "C": None})]
+        data = collapse(cells_of(records))
         assert math.isnan(data.column("A")[0, 0]) and data.column("B")[0, 0] == 0.25
         assert data.column("C")[0, 0].tobytes() == np.mean([-0.0]).tobytes()
 
@@ -1462,9 +1515,9 @@ class TestMeanRankTable:
             ("c2", (0.4, 0.8, 0.6)),
         ):
             out += [
-                record(grid_index=0, anomaly_class=bench, values={"AUC": knn_a}),
-                record(grid_index=1, anomaly_class=bench, values={"AUC": knn_b}),
-                record(
+                Row(grid_index=0, anomaly_class=bench, values={"AUC": knn_a}),
+                Row(grid_index=1, anomaly_class=bench, values={"AUC": knn_b}),
+                Row(
                     grid_index=2,
                     anomaly_class=bench,
                     detector="lof",
@@ -1474,7 +1527,7 @@ class TestMeanRankTable:
         return out
 
     def test_best_hyperparameter_represents_each_detector(self):
-        table = mean_rank_table(collapse(columns(self.two_bench_records())), ["AUC"])
+        table = mean_rank_table(collapse(cells_of(self.two_bench_records())), ["AUC"])
         assert table.measures == ("AUC",) and table.detectors == ("knn", "lof")
         np.testing.assert_array_equal(table.mean, [[1.0, 2.0]])
         np.testing.assert_array_equal(table.std, [[0.0, 0.0]])
@@ -1486,23 +1539,23 @@ class TestMeanRankTable:
         for bench in ("c1", "c2", "c3"):
             for i, det in enumerate(("knn", "lof", "iforest")):
                 records.append(
-                    record(
+                    Row(
                         grid_index=i,
                         anomaly_class=bench,
                         detector=det,
                         values={"AUC": float(rng.uniform())},
                     )
                 )
-        table = mean_rank_table(collapse(columns(records)), ["AUC"])
+        table = mean_rank_table(collapse(cells_of(records)), ["AUC"])
         # Ranks are conserved: detector means average to (D + 1) / 2.
         assert table.mean.mean() == pytest.approx(2.0, abs=1e-12)
 
     def test_ties_get_fractional_ranks(self):
         records = [
-            record(grid_index=0, values={"AUC": 0.7}),
-            record(grid_index=1, detector="lof", values={"AUC": 0.7}),
+            Row(grid_index=0, values={"AUC": 0.7}),
+            Row(grid_index=1, detector="lof", values={"AUC": 0.7}),
         ]
-        table = mean_rank_table(collapse(columns(records)), ["AUC"])
+        table = mean_rank_table(collapse(cells_of(records)), ["AUC"])
         np.testing.assert_array_equal(table.mean, [[1.5, 1.5]])
 
     def test_average_ranks_by_hand(self):
@@ -1522,7 +1575,7 @@ class TestMeanRankTable:
     def test_missing_detector_is_reported(self):
         records = self.two_bench_records()[:-1]  # drop lof on c2
         with pytest.raises(ValueError, match="t-c2/lof"):
-            mean_rank_table(collapse(columns(records)), ["AUC"])
+            mean_rank_table(collapse(cells_of(records)), ["AUC"])
 
     @staticmethod
     def collapsed(values):
@@ -1573,11 +1626,11 @@ class TestMeanRankTable:
 
     def test_mixed_contamination_rejected(self):
         records = [
-            record(values={"AUC": 0.5}),
-            record(contamination=0.05, values={"AUC": 0.5}),
+            Row(values={"AUC": 0.5}),
+            Row(contamination=0.05, values={"AUC": 0.5}),
         ]
         with pytest.raises(ValueError, match="contamination"):
-            mean_rank_table(collapse(columns(records)), ["AUC"])
+            mean_rank_table(collapse(cells_of(records)), ["AUC"])
 
 
 # ---------------------------------------------------------------------------
@@ -1631,12 +1684,12 @@ class TestKendallMatrix:
         for bench in ("c1", "c2"):
             for g, (a, b) in enumerate([(0.1, 0.2), (0.5, 0.4), (0.9, 0.6)]):
                 out.append(
-                    record(grid_index=g, anomaly_class=bench, values={"A": a, "B": b})
+                    Row(grid_index=g, anomaly_class=bench, values={"A": a, "B": b})
                 )
         return out
 
     def test_symmetric_with_unit_diagonal(self):
-        result = kendall_matrix(collapse(columns(self.correlated_records())), measures=("A", "B"))
+        result = kendall_matrix(collapse(cells_of(self.correlated_records())), measures=("A", "B"))
         np.testing.assert_array_equal(result.matrix, result.matrix.T)
         np.testing.assert_array_equal(np.diag(result.matrix), 1.0)
         assert result.matrix[0, 1] == 1.0  # the two measures agree in order
@@ -1644,17 +1697,17 @@ class TestKendallMatrix:
 
     def test_single_combo_benchmark_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            kendall_matrix(collapse(columns([record(values={"A": 0.5, "B": 0.5})])),
+            kendall_matrix(collapse(cells_of([Row(values={"A": 0.5, "B": 0.5})])),
                            measures=("A", "B"))
 
     def test_undefined_benchmarks_are_skipped(self):
         records = self.correlated_records()
         # Benchmark c3 is fully tied in A: contributes nothing to (A, B).
         records += [
-            record(grid_index=g, anomaly_class="c3", values={"A": 0.5, "B": float(g)})
+            Row(grid_index=g, anomaly_class="c3", values={"A": 0.5, "B": float(g)})
             for g in range(2)
         ]
-        result = kendall_matrix(collapse(columns(records)), measures=("A", "B"))
+        result = kendall_matrix(collapse(cells_of(records)), measures=("A", "B"))
         assert result.counts[0, 1] == 2
         assert result.matrix[0, 1] == 1.0
 
@@ -1667,7 +1720,7 @@ class TestKendallMatrix:
 def pair_loss(records, select_on_validation=False) -> float:
     """Entry (S, T) of the loss table: the mean loss of selecting by S, judging by T."""
     table = loss_matrix_table(
-        collapse(columns(records)), measures=("S", "T"), select_on_validation=select_on_validation
+        collapse(cells_of(records)), measures=("S", "T"), select_on_validation=select_on_validation
     )
     return table.matrix[0, 1]
 
@@ -1676,28 +1729,28 @@ class TestLossMatrix:
     def records_with_disagreement(self):
         # Selection measure prefers combo 0, target prefers combo 1.
         return [
-            record(grid_index=0, values={"S": 0.9, "T": 0.2}),
-            record(grid_index=1, values={"S": 0.5, "T": 0.8}),
+            Row(grid_index=0, values={"S": 0.9, "T": 0.2}),
+            Row(grid_index=1, values={"S": 0.5, "T": 0.8}),
         ]
 
     def test_hand_value(self):
-        result = loss_matrix_table(collapse(columns(self.records_with_disagreement())), ("S", "T"))
+        result = loss_matrix_table(collapse(cells_of(self.records_with_disagreement())), ("S", "T"))
         assert result.matrix[0, 1] == pytest.approx((0.8 - 0.2) / 0.8)
         assert result.counts[0, 1] == 1
 
     def test_diagonal_is_zero(self):
         records = self.records_with_disagreement()
-        result = loss_matrix_table(collapse(columns(records)), measures=("S", "T"))
+        result = loss_matrix_table(collapse(cells_of(records)), measures=("S", "T"))
         assert result.measures == ("S", "T")
         np.testing.assert_array_equal(np.diag(result.matrix), 0.0)
 
     def test_argmax_optimality(self):
         rng = np.random.default_rng(3)
         records = [
-            record(grid_index=g, values={"S": float(rng.uniform()), "T": float(rng.uniform())})
+            Row(grid_index=g, values={"S": float(rng.uniform()), "T": float(rng.uniform())})
             for g in range(8)
         ]
-        matrix = loss_matrix_table(collapse(columns(records)), measures=("S", "T")).matrix
+        matrix = loss_matrix_table(collapse(cells_of(records)), measures=("S", "T")).matrix
         # Selecting by the target itself is never worse than any other
         # selector, so every column is minimized on the diagonal.
         for j in range(2):
@@ -1705,29 +1758,29 @@ class TestLossMatrix:
 
     def test_zero_best_target_gives_zero_loss(self):
         records = [
-            record(grid_index=0, values={"S": 0.9, "T": 0.0}),
-            record(grid_index=1, values={"S": 0.5, "T": 0.0}),
+            Row(grid_index=0, values={"S": 0.9, "T": 0.0}),
+            Row(grid_index=1, values={"S": 0.5, "T": 0.0}),
         ]
         assert pair_loss(records) == 0.0
 
     def test_selection_ties_resolved_by_grid_order(self):
         records = [
-            record(grid_index=0, values={"S": 0.9, "T": 0.3}),
-            record(grid_index=1, values={"S": 0.9, "T": 0.9}),
+            Row(grid_index=0, values={"S": 0.9, "T": 0.3}),
+            Row(grid_index=1, values={"S": 0.9, "T": 0.9}),
         ]
         # Both combos tie on S; the lower grid index wins the selection.
         assert pair_loss(records) == pytest.approx((0.9 - 0.3) / 0.9)
 
     def test_combos_missing_values_are_excluded(self):
         records = self.records_with_disagreement() + [
-            record(grid_index=2, values={"S": None, "T": 1.0})
+            Row(grid_index=2, values={"S": None, "T": 1.0})
         ]
         assert pair_loss(records) == pytest.approx((0.8 - 0.2) / 0.8)
 
     def test_validation_columns_select(self):
         records = [
-            record(grid_index=0, values={"S": 0.9, "val:S": 0.1, "T": 0.9, "val:T": 0.5}),
-            record(grid_index=1, values={"S": 0.6, "val:S": 0.9, "T": 0.6, "val:T": 0.5}),
+            Row(grid_index=0, values={"S": 0.9, "val:S": 0.1, "T": 0.9, "val:T": 0.5}),
+            Row(grid_index=1, values={"S": 0.6, "val:S": 0.9, "T": 0.6, "val:T": 0.5}),
         ]
         assert pair_loss(records) == 0.0
         assert pair_loss(records, select_on_validation=True) == pytest.approx((0.9 - 0.6) / 0.9)
@@ -1736,39 +1789,39 @@ class TestLossMatrix:
 class TestMulticlassSensitivity:
     def test_two_class_hand_example(self):
         records = [
-            record(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
-            record(anomaly_class="c1", grid_index=1, values={"M": 0.1}),
-            record(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
-            record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
+            Row(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
+            Row(anomaly_class="c1", grid_index=1, values={"M": 0.1}),
+            Row(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
+            Row(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
         ]
-        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
+        result = multiclass_sensitivity(collapse(cells_of(records)), measures=("M",))
         assert result.matrix[0, 0] == pytest.approx(8 / 9)
         assert result.n_tables == 1 and result.n_skipped_tables == 0
 
     def test_globally_optimal_combo_gives_zero_loss(self):
         records = [
-            record(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
-            record(anomaly_class="c1", grid_index=1, values={"M": 0.5}),
-            record(anomaly_class="c2", grid_index=0, values={"M": 0.8}),
-            record(anomaly_class="c2", grid_index=1, values={"M": 0.2}),
+            Row(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
+            Row(anomaly_class="c1", grid_index=1, values={"M": 0.5}),
+            Row(anomaly_class="c2", grid_index=0, values={"M": 0.8}),
+            Row(anomaly_class="c2", grid_index=1, values={"M": 0.2}),
         ]
-        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
+        result = multiclass_sensitivity(collapse(cells_of(records)), measures=("M",))
         assert result.matrix[0, 0] == 0.0
 
     def test_single_class_tables_skipped_and_counted(self):
         records = [
-            record(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
-            record(anomaly_class="c1", grid_index=1, values={"M": 0.1}),
-            record(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
-            record(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
-            record(table="solo", anomaly_class="only", values={"M": 0.5}),
+            Row(anomaly_class="c1", grid_index=0, values={"M": 0.9}),
+            Row(anomaly_class="c1", grid_index=1, values={"M": 0.1}),
+            Row(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
+            Row(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
+            Row(table="solo", anomaly_class="only", values={"M": 0.5}),
         ]
-        result = multiclass_sensitivity(collapse(columns(records)), measures=("M",))
+        result = multiclass_sensitivity(collapse(cells_of(records)), measures=("M",))
         assert result.n_tables == 1 and result.n_skipped_tables == 1
 
     def test_all_single_class_rejected(self):
         with pytest.raises(ValueError, match="two or more"):
-            multiclass_sensitivity(collapse(columns([record(values={"M": 0.5})])), measures=("M",))
+            multiclass_sensitivity(collapse(cells_of([Row(values={"M": 0.5})])), measures=("M",))
 
 
 # ---------------------------------------------------------------------------
@@ -1799,7 +1852,7 @@ def random_records(rng):
                         else:
                             values[name] = float(rng.uniform())
                     out.append(
-                        record(grid_index=g, table=f"t{t}", anomaly_class=f"c{c}",
+                        Row(grid_index=g, table=f"t{t}", anomaly_class=f"c{c}",
                                detector=detector, repetition=rep, values=values)
                     )
     rng.shuffle(out)
@@ -1821,9 +1874,10 @@ def store_value(rng):
 def write_random_store(rng, root):
     """A store of 3 benchmarks x 4 combos x 2 levels x 3 repetitions, some cells absent.
 
-    Records are appended shuffled, in several calls.  The file of u-v-w's
-    lof rows holds no ``TPR@0.05`` column, so its records lack that measure.
-    Returns the store and its records.
+    The rows are shuffled and appended in four batches, each call writing
+    its rows in cell order.  The file of u-v-w's lof rows holds no
+    ``TPR@0.05`` column, so its rows lack that measure.  Returns the store
+    and its rows.
     """
     store = RecordStore(root, manifest_hash="feed01")
     short = tuple(n for n in STORE_MEASURES if n != "TPR@0.05")
@@ -1836,7 +1890,7 @@ def write_random_store(rng, root):
                     if rng.random() < 0.15:
                         continue  # a missing cell
                     flags = rng.choice(STORE_FLAGS, size=int(rng.integers(0, 3)), replace=False)
-                    records.append(ExperimentRecord(
+                    records.append(Row(
                         grid_index=g, table=table, anomaly_class=anomaly_class,
                         detector=detector, params=f"k={g}", contamination=c, repetition=rep,
                         values={n: store_value(rng) for n in names}, flags=tuple(flags),
@@ -1845,15 +1899,15 @@ def write_random_store(rng, root):
     for batch in np.array_split(np.arange(len(records)), 4):
         chunk = [records[i] for i in batch]
         for part, names in ((True, short), (False, STORE_MEASURES)):
-            store.append([r for r in chunk if (r.detector == "lof" and r.table == "u-v") == part],
-                         names)
+            store.append(
+                cells_of(r for r in chunk if (r.detector == "lof" and r.table == "u-v") == part),
+                names)
     return store, records
 
 
 def exact(rows):
     """Records as comparable tuples: values by ``repr``, so NaN equals NaN and -0.0 differs."""
-    return [(dataclasses.replace(r, values={}), {n: repr(v) for n, v in r.values.items()})
-            for r in rows]
+    return [(r._replace(values={}), {n: repr(v) for n, v in r.values.items()}) for r in rows]
 
 
 class TestStoreRoundTrip:
@@ -1862,20 +1916,20 @@ class TestStoreRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_load_collapse_and_missing_cells_equal_the_loop_references(self, tmp_path, seed):
         store, records = write_random_store(np.random.default_rng(seed), tmp_path)
-        records.sort(key=lambda r: r.cell_key)
+        records.sort(key=lambda r: r.key)
         seen = {repr(v) for r in records for v in r.values.values()}
         assert {"None", "nan", "inf", "-inf", "-0.0"} <= seen
         assert any(len(r.flags) == 2 for r in records)
         stored = store.load()
-        assert exact(stored_rows(stored)) == exact(records)
-        assert stored.flagged_missing.tolist() == [r.is_flagged_missing for r in records]
+        assert exact(rows_of(stored)) == exact(records)
+        assert stored.flagged_missing.tolist() == [r.flagged_missing for r in records]
         assert not stored.present[stored.na].any()
         assert set(stored.measures) == set(STORE_MEASURES)
 
         cfg = knn_only_config(knn_ks=(1, 3), lof_ks=(5,), iforest_trees=(10,),
                               contaminations=(0.0, 0.05), repetitions=3)
         names = ["t-c1", "t-c2", "u-v-w", "x-y"]  # x-y has no rows
-        have = {r.cell_key for r in records}
+        have = {r.key for r in records}
         every = set(itertools.product(names, (0.0, 0.05), range(4), range(3)))
         assert missing_cells(cfg, names, stored) == sorted(every - have)
 
@@ -1906,15 +1960,15 @@ class TestMissingCells:
         cfg = knn_only_config(contaminations=(0.05, 0.0))  # 2 combos, 2 repetitions
         names = ["b-x", "a-b-c"]  # table "a-b", class "c"
         records = [
-            record(table="a-b", anomaly_class="c", contamination=c, grid_index=g, repetition=r)
+            Row(table="a-b", anomaly_class="c", contamination=c, grid_index=g, repetition=r)
             for c in (0.05, 0.0) for g in (0, 1) for r in (0, 1) if (c, g, r) != (0.0, 1, 0)
         ]
-        records.append(record(table="z", anomaly_class="y"))  # not a listed benchmark
+        records.append(Row(table="z", anomaly_class="y"))  # not a listed benchmark
         # Sorted by name, then contamination in config order, combo and repetition.
-        assert missing_cells(cfg, names, columns(records)) == [("a-b-c", 0.0, 1, 0)] + [
+        assert missing_cells(cfg, names, cells_of(records)) == [("a-b-c", 0.0, 1, 0)] + [
             ("b-x", c, g, r) for c in (0.05, 0.0) for g in (0, 1) for r in (0, 1)
         ]
-        assert missing_cells(cfg, [], columns(records)) == []
+        assert missing_cells(cfg, [], cells_of(records)) == []
 
 
 def check_loss_table(data, means, names, select_on_validation):
@@ -1948,8 +2002,8 @@ class TestReductionsMatchLoopReference:
         ]
         for seed in range(25):
             records = random_records(np.random.default_rng(seed))
-            data = collapse(columns(records))
-            records.sort(key=lambda r: r.cell_key)  # repetition order, as in the columns
+            data = collapse(cells_of(records))
+            records.sort(key=lambda r: r.key)  # repetition order, as in the columns
             means = repetition_means(records)
             n_pairs = sum(n * (n - 1) for n in Counter(data.tables).values())
             seen["multiclass_8_pairs"] += n_pairs >= 8
