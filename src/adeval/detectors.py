@@ -19,7 +19,12 @@ prefix; any other row, and every row when the prefix would hold more than
 half the training points, reads its whole row.  Sums over a neighbourhood
 are taken over a zero row with the prefix written in at its columns
 (:meth:`_Rows.sums`), the array the whole-row path sums, so both paths
-give the same bits.  LOF fits of any number of k share one prefix per
+give the same bits.  The summed values (reachability distances and lrds)
+are never negative, so where all of them are finite the masked row is
+their product with the membership mask, the bits of ``np.where`` at a
+fraction of its cost; an inf or NaN value keeps ``np.where``.  Per-column
+values and the neighbours' coordinates are gathered by ``ndarray.take``.
+LOF fits of any number of k share one prefix per
 training row, computed in blocks of rows, so a fit never holds the n x n
 distance matrix (:func:`lof_fitter`).  :func:`neighbour_scores` scores any
 kNN and LOF models fitted on the same points, one model
@@ -149,8 +154,12 @@ class _Rows:
     n: int
 
     def at(self, values: np.ndarray) -> np.ndarray:
-        """Per-training-column ``values`` at each entry of ``dist``."""
-        return values[None, :] if self.cols is None else values[self.cols]
+        """Per-training-column ``values`` at each entry of ``dist``.
+
+        Whole rows get ``values`` itself as a (1, n) view; a prefix gets a
+        new (rows x width) array, gathered by ``take``.
+        """
+        return values[None, :] if self.cols is None else values.take(self.cols)
 
     @functools.cached_property
     def _flat(self) -> np.ndarray:
@@ -160,16 +169,27 @@ class _Rows:
     def _whole(self) -> np.ndarray:
         return np.zeros((len(self.cols), self.n))
 
-    def sums(self, member: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per row, the sum of ``values`` over ``member``, as the whole rows sum it.
+    def sums(self, member: np.ndarray, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Per row, the sum of non-negative ``values`` over ``member``, as the whole rows sum it.
 
         That is ``np.where(member, values, 0.0).sum(axis=1)`` over whole rows,
         bit for bit: a prefix is written at its columns into one zero (rows x
         n) array, whose other columns are never written, and that array is
         summed.  Every call writes the same columns, so one array serves
-        them all.
+        them all.  No value is negative or -0.0 (they are distances and
+        densities), so one ``max`` tells whether every value is finite, and
+        then the masked row is the product ``values * member``: x * 1 is x
+        and x * 0 is +0.0, the bits ``np.where`` gives, several times
+        faster.  An inf or NaN value (a whole-row fit's self-distance, a NaN
+        query, an overflowing distance) would give NaN there, so such values
+        are masked by ``np.where``.  With ``overwrite`` the caller hands over
+        ``values``, a (rows x width) array of its own, and the product is
+        written into it.
         """
-        kept = np.where(member, values, 0.0)
+        if np.isfinite(values.max()):
+            kept = np.multiply(values, member, out=values if overwrite else None)
+        else:
+            kept = np.where(member, values, 0.0)
         if self.cols is None:
             return kept.sum(axis=1)
         self._whole.ravel()[self._flat] = kept.ravel()
@@ -360,10 +380,11 @@ def _local_density(
     """Member counts and local reachability densities (capped at ``lrd_cap``) of rows.
 
     Row i's reachability distance to training column j is
-    ``max(kdist[j], dist[i, j])``.
+    ``max(kdist[j], dist[i, j])``: a new array, so :meth:`_Rows.sums` may
+    write its masked product in place.
     """
     counts = member.sum(axis=1)
-    reach_sum = rows.sums(member, np.maximum(rows.at(kdist), rows.dist))
+    reach_sum = rows.sums(member, np.maximum(rows.at(kdist), rows.dist), overwrite=True)
     lrd = np.where(
         reach_sum > 0,
         counts / np.where(reach_sum > 0, reach_sum, 1.0),
@@ -502,11 +523,15 @@ def neighbour_scores(
     kNN statistics are prefixes of that table: kappa = ``d[:, k-1]``, gamma
     = ``d[:, :k].mean(axis=1)``, delta = ``|s_k / k - q|``, where ``s_k``
     adds the first k neighbours' coordinates one at a time, in neighbour
-    order: column k - 1 of one running sum over ``points[idx]``, gathered
-    once at the largest delta k.  For d >= 2 that is the sum numpy's
-    ``points[idx[:, :k]].mean(axis=1)`` takes.  A LOF neighbourhood holds
-    the columns ``<=`` its bound, so a NaN query has none; every kNN and
-    LOF model scores a NaN query NaN.
+    order: column k - 1 of one running sum over the coordinates gathered
+    once, at the largest delta k, by ``points.take(idx, axis=0)`` (8x faster
+    than ``points[idx]`` at 1820 x 51 neighbours in 2-D, same values).  For d >= 2 that is the sum
+    numpy's ``points[idx[:, :k]].mean(axis=1)`` takes.  The reachability
+    and lrd sums mask each row by a product with the membership mask when
+    every value is finite, written in place into the reachability array,
+    and by ``np.where`` otherwise (:meth:`_Rows.sums`).  A LOF
+    neighbourhood holds the columns ``<=`` its bound, so a NaN query has
+    none; every kNN and LOF model scores a NaN query NaN.
     """
     points = models[0].points
     if any(m.points is not points and not np.array_equal(m.points, points) for m in models):
@@ -529,7 +554,7 @@ def neighbour_scores(
             # Running sums of the neighbours up to the largest delta k, added
             # in neighbour order: delta at k reads column k - 1.  The gather is
             # as large as LOF's arrays, so it is released before any LOF row.
-            gathered = points[idx[:, :delta_k]]
+            gathered = points.take(idx[:, :delta_k], axis=0)
             np.cumsum(gathered, axis=1, out=gathered)
             for row, m in zip(rows, models):
                 if isinstance(m, LofModel):
@@ -549,7 +574,9 @@ def neighbour_scores(
                 if isinstance(m, LofModel):
                     member = part.dist <= bound[m.k][at]
                     counts, lrd_q = _local_density(part, member, m.kdist, m.lrd_cap)
-                    row[at] = part.sums(member, part.at(m.lrd)) / (lrd_q * counts)
+                    # A prefix's ``at`` is a new array; whole rows' is the model's lrd.
+                    lrd_sum = part.sums(member, part.at(m.lrd), overwrite=part.cols is not None)
+                    row[at] = lrd_sum / (lrd_q * counts)
     return out
 
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -738,6 +739,139 @@ def test_stacked_queries_score_as_apart(train, a, b, k, seed):
         for score, models in scorers:
             apart = np.hstack([score(models, a), score(models, b)])
             assert np.array_equal(score(models, np.vstack([a, b])), apart, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Masked sums: a product where every value is finite, np.where elsewhere
+# ---------------------------------------------------------------------------
+
+
+def assert_sums_equal_where(values, member, width):
+    """``_Rows.sums`` over whole rows and over ``width``-column prefixes, by bytes.
+
+    Both must give ``np.where(member, values, 0.0).sum(axis=1)`` over the
+    whole rows, and neither may write ``values`` unless handed it.  Each
+    row's prefix holds its members, then its other columns in index order.
+    """
+    m, n = values.shape
+    expected = np.where(member, values, 0.0).sum(axis=1).tobytes()
+    cols = np.argsort(~member, axis=1, kind="stable")[:, :width]
+    given_values = values.copy()
+    whole = detectors._Rows(np.arange(m), values, None, n)
+    assert whole.sums(member, given_values).tobytes() == expected
+    assert given_values.tobytes() == values.tobytes()
+    assert whole.sums(member, given_values, overwrite=True).tobytes() == expected
+    prefix_values = np.take_along_axis(values, cols, axis=1)
+    prefix_member = np.take_along_axis(member, cols, axis=1)
+    prefix = detectors._Rows(np.arange(m), prefix_values, cols, n)
+    given_values = prefix_values.copy()
+    assert prefix.sums(prefix_member, given_values).tobytes() == expected
+    assert given_values.tobytes() == prefix_values.tobytes()
+    assert prefix.sums(prefix_member, given_values, overwrite=True).tobytes() == expected
+
+
+# Rows of six columns a reachability or lrd sum meets: finite values with no
+# member; a NaN row (a NaN query) with none; inf and NaN outside the members;
+# members of value +0.0 (repeated training rows) beside positive ones; and
+# finite values whose members sum to an inexact total.
+SUM_ROWS = np.array([
+    [1.5, 2.0, 0.25, 3.0, 7.0, 0.5],
+    [np.nan] * 6,
+    [0.1, np.inf, 0.2, np.nan, 0.3, np.inf],
+    [0.0, 0.0, 2.5, 0.0, 1.0, 4.0],
+    [0.1, 0.2, 0.3, 1e-300, 1e300, 3.0],
+])
+SUM_MEMBERS = np.array([
+    [False] * 6,
+    [False] * 6,
+    [True, False, True, False, True, False],
+    [True, True, False, True, True, False],
+    [True, True, True, True, False, True],
+])
+
+
+class TestMaskedSums:
+    def test_hand_rows_sum_as_where(self):
+        """Every set of the hand rows: finite sets multiply, the others fall back to ``np.where``."""
+        for size in range(1, len(SUM_ROWS) + 1):
+            for rows in map(list, itertools.combinations(range(len(SUM_ROWS)), size)):
+                for width in (max(1, SUM_MEMBERS[rows].sum(axis=1).max()), 6):
+                    assert_sums_equal_where(SUM_ROWS[rows], SUM_MEMBERS[rows], width)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_rows_sum_as_where(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=6))
+        n = data.draw(st.integers(min_value=2, max_value=9))
+        value = st.floats(min_value=0.0, max_value=1e300).map(abs)
+        if data.draw(st.booleans()):
+            value = st.one_of(value, st.sampled_from([0.0, np.inf, np.nan]))
+        values = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n)))
+        member = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+        member = member.reshape(m, n)
+        width = data.draw(st.integers(min_value=max(1, member.sum(axis=1).max()), max_value=n))
+        assert_sums_equal_where(values.reshape(m, n), member, width)
+
+    def test_scoring_writes_no_fitted_array(self):
+        """Scoring leaves every model's ``kdist`` and ``lrd`` as fitted, byte for byte.
+
+        K = 60 of 100 training points reads whole rows; each model alone
+        (K = 3 or 20) reads prefixes, and the NaN query a whole row.  A later
+        fit from the shared neighbourhoods gives the first fit's bytes.
+        """
+        rng = np.random.default_rng(8)
+        grid = rng.integers(-3, 4, size=(60, 2)).astype(float)
+        train = np.vstack([grid, rng.normal(size=(40, 2))])
+        fit = lof_fitter(train, (3, 20, 60))
+        lofs = [fit(k) for k in (3, 20, 60)]
+        fitted = [(m.kdist.tobytes(), m.lrd.tobytes()) for m in lofs]
+        queries = np.vstack([rng.normal(size=(200, 2)), grid[:20] + 0.5, [[np.nan, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            neighbour_scores([*lofs, knn_fit(train, 7, "delta")], queries)
+            for m in lofs:
+                m.score(queries)
+        assert [(m.kdist.tobytes(), m.lrd.tobytes()) for m in lofs] == fitted
+        assert [(m.kdist.tobytes(), m.lrd.tobytes()) for m in map(fit, (3, 20, 60))] == fitted
+
+
+@st.composite
+def overflowing_case(draw):
+    """A grid cloud and grid queries scaled by 2**506 to 2**512 (about 1e152 to 1e154).
+
+    Grid points 1 apart lie 2**506 to 2**512 apart, so distances from some
+    2**4 units up to about 1 unit overflow to inf, and others stay finite; a
+    power of two scales every finite distance exactly, so grid ties stay
+    exact.  Training sets of 3 to 25 points and ks up to 4 give whole-row
+    fits at small n and prefix rows at larger n.  Queries also take NaN,
+    inf and -inf coordinates.
+    """
+    scale = 2.0 ** draw(st.integers(min_value=506, max_value=512))
+    train = draw(grid_cloud()) * scale
+    n = len(train)
+    dist = cdist(train, train)
+    assume(((dist > 0) & np.isfinite(dist)).any())  # LOF needs one finite distance
+    lof_ks = draw(st.lists(st.integers(min_value=1, max_value=min(4, n - 1)),
+                           min_size=1, max_size=3, unique=True))
+    knn_ks = draw(st.lists(st.integers(min_value=1, max_value=min(5, n)), max_size=3, unique=True))
+    coord = st.one_of(st.integers(min_value=-22, max_value=22).map(lambda i: i / 2 * scale),
+                      st.sampled_from([np.nan, np.inf, -np.inf]))
+    coords = draw(st.lists(coord, min_size=2, max_size=40))
+    queries = np.array(coords[: len(coords) // 2 * 2]).reshape(-1, 2)
+    return train, queries, sorted(lof_ks), sorted(knn_ks)
+
+
+@given(overflowing_case())
+@settings(max_examples=80, deadline=None)
+def test_overflowing_distances_equal_references(case):
+    """Fits and a mixed block equal their references where distances overflow to inf.
+
+    An inf outside a row's members (a whole-row fit's self-distance, an
+    overflowing distance, an infinite query) makes a product of the masked
+    row NaN where ``np.where`` gives 0, so the sums must fall back there.
+    """
+    train, queries, lof_ks, knn_ks = case
+    with np.errstate(all="ignore"):
+        assert_block_equals_references(train, queries, lof_ks, knn_ks)
 
 
 # ---------------------------------------------------------------------------
