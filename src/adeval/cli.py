@@ -467,11 +467,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _pick_contamination(args: argparse.Namespace, cfg: GridConfig) -> float:
+    """The run's own contamination level that ``--contamination`` names, so -0 gives 0."""
     levels = cfg.contaminations
     if args.contamination is None and len(levels) == 1:
         return levels[0]
     if args.contamination in levels:
-        return args.contamination
+        return levels[levels.index(args.contamination)]
     shown = ", ".join(f"{c:g}" for c in levels)
     if args.contamination is not None:
         raise CliError(f"contamination {args.contamination:g} not in this run (has: {shown})")
@@ -486,7 +487,8 @@ def _select_measures(
 ) -> tuple[str, ...]:
     """The run's measures that ``--measure`` names, at the ``--alpha`` and ``--p`` levels.
 
-    A named measure or a level that the run does not have is refused.
+    A named measure or a level that the run does not have is refused, and
+    so is a measure named twice.
     """
     wanted = {"alphas": alpha, "ps": p}  # the level each family keeps, None for all
     for flag, family in (("--alpha", "alphas"), ("--p", "ps")):
@@ -506,6 +508,8 @@ def _select_measures(
                     raise CliError(
                         f"measure {part!r} not in this run (has: {', '.join(by_name)})"
                     )
+                if part in chosen:
+                    raise CliError(f"measure {part!r} is named twice")
                 chosen.append(part)
         names = chosen
 

@@ -182,19 +182,16 @@ def auc_rows(rows: RocRows) -> NDArray[np.float64]:
     return _area_below(rows, np.ones(1))[0]
 
 
-def auc_at_rows(
-    rows: RocRows, alphas: Sequence[float], normalized: bool = False
-) -> NDArray[np.float64]:
-    """Area under each row's ROC curve restricted to FPR in [0, alpha], per level.
+def auc_at_rows(rows: RocRows, alphas: Sequence[float]) -> NDArray[np.float64]:
+    """Normalized area under each row's ROC curve restricted to FPR in [0, alpha], per level.
 
     Returns a (levels, rows) array.  Each alpha lies in (0, 1]; the
-    bracketing segment is split linearly at FPR = alpha.  With
-    ``normalized`` the area is divided by alpha, so an ideal detector
-    scores 1.
+    bracketing segment is split linearly at FPR = alpha, and the area is
+    divided by alpha, so an ideal detector scores 1.  Dividing by 1 is
+    exact, so alpha = 1 gives :func:`auc_rows` bit for bit.
     """
     alphas = _check_alphas(alphas)
-    area = _area_below(rows, alphas)
-    return area / alphas[:, None] if normalized else area
+    return _area_below(rows, alphas) / alphas[:, None]
 
 
 def auc_weighted_rows(rows: RocRows) -> NDArray[np.float64]:

@@ -14,9 +14,11 @@ Cells are columns from the block to the store file: each block returns
 its cells as :class:`StoredCells`, one row per cell, which land, as soon
 as the block and every block before it are done, in a resumable
 delimited-text store, one file per (benchmark, detector), which loads as
-:class:`StoredCells` again.
-Analytics first collapse one contamination level of the store into a
-single (benchmark x combo x measure) array of repetition means; every
+:class:`StoredCells` again.  A store is one run's grid: every file has
+the run's measure columns, and ``NA`` is the only missing value.
+Analytics first reshape one contamination level of the complete grid to
+a (benchmark x combo x repetition x measure) array and collapse it into
+a single (benchmark x combo x measure) array of repetition means; every
 table is a reduction over that array, comparing detectors (mean ranks),
 measures (Kendall correlation), and selection strategies (relative loss
 matrices, within and across anomaly classes).  The last three are one
@@ -37,7 +39,8 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import starmap
+from itertools import chain, islice, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -74,7 +77,7 @@ from adeval.volume import accepted_fraction, bounding_box, uniform_sample
 _KINDS = {
     "auc": ("AUC", None, lambda s: auc_rows(s.roc)[None]),
     "auc_w": ("AUC_w", None, lambda s: auc_weighted_rows(s.roc)[None]),
-    "auc_at": ("AUC", "alphas", lambda s: auc_at_rows(s.roc, s.cfg.alphas, normalized=True)),
+    "auc_at": ("AUC", "alphas", lambda s: auc_at_rows(s.roc, s.cfg.alphas)),
     "precision_at": ("precision", "ps", lambda s: precision_at_p_rows(
         s.labels, s.order, s.cfg.ps, s.cfg.precision_rounds, s.prec_seed)),
     "tpr_at": ("TPR", "alphas", lambda s: tpr_at_rows(s.roc, s.cfg.alphas)),
@@ -392,12 +395,12 @@ class StoredCells:
     Row i is the cell ``(benchmark[i], contamination[i], grid_index[i],
     repetition[i])`` (:meth:`keys`), and rows are sorted by it.  The string
     columns are object arrays, and ``flags`` holds each row's flags as a
-    tuple.  ``measures`` are the measure columns that some row holds: in
-    the order of the store's files for a load, :meth:`GridConfig.measure_names`
-    for a grid block.  ``values[i, m]`` is
-    row i's value of measure m where ``present[i, m]``, else 0; ``na[i, m]``
-    marks a missing value (``NA``) in a column of row i's own header, so a
-    measure that row i's file lacks is neither present nor ``NA`` there.
+    tuple.  ``measures`` are the run's measure columns, which every row
+    holds: the store files' one header for a load,
+    :meth:`GridConfig.measure_names` for a grid block.  ``na[i, m]`` marks
+    a missing value (``NA``), the only missing value there is;
+    ``values[i, m]`` is row i's value of measure m where ``na[i, m]`` is
+    False, else 0.
     """
 
     grid_index: NDArray[np.int64]
@@ -411,7 +414,6 @@ class StoredCells:
     benchmark: NDArray[np.object_]
     measures: tuple[str, ...]
     values: NDArray[np.float64]  # (row, measure)
-    present: NDArray[np.bool_]  # (row, measure)
     na: NDArray[np.bool_]  # (row, measure)
 
     def __len__(self) -> int:
@@ -428,13 +430,9 @@ class StoredCells:
                         self.grid_index.tolist(), self.repetition.tolist()))
 
     def select(self, rows: NDArray[np.bool_]) -> StoredCells:
-        """The rows where ``rows`` holds, with the measures that some of them hold."""
-        held = (self.present[rows] | self.na[rows]).any(axis=0)
+        """The rows where ``rows`` holds, with every measure."""
         columns = [getattr(self, name)[rows] for name in _ID_COLUMNS + ("benchmark",)]
-        return StoredCells(
-            *columns, tuple(m for m, h in zip(self.measures, held) if h),
-            *(getattr(self, name)[rows][:, held] for name in ("values", "present", "na")),
-        )
+        return StoredCells(*columns, self.measures, self.values[rows], self.na[rows])
 
     def _first_repeat(self) -> int | None:
         """The first row i whose cell row i + 1 holds too, or None if every cell has one row."""
@@ -454,7 +452,6 @@ def _sorted_cells(
     ids: Sequence[Sequence],
     measures: tuple[str, ...],
     values: NDArray[np.float64],
-    present: NDArray[np.bool_],
     na: NDArray[np.bool_],
 ) -> tuple[StoredCells, NDArray[np.intp]]:
     """The rows as :class:`StoredCells`, sorted by cell, and the order that sorted them.
@@ -479,7 +476,7 @@ def _sorted_cells(
     cells = StoredCells(
         grid_index[order], text(ids[1]), text(ids[2]), text(ids[3]), text(ids[4]),
         contamination[order], repetition[order], text(ids[7]), text(benchmark),
-        measures, values[order], present[order], na[order],
+        measures, values[order], na[order],
     )
     return cells, order
 
@@ -503,21 +500,18 @@ class RecordStore:
         self.manifest_hash = manifest_hash
         self._manifest_line = f"# manifest: {manifest_hash}"
 
-    def append(self, cells: StoredCells, measure_names: Sequence[str]) -> None:
-        """Append the rows of ``cells``, in their order, under a header of ``measure_names``.
+    def append(self, cells: StoredCells) -> None:
+        """Append the rows of ``cells``, in their order, under a header of ``cells.measures``.
 
         A row goes to the file of its (benchmark, detector).  A float is
-        written as its ``repr``, and a value is ``NA`` where it is not
-        present, also for a measure that ``cells`` lack.  Each file the rows
-        reach gets one torn-tail check and one open, so a block's rows cost
-        one open per (benchmark, detector) file.
+        written as its ``repr``, and a value is ``NA`` where ``cells.na``
+        marks it.  Each file the rows reach gets one torn-tail check and one
+        open, so a block's rows cost one open per (benchmark, detector) file.
         """
-        # Each measure's column in cells, or None; tolist() gives floats whose
-        # repr is the number, where an np.float64's names its type on numpy 2.
-        column = {name: j for j, name in enumerate(cells.measures)}
-        at = [column.get(name) for name in measure_names]
-        texts = [[_MISSING if j is None or not p[j] else repr(v[j]) for j in at]
-                 for v, p in zip(cells.values.tolist(), cells.present.tolist())]
+        # tolist() gives floats whose repr is the number, where an
+        # np.float64's names its type on numpy 2.
+        texts = [[_MISSING if n else repr(v) for v, n in zip(vs, ns)]
+                 for vs, ns in zip(cells.values.tolist(), cells.na.tolist())]
         ids = zip(cells.grid_index.tolist(), cells.table, cells.anomaly_class, cells.detector,
                   cells.params, map(repr, cells.contamination.tolist()),
                   cells.repetition.tolist(), map(";".join, cells.flags))
@@ -533,24 +527,26 @@ class RecordStore:
                 writer = csv.writer(handle)
                 if fresh:
                     handle.write(f"{self._manifest_line}\n")
-                    writer.writerow(list(_ID_COLUMNS) + list(measure_names))
+                    writer.writerow(list(_ID_COLUMNS) + list(cells.measures))
                 writer.writerows(rows)
 
     def load(self) -> StoredCells:
         """Every row in the store, as the columns of its cells.
 
-        A row whose width differs from its header, or with a value that is
-        neither ``NA`` nor a float, raises ``ValueError`` naming its file
-        and line rather than loading as a finished cell.  So does a file
-        whose first complete line is not this store's manifest line: its
-        rows belong to another run.  Of two such faults the first in file
-        and line order is named.  A second row of one cell raises
-        ``ValueError`` naming its file and both lines, so a duplicated row
-        is never averaged in as a repetition.  A torn tail is skipped, and a
-        file torn before its first line end loads as no rows.  A measure
-        missing from a file's header is absent, not ``NA``, in its rows.
+        A store is one run's grid: every file has the first file's measure
+        columns, and a file whose header differs raises ``ValueError``
+        naming both files.  A row whose width differs from its header, or
+        with a value that is neither ``NA`` nor a float, raises
+        ``ValueError`` naming its file and line rather than loading as a
+        finished cell.  So does a file whose first complete line is not this
+        store's manifest line: its rows belong to another run.  Of two such
+        faults the first in file and line order is named.  A second row of
+        one cell raises ``ValueError`` naming its file and both lines, so a
+        duplicated row is never averaged in as a repetition.  A torn tail is
+        skipped, and a file torn before its first line end loads as no rows.
         """
-        files = []  # (path, measure names, line numbers, rows) of each file with rows
+        files = []  # (path, line numbers, rows) of each file with rows
+        head = None  # (path, measure columns) of the first file with a header
         fault = None
         for path in sorted(self.root.glob("*.csv")):
             with open(path, newline="") as handle:
@@ -570,6 +566,11 @@ class RecordStore:
                     if tuple(header[: len(_ID_COLUMNS)]) != _ID_COLUMNS:
                         fault = f"{path}: unrecognized record header"
                         break
+                    head = head or (path, header[len(_ID_COLUMNS) :])
+                    if header[len(_ID_COLUMNS) :] != head[1]:
+                        fault = (f"{path}: measure columns {header[len(_ID_COLUMNS) :]} differ "
+                                 f"from {head[0]}'s {head[1]}; a store holds one run's measures")
+                        break
                 elif len(row) != len(header):
                     fault = (f"{path}: line {lineno}: {len(row)} fields where the header "
                              f"has {len(header)}")
@@ -578,15 +579,15 @@ class RecordStore:
                     lines.append(lineno)
                     rows.append(row)
             if rows:
-                files.append((path, header[len(_ID_COLUMNS) :], lines, rows))
+                files.append((path, lines, rows))
             if fault:
                 break
-        cells, order = _parse_rows(files)
+        cells, order = _parse_rows(files, tuple(head[1]) if head else ())
         if fault:
             raise ValueError(fault)
         twice = cells._first_repeat()
         if twice is not None:
-            source = [(path, line) for path, _, lines, _ in files for line in lines]
+            source = [(path, line) for path, lines, _ in files for line in lines]
             (path_a, line_a), (path_b, line_b) = source[order[twice]], source[order[twice + 1]]
             where = f"line {line_a}" if path_a == path_b else f"{path_a}: line {line_a}"
             raise ValueError(f"{path_b}: line {line_b} repeats the cell of {where} "
@@ -594,22 +595,20 @@ class RecordStore:
         return cells
 
 
-def _parse_rows(files: Sequence[tuple[Path, list[str], list[int], list[list[str]]]]
-                ) -> tuple[StoredCells, NDArray[np.intp]]:
+def _parse_rows(files: Sequence[tuple[Path, list[int], list[list[str]]]],
+                measures: tuple[str, ...]) -> tuple[StoredCells, NDArray[np.intp]]:
     """The :class:`StoredCells` of the rows read from ``files``, and the order that sorted them.
 
-    Every measure value of every file is parsed from one flat list, in one
-    ``float`` pass.  If any field does not parse, the rows are parsed one by
-    one to raise ``ValueError`` naming the first bad row's file and line.
+    Every row holds the id columns and then ``measures``.  Every row's
+    measure fields are parsed in one row-major ``float`` pass and reshaped
+    to (rows x measures).  If any field does not parse, the rows are parsed
+    one by one to raise ``ValueError`` naming the first bad row's file and
+    line.
     """
-    ids: list[list[str]] = [[] for _ in _ID_COLUMNS]
-    raw: list[str] = []  # each file's measure columns, one column after another
-    for _, _, _, rows in files:
-        columns = list(zip(*rows))
-        for column, strings in zip(ids, columns):
-            column += strings
-        for strings in columns[len(_ID_COLUMNS) :]:
-            raw += strings
+    rows = [row for _, _, file_rows in files for row in file_rows]
+    width = len(_ID_COLUMNS)
+    ids = [list(column) for column in islice(zip(*rows), width)] or [[] for _ in _ID_COLUMNS]
+    raw = list(chain.from_iterable(map(itemgetter(slice(width, None)), rows)))
     try:
         try:
             flat = np.fromiter(map(float, raw), np.float64, len(raw))
@@ -623,30 +622,16 @@ def _parse_rows(files: Sequence[tuple[Path, list[str], list[int], list[list[str]
         ids[5] = list(map(float, ids[5]))
         ids[6] = list(map(int, ids[6]))
     except ValueError:
-        for path, _, lines, rows in files:
-            for lineno, row in zip(lines, rows):
+        for path, lines, file_rows in files:
+            for lineno, row in zip(lines, file_rows):
                 try:
                     _check_row(row)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
         raise
     ids[7] = [tuple(t for t in text.split(";") if t) if text else () for text in ids[7]]
-
-    measures = tuple(dict.fromkeys(name for _, names, _, _ in files for name in names))
-    column = {name: j for j, name in enumerate(measures)}
-    shape = (len(ids[0]), len(measures))
-    values = np.zeros(shape)
-    na = np.zeros(shape, dtype=bool)
-    held = np.zeros(shape, dtype=bool)
-    start = offset = 0
-    for _, names, _, rows in files:
-        block = (slice(start, start + len(rows)), [column[name] for name in names])
-        end = offset + len(rows) * len(names)
-        values[block] = flat[offset:end].reshape(len(names), len(rows)).T
-        na[block] = missing[offset:end].reshape(len(names), len(rows)).T
-        held[block] = True
-        start, offset = start + len(rows), end
-    return _sorted_cells(ids, measures, values, held & ~na, na)
+    shape = (len(rows), len(measures))
+    return _sorted_cells(ids, measures, flat.reshape(shape), missing.reshape(shape))
 
 
 def _check_row(row: list[str]) -> None:
@@ -943,7 +928,7 @@ def _run_repetition(
                     flags[row] = row_flags
     ids = [(combo.index, bench.table, bench.anomaly_class, combo.detector, combo.params_text,
             contamination, repetition) for bench in benches for combo in combos]
-    cells, _ = _sorted_cells([*zip(*ids), list(map(tuple, flags))], names, values, ~na, na)
+    cells, _ = _sorted_cells([*zip(*ids), list(map(tuple, flags))], names, values, na)
     return cells
 
 
@@ -1041,7 +1026,6 @@ def run_grid(
     if not benchmarks:
         raise ValueError("no benchmarks to run on")
     check_parts(cfg, benchmarks)
-    names = cfg.measure_names()
     stored = store.load()
     missing = set(missing_cells(cfg, [b.name for b in benchmarks], stored))
     todo = {(name, c, rep) for name, c, _, rep in missing}
@@ -1072,7 +1056,7 @@ def run_grid(
             if progress:
                 progress(f"{cells.table[0]} c={contamination:g} rep={repetition}: "
                          f"{len(cells)} cells")
-            store.append(cells, names)
+            store.append(cells)
             flagged += cells.flags[cells.flagged_missing].tolist()
     n_cells = (len(benchmarks) * len(cfg.contaminations) * cfg.repetitions
                * len(cfg.detector_combos()))
@@ -1091,10 +1075,10 @@ class Collapsed:
     """Repetition means of one contamination level as one dense array.
 
     ``values[b, c, m]`` is the mean over repetitions of measure ``m`` for
-    combo ``c`` on benchmark ``b``: NaN where the value is missing in every
-    repetition or the combo has no record there (``present[b, c]`` False).
-    Benchmarks are ordered by name and combos by grid index; ``measures``
-    holds every part's columns (:meth:`GridConfig.parts`), the first part's first.
+    combo ``c`` on benchmark ``b``: NaN where the value is ``NA`` in every
+    repetition.  Benchmarks are ordered by name and combos by grid index;
+    ``measures`` holds every part's columns (:meth:`GridConfig.parts`), the
+    first part's first.
     """
 
     benchmarks: tuple[str, ...]
@@ -1102,12 +1086,9 @@ class Collapsed:
     detectors: tuple[str, ...]  # detector of each combo
     measures: tuple[str, ...]
     values: NDArray[np.float64]  # (benchmark, combo, measure)
-    present: NDArray[np.bool_]  # (benchmark, combo)
 
     def column(self, name: str) -> NDArray[np.float64]:
-        """The (benchmark, combo) means of measure ``name``, all NaN if never recorded."""
-        if name not in self.measures:
-            return np.full(self.present.shape, np.nan)
+        """The (benchmark, combo) means of measure ``name``."""
         return self.values[:, :, self.measures.index(name)]
 
     def block(self, measures: Sequence[str]) -> NDArray[np.float64]:
@@ -1115,7 +1096,7 @@ class Collapsed:
         return np.stack([self.column(m) for m in measures], axis=1)
 
     def table_measures(self, measures: Sequence[str] | None) -> tuple[str, ...]:
-        """``measures`` if given, else every recorded measure of the first part (:data:`_PARTS`)."""
+        """``measures`` if given, else every measure of the first part (:data:`_PARTS`)."""
         if measures:
             return tuple(measures)
         later = tuple(prefix for prefix, _ in list(_PARTS.values())[1:])
@@ -1125,21 +1106,22 @@ class Collapsed:
 def collapse(stored: StoredCells) -> Collapsed:
     """Average measure values over repetitions into one :class:`Collapsed`.
 
-    A value missing (not present) in some repetitions averages over the
-    present ones; a value missing everywhere stays missing.  A stored NaN is
-    a present value, so its mean is NaN.  The rows must share one
-    contamination level.
+    The rows must be one contamination level of a complete grid: one row
+    for every (benchmark, combo, repetition) of the benchmarks, combos and
+    repetitions they hold, else ``ValueError``.  A value that is ``NA`` in
+    some repetitions averages over the others; a value ``NA`` everywhere
+    gives NaN.  A stored NaN is a value, so its mean is NaN.
 
-    The rows' values form one (cell × measure × repetition) array, each
-    (benchmark, combo)'s repetitions in row order, which is repetition order.
-    A stable argsort on the absent mask moves
-    each (cell, measure)'s present values to the front, keeping their order.
-    Then, for each distinct present count c, one ``np.add.reduce`` along the
-    last axis of a C-contiguous (rows × c) array sums every row with that
-    count, and the sums are divided by c.  That is the reduction
+    Rows are sorted by cell, so the values reshape to one (benchmark, combo,
+    repetition, measure) array, whose (benchmark, combo, measure) rows of
+    repetitions are reduced.  A stable argsort on the ``NA`` mask moves
+    each row's values to the front, keeping their repetition order.
+    Then, for each distinct count c of values, one ``np.add.reduce`` along
+    the last axis of a C-contiguous (rows × c) array sums every row with
+    that count, and the sums are divided by c.  That is the reduction
     ``np.mean`` runs on a 1-D list of the same c values, with the same
     pairwise grouping of the sum, so each mean is bit for bit the
-    ``np.mean`` of its present values.
+    ``np.mean`` of its values.
     """
     if not len(stored):
         raise ValueError("no records to collapse")
@@ -1148,46 +1130,34 @@ def collapse(stored: StoredCells) -> Collapsed:
         raise ValueError(
             f"records mix contamination levels {levels}; filter to one first"
         )
-    # Rows are sorted by cell, so each benchmark's rows, and each of its
-    # combos' rows, are contiguous.
-    bench, grid = stored.benchmark, stored.grid_index
-    new_bench = np.ones(len(stored), dtype=bool)
-    new_bench[1:] = bench[1:] != bench[:-1]
-    new_cell = new_bench.copy()
-    new_cell[1:] |= grid[1:] != grid[:-1]
-    starts = np.flatnonzero(new_cell)
-    cell = np.cumsum(new_cell) - 1
-    slot = np.arange(len(stored)) - starts[cell]
-    firsts = np.flatnonzero(new_bench)
-    cell_i = (np.cumsum(new_bench) - 1)[starts]
-    grid_ids, first_of, cell_j = np.unique(grid[starts], return_index=True, return_inverse=True)
-    measures = stored.measures
+    bench = stored.benchmark
+    shape = (1 + int(np.count_nonzero(bench[1:] != bench[:-1])),
+             len(np.unique(stored.grid_index)), len(np.unique(stored.repetition)))
+    if len(stored) != np.prod(shape):
+        raise ValueError(
+            f"{len(stored)} rows do not fill a grid of {shape[0]} benchmarks x {shape[1]} "
+            f"combos x {shape[2]} repetitions; collapse needs every cell")
+    n_reps, n_measures = shape[2], len(stored.measures)
 
-    reps = np.zeros((len(starts), len(measures), int(slot.max()) + 1))
-    absent = np.ones(reps.shape, dtype=bool)
-    reps[cell, :, slot] = stored.values
-    absent[cell, :, slot] = ~stored.present
+    def by_repetition(cells: NDArray) -> NDArray:
+        return cells.reshape(*shape, n_measures).transpose(0, 1, 3, 2).reshape(-1, n_reps)
 
-    # Each (cell, measure)'s present values first, in repetition order.
-    order = np.argsort(absent, axis=2, kind="stable")
-    packed = np.take_along_axis(reps, order, axis=2).reshape(-1, reps.shape[2])
-    counts = reps.shape[2] - absent.sum(axis=2).ravel()
+    na = by_repetition(stored.na)
+    # Each (benchmark, combo, measure)'s values first, in repetition order.
+    order = np.argsort(na, axis=1, kind="stable")
+    packed = np.take_along_axis(by_repetition(stored.values), order, axis=1)
+    counts = n_reps - na.sum(axis=1)
     means = np.full(counts.shape, np.nan)
     for c in np.unique(counts[counts > 0]):
         rows = counts == c
         means[rows] = np.add.reduce(np.ascontiguousarray(packed[rows, :c]), axis=1) / c
-
-    values = np.full((len(firsts), len(grid_ids), len(measures)), np.nan)
-    values[cell_i, cell_j] = means.reshape(len(starts), len(measures))
-    present = np.zeros(values.shape[:2], dtype=bool)
-    present[cell_i, cell_j] = True
+    per_bench = shape[1] * n_reps
     return Collapsed(
-        benchmarks=tuple(bench[firsts].tolist()),
-        tables=tuple(stored.table[firsts].tolist()),
-        detectors=tuple(stored.detector[starts[first_of]].tolist()),
-        measures=measures,
-        values=values,
-        present=present,
+        benchmarks=tuple(bench[::per_bench].tolist()),
+        tables=tuple(stored.table[::per_bench].tolist()),
+        detectors=tuple(stored.detector[:per_bench:n_reps].tolist()),
+        measures=stored.measures,
+        values=means.reshape(shape[0], shape[1], n_measures),
     )
 
 
@@ -1333,16 +1303,16 @@ def _kendall_block(rows: NDArray[np.float64]) -> NDArray[np.float64]:
 def kendall_matrix(data: Collapsed, measures: Sequence[str] | None = None) -> MeasurePairs:
     """Average per-benchmark Kendall tau between every measure pair.
 
-    Per benchmark, each measure induces a vector over the detector combos
-    present there; tau is computed per measure pair on the combos where
-    both values exist (:func:`_kendall_block`) and averaged across
-    benchmarks, skipping benchmarks where it is undefined.
+    Per benchmark, each measure induces a vector over the detector combos;
+    tau is computed per measure pair on the combos where both values are
+    finite (:func:`_kendall_block`) and averaged across benchmarks,
+    skipping benchmarks where it is undefined.
     """
     names = data.table_measures(measures)
     block = data.block(names)
     taus = []
     for b, bench in enumerate(data.benchmarks):
-        rows = block[b][:, data.present[b]].T
+        rows = block[b].T
         if len(rows) < 2:
             raise ValueError(
                 f"benchmark {bench} has {len(rows)} combo(s); need at least 2"

@@ -537,7 +537,7 @@ class Row(NamedTuple):
     """One cell of a store as a plain tuple: its id columns, flags and values.
 
     ``values`` maps a measure to its float, or to ``None`` for ``NA``; a
-    measure it lacks is absent from the row.  The default ``values`` is one
+    measure it lacks is ``NA`` in :func:`cells_of`.  The default ``values`` is one
     shared dict, so no test mutates a row's values.
     """
 
@@ -565,35 +565,36 @@ class Row(NamedTuple):
         return any(v is None for v in self.values.values())
 
 
-def cells_of(rows):
+def cells_of(rows, measures=None):
     """The ``StoredCells`` of ``rows``, built by ``_sorted_cells``, as a load builds them.
 
-    The measures are those of the rows' values, in order of first appearance.
+    The measures are ``measures`` if given, else those of the rows' values
+    in order of first appearance.  A measure that a row's values lack is
+    ``NA`` in that row, as every missing value of a store is.
     """
     rows = list(rows)
-    measures = tuple(dict.fromkeys(name for r in rows for name in r.values))
+    if measures is None:
+        measures = dict.fromkeys(name for r in rows for name in r.values)
+    measures = tuple(measures)
     shape = (len(rows), len(measures))
-    held = np.array([[m in r.values for m in measures] for r in rows], dtype=bool).reshape(shape)
-    na = np.array([[m in r.values and r.values[m] is None for m in measures] for r in rows],
+    na = np.array([[r.values.get(m) is None for m in measures] for r in rows],
                   dtype=bool).reshape(shape)
     values = np.array([[0.0 if r.values.get(m) is None else r.values[m] for m in measures]
                        for r in rows], dtype=np.float64).reshape(shape)
     ids = [[getattr(r, field) for r in rows] for field in Row._fields[:8]]
-    cells, _ = _sorted_cells(ids, measures, values, held & ~na, na)
+    cells, _ = _sorted_cells(ids, measures, values, na)
     return cells
 
 
 def rows_of(cells):
     """The rows of ``StoredCells`` ``cells``, in their order, as :class:`Row` tuples.
 
-    A row's values hold the measures it holds (present or ``NA``), as Python floats.
+    A row's values hold every measure, as a Python float or ``None`` for ``NA``.
     """
-    held = (cells.present | cells.na).tolist()
     ids = [getattr(cells, field).tolist() for field in Row._fields[:8]]
     return [
-        Row(*row_ids, values={m: None if n else v
-                              for m, v, n, h in zip(cells.measures, vs, ns, hs) if h})
-        for *row_ids, vs, ns, hs in zip(*ids, cells.values.tolist(), cells.na.tolist(), held)
+        Row(*row_ids, values={m: None if n else v for m, v, n in zip(cells.measures, vs, ns)})
+        for *row_ids, vs, ns in zip(*ids, cells.values.tolist(), cells.na.tolist())
     ]
 
 

@@ -190,7 +190,7 @@ def test_criterion_4_degenerate_detector_disagreement():
         value = auc_rows(curve)[0]
         assert value >= 0.85, f"AUC={value}"
         assert tpr_at_rows(curve, [0.01])[0, 0] == 0.0
-        assert auc_at_rows(curve, [0.05], normalized=True)[0, 0] <= 0.15
+        assert auc_at_rows(curve, [0.05])[0, 0] <= 0.15
 
 
 # ---------------------------------------------------------------------------

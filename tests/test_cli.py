@@ -664,6 +664,17 @@ class TestAggregate:
             rows = [r for r in csv.reader(handle) if not r[0].startswith("#")]
         assert len(rows) == 1 + 7 and all(r[4] == "2" for r in rows[1:])  # tab0-c1, tab0-c2
 
+    @pytest.mark.parametrize("flags", [["--measure", "AUC,AUC"],
+                                       ["--measure", "AUC,TPR@0.05", "--measure", "AUC"]],
+                             ids=["one-flag", "two-flags"])
+    def test_measure_named_twice_is_refused(self, study, tmp_path, capsys, flags):
+        # A repeated measure would be printed twice, and in the Kendall table
+        # its row mean would count its tau with itself.
+        out_dir = tmp_path / "tables"
+        assert main(["aggregate", "kendall", str(study.run), "--out", str(out_dir), *flags]) == 2
+        assert "measure 'AUC' is named twice" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_measure_filter(self, study):
         out_dir = study.root / "tables_filtered"
         assert main(
@@ -737,6 +748,35 @@ class TestAggregate:
         assert main(["run", "--config", str(study.config), "--set", f"output_dir={clone}"]) == 2
         assert capsys.readouterr().err == message
         assert path.read_text() == text
+
+    def test_a_file_missing_a_measure_column_is_refused_by_aggregate_and_by_resume(
+            self, study, tmp_path, capsys):
+        # A store is one run's grid: a file whose header lacks a measure is
+        # neither read as NA there nor resumed past.
+        clone = tmp_path / "clone"
+        shutil.copytree(study.run, clone)
+        first, path = sorted((clone / "records").glob("*.csv"))[:2]
+        manifest, *lines = path.read_text().splitlines(keepends=True)
+        text = manifest + "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+        path.write_text(text)
+        header = next(csv.reader(first.read_text().splitlines()[1:]))[8:]
+        message = (f"error: {path}: measure columns {header[:-1]} differ from {first}'s "
+                   f"{header}; a store holds one run's measures\n")
+        assert main(["aggregate", "rank", str(clone), "--out", str(tmp_path / "tables")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "tables").exists()
+        assert main(["run", "--config", str(study.config), "--set", f"output_dir={clone}"]) == 2
+        assert capsys.readouterr().err == message
+        assert path.read_text() == text
+
+    def test_negative_zero_contamination_names_the_runs_level(self, study, tmp_path):
+        plain, signed = tmp_path / "plain", tmp_path / "signed"
+        assert main(["aggregate", "rank", str(study.run), "--out", str(plain)]) == 0
+        assert main(["aggregate", "rank", str(study.run), "--out", str(signed),
+                     "--contamination", "-0"]) == 0
+        assert sorted(p.name for p in signed.iterdir()) == ["rank_c0.csv", "rank_c0.txt"]
+        assert all((signed / name).read_bytes() == (plain / name).read_bytes()
+                   for name in ("rank_c0.csv", "rank_c0.txt"))
 
     def test_unknown_contamination_rejected(self, study, capsys):
         assert main(

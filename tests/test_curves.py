@@ -1,4 +1,3 @@
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,9 +172,9 @@ class TestAuc:
 class TestAucAt:
     def test_hand_values(self):
         curve = simple_curve()
-        assert auc_at_rows(curve, [0.5])[0, 0] == 0.25
-        assert auc_at_rows(curve, [0.5], normalized=True)[0, 0] == 0.5
-        assert auc_at_rows(curve, [0.25])[0, 0] == 0.125
+        # Areas 0.25 under FPR 0.5 and 0.125 under FPR 0.25, each over its alpha.
+        assert auc_at_rows(curve, [0.5])[0, 0] == 0.5
+        assert auc_at_rows(curve, [0.25])[0, 0] == 0.5
 
     def test_alpha_one_equals_auc_exactly(self):
         curve = simple_curve()
@@ -184,7 +183,7 @@ class TestAucAt:
     def test_normalized_perfect_detector_is_one(self):
         curve = one_row([0, 1], [1.0, 2.0]).curve
         for alpha in (0.01, 0.05, 0.5, 1.0):
-            assert auc_at_rows(curve, [alpha], normalized=True)[0, 0] == 1.0
+            assert auc_at_rows(curve, [alpha])[0, 0] == 1.0
 
     def test_rejects_alpha_zero_and_out_of_range(self):
         curve = simple_curve()
@@ -197,7 +196,8 @@ class TestAucAt:
     def test_alpha_one_identity_random(self, data, alpha):
         curve = data.curve
         assert auc_at_rows(curve, [1.0])[0, 0] == auc_rows(curve)[0]
-        assert 0.0 <= auc_at_rows(curve, [alpha])[0, 0] <= alpha + 1e-15
+        # The area is at most alpha: divided by alpha, at most 1.
+        assert 0.0 <= auc_at_rows(curve, [alpha])[0, 0] <= (alpha + 1e-15) / alpha
 
 
 class TestTprAt:
@@ -338,8 +338,7 @@ def assert_rows_match_their_curves(labels, scores):
     )
     assert auc_weighted_rows(rows).tolist() == [auc_weighted_rows(c)[0] for c in curves]
     alphas = alpha_probes(labels)
-    measures = [partial(auc_at_rows, normalized=False), partial(auc_at_rows, normalized=True),
-                tpr_at_rows, threshold_at_fpr_rows]
+    measures = [auc_at_rows, tpr_at_rows, threshold_at_fpr_rows]
     for measure in measures:
         every = measure(rows, alphas)
         assert every.shape == (len(alphas), len(scores))

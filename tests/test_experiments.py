@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import math
@@ -316,8 +317,9 @@ class TestRunGrid:
         ordered = RecordStore(tmp_path / "ordered", manifest_hash="h")
         records = rows_of(RecordStore(tmp_path / "1", manifest_hash="h").load())
         for block in sorted({(r.contamination, r.repetition) for r in records}):
-            ordered.append(cells_of(r for r in records if (r.contamination, r.repetition) == block),
-                           cfg.measure_names())
+            ordered.append(cells_of(
+                [r for r in records if (r.contamination, r.repetition) == block],
+                cfg.measure_names()))
         assert {p.name: p.read_bytes() for p in (tmp_path / "ordered").glob("*.csv")} == stores[1]
 
     @pytest.mark.parametrize("contamination, lines", [
@@ -641,8 +643,8 @@ class TestRunCell:
         store = RecordStore(tmp_path, manifest_hash="h")
         # Resume from a store holding half of the c=0.05 block's combos.
         stored = [cell for cell in cells if cell[1] == 0.05 and cell[0].index % 2 == 0]
-        store.append(cells_of(expected[c, combo.index, rep] for combo, c, rep in stored),
-                     cfg.measure_names())
+        store.append(cells_of([expected[c, combo.index, rep] for combo, c, rep in stored],
+                              cfg.measure_names()))
         summary = run_grid(cfg, [table], store)
         assert summary.n_cells == len(cells)
         assert summary.n_new == len(cells) - len(stored)
@@ -695,12 +697,11 @@ class TestRunCell:
                                "repetition", "flags", "benchmark"):
                     assert getattr(block, column)[i] == getattr(stored, column)[j], (key, column)
                 assert block.values[i].tobytes() == stored.values[j].tobytes(), key
-                assert (block.present[i] == stored.present[j]).all(), key
                 assert (block.na[i] == stored.na[j]).all(), key
                 val = np.array([n.startswith("val:") for n in names])
                 seen["failed"] += block.na[i].all()
-                seen["one-class part"] += block.na[i, val].all() and block.present[i, ~val].all()
-                seen["whole"] += block.present[i].all()
+                seen["one-class part"] += block.na[i, val].all() and not block.na[i, ~val].any()
+                seen["whole"] += not block.na[i].any()
                 seen["thinned"] += "thinned-normals@0.8" in block.flags[i]
         assert len(seen) == 4 and all(seen.values()), seen
 
@@ -752,8 +753,8 @@ class TestSharedFits:
             if (bench.anomaly_class, combo.index % 2, rep) in {("c1", 0, 1), ("c2", 1, 0)}
         ]
         store = RecordStore(tmp_path, manifest_hash="h")
-        store.append(cells_of(expected[bench.anomaly_class, c, combo.index, rep]
-                              for bench, c, combo, rep in stored), cfg.measure_names())
+        store.append(cells_of([expected[bench.anomaly_class, c, combo.index, rep]
+                               for bench, c, combo, rep in stored], cfg.measure_names()))
         summary = run_grid(cfg, [self.table], store)
         assert summary.n_new == len(expected) - len(stored)
         rows = {
@@ -1200,12 +1201,12 @@ class TestRecordStore:
     def test_roundtrip_preserves_values_exactly(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         rec = Row(values={"AUC": 1 / 3, "TPR@0.05": None}, flags=("note", "x"))
-        store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
+        store.append(cells_of([rec], ("AUC", "TPR@0.05")))
         assert rows_of(store.load()) == [rec]
 
     def test_manifest_comment_heads_each_file(self, tmp_path):
         store = RecordStore(tmp_path, manifest_hash="cafe01")
-        store.append(cells_of([Row(values={"AUC": 0.5})]), ("AUC",))
+        store.append(cells_of([Row(values={"AUC": 0.5})], ("AUC",)))
         path = next(tmp_path.glob("*.csv"))
         assert path.read_text().startswith("# manifest: cafe01\n")
 
@@ -1218,7 +1219,7 @@ class TestRecordStore:
         store = RecordStore(tmp_path, manifest_hash="cafe01")
         for rep in range(2):
             rec = Row(repetition=rep, values={"AUC": 0.5, "TPR@0.05": 0.25})
-            store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
+            store.append(cells_of([rec], ("AUC", "TPR@0.05")))
         return store, next(tmp_path.glob("*.csv"))
 
     def test_short_row_rejected_with_file_and_line(self, tmp_path):
@@ -1251,18 +1252,18 @@ class TestRecordStore:
             for rep in range(2)
         ]
         for rec in recs:
-            store.append(cells_of([rec]), ("AUC", "TPR@0.05"))
+            store.append(cells_of([rec], ("AUC", "TPR@0.05")))
         path = next(tmp_path.glob("*.csv"))
         whole = path.read_bytes()
         # A write cut 6 bytes short leaves "...,0.12345" without a line end.
         path.write_bytes(whole[:-6])
         assert rows_of(store.load()) == recs[:1]
-        store.append(cells_of([recs[1]]), ("AUC", "TPR@0.05"))
+        store.append(cells_of([recs[1]], ("AUC", "TPR@0.05")))
         assert path.read_bytes() == whole
         # A torn header row leaves nothing to keep: the file starts afresh.
         path.write_bytes(whole[: whole.index(b"\n") + 5])
         assert rows_of(store.load()) == []
-        store.append(cells_of([recs[0]]), ("AUC", "TPR@0.05"))
+        store.append(cells_of([recs[0]], ("AUC", "TPR@0.05")))
         assert rows_of(store.load()) == recs[:1]
 
     def test_unparseable_value_rejected_with_file_and_line(self, tmp_path):
@@ -1277,7 +1278,7 @@ class TestRecordStore:
         store.append(cells_of([
             Row(repetition=0, values={"A": None, "B": math.nan, "C": -math.inf}),
             Row(repetition=1, values={"A": math.inf, "B": math.nan, "C": 0.25}),
-        ]), names)
+        ], names))
         text = next(tmp_path.glob("*.csv")).read_text()
         assert text.endswith(",NA,nan,-inf\n0,t,c1,knn,g0,0.0,1,,inf,nan,0.25\n")
         with_na, without = rows_of(store.load())
@@ -1288,6 +1289,33 @@ class TestRecordStore:
         for rec in (with_na, without):
             assert list(rec.values) == list(names)
             assert all(type(v) is float for v in rec.values.values() if v is not None)
+
+    @pytest.mark.parametrize("change", [
+        lambda fields, header: fields[:-1],  # the last measure dropped
+        lambda fields, header: fields + ["F1@0.05" if header else "0.5"],  # a measure added
+        lambda fields, header: fields[:8] + fields[:7:-1],  # the measures reordered
+    ], ids=["dropped", "extra", "reordered"])
+    def test_a_file_of_other_measure_columns_is_refused_naming_both_files(self, tmp_path,
+                                                                          change):
+        names = ("AUC", "TPR@0.05", "CVOL@0.05")
+        store = RecordStore(tmp_path, manifest_hash="cafe01")
+        store.append(cells_of([Row(grid_index=g, detector=d, values=dict(zip(names, (0.5, 0.25, 1.0))))
+                               for g, d in enumerate(("knn", "lof"))], names))
+        knn, lof = sorted(tmp_path.glob("*.csv"))
+        for victim in (knn, lof):  # the first file's header, or a later file's
+            text = victim.read_text()
+            manifest, *lines = text.splitlines()
+            edited = [",".join(change(line.split(","), i == 0)) for i, line in enumerate(lines)]
+            victim.write_text("\n".join([manifest, *edited, ""]))
+            headers = [next(csv.reader([path.read_text().splitlines()[1]]))[8:]
+                       for path in (knn, lof)]
+            with pytest.raises(ValueError) as refused:
+                store.load()
+            assert str(refused.value) == (
+                f"{lof}: measure columns {headers[1]} differ from {knn}'s {headers[0]}; "
+                "a store holds one run's measures")
+            victim.write_text(text)
+            assert len(store.load()) == 2
 
     def test_file_of_another_run_rejected_naming_it(self, tmp_path):
         _, path = self.two_row_store(tmp_path)
@@ -1322,13 +1350,13 @@ class TestRecordStore:
         single = RecordStore(tmp_path / "single", manifest_hash="cafe01")
         for block in self.two_blocks():
             for rec in block:
-                single.append(cells_of([rec]), names)
+                single.append(cells_of([rec], names))
         cuts = []
         drop = experiments._drop_torn_tail
         monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: cuts.append(p.name) or drop(p))
         batched = RecordStore(tmp_path / "batched", manifest_hash="cafe01")
         for block in self.two_blocks():
-            batched.append(cells_of(block), names)
+            batched.append(cells_of(block, names))
         files = sorted(p.name for p in (tmp_path / "single").glob("*.csv"))
         assert len(files) == 2 and sorted(cuts) == sorted(files * 2)  # one check per file and block
         assert ({p.name: p.read_bytes() for p in (tmp_path / "batched").glob("*.csv")}
@@ -1340,9 +1368,8 @@ class TestRecordStore:
     @settings(max_examples=60, deadline=None)
     def test_append_writes_the_reference_text(self, data):
         # A block's columns reach the file as the row-by-row writer wrote
-        # records: ids, repr of each float, NA where a value is not present.
-        held = ["AUC", "val:AUC", "TPR@0.05"]
-        names = data.draw(st.permutations(held + ["CVOL@0.05"]))  # no row holds CVOL@0.05
+        # records: ids, repr of each float, NA where a value is NA.
+        names = data.draw(st.permutations(["AUC", "val:AUC", "TPR@0.05", "CVOL@0.05"]))
         value = st.one_of(
             st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2]),
             st.floats(allow_nan=False),
@@ -1359,7 +1386,7 @@ class TestRecordStore:
                 contamination=c, repetition=rep,
                 flags=tuple(data.draw(st.lists(st.sampled_from(STORE_FLAGS), unique=True,
                                                max_size=3))),
-                values={n: data.draw(value) for n in held if data.draw(st.booleans())})
+                values={n: data.draw(value) for n in names})
             for (table, anomaly_class), g, c, rep in cells
         ]
         cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=2)))
@@ -1367,7 +1394,7 @@ class TestRecordStore:
         with tempfile.TemporaryDirectory() as root:
             store = RecordStore(root, manifest_hash="cafe01")
             for block in blocks:
-                store.append(cells_of(block), names)
+                store.append(cells_of(block, names))
             files = {p.name: p.read_bytes().decode() for p in Path(root).glob("*.csv")}
         assert files == store_text_reference(blocks, names, "cafe01")
 
@@ -1375,9 +1402,9 @@ class TestRecordStore:
         names = ("AUC", "TPR@0.05")
         first, second = self.two_blocks()
         whole = RecordStore(tmp_path / "whole", manifest_hash="cafe01")
-        whole.append(cells_of(first + second), names)
+        whole.append(cells_of(first + second, names))
         store = RecordStore(tmp_path / "store", manifest_hash="cafe01")
-        store.append(cells_of(first), names)
+        store.append(cells_of(first, names))
         path = sorted((tmp_path / "store").glob("*.csv"))[0]
         path.write_bytes(path.read_bytes()[:-6])  # the last row of the first block is torn
         assert path.name == f"{first[1].benchmark}__{first[1].detector}.csv"
@@ -1385,7 +1412,7 @@ class TestRecordStore:
         checks = []
         drop = experiments._drop_torn_tail
         monkeypatch.setattr(experiments, "_drop_torn_tail", lambda p: checks.append(p.name) or drop(p))
-        store.append(cells_of([first[1]] + second), names)  # the torn row's cell, the next block
+        store.append(cells_of([first[1]] + second, names))  # the torn row's cell, the next block
         assert sorted(checks) == sorted(p.name for p in (tmp_path / "store").glob("*.csv"))
         assert ({p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.csv")}
                 == {p.name: p.read_bytes() for p in (tmp_path / "whole").glob("*.csv")})
@@ -1417,7 +1444,6 @@ class TestMeanRecords:
         records = [Row(values={"AUC": None}), Row(repetition=1, values={"AUC": None})]
         data = collapse(cells_of(records))
         assert math.isnan(data.column("AUC")[0, 0])
-        assert data.present[0, 0]
 
     def test_groups_by_combo(self):
         records = [
@@ -1429,20 +1455,31 @@ class TestMeanRecords:
         assert data.values[0, :, 0].tolist() == [0.2, 0.8]
 
     def test_axes_keep_names_tables_detectors_and_val_columns(self):
+        # Each benchmark's other combo is NA in every measure, and t-c1's val:AUC is NA.
         records = [
             Row(table="u", anomaly_class="c2", grid_index=3, detector="lof",
                    values={"AUC": 0.5, "val:AUC": 0.25}),
+            Row(table="u", anomaly_class="c2", grid_index=0),
             Row(table="t", anomaly_class="c1", grid_index=0, values={"AUC": 0.7}),
+            Row(table="t", anomaly_class="c1", grid_index=3, detector="lof"),
         ]
         data = collapse(cells_of(records))
         assert data.benchmarks == ("t-c1", "u-c2")
         assert data.tables == ("t", "u")
         assert data.detectors == ("knn", "lof")
         assert data.measures == ("AUC", "val:AUC")
-        assert data.present.tolist() == [[True, False], [False, True]]
-        assert data.column("val:AUC")[1, 1] == 0.25
-        assert math.isnan(data.column("val:AUC")[0, 0])
-        assert np.isnan(data.column("never-recorded")).all()
+        assert data.column("val:AUC")[1, 1] == 0.25 and data.column("AUC")[0, 0] == 0.7
+        assert np.isnan(data.values[[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]]).tolist() == [
+            True, True, True, False]
+
+    def test_incomplete_grid_rejected(self):
+        records = [Row(anomaly_class=c, grid_index=g, repetition=rep, values={"AUC": 0.5})
+                   for c in ("c1", "c2") for g in (0, 1) for rep in (0, 1)]
+        assert collapse(cells_of(records)).values.shape == (2, 2, 1)
+        for i in range(len(records)):
+            with pytest.raises(ValueError, match=r"^7 rows do not fill a grid of 2 benchmarks "
+                                                 r"x 2 combos x 2 repetitions"):
+                collapse(cells_of(records[:i] + records[i + 1:]))
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
@@ -1450,24 +1487,30 @@ class TestMeanRecords:
 
 
 def exactness_records(rng):
-    """Cells of 1-40 repetitions with gaps, values over many magnitudes, -0.0 and NaN, shuffled."""
+    """Cells of 1-40 values each, values over many magnitudes, -0.0 and NaN, shuffled.
+
+    A complete grid of 2 benchmarks x 40 combos x 43 repetitions: combo g
+    holds g + 1 repetitions with a value of A, from repetition 0 on, with
+    gaps; every other repetition of it is ``NA`` in every measure.
+    """
     out = []
-    for g, n_reps in enumerate(range(1, 41)):
-        reps = [rep for rep in range(n_reps + 3) if rep == 0 or rng.random() > 0.1]  # gaps
-        for rep in reps[:n_reps]:
-            values = {}
-            for name in ("A", "B", "C"):
-                u = rng.random()
-                if u < 0.2 and name != "A":
-                    values[name] = None
-                elif u < 0.22 and name == "C":
-                    values[name] = math.nan  # a stored NaN makes its cell's mean NaN
-                elif u < 0.3:
-                    values[name] = -0.0
-                else:
-                    values[name] = float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-12, 13))
-            out.append(Row(grid_index=g, anomaly_class=f"c{1 + g % 2}",
-                              repetition=rep, values=values))
+    for anomaly_class in ("c1", "c2"):
+        for g, n_reps in enumerate(range(1, 41)):
+            reps = [rep for rep in range(n_reps + 3) if rep == 0 or rng.random() > 0.1]
+            for rep in range(43):
+                values = {}
+                for name in ("A", "B", "C"):
+                    u = rng.random()
+                    if rep not in reps[:n_reps] or (u < 0.2 and name != "A"):
+                        values[name] = None
+                    elif u < 0.22 and name == "C":
+                        values[name] = math.nan  # a stored NaN makes its cell's mean NaN
+                    elif u < 0.3:
+                        values[name] = -0.0
+                    else:
+                        values[name] = float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-12, 13))
+                out.append(Row(grid_index=g, anomaly_class=anomaly_class,
+                               repetition=rep, values=values))
     rng.shuffle(out)
     return out
 
@@ -1480,7 +1523,7 @@ class TestCollapseExactness:
         # The columns hold each cell's repetitions in repetition order.
         records.sort(key=lambda r: r.key)
         means = repetition_means(records)
-        assert len(means) == 40 and data.present.sum() == 40
+        assert len(means) == 80 and data.values.shape == (2, 40, 3)
         regrouped = 0  # cells where a left-to-right sum would give other bytes
         for (table, anomaly_class, g), (_, values) in means.items():
             i = data.benchmarks.index(f"{table}-{anomaly_class}")
@@ -1573,20 +1616,20 @@ class TestMeanRankTable:
         ]
 
     def test_missing_detector_is_reported(self):
-        records = self.two_bench_records()[:-1]  # drop lof on c2
+        records = self.two_bench_records()
+        records[-1] = records[-1]._replace(values={"AUC": None})  # lof on c2 is NA
         with pytest.raises(ValueError, match="t-c2/lof"):
             mean_rank_table(collapse(cells_of(records)), ["AUC"])
 
     @staticmethod
     def collapsed(values):
-        """A :class:`Collapsed` of (benchmark, combo, measure) ``values``, all combos present."""
+        """A :class:`Collapsed` of (benchmark, combo, measure) ``values``."""
         return Collapsed(
             benchmarks=tuple(f"t-c{b:02d}" for b in range(values.shape[0])),
             tables=("t",) * values.shape[0],
             detectors=("iforest", "knn", "knn", "lof", "lof"),
             measures=tuple("ABCDEF"[: values.shape[2]]),
             values=values,
-            present=np.ones(values.shape[:2], dtype=bool),
         )
 
     def test_one_pass_equals_each_measure_alone(self):
@@ -1705,7 +1748,7 @@ class TestKendallMatrix:
         # Benchmark c3 is fully tied in A: contributes nothing to (A, B).
         records += [
             Row(grid_index=g, anomaly_class="c3", values={"A": 0.5, "B": float(g)})
-            for g in range(2)
+            for g in range(3)
         ]
         result = kendall_matrix(collapse(cells_of(records)), measures=("A", "B"))
         assert result.counts[0, 1] == 2
@@ -1815,6 +1858,7 @@ class TestMulticlassSensitivity:
             Row(anomaly_class="c2", grid_index=0, values={"M": 0.1}),
             Row(anomaly_class="c2", grid_index=1, values={"M": 0.9}),
             Row(table="solo", anomaly_class="only", values={"M": 0.5}),
+            Row(table="solo", anomaly_class="only", grid_index=1, values={"M": 0.4}),
         ]
         result = multiclass_sensitivity(collapse(cells_of(records)), measures=("M",))
         assert result.n_tables == 1 and result.n_skipped_tables == 1
@@ -1833,17 +1877,22 @@ RANDOM_MEASURES = ("A", "B", "Z", "val:A", "val:B")
 
 
 def random_records(rng):
-    """2-3 tables of 1-3 anomaly classes; absent combos, gaps, ties and zeros."""
+    """2-3 tables of 1-3 anomaly classes, 3 repetitions; NA combos, NA repetitions, ties and zeros.
+
+    A combo is ``NA`` in every measure and repetition on about 15% of the
+    benchmarks, and in every measure from a random repetition on elsewhere.
+    """
     out = []
     for t in range(int(rng.integers(2, 4))):
         for c in range(1, int(rng.integers(2, 5))):
             for g, detector in enumerate(RANDOM_DETECTORS):
-                if rng.random() < 0.15:
-                    continue  # combo absent on this benchmark
-                for rep in range(int(rng.integers(1, 4))):
+                n_reps = 0 if rng.random() < 0.15 else int(rng.integers(1, 4))
+                for rep in range(3):
                     values = {}
                     for name in RANDOM_MEASURES:
-                        if rng.random() < (0.7 if name == "val:B" else 0.15):
+                        if rep >= n_reps:
+                            values[name] = None
+                        elif rng.random() < (0.7 if name == "val:B" else 0.15):
                             values[name] = None  # val:B is sparse: empty benchmarks
                         elif name == "Z":  # mostly zero: zero best targets
                             values[name] = 0.0 if rng.random() < 0.9 else 0.5
@@ -1872,19 +1921,15 @@ def store_value(rng):
 
 
 def write_random_store(rng, root):
-    """A store of 3 benchmarks x 4 combos x 2 levels x 3 repetitions, some cells absent.
+    """A store of 3 benchmarks x 4 combos x 2 levels x 3 repetitions, some cells missing.
 
     The rows are shuffled and appended in four batches, each call writing
-    its rows in cell order.  The file of u-v-w's lof rows holds no
-    ``TPR@0.05`` column, so its rows lack that measure.  Returns the store
-    and its rows.
+    its rows in cell order.  Returns the store and its rows.
     """
     store = RecordStore(root, manifest_hash="feed01")
-    short = tuple(n for n in STORE_MEASURES if n != "TPR@0.05")
     records = []
     for table, anomaly_class in (("t", "c1"), ("t", "c2"), ("u-v", "w")):
         for g, detector in enumerate(("knn", "knn", "lof", "iforest")):
-            names = short if (table, detector) == ("u-v", "lof") else STORE_MEASURES
             for c in (0.0, 0.05):
                 for rep in range(3):
                     if rng.random() < 0.15:
@@ -1893,15 +1938,11 @@ def write_random_store(rng, root):
                     records.append(Row(
                         grid_index=g, table=table, anomaly_class=anomaly_class,
                         detector=detector, params=f"k={g}", contamination=c, repetition=rep,
-                        values={n: store_value(rng) for n in names}, flags=tuple(flags),
+                        values={n: store_value(rng) for n in STORE_MEASURES}, flags=tuple(flags),
                     ))
     rng.shuffle(records)
     for batch in np.array_split(np.arange(len(records)), 4):
-        chunk = [records[i] for i in batch]
-        for part, names in ((True, short), (False, STORE_MEASURES)):
-            store.append(
-                cells_of(r for r in chunk if (r.detector == "lof" and r.table == "u-v") == part),
-                names)
+        store.append(cells_of([records[i] for i in batch], STORE_MEASURES))
     return store, records
 
 
@@ -1923,35 +1964,43 @@ class TestStoreRoundTrip:
         stored = store.load()
         assert exact(rows_of(stored)) == exact(records)
         assert stored.flagged_missing.tolist() == [r.flagged_missing for r in records]
-        assert not stored.present[stored.na].any()
-        assert set(stored.measures) == set(STORE_MEASURES)
+        assert not stored.values[stored.na].any()
+        assert stored.measures == STORE_MEASURES
 
         cfg = knn_only_config(knn_ks=(1, 3), lof_ks=(5,), iforest_trees=(10,),
                               contaminations=(0.0, 0.05), repetitions=3)
         names = ["t-c1", "t-c2", "u-v-w", "x-y"]  # x-y has no rows
         have = {r.key for r in records}
         every = set(itertools.product(names, (0.0, 0.05), range(4), range(3)))
-        assert missing_cells(cfg, names, stored) == sorted(every - have)
+        missing = missing_cells(cfg, names, stored)
+        assert missing == sorted(every - have)
 
+        # The stored benchmarks' missing cells, appended as NA in every
+        # measure, complete the grid that collapse takes.
+        by_name = {r.benchmark: r for r in records}
+        filled = [by_name[b]._replace(contamination=c, grid_index=g, repetition=rep,
+                                      detector=("knn", "knn", "lof", "iforest")[g],
+                                      params=f"k={g}", flags=(), values={})
+                  for b, c, g, rep in missing if b in by_name]
+        store.append(cells_of(filled, STORE_MEASURES))
+        stored = store.load()
+        records = sorted(records + filled, key=lambda r: r.key)
+        assert len(stored) == 3 * 4 * 2 * 3
         for c in (0.0, 0.05):
             level = [r for r in records if r.contamination == c]
             # A mean over +inf and -inf is NaN, which numpy signals as invalid.
             with np.errstate(invalid="ignore"):
                 data = collapse(stored.select(stored.contamination == c))
                 means = repetition_means(level)
-            grids = sorted({r.grid_index for r in level})
-            assert data.benchmarks == tuple(sorted({r.benchmark for r in level}))
-            assert set(data.measures) == {n for r in level for n in r.values}
+            assert data.benchmarks == tuple(sorted(by_name))
+            assert data.measures == STORE_MEASURES and data.values.shape == (3, 4, 5)
             expected = np.full(data.values.shape, np.nan)
-            present = np.zeros(data.present.shape, dtype=bool)
             for (table, anomaly_class, g), (detector, values) in means.items():
-                i, j = data.benchmarks.index(f"{table}-{anomaly_class}"), grids.index(g)
-                assert data.detectors[j] == detector and data.tables[i] == table
-                present[i, j] = True
+                i = data.benchmarks.index(f"{table}-{anomaly_class}")
+                assert data.detectors[g] == detector and data.tables[i] == table
                 for name, mean in values.items():
                     if mean is not None:
-                        expected[i, j, data.measures.index(name)] = mean
-            assert (data.present == present).all()
+                        expected[i, g, data.measures.index(name)] = mean
             assert np.array_equal(data.values, expected, equal_nan=True)
 
 
